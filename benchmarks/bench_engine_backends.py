@@ -1,14 +1,13 @@
-"""Engine backends: serial vs batched vs multiprocess grid sweeps.
+"""Engine backends: serial vs batched grid sweeps.
 
 Times ``N_SWEEPS`` spectral-grid sweeps — the GF phase of successive Born
-iterations — on a Fig.-13-style grid (NE=64, Nkz=4) for four
+iterations — on a Fig.-13-style grid (NE=64, Nkz=4) for three
 configurations:
 
 * ``seed``         — the per-point loop with the seed's per-iteration
   boundary recomputation (``engine="serial", cache_boundary=False``);
 * ``serial``       — per-point loop + boundary memoization;
-* ``batched``      — stacked ``[batch, bnum, n, n]`` tensor systems;
-* ``multiprocess`` — batched rows over an OmenDecomposition process pool.
+* ``batched``      — stacked ``[batch, bnum, n, n]`` tensor systems.
 
 Emits ``BENCH_engine.json`` next to this file and asserts the acceptance
 criterion of ISSUE 1: the batched backend beats the seed per-point loop
@@ -49,7 +48,6 @@ BACKENDS = [
     ("seed", "serial", False),
     ("serial", "serial", True),
     ("batched", "batched", True),
-    ("multiprocess", "multiprocess", True),
 ]
 
 _OUT = Path(__file__).resolve().parent / "BENCH_engine.json"

@@ -25,7 +25,6 @@ from .plan import (
     PlanError,
     PlanGroup,
     STRUCTURAL_FIELDS,
-    choose_engine,
     choose_rgf_kernel,
     compile_workload,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "PlanError",
     "PlanGroup",
     "STRUCTURAL_FIELDS",
-    "choose_engine",
     "choose_rgf_kernel",
     "compile_workload",
     "Session",

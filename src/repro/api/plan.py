@@ -6,8 +6,8 @@ lives, apart from the physics: compiling a :class:`~repro.api.Workload`
 * validates every sweep point against the Table-1 ``PARAMETER_RANGES``
   (through :class:`repro.config.SimulationParameters`),
 * selects the spectral-grid execution backend, the boundary/operator
-  cache policy, and — for the multiprocess backend — the
-  ``(kz, E-chunk)`` rank decomposition,
+  cache policy, and — for a distributed runtime — the ``(kz, E-chunk)``
+  rank decomposition and SSE schedule,
 * groups sweep points by their *structural* settings (grid shape, η,
   boundary method) so a :class:`~repro.api.Session` can reuse one
   Hamiltonian, one :class:`~repro.negf.SpectralGrid`, one engine, and one
@@ -61,7 +61,6 @@ __all__ = [
     "Plan",
     "STRUCTURAL_FIELDS",
     "compile_workload",
-    "choose_engine",
     "choose_rgf_kernel",
 ]
 
@@ -84,26 +83,6 @@ STRUCTURAL_FIELDS: Tuple[str, ...] = (
     "eta",
     "boundary_method",
 )
-
-#: multiprocess pays off only when the grid offers enough rank batches
-_MULTIPROCESS_MIN_POINTS = 2048
-
-
-def choose_engine(Nkz: int, NE: int) -> str:
-    """Deterministic backend heuristic used when nothing is specified.
-
-    ``REPRO_ENGINE`` (validated) wins if set; otherwise the batched
-    backend, escalating to multiprocess for grids with at least
-    ``2048`` electron points on machines with ≥ 4 cores.
-    """
-    from ..config import default_engine
-
-    if os.environ.get("REPRO_ENGINE", "").strip():
-        return default_engine()
-    if Nkz * NE >= _MULTIPROCESS_MIN_POINTS and (os.cpu_count() or 1) >= 4:
-        return "multiprocess"
-    return "batched"
-
 
 #: csrmm pays off only for blocks at least this large with couplings at
 #: most this dense (cf. repro.negf.sparse_kernels.select_strategy — the
@@ -217,11 +196,8 @@ class Plan:
     cache_boundary: bool
     cache_operators: bool
     ballistic: bool
-    max_workers: Optional[int]
     groups: Tuple[PlanGroup, ...]
     cost: PlanCost
-    #: per-group (P, chunk) rank decomposition for the multiprocess engine
-    decomposition: Optional[Tuple[Dict[str, int], ...]] = None
     #: SCBA execution runtime: ``serial`` in-process loop, or ``sim`` /
     #: ``pipe`` for the rank-parallel distributed Born loop
     runtime: str = "serial"
@@ -293,12 +269,6 @@ class Plan:
                 f"  group {gi}: Nkz={p.Nkz} NE={p.NE} Nqz={p.Nqz} Nw={p.Nw} "
                 f"x {len(g.points)} point(s)"
             )
-            if self.decomposition is not None:
-                d = self.decomposition[gi]
-                lines.append(
-                    f"    decomposition: P={d['P']} ranks, "
-                    f"E-chunk={d['chunk']}"
-                )
             if self.runtime_plan is not None:
                 r = self.runtime_plan[gi]
                 tiling = (
@@ -369,14 +339,8 @@ class Plan:
             "cache_boundary": self.cache_boundary,
             "cache_operators": self.cache_operators,
             "ballistic": self.ballistic,
-            "max_workers": self.max_workers,
             "groups": [g.to_dict() for g in self.groups],
             "cost": self.cost.to_dict(),
-            "decomposition": (
-                [dict(d) for d in self.decomposition]
-                if self.decomposition is not None
-                else None
-            ),
             "runtime": self.runtime,
             "ranks": self.ranks,
             "runtime_plan": (
@@ -456,7 +420,6 @@ def compile_workload(
     rgf_kernel: Optional[str] = None,
     cache_boundary: bool = True,
     cache_operators: bool = True,
-    max_workers: Optional[int] = None,
     sse_backend: Optional[str] = None,
     runtime: Optional[str] = None,
     ranks: Optional[int] = None,
@@ -497,13 +460,12 @@ def compile_workload(
     points = workload.sweep_points()
 
     # -- backend selection -----------------------------------------------------
-    if engine is not None:
-        if engine not in EXECUTION_BACKENDS:
-            raise PlanError(
-                f"unknown engine {engine!r}; expected one of {EXECUTION_BACKENDS}"
-            )
-    else:
-        engine = choose_engine(workload.grid.Nkz, workload.grid.NE)
+    if engine is None:
+        engine = "batched"
+    elif engine not in EXECUTION_BACKENDS:
+        raise PlanError(
+            f"unknown engine {engine!r}; expected one of {EXECUTION_BACKENDS}"
+        )
     if rgf_kernel is not None:
         from ..negf.kernels import available_kernels
 
@@ -544,6 +506,23 @@ def compile_workload(
         )
     if ranks is not None and ranks < 1:
         raise PlanError(f"ranks={ranks} must be positive")
+    if runtime != "serial":
+        # Rank workers always solve through a BatchedEngine and the
+        # exchange evaluates Σ≷/Π≷ with its own round/tile kernels;
+        # a plan must not report a selection the run would ignore.
+        if engine != "batched":
+            raise PlanError(
+                f"engine={engine!r} cannot be combined with "
+                f"runtime={runtime!r}: distributed ranks run the "
+                "'batched' engine"
+            )
+        variant = workload.physics.sse_variant
+        if not workload.ballistic and variant != "dace":
+            raise PlanError(
+                f"sse_variant={variant!r} cannot be combined with "
+                f"runtime={runtime!r}: the SSE exchange evaluates Σ≷/Π≷ "
+                "with its own schedule kernels (use 'dace')"
+            )
     sse_modeled = not workload.ballistic and workload.physics.sse_variant in (
         "dace", "sdfg",
     )
@@ -576,7 +555,6 @@ def compile_workload(
         base["rgf_kernel"] = rgf_kernel
         base["cache_boundary"] = cache_boundary
         base["cache_operators"] = cache_operators
-        base["max_workers"] = max_workers
         base["sse_backend"] = sse_backend
         grid_kw = dict(
             Nkz=base["Nkz"], Nqz=base["Nqz"], NE=base["NE"], Nw=base["Nw"]
@@ -655,18 +633,6 @@ def compile_workload(
         phonon_gf_bytes=ph_bytes,
     )
 
-    # -- decomposition (multiprocess only) --------------------------------------
-    decomposition = None
-    if engine == "multiprocess":
-        workers = max_workers or min(8, os.cpu_count() or 1)
-        decomp = []
-        for g in groups:
-            d = partition_spectral_grid(
-                g.parameters.Nkz, g.parameters.NE, max(workers, g.parameters.Nkz)
-            )
-            decomp.append({"P": d.P, "chunk": d.chunk, "n_chunks": d.n_chunks})
-        decomposition = tuple(decomp)
-
     # -- SSE transformation pipeline, movement modeled at planned dims ----------
     sse_report: Optional[PipelineReport] = None
     tuned_sse_report: Optional[PipelineReport] = None
@@ -699,10 +665,8 @@ def compile_workload(
         cache_boundary=cache_boundary,
         cache_operators=cache_operators,
         ballistic=workload.ballistic,
-        max_workers=max_workers,
         groups=tuple(groups),
         cost=cost,
-        decomposition=decomposition,
         sse_report=sse_report,
         sse_backend=sse_backend,
         autotune=autotune,

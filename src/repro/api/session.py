@@ -8,15 +8,19 @@ planned workload and reuses it across sweep points:
 * each :class:`~repro.api.PlanGroup` gets one
   :class:`~repro.negf.SCBASimulation` — hence one
   :class:`~repro.negf.SpectralGrid` (with its memoized H(kz)/S(kz)/Φ(qz)
-  operator blocks), one execution engine (and its worker pool), and one
-  :class:`~repro.negf.BoundaryCache` — shared by every point of the
-  group, because bias, temperature, and gate never touch the grid, the
+  operator blocks), one execution engine, one
+  :class:`~repro.negf.BoundaryCache`, and — for a distributed runtime —
+  one set of resident rank workers, shared by every point of the group,
+  because bias, temperature, and gate never touch the grid, the
   operators, or the lead self-energies;
-* worker pools are shut down deterministically on ``close()`` /
-  ``with``-exit instead of relying on GC/atexit.
+* the rank processes of ``runtime="pipe"`` are shut down
+  deterministically on ``close()`` / ``with``-exit instead of relying on
+  GC/atexit.
 
-Results come back as structured :class:`RunResult`/:class:`SweepResult`
-objects with JSON export built on :meth:`repro.negf.SCBAResult.to_dict`.
+One sweep point is executed by :func:`execute_point` — for a session and
+for the scheduler service's shared pools alike.  Results come back as
+structured :class:`RunResult`/:class:`SweepResult` objects with JSON
+export built on :meth:`repro.negf.SCBAResult.to_dict`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -33,10 +37,16 @@ from ..telemetry import metrics as _metrics
 from ..telemetry.spans import mode as _mode
 from ..telemetry.spans import metrics_enabled, spans_enabled, trace
 from ..telemetry.timing import timeit
-from .plan import Plan
+from .plan import Plan, PlanGroup
 from .workload import Workload
 
-__all__ = ["Session", "RunResult", "SweepResult"]
+__all__ = [
+    "Session",
+    "RunResult",
+    "SweepResult",
+    "execute_point",
+    "sum_boundary_counters",
+]
 
 
 @dataclass
@@ -234,6 +244,67 @@ class SweepResult:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def execute_point(
+    sim: SCBASimulation,
+    group: PlanGroup,
+    j: int,
+    *,
+    ballistic: bool,
+    keep_arrays: bool,
+    span_name: str,
+    **span_attrs,
+) -> RunResult:
+    """Run the ``j``-th point of ``group`` on the group's simulation.
+
+    The point's full settings are applied to the (shared, resident)
+    simulation first — only non-structural fields differ between the
+    points routed to one simulation, so its grid, operators and boundary
+    cache stay valid.  The run is timed inside a ``span_name`` span; with
+    metrics enabled the point's metric delta is attached as
+    :attr:`RunResult.telemetry`.
+    """
+    index, coords, _overrides = group.points[j]
+    for k, v in group.point_settings(j).items():
+        setattr(sim.s, k, v)
+    telemetry = None
+    with trace(span_name, index=index, **span_attrs):
+        before = _metrics.snapshot() if metrics_enabled() else None
+        timing = timeit(lambda: sim.run(ballistic=ballistic), repeats=1)
+        if before is not None:
+            after = _metrics.snapshot()
+            telemetry = {
+                "mode": _mode(),
+                "metrics": {
+                    k: after[k] - before.get(k, 0)
+                    for k in after
+                    if after[k] != before.get(k, 0)
+                },
+            }
+    comm = None
+    if sim.last_comm:
+        comm = {
+            phase: stats.to_dict() for phase, stats in sim.last_comm.items()
+        }
+    return RunResult.from_scba(
+        index, coords, timing.result, timing.best, keep_arrays=keep_arrays,
+        comm=comm, rgf_kernel=sim.s.rgf_kernel, telemetry=telemetry,
+    )
+
+
+def sum_boundary_counters(sims: Iterable[SCBASimulation]) -> Dict[str, int]:
+    """``boundary_{el,ph}_{solves,hits}`` summed over ``sims``."""
+    out = {
+        "boundary_el_solves": 0,
+        "boundary_el_hits": 0,
+        "boundary_ph_solves": 0,
+        "boundary_ph_hits": 0,
+    }
+    for sim in sims:
+        for key, value in sim.boundary_counters().items():
+            out[f"boundary_{key}"] += value
+    return out
+
+
 class Session:
     """Run a compiled plan, reusing sweep-invariant state across points.
 
@@ -243,9 +314,9 @@ class Session:
         with Session(plan) as session:
             sweep = session.run()
 
-    The context manager guarantees worker pools (multiprocess engine) are
-    shut down on exit.  ``Session.from_workload`` compiles and opens in
-    one step.
+    The context manager guarantees the rank processes of a
+    ``runtime="pipe"`` plan are shut down on exit.
+    ``Session.from_workload`` compiles and opens in one step.
     """
 
     def __init__(self, plan: Plan):
@@ -268,7 +339,7 @@ class Session:
         return False
 
     def close(self) -> None:
-        """Shut down every engine (worker pools included), idempotently.
+        """Shut down every simulation (rank workers included), idempotently.
 
         The reuse counters are snapshotted first, so
         :meth:`reuse_counters` keeps reporting the session's accounting
@@ -348,41 +419,11 @@ class Session:
     def _execute_point(
         self, group_index: int, j: int, keep_arrays: bool
     ) -> RunResult:
-        """Apply one point's settings to the group's simulation and run it."""
         group = self.plan.groups[group_index]
-        index, coords, _overrides = group.points[j]
-        sim = self.simulation(group_index)
-        for k, v in group.point_settings(j).items():
-            setattr(sim.s, k, v)
-        telemetry = None
-        with trace("session.point", index=index, **coords):
-            if metrics_enabled():
-                before = _metrics.get_registry().snapshot()
-                timing = timeit(
-                    lambda: sim.run(ballistic=self.plan.ballistic), repeats=1
-                )
-                after = _metrics.get_registry().snapshot()
-                telemetry = {
-                    "mode": _mode(),
-                    "metrics": {
-                        k: after[k] - before.get(k, 0)
-                        for k in after
-                        if after[k] != before.get(k, 0)
-                    },
-                }
-            else:
-                timing = timeit(
-                    lambda: sim.run(ballistic=self.plan.ballistic), repeats=1
-                )
-        res = timing.result
-        comm = None
-        if sim.last_comm:
-            comm = {
-                phase: stats.to_dict() for phase, stats in sim.last_comm.items()
-            }
-        return RunResult.from_scba(
-            index, coords, res, timing.best, keep_arrays=keep_arrays,
-            comm=comm, rgf_kernel=sim.s.rgf_kernel, telemetry=telemetry,
+        return execute_point(
+            self.simulation(group_index), group, j,
+            ballistic=self.plan.ballistic, keep_arrays=keep_arrays,
+            span_name="session.point", **group.points[j][1],
         )
 
     # -- verification --------------------------------------------------------------
@@ -458,29 +499,16 @@ class Session:
     def reuse_counters(self) -> Dict[str, int]:
         """Aggregated boundary-solve/hit and operator-assembly counters.
 
-        Boundary counters are exact for every backend (the multiprocess
-        engine routes all solves through the parent's shared cache, and
-        the distributed runtime sums its resident per-rank caches).  The
-        assembly counters cover the parent process only: multiprocess
-        pool workers and distributed rank workers additionally assemble
-        operators on their own grids, which the parent's
-        ``assembly_counts`` cannot observe.  After :meth:`close` the
-        counters frozen at shutdown are returned.
+        Boundary counters are exact for every execution path (the
+        distributed runtime sums its resident per-rank caches).  The
+        assembly counters cover the parent process only: distributed
+        rank workers additionally assemble operators on their own grids,
+        which the parent's ``assembly_counts`` cannot observe.  After
+        :meth:`close` the counters frozen at shutdown are returned.
         """
         if self._final_counters is not None:
             return dict(self._final_counters)
-        out = {
-            "boundary_el_solves": 0,
-            "boundary_el_hits": 0,
-            "boundary_ph_solves": 0,
-            "boundary_ph_hits": 0,
-        }
-        for sim in self._sims.values():
-            counters = sim.boundary_counters()
-            out["boundary_el_solves"] += counters["el_solves"]
-            out["boundary_el_hits"] += counters["el_hits"]
-            out["boundary_ph_solves"] += counters["ph_solves"]
-            out["boundary_ph_hits"] += counters["ph_hits"]
+        out = sum_boundary_counters(self._sims.values())
         if self._model is not None:
             out.update(
                 {

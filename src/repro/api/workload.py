@@ -10,7 +10,7 @@ Python ``for`` loop — the *sweeps* over bias, temperature, gate, or grid
 resolution that production scenarios are made of (:class:`SweepAxis`).
 
 A workload knows nothing about engines, decompositions, caches, or
-process pools; those choices are made by the explicit compile step
+rank processes; those choices are made by the explicit compile step
 (:func:`repro.api.compile_workload` → :class:`~repro.api.Plan`) and
 executed by :class:`~repro.api.Session`.
 

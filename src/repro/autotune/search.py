@@ -23,7 +23,7 @@ trace after every commitment; rerunning with the same ``trace_path``
 replays the committed prefix (validating state signatures step by step)
 and continues — or just rebuilds the result when the trace is complete.
 
-Configuration knobs follow the ``REPRO_ENGINE`` idiom (explicitly set
+Configuration knobs follow the ``REPRO_RGF_KERNEL`` idiom (explicitly set
 but invalid values raise): ``REPRO_AUTOTUNE_STRATEGY``,
 ``REPRO_AUTOTUNE_BEAM_WIDTH``, ``REPRO_AUTOTUNE_MAX_MOVES``,
 ``REPRO_AUTOTUNE_ESCAPE_DEPTH``.

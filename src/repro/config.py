@@ -26,7 +26,6 @@ __all__ = [
     "default_autotune_beam_width",
     "default_autotune_max_moves",
     "default_autotune_escape_depth",
-    "default_engine",
     "default_rgf_kernel",
     "default_runtime",
     "default_service_mode",
@@ -40,28 +39,9 @@ __all__ = [
 
 #: Execution backends of the spectral-grid engine (``repro.negf.engine``):
 #: ``serial`` is the per-point reference loop (bit-exactness oracle),
-#: ``batched`` solves stacked block-tridiagonal systems per momentum row,
-#: ``multiprocess`` fans the batched rows out over a process pool.
-EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "batched", "multiprocess")
-
-
-def default_engine() -> str:
-    """Engine backend used when ``SCBASettings.engine`` is not set.
-
-    Overridable through the ``REPRO_ENGINE`` environment variable (an
-    explicitly set but unknown value raises); the built-in default is
-    ``batched`` (validated against ``serial`` to 1e-10 in
-    ``tests/test_engine.py``).
-    """
-    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if not env:
-        return "batched"
-    if env not in EXECUTION_BACKENDS:
-        raise ValueError(
-            f"REPRO_ENGINE={env!r} is not a valid backend; "
-            f"expected one of {EXECUTION_BACKENDS}"
-        )
-    return env
+#: ``batched`` (the default) solves stacked block-tridiagonal systems per
+#: momentum row.  Several processes are a runtime (``pipe``), not an engine.
+EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "batched")
 
 
 #: RGF solver kernels (``repro.negf.kernels``): ``reference`` is the
@@ -78,7 +58,7 @@ def default_rgf_kernel() -> str:
     """RGF kernel used when ``SCBASettings.rgf_kernel`` is not set.
 
     Overridable through the ``REPRO_RGF_KERNEL`` environment variable (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``);
+    explicitly set but unknown value raises);
     the built-in default is ``numpy`` (validated against ``reference`` to
     1e-10 in ``tests/test_kernels.py``).
     """
@@ -110,8 +90,8 @@ def default_runtime() -> str:
     """Runtime used when ``SCBASettings.runtime`` is not set.
 
     Overridable through the ``REPRO_RUNTIME`` environment variable (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``);
-    the built-in default is ``serial``.
+    explicitly set but unknown value raises, mirroring
+    ``REPRO_RGF_KERNEL``); the built-in default is ``serial``.
     """
     env = os.environ.get("REPRO_RUNTIME", "").strip().lower()
     if not env:
@@ -134,7 +114,7 @@ def default_service_mode() -> str:
 
     Overridable through the ``REPRO_SERVICE_MODE`` environment variable
     (an explicitly set but unknown value raises, mirroring
-    ``REPRO_ENGINE``); the built-in default is ``sync``.
+    ``REPRO_RGF_KERNEL``); the built-in default is ``sync``.
     """
     env = os.environ.get("REPRO_SERVICE_MODE", "").strip().lower()
     if not env:
@@ -211,8 +191,8 @@ def default_telemetry_mode() -> str:
     called explicitly.
 
     Overridable through the ``REPRO_TELEMETRY`` environment variable (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``);
-    the built-in default is ``off``.
+    explicitly set but unknown value raises, mirroring
+    ``REPRO_RGF_KERNEL``); the built-in default is ``off``.
     """
     env = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
     if not env:
@@ -238,7 +218,7 @@ def default_autotune_strategy() -> str:
 
     Overridable through the ``REPRO_AUTOTUNE_STRATEGY`` environment
     variable (an explicitly set but unknown value raises, mirroring
-    ``REPRO_ENGINE``); the built-in default is ``greedy``.
+    ``REPRO_RGF_KERNEL``); the built-in default is ``greedy``.
     """
     env = os.environ.get("REPRO_AUTOTUNE_STRATEGY", "").strip().lower()
     if not env:

@@ -12,7 +12,6 @@ from .engine import (
     BatchedEngine,
     BoundaryCache,
     GridEngine,
-    MultiprocessEngine,
     SerialEngine,
     SpectralGrid,
     make_engine,
@@ -38,6 +37,7 @@ from .scba import (
     SCBAResult,
     SCBASettings,
     SCBASimulation,
+    born_loop,
     bose,
     decode_array,
     encode_array,
@@ -76,7 +76,6 @@ __all__ = [
     "BatchedEngine",
     "BoundaryCache",
     "GridEngine",
-    "MultiprocessEngine",
     "SerialEngine",
     "SpectralGrid",
     "make_engine",
@@ -92,6 +91,7 @@ __all__ = [
     "SCBAResult",
     "SCBASettings",
     "SCBASimulation",
+    "born_loop",
     "bose",
     "decode_array",
     "encode_array",

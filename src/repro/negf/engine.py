@@ -19,46 +19,31 @@ This module turns that sweep into an explicit execution layer:
   iteration) and exposes solve/hit counters;
 * :class:`SerialEngine` — the seed per-point loop, kept as the
   bit-exactness oracle;
-* :class:`BatchedEngine` — one stacked block-tridiagonal system per
-  momentum row, solved with :func:`repro.negf.rgf.rgf_solve_batched` and
-  boundary conditions from the batched Sancho-Rubio recursion;
-* :class:`MultiprocessEngine` — the batched rows partitioned onto
-  ``(kz, E-chunk)`` ranks via
-  :func:`repro.parallel.decomposition.partition_spectral_grid` (an
-  :class:`~repro.parallel.decomposition.OmenDecomposition`) and executed
-  in a process pool, with a :class:`~repro.parallel.simmpi.SimComm`
-  metering the scatter/gather volume.
+* :class:`BatchedEngine` — the production path: one stacked
+  block-tridiagonal system per momentum row, solved with
+  :func:`repro.negf.rgf.rgf_solve_batched` and boundary conditions from
+  the batched Sancho-Rubio recursion.  The rank workers of the
+  distributed runtime (:mod:`repro.runtime`) each hold one over their own
+  ``(kz, E-chunk)`` shard — that runtime, not an engine, is how a sweep
+  runs in several processes.
 
-Backends are selected with ``SCBASettings.engine`` (default from
-:func:`repro.config.default_engine`, overridable via ``REPRO_ENGINE``);
+Backends are selected with ``SCBASettings.engine`` (default ``batched``);
 ``tests/test_engine.py`` pins batched == serial to 1e-10.  Orthogonally
 to the backend, the RGF recursion itself is pluggable
 (:mod:`repro.negf.kernels`, ``SCBASettings.rgf_kernel`` /
-``REPRO_RGF_KERNEL``): the batched backends solve their stacked systems
+``REPRO_RGF_KERNEL``): the batched backend solves its stacked systems
 and boundary decimations through the selected kernel, while
 :class:`SerialEngine` stays pinned to the ``reference`` kernel — it is
 the oracle everything else is validated against.
-
-Every engine is a context manager: ``close()`` releases backend
-resources deterministically (the multiprocess worker pool in
-particular), instead of relying on GC/atexit.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from pickle import PicklingError
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..config import EXECUTION_BACKENDS
-from ..parallel.decomposition import OmenDecomposition, partition_spectral_grid
-from ..parallel.simmpi import SimComm
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
 from .boundary import lead_self_energy, lead_self_energy_batched
@@ -71,8 +56,8 @@ __all__ = [
     "GridEngine",
     "SerialEngine",
     "BatchedEngine",
-    "MultiprocessEngine",
     "make_engine",
+    "energy_grid",
     "fermi",
     "bose",
 ]
@@ -89,6 +74,13 @@ def bose(w: np.ndarray, kT: float) -> np.ndarray:
     w = np.maximum(np.asarray(w, dtype=float), 1e-9)
     x = np.clip(w / max(kT, 1e-12), 1e-9, 700)
     return 1.0 / np.expm1(x)
+
+
+def energy_grid(settings) -> Tuple[np.ndarray, float]:
+    """The uniform energy grid of ``settings`` and its spacing ``dE``."""
+    energies = np.linspace(settings.e_min, settings.e_max, settings.NE)
+    dE = energies[1] - energies[0] if settings.NE > 1 else 1.0
+    return energies, dE
 
 
 class SpectralGrid:
@@ -108,8 +100,7 @@ class SpectralGrid:
         self.NB = dev.NB
         self.Norb = model.Norb
         self.N3D = model.N3D
-        self.energies = np.linspace(settings.e_min, settings.e_max, settings.NE)
-        self.dE = self.energies[1] - self.energies[0] if settings.NE > 1 else 1.0
+        self.energies, self.dE = energy_grid(settings)
         self.kz_grid = 2.0 * np.pi * np.arange(settings.Nkz) / settings.Nkz - np.pi
         self.qz_grid = self.kz_grid[: settings.Nqz]
         #: phonon frequencies aligned with energy-grid shifts: ω_m = (m+1) dE
@@ -201,6 +192,15 @@ class BoundaryCache:
         self.el_hits = 0
         self.ph_hits = 0
 
+    def counters(self) -> Dict[str, int]:
+        """The solve/hit counters as a dict (summable across caches)."""
+        return {
+            "el_solves": self.el_solves,
+            "el_hits": self.el_hits,
+            "ph_solves": self.ph_solves,
+            "ph_hits": self.ph_hits,
+        }
+
     # -- electrons -----------------------------------------------------------
     def electron(self, ik: int, iE: int, E: float, H, S):
         """(Σ_L, Σ_R) for one (kz, E) point (per-point solver)."""
@@ -226,18 +226,11 @@ class BoundaryCache:
         return sig_L, sig_R
 
     def electron_row(self, ik: int, e_idx: np.ndarray, E: np.ndarray, H, S):
-        """Stacked (Σ_L, Σ_R) for the energies ``E = energies[e_idx]``."""
-        return self.electron_row_lazy(ik, e_idx, E, lambda: (H, S))
-
-    def electron_row_lazy(
-        self, ik: int, e_idx: np.ndarray, E: np.ndarray, assemble
-    ):
-        """Stacked (Σ_L, Σ_R); ``assemble() -> (H, S)`` runs only on misses.
+        """Stacked (Σ_L, Σ_R) for the energies ``E = energies[e_idx]``.
 
         Missing points are filled with one batched Sancho-Rubio recursion
         per lead (the transfer-matrix method falls back to a loop inside
-        :func:`lead_self_energy_batched`).  With a warm cache the operator
-        blocks are never assembled.
+        :func:`lead_self_energy_batched`).
         """
         s = self.s
         missing = [
@@ -253,7 +246,6 @@ class BoundaryCache:
                 ik=int(ik),
                 points=len(missing),
             ):
-                H, S = assemble()
                 z = E[missing]
                 sl = lead_self_energy_batched(
                     z, H.diag[0], H.upper[0], "left", S.diag[0], S.upper[0],
@@ -308,10 +300,6 @@ class BoundaryCache:
 
     def phonon_row(self, iq: int, w_idx: np.ndarray, w: np.ndarray, Phi):
         """Stacked (Π_L, Π_R) for the frequencies ``w = omegas[w_idx]``."""
-        return self.phonon_row_lazy(iq, w_idx, w, lambda: Phi)
-
-    def phonon_row_lazy(self, iq: int, w_idx: np.ndarray, w: np.ndarray, assemble):
-        """Stacked (Π_L, Π_R); ``assemble() -> Φ`` runs only on misses."""
         s = self.s
         missing = [
             j for j, iw in enumerate(w_idx)
@@ -326,7 +314,6 @@ class BoundaryCache:
                 iq=int(iq),
                 points=len(missing),
             ):
-                Phi = assemble()
                 z, eta_eff = self._phonon_z_eta(w[missing], s.eta)
                 pl = lead_self_energy_batched(
                     z, Phi.diag[0], Phi.upper[0], "left",
@@ -380,17 +367,6 @@ class GridEngine:
     def solve_phonons(self, pi_r, pi_l):
         """RGF over the (qz, ω) grid -> (Dl, Dg) bond tensors."""
         raise NotImplementedError
-
-    # -- lifetime --------------------------------------------------------------
-    def close(self):
-        """Release backend resources (no-op for in-process backends)."""
-
-    def __enter__(self) -> "GridEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     # -- result allocation -----------------------------------------------------
     def _alloc_electrons(self):
@@ -571,15 +547,11 @@ class BatchedEngine(GridEngine):
                 )
         return Gl, Gg, I_L, I_R
 
-    def electron_row(self, ik, e_idx, sigma_r_row, sigma_l_row,
-                     boundary_row=None):
+    def electron_row(self, ik, e_idx, sigma_r_row, sigma_l_row):
         """Solve the stacked electron systems of one kz / energy subset.
 
         ``sigma_*_row`` are pre-sliced ``[nE, NA, Norb, Norb]`` scattering
         tensors for exactly the ``e_idx`` energies (or None).
-        ``boundary_row`` optionally provides precomputed ``(Σ_L, Σ_R)``
-        stacks (the multiprocess engine ships them from the parent's
-        shared cache); otherwise this engine's own cache is consulted.
         """
         g, s = self.grid, self.grid.s
         e_idx = np.asarray(e_idx)
@@ -595,10 +567,7 @@ class BatchedEngine(GridEngine):
             for u_h, u_s in zip(H.upper, S.upper)
         ]
 
-        if boundary_row is None:
-            sig_L, sig_R = self.boundary.electron_row(ik, e_idx, E, H, S)
-        else:
-            sig_L, sig_R = boundary_row
+        sig_L, sig_R = self.boundary.electron_row(ik, e_idx, E, H, S)
         diag[0] = diag[0] - sig_L
         diag[-1] = diag[-1] - sig_R
 
@@ -647,13 +616,11 @@ class BatchedEngine(GridEngine):
                 Dl[iq], Dg[iq] = self.phonon_row(iq, w_idx, pr, pl)
         return Dl, Dg
 
-    def phonon_row(self, iq, w_idx, pi_r_row, pi_l_row,
-                   boundary_row=None):
+    def phonon_row(self, iq, w_idx, pi_r_row, pi_l_row):
         """Solve the stacked phonon systems of one qz / frequency subset.
 
         ``pi_*_row`` are pre-sliced ``[nW, NA, NB+1, N3D, N3D]`` scattering
-        tensors for exactly the ``w_idx`` frequencies (or None);
-        ``boundary_row`` as in :meth:`electron_row`.
+        tensors for exactly the ``w_idx`` frequencies (or None).
         """
         g, s = self.grid, self.grid.s
         w_idx = np.asarray(w_idx)
@@ -668,10 +635,7 @@ class BatchedEngine(GridEngine):
         # ω-independent couplings: 2-D blocks broadcast inside the solver.
         upper = [-u for u in Phi.upper]
 
-        if boundary_row is None:
-            pi_L, pi_R = self.boundary.phonon_row(iq, w_idx, w, Phi)
-        else:
-            pi_L, pi_R = boundary_row
+        pi_L, pi_R = self.boundary.phonon_row(iq, w_idx, w, Phi)
         diag[0] = diag[0] - pi_L
         diag[-1] = diag[-1] - pi_R
 
@@ -715,234 +679,9 @@ class BatchedEngine(GridEngine):
         return Dl_row, Dg_row
 
 
-# -- multiprocess worker state (one BatchedEngine per pool process) ----------
-_WORKER_ENGINE: Optional[BatchedEngine] = None
-
-
-def _engine_worker_init(model, settings):
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = BatchedEngine(SpectralGrid(model, settings))
-
-
-def _worker_sync_settings(state: Dict):
-    """Refresh the worker's settings from the parent's current values.
-
-    Pool workers pickle the settings object once at pool creation; a
-    sweep (``repro.api.Session``) mutates bias/temperature fields on the
-    parent's settings between points, so every task ships the current
-    field values along.  Only same-grid (non-structural) fields ever
-    change while a pool lives, hence plain setattr is sufficient.
-    """
-    for k, v in state.items():
-        setattr(_WORKER_ENGINE.grid.s, k, v)
-
-
-def _worker_electron_row(state, ik, e_idx, sigma_r_row, sigma_l_row,
-                         boundary_row):
-    _worker_sync_settings(state)
-    return _WORKER_ENGINE.electron_row(
-        ik, e_idx, sigma_r_row, sigma_l_row, boundary_row
-    )
-
-
-def _worker_phonon_row(state, iq, w_idx, pi_r_row, pi_l_row, boundary_row):
-    _worker_sync_settings(state)
-    return _WORKER_ENGINE.phonon_row(
-        iq, w_idx, pi_r_row, pi_l_row, boundary_row
-    )
-
-
-def _shutdown_pool(pool):
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-class MultiprocessEngine(BatchedEngine):
-    """Batched rows fanned out over an OmenDecomposition of ranks.
-
-    The (kz, E) grid is partitioned into ``(kz, E-chunk)`` batches via
-    :func:`partition_spectral_grid` (and likewise (qz, ω)); each rank's
-    stacked system is solved by a :class:`BatchedEngine` living in a
-    worker process.  The iteration-invariant boundary self-energies are
-    computed once in the parent's shared :class:`BoundaryCache` and
-    shipped to the ranks alongside the scattering slices, so the
-    memoization invariant (and its counters) hold for this backend too.
-    A :class:`SimComm` meters the scatter (boundary + self-energy slices
-    out) and gather (GF rows back) volume, mirroring the paper's rank
-    accounting.  Falls back to in-process batched rows if the pool
-    cannot run (the engine then still produces identical results).
-    """
-
-    name = "multiprocess"
-
-    def __init__(self, grid: SpectralGrid, max_workers: Optional[int] = None):
-        super().__init__(grid)
-        s = grid.s
-        self.max_workers = (
-            max_workers
-            or getattr(s, "max_workers", None)
-            or min(8, os.cpu_count() or 1)
-        )
-        self.el_decomp: OmenDecomposition = partition_spectral_grid(
-            s.Nkz, s.NE, max(self.max_workers, s.Nkz)
-        )
-        self.ph_decomp: OmenDecomposition = partition_spectral_grid(
-            s.Nqz, s.Nw, max(self.max_workers, s.Nqz)
-        )
-        self.comm = SimComm(max(self.el_decomp.P, self.ph_decomp.P))
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    # -- pool management -----------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                ctx = mp.get_context()
-            workers = min(
-                self.max_workers, max(self.el_decomp.P, self.ph_decomp.P)
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=max(workers, 1),
-                mp_context=ctx,
-                initializer=_engine_worker_init,
-                initargs=(self.grid.model, self.grid.s),
-            )
-            weakref.finalize(self, _shutdown_pool, self._pool)
-        return self._pool
-
-    def close(self):
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    # -- electron sweep --------------------------------------------------------
-    def solve_electrons(self, sigma_r, sigma_l, sigma_g):
-        g, s = self.grid, self.grid.s
-        d = self.el_decomp
-        Gl, Gg, I_L, I_R = self._alloc_electrons()
-        all_idx = np.arange(s.NE)
-
-        # Boundary rows come from the parent's shared cache (computed on
-        # the first Born iteration only) and travel with the work; the
-        # operator blocks are only assembled while the cache is cold.
-        boundary_rows = {}
-        for ik in range(len(g.kz_grid)):
-            boundary_rows[ik] = self.boundary.electron_row_lazy(
-                ik, all_idx, g.energies,
-                lambda ik=ik: g.electron_operators(ik),
-            )
-
-        tasks = []  # (rank, ik, esl) bookkeeping per rank batch
-        worker_args = []  # electron_row arguments per rank batch
-        for rank in range(d.P):
-            ik, _ = d.coords(rank)
-            esl = d.energy_slice(rank)
-            sr = None if sigma_r is None else sigma_r[ik, esl]
-            sl = None if sigma_l is None else sigma_l[ik, esl]
-            bnd = (boundary_rows[ik][0][esl], boundary_rows[ik][1][esl])
-            # Scatter metering: root ships boundary + Σ slices to the rank.
-            for arr in (bnd[0], bnd[1], sr, sl):
-                if arr is not None:
-                    self.comm.sendrecv(0, rank, arr)
-            tasks.append((rank, ik, esl))
-            worker_args.append((ik, all_idx[esl], sr, sl, bnd))
-
-        results = self._run_tasks(
-            _worker_electron_row,
-            worker_args,
-            lambda args: self.electron_row(*args),
-        )
-        for (rank, ik, esl), row in zip(tasks, results):
-            Gl_row, Gg_row, il, ir = row
-            for arr in (Gl_row, Gg_row):  # gather metering: rows come home
-                self.comm.sendrecv(rank, 0, arr)
-            Gl[ik, esl] = Gl_row
-            Gg[ik, esl] = Gg_row
-            I_L[ik, esl] = il
-            I_R[ik, esl] = ir
-        return Gl, Gg, I_L, I_R
-
-    # -- phonon sweep ----------------------------------------------------------
-    def solve_phonons(self, pi_r, pi_l):
-        g, s = self.grid, self.grid.s
-        d = self.ph_decomp
-        Dl, Dg = self._alloc_phonons()
-        all_idx = np.arange(s.Nw)
-
-        boundary_rows = {}
-        for iq in range(len(g.qz_grid)):
-            boundary_rows[iq] = self.boundary.phonon_row_lazy(
-                iq, all_idx, g.omegas,
-                lambda iq=iq: g.phonon_operators(iq),
-            )
-
-        tasks = []
-        worker_args = []
-        for rank in range(d.P):
-            iq, _ = d.coords(rank)
-            wsl = d.energy_slice(rank)
-            pr = None if pi_r is None else pi_r[iq, wsl]
-            pl = None if pi_l is None else pi_l[iq, wsl]
-            bnd = (boundary_rows[iq][0][wsl], boundary_rows[iq][1][wsl])
-            for arr in (bnd[0], bnd[1], pr, pl):
-                if arr is not None:
-                    self.comm.sendrecv(0, rank, arr)
-            tasks.append((rank, iq, wsl))
-            worker_args.append((iq, all_idx[wsl], pr, pl, bnd))
-
-        results = self._run_tasks(
-            _worker_phonon_row,
-            worker_args,
-            lambda args: self.phonon_row(*args),
-        )
-        for (rank, iq, wsl), row in zip(tasks, results):
-            Dl_row, Dg_row = row
-            for arr in (Dl_row, Dg_row):
-                self.comm.sendrecv(rank, 0, arr)
-            Dl[iq, wsl] = Dl_row
-            Dg[iq, wsl] = Dg_row
-        return Dl, Dg
-
-    def _reset_pool(self):
-        """Discard a broken pool so the next sweep can start a fresh one."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def _run_tasks(self, worker_fn, arg_lists, inline_fn):
-        """Submit all rank batches to the pool.
-
-        Each task carries the parent's *current* settings values (see
-        :func:`_worker_sync_settings`) so sweep-mutated fields (bias,
-        temperatures) reach the long-lived workers.  Only
-        pool-infrastructure failures (the pool cannot start or its
-        workers died) degrade to in-process batched rows; genuine
-        computation errors raised inside a worker propagate unchanged.
-        A broken pool is dropped so later sweeps retry with a fresh one.
-        """
-        state = dict(vars(self.grid.s))
-        try:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(worker_fn, state, *args) for args in arg_lists
-            ]
-        except (OSError, PicklingError, mp.ProcessError, BrokenProcessPool):
-            self._reset_pool()
-            return [inline_fn(args) for args in arg_lists]
-        try:
-            return [f.result() for f in futures]
-        except BrokenProcessPool:
-            # Workers were killed (e.g. fork refused mid-run, OOM): the
-            # computation itself is fine — redo it in process.
-            self._reset_pool()
-            return [inline_fn(args) for args in arg_lists]
-
-
 _ENGINES = {
     SerialEngine.name: SerialEngine,
     BatchedEngine.name: BatchedEngine,
-    MultiprocessEngine.name: MultiprocessEngine,
 }
 
 

@@ -7,18 +7,22 @@ the new Green's functions, mixes, and repeats until the Green's-function
 update drops below tolerance — exactly the outer state machine of the
 paper's top-level SDFG (Fig. 6).
 
-The grid sweeps themselves are delegated to a pluggable spectral-grid
-execution engine (:mod:`repro.negf.engine`): ``serial`` (the per-point
-reference loop), ``batched`` (stacked tensor systems, the default), or
-``multiprocess`` (batched rows over a process pool), selected with
-:attr:`SCBASettings.engine`.  All backends memoize the iteration-invariant
-lead self-energies across Born iterations.
+That state machine exists once, in :func:`born_loop`: the in-process
+:meth:`SCBASimulation.run` and the rank-parallel
+:meth:`repro.runtime.DistributedSCBARuntime.run` both drive it with
+their own GF and SSE phases, and both build their result through
+:meth:`SCBAResult.assemble`.
 
-This module is the per-point executor; the public entry point for new
-scenarios is the :mod:`repro.api` facade (Workload → Plan → Session),
-which reuses the model, grid, and boundary cache across whole sweeps and
-owns engine lifetimes.  ``SCBASettings``/``SCBASimulation`` remain as
-thin shims (see :meth:`SCBASimulation.from_workload`).
+The grid sweeps themselves are delegated to a spectral-grid execution
+engine (:mod:`repro.negf.engine`): ``serial`` (the per-point reference
+loop, the oracle) or ``batched`` (stacked tensor systems, the default),
+selected with :attr:`SCBASettings.engine`.  Both memoize the
+iteration-invariant lead self-energies across Born iterations.
+
+The public entry point for new scenarios is the :mod:`repro.api` facade
+(Workload → Plan → Session), which reuses the model, grid, and boundary
+cache across whole sweeps.  ``SCBASettings``/``SCBASimulation`` remain
+as thin shims (see :meth:`SCBASimulation.from_workload`).
 
 Physical conventions (dimensionless units, ħ = e = 1):
 
@@ -34,15 +38,16 @@ Physical conventions (dimensionless units, ħ = e = 1):
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Literal, Optional
+from typing import Any, Callable, Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from ..config import default_engine, default_rgf_kernel, default_runtime
+from ..config import default_rgf_kernel, default_runtime
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
-from .engine import SpectralGrid, bose, fermi, make_engine
+from .engine import SpectralGrid, bose, energy_grid, fermi, make_engine
 from .hamiltonian import HamiltonianModel
 from .sse import pi_sse, preprocess_phonon_green, retarded_from_lesser_greater, sigma_sse
 
@@ -50,6 +55,9 @@ __all__ = [
     "SCBASettings",
     "SCBAResult",
     "SCBASimulation",
+    "born_loop",
+    "sse_prefactors",
+    "mix_step",
     "fermi",
     "bose",
     "encode_array",
@@ -93,11 +101,8 @@ class SCBASettings:
     #: ``REPRO_SDFG_BACKEND``)
     sse_backend: Optional[str] = None
     #: spectral-grid execution backend (see :mod:`repro.negf.engine`):
-    #: ``serial`` per-point oracle, ``batched`` stacked tensors,
-    #: ``multiprocess`` batched rows over a process pool
-    engine: Literal["serial", "batched", "multiprocess"] = field(
-        default_factory=default_engine
-    )
+    #: ``serial`` per-point oracle, ``batched`` stacked tensors
+    engine: Literal["serial", "batched"] = "batched"
     #: RGF kernel of the batched backends (see :mod:`repro.negf.kernels`):
     #: ``reference`` seed recursion, ``numpy`` factorization reuse,
     #: ``csrmm`` Table-6 sparse foldings, ``numba`` compiled (optional).
@@ -110,8 +115,6 @@ class SCBASettings:
     #: memoize the assembled H(kz)/S(kz)/Φ(qz) operator blocks per
     #: momentum point; ``False`` restores per-solve reassembly
     cache_operators: bool = True
-    #: worker-pool size cap for the multiprocess engine (None: min(8, cores))
-    max_workers: Optional[int] = None
     #: SCBA execution runtime (see :mod:`repro.runtime`): ``serial`` is
     #: the in-process Born loop below; ``sim``/``pipe`` distribute it over
     #: ranks exchanging G≷/Π≷ through an SSE schedule (default follows
@@ -157,6 +160,41 @@ class SCBAResult:
     def total_current_right(self) -> float:
         return float(np.sum(self.current_right))
 
+    @classmethod
+    def assemble(
+        cls, settings, *, Gl, Gg, Dl, Dg, I_L, I_R, Sl, Sg, Pl, Pg,
+        iterations: int, converged: bool, history: List[float],
+    ) -> "SCBAResult":
+        """The result of one Born loop from its final global tensors.
+
+        Self-energies that were never evaluated (``None``: a ballistic
+        run, or convergence before the first SSE phase) are reported as
+        zeros; the observables are integrated over the
+        :func:`~repro.negf.engine.energy_grid` of ``settings``.
+        """
+        energies, dE = energy_grid(settings)
+        zero_sig = np.zeros_like(Gl)
+        zero_pi = np.zeros_like(Dl)
+        return cls(
+            Gl=Gl,
+            Gg=Gg,
+            Dl=Dl,
+            Dg=Dg,
+            Sigma_l=Sl if Sl is not None else zero_sig,
+            Sigma_g=Sg if Sg is not None else zero_sig,
+            Pi_l=Pl if Pl is not None else zero_pi,
+            Pi_g=Pg if Pg is not None else zero_pi,
+            iterations=iterations,
+            converged=converged,
+            history=history,
+            current_left=I_L,
+            current_right=I_R,
+            density=density_observable(Gl, dE, settings.Nkz),
+            dissipation=dissipation_observable(
+                Gl, Gg, Sl, Sg, energies, dE, settings.Nkz
+            ),
+        )
+
     # -- persistence ------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict: every tensor field array-encoded, scalars plain.
@@ -183,12 +221,60 @@ class SCBAResult:
         return cls(**kwargs)
 
 
-def density_observable(Gl: np.ndarray, dE: float, Nkz: int) -> np.ndarray:
-    """Per-atom electron density: -i ∫ tr G< dE / 2π (summed over kz).
+def born_loop(
+    gf_phase: Callable[[int], Optional[float]],
+    sse_phase: Callable[[int], None],
+    *,
+    tolerance: float,
+    max_iterations: int,
+    ballistic: bool,
+) -> Tuple[int, bool, List[float]]:
+    """The GF ⇄ SSE state machine of Fig. 2/6, independent of where it runs.
 
-    Shared by the serial simulation and the distributed runtime so both
-    paths evaluate the observable identically on the assembled tensors.
+    ``gf_phase(it)`` solves the Green's functions under the current
+    self-energies and returns the relative ``G<`` update against the
+    previous iteration (``None`` on the first, which has no previous);
+    ``sse_phase(it)`` evaluates and mixes the scattering self-energies.
+    The loop stops *before* the SSE phase once the residual drops below
+    ``tolerance``; a ballistic run is a single GF phase.  Returns
+    ``(iterations, converged, history)`` with one residual per check.
     """
+    history: List[float] = []
+    converged = False
+    iterations = 0
+    for it in range(1 if ballistic else max_iterations):
+        iterations = it + 1
+        residual = gf_phase(it)
+        if residual is not None:
+            history.append(residual)
+            if residual < tolerance:
+                converged = True
+                break
+        if ballistic:
+            converged = True
+            break
+        sse_phase(it)
+    return iterations, converged, history
+
+
+def sse_prefactors(settings, dE: float) -> Tuple[float, float]:
+    """``(pre_Σ, pre_Π)``: the grid prefactors of Eqs. (3-5).
+
+    The frequency integral ``∫ dω/2π`` and the momentum averages
+    ``(1/Nqz) Σ_qz`` / ``(1/Nkz) Σ_kz`` on the discrete grid (``dω = dE``
+    by the index-shift convention), times the coupling strength.
+    """
+    pre = settings.coupling**2 * dE / (2 * np.pi)
+    return pre / max(settings.Nqz, 1), pre / max(settings.Nkz, 1)
+
+
+def mix_step(old: Optional[np.ndarray], new: np.ndarray, mix: float):
+    """Linear mixing ``(1-mix)·old + mix·new``; the first iterate is ``new``."""
+    return new if old is None else (1 - mix) * old + mix * new
+
+
+def density_observable(Gl: np.ndarray, dE: float, Nkz: int) -> np.ndarray:
+    """Per-atom electron density: -i ∫ tr G< dE / 2π (summed over kz)."""
     tr = np.trace(Gl, axis1=-2, axis2=-1)  # [Nkz, NE, NA]
     return (-1j * tr.sum(axis=(0, 1)) * dE / (2 * np.pi)).real / max(Nkz, 1)
 
@@ -240,7 +326,7 @@ def decode_array(enc: Dict[str, Any]) -> np.ndarray:
 class SCBASimulation:
     """Dissipative quantum transport on a synthetic device.
 
-    The Born iteration, SSE evaluation, and observables live here; the
+    The GF and SSE phases of the in-process Born loop live here; the
     grid sweeps are executed by the backend named in ``settings.engine``
     (see :mod:`repro.negf.engine`).
     """
@@ -272,13 +358,12 @@ class SCBASimulation:
 
     # -- lifetime -----------------------------------------------------------------
     def close(self):
-        """Release engine resources (worker pools) deterministically.
+        """Shut the distributed runtime (its rank workers) down.
 
-        The distributed runtime's per-rank boundary counters are
-        snapshotted first, so :meth:`boundary_counters` keeps reporting
-        them after the workers are gone.
+        The per-rank boundary counters are snapshotted first, so
+        :meth:`boundary_counters` keeps reporting them after the workers
+        are gone.
         """
-        self.engine.close()
         if self._runtime is not None:
             self._final_runtime_counters = self._runtime.boundary_counters()
             self._runtime.close()
@@ -331,17 +416,11 @@ class SCBASimulation:
     def boundary_counters(self) -> Dict[str, int]:
         """Boundary solve/hit counters across every execution path.
 
-        Serial/batched/multiprocess engines count in the in-process
+        The engine counts in the in-process
         :class:`~repro.negf.engine.BoundaryCache`; the distributed
         runtime additionally sums its per-rank caches.
         """
-        cache = self.engine.boundary
-        out = {
-            "el_solves": cache.el_solves,
-            "el_hits": cache.el_hits,
-            "ph_solves": cache.ph_solves,
-            "ph_hits": cache.ph_hits,
-        }
+        out = self.engine.boundary.counters()
         runtime_counters = (
             self._runtime.boundary_counters()
             if self._runtime is not None
@@ -378,16 +457,10 @@ class SCBASimulation:
 
     # -- SSE phase -----------------------------------------------------------------
     def scattering_self_energies(self, Gl, Gg, Dl, Dg):
-        """Evaluate Eq. 3-5 with emission+absorption combinations.
-
-        The frequency integral ``∫ dω/2π`` and momentum averages
-        ``(1/Nqz) Σ_qz`` / ``(1/Nkz) Σ_kz`` of Eqs. (3-5) become the grid
-        prefactors below (``dω = dE`` by the index-shift convention).
-        """
+        """Evaluate Eq. 3-5 with emission+absorption combinations."""
         s = self.s
         dev = self.model.structure
-        pre_sigma = s.coupling**2 * self.dE / (2 * np.pi) / max(s.Nqz, 1)
-        pre_pi = s.coupling**2 * self.dE / (2 * np.pi) / max(s.Nkz, 1)
+        pre_sigma, pre_pi = sse_prefactors(s, self.dE)
         Dcl = preprocess_phonon_green(Dl, dev.neighbors, self.rev)
         Dcg = preprocess_phonon_green(Dg, dev.neighbors, self.rev)
         v = s.sse_variant
@@ -407,15 +480,6 @@ class SCBASimulation:
         Pg = pre_pi * pi_sse(Gg, Gl, dH, dev.neighbors, self.rev, s.Nqz, s.Nw, v)
         return Sl, Sg, Pl, Pg
 
-    # -- observables --------------------------------------------------------------
-    def _density(self, Gl) -> np.ndarray:
-        return density_observable(Gl, self.dE, self.s.Nkz)
-
-    def _dissipation(self, Gl, Gg, Sl, Sg) -> np.ndarray:
-        return dissipation_observable(
-            Gl, Gg, Sl, Sg, self.energies, self.dE, self.s.Nkz
-        )
-
     # -- driver ------------------------------------------------------------------
     def run(self, ballistic: Optional[bool] = None) -> SCBAResult:
         """Iterate GF ⇄ SSE to self-consistency (Fig. 2).
@@ -429,61 +493,50 @@ class SCBASimulation:
         if getattr(self.s, "runtime", "serial") != "serial":
             return self._run_distributed(ballistic)
         s = self.s
+        Gl = Gg = Dl = Dg = I_L = I_R = None
         Sl = Sg = Sr = None
         Pl = Pg = Pr = None
-        history: List[float] = []
-        Gl_prev = None
-        converged = False
-        iterations = 0
+        #: holds the open ``scba.iteration`` span: one iteration runs from
+        #: its GF phase to the start of the next (or the end of the loop)
+        iteration_span = ExitStack()
 
-        max_iter = 1 if ballistic else s.max_iterations
-        for it in range(max_iter):
-            iterations = it + 1
+        def gf_phase(it: int) -> Optional[float]:
+            nonlocal Gl, Gg, Dl, Dg, I_L, I_R
+            iteration_span.close()
+            iteration_span.enter_context(trace("scba.iteration", iteration=it))
             _metrics.add("scba.iterations")
-            with trace("scba.iteration", iteration=it):
-                Gl, Gg, I_L, I_R = self.solve_electrons(Sr, Sl, Sg)
-                Dl, Dg = self.solve_phonons(Pr, Pl)
-                if Gl_prev is not None:
-                    num = np.linalg.norm(Gl - Gl_prev)
-                    den = max(np.linalg.norm(Gl), 1e-300)
-                    history.append(num / den)
-                    if history[-1] < s.tolerance:
-                        converged = True
-                        Gl_prev = Gl
-                        break
-                Gl_prev = Gl
-                if ballistic:
-                    converged = True
-                    break
+            Gl_prev = Gl
+            Gl, Gg, I_L, I_R = self.solve_electrons(Sr, Sl, Sg)
+            Dl, Dg = self.solve_phonons(Pr, Pl)
+            if Gl_prev is None:
+                return None
+            num = np.linalg.norm(Gl - Gl_prev)
+            den = max(np.linalg.norm(Gl), 1e-300)
+            return num / den
 
-                with trace("scba.sse", iteration=it):
-                    Sl_new, Sg_new, Pl_new, Pg_new = (
-                        self.scattering_self_energies(Gl, Gg, Dl, Dg)
-                    )
-                mix = s.mixing
-                Sl = Sl_new if Sl is None else (1 - mix) * Sl + mix * Sl_new
-                Sg = Sg_new if Sg is None else (1 - mix) * Sg + mix * Sg_new
-                Pl = Pl_new if Pl is None else (1 - mix) * Pl + mix * Pl_new
-                Pg = Pg_new if Pg is None else (1 - mix) * Pg + mix * Pg_new
-                Sr = retarded_from_lesser_greater(Sl, Sg)
-                Pr = retarded_from_lesser_greater(Pl, Pg)
+        def sse_phase(it: int) -> None:
+            nonlocal Sl, Sg, Sr, Pl, Pg, Pr
+            with trace("scba.sse", iteration=it):
+                Sl_new, Sg_new, Pl_new, Pg_new = (
+                    self.scattering_self_energies(Gl, Gg, Dl, Dg)
+                )
+            Sl = mix_step(Sl, Sl_new, s.mixing)
+            Sg = mix_step(Sg, Sg_new, s.mixing)
+            Pl = mix_step(Pl, Pl_new, s.mixing)
+            Pg = mix_step(Pg, Pg_new, s.mixing)
+            Sr = retarded_from_lesser_greater(Sl, Sg)
+            Pr = retarded_from_lesser_greater(Pl, Pg)
 
-        zero_sig = np.zeros_like(Gl)
-        zero_pi = np.zeros_like(Dl)
-        return SCBAResult(
-            Gl=Gl,
-            Gg=Gg,
-            Dl=Dl,
-            Dg=Dg,
-            Sigma_l=Sl if Sl is not None else zero_sig,
-            Sigma_g=Sg if Sg is not None else zero_sig,
-            Pi_l=Pl if Pl is not None else zero_pi,
-            Pi_g=Pg if Pg is not None else zero_pi,
-            iterations=iterations,
-            converged=converged,
-            history=history,
-            current_left=I_L,
-            current_right=I_R,
-            density=self._density(Gl),
-            dissipation=self._dissipation(Gl, Gg, Sl, Sg),
+        with iteration_span:
+            iterations, converged, history = born_loop(
+                gf_phase,
+                sse_phase,
+                tolerance=s.tolerance,
+                max_iterations=s.max_iterations,
+                ballistic=ballistic,
+            )
+        return SCBAResult.assemble(
+            s, Gl=Gl, Gg=Gg, Dl=Dl, Dg=Dg, I_L=I_L, I_R=I_R,
+            Sl=Sl, Sg=Sg, Pl=Pl, Pg=Pg,
+            iterations=iterations, converged=converged, history=history,
         )

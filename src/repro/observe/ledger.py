@@ -72,9 +72,7 @@ METRIC_SPECS: Dict[str, List[Tuple]] = {
     "engine": [
         ("seconds.seed", "time"),
         ("seconds.batched", "time"),
-        ("seconds.multiprocess", "time"),
         ("speedup_vs_seed.batched", "ratio"),
-        ("speedup_vs_seed.multiprocess", "ratio"),
     ],
     "api": [
         ("session.seconds", "time"),

@@ -130,8 +130,8 @@ def partition_spectral_grid(
 ) -> OmenDecomposition:
     """The largest momentum x energy-chunk decomposition within a budget.
 
-    Used by the spectral-grid engine (``repro.negf.engine``) to map
-    per-``(kz, E-chunk)`` batches onto execution ranks: picks the largest
+    Used by the plan layer (``repro.api.plan``) to lay the distributed
+    runtime's ``(kz, E-chunk)`` ranks out: picks the largest
     ``P = Nkz * n_chunks <= max_ranks`` with ``n_chunks`` dividing ``NE``,
     falling back to one chunk per momentum (``P = Nkz``, always valid).
     """

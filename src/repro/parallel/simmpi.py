@@ -1,27 +1,25 @@
-"""A simulated MPI layer: in-process ranks with byte-accurate accounting.
+"""A simulated MPI layer: per-rank byte-accurate communication accounting.
 
 The paper's communication schedules are executed on real machines with
-MPI; here they run inside one process, but with the *actual data* moving
-between per-rank stores and every transfer metered.  This makes the
-distributed SSE results bit-comparable to the serial kernels while the
-measured per-rank byte counts can be checked against the closed-form
-volume models of §4.1 (see ``tests/test_parallel.py`` for the one-shot
-schedules and ``tests/test_runtime.py`` for the distributed SCBA loop).
+MPI; here the *actual data* moves between per-rank stores through a
+transport (:mod:`repro.runtime.transport`, in-process or over pipes) and
+every ``src -> dst`` transfer is metered through :meth:`SimComm.charge`.
+This makes the distributed SSE results bit-comparable to the serial
+kernels while the measured per-rank byte counts can be checked against
+the closed-form volume models of §4.1 (see ``tests/test_parallel.py``
+for the one-shot schedules and ``tests/test_runtime.py`` for the
+distributed SCBA loop).
 
-Supported operations mirror what the schedules and the distributed
-runtime need: ``bcast``, ``sendrecv`` (point-to-point), ``alltoallv``,
-``gather``, and ``reduce``/``allreduce`` (sum).  Counting conventions
-match the paper's accounting: a broadcast charges every receiving rank
-with the payload size; a reduction charges each contributing rank once;
-an allreduce is charged as reduce + broadcast.  Transports that move the
-data themselves (``repro.runtime.transport``) meter through the public
-:meth:`SimComm.charge` entry point.
+Collectives are charged by the code that performs them, as their
+point-to-point transfers — matching the paper's accounting: a broadcast
+charges every receiving rank with the payload size; a reduction charges
+each contributing rank once; an allreduce is a reduce plus a broadcast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict
 
 import numpy as np
 
@@ -123,9 +121,9 @@ class SimComm:
     def charge(self, src: int, dst: int, nbytes: int):
         """Meter one ``src -> dst`` transfer (self-sends are free).
 
-        Public so transports that move the payloads themselves (the
-        distributed runtime's sim/pipe transports) share one accounting
-        convention with the collective operations below.  The actual
+        The one accounting entry point of every transport (the
+        schedules' in-process one and the distributed runtime's sim/pipe
+        transports move the payloads themselves).  The actual
         bookkeeping lives in the single shared helper
         :func:`repro.telemetry.metrics.meter_transfer`, which also
         publishes the aggregate bytes to the metrics registry under
@@ -145,67 +143,3 @@ class SimComm:
             recv_bytes=self.stats.recv_bytes.copy(),
             messages=self.stats.messages.copy(),
         )
-
-    # -- operations ------------------------------------------------------------
-    def bcast(self, root: int, value: np.ndarray) -> List[np.ndarray]:
-        """Broadcast: every non-root rank receives a copy."""
-        out: List[np.ndarray] = []
-        for r in range(self.P):
-            if r == root:
-                out.append(value)
-            else:
-                self.charge(root, r, value.nbytes)
-                out.append(value.copy())
-        return out
-
-    def sendrecv(self, src: int, dst: int, value: np.ndarray) -> np.ndarray:
-        """Point-to-point transfer of a numpy array."""
-        self.charge(src, dst, value.nbytes)
-        return value.copy() if src != dst else value
-
-    def alltoallv(
-        self, sendbufs: Sequence[Sequence[Optional[np.ndarray]]]
-    ) -> List[List[Optional[np.ndarray]]]:
-        """``recv[j][i] = send[i][j]``; ``None`` entries move nothing."""
-        if len(sendbufs) != self.P:
-            raise ValueError("alltoallv needs one send list per rank")
-        recv: List[List[Optional[np.ndarray]]] = [
-            [None] * self.P for _ in range(self.P)
-        ]
-        for i, row in enumerate(sendbufs):
-            if len(row) != self.P:
-                raise ValueError(f"rank {i} send list has wrong length")
-            for j, buf in enumerate(row):
-                if buf is None:
-                    continue
-                self.charge(i, j, buf.nbytes)
-                recv[j][i] = buf.copy() if i != j else buf
-        return recv
-
-    def gather(self, root: int, values: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Collect one array per rank at the root (each contributor charged)."""
-        if len(values) != self.P:
-            raise ValueError("gather needs one contribution per rank")
-        out: List[np.ndarray] = []
-        for r, v in enumerate(values):
-            self.charge(r, root, v.nbytes)
-            out.append(v.copy() if r != root else v)
-        return out
-
-    def reduce_sum(
-        self, root: int, contributions: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Sum per-rank arrays onto the root (each contributor charged)."""
-        if len(contributions) != self.P:
-            raise ValueError("reduce needs one contribution per rank")
-        total = np.zeros_like(contributions[root])
-        for r, c in enumerate(contributions):
-            self.charge(r, root, c.nbytes)
-            total = total + c
-        return total
-
-    def allreduce_sum(self, contributions: Sequence[np.ndarray]) -> np.ndarray:
-        """Reduce-sum visible on all ranks (charged as reduce + bcast)."""
-        total = self.reduce_sum(0, contributions)
-        self.bcast(0, total)
-        return total

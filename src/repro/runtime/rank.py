@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..negf.engine import BatchedEngine, SpectralGrid
+from ..negf.scba import SCBASettings, mix_step, sse_prefactors
 from ..negf.sse import preprocess_phonon_green, retarded_from_lesser_greater
 from ..parallel.decomposition import OmenDecomposition
 from ..parallel.schedules import RankSSEStore
@@ -48,8 +49,6 @@ class RankWorker(RankSSEStore):
         gf_decomp: OmenDecomposition,
         phonon_rows: List[Tuple[int, int]],
     ):
-        from ..negf.scba import SCBASettings  # scba layers on the runtime
-
         s = SCBASettings(**settings_state)
         grid = SpectralGrid(model, s)
         self.grid = grid
@@ -92,10 +91,12 @@ class RankWorker(RankSSEStore):
     def begin_run(self, state: Dict) -> None:
         """Sync sweep-mutable settings and reset the Born-loop state.
 
-        Mirrors the multiprocess engine's worker settings sync: only
-        non-structural fields (bias, temperatures, coupling, …) ever
-        change while a runtime lives, so plain setattr is sufficient and
-        the boundary cache stays valid (and warm) across sweep points.
+        The worker built its settings once, at runtime construction; a
+        sweep mutates bias/temperature fields on the driver's settings
+        between points, so every run ships the current values along.
+        Only non-structural fields ever change while a runtime lives, so
+        plain setattr is sufficient and the boundary cache stays valid
+        (and warm) across sweep points.
         """
         for key, value in state.items():
             setattr(self.grid.s, key, value)
@@ -168,29 +169,20 @@ class RankWorker(RankSSEStore):
         retarded components (``Σᴿ ≈ (Σ> - Σ<)/2``) that the next
         :meth:`solve_gf` inserts into the linear systems.
         """
-        s, g = self.grid.s, self.grid
-        pre_sigma = s.coupling**2 * g.dE / (2 * np.pi) / max(s.Nqz, 1)
-        pre_pi = s.coupling**2 * g.dE / (2 * np.pi) / max(s.Nkz, 1)
+        s = self.grid.s
+        pre_sigma, pre_pi = sse_prefactors(s, self.grid.dE)
         mix = s.mixing
 
-        Sl_new = pre_sigma * self._acc_Sl
-        Sg_new = pre_sigma * self._acc_Sg
-        self.Sl = (
-            Sl_new if self.Sl is None else (1 - mix) * self.Sl + mix * Sl_new
-        )
-        self.Sg = (
-            Sg_new if self.Sg is None else (1 - mix) * self.Sg + mix * Sg_new
-        )
+        self.Sl = mix_step(self.Sl, pre_sigma * self._acc_Sl, mix)
+        self.Sg = mix_step(self.Sg, pre_sigma * self._acc_Sg, mix)
         self.Sr = retarded_from_lesser_greater(self.Sl, self.Sg)
 
-        for (q, w), (pl_raw, pg_raw) in self.pi_raw.items():
-            Pl_new, Pg_new = pre_pi * pl_raw, pre_pi * pg_raw
-            if (q, w) in self.Pi:
-                Pl_old, Pg_old = self.Pi[(q, w)]
-                Pl_new = (1 - mix) * Pl_old + mix * Pl_new
-                Pg_new = (1 - mix) * Pg_old + mix * Pg_new
-            self.Pi[(q, w)] = (Pl_new, Pg_new)
-            self.Pi_r[(q, w)] = retarded_from_lesser_greater(Pl_new, Pg_new)
+        for row, (pl_raw, pg_raw) in self.pi_raw.items():
+            Pl_old, Pg_old = self.Pi.get(row, (None, None))
+            Pl = mix_step(Pl_old, pre_pi * pl_raw, mix)
+            Pg = mix_step(Pg_old, pre_pi * pg_raw, mix)
+            self.Pi[row] = (Pl, Pg)
+            self.Pi_r[row] = retarded_from_lesser_greater(Pl, Pg)
 
     # -- result collection --------------------------------------------------------
     def result_shard(self) -> Dict[str, Optional[np.ndarray]]:
@@ -220,13 +212,7 @@ class RankWorker(RankSSEStore):
 
     def counters(self) -> Dict[str, int]:
         """Boundary-cache solve/hit counters of this rank."""
-        b = self.engine.boundary
-        return {
-            "el_solves": b.el_solves,
-            "el_hits": b.el_hits,
-            "ph_solves": b.ph_solves,
-            "ph_hits": b.ph_hits,
-        }
+        return self.engine.boundary.counters()
 
     def drain_telemetry(self) -> Dict[str, object]:
         """Pop this rank's recorded spans and metrics (picklable dicts).

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..config import SSE_SCHEDULES, validate_parameters
 from ..model.distribution import search_tiling
+from ..negf.scba import SCBAResult, born_loop
 from ..parallel.decomposition import DaceDecomposition, OmenDecomposition
 from ..parallel.schedules import (
     DaceExchange,
@@ -198,13 +199,13 @@ class DistributedSCBARuntime:
     def run(self, ballistic: bool = False):
         """Iterate GF ⇄ SSE to self-consistency, distributed over P ranks.
 
-        Follows the serial :meth:`~repro.negf.SCBASimulation.run` state
-        machine exactly (same residual, same mixing, same break points),
-        so the returned :class:`~repro.negf.SCBAResult` matches the
-        serial one to ≤ 1e-10.
+        Drives the same :func:`~repro.negf.scba.born_loop` as the serial
+        :meth:`~repro.negf.SCBASimulation.run`, with rank-parallel phases:
+        the residual is the metered allreduce of the per-rank ``|ΔG<|²``
+        and ``|G<|²`` contributions, the SSE phase one exchange of the
+        resident schedule.  The returned :class:`~repro.negf.SCBAResult`
+        matches the serial one to ≤ 1e-10.
         """
-        from ..negf.scba import SCBAResult  # scba layers on the runtime
-
         t = self._ensure_transport()
         s = self.s
         P = self.P
@@ -214,84 +215,62 @@ class DistributedSCBARuntime:
         self.n_sse_iterations = 0
         self.n_residual_checks = 0
 
-        history: List[float] = []
-        converged = False
-        iterations = 0
-        max_iter = 1 if ballistic else s.max_iterations
+        def gf_phase(it: int) -> Optional[float]:
+            with trace("runtime.solve_gf", iteration=it):
+                parts = t.call_all("solve_gf", [()] * P)
+            if not parts[0][0]:  # no rank has a previous iteration yet
+                return None
+            with trace(
+                "runtime.residual_allreduce", iteration=it
+            ) as span, self._meter("residual", span):
+                # allreduce of the 2-float residual contribution
+                for r in range(1, P):
+                    t.charge(r, 0, 16)
+                for r in range(1, P):
+                    t.charge(0, r, 16)
+            self.n_residual_checks += 1
+            num = float(np.sqrt(sum(p[1] for p in parts)))
+            den = max(float(np.sqrt(sum(p[2] for p in parts))), 1e-300)
+            return num / den
+
+        def sse_phase(it: int) -> None:
+            with trace(
+                "runtime.sse_exchange", iteration=it
+            ) as span, self._meter("sse", span):
+                t.call_all("sse_begin", [()] * P)
+                self.exchange.run_iteration(t)
+                t.call_all("finish_iteration", [()] * P)
+            self.n_sse_iterations += 1
+
         with trace(
             "runtime.run", ranks=P, schedule=self.schedule,
             transport=self.transport_name,
         ):
             t.mark_epoch()
-            for it in range(max_iter):
-                iterations = it + 1
-                with trace("runtime.solve_gf", iteration=it):
-                    parts = t.call_all("solve_gf", [()] * P)
-                if parts[0][0]:  # every rank saw a previous iteration
-                    with trace(
-                        "runtime.residual_allreduce", iteration=it
-                    ) as span, self._meter("residual", span):
-                        # allreduce of the 2-float residual contribution
-                        for r in range(1, P):
-                            t.charge(r, 0, 16)
-                        for r in range(1, P):
-                            t.charge(0, r, 16)
-                    self.n_residual_checks += 1
-                    num = float(np.sqrt(sum(p[1] for p in parts)))
-                    den = max(
-                        float(np.sqrt(sum(p[2] for p in parts))), 1e-300
-                    )
-                    history.append(num / den)
-                    if history[-1] < s.tolerance:
-                        converged = True
-                        break
-                if ballistic:
-                    converged = True
-                    break
-                with trace(
-                    "runtime.sse_exchange", iteration=it
-                ) as span, self._meter("sse", span):
-                    t.call_all("sse_begin", [()] * P)
-                    self.exchange.run_iteration(t)
-                    t.call_all("finish_iteration", [()] * P)
-                self.n_sse_iterations += 1
-
+            iterations, converged, history = born_loop(
+                gf_phase,
+                sse_phase,
+                tolerance=s.tolerance,
+                max_iterations=s.max_iterations,
+                ballistic=ballistic,
+            )
             with trace("runtime.gather") as span, \
                     self._meter("gather", span):
                 tensors = self._gather(t)
             t.flush_waits()
         self._drain_rank_telemetry(t)
-
-        from ..negf.scba import density_observable, dissipation_observable
-
-        Gl, Gg, I_L, I_R, Sl, Sg, Dl, Dg, Pl, Pg = tensors
-        grid_energies = np.linspace(s.e_min, s.e_max, s.NE)
-        dE = grid_energies[1] - grid_energies[0] if s.NE > 1 else 1.0
-        zero_sig = np.zeros_like(Gl)
-        zero_pi = np.zeros_like(Dl)
-        return SCBAResult(
-            Gl=Gl,
-            Gg=Gg,
-            Dl=Dl,
-            Dg=Dg,
-            Sigma_l=Sl if Sl is not None else zero_sig,
-            Sigma_g=Sg if Sg is not None else zero_sig,
-            Pi_l=Pl if Pl is not None else zero_pi,
-            Pi_g=Pg if Pg is not None else zero_pi,
-            iterations=iterations,
-            converged=converged,
-            history=history,
-            current_left=I_L,
-            current_right=I_R,
-            density=density_observable(Gl, dE, s.Nkz),
-            dissipation=dissipation_observable(
-                Gl, Gg, Sl, Sg, grid_energies, dE, s.Nkz
-            ),
+        return SCBAResult.assemble(
+            s, **tensors,
+            iterations=iterations, converged=converged, history=history,
         )
 
     # -- final assembly -----------------------------------------------------------
-    def _gather(self, t: Transport):
-        """Collect every shard at rank 0 and assemble the global tensors."""
+    def _gather(self, t: Transport) -> Dict[str, Optional[np.ndarray]]:
+        """Collect every shard at rank 0 and assemble the global tensors.
+
+        Keyed as :meth:`~repro.negf.SCBAResult.assemble` takes them;
+        self-energies no rank ever evaluated come back as ``None``.
+        """
         s, model = self.s, self.model
         P = self.P
         NA, Norb = model.structure.NA, model.Norb
@@ -339,13 +318,12 @@ class DistributedSCBARuntime:
                 else:
                     Pl[q, w] = pl
                     Pg[q, w] = pg
-        return (
-            Gl, Gg, I_L, I_R,
-            Sl if have_sigma else None,
-            Sg if have_sigma else None,
-            Dl, Dg,
-            Pl if have_pi else None,
-            Pg if have_pi else None,
+        return dict(
+            Gl=Gl, Gg=Gg, I_L=I_L, I_R=I_R, Dl=Dl, Dg=Dg,
+            Sl=Sl if have_sigma else None,
+            Sg=Sg if have_sigma else None,
+            Pl=Pl if have_pi else None,
+            Pg=Pg if have_pi else None,
         )
 
     # -- accounting ---------------------------------------------------------------

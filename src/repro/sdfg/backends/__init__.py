@@ -22,8 +22,8 @@ Two backends are registered:
     faster than interpretation, with an analytically derived
     :class:`~repro.sdfg.interpreter.ExecutionReport`.
 
-Backend selection mirrors the spectral-grid engine convention
-(``REPRO_ENGINE``): :func:`default_backend` honors the
+Backend selection mirrors the RGF-kernel convention
+(``REPRO_RGF_KERNEL``): :func:`default_backend` honors the
 ``REPRO_SDFG_BACKEND`` environment variable and raises on invalid
 values; the built-in default is ``numpy``.
 """
@@ -118,7 +118,7 @@ def default_backend() -> str:
 
     Overridable through the ``REPRO_SDFG_BACKEND`` environment variable
     (an explicitly set but unknown value raises, mirroring
-    ``REPRO_ENGINE``); the built-in default is ``numpy``, which every
+    ``REPRO_RGF_KERNEL``); the built-in default is ``numpy``, which every
     pipeline compilation verifies against the reference kernel.
     """
     env = os.environ.get("REPRO_SDFG_BACKEND", "").strip().lower()

@@ -37,7 +37,7 @@ Quick start::
 
 Knobs: ``REPRO_SERVICE_MODE`` (sync/thread), ``REPRO_SERVICE_CAPACITY``
 (modeled flops per pool), ``REPRO_SERVICE_CACHE`` (LRU entries, 0
-disables) — invalid values raise, mirroring ``REPRO_ENGINE``.
+disables) — invalid values raise, mirroring ``REPRO_RUNTIME``.
 """
 
 from .cache import ResultCache

@@ -6,8 +6,9 @@ structure-invariant resources — the built
 :class:`~repro.negf.HamiltonianModel` (one per
 :class:`~repro.api.DeviceSpec`) and one :class:`~repro.negf.SCBASimulation`
 (hence one :class:`~repro.negf.engine.SpectralGrid` with memoized
-operators, one execution engine with its ranks/worker pools, and one
-:class:`~repro.negf.engine.BoundaryCache`) per *structural group* — and
+operators, one execution engine, one
+:class:`~repro.negf.engine.BoundaryCache`, and the resident rank workers
+of a distributed runtime) per *structural group* — and
 keeps them resident across **jobs**, not just across the sweep points of
 one workload.  Two tenants whose workloads share a structural group hit
 the same warm boundary cache and the same assembled operator blocks by
@@ -33,11 +34,14 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.plan import Plan, PlanGroup
-from ..api.session import RunResult, SweepResult
+from ..api.session import (
+    RunResult,
+    SweepResult,
+    execute_point,
+    sum_boundary_counters,
+)
 from ..api.workload import DeviceSpec
 from ..negf.scba import SCBASettings, SCBASimulation
-from ..telemetry.spans import trace
-from ..telemetry.timing import timeit
 
 __all__ = ["PoolError", "structural_key", "RankPool"]
 
@@ -54,7 +58,6 @@ _CONSTRUCTION_FIELDS: Tuple[str, ...] = (
     "rgf_kernel",
     "cache_boundary",
     "cache_operators",
-    "max_workers",
     "sse_backend",
     "runtime",
     "ranks",
@@ -68,8 +71,7 @@ def structural_key(device: DeviceSpec, group: PlanGroup) -> Tuple:
     Combines the device spec (operators), the plan group's structural
     settings (grid shape, η, boundary method — ``PlanGroup.key``), and
     the construction-time execution selection.  Everything *not* in the
-    key is synced per point by :meth:`RankPool.execute`, mirroring
-    ``Session._execute_point``.
+    key is synced per point by :func:`repro.api.session.execute_point`.
     """
     return (
         tuple(sorted(asdict(device).items())),
@@ -143,11 +145,11 @@ class RankPool:
     def execute(self, job, keep_arrays: bool = True) -> SweepResult:
         """Run every sweep point of a job on the pool's shared executors.
 
-        Point execution mirrors ``Session._execute_point`` exactly — the
-        full per-point settings are applied to the group's simulation
-        before each ``run()`` — so results match a per-workload Session
-        to the bit while the boundary cache and assembled operators stay
-        warm across every job the group has ever hosted.
+        Points run through the same
+        :func:`~repro.api.session.execute_point` as a Session's, so
+        results match a per-workload Session to the bit while the
+        boundary cache and assembled operators stay warm across every
+        job the group has ever hosted.
         """
         plan: Plan = job.plan
         device = plan.workload.device
@@ -156,28 +158,12 @@ class RankPool:
         for group in plan.groups:
             sim = self.simulation(device, group)
             for j in range(len(group.points)):
-                index, coords, _overrides = group.points[j]
-                for k, v in group.point_settings(j).items():
-                    setattr(sim.s, k, v)
-                with trace(
-                    "service.point", job_id=job.job_id, index=index,
-                    pool=self.pool_id,
-                ):
-                    timing = timeit(
-                        lambda: sim.run(ballistic=plan.ballistic), repeats=1
-                    )
-                res = timing.result
-                comm = None
-                if sim.last_comm:
-                    comm = {
-                        phase: stats.to_dict()
-                        for phase, stats in sim.last_comm.items()
-                    }
                 runs.append(
-                    RunResult.from_scba(
-                        index, coords, res, timing.best,
-                        keep_arrays=keep_arrays, comm=comm,
-                        rgf_kernel=sim.s.rgf_kernel,
+                    execute_point(
+                        sim, group, j,
+                        ballistic=plan.ballistic, keep_arrays=keep_arrays,
+                        span_name="service.point",
+                        job_id=job.job_id, pool=self.pool_id,
                     )
                 )
         runs.sort(key=lambda r: r.index)
@@ -218,19 +204,7 @@ class RankPool:
     # -- accounting ---------------------------------------------------------------
     def boundary_counters(self) -> Dict[str, int]:
         """Aggregated boundary solve/hit counters across resident sims."""
-        out = {
-            "boundary_el_solves": 0,
-            "boundary_el_hits": 0,
-            "boundary_ph_solves": 0,
-            "boundary_ph_hits": 0,
-        }
-        for sim in self._sims.values():
-            counters = sim.boundary_counters()
-            out["boundary_el_solves"] += counters["el_solves"]
-            out["boundary_el_hits"] += counters["el_hits"]
-            out["boundary_ph_solves"] += counters["ph_solves"]
-            out["boundary_ph_hits"] += counters["ph_hits"]
-        return out
+        return sum_boundary_counters(self._sims.values())
 
     def _counter_delta(self, before: Dict[str, int]) -> Dict[str, int]:
         after = self.boundary_counters()
@@ -251,7 +225,7 @@ class RankPool:
 
     # -- lifetime -----------------------------------------------------------------
     def close(self) -> None:
-        """Shut every resident simulation down (worker pools included)."""
+        """Shut every resident simulation down (rank workers included)."""
         for sim in self._sims.values():
             sim.close()
         self._sims.clear()

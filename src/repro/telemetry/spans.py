@@ -65,9 +65,9 @@ def configure(new_mode: Optional[str] = None) -> str:
     """Activate a telemetry mode, returning the previously active one.
 
     ``None`` re-reads ``REPRO_TELEMETRY`` from the environment (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``).
-    Forked worker processes (``pipe`` transport ranks, multiprocess
-    engine pools) inherit the configured mode at fork time.
+    explicitly set but unknown value raises, mirroring ``REPRO_RUNTIME``).
+    Forked worker processes (the ``pipe`` transport's ranks) inherit the
+    configured mode at fork time.
     """
     global _MODE, _SPANS_ON, _METRICS_ON
     if new_mode is None:

@@ -22,7 +22,6 @@ from repro.api import (
 )
 from repro.config import PAPER_STRUCTURE_4864
 from repro.negf import SCBAResult, SCBASettings, SCBASimulation
-from repro.negf.engine import MultiprocessEngine
 
 
 def small_workload(**kwargs) -> Workload:
@@ -205,15 +204,6 @@ class TestPlan:
         with pytest.raises(PlanError, match="Nqz"):
             w.compile(engine="batched")
 
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "serial")
-        assert small_workload().compile().engine == "serial"
-
-    def test_multiprocess_plan_records_decomposition(self):
-        plan = small_workload().compile(engine="multiprocess", max_workers=2)
-        assert plan.decomposition is not None
-        assert plan.decomposition[0]["P"] >= 2
-
     def test_scba_plan_records_dace_recipe(self):
         plan = small_workload(physics=scba_physics()).compile(engine="batched")
         names = [n for n, _ in plan.sse_recipe]
@@ -287,10 +277,8 @@ class TestSessionEquivalence:
         with SCBASimulation(model, settings) as sim:
             return sim.run(ballistic=workload.ballistic)
 
-    @pytest.mark.parametrize("engine", ["serial", "batched", "multiprocess"])
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
     def test_ballistic_bias_sweep_matches_per_point(self, engine):
-        # multiprocess is the regression case: pool workers must see the
-        # bias mutated between sweep points, not their pickled settings.
         w = small_workload(sweeps=(SweepAxis("bias", (0.0, 0.2, 0.4)),))
         with Session(w.compile(engine=engine)) as session:
             sweep = session.run()
@@ -374,14 +362,6 @@ class TestSessionReuse:
 
 
 class TestSessionLifetime:
-    def test_multiprocess_pool_closed_on_exit(self):
-        w = small_workload(sweeps=(SweepAxis("bias", (0.0, 0.2)),))
-        with Session(w.compile(engine="multiprocess", max_workers=2)) as session:
-            session.run()
-            engines = [sim.engine for sim in session._sims.values()]
-            assert all(isinstance(e, MultiprocessEngine) for e in engines)
-        assert all(e._pool is None for e in engines)
-
     def test_reuse_counters_survive_close(self):
         w = small_workload(sweeps=(SweepAxis("bias", (0.0, 0.2)),))
         with Session(w.compile(engine="batched")) as session:
@@ -401,11 +381,6 @@ class TestSessionLifetime:
         )
         with pytest.raises(IndexError):
             Session(w.compile(engine="batched")).run_point(99)
-
-    def test_plan_max_workers_reaches_engine(self):
-        w = small_workload()
-        with Session(w.compile(engine="multiprocess", max_workers=2)) as s:
-            assert s.simulation(0).engine.max_workers == 2
 
     def test_closed_session_refuses_work(self):
         session = Session(small_workload().compile(engine="batched"))

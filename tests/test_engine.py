@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import EXECUTION_BACKENDS, default_engine
+from repro.config import EXECUTION_BACKENDS
 from repro.negf import (
     SCBASettings,
     SCBASimulation,
@@ -18,7 +18,7 @@ from repro.negf import (
     rgf_solve,
     rgf_solve_batched,
 )
-from repro.negf.engine import BatchedEngine, MultiprocessEngine, SerialEngine, make_engine
+from repro.negf.engine import BatchedEngine, SerialEngine, make_engine
 from repro.parallel import OmenDecomposition, partition_spectral_grid
 
 from test_rgf_boundary import random_system
@@ -183,7 +183,7 @@ def sim_factory():
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["batched", "multiprocess"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_ballistic_matches_serial(self, sim_factory, backend):
         ref = sim_factory(engine="serial").run(ballistic=True)
         res = sim_factory(engine=backend).run(ballistic=True)
@@ -191,7 +191,7 @@ class TestBackendEquivalence:
             diff = np.abs(getattr(res, name) - getattr(ref, name)).max()
             assert diff < 1e-10, f"{backend}.{name} deviates by {diff}"
 
-    @pytest.mark.parametrize("backend", ["batched", "multiprocess"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_dissipative_matches_serial(self, sim_factory, backend):
         ref = sim_factory(engine="serial").run()
         res = sim_factory(engine=backend).run()
@@ -217,27 +217,14 @@ class TestBackendEquivalence:
     def test_engine_attribute_matches_setting(self, sim_factory):
         assert isinstance(sim_factory(engine="serial").engine, SerialEngine)
         assert isinstance(sim_factory(engine="batched").engine, BatchedEngine)
-        assert isinstance(
-            sim_factory(engine="multiprocess").engine, MultiprocessEngine
-        )
 
     def test_unknown_engine_raises(self, sim_factory):
         with pytest.raises(ValueError, match="unknown engine"):
             sim_factory(engine="gpu")
 
     def test_default_engine_valid(self):
-        assert default_engine() in EXECUTION_BACKENDS
+        assert SCBASettings().engine == "batched"
         assert SCBASettings().engine in EXECUTION_BACKENDS
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "serial")
-        assert default_engine() == "serial"
-        assert SCBASettings().engine == "serial"
-
-    def test_env_override_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "seriall")
-        with pytest.raises(ValueError, match="REPRO_ENGINE"):
-            default_engine()
 
 
 class TestBoundaryCache:
@@ -260,18 +247,6 @@ class TestBoundaryCache:
         res = sim.run()
         s = sim.s
         cache = sim.engine.boundary
-        assert cache.el_solves == 2 * s.Nkz * s.NE
-        assert cache.ph_solves == 2 * s.Nqz * s.Nw
-        assert cache.el_hits == (res.iterations - 1) * s.Nkz * s.NE
-
-    def test_solver_invoked_once_per_point_multiprocess(self, sim_factory):
-        """The parent's shared cache serves the worker ranks, so the
-        memoization invariant holds for the multiprocess backend too."""
-        sim = sim_factory(engine="multiprocess")
-        res = sim.run()
-        s = sim.s
-        cache = sim.engine.boundary
-        assert res.iterations > 1
         assert cache.el_solves == 2 * s.Nkz * s.NE
         assert cache.ph_solves == 2 * s.Nqz * s.Nw
         assert cache.el_hits == (res.iterations - 1) * s.Nkz * s.NE
@@ -311,21 +286,3 @@ class TestPartition:
     def test_minimum_one_chunk(self):
         d = partition_spectral_grid(5, 13, 1)
         assert d.P == 5 and d.chunk == 13
-
-    def test_multiprocess_covers_grid(self, sim_factory):
-        sim = sim_factory(engine="multiprocess")
-        eng = sim.engine
-        seen = set()
-        for rank in range(eng.el_decomp.P):
-            ik, _ = eng.el_decomp.coords(rank)
-            esl = eng.el_decomp.energy_slice(rank)
-            seen |= {(ik, iE) for iE in range(esl.start, esl.stop)}
-        assert seen == {
-            (ik, iE) for ik in range(sim.s.Nkz) for iE in range(sim.s.NE)
-        }
-
-    def test_multiprocess_meters_gather_volume(self, sim_factory):
-        sim = sim_factory(engine="multiprocess")
-        sim.run(ballistic=True)
-        # Rows produced on non-root ranks were metered home.
-        assert sim.engine.comm.stats.total_bytes > 0

@@ -296,6 +296,20 @@ class TestFacade:
         # an explicit budget below one-rank-per-kz cannot be honored
         with pytest.raises(PlanError, match="ranks=1"):
             w.compile(runtime="sim", ranks=1)
+        # rank workers solve with the batched engine and the exchange
+        # with its own kernels: a plan may not claim anything else
+        for runtime in ("sim", "pipe"):
+            with pytest.raises(PlanError, match="engine='serial'"):
+                w.compile(runtime=runtime, engine="serial")
+            with pytest.raises(PlanError, match="sse_variant='reference'"):
+                _facade_workload(sse_variant="reference").compile(
+                    runtime=runtime
+                )
+        # ... while the serial runtime still takes both
+        plan = _facade_workload(sse_variant="reference").compile(
+            runtime="serial", engine="serial"
+        )
+        assert plan.engine == "serial"
 
     def test_serial_plan_has_no_runtime_plan(self):
         plan = _facade_workload().compile(runtime="serial")

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.negf import SCBASettings, SCBASimulation, bose, build_device, build_hamiltonian_model, fermi
+from repro.negf import (
+    SCBASettings,
+    SCBASimulation,
+    born_loop,
+    bose,
+    build_device,
+    build_hamiltonian_model,
+    fermi,
+)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +29,57 @@ def sim_factory():
         return SCBASimulation(model, SCBASettings(**defaults))
 
     return make
+
+
+class TestBornLoop:
+    """The one GF ⇄ SSE state machine, driven with stub phases."""
+
+    @staticmethod
+    def _drive(residuals, **kwargs):
+        """Run the loop over scripted residuals; returns (result, calls)."""
+        calls = []
+
+        def gf_phase(it):
+            calls.append(("gf", it))
+            return residuals[it]
+
+        def sse_phase(it):
+            calls.append(("sse", it))
+
+        kwargs.setdefault("tolerance", 1e-3)
+        kwargs.setdefault("ballistic", False)
+        return born_loop(gf_phase, sse_phase, **kwargs), calls
+
+    def test_first_iteration_yields_no_residual(self):
+        (iterations, converged, history), calls = self._drive(
+            [None, 0.5], max_iterations=2
+        )
+        assert history == [0.5]  # nothing recorded for iteration 0
+        assert calls[:2] == [("gf", 0), ("sse", 0)]
+
+    def test_converges_before_the_sse_phase(self):
+        (iterations, converged, history), calls = self._drive(
+            [None, 0.5, 1e-4, 1e-9], max_iterations=10
+        )
+        assert (iterations, converged) == (3, True)
+        assert history == [0.5, 1e-4]
+        # the converged iteration ran its GF phase only
+        assert calls[-2:] == [("sse", 1), ("gf", 2)]
+
+    def test_ballistic_is_one_gf_phase(self):
+        (iterations, converged, history), calls = self._drive(
+            [None], max_iterations=10, ballistic=True
+        )
+        assert (iterations, converged, history) == (1, True, [])
+        assert calls == [("gf", 0)]
+
+    def test_exhausted_iterations_are_not_converged(self):
+        (iterations, converged, history), calls = self._drive(
+            [None, 0.5, 0.4, 0.3], max_iterations=4
+        )
+        assert (iterations, converged) == (4, False)
+        assert len(history) == 4 - 1
+        assert calls.count(("sse", 3)) == 1
 
 
 class TestOccupations:

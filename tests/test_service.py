@@ -313,6 +313,22 @@ class TestSchedulerService:
             ref.total_dissipation, abs=1e-10
         )
 
+    def test_pool_points_carry_per_point_telemetry(self):
+        """Pool jobs run through the Session's point executor, so their
+        points report the same per-point metric delta."""
+        from repro.telemetry import capture
+
+        w = small_workload(transport="scba")
+        with capture("full"):
+            with Session(w.compile()) as session:
+                reference = session.run()
+            with sync_service() as svc:
+                sweep = svc.wait(svc.submit(w))
+        ref, got = reference.runs[0].telemetry, sweep.runs[0].telemetry
+        assert got is not None and got["mode"] == "full"
+        assert got["metrics"]["scba.iterations"] == sweep.runs[0].iterations
+        assert set(got["metrics"]) == set(ref["metrics"])
+
     def test_duplicate_submission_served_from_cache(self):
         w = small_workload()
         twin = small_workload(name="other-label")  # same physics, new name
