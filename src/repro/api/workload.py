@@ -124,10 +124,10 @@ class PhysicsSpec:
             raise WorkloadError(
                 f"transport={self.transport!r}; expected 'ballistic' or 'scba'"
             )
-        if self.sse_variant not in ("reference", "omen", "dace", "sdfg"):
+        if self.sse_variant not in ("reference", "dace", "sdfg"):
             raise WorkloadError(
                 f"sse_variant={self.sse_variant!r}; expected 'reference', "
-                "'omen', 'dace' or 'sdfg'"
+                "'dace' or 'sdfg'"
             )
 
 

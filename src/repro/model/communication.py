@@ -40,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..config import SimulationParameters
+from ..negf.sse import shifted_rows
 from ..parallel.decomposition import DaceDecomposition, OmenDecomposition
 from ..parallel.schedules import default_round_owner
 from ..parallel.simmpi import CommStats
@@ -167,10 +168,8 @@ def omen_exchange_stats(
                 k, _ = decomp.coords(rank)
                 esl = decomp.energy_slice(rank)
                 ks = (k - q) % decomp.Nkz
-                for lo, hi in (
-                    (max(0, esl.start - w), max(0, esl.stop - w)),
-                    (min(NE, esl.start + w), min(NE, esl.stop + w)),
-                ):
+                for sign in (+1, -1):  # emission, absorption window
+                    lo, hi, _ = shifted_rows(esl.start, esl.stop, w, sign, NE)
                     e = lo
                     while e < hi:
                         piece_owner = decomp.owner_of_energy(ks, e)

@@ -93,9 +93,9 @@ class SCBASettings:
     boundary_method: Literal["sancho-rubio", "transfer-matrix"] = "sancho-rubio"
     #: Σ≷ kernel: ``dace`` is the hand-vectorized transformed algorithm;
     #: ``sdfg`` executes the compiled Fig. 8 → 12 pipeline graph itself
-    #: (backend per :attr:`sse_backend`); ``omen``/``reference`` are the
-    #: recompute-heavy and loop-nest baselines
-    sse_variant: Literal["reference", "omen", "dace", "sdfg"] = "dace"
+    #: (backend per :attr:`sse_backend`); ``reference`` is the loop-nest
+    #: oracle
+    sse_variant: Literal["reference", "dace", "sdfg"] = "dace"
     #: SDFG execution backend for ``sse_variant="sdfg"`` (``"numpy"``
     #: generated code / ``"interpreter"``; None follows
     #: ``REPRO_SDFG_BACKEND``)

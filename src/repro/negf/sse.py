@@ -1,23 +1,32 @@
 """Scattering self-energies (paper Eqs. 3-5) — the SSE phase.
 
-Four executable variants of the Σ≷ kernel share one semantics:
+One tile kernel, written once.  The Σ≷/Π≷ mathematics lives in four
+contraction primitives (:func:`hd_tensor`, :func:`grad_h_g`,
+:func:`sigma_round`, :func:`pi_round`), the open energy axis in one
+function (:func:`shifted_rows`), and the ``(qz, ω)`` loop of the
+transformed algorithm of §4.2 — ``∇H·G`` computed once, reused by every
+round — in :func:`sigma_tile`/:func:`pi_tile`, which run on any energy
+tile of a halo window.  The §4.1 ``TE x TA`` tiles of
+:mod:`repro.parallel.schedules` call exactly these functions on their
+sub-domain; the schedules and the runtime contract no tensor themselves.
 
-* ``reference`` — direct loops over the full 8-D index space (ground
-  truth; use for small problems only);
-* ``omen`` — OMEN's algorithmic structure: one round per ``(qz, ω)`` pair
-  that *recomputes* the ``∇H·G`` products for the shifted Green's
-  functions (the 2x flop overhead the paper's Table 3 quantifies);
-* ``dace`` — the transformed algorithm of §4.2: ``∇HG`` computed once
-  (batched over ``(kz, E)``), then reused by every ``(qz, ω)`` round
-  (hand-vectorized numpy);
-* ``sdfg`` — the same algorithm, but *executed from the optimized
-  graph*: the Fig. 8 → 12 pipeline's final stage is lowered by an SDFG
+Σ≷ variants of :func:`sigma_sse`, one semantics:
+
+* ``dace`` — the tile that covers the whole domain (the default);
+* ``sdfg`` — the same algorithm *executed from the optimized graph*:
+  the Fig. 8 → 12 pipeline's final stage is lowered by an SDFG
   execution backend (:mod:`repro.sdfg.backends`, generated numpy code
   by default) and driven directly — the paper's "generated code replaces
   the hand-written kernel" step.  The graph kernel is periodic in
   energy, so the open (zero-padded) energy axis is realized by embedding
   G≷ in a ``NE + Nw - 1`` energy window whose top slots are zero; the
-  result matches ``dace``/``reference`` to float tolerance.
+  result matches ``dace``/``reference`` to float tolerance;
+* ``reference`` — direct loops over the full 8-D index space (the
+  oracle; small problems only);
+* ``omen`` — the Table-7 baseline, function-level only (no driver
+  setting selects it): the same primitives, but ``∇H·G`` *recomputed*
+  in every ``(qz, ω)`` round (the 2x flop overhead of the paper's
+  Table 3).
 
 Index conventions (physical):
 
@@ -41,6 +50,13 @@ import numpy as np
 
 __all__ = [
     "preprocess_phonon_green",
+    "hd_tensor",
+    "grad_h_g",
+    "sigma_round",
+    "pi_round",
+    "shifted_rows",
+    "sigma_tile",
+    "pi_tile",
     "sigma_sse",
     "pi_sse",
     "retarded_from_lesser_greater",
@@ -81,17 +97,116 @@ def preprocess_phonon_green(
     return D_ba - D_bb - D_aa + D_ab
 
 
-def _shifted_energy_slices(NE: int, w: int, sign: int):
-    """Aligned (source, destination) energy slices for a shift of ``w``.
+def shifted_rows(lo: int, hi: int, w: int, sign: int, NE: int):
+    """The open energy axis: source rows feeding ``Σ(E)``, ``E ∈ [lo, hi)``.
 
-    ``sign=+1``: Σ(E) consumes G(E - w) -> source ``[0, NE-w)`` feeds
-    destination ``[w, NE)``.  ``sign=-1``: Σ(E) consumes G(E + w).
+    ``sign=+1`` consumes ``G(E - w)``, ``sign=-1`` consumes ``G(E + w)``;
+    rows that fall off the ``[0, NE)`` grid are dropped (zero padding).
+    Returns ``(src_lo, src_hi, dst_off)``: the global source rows
+    ``[src_lo, src_hi)`` land on the tile rows starting at ``dst_off``
+    (relative to ``lo``).  The range is empty once ``w`` shifts the whole
+    tile off the grid.
     """
-    if w == 0:
-        return slice(0, NE), slice(0, NE)
     if sign > 0:
-        return slice(0, NE - w), slice(w, NE)
-    return slice(w, NE), slice(0, NE - w)
+        src_lo, src_hi = max(0, lo - w), max(0, hi - w)
+        return src_lo, src_hi, src_lo + w - lo
+    return min(NE, lo + w), min(NE, hi + w), 0
+
+
+# -- contraction primitives ---------------------------------------------------
+def hd_tensor(dH, Dcomb) -> np.ndarray:
+    """``Σ_j dH[a,b,j] * Dcomb[q,w,a,b,i,j]`` -> [q,w,a,b,i,orb,orb]."""
+    return np.einsum("qwabij,abjxy->qwabixy", Dcomb, dH, optimize=True)
+
+
+def grad_h_g(G_b, dH) -> np.ndarray:
+    """``∇H·G`` (Fig. 10b-d), batched over ``(kz, E)``.
+
+    ``G_b`` is the neighbor-gathered GF ``G[:, :, neigh]`` of shape
+    ``[k,E,a,b,orb,orb]``; returns ``[k,E,a,b,i,orb,orb]``.
+    """
+    return np.einsum("kEabxy,abiyz->kEabixz", G_b, dH, optimize=True)
+
+
+def sigma_round(gh_rows, hd_qw) -> np.ndarray:
+    """One ``(qz, ω)`` round of Σ≷ on aligned rows: ``[k,E,a,orb,orb]``.
+
+    ``gh_rows`` are the ``∇H·G`` rows already at ``(kz - qz, E ∓ ω)``;
+    ``hd_qw`` is one ``[a,b,i,orb,orb]`` row of :func:`hd_tensor`.
+    """
+    return np.einsum("kEabixy,abiyz->kEaxz", gh_rows, hd_qw, optimize=True)
+
+
+def pi_round(G_own_rows, G_other_b_rows, dH, dH_ba) -> np.ndarray:
+    """One ``(qz, ω)`` round of Π≷ on aligned rows: ``[a,1+b,i,j]``.
+
+    ``G_own_rows`` is ``G≷`` at ``(kz + qz, E + ω)`` (``[k,E,a,orb,orb]``),
+    ``G_other_b_rows`` the neighbor-gathered ``G≶`` at ``(kz, E)``
+    (``[k,E,a,b,orb,orb]``), ``dH_ba = dH[neigh, rev]``.  Block ``1+b`` is
+    the bond term (Eq. 5); block 0 folds the on-site term (Eq. 4: minus
+    the sum over neighbors).
+    """
+    off = np.einsum(
+        "abixy,kEayz,abjzu,kEabux->abij",
+        dH_ba, G_own_rows, dH, G_other_b_rows, optimize=True,
+    )
+    NA, NB, N3D = dH.shape[:3]
+    Pi = np.zeros((NA, NB + 1, N3D, N3D), dtype=np.complex128)
+    Pi[:, 1:] += off
+    Pi[:, 0] -= off.sum(axis=1)
+    return Pi
+
+
+# -- the tile kernel ----------------------------------------------------------
+def sigma_tile(gh, hd, sign, NE, etile=None, win_lo=0) -> np.ndarray:
+    """Σ≷ on the energy tile ``etile = (lo, hi)``: ``[k, hi-lo, a, orb, orb]``.
+
+    The transformed algorithm: ``gh`` (:func:`grad_h_g`) is computed once
+    by the caller over a halo window of global rows starting at
+    ``win_lo`` and reused by every ``(qz, ω)`` round; ``hd`` is the
+    :func:`hd_tensor` of the tile's atoms.  The default tile is the whole
+    ``[0, NE)`` domain.
+    """
+    lo, hi = etile or (0, NE)
+    Nqz, Nw = hd.shape[:2]
+    shape = (gh.shape[0], hi - lo, gh.shape[2]) + gh.shape[-2:]
+    Sigma = np.zeros(shape, dtype=np.complex128)
+    for q in range(Nqz):
+        ghq = np.roll(gh, q, axis=0)  # index (k - q) mod Nkz
+        for w in range(Nw):
+            s_lo, s_hi, off = shifted_rows(lo, hi, w, sign, NE)
+            Sigma[:, off : off + s_hi - s_lo] += sigma_round(
+                ghq[:, s_lo - win_lo : s_hi - win_lo], hd[q, w]
+            )
+    return Sigma
+
+
+def pi_tile(
+    G_own, G_other_b, dH, dH_ba, Nqz, Nw, NE, etile=None, win_lo=0
+) -> np.ndarray:
+    """Π≷ partial of the energy tile ``etile``: ``[q, w, a, 1+b, i, j]``.
+
+    The tile owns the shifted rows ``E + ω ∈ [lo, hi)`` of ``G_own``
+    (``[k, E_win, a, orb, orb]``) and pairs them with the halo rows ``E``
+    of the neighbor-gathered ``G_other_b`` (``[k, E_win, a, b, orb,
+    orb]``); both windows start at global row ``win_lo``.  Partials of a
+    partition of the energy axis sum to the whole-domain Π≷ (the default
+    tile).
+    """
+    lo, hi = etile or (0, NE)
+    NA, NB, N3D = dH.shape[:3]
+    Pi = np.zeros((Nqz, Nw, NA, NB + 1, N3D, N3D), dtype=np.complex128)
+    for q in range(Nqz):
+        own_q = np.roll(G_own, -q, axis=0)  # index (k + q) mod Nkz
+        for w in range(Nw):
+            s_lo, s_hi, off = shifted_rows(lo, hi, w, +1, NE)
+            own_lo = lo + off - win_lo
+            Pi[q, w] = pi_round(
+                own_q[:, own_lo : own_lo + s_hi - s_lo],
+                G_other_b[:, s_lo - win_lo : s_hi - win_lo],
+                dH, dH_ba,
+            )
+    return Pi
 
 
 def sigma_sse(
@@ -154,49 +269,28 @@ def _sigma_reference(G, dH, Dcomb, neigh, sign) -> np.ndarray:
     return Sigma
 
 
-def _hd_tensor(dH, Dcomb) -> np.ndarray:
-    """``Σ_j dH[a,b,j] * Dcomb[q,w,a,b,i,j]`` -> [q,w,a,b,i,orb,orb]."""
-    return np.einsum("qwabij,abjxy->qwabixy", Dcomb, dH, optimize=True)
-
-
 def _sigma_omen(G, dH, Dcomb, neigh, sign) -> np.ndarray:
     """Per-(qz, ω) rounds, recomputing ∇H·G(E∓ω, kz-qz) every round."""
-    Nkz, NE, NA, No, _ = G.shape
-    Nqz, Nw, _, NB, N3D, _ = Dcomb.shape
+    NE = G.shape[1]
+    Nqz, Nw = Dcomb.shape[:2]
     Sigma = np.zeros_like(G)
-    hd = _hd_tensor(dH, Dcomb)
-    Gf = G[:, :, neigh]  # [k,E,a,b,No,No]
+    hd = hd_tensor(dH, Dcomb)
+    G_b = G[:, :, neigh]  # [k,E,a,b,No,No]
     for q in range(Nqz):
-        Gq = np.roll(Gf, q, axis=0)  # index (k - q) mod Nkz
+        Gq = np.roll(G_b, q, axis=0)  # index (k - q) mod Nkz
         for w in range(Nw):
-            src, dst = _shifted_energy_slices(NE, w, sign)
-            # The OMEN structure recomputes the ∇H·G product each round.
-            gh = np.einsum(
-                "kEabxy,abiyz->kEabixz", Gq[:, src], dH, optimize=True
-            )
-            Sigma[:, dst] += np.einsum(
-                "kEabixy,abiyz->kEaxz", gh, hd[q, w], optimize=True
+            s_lo, s_hi, off = shifted_rows(0, NE, w, sign, NE)
+            Sigma[:, off : off + s_hi - s_lo] += sigma_round(
+                grad_h_g(Gq[:, s_lo:s_hi], dH), hd[q, w]
             )
     return Sigma
 
 
 def _sigma_dace(G, dH, Dcomb, neigh, sign) -> np.ndarray:
-    """Transformed algorithm: ∇H·G computed once, reused by all rounds."""
-    Nkz, NE, NA, No, _ = G.shape
-    Nqz, Nw, _, NB, N3D, _ = Dcomb.shape
-    Sigma = np.zeros_like(G)
-    hd = _hd_tensor(dH, Dcomb)
-    Gf = G[:, :, neigh]  # [k,E,a,b,No,No]
-    # Fig. 10b-d: the (qz, ω)-independent ∇H·G tensor, batched over (kz, E).
-    gh = np.einsum("kEabxy,abiyz->kEabixz", Gf, dH, optimize=True)
-    for q in range(Nqz):
-        ghq = np.roll(gh, q, axis=0)
-        for w in range(Nw):
-            src, dst = _shifted_energy_slices(NE, w, sign)
-            Sigma[:, dst] += np.einsum(
-                "kEabixy,abiyz->kEaxz", ghq[:, src], hd[q, w], optimize=True
-            )
-    return Sigma
+    """Transformed algorithm: the tile that covers the whole domain."""
+    return sigma_tile(
+        grad_h_g(G[:, :, neigh], dH), hd_tensor(dH, Dcomb), sign, G.shape[1]
+    )
 
 
 def _sigma_sdfg(G, dH, Dcomb, neigh, sign, backend=None) -> np.ndarray:
@@ -251,7 +345,7 @@ def pi_sse(
     """
     if variant == "reference":
         return _pi_reference(G_plus, G_minus, dH, neigh, rev, Nqz, Nw)
-    if variant in ("dace", "omen", "sdfg"):
+    if variant in ("dace", "sdfg"):
         # The paper's graph recipe covers Σ≷; Π≷ (Eqs. 4-5) always runs
         # the hand-vectorized kernel, also under the sdfg variant.
         return _pi_vectorized(G_plus, G_minus, dH, neigh, rev, Nqz, Nw)
@@ -287,29 +381,9 @@ def _pi_reference(Gp, Gm, dH, neigh, rev, Nqz, Nw) -> np.ndarray:
 
 
 def _pi_vectorized(Gp, Gm, dH, neigh, rev, Nqz, Nw) -> np.ndarray:
-    Nkz, NE, NA, No, _ = Gp.shape
-    _, NB, N3D, _, _ = dH.shape
-    Pi = np.zeros((Nqz, Nw, NA, NB + 1, N3D, N3D), dtype=np.complex128)
-    dH_ba = dH[neigh, rev]  # [a,b,i,No,No] — ∇H_ba blocks
-    Gm_b = Gm[:, :, neigh]  # [k,E,a,b,No,No]
-    for q in range(Nqz):
-        Gp_q = np.roll(Gp, -q, axis=0)  # index (k + q) mod Nkz
-        for w in range(Nw):
-            if w >= NE:
-                continue
-            src_hi = slice(w, NE)  # E + w values
-            src_lo = slice(0, NE - w)
-            off = np.einsum(
-                "abixy,kEayz,abjzu,kEabux->abij",
-                dH_ba,
-                Gp_q[:, src_hi],
-                dH,
-                Gm_b[:, src_lo],
-                optimize=True,
-            )
-            Pi[q, w, :, 1:] += off
-            Pi[q, w, :, 0] -= off.sum(axis=1)
-    return Pi
+    return pi_tile(
+        Gp, Gm[:, :, neigh], dH, dH[neigh, rev], Nqz, Nw, Gp.shape[1]
+    )
 
 
 def retarded_from_lesser_greater(less: np.ndarray, greater: np.ndarray) -> np.ndarray:

@@ -7,13 +7,9 @@ from .decomposition import (
 )
 from .schedules import (
     DaceExchange,
-    DistributedSSEResult,
-    LocalTransport,
     OmenExchange,
     RankSSEStore,
-    dace_sse_phase,
     default_round_owner,
-    omen_sse_phase,
 )
 from .simmpi import CommStats, SimComm
 
@@ -21,14 +17,10 @@ __all__ = [
     "DaceDecomposition",
     "OmenDecomposition",
     "partition_spectral_grid",
-    "DistributedSSEResult",
     "RankSSEStore",
-    "LocalTransport",
     "OmenExchange",
     "DaceExchange",
     "default_round_owner",
-    "dace_sse_phase",
-    "omen_sse_phase",
     "CommStats",
     "SimComm",
 ]

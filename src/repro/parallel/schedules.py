@@ -14,9 +14,12 @@ against per-rank :class:`RankSSEStore` stores reached through a transport
 SCBA runtime (:mod:`repro.runtime`) run the exchange *inside* the Born
 loop, including the Π≷/D≷ feedback path: Π≷ rows are reduced to their
 (qz, ω) owners, which solve the phonon Green's functions feeding the next
-iteration's rounds.  The one-shot :func:`omen_sse_phase` /
-:func:`dace_sse_phase` entry points are thin wrappers instantiating the
-exchange over array-backed stores.
+iteration's rounds.
+
+This module only moves data: every contraction, the open-energy window
+arithmetic and the (qz, ω) tile loop are :mod:`repro.negf.sse`'s
+(:func:`~repro.negf.sse.sigma_tile`/:func:`~repro.negf.sse.pi_tile` and
+their primitives), called here on each rank's sub-domain.
 
 **OMEN schedule** — ``Nqz*Nw`` rounds; in each round the phonon GF
 ``D≷(qz, ω)`` is broadcast from its owner, every rank receives the
@@ -39,35 +42,27 @@ energy axis, periodic momentum, emission+absorption pairing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..negf.sse import (
+    grad_h_g,
+    hd_tensor,
+    pi_round,
+    pi_tile,
+    shifted_rows,
+    sigma_round,
+    sigma_tile,
+)
 from .decomposition import DaceDecomposition, OmenDecomposition
-from .simmpi import CommStats, SimComm
 
 __all__ = [
-    "DistributedSSEResult",
     "RankSSEStore",
-    "LocalTransport",
     "OmenExchange",
     "DaceExchange",
     "default_round_owner",
-    "omen_sse_phase",
-    "dace_sse_phase",
 ]
-
-
-@dataclass
-class DistributedSSEResult:
-    """Assembled self-energies plus communication statistics."""
-
-    Sigma_l: np.ndarray
-    Sigma_g: np.ndarray
-    Pi_l: np.ndarray
-    Pi_g: np.ndarray
-    stats: CommStats
 
 
 def default_round_owner(Nw: int, P: int) -> Callable[[int, int], int]:
@@ -80,47 +75,6 @@ def default_round_owner(Nw: int, P: int) -> Callable[[int, int], int]:
     return lambda q, w: (q * Nw + w) % P
 
 
-def _hd(Dc_qw: np.ndarray, dH: np.ndarray) -> np.ndarray:
-    """``Σ_j dH[a,b,j] * Dcomb[a,b,i,j]`` for one (qz, ω) -> [a,b,i,x,y]."""
-    return np.einsum("abij,abjxy->abixy", Dc_qw, dH, optimize=True)
-
-
-def _sigma_contrib(
-    G_rows: np.ndarray, hd_rows: np.ndarray, dH: np.ndarray, neigh: np.ndarray
-) -> np.ndarray:
-    """Σ contribution for aligned source rows: [E, a, x, z].
-
-    ``G_rows``: shifted GF ``[E, NA_src, No, No]`` (already at kz-qz and
-    E∓ω); ``hd_rows``: ``[a, b, i, No, No]``.
-    """
-    gh = np.einsum(
-        "Eabxy,abiyz->Eabixz", G_rows[:, neigh], dH, optimize=True
-    )
-    return np.einsum("Eabixy,abiyz->Eaxz", gh, hd_rows, optimize=True)
-
-
-def _pi_contrib(
-    G_own_rows: np.ndarray,
-    G_recv_rows: np.ndarray,
-    dH: np.ndarray,
-    dH_ba: np.ndarray,
-    neigh: np.ndarray,
-) -> np.ndarray:
-    """Bond-resolved Π contribution ``[a, b, i, j]`` for aligned rows.
-
-    ``G_own_rows``: ``G≷`` at ``(kz+qz, E+ω)`` (the rank's own rows play
-    the shifted role); ``G_recv_rows``: ``G≶`` at ``(kz, E)``.
-    """
-    return np.einsum(
-        "abixy,Eayz,abjzu,Eabux->abij",
-        dH_ba,
-        G_own_rows,
-        dH,
-        G_recv_rows[:, neigh],
-        optimize=True,
-    )
-
-
 # --------------------------------------------------------------------------
 # Per-rank store: shard state + the rank-local SSE compute steps
 # --------------------------------------------------------------------------
@@ -128,8 +82,8 @@ class RankSSEStore:
     """One rank's G≷/D≷ shard plus the SSE compute steps of the schedules.
 
     The exchange objects talk to ranks exclusively through this protocol
-    (via a transport's ``call``), so the same schedule logic drives both
-    the one-shot array-backed stores below and the resident
+    (via a transport's ``call``), so the same schedule logic drives plain
+    stores (``tests/conftest.py``) and the resident
     :class:`repro.runtime.RankWorker` processes of the distributed SCBA
     loop.
 
@@ -203,48 +157,31 @@ class RankSSEStore:
         G_ab: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Consume one round's windows: accumulate Σ, return Π partials."""
-        esl, NE, n = self.esl, self.NE, self.n_local
-        hd_l = _hd(d_pack[0], self.dH)
-        hd_g = _hd(d_pack[1], self.dH)
-
-        # Emission window: G(E-ω) for E in the chunk.
-        em_lo, em_hi = max(0, esl.start - w), max(0, esl.stop - w)
-        dst_em = slice(n - (em_hi - em_lo), n)
-        # Absorption window: G(E+ω).
-        ab_lo, ab_hi = min(NE, esl.start + w), min(NE, esl.stop + w)
-        dst_ab = slice(0, ab_hi - ab_lo)
-
-        if em_hi > em_lo:
-            self._acc_Sl[dst_em] += _sigma_contrib(
-                G_em[0], hd_l, self.dH, self.neigh
-            )
-            self._acc_Sg[dst_em] += _sigma_contrib(
-                G_em[1], hd_g, self.dH, self.neigh
-            )
-        if ab_hi > ab_lo:
-            self._acc_Sl[dst_ab] += _sigma_contrib(
-                G_ab[0], hd_g, self.dH, self.neigh
-            )
-            self._acc_Sg[dst_ab] += _sigma_contrib(
-                G_ab[1], hd_l, self.dH, self.neigh
-            )
-
-        # Π partials: own rows are the shifted (E+ω, kz+qz) points, paired
-        # with the emission-window data already received.
+        hd_l, hd_g = hd_tensor(self.dH, d_pack[:, None])[:, 0]  # ≷ as qz axis
         shape = (self.NA, self.NB + 1, self.N3D, self.N3D)
         pl = np.zeros(shape, dtype=np.complex128)
         pg = np.zeros(shape, dtype=np.complex128)
-        if em_hi > em_lo:
-            off_l = _pi_contrib(
-                self.Gl[dst_em], G_em[1], self.dH, self.dH_ba, self.neigh
+        # Emission window G(E-ω) pairs Σ< with D<, Σ> with D>; the
+        # absorption window G(E+ω) crosses them.
+        for sign, G_win, hds in (
+            (+1, G_em, (hd_l, hd_g)), (-1, G_ab, (hd_g, hd_l))
+        ):
+            if G_win is None:  # the whole window fell off the grid
+                continue
+            s_lo, s_hi, off = shifted_rows(
+                self.esl.start, self.esl.stop, w, sign, self.NE
             )
-            off_g = _pi_contrib(
-                self.Gg[dst_em], G_em[0], self.dH, self.dH_ba, self.neigh
-            )
-            pl[:, 1:] += off_l
-            pl[:, 0] -= off_l.sum(axis=1)
-            pg[:, 1:] += off_g
-            pg[:, 0] -= off_g.sum(axis=1)
+            dst = slice(off, off + s_hi - s_lo)
+            G_b = G_win[:, None][:, :, :, self.neigh]  # [≷,1,E,a,b,No,No]
+            for acc, rows_b, hd in zip(
+                (self._acc_Sl, self._acc_Sg), G_b, hds
+            ):
+                acc[dst] += sigma_round(grad_h_g(rows_b, self.dH), hd)[0]
+            if sign > 0:
+                # Π partials: own rows are the shifted (E+ω, kz+qz) points,
+                # paired with the emission-window data already received.
+                pl = pi_round(self.Gl[None, dst], G_b[1], self.dH, self.dH_ba)
+                pg = pi_round(self.Gg[None, dst], G_b[0], self.dH, self.dH_ba)
         return pl, pg
 
     def store_pi_round(self, q: int, w: int, pl: np.ndarray, pg: np.ndarray):
@@ -290,12 +227,12 @@ class RankSSEStore:
         the tile-restricted Π≷ partials.
         """
         win_lo, win_hi = spec["win"]
-        et_lo, et_hi = spec["etile"]
+        etile = spec["etile"]
         ext = np.asarray(spec["ext"])
         tile = np.asarray(spec["tile"])
         Nkz, NE = spec["Nkz"], spec["NE"]
         Nqz, Nw = spec["Nqz"], spec["Nw"]
-        No, N3D = self.Norb, self.N3D
+        No = self.Norb
 
         G_ext = np.zeros(
             (2, Nkz, win_hi - win_lo, len(ext), No, No), dtype=np.complex128
@@ -307,89 +244,27 @@ class RankSSEStore:
         lookup[ext] = np.arange(len(ext))
         tl = lookup[tile]  # tile atoms in local coords
         neigh_loc = lookup[self.neigh[tile]]  # (a_tile, NB) local neighbor idx
-        Gle, Gge = G_ext[0], G_ext[1]
-        Dcl_t, Dcg_t = d_pack[0], d_pack[1]
         dH_t, dH_ba_t = self.dH[tile], self.dH_ba[tile]
+        Gl_b, Gg_b = G_ext[:, :, :, neigh_loc]  # [k,E_win,a_tile,b,No,No]
 
         # ∇H·G computed ONCE per tile over the whole halo window (the
         # transformed algorithm's reuse; contrast with the OMEN rounds).
-        gh_l = np.einsum(
-            "kEabxy,abiyz->kEabixz", Gle[:, :, neigh_loc], dH_t, optimize=True
-        )
-        gh_g = np.einsum(
-            "kEabxy,abiyz->kEabixz", Gge[:, :, neigh_loc], dH_t, optimize=True
-        )
+        gh_l, gh_g = grad_h_g(Gl_b, dH_t), grad_h_g(Gg_b, dH_t)
+        hd_l, hd_g = hd_tensor(dH_t, d_pack[0]), hd_tensor(dH_t, d_pack[1])
+        # Same pairing and order as SCBASimulation.scattering_self_energies:
+        # Σ< ~ G<(E-ω)D< + G<(E+ω)D>, Σ> ~ G>(E-ω)D> + G>(E+ω)D<.
+        sig = np.stack([
+            sigma_tile(gh_l, hd_l, +1, NE, etile, win_lo)
+            + sigma_tile(gh_l, hd_g, -1, NE, etile, win_lo),
+            sigma_tile(gh_g, hd_g, +1, NE, etile, win_lo)
+            + sigma_tile(gh_g, hd_l, -1, NE, etile, win_lo),
+        ])
+        # Π partials over (tile atoms, own rows E+ω in the energy tile).
+        Gl_t, Gg_t = G_ext[:, :, :, tl]
+        pl = pi_tile(Gl_t, Gg_b, dH_t, dH_ba_t, Nqz, Nw, NE, etile, win_lo)
+        pg = pi_tile(Gg_t, Gl_b, dH_t, dH_ba_t, Nqz, Nw, NE, etile, win_lo)
 
-        n_et = et_hi - et_lo
-        sig = np.zeros((2, Nkz, n_et, len(tile), No, No), dtype=np.complex128)
-        pl = np.zeros(
-            (Nqz, Nw, len(tile), self.NB + 1, N3D, N3D), dtype=np.complex128
-        )
-        pg = np.zeros_like(pl)
-        for q in range(Nqz):
-            ghq_l = np.roll(gh_l, q, axis=0)
-            ghq_g = np.roll(gh_g, q, axis=0)
-            Glq = np.roll(Gle, q, axis=0)
-            Ggq = np.roll(Gge, q, axis=0)
-            for w in range(Nw):
-                hd_l = _hd(Dcl_t[q, w], dH_t)
-                hd_g = _hd(Dcg_t[q, w], dH_t)
-                # Emission: rows E-w for E in the tile (zero-padded).
-                em_lo = max(0, et_lo - w)
-                em_hi = max(0, et_hi - w)
-                dst_em = slice(n_et - (em_hi - em_lo), n_et)
-                src_em = slice(em_lo - win_lo, em_hi - win_lo)
-                # Absorption: rows E+w.
-                ab_lo = min(NE, et_lo + w)
-                ab_hi = min(NE, et_hi + w)
-                dst_ab = slice(0, ab_hi - ab_lo)
-                src_ab = slice(ab_lo - win_lo, ab_hi - win_lo)
-
-                if em_hi > em_lo:
-                    sig[0, :, dst_em] += np.einsum(
-                        "kEabixy,abiyz->kEaxz", ghq_l[:, src_em], hd_l,
-                        optimize=True,
-                    )
-                    sig[1, :, dst_em] += np.einsum(
-                        "kEabixy,abiyz->kEaxz", ghq_g[:, src_em], hd_g,
-                        optimize=True,
-                    )
-                if ab_hi > ab_lo:
-                    sig[0, :, dst_ab] += np.einsum(
-                        "kEabixy,abiyz->kEaxz", ghq_l[:, src_ab], hd_g,
-                        optimize=True,
-                    )
-                    sig[1, :, dst_ab] += np.einsum(
-                        "kEabixy,abiyz->kEaxz", ghq_g[:, src_ab], hd_l,
-                        optimize=True,
-                    )
-
-                # Π partials over (tile atoms, own E rows E''=E+w).
-                own = slice(
-                    et_lo - win_lo + (n_et - (em_hi - em_lo)),
-                    et_hi - win_lo,
-                )
-                if em_hi > em_lo:
-                    for k in range(Nkz):
-                        off_l = _pi_contrib(
-                            Gle[k, own][:, tl],
-                            Ggq[k, src_em],
-                            dH_t,
-                            dH_ba_t,
-                            neigh_loc,
-                        )
-                        off_g = _pi_contrib(
-                            Gge[k, own][:, tl],
-                            Glq[k, src_em],
-                            dH_t,
-                            dH_ba_t,
-                            neigh_loc,
-                        )
-                        pl[q, w, :, 1:] += off_l
-                        pl[q, w, :, 0] -= off_l.sum(axis=1)
-                        pg[q, w, :, 1:] += off_g
-                        pg[q, w, :, 0] -= off_g.sum(axis=1)
-
+        et_lo = etile[0]
         dest_blocks = {
             i: sig[:, k_i, lo - et_lo : hi - et_lo]
             for i, k_i, lo, hi in spec["dests"]
@@ -417,36 +292,6 @@ class RankSSEStore:
             self.pi_raw[(q, w)] = (Pl, Pg)
 
 
-class LocalTransport:
-    """Minimal in-process transport: direct store calls + SimComm metering."""
-
-    def __init__(self, comm: SimComm, stores: Sequence[RankSSEStore]):
-        if len(stores) != comm.P:
-            raise ValueError("one store per communicator rank required")
-        self.comm = comm
-        self.stores = list(stores)
-
-    @property
-    def P(self) -> int:
-        return self.comm.P
-
-    @property
-    def stats(self) -> CommStats:
-        return self.comm.stats
-
-    def call(self, rank: int, method: str, *args):
-        return getattr(self.stores[rank], method)(*args)
-
-    def call_all(self, method: str, args_list):
-        return [
-            self.call(r, method, *args) for r, args in enumerate(args_list)
-        ]
-
-    def charge(self, src: int, dst: int, nbytes: int):
-        # one metering convention: telemetry.metrics.meter_transfer via SimComm
-        self.comm.charge(src, dst, int(nbytes))
-
-
 # --------------------------------------------------------------------------
 # OMEN schedule
 # --------------------------------------------------------------------------
@@ -456,8 +301,7 @@ class OmenExchange:
     One instance holds the momentum x energy decomposition and the
     phonon-row owner map; :meth:`run_iteration` executes one full Σ≷/Π≷
     exchange against the rank stores behind ``transport`` — callable every
-    Born iteration on refreshed shards (the in-loop generalization of the
-    one-shot :func:`omen_sse_phase`).
+    Born iteration on refreshed shards.
     """
 
     def __init__(
@@ -489,8 +333,8 @@ class OmenExchange:
                     k, _ = d.coords(rank)
                     esl = d.energy_slice(rank)
                     ks = (k - q) % d.Nkz
-                    em_lo, em_hi = max(0, esl.start - w), max(0, esl.stop - w)
-                    ab_lo, ab_hi = min(NE, esl.start + w), min(NE, esl.stop + w)
+                    em_lo, em_hi, _ = shifted_rows(esl.start, esl.stop, w, +1, NE)
+                    ab_lo, ab_hi, _ = shifted_rows(esl.start, esl.stop, w, -1, NE)
                     G_em = self._fetch_window(t, ks, em_lo, em_hi, rank)
                     G_ab = self._fetch_window(t, ks, ab_lo, ab_hi, rank)
                     pl, pg = t.call(
@@ -531,8 +375,7 @@ class DaceExchange:
 
     The halo windows, atom closures, and both alltoallv plans are derived
     once from the decompositions; every :meth:`run_iteration` then only
-    moves the current shards (the in-loop generalization of
-    :func:`dace_sse_phase`).  Π≷ partials travel tile-restricted to the
+    moves the current shards.  Π≷ partials travel tile-restricted to the
     (qz, ω) row owners given by ``owner_of``.
     """
 
@@ -676,110 +519,3 @@ class DaceExchange:
                 "dace_store_pi",
                 [(q, w, pieces) for (q, w), pieces in rowmap.items()],
             )
-
-
-# --------------------------------------------------------------------------
-# One-shot phases (wrappers over the resident exchanges)
-# --------------------------------------------------------------------------
-class _ArrayStore(RankSSEStore):
-    """Adapter presenting slices of global arrays as one rank's store."""
-
-    def __init__(self, rank, decomp, Gl, Gg, Dc_rows, dH, neigh, rev):
-        k, _ = decomp.coords(rank)
-        esl = decomp.energy_slice(rank)
-        super().__init__(rank, k, esl, decomp.NE, dH, neigh, rev)
-        self.Gl = Gl[k, esl]
-        self.Gg = Gg[k, esl]
-        self.Dc = Dc_rows
-        self.sse_begin()
-
-
-def _one_shot(
-    comm: SimComm,
-    decomp: OmenDecomposition,
-    exchange,
-    owner_of,
-    Gl,
-    Gg,
-    dH,
-    Dcl,
-    Dcg,
-    neigh,
-    rev,
-) -> DistributedSSEResult:
-    """Run one exchange over array-backed stores and reassemble globally."""
-    Nqz, Nw = Dcl.shape[:2]
-    P = comm.P
-    stores = []
-    for r in range(P):
-        rows = {
-            (q, w): np.stack([Dcl[q, w], Dcg[q, w]])
-            for q in range(Nqz)
-            for w in range(Nw)
-            if owner_of(q, w) == r
-        }
-        stores.append(_ArrayStore(r, decomp, Gl, Gg, rows, dH, neigh, rev))
-    exchange.run_iteration(LocalTransport(comm, stores))
-
-    Sigma_l = np.zeros_like(Gl)
-    Sigma_g = np.zeros_like(Gg)
-    NA, NB = neigh.shape
-    Pi_shape = (Nqz, Nw, NA, NB + 1, dH.shape[2], dH.shape[2])
-    Pi_l = np.zeros(Pi_shape, dtype=np.complex128)
-    Pi_g = np.zeros(Pi_shape, dtype=np.complex128)
-    for st in stores:
-        Sigma_l[st.k, st.esl] = st._acc_Sl
-        Sigma_g[st.k, st.esl] = st._acc_Sg
-        for (q, w), (pl, pg) in st.pi_raw.items():
-            Pi_l[q, w] = pl
-            Pi_g[q, w] = pg
-    return DistributedSSEResult(Sigma_l, Sigma_g, Pi_l, Pi_g, comm.stats)
-
-
-def omen_sse_phase(
-    comm: SimComm,
-    decomp: OmenDecomposition,
-    Gl: np.ndarray,
-    Gg: np.ndarray,
-    dH: np.ndarray,
-    Dcl: np.ndarray,
-    Dcg: np.ndarray,
-    neigh: np.ndarray,
-    rev: np.ndarray,
-) -> DistributedSSEResult:
-    """One-shot momentum x energy schedule with per-(qz, ω) rounds."""
-    Nqz, Nw = Dcl.shape[:2]
-    owner_of = default_round_owner(Nw, comm.P)
-    exchange = OmenExchange(decomp, Nqz, Nw, owner_of)
-    return _one_shot(
-        comm, decomp, exchange, owner_of, Gl, Gg, dH, Dcl, Dcg, neigh, rev
-    )
-
-
-def dace_sse_phase(
-    comm: SimComm,
-    gf_decomp: OmenDecomposition,
-    sse_decomp: DaceDecomposition,
-    Gl: np.ndarray,
-    Gg: np.ndarray,
-    dH: np.ndarray,
-    Dcl: np.ndarray,
-    Dcg: np.ndarray,
-    neigh: np.ndarray,
-    rev: np.ndarray,
-) -> DistributedSSEResult:
-    """One-shot communication-avoiding TE x TA tile schedule.
-
-    The one-shot phase keeps the legacy convention that rank 0 is the
-    phonon store: all D≷ rows ship from (and all Π≷ rows reduce to) rank
-    0; the distributed runtime instead spreads row ownership round-robin
-    (:func:`default_round_owner`).
-    """
-    if comm.P != gf_decomp.P or comm.P != sse_decomp.P:
-        raise ValueError("communicator and decompositions disagree on P")
-    Nqz, Nw = Dcl.shape[:2]
-    owner_of = lambda q, w: 0  # noqa: E731 - legacy one-shot convention
-    exchange = DaceExchange(gf_decomp, sse_decomp, neigh, Nqz, Nw, owner_of)
-    return _one_shot(
-        comm, gf_decomp, exchange, owner_of, Gl, Gg, dH, Dcl, Dcg, neigh, rev
-    )

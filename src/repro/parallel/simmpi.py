@@ -7,8 +7,8 @@ every ``src -> dst`` transfer is metered through :meth:`SimComm.charge`.
 This makes the distributed SSE results bit-comparable to the serial
 kernels while the measured per-rank byte counts can be checked against
 the closed-form volume models of §4.1 (see ``tests/test_parallel.py``
-for the one-shot schedules and ``tests/test_runtime.py`` for the
-distributed SCBA loop).
+for single exchanges and ``tests/test_runtime.py`` for the distributed
+SCBA loop).
 
 Collectives are charged by the code that performs them, as their
 point-to-point transfers — matching the paper's accounting: a broadcast
@@ -122,8 +122,8 @@ class SimComm:
         """Meter one ``src -> dst`` transfer (self-sends are free).
 
         The one accounting entry point of every transport (the
-        schedules' in-process one and the distributed runtime's sim/pipe
-        transports move the payloads themselves).  The actual
+        distributed runtime's sim/pipe transports move the payloads
+        themselves).  The actual
         bookkeeping lives in the single shared helper
         :func:`repro.telemetry.metrics.meter_transfer`, which also
         publishes the aggregate bytes to the metrics registry under

@@ -29,7 +29,6 @@ import weakref
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..config import RUNTIMES
-from ..parallel.schedules import LocalTransport
 from ..parallel.simmpi import CommStats, SimComm
 from ..telemetry.spans import record_span, scoped_span, spans_enabled
 
@@ -111,39 +110,38 @@ class Transport:
 class SimTransport(Transport):
     """In-process ranks: sequential execution, bit-exact accounting.
 
-    Dispatch and metering are the schedules' own
-    :class:`~repro.parallel.schedules.LocalTransport` (one shared
-    implementation for the one-shot phases and the resident runtime);
-    this class only adds the worker lifecycle.
+    Calls are direct method invocations on the hosted workers — any
+    object with the :class:`~repro.parallel.schedules.RankSSEStore`
+    protocol, from plain stores (``tests/conftest.py``) to the resident
+    :class:`~repro.runtime.rank.RankWorker`.
     """
 
     name = "sim"
 
     def __init__(self, P: int):
         super().__init__(P)
-        self._local: Optional[LocalTransport] = None
+        self._workers: Optional[list] = None
         #: per-rank end of the last activity inside the wait window
         #: (``None`` outside a :meth:`mark_epoch`/:meth:`flush_waits` pair)
         self._last_end_ns: Optional[Dict[int, int]] = None
 
     def start(self, factory: Callable[[int], object]) -> None:
-        self._local = LocalTransport(
-            self.comm, [factory(rank) for rank in range(self.P)]
-        )
+        self._workers = [factory(rank) for rank in range(self.P)]
 
     def _rank_tracer(self, rank: int):
-        return getattr(self._local.stores[rank], "tracer", None)
+        return getattr(self._workers[rank], "tracer", None)
 
     def call(self, rank: int, method: str, *args):
+        fn = getattr(self._workers[rank], method)
         if not spans_enabled():
-            return self._local.call(rank, method, *args)
+            return fn(*args)
         tracer = self._rank_tracer(rank)
         if tracer is None or method == "drain_telemetry":
-            return self._local.call(rank, method, *args)
+            return fn(*args)
         with scoped_span(
             tracer, "runtime.exec", rank=rank, method=method
         ) as span:
-            result = self._local.call(rank, method, *args)
+            result = fn(*args)
         if self._last_end_ns is not None and span is not None:
             # anchor the wait on the exec span's own stamps so the
             # rank's wait+exec intervals tile the window gap-free
@@ -157,8 +155,6 @@ class SimTransport(Transport):
         return result
 
     def call_all(self, method: str, args_list: Sequence[Tuple]):
-        if not spans_enabled():
-            return self._local.call_all(method, args_list)
         return [
             self.call(r, method, *args) for r, args in enumerate(args_list)
         ]
@@ -183,7 +179,7 @@ class SimTransport(Transport):
         self._last_end_ns = None
 
     def close(self) -> None:
-        self._local = None
+        self._workers = None
         self._last_end_ns = None
 
 

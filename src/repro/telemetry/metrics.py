@@ -121,8 +121,8 @@ def meter_transfer(stats: Any, src: int, dst: int, nbytes: int) -> None:
     Updates the functional per-rank ``CommStats`` (always — the drift
     reports and ``matches()`` assertions depend on it) and, in ``full``
     telemetry mode, publishes the aggregate into the metrics registry.
-    Every transport ``charge()`` — ``SimComm``, ``runtime.Transport``,
-    ``schedules.LocalTransport`` — funnels through here.
+    Every transport ``charge()`` — ``SimComm`` and, through it,
+    ``runtime.Transport`` — funnels through here.
 
     Local copies (``src == dst``) are free, as in the paper's model.
     """

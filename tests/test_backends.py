@@ -477,3 +477,6 @@ class TestScbaSdfgIntegration:
 
         with pytest.raises(WorkloadError, match="sse_variant"):
             PhysicsSpec(sse_variant="fortran")
+        # the Table-7 baseline is a sigma_sse() variant, not a driver value
+        with pytest.raises(WorkloadError, match="sse_variant"):
+            PhysicsSpec(sse_variant="omen")

@@ -6,13 +6,13 @@ import pytest
 from repro.negf.sse import pi_sse, preprocess_phonon_green, sigma_sse
 from repro.parallel import (
     DaceDecomposition,
+    DaceExchange,
     OmenDecomposition,
+    OmenExchange,
     SimComm,
-    dace_sse_phase,
-    omen_sse_phase,
     partition_spectral_grid,
 )
-from tests.conftest import complex_array
+from tests.conftest import close, complex_array, run_exchange
 
 
 class TestSimComm:
@@ -164,20 +164,28 @@ def schedule_data():
     return d
 
 
+def run_omen(d, P):
+    od = OmenDecomposition(2, 12, P)
+    return run_exchange(OmenExchange(od, *d["Dcl"].shape[:2]), od, d)
+
+
+def run_dace(d, TE, TA, P=None):
+    od = OmenDecomposition(2, 12, P or TE * TA)
+    dd = DaceDecomposition(12, 8, TE=TE, TA=TA, Nw=2)
+    exchange = DaceExchange(od, dd, d["neigh"], *d["Dcl"].shape[:2])
+    return run_exchange(exchange, od, d)
+
+
 class TestOmenSchedule:
     @pytest.mark.parametrize("P", [2, 4, 8])
     def test_matches_serial(self, schedule_data, P):
         d = schedule_data
-        comm = SimComm(P)
-        od = OmenDecomposition(2, 12, P)
-        res = omen_sse_phase(
-            comm, od, d["Gl"], d["Gg"], d["dH"], d["Dcl"], d["Dcg"],
-            d["neigh"], d["rev"],
-        )
-        assert np.allclose(res.Sigma_l, d["Sl_ref"], atol=1e-10)
-        assert np.allclose(res.Sigma_g, d["Sg_ref"], atol=1e-10)
-        assert np.allclose(res.Pi_l, d["Pl_ref"], atol=1e-10)
-        assert np.allclose(res.Pi_g, d["Pg_ref"], atol=1e-10)
+        (Sl, Sg, Pl, Pg), _ = run_omen(d, P)
+        # same primitives, per-round ∇H·G: float summation order only
+        assert close(Sl, d["Sl_ref"])
+        assert close(Sg, d["Sg_ref"])
+        assert close(Pl, d["Pl_ref"])
+        assert close(Pg, d["Pg_ref"])
 
     def test_g_traffic_matches_model(self, schedule_data):
         """Exact §4.1 accounting of the executed OMEN schedule.
@@ -189,10 +197,8 @@ class TestOmenSchedule:
         """
         d = schedule_data
         P = 4
-        comm = SimComm(P)
         od = OmenDecomposition(2, 12, P)
-        omen_sse_phase(comm, od, d["Gl"], d["Gg"], d["dH"], d["Dcl"],
-                       d["Dcg"], d["neigh"], d["rev"])
+        _, stats = run_omen(d, P)
         Nkz, NE, NA, No, _ = d["Gl"].shape
         Nqz, Nw = d["Dcl"].shape[:2]
         row_bytes = NA * No * No * 16
@@ -221,7 +227,7 @@ class TestOmenSchedule:
         expected_d = Nqz * Nw * d_bytes * (P - 1)  # bcast: every non-root
         pi_bytes = 2 * 16 * int(np.prod(d["Pl_ref"].shape[2:]))
         expected_pi = Nqz * Nw * pi_bytes * (P - 1)  # reduce: non-root ranks
-        assert comm.stats.total_bytes == expected_g + expected_d + expected_pi
+        assert stats.total_bytes == expected_g + expected_d + expected_pi
         # The closed-form model upper-bounds the trimmed/deduplicated real
         # traffic and is approached as chunks shrink relative to Nω.
         model_g_all_ranks = 64 * Nkz * (NE / P) * Nqz * Nw * NA * No**2 * P
@@ -232,37 +238,20 @@ class TestDaceSchedule:
     @pytest.mark.parametrize("TE,TA", [(2, 2), (4, 2), (2, 4), (6, 1)])
     def test_matches_serial(self, schedule_data, TE, TA):
         d = schedule_data
-        P = TE * TA
-        comm = SimComm(P)
-        od = OmenDecomposition(2, 12, P)
-        dd = DaceDecomposition(12, 8, TE=TE, TA=TA, Nw=2)
-        res = dace_sse_phase(
-            comm, od, dd, d["Gl"], d["Gg"], d["dH"], d["Dcl"], d["Dcg"],
-            d["neigh"], d["rev"],
-        )
-        assert np.allclose(res.Sigma_l, d["Sl_ref"], atol=1e-10)
-        assert np.allclose(res.Sigma_g, d["Sg_ref"], atol=1e-10)
-        assert np.allclose(res.Pi_l, d["Pl_ref"], atol=1e-10)
-        assert np.allclose(res.Pi_g, d["Pg_ref"], atol=1e-10)
+        (Sl, Sg, Pl, Pg), _ = run_dace(d, TE, TA)
+        # one kernel: every tile runs sigma_sse's own rounds on its rows,
+        # in sigma_sse's order — a few ulp (einsum's SIMD tail), no more
+        assert close(Sl, d["Sl_ref"], rtol=1e-14)
+        assert close(Sg, d["Sg_ref"], rtol=1e-14)
+        # Π partials are summed across energy tiles
+        assert close(Pl, d["Pl_ref"])
+        assert close(Pg, d["Pg_ref"])
 
     def test_moves_less_than_omen(self, schedule_data):
-        d = schedule_data
-        P = 4
-        c1 = SimComm(P)
-        od = OmenDecomposition(2, 12, P)
-        omen_sse_phase(c1, od, d["Gl"], d["Gg"], d["dH"], d["Dcl"], d["Dcg"],
-                       d["neigh"], d["rev"])
-        c2 = SimComm(P)
-        dd = DaceDecomposition(12, 8, TE=2, TA=2, Nw=2)
-        dace_sse_phase(c2, od, dd, d["Gl"], d["Gg"], d["dH"], d["Dcl"],
-                       d["Dcg"], d["neigh"], d["rev"])
-        assert c2.stats.total_bytes < c1.stats.total_bytes
+        _, omen = run_omen(schedule_data, 4)
+        _, dace = run_dace(schedule_data, 2, 2)
+        assert dace.total_bytes < omen.total_bytes
 
     def test_p_mismatch_raises(self, schedule_data):
-        d = schedule_data
-        comm = SimComm(4)
-        od = OmenDecomposition(2, 12, 4)
-        dd = DaceDecomposition(12, 8, TE=3, TA=2, Nw=2)
         with pytest.raises(ValueError):
-            dace_sse_phase(comm, od, dd, d["Gl"], d["Gg"], d["dH"],
-                           d["Dcl"], d["Dcg"], d["neigh"], d["rev"])
+            run_dace(schedule_data, 3, 2, P=4)

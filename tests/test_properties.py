@@ -14,8 +14,17 @@ from repro.model import (
     sse_flops_dace,
     sse_flops_omen,
 )
-from repro.negf.sse import preprocess_phonon_green, sigma_sse
+from repro.negf.sse import (
+    grad_h_g,
+    hd_tensor,
+    pi_tile,
+    preprocess_phonon_green,
+    shifted_rows,
+    sigma_sse,
+    sigma_tile,
+)
 from repro.sdfg import Map, Memlet, Range, propagate_memlet, symbols
+from tests.conftest import close
 
 
 _params = st.builds(
@@ -109,3 +118,73 @@ class TestSSEProperties:
         base = sigma_sse(G, dH, Dc, neigh)
         scaled = sigma_sse(G, dH, scale * Dc, neigh)
         assert np.allclose(scaled, scale * base, rtol=1e-9)
+
+
+@st.composite
+def _tiled_domain(draw):
+    """Grid dims plus a random partition of the energy axis into 1-4 tiles."""
+    NE = draw(st.integers(1, 12))
+    Nw = draw(st.integers(1, NE + 2))
+    Nkz = draw(st.integers(1, 3))
+    Nqz = draw(st.integers(1, Nkz))
+    cuts = draw(st.lists(st.integers(1, NE), max_size=3, unique=True))
+    edges = sorted({0, NE, *cuts})
+    return NE, Nw, Nkz, Nqz, list(zip(edges[:-1], edges[1:])), draw(st.integers(0, 50))
+
+
+class TestTileKernelProperties:
+    """One kernel: an energy tile of a halo window is the whole-domain
+    kernel restricted to its rows — clipped edge tiles and shifts wider
+    than the tile included.  Σ tiles run the same rounds on the same
+    rows, so they agree to a few ulp (not bitwise: einsum's SIMD tail
+    rounds differently for odd row counts); Π partials are summed."""
+
+    @given(dom=_tiled_domain())
+    @settings(max_examples=40, deadline=None)
+    def test_tiles_reassemble_whole_domain(self, dom, ring_neighbors):
+        NE, Nw, Nkz, Nqz, tiles, seed = dom
+        neigh, rev = ring_neighbors
+        rng = np.random.default_rng(seed)
+        NA, NB = neigh.shape
+
+        def c(*s):
+            return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+        G, G2 = c(Nkz, NE, NA, 2, 2), c(Nkz, NE, NA, 2, 2)
+        dH = c(NA, NB, 2, 2, 2)
+        dH_ba = dH[neigh, rev]
+        hd = hd_tensor(dH, c(Nqz, Nw, NA, NB, 2, 2))
+        gh = grad_h_g(G[:, :, neigh], dH)
+        G2_b = G2[:, :, neigh]
+        windows = [(lo, hi, max(0, lo - Nw + 1)) for lo, hi in tiles]
+        for sign in (+1, -1):
+            parts = [
+                sigma_tile(gh[:, win_lo:], hd, sign, NE, (lo, hi), win_lo)
+                for lo, hi, win_lo in windows
+            ]
+            whole = sigma_tile(gh, hd, sign, NE)
+            assert close(np.concatenate(parts, axis=1), whole, 1e-14)
+        partial = sum(
+            pi_tile(G[:, win_lo:], G2_b[:, win_lo:], dH, dH_ba, Nqz, Nw, NE,
+                    (lo, hi), win_lo)
+            for lo, hi, win_lo in windows
+        )
+        whole = pi_tile(G, G2_b, dH, dH_ba, Nqz, Nw, NE)
+        assert close(partial, whole, 1e-13)
+
+    @given(
+        NE=st.integers(1, 12), lo=st.integers(0, 12), n=st.integers(0, 12),
+        w=st.integers(0, 14), sign=st.sampled_from([+1, -1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shifted_rows_matches_brute_force(self, NE, lo, n, w, sign):
+        lo = min(lo, NE)
+        hi = min(lo + n, NE)
+        oracle = [
+            (E - sign * w, E - lo)
+            for E in range(lo, hi)
+            if 0 <= E - sign * w < NE
+        ]
+        src_lo, src_hi, dst_off = shifted_rows(lo, hi, w, sign, NE)
+        rows = [(src_lo + i, dst_off + i) for i in range(src_hi - src_lo)]
+        assert rows == oracle

@@ -168,7 +168,7 @@ class TestSCBA:
 
     def test_sse_variant_agnostic(self, sim_factory):
         a = sim_factory(sse_variant="dace", max_iterations=4).run()
-        b = sim_factory(sse_variant="omen", max_iterations=4).run()
+        b = sim_factory(sse_variant="reference", max_iterations=4).run()
         assert np.allclose(a.Gl, b.Gl, atol=1e-9)
 
     def test_phonon_tensors_shape(self, sim_factory):

@@ -13,11 +13,10 @@ from repro.negf import (
 from tests.conftest import complex_array
 
 
-@pytest.fixture(scope="module")
-def sse_inputs(ring_neighbors_module=None):
-    rng = np.random.default_rng(77)
+def make_inputs(seed, Nkz, NE, Nqz, Nw):
+    rng = np.random.default_rng(seed)
     NA, NB = 8, 4
-    Nkz, NE, Nqz, Nw, N3D, No = 3, 7, 2, 3, 3, 2
+    N3D, No = 3, 2
     neigh = np.zeros((NA, NB), dtype=np.int64)
     for a in range(NA):
         for b in range(NB):
@@ -38,6 +37,11 @@ def sse_inputs(ring_neighbors_module=None):
         rev=rev,
         dims=(Nkz, NE, Nqz, Nw, NA, NB, N3D, No),
     )
+
+
+@pytest.fixture(scope="module")
+def sse_inputs():
+    return make_inputs(77, Nkz=3, NE=7, Nqz=2, Nw=3)
 
 
 class TestPreprocess:
@@ -64,15 +68,16 @@ class TestSigmaVariants:
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("variant", ["omen", "dace"])
     def test_matches_reference(self, sse_inputs, sign, variant):
-        ref = sigma_sse(
-            sse_inputs["G"], sse_inputs["dH"], sse_inputs["Dc"],
-            sse_inputs["neigh"], sign, "reference",
-        )
-        out = sigma_sse(
-            sse_inputs["G"], sse_inputs["dH"], sse_inputs["Dc"],
-            sse_inputs["neigh"], sign, variant,
-        )
-        assert np.allclose(out, ref, atol=1e-11)
+        # second case, Nw > NE: shifts w >= NE fall off the open energy
+        # axis entirely and must contribute nothing
+        for inp in (sse_inputs, make_inputs(78, Nkz=2, NE=5, Nqz=2, Nw=7)):
+            ref = sigma_sse(
+                inp["G"], inp["dH"], inp["Dc"], inp["neigh"], sign, "reference",
+            )
+            out = sigma_sse(
+                inp["G"], inp["dH"], inp["Dc"], inp["neigh"], sign, variant,
+            )
+            assert np.allclose(out, ref, atol=1e-11)
 
     def test_unknown_variant(self, sse_inputs):
         with pytest.raises(ValueError):
