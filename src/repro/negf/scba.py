@@ -291,9 +291,9 @@ def dissipation_observable(
     """Per-atom electron->phonon power: ∫ E tr[Σ< G> - Σ> G<] dE."""
     if Sl is None:
         return np.zeros(Gl.shape[2])
-    x = np.einsum(
-        "kEaij,kEaji->kEa", Sl, Gg, optimize=True
-    ) - np.einsum("kEaij,kEaji->kEa", Sg, Gl, optimize=True)
+    x = np.einsum("kEaij,kEaji->kEa", Sl, Gg) - np.einsum(
+        "kEaij,kEaji->kEa", Sg, Gl
+    )
     w = energies[None, :, None]
     return (x * w).sum(axis=(0, 1)).real * dE / (2 * np.pi) / max(Nkz, 1)
 

@@ -10,6 +10,31 @@ tile of a halo window.  The §4.1 ``TE x TA`` tiles of
 :mod:`repro.parallel.schedules` call exactly these functions on their
 sub-domain; the schedules and the runtime contract no tensor themselves.
 
+Every contraction is a batched-strided GEMM (``np.matmul``) on operands
+laid out for it — the Fig. 10-12 result: the transformed kernel is not
+only "∇H·G once" but a GEMM in the right layout.  ``∇H·G`` is held
+atom-major with the contraction axes adjacent,
+``gh[a, (b,i,orb), kz, E, orb]``; per evaluation (grid symbols; ``E`` the
+rows of the energy window):
+
+=========================  =======  ============  =============  ==============
+GEMM                       batch    M             K              N
+=========================  =======  ============  =============  ==============
+``∇H·G`` (once)            NA*NB    N3D*Norb      Norb           Nkz*E*Norb
+Σ≷, per qz (ω folded)      NA       Nw*Norb       NB*N3D*Norb    Nkz*E*Norb
+Π≷ G-G, per qz (ω folded)  NA       Nw*Norb**2    Nkz*E          NB*Norb**2
+=========================  =======  ============  =============  ==============
+
+The Σ≷ GEMM executes one ``Norb³`` product per ``(kz, E, qz, ω, a, b, i)``,
+so :func:`sse_flop_estimate` (Table 3) stays the executed count — up to
+the rows the open energy axis shifts off the grid, which the GEMM
+multiplies and the shift-add discards (``≈ (Nw-1)/(2 NE)`` extra, 9 % at
+NE=40, Nw=8).  Temporaries are per qz: the Σ≷ product is ``Nw/(NB*N3D)``
+of ``∇H·G``, the Π≷ stack ``Nw*Norb²*Nkz*E`` per atom; nothing is rolled
+or copied per round.  Π≷ contracts G·G first, which costs ``Norb/N3D`` of
+the Σ-style order (∇H·G first) in flops — to be revisited above
+``Norb ≈ 2 N3D`` (e.g. ``paper_10240``).
+
 Σ≷ variants of :func:`sigma_sse`, one semantics:
 
 * ``dace`` — the tile that covers the whole domain (the default);
@@ -115,26 +140,54 @@ def shifted_rows(lo: int, hi: int, w: int, sign: int, NE: int):
 
 # -- contraction primitives ---------------------------------------------------
 def hd_tensor(dH, Dcomb) -> np.ndarray:
-    """``Σ_j dH[a,b,j] * Dcomb[q,w,a,b,i,j]`` -> [q,w,a,b,i,orb,orb]."""
-    return np.einsum("qwabij,abjxy->qwabixy", Dcomb, dH, optimize=True)
+    """``Σ_j Dcomb[q,w,a,b,i,j] * dH[a,b,j]`` as the Σ≷ GEMM's left operand.
+
+    One batched GEMM ``Dcomb[a,b,(q,w,i),j] @ dH[a,b,j,(y,z)]`` followed by
+    the (small) permutation into ``hd[q, a, w, z, (b,i,y)]`` — shape
+    ``[Nqz, NA, Nw, Norb, NB*N3D*Norb]`` — so that ``hd[q]`` *is* the
+    ``[a, (w,z), (b,i,y)]`` matrix stack of :func:`sigma_tile` and
+    ``hd[q, :, w]`` the one-round row of :func:`sigma_round`.
+    """
+    Nqz, Nw, NA, NB, N3D, _ = Dcomb.shape
+    No = dH.shape[-1]
+    hd = np.matmul(
+        Dcomb.transpose(2, 3, 0, 1, 4, 5).reshape(NA, NB, Nqz * Nw * N3D, N3D),
+        dH.reshape(NA, NB, N3D, No * No),
+    ).reshape(NA, NB, Nqz, Nw, N3D, No, No)
+    return np.ascontiguousarray(hd.transpose(2, 0, 3, 6, 1, 4, 5)).reshape(
+        Nqz, NA, Nw, No, NB * N3D * No
+    )
 
 
 def grad_h_g(G_b, dH) -> np.ndarray:
-    """``∇H·G`` (Fig. 10b-d), batched over ``(kz, E)``.
+    """``∇H·G`` (Fig. 10b-d), atom-major with the contraction axes adjacent.
 
     ``G_b`` is the neighbor-gathered GF ``G[:, :, neigh]`` of shape
-    ``[k,E,a,b,orb,orb]``; returns ``[k,E,a,b,i,orb,orb]``.
+    ``[k,E,a,b,orb,orb]``.  One batched GEMM
+    ``dH[a,b,(i,z),y] @ G_b[a,b,y,(k,E,x)]`` (batch ``NA*NB``,
+    ``M = N3D*Norb``, ``K = Norb``, ``N = Nkz*E*Norb``) writes the result
+    directly as ``gh[a, (b,i,z), k, E, x]`` — shape
+    ``[NA, NB*N3D*Norb, Nkz, E, Norb]``, the Fig. 11 layout: for one atom
+    the ``(bond, direction, orbital)`` axes Σ≷ sums over are one GEMM
+    ``K`` axis and ``(kz, E, orbital)`` one contiguous ``N`` axis.
     """
-    return np.einsum("kEabxy,abiyz->kEabixz", G_b, dH, optimize=True)
+    Nkz, NE, NA, NB, No, _ = G_b.shape
+    N3D = dH.shape[2]
+    return np.matmul(
+        dH.transpose(0, 1, 2, 4, 3).reshape(NA, NB, N3D * No, No),
+        G_b.transpose(2, 3, 5, 0, 1, 4).reshape(NA, NB, No, Nkz * NE * No),
+    ).reshape(NA, NB * N3D * No, Nkz, NE, No)
 
 
 def sigma_round(gh_rows, hd_qw) -> np.ndarray:
     """One ``(qz, ω)`` round of Σ≷ on aligned rows: ``[k,E,a,orb,orb]``.
 
-    ``gh_rows`` are the ``∇H·G`` rows already at ``(kz - qz, E ∓ ω)``;
-    ``hd_qw`` is one ``[a,b,i,orb,orb]`` row of :func:`hd_tensor`.
+    ``gh_rows`` are the ``∇H·G`` rows (:func:`grad_h_g` layout) already at
+    ``(kz - qz, E ∓ ω)``; ``hd_qw`` is one ``hd[q, :, w]`` row of
+    :func:`hd_tensor`.  The round is the tile kernel on a one-round slab
+    (``Nqz = Nw = 1``: no shift), so the GEMM has ``M = Norb`` only.
     """
-    return np.einsum("kEabixy,abiyz->kEaxz", gh_rows, hd_qw, optimize=True)
+    return sigma_tile(gh_rows, hd_qw[None, :, None], +1, gh_rows.shape[3])
 
 
 def pi_round(G_own_rows, G_other_b_rows, dH, dH_ba) -> np.ndarray:
@@ -144,17 +197,11 @@ def pi_round(G_own_rows, G_other_b_rows, dH, dH_ba) -> np.ndarray:
     ``G_other_b_rows`` the neighbor-gathered ``G≶`` at ``(kz, E)``
     (``[k,E,a,b,orb,orb]``), ``dH_ba = dH[neigh, rev]``.  Block ``1+b`` is
     the bond term (Eq. 5); block 0 folds the on-site term (Eq. 4: minus
-    the sum over neighbors).
+    the sum over neighbors).  The round is :func:`pi_tile` on a one-round
+    slab.
     """
-    off = np.einsum(
-        "abixy,kEayz,abjzu,kEabux->abij",
-        dH_ba, G_own_rows, dH, G_other_b_rows, optimize=True,
-    )
-    NA, NB, N3D = dH.shape[:3]
-    Pi = np.zeros((NA, NB + 1, N3D, N3D), dtype=np.complex128)
-    Pi[:, 1:] += off
-    Pi[:, 0] -= off.sum(axis=1)
-    return Pi
+    n = G_own_rows.shape[1]
+    return pi_tile(G_own_rows, G_other_b_rows, dH, dH_ba, 1, 1, n)[0, 0]
 
 
 # -- the tile kernel ----------------------------------------------------------
@@ -166,19 +213,36 @@ def sigma_tile(gh, hd, sign, NE, etile=None, win_lo=0) -> np.ndarray:
     ``win_lo`` and reused by every ``(qz, ω)`` round; ``hd`` is the
     :func:`hd_tensor` of the tile's atoms.  The default tile is the whole
     ``[0, NE)`` domain.
+
+    Per ``qz`` one batched GEMM folds ω and the bond/direction/orbital
+    sum: ``hd[q] as [a,(w,z),(b,i,y)] @ gh as [a,(b,i,y),(k,E,x)] ->
+    T[a,w,z,k,E,x]`` (batch ``NA``, ``M = Nw*Norb``, ``K = NB*N3D*Norb``,
+    ``N = Nkz*E_win*Norb``), then ``Nw*Nkz`` contiguous shift-adds place
+    ``T``'s rows: the energy shift is a :func:`shifted_rows` slice and the
+    ``kz - qz`` wrap an index on the small result, never a copy of ``gh``.
+    The GEMM multiplies every window row by every ω; rows shifted off the
+    open energy axis (or off the tile) are computed and discarded —
+    ``≈ (Nw-1)/(2 NE)`` extra flops on the whole domain.  One qz at a
+    time keeps the temporary ``T`` at ``Nw/(NB*N3D)`` of ``gh``; it is
+    allocated once and rewritten by every qz.
     """
     lo, hi = etile or (0, NE)
-    Nqz, Nw = hd.shape[:2]
-    shape = (gh.shape[0], hi - lo, gh.shape[2]) + gh.shape[-2:]
-    Sigma = np.zeros(shape, dtype=np.complex128)
+    Nqz, NA, Nw, No, K = hd.shape
+    Nkz, E_win = gh.shape[2:4]
+    gh = gh.reshape(NA, K, Nkz * E_win * No)
+    Sigma = np.zeros((NA, No, Nkz, hi - lo, No), dtype=np.complex128)
+    T = np.empty((NA, Nw, No, Nkz, E_win, No), dtype=np.complex128)
     for q in range(Nqz):
-        ghq = np.roll(gh, q, axis=0)  # index (k - q) mod Nkz
+        np.matmul(
+            hd[q].reshape(NA, Nw * No, K), gh, out=T.reshape(NA, Nw * No, -1)
+        )
         for w in range(Nw):
             s_lo, s_hi, off = shifted_rows(lo, hi, w, sign, NE)
-            Sigma[:, off : off + s_hi - s_lo] += sigma_round(
-                ghq[:, s_lo - win_lo : s_hi - win_lo], hd[q, w]
-            )
-    return Sigma
+            dst = slice(off, off + s_hi - s_lo)
+            src = slice(s_lo - win_lo, s_hi - win_lo)
+            for k in range(Nkz):
+                Sigma[:, :, (k + q) % Nkz, dst] += T[:, w, :, k, src]
+    return np.ascontiguousarray(Sigma.transpose(2, 3, 0, 4, 1))
 
 
 def pi_tile(
@@ -192,20 +256,47 @@ def pi_tile(
     orb]``); both windows start at global row ``win_lo``.  Partials of a
     partition of the energy axis sum to the whole-domain Π≷ (the default
     tile).
+
+    Per ``qz``: the zero-filled shifted stack ``Gs[a,(w,y,z),(k,E)] =
+    G_own[k+qz, E+ω, a, y, z]`` (small: no bond axis) times
+    ``G_other_b as [a,(k,E),(b,u,x)]`` (a strided view, no copy) is one
+    G-G correlation GEMM ``C[a,(w,y,z),(b,u,x)]`` (batch ``NA``,
+    ``M = Nw*Norb²``, ``K = Nkz*E_win``, ``N = NB*Norb²``); two small
+    GEMMs then close the trace with ``dH[a,b,j,z,u]`` and
+    ``dH_ba[a,b,i,x,y]``, and Eq. 4 folds the on-site block.  Contracting
+    G·G first costs ``Norb/N3D`` of the Σ-style order (∇H·G first) in
+    flops (see the module docstring).  ``Gs``, ``C`` and its permutation
+    are allocated once and rewritten by every qz.
     """
     lo, hi = etile or (0, NE)
-    NA, NB, N3D = dH.shape[:3]
-    Pi = np.zeros((Nqz, Nw, NA, NB + 1, N3D, N3D), dtype=np.complex128)
+    NA, NB, N3D, No, _ = dH.shape
+    Nkz, E_win = G_own.shape[:2]
+    O2 = No * No
+    other = G_other_b.reshape(Nkz * E_win, NA, NB * O2).transpose(1, 0, 2)
+    own = np.ascontiguousarray(G_own.transpose(2, 3, 4, 0, 1)).reshape(
+        NA, O2, Nkz, E_win
+    )
+    dH_zu_j = dH.reshape(NA, NB, N3D, O2).transpose(0, 1, 3, 2)
+    dH_ba_i_xy = dH_ba.reshape(NA, NB, N3D, O2)
+    Gs = np.zeros((NA, Nw, O2, Nkz, E_win), dtype=np.complex128)
+    C = np.empty((NA, Nw * O2, NB * O2), dtype=np.complex128)
+    Ct = np.empty((NA, NB, No, No, Nw, No, No), dtype=np.complex128)
+    Pi = np.empty((Nqz, Nw, NA, NB + 1, N3D, N3D), dtype=np.complex128)
     for q in range(Nqz):
-        own_q = np.roll(G_own, -q, axis=0)  # index (k + q) mod Nkz
         for w in range(Nw):
-            s_lo, s_hi, off = shifted_rows(lo, hi, w, +1, NE)
-            own_lo = lo + off - win_lo
-            Pi[q, w] = pi_round(
-                own_q[:, own_lo : own_lo + s_hi - s_lo],
-                G_other_b[:, s_lo - win_lo : s_hi - win_lo],
-                dH, dH_ba,
-            )
+            s_lo, s_hi, _ = shifted_rows(lo, hi, w, +1, NE)
+            dst = slice(s_lo - win_lo, s_hi - win_lo)  # rows E ...
+            src = slice(s_lo + w - win_lo, s_hi + w - win_lo)  # ... pair E + ω
+            for k in range(Nkz):
+                Gs[:, w, :, k, dst] = own[:, :, (k + q) % Nkz, src]
+        np.matmul(Gs.reshape(NA, Nw * O2, Nkz * E_win), other, out=C)
+        # C[a,w,y,z,b,u,x] -> [a,b,(x,y,w),(z,u)]: both trace closures are
+        # then plain GEMMs, the first leaving (x,y) leading for the second.
+        Ct[...] = C.reshape(NA, Nw, No, No, NB, No, No).transpose(0, 4, 6, 2, 1, 3, 5)
+        R = np.matmul(Ct.reshape(NA, NB, O2 * Nw, O2), dH_zu_j)
+        bond = np.matmul(dH_ba_i_xy, R.reshape(NA, NB, O2, Nw * N3D))
+        Pi[q, :, :, 1:] = bond.reshape(NA, NB, N3D, Nw, N3D).transpose(3, 0, 1, 2, 4)
+    Pi[:, :, :, 0] = -Pi[:, :, :, 1:].sum(axis=3)
     return Pi
 
 
@@ -281,7 +372,7 @@ def _sigma_omen(G, dH, Dcomb, neigh, sign) -> np.ndarray:
         for w in range(Nw):
             s_lo, s_hi, off = shifted_rows(0, NE, w, sign, NE)
             Sigma[:, off : off + s_hi - s_lo] += sigma_round(
-                grad_h_g(Gq[:, s_lo:s_hi], dH), hd[q, w]
+                grad_h_g(Gq[:, s_lo:s_hi], dH), hd[q, :, w]
             )
     return Sigma
 

@@ -157,7 +157,7 @@ class RankSSEStore:
         G_ab: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Consume one round's windows: accumulate Σ, return Π partials."""
-        hd_l, hd_g = hd_tensor(self.dH, d_pack[:, None])[:, 0]  # ≷ as qz axis
+        hd_l, hd_g = hd_tensor(self.dH, d_pack[:, None])[:, :, 0]  # ≷ as qz axis
         shape = (self.NA, self.NB + 1, self.N3D, self.N3D)
         pl = np.zeros(shape, dtype=np.complex128)
         pg = np.zeros(shape, dtype=np.complex128)

@@ -126,7 +126,7 @@ def _tiled_domain(draw):
     NE = draw(st.integers(1, 12))
     Nw = draw(st.integers(1, NE + 2))
     Nkz = draw(st.integers(1, 3))
-    Nqz = draw(st.integers(1, Nkz))
+    Nqz = draw(st.integers(1, Nkz + 1))  # Nqz > Nkz: the kz index wraps twice
     cuts = draw(st.lists(st.integers(1, NE), max_size=3, unique=True))
     edges = sorted({0, NE, *cuts})
     return NE, Nw, Nkz, Nqz, list(zip(edges[:-1], edges[1:])), draw(st.integers(0, 50))
@@ -135,9 +135,11 @@ def _tiled_domain(draw):
 class TestTileKernelProperties:
     """One kernel: an energy tile of a halo window is the whole-domain
     kernel restricted to its rows — clipped edge tiles and shifts wider
-    than the tile included.  Σ tiles run the same rounds on the same
-    rows, so they agree to a few ulp (not bitwise: einsum's SIMD tail
-    rounds differently for odd row counts); Π partials are summed."""
+    than the tile included.  Each tile gets its ``∇H·G`` the way
+    ``RankSSEStore.dace_compute`` builds it — :func:`grad_h_g` on the
+    halo window — so the test states the contract, not the layout.  Σ
+    tiles sum the same products in the same order (a few ulp at most);
+    Π partials are summed."""
 
     @given(dom=_tiled_domain())
     @settings(max_examples=40, deadline=None)
@@ -154,13 +156,14 @@ class TestTileKernelProperties:
         dH = c(NA, NB, 2, 2, 2)
         dH_ba = dH[neigh, rev]
         hd = hd_tensor(dH, c(Nqz, Nw, NA, NB, 2, 2))
-        gh = grad_h_g(G[:, :, neigh], dH)
-        G2_b = G2[:, :, neigh]
+        G_b, G2_b = G[:, :, neigh], G2[:, :, neigh]
         windows = [(lo, hi, max(0, lo - Nw + 1)) for lo, hi in tiles]
+        gh_win = [grad_h_g(G_b[:, win_lo:], dH) for _, _, win_lo in windows]
+        gh = grad_h_g(G_b, dH)
         for sign in (+1, -1):
             parts = [
-                sigma_tile(gh[:, win_lo:], hd, sign, NE, (lo, hi), win_lo)
-                for lo, hi, win_lo in windows
+                sigma_tile(gh_w, hd, sign, NE, (lo, hi), win_lo)
+                for gh_w, (lo, hi, win_lo) in zip(gh_win, windows)
             ]
             whole = sigma_tile(gh, hd, sign, NE)
             assert close(np.concatenate(parts, axis=1), whole, 1e-14)

@@ -1,5 +1,8 @@
 """SSE kernel variants (Eq. 3-5): cross-validation and properties."""
 
+import timeit
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +13,12 @@ from repro.negf import (
     sigma_sse,
     sse_flop_estimate,
 )
-from tests.conftest import complex_array
+from tests.conftest import close, complex_array
 
 
-def make_inputs(seed, Nkz, NE, Nqz, Nw):
+def make_inputs(seed, Nkz, NE, Nqz, Nw, NA=8, NB=4, No=2):
     rng = np.random.default_rng(seed)
-    NA, NB = 8, 4
-    N3D, No = 3, 2
+    N3D = 3
     neigh = np.zeros((NA, NB), dtype=np.int64)
     for a in range(NA):
         for b in range(NB):
@@ -69,8 +71,9 @@ class TestSigmaVariants:
     @pytest.mark.parametrize("variant", ["omen", "dace"])
     def test_matches_reference(self, sse_inputs, sign, variant):
         # second case, Nw > NE: shifts w >= NE fall off the open energy
-        # axis entirely and must contribute nothing
-        for inp in (sse_inputs, make_inputs(78, Nkz=2, NE=5, Nqz=2, Nw=7)):
+        # axis entirely and must contribute nothing; Nqz > Nkz: the
+        # periodic kz index wraps more than once
+        for inp in (sse_inputs, make_inputs(78, Nkz=2, NE=5, Nqz=3, Nw=7)):
             ref = sigma_sse(
                 inp["G"], inp["dH"], inp["Dc"], inp["neigh"], sign, "reference",
             )
@@ -118,25 +121,61 @@ class TestSigmaVariants:
         assert np.abs(out[0]).max() > 0.0
 
 
+def _pi(inp, variant="dace"):
+    Nkz, NE, Nqz, Nw = inp["dims"][:4]
+    return pi_sse(inp["G"], inp["G2"], inp["dH"], inp["neigh"], inp["rev"],
+                  Nqz, Nw, variant)
+
+
 class TestPi:
     def test_matches_reference(self, sse_inputs):
-        Nkz, NE, Nqz, Nw, NA, NB, N3D, No = sse_inputs["dims"]
-        ref = pi_sse(sse_inputs["G"], sse_inputs["G2"], sse_inputs["dH"],
-                     sse_inputs["neigh"], sse_inputs["rev"], Nqz, Nw, "reference")
-        out = pi_sse(sse_inputs["G"], sse_inputs["G2"], sse_inputs["dH"],
-                     sse_inputs["neigh"], sse_inputs["rev"], Nqz, Nw, "dace")
-        assert np.allclose(out, ref, atol=1e-11)
+        # second case as for Σ: Nw > NE and Nqz > Nkz
+        for inp in (sse_inputs, make_inputs(78, Nkz=2, NE=5, Nqz=3, Nw=7)):
+            assert np.allclose(_pi(inp), _pi(inp, "reference"), atol=1e-11)
 
     def test_onsite_is_minus_bond_sum(self, sse_inputs):
-        Nkz, NE, Nqz, Nw, NA, NB, N3D, No = sse_inputs["dims"]
-        out = pi_sse(sse_inputs["G"], sse_inputs["G2"], sse_inputs["dH"],
-                     sse_inputs["neigh"], sse_inputs["rev"], Nqz, Nw)
+        out = _pi(sse_inputs)
         assert np.allclose(out[:, :, :, 0], -out[:, :, :, 1:].sum(axis=3))
 
     def test_unknown_variant(self, sse_inputs):
         with pytest.raises(ValueError):
             pi_sse(sse_inputs["G"], sse_inputs["G2"], sse_inputs["dH"],
                    sse_inputs["neigh"], sse_inputs["rev"], 2, 2, "magic")
+
+
+def test_pi_no_row_count_cliff():
+    """Π≷ cost is linear in the energy rows: no contraction planner, so no
+    fall to a naive 10-index loop at <= 7 rows per round (the parent's
+    ``scba_gf``-at-NE=8 trap: 23x slower than at NE=12, not 0.67x)."""
+    dims = dict(Nkz=2, Nqz=2, Nw=2, NB=6, No=4)
+    best = {}
+    for NE in (8, 12):
+        twin = make_inputs(5, NE=NE, NA=12, **dims)  # small enough for the oracle
+        assert close(_pi(twin), _pi(twin, "reference"), 1e-10)
+        full = make_inputs(5, NE=NE, NA=96, **dims)  # the scba_gf device
+        best[NE] = min(timeit.repeat(lambda: _pi(full), number=1, repeat=5))
+    assert best[8] <= 2.0 * best[12]
+
+
+def test_sse_call_memory_bounded():
+    """One Σ≷/Π≷ call at the ``scba_sse`` dims peaks below twice the
+    8.8 MB ∇H·G tensor (measured 15.5 / 15.1 MB; the parent's Σ≷ peaked
+    at 29 MB, 3.3x): neither an all-qz-at-once product (+7.8 MB) nor a
+    per-qz copy of ∇H·G (+8.8 MB) may come back."""
+    Nkz, NE, NA, NB, N3D, No = 3, 40, 64, 6, 3, 2
+    inp = make_inputs(3, Nkz=Nkz, NE=NE, Nqz=3, Nw=8, NA=NA, NB=NB, No=No)
+    calls = (
+        lambda: sigma_sse(inp["G"], inp["dH"], inp["Dc"], inp["neigh"], +1, "dace"),
+        lambda: _pi(inp),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * Nkz * NE * NA * NB * N3D * No * No
 
 
 class TestRetarded:
