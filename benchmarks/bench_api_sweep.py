@@ -123,9 +123,15 @@ def test_api_sweep_reuse(benchmark, bench_writer):
 
     # ISSUE 2 acceptance: numerically equivalent ...
     assert record["max_current_deviation"] <= 1e-10
-    # ... with strictly fewer boundary solves and Hamiltonian assemblies.
+    # ... with each lead solved once per (momentum, energy) point and
+    # contact by the session, once per bias point by independent runs ...
+    g = _workload().grid
+    per_sweep = 2 * g.Nkz * g.NE + 2 * g.Nqz * g.Nw
+    assert record["session"]["boundary_solves"] == per_sweep == 258
     assert (
-        record["session"]["boundary_solves"]
-        < record["independent"]["boundary_solves"]
+        record["independent"]["boundary_solves"]
+        == len(BIASES) * per_sweep
+        == 1806
     )
+    # ... and strictly fewer Hamiltonian assemblies.
     assert record["session"]["assemblies"] < record["independent"]["assemblies"]

@@ -121,6 +121,10 @@ def test_backend_equivalence_and_speedup(bench_writer):
         f"interpreted (estimate)"
     )
 
+    # executed work of the untransformed graph at _DIMS (exact, both
+    # backends agreed above)
+    assert rows[0]["stage"] == "fig8"
+    assert (rows[0]["flops"], rows[0]["tasklets"]) == (787968, 15552)
     if not FAST:
         # ISSUE acceptance: >= 50x over the pipeline at toy dims.
         assert speedup >= 50.0, speedup

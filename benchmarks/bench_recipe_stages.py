@@ -57,7 +57,9 @@ def test_movement_reduction_at_paper_dims():
     assert movement.stages[0].name == "fig8"
     assert movement.stages[-1].name == "fig12s"
     assert movement.stages[0].total_bytes > movement.stages[-1].total_bytes
-    assert movement.total_reduction > 100
+    # a model-derived constant: any change to the movement model or the
+    # recipe moves it, on every machine
+    assert movement.total_reduction == pytest.approx(676.8233431282383, rel=1e-9)
     shrink = movement.stage("fig12s")
     fused = movement.stage("fig12")
     assert shrink.transient_bytes < fused.transient_bytes / 1000
@@ -132,6 +134,8 @@ def test_recipe_stage_runtime(benchmark, stage_name, bench_writer):
         f"({movement.total_reduction:.0f}x)"
     )
 
+    # executed flops of the untransformed graph at _DIMS (Table 3, exact)
+    assert first["flops"] == 787968
     assert first["tasklets"] / last["tasklets"] > 10
     if not FAST:
         assert first["time"] / last["time"] > 3

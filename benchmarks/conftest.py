@@ -54,31 +54,19 @@ def bench_writer(machine_info):
     """The one place benchmark records get stamped and written.
 
     ``write(name, record, fast)`` stamps the shared ``machine_info``
-    block and writes ``BENCH_<name>.json``:
-
-    * to this directory (the committed artifact) only on **full** runs,
-      preserving the REPRO_BENCH_FAST contract that CI smoke runs never
-      touch the committed records;
-    * to ``$REPRO_BENCH_OUT`` (when set) on **every** run — the fresh,
-      FAST-shaped records the regression-ledger gate
-      (:mod:`repro.observe.ledger`) compares against the committed
-      baseline in CI.
-
-    Returns the stamped record.
+    block and, on **full** runs only, writes ``BENCH_<name>.json`` to
+    this directory (the committed artifact) — REPRO_BENCH_FAST smoke
+    runs never touch the committed records.  Returns the stamped record.
     """
 
     def write(name: str, record: dict, fast: bool) -> dict:
         if "machine" not in record:
             record = {"machine": machine_info, **record}
-        payload = json.dumps(record, indent=2) + "\n"
-        out_dir = os.environ.get("REPRO_BENCH_OUT", "").strip()
-        if out_dir:
-            fresh = Path(out_dir)
-            fresh.mkdir(parents=True, exist_ok=True)
-            (fresh / f"BENCH_{name}.json").write_text(payload)
         if not fast:
             committed = Path(__file__).resolve().parent
-            (committed / f"BENCH_{name}.json").write_text(payload)
+            (committed / f"BENCH_{name}.json").write_text(
+                json.dumps(record, indent=2) + "\n"
+            )
         return record
 
     return write

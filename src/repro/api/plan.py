@@ -44,7 +44,6 @@ from ..config import (
     RUNTIMES,
     SSE_SCHEDULES,
     SimulationParameters,
-    default_runtime,
     validate_parameters,
 )
 from ..model.communication import omen_comm_total_bytes
@@ -95,18 +94,14 @@ _CSRMM_MAX_DENSITY = 0.05
 def choose_rgf_kernel(device) -> str:
     """Deterministic RGF-kernel heuristic used when nothing is specified.
 
-    ``REPRO_RGF_KERNEL`` (validated) wins if set; otherwise the Table-6
-    ``csrmm`` kernel when the device's RGF blocks are large and its
-    coupling blocks sparse (per the analytic
+    The Table-6 ``csrmm`` kernel when the device's RGF blocks are large
+    and its coupling blocks sparse (per the analytic
     :func:`repro.negf.coupling_density_estimate` — no device build
     needed), and the factorization-reuse ``numpy`` kernel everywhere
     else.
     """
-    from ..config import default_rgf_kernel
     from ..negf.structure import coupling_density_estimate
 
-    if os.environ.get("REPRO_RGF_KERNEL", "").strip():
-        return default_rgf_kernel()
     block = device.slab_width * device.ny_rows * device.Norb
     density = coupling_density_estimate(
         device.ny_rows, device.slab_width, device.NB
@@ -211,8 +206,8 @@ class Plan:
     #: pipeline, evaluated at the planned (peak-group) dimensions
     sse_report: Optional[PipelineReport] = None
     #: SDFG execution backend driving ``sse_variant="sdfg"`` runs
-    #: (``"numpy"`` generated code / ``"interpreter"``; None follows
-    #: ``REPRO_SDFG_BACKEND``)
+    #: (``"numpy"`` generated code / ``"interpreter"``; None means
+    #: ``"numpy"``)
     sse_backend: Optional[str] = None
     #: autotune strategy the SSE pipeline was searched with (None: the
     #: hand recipe only)
@@ -287,7 +282,6 @@ class Plan:
             f"G≷ {c.electron_gf_bytes / 2**20:.1f} MiB peak"
         )
         if self.sse_report is not None:
-            from ..sdfg.backends import default_backend
             from ..sdfg.pipeline import format_bytes
 
             r = self.sse_report
@@ -295,7 +289,7 @@ class Plan:
             variant = self.workload.physics.sse_variant
             how = (
                 f"compiled graph, backend="
-                f"{self.sse_backend or default_backend()}"
+                f"{self.sse_backend or 'numpy'}"
                 if variant == "sdfg"
                 else "hand-vectorized kernel"
             )
@@ -436,12 +430,12 @@ def compile_workload(
 
     ``sse_backend`` selects the SDFG execution backend the sessions use
     when the workload's physics asks for ``sse_variant="sdfg"``
-    (``"numpy"`` generated code / ``"interpreter"``; ``None`` follows
-    ``REPRO_SDFG_BACKEND``).  Unknown names raise a :class:`PlanError`.
+    (``"numpy"`` generated code / ``"interpreter"``; ``None`` means
+    ``"numpy"``).  Unknown names raise a :class:`PlanError`.
 
     ``runtime`` selects the SCBA execution tier: ``"serial"`` (the
     in-process Born loop) or the rank-parallel distributed runtime over
-    ``"sim"``/``"pipe"`` transports (``None`` follows ``REPRO_RUNTIME``).
+    ``"sim"``/``"pipe"`` transports (``None`` means ``"serial"``).
     For distributed runtimes, ``ranks`` bounds the rank count (largest
     valid ``Nkz x E-chunks`` decomposition is used) and ``schedule``
     forces the SSE communication schedule; ``schedule=None`` picks the
@@ -491,11 +485,8 @@ def compile_workload(
 
     # -- runtime selection ------------------------------------------------------
     if runtime is None:
-        try:
-            runtime = default_runtime()
-        except ValueError as exc:
-            raise PlanError(str(exc)) from exc
-    if runtime not in RUNTIMES:
+        runtime = "serial"
+    elif runtime not in RUNTIMES:
         raise PlanError(
             f"unknown runtime {runtime!r}; expected one of {RUNTIMES}"
         )

@@ -23,10 +23,9 @@ trace after every commitment; rerunning with the same ``trace_path``
 replays the committed prefix (validating state signatures step by step)
 and continues — or just rebuilds the result when the trace is complete.
 
-Configuration knobs follow the ``REPRO_RGF_KERNEL`` idiom (explicitly set
-but invalid values raise): ``REPRO_AUTOTUNE_STRATEGY``,
-``REPRO_AUTOTUNE_BEAM_WIDTH``, ``REPRO_AUTOTUNE_MAX_MOVES``,
-``REPRO_AUTOTUNE_ESCAPE_DEPTH``.
+Configuration is :class:`SearchConfig`; only the move budget has an
+environment default (``REPRO_AUTOTUNE_MAX_MOVES``, which the e2e
+benchmark's ``--smoke`` mode sets).
 """
 
 from __future__ import annotations
@@ -37,13 +36,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..config import (
-    AUTOTUNE_STRATEGIES,
-    default_autotune_beam_width,
-    default_autotune_escape_depth,
-    default_autotune_max_moves,
-    default_autotune_strategy,
-)
+from ..config import AUTOTUNE_STRATEGIES, default_autotune_max_moves
 from ..sdfg import Pipeline, PipelineReport
 from ..sdfg.pipeline import _transient_bytes, measure_movement
 from ..telemetry import metrics as _metrics
@@ -72,8 +65,12 @@ Score = Tuple[int, int]
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Autotune search configuration; ``None`` fields resolve from the
-    ``REPRO_AUTOTUNE_*`` environment knobs (invalid values raise)."""
+    """Autotune search configuration.  ``None`` fields resolve to the
+    defaults: ``greedy``, beam width 4 (keeps enough byte-neutral enabler
+    states alive to thread layout -> batch -> fuse sequences), escape
+    depth 4 (the longest byte-neutral chain the move space produces
+    before a payoff), and :func:`~repro.config.default_autotune_max_moves`
+    moves.  Anything else must be a valid strategy / a positive int."""
 
     strategy: Optional[str] = None
     beam_width: Optional[int] = None
@@ -89,19 +86,24 @@ class SearchConfig:
     seed: int = 0
 
     def resolved(self) -> "SearchConfig":
-        strategy = self.strategy or default_autotune_strategy()
+        strategy = self.strategy or "greedy"
         if strategy not in AUTOTUNE_STRATEGIES:
             raise AutotuneError(
                 f"strategy {strategy!r} is not a valid autotune strategy; "
                 f"expected one of {AUTOTUNE_STRATEGIES}"
             )
+        for name in ("beam_width", "max_moves", "escape_depth"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int) or value < 1):
+                raise AutotuneError(
+                    f"{name}={value!r} must be a positive integer"
+                )
         return replace(
             self,
             strategy=strategy,
-            beam_width=self.beam_width or default_autotune_beam_width(),
+            beam_width=self.beam_width or 4,
             max_moves=self.max_moves or default_autotune_max_moves(),
-            escape_depth=self.escape_depth
-            or default_autotune_escape_depth(),
+            escape_depth=self.escape_depth or 4,
         )
 
 

@@ -9,7 +9,7 @@ communication volumes).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 __all__ = [
@@ -22,15 +22,7 @@ __all__ = [
     "AUTOTUNE_STRATEGIES",
     "TELEMETRY_MODES",
     "default_telemetry_mode",
-    "default_autotune_strategy",
-    "default_autotune_beam_width",
     "default_autotune_max_moves",
-    "default_autotune_escape_depth",
-    "default_rgf_kernel",
-    "default_runtime",
-    "default_service_mode",
-    "default_service_capacity",
-    "default_service_cache_entries",
     "validate_parameters",
     "SimulationParameters",
     "PAPER_STRUCTURE_4864",
@@ -43,35 +35,16 @@ __all__ = [
 #: momentum row.  Several processes are a runtime (``pipe``), not an engine.
 EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "batched")
 
-
 #: RGF solver kernels (``repro.negf.kernels``): ``reference`` is the
 #: seed recursion with per-block ``solve(A, I)`` inverses (bit-exactness
 #: oracle), ``numpy`` factorizes each diagonal block once and reuses the
 #: explicit factor product across the forward/backward passes, ``csrmm``
 #: additionally routes the sparse coupling-block foldings through the
 #: Table-6 CSRMM strategy, and ``numba`` JIT-compiles the batched
-#: recursion (registered only when numba is importable).
+#: recursion (registered only when numba is importable).  ``numpy`` is
+#: the ``SCBASettings`` default; the planner picks ``csrmm`` on sparse
+#: couplings (``repro.api.plan.choose_rgf_kernel``).
 RGF_KERNELS: Tuple[str, ...] = ("reference", "numpy", "csrmm", "numba")
-
-
-def default_rgf_kernel() -> str:
-    """RGF kernel used when ``SCBASettings.rgf_kernel`` is not set.
-
-    Overridable through the ``REPRO_RGF_KERNEL`` environment variable (an
-    explicitly set but unknown value raises);
-    the built-in default is ``numpy`` (validated against ``reference`` to
-    1e-10 in ``tests/test_kernels.py``).
-    """
-    env = os.environ.get("REPRO_RGF_KERNEL", "").strip().lower()
-    if not env:
-        return "numpy"
-    if env not in RGF_KERNELS:
-        raise ValueError(
-            f"REPRO_RGF_KERNEL={env!r} is not a valid RGF kernel; "
-            f"expected one of {RGF_KERNELS}"
-        )
-    return env
-
 
 #: SCBA execution runtimes (``repro.runtime``): ``serial`` runs the
 #: in-process Born loop of ``SCBASimulation``; ``sim`` distributes it over
@@ -85,97 +58,10 @@ RUNTIMES: Tuple[str, ...] = ("serial", "sim", "pipe")
 #: communication-avoiding DaCe ``TE x TA`` tile exchange.
 SSE_SCHEDULES: Tuple[str, ...] = ("omen", "dace")
 
-
-def default_runtime() -> str:
-    """Runtime used when ``SCBASettings.runtime`` is not set.
-
-    Overridable through the ``REPRO_RUNTIME`` environment variable (an
-    explicitly set but unknown value raises, mirroring
-    ``REPRO_RGF_KERNEL``); the built-in default is ``serial``.
-    """
-    env = os.environ.get("REPRO_RUNTIME", "").strip().lower()
-    if not env:
-        return "serial"
-    if env not in RUNTIMES:
-        raise ValueError(
-            f"REPRO_RUNTIME={env!r} is not a valid runtime; "
-            f"expected one of {RUNTIMES}"
-        )
-    return env
-
 #: Execution modes of the multi-tenant scheduler (``repro.service``):
 #: ``sync`` runs jobs inside explicit ``drain()`` calls (deterministic,
 #: the testing mode); ``thread`` drains the queue on a background worker.
 SERVICE_MODES: Tuple[str, ...] = ("sync", "thread")
-
-
-def default_service_mode() -> str:
-    """Scheduler mode used when ``SchedulerService(mode=...)`` is not set.
-
-    Overridable through the ``REPRO_SERVICE_MODE`` environment variable
-    (an explicitly set but unknown value raises, mirroring
-    ``REPRO_RGF_KERNEL``); the built-in default is ``sync``.
-    """
-    env = os.environ.get("REPRO_SERVICE_MODE", "").strip().lower()
-    if not env:
-        return "sync"
-    if env not in SERVICE_MODES:
-        raise ValueError(
-            f"REPRO_SERVICE_MODE={env!r} is not a valid scheduler mode; "
-            f"expected one of {SERVICE_MODES}"
-        )
-    return env
-
-
-def default_service_capacity() -> float:
-    """Per-pool capacity (modeled flops) of the scheduler's rank pools.
-
-    Overridable through ``REPRO_SERVICE_CAPACITY`` (a positive float;
-    invalid or non-positive values raise).  The built-in default of
-    ``1e13`` modeled flops comfortably fits several Table-3-priced small
-    workloads per pool while still splitting heavy mixed-tenant batches.
-    """
-    env = os.environ.get("REPRO_SERVICE_CAPACITY", "").strip()
-    if not env:
-        return 1e13
-    try:
-        capacity = float(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_CAPACITY={env!r} is not a valid pool capacity; "
-            "expected a positive float (modeled flops)"
-        ) from None
-    if capacity <= 0:
-        raise ValueError(
-            f"REPRO_SERVICE_CAPACITY={env!r} must be positive (modeled flops)"
-        )
-    return capacity
-
-
-def default_service_cache_entries() -> int:
-    """Entry budget of the scheduler's in-memory result cache.
-
-    Overridable through ``REPRO_SERVICE_CACHE`` (a non-negative int;
-    ``0`` disables result caching; invalid values raise).  The built-in
-    default keeps the 128 most recently used results.
-    """
-    env = os.environ.get("REPRO_SERVICE_CACHE", "").strip()
-    if not env:
-        return 128
-    try:
-        entries = int(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_CACHE={env!r} is not a valid cache size; "
-            "expected a non-negative integer entry count"
-        ) from None
-    if entries < 0:
-        raise ValueError(
-            f"REPRO_SERVICE_CACHE={env!r} must be non-negative "
-            "(0 disables result caching)"
-        )
-    return entries
-
 
 #: Observability modes of the telemetry subsystem (``repro.telemetry``):
 #: ``off`` disables every probe (the default; near-zero overhead),
@@ -191,8 +77,8 @@ def default_telemetry_mode() -> str:
     called explicitly.
 
     Overridable through the ``REPRO_TELEMETRY`` environment variable (an
-    explicitly set but unknown value raises, mirroring
-    ``REPRO_RGF_KERNEL``); the built-in default is ``off``.
+    explicitly set but unknown value raises); the built-in default is
+    ``off``.
     """
     env = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
     if not env:
@@ -213,50 +99,6 @@ def default_telemetry_mode() -> str:
 AUTOTUNE_STRATEGIES: Tuple[str, ...] = ("greedy", "beam")
 
 
-def default_autotune_strategy() -> str:
-    """Search strategy used when the autotuner is invoked without one.
-
-    Overridable through the ``REPRO_AUTOTUNE_STRATEGY`` environment
-    variable (an explicitly set but unknown value raises, mirroring
-    ``REPRO_RGF_KERNEL``); the built-in default is ``greedy``.
-    """
-    env = os.environ.get("REPRO_AUTOTUNE_STRATEGY", "").strip().lower()
-    if not env:
-        return "greedy"
-    if env not in AUTOTUNE_STRATEGIES:
-        raise ValueError(
-            f"REPRO_AUTOTUNE_STRATEGY={env!r} is not a valid autotune "
-            f"strategy; expected one of {AUTOTUNE_STRATEGIES}"
-        )
-    return env
-
-
-def _autotune_positive_int(var: str, default: int, what: str) -> int:
-    env = os.environ.get(var, "").strip()
-    if not env:
-        return default
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{var}={env!r} is not a valid {what}; "
-            "expected a positive integer"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{var}={env!r} must be a positive integer")
-    return value
-
-
-def default_autotune_beam_width() -> int:
-    """Beam width of the autotuner's ``beam`` strategy.
-
-    Overridable through ``REPRO_AUTOTUNE_BEAM_WIDTH`` (a positive int;
-    invalid values raise).  The default of 4 keeps enough byte-neutral
-    enabler states alive to thread layout -> batch -> fuse sequences.
-    """
-    return _autotune_positive_int("REPRO_AUTOTUNE_BEAM_WIDTH", 4, "beam width")
-
-
 def default_autotune_max_moves() -> int:
     """Maximum committed moves (pipeline depth) of one autotune search.
 
@@ -264,20 +106,21 @@ def default_autotune_max_moves() -> int:
     invalid values raise).  The default of 24 is ~2.5x the hand recipe's
     depth — a termination backstop, not a tuning dial.
     """
-    return _autotune_positive_int("REPRO_AUTOTUNE_MAX_MOVES", 24, "move budget")
-
-
-def default_autotune_escape_depth() -> int:
-    """Plateau-escape probe depth of the autotuner's ``greedy`` strategy.
-
-    Overridable through ``REPRO_AUTOTUNE_ESCAPE_DEPTH`` (a positive int;
-    invalid values raise).  The default of 4 covers the longest
-    byte-neutral chain the move space produces before a payoff
-    (expand -> fuse -> shrink, plus one layout move).
-    """
-    return _autotune_positive_int(
-        "REPRO_AUTOTUNE_ESCAPE_DEPTH", 4, "escape depth"
-    )
+    env = os.environ.get("REPRO_AUTOTUNE_MAX_MOVES", "").strip()
+    if not env:
+        return 24
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_AUTOTUNE_MAX_MOVES={env!r} is not a valid move budget; "
+            "expected a positive integer"
+        ) from None
+    if value < 1:
+        raise ValueError(
+            f"REPRO_AUTOTUNE_MAX_MOVES={env!r} must be a positive integer"
+        )
+    return value
 
 
 def validate_parameters(base=None, **overrides) -> "SimulationParameters":

@@ -423,8 +423,8 @@ def tuned_sse_search(
     with :func:`sse_move_library`, minimizing modeled bytes at ``dims``;
     with ``verify`` (default) every stage of the winner is checked
     against :func:`sse_sigma_reference` at :data:`VERIFY_DIMS`.
-    ``strategy``/``beam_width``/``max_moves`` default to the
-    ``REPRO_AUTOTUNE_*`` knobs; ``library`` (default
+    ``strategy``/``beam_width``/``max_moves`` default as in
+    :class:`repro.autotune.SearchConfig`; ``library`` (default
     :func:`sse_move_library`) restricts or extends the move space.
     Results are cached per dims and resolved settings (except when
     ``trace_path`` or a custom ``library`` is given — those carry their
@@ -481,8 +481,8 @@ def compile_sse_pipeline(
     """Compile the recipe into an executable Σ≷ callable.
 
     ``backend`` selects the execution backend lowering every stage
-    (``"numpy"`` generated code / ``"interpreter"``; ``None`` follows
-    ``REPRO_SDFG_BACKEND``, default ``numpy``).  With ``verify=True``
+    (``"numpy"`` generated code / ``"interpreter"``; ``None`` means
+    ``numpy``).  With ``verify=True``
     (default), every stage is executed through that backend on random
     :data:`VERIFY_DIMS` inputs and checked against
     :func:`sse_sigma_reference` to the given tolerances.
@@ -509,11 +509,11 @@ def compiled_sse_kernel(backend: Optional[str] = None):
     Returns a callable ``(dims, arrays, tables) -> Sigma`` in the
     original ``[kz, E, a]`` layout; cached per resolved backend name.
     """
-    from ..sdfg.backends import default_backend, get_backend
+    from ..sdfg.backends import get_backend
     from ..telemetry import metrics as _metrics
     from ..telemetry.spans import metrics_enabled, trace
 
-    name = backend or default_backend()
+    name = backend or "numpy"
     if name not in _SSE_KERNELS:
         stage = SSE_PIPELINE.stages()[-1]
         runner = get_backend(name).compile_stage(stage)

@@ -21,7 +21,6 @@ from .kernels import (
     KernelError,
     RGFKernel,
     available_kernels,
-    default_rgf_kernel,
     get_kernel,
     register_kernel,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "KernelError",
     "RGFKernel",
     "available_kernels",
-    "default_rgf_kernel",
     "get_kernel",
     "register_kernel",
     "select_strategy",

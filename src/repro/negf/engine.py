@@ -30,11 +30,11 @@ This module turns that sweep into an explicit execution layer:
 Backends are selected with ``SCBASettings.engine`` (default ``batched``);
 ``tests/test_engine.py`` pins batched == serial to 1e-10.  Orthogonally
 to the backend, the RGF recursion itself is pluggable
-(:mod:`repro.negf.kernels`, ``SCBASettings.rgf_kernel`` /
-``REPRO_RGF_KERNEL``): the batched backend solves its stacked systems
-and boundary decimations through the selected kernel, while
-:class:`SerialEngine` stays pinned to the ``reference`` kernel — it is
-the oracle everything else is validated against.
+(:mod:`repro.negf.kernels`, ``SCBASettings.rgf_kernel``): the batched
+backend solves its stacked systems and boundary decimations through the
+selected kernel, while :class:`SerialEngine` stays pinned to the
+``reference`` kernel — it is the oracle everything else is validated
+against.
 """
 
 from __future__ import annotations

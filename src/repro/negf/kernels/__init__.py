@@ -28,14 +28,12 @@ the paper treats the RGF kernel exactly this way):
     Registered only when numba is importable; requesting it otherwise
     raises with a clear message (no hard dependency).
 
-Kernel selection mirrors the engine/backend conventions:
-``SCBASettings.rgf_kernel``, overridable through ``REPRO_RGF_KERNEL``
-(invalid values raise), default from
-:func:`repro.config.default_rgf_kernel`.  Every registered kernel is
-validated against the serial oracle to ≤ 1e-10 in
-``tests/test_kernels.py``; ``benchmarks/bench_rgf_kernels.py`` records
-the Table-6 ordering inside the solver and the end-to-end SCBA speedup
-in ``BENCH_rgf.json``.
+Kernel selection is an argument: ``SCBASettings.rgf_kernel`` (default
+``numpy``) or ``compile_workload(rgf_kernel=...)`` (default: the planner's
+sparsity heuristic).  Every registered kernel is validated against the
+serial oracle to ≤ 1e-10 in ``tests/test_kernels.py``;
+``benchmarks/bench_rgf_kernels.py`` records the Table-6 ordering inside
+the solver and the end-to-end SCBA speedup in ``BENCH_rgf.json``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...config import RGF_KERNELS, default_rgf_kernel
+from ...config import RGF_KERNELS
 from ..rgf import BatchedRGFResult, _H
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "KernelError",
     "RGF_KERNELS",
     "available_kernels",
-    "default_rgf_kernel",
     "get_kernel",
     "register_kernel",
 ]
@@ -159,11 +156,11 @@ def available_kernels() -> Tuple[str, ...]:
 
 
 def get_kernel(name: Optional[str] = None) -> RGFKernel:
-    """Instantiate a kernel by name (``None`` → :func:`default_rgf_kernel`)."""
+    """Instantiate a kernel by name (``None`` → ``"numpy"``)."""
     if isinstance(name, RGFKernel):
         return name
     if name is None:
-        name = default_rgf_kernel()
+        name = "numpy"
     if name not in _REGISTRY:
         hint = (
             " (the numba kernel requires the optional numba package, "

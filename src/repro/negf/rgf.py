@@ -158,7 +158,7 @@ def rgf_solve_batched(
     kernel:
         Kernel name (see :func:`repro.negf.kernels.available_kernels`),
         an :class:`repro.negf.kernels.RGFKernel` instance, or ``None``
-        for the configured default (``REPRO_RGF_KERNEL`` / ``"numpy"``).
+        for the default (``"numpy"``).
     """
     from .kernels import get_kernel
 

@@ -39,12 +39,11 @@ Physical conventions (dimensionless units, ħ = e = 1):
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from ..config import default_rgf_kernel, default_runtime
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
 from .engine import SpectralGrid, bose, energy_grid, fermi, make_engine
@@ -97,8 +96,7 @@ class SCBASettings:
     #: oracle
     sse_variant: Literal["reference", "dace", "sdfg"] = "dace"
     #: SDFG execution backend for ``sse_variant="sdfg"`` (``"numpy"``
-    #: generated code / ``"interpreter"``; None follows
-    #: ``REPRO_SDFG_BACKEND``)
+    #: generated code / ``"interpreter"``; None means ``"numpy"``)
     sse_backend: Optional[str] = None
     #: spectral-grid execution backend (see :mod:`repro.negf.engine`):
     #: ``serial`` per-point oracle, ``batched`` stacked tensors
@@ -107,8 +105,7 @@ class SCBASettings:
     #: ``reference`` seed recursion, ``numpy`` factorization reuse,
     #: ``csrmm`` Table-6 sparse foldings, ``numba`` compiled (optional).
     #: The serial engine stays pinned to ``reference`` — it is the oracle.
-    #: Default follows ``REPRO_RGF_KERNEL`` (invalid values raise).
-    rgf_kernel: str = field(default_factory=default_rgf_kernel)
+    rgf_kernel: str = "numpy"
     #: memoize lead self-energies across Born iterations; ``False``
     #: restores the seed's per-iteration recomputation (benchmarks only)
     cache_boundary: bool = True
@@ -117,11 +114,8 @@ class SCBASettings:
     cache_operators: bool = True
     #: SCBA execution runtime (see :mod:`repro.runtime`): ``serial`` is
     #: the in-process Born loop below; ``sim``/``pipe`` distribute it over
-    #: ranks exchanging G≷/Π≷ through an SSE schedule (default follows
-    #: ``REPRO_RUNTIME``, invalid values raise)
-    runtime: Literal["serial", "sim", "pipe"] = field(
-        default_factory=default_runtime
-    )
+    #: ranks exchanging G≷/Π≷ through an SSE schedule
+    runtime: Literal["serial", "sim", "pipe"] = "serial"
     #: rank count of the distributed runtime (None: one rank per kz);
     #: must decompose the (Nkz, NE) grid (P = Nkz x E-chunks)
     ranks: Optional[int] = None

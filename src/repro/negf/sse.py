@@ -323,7 +323,7 @@ def sigma_sse(
         ``[NA, NB]`` neighbor indices (the ``f(a, b)`` indirection).
     backend:
         SDFG execution backend for ``variant="sdfg"`` (``"numpy"`` /
-        ``"interpreter"``; ``None`` follows ``REPRO_SDFG_BACKEND``).
+        ``"interpreter"``; ``None`` means ``"numpy"``).
         Ignored by the other variants.
     """
     if variant == "reference":

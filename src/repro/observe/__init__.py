@@ -1,4 +1,4 @@
-"""The performance observatory: telemetry analysis and regression gates.
+"""The performance observatory: telemetry analysis and service health.
 
 PR 9's telemetry records byte-exact spans, counters, and drift reports at
 every layer; this package is their consumer — it turns recorded telemetry
@@ -8,29 +8,17 @@ into decisions:
   merged rank-tagged spans: phase breakdowns, load-imbalance factor,
   measured idle fractions, the critical path, and the overlap-headroom
   estimate the async-runtime roadmap item needs;
-* :mod:`~repro.observe.ledger` — the benchmark regression ledger over the
-  ``BENCH_*.json`` artifacts: machine-normalized append-only history,
-  model-anchored efficiency, and a tolerance-gated baseline comparison
-  (the CI regression gate);
 * :mod:`~repro.observe.health` — service introspection layered on
   :meth:`~repro.service.SchedulerService.stats`: queue-latency
   percentiles, pool utilization vs modeled-flop capacity, and a single
   ok/degraded verdict.
 
-``python -m repro.observe`` renders any of the three as markdown.
+``python -m repro.observe`` renders either as markdown.  Timings are
+recorded and compared by the end-to-end benchmark
+(``python -m benchmarks.e2e all --out`` / ``compare``), not here.
 """
 
 from .health import HealthReport, service_health, tenant_breakdown
-from .ledger import (
-    Ledger,
-    MetricCheck,
-    RegressionReport,
-    compare_entries,
-    extract_metrics,
-    load_bench_records,
-    make_entry,
-    machine_fingerprint,
-)
 from .timeline import TimelineAnalysis, analyze_events, analyze_trace_file, analyze_tracer
 
 __all__ = [
@@ -38,14 +26,6 @@ __all__ = [
     "analyze_events",
     "analyze_tracer",
     "analyze_trace_file",
-    "Ledger",
-    "MetricCheck",
-    "RegressionReport",
-    "compare_entries",
-    "extract_metrics",
-    "load_bench_records",
-    "make_entry",
-    "machine_fingerprint",
     "HealthReport",
     "service_health",
     "tenant_breakdown",

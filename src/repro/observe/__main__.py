@@ -4,14 +4,10 @@ Subcommands:
 
 * ``trace FILE.trace.json`` — timeline analysis of a saved trace
   (phase breakdown, imbalance, idle fractions, overlap headroom);
-* ``ledger`` — distill ``BENCH_*.json`` records into a ledger entry,
-  optionally append it to the history, compare against a committed
-  baseline, and gate (non-zero exit on regression) — the CI step;
 * ``health STATS.json`` — the ok/degraded service verdict from a
   serialized ``SchedulerService.stats()`` dump.
 
-Every subcommand prints markdown; ``--out`` also writes it to a file
-(the CI artifact).
+Every subcommand prints markdown; ``--out`` also writes it to a file.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .health import service_health
-from .ledger import Ledger, compare_entries, load_bench_records, make_entry
 from .timeline import analyze_trace_file
 
 
@@ -39,47 +34,6 @@ def _cmd_trace(args) -> int:
     else:
         _emit(analysis.to_markdown(), args.out)
     return 0
-
-
-def _cmd_ledger(args) -> int:
-    records = load_bench_records(args.bench_dir)
-    if not records:
-        print(f"no BENCH_*.json records under {args.bench_dir}",
-              file=sys.stderr)
-        return 2
-    entry = make_entry(records, fast=args.fast, note=args.note)
-    sections = []
-
-    if args.update_baseline:
-        Path(args.update_baseline).write_text(
-            json.dumps(entry, indent=2) + "\n"
-        )
-        sections.append(
-            f"- baseline updated: `{args.update_baseline}` "
-            f"({sum(len(m) for m in entry['metrics'].values())} metrics "
-            f"from {len(records)} benchmarks)"
-        )
-
-    if args.append:
-        ledger = Ledger.load(args.append)
-        ledger.append(entry)
-        ledger.save()
-        sections.append(
-            f"- ledger `{args.append}`: {len(ledger.entries)} entries"
-        )
-
-    failed = False
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        report = compare_entries(entry, baseline)
-        sections.append(report.to_markdown())
-        failed = args.gate and not report.passed
-
-    if not sections:  # plain distillation
-        sections.append("```json\n" + json.dumps(entry, indent=2) + "\n```")
-    _emit("\n\n".join(sections), args.out)
-    return 1 if failed else 0
 
 
 def _cmd_health(args) -> int:
@@ -107,22 +61,6 @@ def main(argv=None) -> int:
                    help="emit the raw analysis dict instead of markdown")
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser("ledger", help="benchmark regression ledger / gate")
-    p.add_argument("--bench-dir", default="benchmarks",
-                   help="directory holding BENCH_*.json records")
-    p.add_argument("--fast", action="store_true",
-                   help="records come from a REPRO_BENCH_FAST run")
-    p.add_argument("--baseline",
-                   help="baseline entry JSON to compare against")
-    p.add_argument("--gate", action="store_true",
-                   help="exit non-zero if the comparison finds a regression")
-    p.add_argument("--append", help="append the entry to this LEDGER.json")
-    p.add_argument("--update-baseline",
-                   help="write the fresh entry as the new baseline file")
-    p.add_argument("--note", default="", help="free-form entry annotation")
-    p.add_argument("--out", help="also write the report to this file")
-    p.set_defaults(fn=_cmd_ledger)
 
     p = sub.add_parser("health", help="service verdict from a stats dump")
     p.add_argument("stats", help="JSON dump of SchedulerService.stats()")

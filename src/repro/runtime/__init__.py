@@ -7,8 +7,8 @@ through the resident OMEN or DaCe communication schedule each iteration,
 and meters every byte per rank and per phase.  Transports:
 ``sim`` (in-process, bit-exact accounting) and ``pipe`` (forked rank
 processes over multiprocessing pipes).  Select with
-``SCBASettings(runtime=..., ranks=..., schedule=...)`` or the
-``REPRO_RUNTIME`` environment variable.
+``SCBASettings(runtime=..., ranks=..., schedule=...)`` or
+``workload.compile(runtime=...)``.
 """
 
 from .rank import RankWorker

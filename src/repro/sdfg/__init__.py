@@ -15,7 +15,6 @@ from .backends import (
     BackendError,
     SDFG_BACKENDS,
     StageRunner,
-    default_backend,
     get_backend,
     register_backend,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "BackendError",
     "SDFG_BACKENDS",
     "StageRunner",
-    "default_backend",
     "get_backend",
     "register_backend",
     "SDFG",

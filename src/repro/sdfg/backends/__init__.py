@@ -22,15 +22,14 @@ Two backends are registered:
     faster than interpretation, with an analytically derived
     :class:`~repro.sdfg.interpreter.ExecutionReport`.
 
-Backend selection mirrors the RGF-kernel convention
-(``REPRO_RGF_KERNEL``): :func:`default_backend` honors the
-``REPRO_SDFG_BACKEND`` environment variable and raises on invalid
-values; the built-in default is ``numpy``.
+Backend selection is an argument (``Pipeline.compile(backend=...)``,
+``SCBASettings.sse_backend``, ``compile_workload(sse_backend=...)``); the
+default is ``numpy``, which every pipeline compilation verifies against
+the reference kernel.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "StageRunner",
     "SDFG_BACKENDS",
     "available_backends",
-    "default_backend",
     "get_backend",
     "register_backend",
 ]
@@ -102,34 +100,15 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def get_backend(name: Optional[str] = None) -> Backend:
-    """Instantiate a backend by name (``None`` → :func:`default_backend`)."""
+    """Instantiate a backend by name (``None`` → ``"numpy"``)."""
     if name is None:
-        name = default_backend()
+        name = "numpy"
     if name not in _REGISTRY:
         raise BackendError(
             f"unknown SDFG backend {name!r}; expected one of "
             f"{available_backends()}"
         )
     return _REGISTRY[name]()
-
-
-def default_backend() -> str:
-    """Backend used when none is requested explicitly.
-
-    Overridable through the ``REPRO_SDFG_BACKEND`` environment variable
-    (an explicitly set but unknown value raises, mirroring
-    ``REPRO_RGF_KERNEL``); the built-in default is ``numpy``, which every
-    pipeline compilation verifies against the reference kernel.
-    """
-    env = os.environ.get("REPRO_SDFG_BACKEND", "").strip().lower()
-    if not env:
-        return "numpy"
-    if env not in _REGISTRY:
-        raise BackendError(
-            f"REPRO_SDFG_BACKEND={env!r} is not a valid backend; "
-            f"expected one of {available_backends()}"
-        )
-    return env
 
 
 from .interpreter import InterpreterBackend  # noqa: E402

@@ -14,7 +14,7 @@ The executable form of the paper's optimization workflow (§4):
 * :meth:`Pipeline.compile` lowers every stage through a pluggable
   execution backend (:mod:`repro.sdfg.backends`: ``numpy`` code
   generation by default, ``interpreter`` as the oracle; selectable via
-  the ``backend`` argument or ``REPRO_SDFG_BACKEND``), verifies each
+  the ``backend`` argument), verifies each
   stage against a reference kernel on concrete inputs, and yields a
   :class:`CompiledPipeline` — a callable executing the final (optimized)
   graph, with generated source attached for inspection.
@@ -517,10 +517,7 @@ class Pipeline:
         ``backend`` names a registered execution backend
         (:data:`repro.sdfg.backends.SDFG_BACKENDS`: ``"numpy"`` generates
         vectorized source, ``"interpreter"`` wraps the reference
-        interpreter); ``None`` defers to
-        :func:`repro.sdfg.backends.default_backend` — the
-        ``REPRO_SDFG_BACKEND`` environment variable, or ``numpy``.
-        Unknown names raise a
+        interpreter); ``None`` means ``numpy``.  Unknown names raise a
         :class:`~repro.sdfg.backends.BackendError`.
 
         With ``verify_dims``, every stage (initial included) is executed

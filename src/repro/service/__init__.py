@@ -35,9 +35,9 @@ Quick start::
         sweep = svc.wait(job)          # drains the queue in sync mode
         print(svc.stats()["boundary_solves_saved"])
 
-Knobs: ``REPRO_SERVICE_MODE`` (sync/thread), ``REPRO_SERVICE_CAPACITY``
-(modeled flops per pool), ``REPRO_SERVICE_CACHE`` (LRU entries, 0
-disables) — invalid values raise, mirroring ``REPRO_RUNTIME``.
+Knobs are constructor arguments: ``SchedulerService(mode=...)``
+(sync/thread), ``SchedulerService(capacity_flops=...)`` (modeled flops
+per pool), ``ResultCache(max_entries=...)`` (LRU entries, 0 disables).
 """
 
 from .cache import ResultCache

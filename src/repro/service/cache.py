@@ -7,8 +7,8 @@ matter how their specs were constructed or labeled.
 
 Two tiers:
 
-* an in-memory LRU (entry budget from ``REPRO_SERVICE_CACHE``; ``0``
-  disables caching entirely) holding live
+* an in-memory LRU (``max_entries``, default 128; ``0`` disables
+  caching entirely) holding live
   :class:`~repro.api.SweepResult` objects, full tensors included — a hit
   returns the exact object payload a fresh run would have produced;
 * an optional on-disk store (``directory=...``): each entry is persisted
@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..api.session import SweepResult
-from ..config import default_service_cache_entries
 
 __all__ = ["ResultCache"]
 
@@ -38,13 +37,11 @@ class ResultCache:
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = 128,
         directory: Optional[str] = None,
         persist_arrays: bool = False,
     ):
-        self.max_entries = (
-            default_service_cache_entries() if max_entries is None else max_entries
-        )
+        self.max_entries = max_entries
         if self.max_entries < 0:
             raise ValueError(f"max_entries={self.max_entries} must be >= 0")
         self.directory = Path(directory) if directory is not None else None

@@ -18,7 +18,7 @@ then walks each job through the lifecycle:
    same batch resolves from the cache at this point with zero additional
    boundary solves.
 
-Two modes (``REPRO_SERVICE_MODE``): ``sync`` — jobs run inside explicit
+Two modes (the ``mode`` argument): ``sync`` — jobs run inside explicit
 :meth:`drain` calls (or a :meth:`wait` that triggers one); fully
 deterministic, the mode every test uses — and ``thread`` — a background
 worker drains the queue as it fills, with :meth:`wait` blocking on the
@@ -43,11 +43,7 @@ import numpy as np
 
 from ..api import PlanError, Workload, WorkloadError
 from ..api.session import SweepResult
-from ..config import (
-    SERVICE_MODES,
-    default_service_capacity,
-    default_service_mode,
-)
+from ..config import SERVICE_MODES
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import metrics_enabled, trace
 from .cache import ResultCache
@@ -89,20 +85,21 @@ class SchedulerService:
 
     def __init__(
         self,
-        capacity_flops: Optional[float] = None,
+        capacity_flops: float = 1e13,
         cache: Optional[ResultCache] = None,
-        mode: Optional[str] = None,
+        mode: str = "sync",
         allow_oversize: bool = True,
         keep_arrays: bool = True,
     ):
-        self.capacity_flops = (
-            default_service_capacity() if capacity_flops is None else capacity_flops
-        )
+        #: per-pool capacity in modeled flops; the default fits several
+        #: Table-3-priced small workloads per pool while still splitting
+        #: heavy mixed-tenant batches
+        self.capacity_flops = capacity_flops
         if self.capacity_flops <= 0:
             raise SchedulerError(
                 f"capacity_flops={self.capacity_flops} must be positive"
             )
-        self.mode = default_service_mode() if mode is None else mode
+        self.mode = mode
         if self.mode not in SERVICE_MODES:
             raise SchedulerError(
                 f"unknown scheduler mode {self.mode!r}; "

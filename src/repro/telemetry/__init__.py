@@ -24,7 +24,7 @@ reconciles it against what the paper's analytic models predict:
     (imported lazily — it pulls in the SDFG stack).
 
 Everything is gated on ``REPRO_TELEMETRY`` (``off`` | ``spans`` |
-``full``; invalid values raise, mirroring ``REPRO_RUNTIME``), with
+``full``; invalid values raise), with
 near-zero overhead when off.  The quickest way in::
 
     from repro import telemetry

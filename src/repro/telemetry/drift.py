@@ -225,7 +225,7 @@ def sse_flops_drift(
     the Table-3 analytic flops and the §4.1 movement bytes — exactly.
 
     Defaults to the hand recipe (``SSE_PIPELINE``) at the toy
-    ``VERIFY_DIMS``; ``backend=None`` follows ``REPRO_SDFG_BACKEND``.
+    ``VERIFY_DIMS``; ``backend=None`` means ``numpy``.
     """
     import numpy as np
 

@@ -65,7 +65,7 @@ def configure(new_mode: Optional[str] = None) -> str:
     """Activate a telemetry mode, returning the previously active one.
 
     ``None`` re-reads ``REPRO_TELEMETRY`` from the environment (an
-    explicitly set but unknown value raises, mirroring ``REPRO_RUNTIME``).
+    explicitly set but unknown value raises).
     Forked worker processes (the ``pipe`` transport's ranks) inherit the
     configured mode at fork time.
     """

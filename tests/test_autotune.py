@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,24 @@ def beam_result():
     return tuned_sse_search(
         _DIMS, strategy="beam", library=restricted_library()
     )
+
+
+def _traced_run(trace_path, **kwargs):
+    return tuned_sse_search(
+        _DIMS,
+        library=restricted_library(),
+        trace_path=trace_path,
+        verify=False,
+        **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def traced_search(tmp_path_factory):
+    """A second, independent run of ``greedy_result``'s search, writing
+    its trace: ``(result, completed trace file)``."""
+    path = tmp_path_factory.mktemp("autotune") / "trace.json"
+    return _traced_run(path), path
 
 
 # -- move space ---------------------------------------------------------------
@@ -159,8 +178,8 @@ class TestSearch:
         assert len(v) == len(greedy_result.moves) + 1
         assert all(err <= 1e-10 for err in v.values())
 
-    def test_search_is_deterministic(self, greedy_result):
-        again = tuned_sse_search(_DIMS, library=restricted_library())
+    def test_search_is_deterministic(self, greedy_result, traced_search):
+        again, _ = traced_search
         assert [m.key for m in again.moves] == [
             m.key for m in greedy_result.moves
         ]
@@ -195,18 +214,16 @@ class TestSearch:
 
 
 class TestTrace:
-    def _run(self, trace_path, **kwargs):
-        return tuned_sse_search(
-            _DIMS,
-            library=restricted_library(),
-            trace_path=trace_path,
-            verify=False,
-            **kwargs,
-        )
-
-    def test_trace_round_trip_and_resume(self, tmp_path):
+    @pytest.fixture()
+    def searched(self, traced_search, tmp_path):
+        """The shared search's result and a private copy of its trace."""
+        first, source = traced_search
         path = tmp_path / "trace.json"
-        first = self._run(path)
+        shutil.copy(source, path)
+        return first, path
+
+    def test_trace_round_trip_and_resume(self, searched):
+        first, path = searched
         assert path.exists()
         trace = SearchTrace.load(path)
         assert trace.completed
@@ -215,36 +232,33 @@ class TestTrace:
             json.loads(json.dumps(trace.to_dict()))
         ).to_dict() == trace.to_dict()
         # Completed trace: the rerun replays instead of searching.
-        again = self._run(path)
+        again = _traced_run(path)
         assert [m.key for m in again.moves] == [m.key for m in first.moves]
 
-    def test_truncated_trace_continues_search(self, tmp_path):
-        path = tmp_path / "trace.json"
-        first = self._run(path)
+    def test_truncated_trace_continues_search(self, searched):
+        first, path = searched
         trace = SearchTrace.load(path)
         trace.steps = trace.steps[: len(trace.steps) // 2]
         trace.completed = False
         trace.save(path)
-        resumed = self._run(path)
+        resumed = _traced_run(path)
         assert [m.key for m in resumed.moves] == [
             m.key for m in first.moves
         ]
 
-    def test_mismatched_trace_raises(self, tmp_path):
-        path = tmp_path / "trace.json"
-        self._run(path)
+    def test_mismatched_trace_raises(self, searched):
+        _, path = searched
         with pytest.raises(AutotuneError, match="records"):
-            self._run(path, strategy="beam")
+            _traced_run(path, strategy="beam")
 
-    def test_diverged_trace_raises(self, tmp_path):
-        path = tmp_path / "trace.json"
-        self._run(path)
+    def test_diverged_trace_raises(self, searched):
+        _, path = searched
         trace = SearchTrace.load(path)
         trace.steps[0]["signature"] = "0" * 16
         trace.completed = False
         trace.save(path)
         with pytest.raises(AutotuneError, match="diverged"):
-            self._run(path)
+            _traced_run(path)
 
 
 # -- configuration knobs ------------------------------------------------------
@@ -255,34 +269,33 @@ class TestConfig:
         with pytest.raises(AutotuneError, match="not a valid"):
             SearchConfig(strategy="annealing").resolved()
 
-    def test_env_strategy_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_STRATEGY", "beam")
-        assert SearchConfig().resolved().strategy == "beam"
-
-    def test_env_invalid_strategy_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_STRATEGY", "nope")
-        with pytest.raises(ValueError, match="REPRO_AUTOTUNE_STRATEGY"):
-            SearchConfig().resolved()
-
     @pytest.mark.parametrize(
-        "var",
+        "field, value",
         [
-            "REPRO_AUTOTUNE_BEAM_WIDTH",
-            "REPRO_AUTOTUNE_MAX_MOVES",
-            "REPRO_AUTOTUNE_ESCAPE_DEPTH",
+            ("beam_width", 0),
+            ("beam_width", -2),
+            ("max_moves", 0),
+            ("max_moves", -3),
+            ("escape_depth", 0),
+            ("max_moves", 2.5),
+            ("beam_width", "4"),
         ],
     )
+    def test_non_positive_int_argument_raises(self, field, value):
+        with pytest.raises(AutotuneError, match=field):
+            SearchConfig(**{field: value}).resolved()
+
+    # the one autotune setting with an environment default
+    @pytest.mark.parametrize("var", ["REPRO_AUTOTUNE_MAX_MOVES"])
     def test_env_invalid_int_raises(self, monkeypatch, var):
         monkeypatch.setenv(var, "zero")
         with pytest.raises(ValueError, match=var):
             SearchConfig().resolved()
 
     def test_env_ints_apply(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_BEAM_WIDTH", "7")
         monkeypatch.setenv("REPRO_AUTOTUNE_MAX_MOVES", "9")
-        monkeypatch.setenv("REPRO_AUTOTUNE_ESCAPE_DEPTH", "2")
-        cfg = SearchConfig().resolved()
-        assert (cfg.beam_width, cfg.max_moves, cfg.escape_depth) == (7, 9, 2)
+        assert SearchConfig().resolved().max_moves == 9
+        assert SearchConfig(max_moves=5).resolved().max_moves == 5
 
     def test_max_moves_bounds_pipeline_depth(self):
         res = autotune(

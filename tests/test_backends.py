@@ -21,7 +21,6 @@ from repro.sdfg import (
     Memlet,
     Range,
     Tasklet,
-    default_backend,
     get_backend,
 )
 from repro.sdfg.backends.codegen import (
@@ -61,19 +60,8 @@ class TestRegistry:
         with pytest.raises(BackendError, match="unknown SDFG backend"):
             get_backend("cuda")
 
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SDFG_BACKEND", raising=False)
-        assert default_backend() == "numpy"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SDFG_BACKEND", "interpreter")
-        assert default_backend() == "interpreter"
-        assert get_backend().name == "interpreter"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SDFG_BACKEND", "fortran")
-        with pytest.raises(BackendError, match="REPRO_SDFG_BACKEND"):
-            default_backend()
+    def test_default_is_numpy(self):
+        assert get_backend().name == "numpy"
 
     def test_pipeline_compile_rejects_unknown(self):
         with pytest.raises(BackendError):

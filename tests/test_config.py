@@ -81,3 +81,47 @@ class TestDerived:
         assert PAPER_STRUCTURE_4864.NA == 4864
         assert PAPER_STRUCTURE_10240.NA == 10240
         assert PAPER_STRUCTURE_10240.Nkz == 21
+
+
+#: environment variables that used to override a default; each is now set
+#: only by the argument named in the README migration table
+_REMOVED_ENV = {
+    "REPRO_RGF_KERNEL": "cublas",
+    "REPRO_RUNTIME": "cluster",
+    "REPRO_SDFG_BACKEND": "fortran",
+    "REPRO_SERVICE_MODE": "fiber",
+    "REPRO_SERVICE_CAPACITY": "-1",
+    "REPRO_SERVICE_CACHE": "many",
+    "REPRO_AUTOTUNE_STRATEGY": "nope",
+    "REPRO_AUTOTUNE_BEAM_WIDTH": "0",
+    "REPRO_AUTOTUNE_ESCAPE_DEPTH": "x",
+}
+
+
+@pytest.mark.parametrize("name, garbage", _REMOVED_ENV.items())
+def test_removed_env_names_are_inert(monkeypatch, name, garbage):
+    """The ambient environment cannot change what a ``Workload`` means:
+    garbage in a retired variable neither raises nor moves a default."""
+    from repro.api import compile_workload, scenario
+    from repro.autotune import SearchConfig
+    from repro.negf import SCBASettings
+    from repro.sdfg import get_backend
+    from repro.service import ResultCache, SchedulerService
+
+    monkeypatch.delenv("REPRO_AUTOTUNE_MAX_MOVES", raising=False)
+    monkeypatch.setenv(name, garbage)
+
+    settings = SCBASettings()
+    assert (settings.rgf_kernel, settings.runtime, settings.sse_backend) == (
+        "numpy", "serial", None,
+    )
+    plan = compile_workload(scenario("quickstart"))
+    assert (plan.rgf_kernel, plan.runtime) == ("numpy", "serial")
+    assert get_backend().name == "numpy"
+    with SchedulerService() as svc:
+        assert (svc.mode, svc.capacity_flops) == ("sync", 1e13)
+    assert ResultCache().max_entries == 128
+    cfg = SearchConfig().resolved()
+    assert (cfg.strategy, cfg.beam_width, cfg.max_moves, cfg.escape_depth) == (
+        "greedy", 4, 24, 4,
+    )

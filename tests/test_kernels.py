@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import RGF_KERNELS, default_rgf_kernel
+from repro.config import RGF_KERNELS
 from repro.negf import (
     KernelError,
     RGFKernel,
@@ -62,22 +62,9 @@ class TestKernelRegistry:
         except ImportError:
             assert "numba" not in available_kernels()
 
-    def test_default_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RGF_KERNEL", raising=False)
-        assert default_rgf_kernel() == "numpy"
+    def test_default_kernel(self):
         assert SCBASettings().rgf_kernel == "numpy"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RGF_KERNEL", "csrmm")
-        assert default_rgf_kernel() == "csrmm"
-        assert SCBASettings().rgf_kernel == "csrmm"
-
-    def test_env_override_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RGF_KERNEL", "cublas")
-        with pytest.raises(ValueError, match="REPRO_RGF_KERNEL"):
-            default_rgf_kernel()
-        with pytest.raises(ValueError, match="REPRO_RGF_KERNEL"):
-            SCBASettings()
+        assert isinstance(get_kernel(), NumpyKernel)
 
     def test_get_kernel_by_name(self):
         assert isinstance(get_kernel("reference"), ReferenceKernel)
@@ -425,10 +412,9 @@ class TestPlanWiring:
         for g in plan.groups:
             assert g.base_settings["rgf_kernel"] == "csrmm"
 
-    def test_plan_default_is_heuristic(self, workload, monkeypatch):
+    def test_plan_default_is_heuristic(self, workload):
         from repro.api import choose_rgf_kernel, compile_workload
 
-        monkeypatch.delenv("REPRO_RGF_KERNEL", raising=False)
         plan = compile_workload(workload)
         assert plan.rgf_kernel == choose_rgf_kernel(workload.device)
         assert plan.rgf_kernel == "numpy"  # small blocks -> dense kernel
@@ -440,12 +426,6 @@ class TestPlanWiring:
             nx_cols=16, ny_rows=8, NB=4, slab_width=4, Norb=4
         )  # block = 128, coupling density 1/128
         assert choose_rgf_kernel(big) == "csrmm"
-
-    def test_env_wins_heuristic(self, monkeypatch):
-        from repro.api import DeviceSpec, choose_rgf_kernel
-
-        monkeypatch.setenv("REPRO_RGF_KERNEL", "reference")
-        assert choose_rgf_kernel(DeviceSpec()) == "reference"
 
     def test_unknown_kernel_raises_at_compile(self, workload):
         from repro.api import PlanError, compile_workload

@@ -1,4 +1,4 @@
-"""Performance observatory: timeline analytics, regression ledger, health.
+"""Performance observatory: timeline analytics and service health.
 
 Covers the ISSUE-10 acceptance surface:
 
@@ -9,39 +9,26 @@ Covers the ISSUE-10 acceptance surface:
   rank's busy time, and the exchange bytes re-derived from the phase
   spans match the §4.1 models to the byte (through
   ``drift.comm_drift(last_comm=...)``);
-* the ledger round-trips every committed ``BENCH_*.json`` record, and
-  the regression gate demonstrably fails on a synthetic 2x slowdown
-  while staying quiet across machines and modes;
 * the service health verdict flips to ``degraded`` for each threshold;
-* the ``python -m repro.observe`` CLI renders all three reports.
+* the ``python -m repro.observe`` CLI renders both reports.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.negf import SCBASettings, SCBASimulation
 from repro.observe import (
-    Ledger,
     analyze_events,
     analyze_trace_file,
     analyze_tracer,
-    compare_entries,
-    extract_metrics,
-    load_bench_records,
-    machine_fingerprint,
-    make_entry,
     service_health,
 )
 from repro.observe.__main__ import main as observe_main
 from repro.telemetry import capture, configure, get_registry, get_tracer
 from repro.telemetry.drift import comm_drift
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 @pytest.fixture(autouse=True)
@@ -174,121 +161,6 @@ def test_analysis_selects_run_window(small_model):
     assert first.wall_s != last.wall_s or first.to_dict() != last.to_dict()
 
 
-# -- regression ledger -------------------------------------------------------
-
-
-def _committed_records():
-    records = load_bench_records(BENCH_DIR)
-    assert len(records) >= 9, sorted(records)
-    return records
-
-
-def test_ledger_roundtrips_all_committed_bench_records():
-    records = _committed_records()
-    for name, record in records.items():
-        metrics = extract_metrics(name, record)
-        assert metrics, f"no metrics distilled from BENCH_{name}.json"
-        assert all(
-            isinstance(v, float) for v in metrics.values()
-        ), f"non-scalar metric in {name}"
-    entry = make_entry(records, fast=False)
-    assert entry["mode"] == "full"
-    assert entry["fingerprint"] is not None
-    # a full entry vs itself: every gated metric checks out
-    report = compare_entries(entry, copy.deepcopy(entry))
-    assert report.comparable and report.passed
-    assert all(c.status in ("ok", "informational") for c in report.checks)
-    json.loads(json.dumps(report.to_dict()))  # CI artifact shape
-
-
-def test_gate_fails_on_synthetic_2x_slowdown():
-    entry = make_entry(_committed_records(), fast=False)
-    slowed = copy.deepcopy(entry)  # same fingerprint, same mode
-    timing = 0
-    for bench, metrics in slowed["metrics"].items():
-        for metric in metrics:
-            if "seconds" in metric:
-                metrics[metric] *= 2.0
-                timing += 1
-    assert timing > 0
-    report = compare_entries(slowed, entry)
-    assert report.comparable and not report.passed
-    assert any(
-        c.kind == "time" and "slower" in c.note for c in report.regressions
-    )
-    assert "FAIL" in report.to_markdown()
-
-
-def test_gate_ignores_timing_across_machines_but_not_models():
-    entry = make_entry(_committed_records(), fast=False)
-    foreign = copy.deepcopy(entry)
-    foreign["fingerprint"] = "deadbeef0000"
-    for metrics in foreign["metrics"].values():
-        for metric in metrics:
-            if "seconds" in metric:
-                metrics[metric] *= 10.0
-    assert compare_entries(foreign, entry).passed  # timing not gated
-
-    # ... but a model-derived byte count changing still fails anywhere
-    foreign["metrics"]["runtime"][
-        "strong[schedule=omen,P=2].total_sse_bytes"
-    ] += 8
-    report = compare_entries(foreign, entry)
-    assert not report.passed
-    assert report.regressions[0].kind == "model"
-
-
-def test_gate_refuses_fast_vs_full_comparison():
-    entry = make_entry(_committed_records(), fast=False)
-    fast = copy.deepcopy(entry)
-    fast["mode"] = "fast"
-    report = compare_entries(fast, entry)
-    assert not report.comparable and report.passed
-    assert "not comparable" in report.note
-
-
-def test_error_metrics_gate_on_their_ceiling():
-    entry = make_entry(_committed_records(), fast=False)
-    bad = copy.deepcopy(entry)
-    bad["metrics"]["api"]["max_current_deviation"] = 1e-3  # ceiling 1e-8
-    report = compare_entries(bad, entry)
-    assert not report.passed
-    (check,) = [c for c in report.regressions if c.bench == "api"]
-    assert check.kind == "error" and "ceiling" in check.note
-
-
-def test_ledger_append_only_persistence(tmp_path):
-    path = tmp_path / "LEDGER.json"
-    ledger = Ledger.load(path)
-    assert ledger.entries == [] and ledger.latest() is None
-    e1 = make_entry(_committed_records(), fast=True, note="first")
-    ledger.append(e1)
-    ledger.save()
-    again = Ledger.load(path)
-    assert len(again.entries) == 1
-    again.append(make_entry(_committed_records(), fast=True, note="second"))
-    again.save()
-    final = Ledger.load(path)
-    assert [e["note"] for e in final.entries] == ["first", "second"]
-    assert final.latest()["note"] == "second"
-
-
-def test_machine_fingerprint_stability():
-    a = {"platform": "x", "numpy": "2.0"}
-    assert machine_fingerprint(a) == machine_fingerprint(dict(a))
-    assert machine_fingerprint(a) != machine_fingerprint({**a, "numpy": "1"})
-    assert machine_fingerprint(None) is None
-
-
-def test_committed_baseline_matches_current_specs():
-    """The committed FAST baseline stays loadable and self-consistent."""
-    baseline = json.loads((BENCH_DIR / "BASELINE.json").read_text())
-    assert baseline["mode"] == "fast"
-    assert baseline["metrics"], "baseline carries no metrics"
-    report = compare_entries(copy.deepcopy(baseline), baseline)
-    assert report.comparable and report.passed
-
-
 # -- service health ----------------------------------------------------------
 
 
@@ -366,45 +238,6 @@ def test_cli_trace_report(small_model, tmp_path, capsys):
     assert "critical path" in capsys.readouterr().out
     assert observe_main(["trace", str(trace), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["wall_s"] > 0
-
-
-def test_cli_ledger_gate_and_baseline_update(tmp_path, capsys):
-    out = tmp_path / "observatory.md"
-    baseline = tmp_path / "BASELINE.json"
-    ledger = tmp_path / "LEDGER.json"
-    # distill the committed records into a baseline + first ledger entry
-    rc = observe_main([
-        "ledger", "--bench-dir", str(BENCH_DIR),
-        "--update-baseline", str(baseline), "--append", str(ledger),
-    ])
-    assert rc == 0 and baseline.exists()
-    assert len(Ledger.load(ledger).entries) == 1
-
-    # self-comparison passes the gate and writes the artifact
-    rc = observe_main([
-        "ledger", "--bench-dir", str(BENCH_DIR),
-        "--baseline", str(baseline), "--gate", "--out", str(out),
-    ])
-    assert rc == 0 and "PASS" in out.read_text()
-    capsys.readouterr()
-
-    # a 2x slowdown injected into the baseline's timings trips the gate
-    entry = json.loads(baseline.read_text())
-    for metrics in entry["metrics"].values():
-        for metric in list(metrics):
-            if "seconds" in metric:
-                metrics[metric] /= 2.0  # fresh is now 2x slower
-    baseline.write_text(json.dumps(entry))
-    rc = observe_main([
-        "ledger", "--bench-dir", str(BENCH_DIR),
-        "--baseline", str(baseline), "--gate",
-    ])
-    assert rc == 1
-    assert "REGRESSED" in capsys.readouterr().out
-
-
-def test_cli_ledger_empty_dir(tmp_path):
-    assert observe_main(["ledger", "--bench-dir", str(tmp_path)]) == 2
 
 
 def test_cli_health_gate(tmp_path, capsys):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.api import DeviceSpec, GridSpec, PhysicsSpec, PlanError, Session, Workload
-from repro.config import default_runtime
 from repro.model.communication import (
     dace_exchange_stats,
     omen_exchange_stats,
@@ -182,21 +181,8 @@ class TestPipeTransport:
 
 
 class TestRuntimeSelection:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIME", "sim")
-        assert default_runtime() == "sim"
-        assert SCBASettings().runtime == "sim"
-
-    def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIME", "cluster")
-        with pytest.raises(ValueError, match="REPRO_RUNTIME"):
-            default_runtime()
-        with pytest.raises(ValueError, match="REPRO_RUNTIME"):
-            SCBASettings()
-
-    def test_env_unset_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUNTIME", raising=False)
-        assert default_runtime() == "serial"
+    def test_env_unset_is_serial(self):
+        assert SCBASettings().runtime == "serial"
 
     def test_unknown_transport_raises(self):
         with pytest.raises(ValueError, match="transport"):

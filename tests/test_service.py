@@ -14,12 +14,7 @@ from repro.api import (
     SweepResult,
     Workload,
 )
-from repro.config import (
-    SERVICE_MODES,
-    default_service_cache_entries,
-    default_service_capacity,
-    default_service_mode,
-)
+from repro.config import SERVICE_MODES
 from repro.service import (
     Job,
     JobError,
@@ -532,46 +527,19 @@ class TestSchedulerService:
         ).max() <= 1e-10
 
 
-# -- REPRO_SERVICE_* knobs ------------------------------------------------------
+# -- service configuration ----------------------------------------------------
 
 
 class TestServiceConfig:
-    def test_defaults(self, monkeypatch):
-        for var in (
-            "REPRO_SERVICE_MODE", "REPRO_SERVICE_CAPACITY",
-            "REPRO_SERVICE_CACHE",
-        ):
-            monkeypatch.delenv(var, raising=False)
-        assert default_service_mode() == "sync"
-        assert default_service_capacity() == pytest.approx(1e13)
-        assert default_service_cache_entries() == 128
+    def test_defaults(self):
+        with SchedulerService() as svc:
+            assert svc.mode == "sync"
+            assert svc.capacity_flops == 1e13
+            assert svc.cache.max_entries == 128
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_MODE", "thread")
-        monkeypatch.setenv("REPRO_SERVICE_CAPACITY", "2.5e9")
-        monkeypatch.setenv("REPRO_SERVICE_CACHE", "7")
-        assert default_service_mode() == "thread"
-        assert default_service_capacity() == pytest.approx(2.5e9)
-        assert default_service_cache_entries() == 7
-
-    @pytest.mark.parametrize(
-        "var, value",
-        [
-            ("REPRO_SERVICE_MODE", "fiber"),
-            ("REPRO_SERVICE_CAPACITY", "lots"),
-            ("REPRO_SERVICE_CAPACITY", "-1"),
-            ("REPRO_SERVICE_CACHE", "many"),
-            ("REPRO_SERVICE_CACHE", "-2"),
-        ],
-    )
-    def test_invalid_env_raises(self, monkeypatch, var, value):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ValueError, match=var):
-            {
-                "REPRO_SERVICE_MODE": default_service_mode,
-                "REPRO_SERVICE_CAPACITY": default_service_capacity,
-                "REPRO_SERVICE_CACHE": default_service_cache_entries,
-            }[var]()
+    def test_non_positive_capacity_raises(self):
+        with pytest.raises(SchedulerError, match="must be positive"):
+            SchedulerService(capacity_flops=0)
 
     def test_modes_registry(self):
         assert SERVICE_MODES == ("sync", "thread")
