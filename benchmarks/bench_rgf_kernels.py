@@ -1,144 +1,65 @@
-"""RGF kernel tier: Table-6 fold strategies in the solver + SCBA speedup.
+"""RGF kernels: end-to-end SCBA speedup of the production recursion.
 
-Two measurements, emitted together as ``BENCH_rgf.json``:
+A medium device/grid (128-orbital blocks at ``slab_width=4``: the
+interface support is a quarter of each coupling block) is run to a fixed
+Born iteration count with each kernel of ``RGF_KERNELS`` on the same
+batched engine, and emitted as ``BENCH_rgf.json``.  Acceptance: every
+kernel reproduces the seed's ``np.linalg.solve(A, I)`` recursion (the
+``reference`` kernel) to 1e-10, and the production kernel is >= 1.5x
+faster end to end.
 
-* **Part A — Table 6 inside the real solver.**  The paper's §5.1.2
-  benchmarks three strategies (dense, CSRMM, CSRGEMM) for the recurring
-  ``F gᴿ E`` product on sparse coupling operands and finds CSRMM ahead.
-  Until this tier that result lived in the
-  :mod:`repro.negf.sparse_kernels` microbenchmark; here each strategy is
-  *forced* on every coupling block of a full batched RGF solve over
-  device-style operands (sparse interface couplings, dense diagonal
-  blocks) and timed end to end through ``CsrmmKernel.solve``.
+The Table-6 ordering of the ``F gᴿ E`` fold strategies is asserted where
+the paper measures it, on sparse random operands:
+``bench_table6_sparse.py``.
 
-* **Part B — end-to-end SCBA speedup.**  A medium device/grid
-  (128-orbital blocks, interface coupling density 1/128) run to a fixed
-  Born iteration count with each registered kernel, against the seed's
-  ``np.linalg.solve(A, I)`` recursion (the ``reference`` kernel) on the
-  same batched engine.  Acceptance: the best kernel is >= 1.5x.
-
-Setting ``REPRO_BENCH_FAST=1`` (the CI smoke mode) shrinks both parts,
+Setting ``REPRO_BENCH_FAST=1`` (the CI smoke mode) shrinks the run,
 keeps only completion/equivalence-level assertions, and leaves the
 committed ``BENCH_rgf.json`` record untouched.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-
 from repro.analysis import render_table
 from repro.analysis.report import report
+from repro.config import RGF_KERNELS
 from repro.negf import (
     SCBASettings,
     SCBASimulation,
-    available_kernels,
     build_device,
     build_hamiltonian_model,
-    get_kernel,
 )
-from repro.negf.kernels.csrmm import CsrmmKernel
 
 #: CI smoke mode: tiny operands, relaxed assertions, no JSON record.
 FAST = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
 
-_OUT = Path(__file__).resolve().parent / "BENCH_rgf.json"
-
-# -- Part A: forced fold strategies on device-style operands -----------------
-
-#: batch x blocks x block size of the in-solver Table-6 run
-A_SHAPE = (4, 4, 32) if FAST else (16, 8, 128)
-STRATEGIES = ["dense", "csrmm", "csrgemm"]
-
-# -- Part B: end-to-end SCBA -------------------------------------------------
-
 #: medium device: 128-orbital blocks (ny_rows*slab_width*Norb), bnum=6
-B_DEVICE = (
+DEVICE = (
     dict(nx_cols=6, ny_rows=3, NB=4, slab_width=2, Norb=2)
     if FAST
     else dict(nx_cols=24, ny_rows=8, NB=4, slab_width=4, Norb=4)
 )
-B_GRID = (
+GRID = (
     dict(NE=6, Nkz=2, Nqz=2, Nw=2, max_iterations=2)
     if FAST
     else dict(NE=16, Nkz=2, Nqz=1, Nw=2, max_iterations=5)
 )
 
 
-def _device_operands(batch, bnum, n, seed=0):
-    """Batched block-tridiagonal operands shaped like a real device row:
-    dense well-conditioned diagonal blocks, sparse interface couplings
-    (last-layer rows x first-layer columns, 1/slab_width support)."""
-    rng = np.random.default_rng(seed)
-    sup = n // 4
-
-    def mat(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    diag = [
-        mat(batch, n, n) + (2.5 * n) * np.eye(n) - 1j * np.eye(n)
-        for _ in range(bnum)
-    ]
-    mask = np.zeros((n, n), dtype=bool)
-    mask[-sup:, :sup] = rng.random((sup, sup)) < 0.5
-    mask[-1, 0] = True
-    upper = [mat(n, n) * mask for _ in range(bnum - 1)]  # ω-independent
-    sless = [(lambda a: a - np.conjugate(np.swapaxes(a, -1, -2)))(
-        mat(batch, n, n)
-    ) for _ in range(bnum)]
-    return diag, upper, sless
-
-
-def _best_of(fn, repeats):
-    fn()  # warm: JIT-free, but touches caches and builds CSR patterns
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_table6_in_solver() -> dict:
-    batch, bnum, n = A_SHAPE
-    diag, upper, sless = _device_operands(batch, bnum, n)
-    repeats = 1 if FAST else 3
-    ref = get_kernel("reference").solve(diag, upper, sless)
-    seconds, errors = {}, {}
-    for strategy in STRATEGIES:
-        kernel = CsrmmKernel(strategy=strategy)
-        res = kernel.solve(diag, upper, sless)
-        errors[strategy] = float(
-            max(np.abs(a - b).max() for a, b in zip(ref.Gl, res.Gl))
-        )
-        seconds[strategy] = _best_of(
-            lambda k=kernel: k.solve(diag, upper, sless), repeats
-        )
-    dense = seconds["dense"]
-    return {
-        "operands": {"batch": batch, "bnum": bnum, "block": n,
-                     "density": float(np.count_nonzero(upper[0]) / n**2)},
-        "seconds": seconds,
-        "speedup_vs_dense": {k: dense / v for k, v in seconds.items()},
-        "max_err_vs_reference": errors,
-    }
-
-
 def run_scba_kernels() -> dict:
-    spec = dict(B_DEVICE)
+    spec = dict(DEVICE)
     norb = spec.pop("Norb")
     dev = build_device(**spec)
     model = build_hamiltonian_model(dev, Norb=norb)
     settings = dict(
         e_min=-1.5, e_max=1.5, eta=1e-3, tolerance=1e-14,
-        cache_boundary=True, cache_operators=True, **B_GRID
+        cache_boundary=True, cache_operators=True, **GRID
     )
     seconds, errors = {}, {}
     reference = None
-    for kernel in available_kernels():
+    for kernel in RGF_KERNELS:
         s = SCBASettings(engine="batched", rgf_kernel=kernel, **settings)
         with SCBASimulation(model, s) as sim:
             start = time.perf_counter()
@@ -148,14 +69,11 @@ def run_scba_kernels() -> dict:
             reference = result
         errors[kernel] = float(np.abs(result.Gl - reference.Gl).max())
     base = seconds["reference"]
-    speedups = {k: base / v for k, v in seconds.items()}
-    best = max((k for k in speedups if k != "reference"), key=speedups.get)
     return {
-        "device": {**B_DEVICE, "NA": dev.NA, "bnum": dev.bnum},
-        "grid": B_GRID,
+        "device": {**DEVICE, "NA": dev.NA, "bnum": dev.bnum},
+        "grid": GRID,
         "seconds": seconds,
-        "speedup_vs_reference": speedups,
-        "best_kernel": best,
+        "speedup_vs_reference": {k: base / v for k, v in seconds.items()},
         "max_err_vs_reference": errors,
     }
 
@@ -164,28 +82,14 @@ def test_rgf_kernels(benchmark, machine_info, bench_writer):
     def run():
         return {
             "machine": machine_info,
-            "kernels": list(available_kernels()),
-            "table6_in_solver": run_table6_in_solver(),
+            "kernels": list(RGF_KERNELS),
             "scba_end_to_end": run_scba_kernels(),
         }
 
     record = benchmark.pedantic(run, rounds=1, iterations=1)
     record = bench_writer("rgf", record, FAST)
 
-    t6 = record["table6_in_solver"]
     scba = record["scba_end_to_end"]
-    report(
-        render_table(
-            f"Table 6 in-solver fold strategies, batch={t6['operands']['batch']}, "
-            f"{t6['operands']['bnum']}x{t6['operands']['block']} blocks [seconds]",
-            ["strategy", "seconds", "speedup vs dense"],
-            [
-                [k, f"{t6['seconds'][k]:.3f}",
-                 f"{t6['speedup_vs_dense'][k]:.2f}x"]
-                for k in STRATEGIES
-            ],
-        )
-    )
     report(
         render_table(
             f"End-to-end SCBA, {scba['grid']['max_iterations']} Born iterations "
@@ -199,16 +103,13 @@ def test_rgf_kernels(benchmark, machine_info, bench_writer):
         )
     )
 
-    # Every kernel reproduced the reference solution on both parts.
-    assert all(e <= 1e-10 for e in t6["max_err_vs_reference"].values())
+    # Every kernel reproduced the reference solution.
     assert all(e <= 1e-10 for e in scba["max_err_vs_reference"].values())
     if FAST:
         # CI smoke: completion + equivalence only — sub-second timings on
         # shared runners are a scheduling lottery.
         assert all(t > 0 for t in scba["seconds"].values())
         return
-    # Table-6 ordering inside the solver: CSRMM beats the dense folds.
-    assert t6["seconds"]["csrmm"] <= t6["seconds"]["dense"]
-    # ISSUE 6 acceptance: best kernel >= 1.5x end to end over the seed's
-    # solve(A, I) recursion.
-    assert scba["speedup_vs_reference"][scba["best_kernel"]] >= 1.5
+    # ISSUE 6 acceptance: the production kernel >= 1.5x end to end over
+    # the seed's solve(A, I) recursion.
+    assert scba["speedup_vs_reference"]["numpy"] >= 1.5

@@ -25,7 +25,6 @@ from .plan import (
     PlanError,
     PlanGroup,
     STRUCTURAL_FIELDS,
-    choose_rgf_kernel,
     compile_workload,
 )
 from .session import RunResult, Session, SweepResult
@@ -60,7 +59,6 @@ __all__ = [
     "PlanError",
     "PlanGroup",
     "STRUCTURAL_FIELDS",
-    "choose_rgf_kernel",
     "compile_workload",
     "Session",
     "RunResult",

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..config import (
     AUTOTUNE_STRATEGIES,
     EXECUTION_BACKENDS,
+    RGF_KERNELS,
     RUNTIMES,
     SSE_SCHEDULES,
     SimulationParameters,
@@ -60,7 +61,6 @@ __all__ = [
     "Plan",
     "STRUCTURAL_FIELDS",
     "compile_workload",
-    "choose_rgf_kernel",
 ]
 
 
@@ -82,34 +82,6 @@ STRUCTURAL_FIELDS: Tuple[str, ...] = (
     "eta",
     "boundary_method",
 )
-
-#: csrmm pays off only for blocks at least this large with couplings at
-#: most this dense (cf. repro.negf.sparse_kernels.select_strategy — the
-#: plan-time thresholds are slightly conservative since the density here
-#: is the analytic structural estimate, not the assembled blocks')
-_CSRMM_MIN_BLOCK = 96
-_CSRMM_MAX_DENSITY = 0.05
-
-
-def choose_rgf_kernel(device) -> str:
-    """Deterministic RGF-kernel heuristic used when nothing is specified.
-
-    The Table-6 ``csrmm`` kernel when the device's RGF blocks are large
-    and its coupling blocks sparse (per the analytic
-    :func:`repro.negf.coupling_density_estimate` — no device build
-    needed), and the factorization-reuse ``numpy`` kernel everywhere
-    else.
-    """
-    from ..negf.structure import coupling_density_estimate
-
-    block = device.slab_width * device.ny_rows * device.Norb
-    density = coupling_density_estimate(
-        device.ny_rows, device.slab_width, device.NB
-    )
-    if block >= _CSRMM_MIN_BLOCK and density <= _CSRMM_MAX_DENSITY:
-        return "csrmm"
-    return "numpy"
-
 
 @dataclass(frozen=True)
 class PlanCost:
@@ -186,7 +158,8 @@ class Plan:
 
     workload: Workload
     engine: str
-    #: RGF kernel of the batched solves (see :mod:`repro.negf.kernels`)
+    #: RGF kernel the solves run through (see :mod:`repro.negf.kernels`;
+    #: always ``reference`` under ``engine="serial"``)
     rgf_kernel: str
     cache_boundary: bool
     cache_operators: bool
@@ -422,10 +395,11 @@ def compile_workload(
 ) -> Plan:
     """Compile a workload: validate, select execution, group for reuse.
 
-    ``rgf_kernel`` selects the RGF recursion of the batched solves
-    (see :mod:`repro.negf.kernels`; ``None`` picks via
-    :func:`choose_rgf_kernel`).  Unknown or unavailable names — e.g.
-    ``"numba"`` without the optional numba package — raise a
+    ``rgf_kernel`` names the RGF recursion of the batched solves (see
+    :mod:`repro.negf.kernels`; ``None`` means the production ``"numpy"``
+    kernel, ``"reference"`` repeats the run on the oracle recursion).
+    The serial engine is pinned to ``"reference"``: ``engine="serial"``
+    plans that kernel and rejects any other.  Unknown names raise a
     :class:`PlanError` at compile time, not mid-run.
 
     ``sse_backend`` selects the SDFG execution backend the sessions use
@@ -460,21 +434,22 @@ def compile_workload(
         raise PlanError(
             f"unknown engine {engine!r}; expected one of {EXECUTION_BACKENDS}"
         )
-    if rgf_kernel is not None:
-        from ..negf.kernels import available_kernels
-
-        if rgf_kernel not in available_kernels():
-            hint = (
-                " (the numba kernel requires the optional numba package)"
-                if rgf_kernel == "numba"
-                else ""
-            )
+    if rgf_kernel is not None and rgf_kernel not in RGF_KERNELS:
+        raise PlanError(
+            f"unknown rgf_kernel {rgf_kernel!r}; expected one of {RGF_KERNELS}"
+        )
+    if engine == "serial":
+        # SerialEngine pins the reference recursion; a plan must not
+        # report a selection the run would ignore.
+        if rgf_kernel not in (None, "reference"):
             raise PlanError(
-                f"unknown rgf_kernel {rgf_kernel!r}; expected one of "
-                f"{available_kernels()}{hint}"
+                f"rgf_kernel={rgf_kernel!r} cannot be combined with "
+                "engine='serial': the serial oracle runs the 'reference' "
+                "kernel"
             )
-    else:
-        rgf_kernel = choose_rgf_kernel(workload.device)
+        rgf_kernel = "reference"
+    elif rgf_kernel is None:
+        rgf_kernel = "numpy"
     if sse_backend is not None:
         from ..sdfg.backends import BackendError, get_backend
 

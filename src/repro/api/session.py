@@ -287,7 +287,7 @@ def execute_point(
         }
     return RunResult.from_scba(
         index, coords, timing.result, timing.best, keep_arrays=keep_arrays,
-        comm=comm, rgf_kernel=sim.s.rgf_kernel, telemetry=telemetry,
+        comm=comm, rgf_kernel=sim.engine.kernel.name, telemetry=telemetry,
     )
 
 

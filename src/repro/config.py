@@ -37,14 +37,11 @@ EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "batched")
 
 #: RGF solver kernels (``repro.negf.kernels``): ``reference`` is the
 #: seed recursion with per-block ``solve(A, I)`` inverses (bit-exactness
-#: oracle), ``numpy`` factorizes each diagonal block once and reuses the
-#: explicit factor product across the forward/backward passes, ``csrmm``
-#: additionally routes the sparse coupling-block foldings through the
-#: Table-6 CSRMM strategy, and ``numba`` JIT-compiles the batched
-#: recursion (registered only when numba is importable).  ``numpy`` is
-#: the ``SCBASettings`` default; the planner picks ``csrmm`` on sparse
-#: couplings (``repro.api.plan.choose_rgf_kernel``).
-RGF_KERNELS: Tuple[str, ...] = ("reference", "numpy", "csrmm", "numba")
+#: oracle); ``numpy`` (the default) is the production kernel — it
+#: factorizes each diagonal block once, reuses the explicit factor
+#: product across the forward/backward passes and contracts every
+#: coupling product over the block's observed nonzero support.
+RGF_KERNELS: Tuple[str, ...] = ("reference", "numpy")
 
 #: SCBA execution runtimes (``repro.runtime``): ``serial`` runs the
 #: in-process Born loop of ``SCBASimulation``; ``sim`` distributes it over

@@ -17,13 +17,7 @@ from .engine import (
     make_engine,
 )
 from .hamiltonian import BlockTridiagonal, HamiltonianModel, build_hamiltonian_model
-from .kernels import (
-    KernelError,
-    RGFKernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-)
+from .kernels import KernelError, RGFKernel, get_kernel
 from .rgf import (
     BatchedRGFResult,
     RGFResult,
@@ -45,7 +39,6 @@ from .scba import (
 from .sparse_kernels import (
     METHODS,
     generate_rgf_operands,
-    select_strategy,
     three_matrix_product,
 )
 from .sse import (
@@ -55,16 +48,12 @@ from .sse import (
     sigma_sse,
     sse_flop_estimate,
 )
-from .structure import DeviceStructure, build_device, coupling_density_estimate
+from .structure import DeviceStructure, build_device
 
 __all__ = [
     "KernelError",
     "RGFKernel",
-    "available_kernels",
     "get_kernel",
-    "register_kernel",
-    "select_strategy",
-    "coupling_density_estimate",
     "lead_self_energy",
     "lead_self_energy_batched",
     "sancho_rubio",

@@ -84,7 +84,6 @@ def sancho_rubio_batched(
     eta: float | np.ndarray = 1e-6,
     tol: float = 1e-12,
     max_iter: int = 200,
-    kernel=None,
 ) -> np.ndarray:
     """Sancho-Rubio decimation for a whole stack of energies at once.
 
@@ -95,19 +94,7 @@ def sancho_rubio_batched(
     coupling norm is already < ``tol``), so each entry agrees with the
     scalar :func:`sancho_rubio` to far better than the 1e-10 engine
     equivalence tolerance.  Returns ``[B, n, n]`` surface GFs.
-
-    ``kernel`` (an :class:`repro.negf.kernels.RGFKernel` or name) routes
-    the stacked inverses through the kernel's :meth:`invert` seam; the
-    shipped kernels all keep the decimation's ``solve(A, I)`` form (each
-    inverse here is consumed once — nothing to reuse), so results are
-    bit-identical across them.
     """
-    if kernel is not None:
-        from .kernels import get_kernel
-
-        inv = get_kernel(kernel).invert
-    else:
-        inv = None
     n = H00.shape[0]
     S00 = np.eye(n) if S00 is None else S00
     S01 = np.zeros_like(H01) if S01 is None else S01
@@ -121,7 +108,7 @@ def sancho_rubio_batched(
 
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), eps.shape)
     for _ in range(max_iter):
-        g_bulk = inv(eps) if inv is not None else np.linalg.solve(eps, eye)
+        g_bulk = np.linalg.solve(eps, eye)
         agb = alpha @ g_bulk @ beta
         bga = beta @ g_bulk @ alpha
         eps_s = eps_s - agb
@@ -134,7 +121,7 @@ def sancho_rubio_batched(
             break
     else:
         raise RuntimeError("batched Sancho-Rubio decimation did not converge")
-    return inv(eps_s) if inv is not None else np.linalg.solve(eps_s, eye)
+    return np.linalg.solve(eps_s, eye)
 
 
 def transfer_matrix_modes(
@@ -250,15 +237,14 @@ def lead_self_energy_batched(
     S01: np.ndarray | None = None,
     eta: float | np.ndarray = 1e-6,
     method: Literal["sancho-rubio", "transfer-matrix"] = "sancho-rubio",
-    kernel=None,
 ) -> np.ndarray:
     """Stacked retarded lead self-energies for a batch of energies.
 
     The Sancho-Rubio path shares one decimation recursion across the whole
     stack (the engine's hot path); the transfer-matrix method has no
     batched dense eigensolver and falls back to a per-point loop.
-    ``kernel`` is forwarded to :func:`sancho_rubio_batched`.  Returns
-    ``[B, n, n]`` with the same conventions as :func:`lead_self_energy`.
+    Returns ``[B, n, n]`` with the same conventions as
+    :func:`lead_self_energy`.
     """
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     eta_arr = np.broadcast_to(np.asarray(eta, dtype=float), z.shape)
@@ -272,7 +258,7 @@ def lead_self_energy_batched(
     S01_eff = np.zeros_like(H01) if S01 is None else S01
     tau = (z + 1j * eta_arr)[:, None, None] * S01_eff - H01
     if side == "right":
-        g = sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta_arr, kernel=kernel)
+        g = sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta_arr)
         return tau @ g @ _H(tau)
     if side == "left":
         g = sancho_rubio_batched(
@@ -282,7 +268,6 @@ def lead_self_energy_batched(
             S00,
             None if S01 is None else S01.conj().T,
             eta=eta_arr,
-            kernel=kernel,
         )
         return _H(tau) @ g @ tau
     raise ValueError(f"unknown side {side!r}")

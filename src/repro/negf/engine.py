@@ -28,13 +28,12 @@ This module turns that sweep into an explicit execution layer:
   runs in several processes.
 
 Backends are selected with ``SCBASettings.engine`` (default ``batched``);
-``tests/test_engine.py`` pins batched == serial to 1e-10.  Orthogonally
-to the backend, the RGF recursion itself is pluggable
-(:mod:`repro.negf.kernels`, ``SCBASettings.rgf_kernel``): the batched
-backend solves its stacked systems and boundary decimations through the
-selected kernel, while :class:`SerialEngine` stays pinned to the
-``reference`` kernel — it is the oracle everything else is validated
-against.
+``tests/test_engine.py`` pins batched == serial to 1e-10.  The batched
+backend solves its stacked systems through the RGF kernel named by
+``SCBASettings.rgf_kernel`` (:mod:`repro.negf.kernels`: the production
+``numpy`` recursion, or ``reference`` to repeat a run on the oracle),
+while :class:`SerialEngine` stays pinned to the ``reference`` kernel —
+it is the oracle everything else is validated against.
 """
 
 from __future__ import annotations
@@ -177,12 +176,9 @@ class BoundaryCache:
     for benchmarking.
     """
 
-    def __init__(self, settings, enabled: bool = True, kernel=None):
+    def __init__(self, settings, enabled: bool = True):
         self.s = settings
         self.enabled = enabled
-        #: RGF kernel whose ``invert`` seam the batched decimation uses
-        #: (None = the plain ``solve(A, I)`` path)
-        self.kernel = kernel
         self._el: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._ph: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         #: per-point solver invocations (left + right each count one)
@@ -249,12 +245,12 @@ class BoundaryCache:
                 z = E[missing]
                 sl = lead_self_energy_batched(
                     z, H.diag[0], H.upper[0], "left", S.diag[0], S.upper[0],
-                    eta=s.eta, method=s.boundary_method, kernel=self.kernel,
+                    eta=s.eta, method=s.boundary_method,
                 )
                 sr = lead_self_energy_batched(
                     z, H.diag[-1], H.upper[-1], "right",
                     S.diag[-1], S.upper[-1],
-                    eta=s.eta, method=s.boundary_method, kernel=self.kernel,
+                    eta=s.eta, method=s.boundary_method,
                 )
             self.el_solves += 2 * len(missing)
             _metrics.add("boundary.el_solves", 2 * len(missing))
@@ -317,11 +313,11 @@ class BoundaryCache:
                 z, eta_eff = self._phonon_z_eta(w[missing], s.eta)
                 pl = lead_self_energy_batched(
                     z, Phi.diag[0], Phi.upper[0], "left",
-                    eta=eta_eff, method=s.boundary_method, kernel=self.kernel,
+                    eta=eta_eff, method=s.boundary_method,
                 )
                 pr = lead_self_energy_batched(
                     z, Phi.diag[-1], Phi.upper[-1], "right",
-                    eta=eta_eff, method=s.boundary_method, kernel=self.kernel,
+                    eta=eta_eff, method=s.boundary_method,
                 )
             self.ph_solves += 2 * len(missing)
             _metrics.add("boundary.ph_solves", 2 * len(missing))
@@ -355,9 +351,7 @@ class GridEngine:
             self.pinned_kernel or getattr(grid.s, "rgf_kernel", None)
         )
         self.boundary = BoundaryCache(
-            grid.s,
-            enabled=getattr(grid.s, "cache_boundary", True),
-            kernel=self.kernel,
+            grid.s, enabled=getattr(grid.s, "cache_boundary", True)
         )
 
     def solve_electrons(self, sigma_r, sigma_l, sigma_g):

@@ -53,19 +53,6 @@ class BlockTridiagonal:
     def lower(self, i: int) -> np.ndarray:
         return self.upper[i].conj().T
 
-    def upper_densities(self) -> np.ndarray:
-        """Exact nonzero fraction of each super-diagonal block.
-
-        The coupling blocks carry only the bonds crossing a slab
-        interface, so they are far sparser than the diagonal blocks —
-        the metadata the ``csrmm`` RGF kernel and the Plan layer's
-        kernel choice feed on (cf.
-        :meth:`repro.negf.DeviceStructure.coupling_block_density`).
-        """
-        return np.array(
-            [np.count_nonzero(u) / u.size for u in self.upper]
-        )
-
     def to_dense(self) -> np.ndarray:
         sizes = [b.shape[0] for b in self.diag]
         offs = np.concatenate(([0], np.cumsum(sizes)))

@@ -1,44 +1,37 @@
-"""Pluggable RGF solver kernels: the hot path behind every engine tier.
+"""RGF solver kernels: the oracle and the one production recursion.
 
 Every Born iteration spends its time in the RGF forward/backward
-recursions of :mod:`repro.negf.rgf` and in the batched boundary
-decimation of :mod:`repro.negf.boundary`.  This package makes that hot
-path a pluggable *kernel* — the unit that the engine, the distributed
-runtime, and the scheduler all amortize (the extreme-scale follow-up of
-the paper treats the RGF kernel exactly this way):
+recursions behind :func:`repro.negf.rgf.rgf_solve_batched`.  That hot
+path is one *kernel* — the unit that the engine, the distributed runtime
+and the scheduler all amortize (the extreme-scale follow-up of the paper
+treats RGF exactly this way: one tuned kernel):
 
 ``reference``
     The seed recursion, verbatim: per-block inverses via
-    ``np.linalg.solve(A, I)``.  The bit-exactness oracle —
-    :func:`repro.negf.rgf.rgf_solve` is a batch-of-1 view of it.
+    ``np.linalg.solve(A, I)``, every coupling product a dense chained
+    matmul.  The bit-exactness oracle —
+    :func:`repro.negf.rgf.rgf_solve` is a batch-of-1 view of it, and
+    :class:`repro.negf.engine.SerialEngine` is pinned to it.
 ``numpy``
-    Factorizes each diagonal block once (one batched ``getrf`` +
-    ``getri`` per block instead of a fresh ``gesv`` against the identity)
-    and reuses the explicit factor product across the forward *and*
-    backward passes through shared intermediates, with preallocated
-    matmul workspaces and ω-independent 2-D coupling blocks kept
-    broadcast.  The built-in default.
-``csrmm``
-    The ``numpy`` kernel plus sparsity detection on the coupling blocks:
-    sparse ``V† g V`` foldings run through the paper's §5.1.2 / Table 6
-    :func:`repro.negf.sparse_kernels.three_matrix_product` strategies
-    (CSRMM keeps ``gR`` dense throughout — the Table-6 winner).
-``numba``
-    JIT-compiles the batched recursion over a ``prange`` batch loop.
-    Registered only when numba is importable; requesting it otherwise
-    raises with a clear message (no hard dependency).
+    The production kernel and the default.  Factorizes each diagonal
+    block once (one batched ``getrf`` + ``getri`` instead of a fresh
+    ``gesv`` against the identity), shares the backward intermediates,
+    and contracts every coupling product over the block's *observed*
+    nonzero support — the paper's §5.1.2 / Table 6 point (sparse
+    inter-slab blocks, ``gᴿ`` kept dense) read off the operands
+    themselves; see :mod:`repro.negf.kernels.numpy_opt`.
 
-Kernel selection is an argument: ``SCBASettings.rgf_kernel`` (default
-``numpy``) or ``compile_workload(rgf_kernel=...)`` (default: the planner's
-sparsity heuristic).  Every registered kernel is validated against the
-serial oracle to ≤ 1e-10 in ``tests/test_kernels.py``;
-``benchmarks/bench_rgf_kernels.py`` records the Table-6 ordering inside
-the solver and the end-to-end SCBA speedup in ``BENCH_rgf.json``.
+The name is an argument: ``SCBASettings.rgf_kernel`` or
+``compile_workload(rgf_kernel=...)``, both defaulting to ``numpy``; it
+exists so a run can be repeated on the oracle.  ``numpy`` is validated
+against ``reference`` and the dense ground truth to ≤ 1e-10 in
+``tests/test_kernels.py``; ``benchmarks/bench_rgf_kernels.py`` records
+the end-to-end SCBA speedup in ``BENCH_rgf.json``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +42,7 @@ __all__ = [
     "RGFKernel",
     "KernelError",
     "RGF_KERNELS",
-    "available_kernels",
     "get_kernel",
-    "register_kernel",
 ]
 
 
@@ -66,13 +57,6 @@ class RGFKernel:
     :attr:`name`; shape validation and the ``G> = G< + Gᴿ - Gᴬ``
     bookkeeping are shared here so all kernels accept exactly the same
     systems and report errors identically.
-
-    :meth:`invert` is the second seam: the batched boundary decimation
-    (:func:`repro.negf.boundary.sancho_rubio_batched`) routes its stacked
-    inverses through it.  The base implementation keeps the seed's
-    ``solve(A, I)`` — each decimation inverse is consumed once, so there
-    is no factor reuse to exploit there — but custom kernels (e.g. an
-    accelerator offload) can override it.
     """
 
     name: str = "base"
@@ -93,12 +77,6 @@ class RGFKernel:
         # G> - G< = GR - GA  (fluctuation-dissipation bookkeeping identity).
         Gg = [Gl[n] + GR[n] - _H(GR[n]) for n in range(len(GR))]
         return BatchedRGFResult(GR=GR, Gl=Gl, Gg=Gg)
-
-    def invert(self, a: np.ndarray) -> np.ndarray:
-        """Stacked inverse ``a^{-1}`` of ``[..., n, n]`` systems."""
-        a = np.asarray(a)
-        eye = np.broadcast_to(np.eye(a.shape[-1], dtype=np.complex128), a.shape)
-        return np.linalg.solve(a, eye)
 
     # -- subclass hooks -------------------------------------------------------
     def _solve(
@@ -139,49 +117,20 @@ class RGFKernel:
         return f"{type(self).__name__}({self.name!r})"
 
 
-_REGISTRY: Dict[str, Callable[[], RGFKernel]] = {}
+from .reference import ReferenceKernel  # noqa: E402
+from .numpy_opt import NumpyKernel  # noqa: E402
 
-
-def register_kernel(name: str, factory: Callable[[], RGFKernel]) -> None:
-    """Register a kernel factory under ``name`` (last wins)."""
-    _REGISTRY[name] = factory
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Names of all currently registered kernels (built-in + custom).
-
-    ``numba`` appears only when the numba package is importable.
-    """
-    return tuple(_REGISTRY)
+_KERNELS = {"reference": ReferenceKernel, "numpy": NumpyKernel}
 
 
 def get_kernel(name: Optional[str] = None) -> RGFKernel:
-    """Instantiate a kernel by name (``None`` → ``"numpy"``)."""
+    """Instantiate a kernel by name (``None`` → ``"numpy"``); an
+    :class:`RGFKernel` instance passes through."""
     if isinstance(name, RGFKernel):
         return name
-    if name is None:
-        name = "numpy"
-    if name not in _REGISTRY:
-        hint = (
-            " (the numba kernel requires the optional numba package, "
-            "which is not installed)"
-            if name == "numba" and name in RGF_KERNELS
-            else ""
-        )
+    try:
+        return _KERNELS["numpy" if name is None else name]()
+    except KeyError:
         raise KernelError(
-            f"unknown RGF kernel {name!r}; expected one of "
-            f"{available_kernels()}{hint}"
-        )
-    return _REGISTRY[name]()
-
-
-from .reference import ReferenceKernel  # noqa: E402
-from .numpy_opt import NumpyKernel  # noqa: E402
-from .csrmm import CsrmmKernel  # noqa: E402
-from .compiled import HAVE_NUMBA, NumbaKernel  # noqa: E402
-
-register_kernel("reference", ReferenceKernel)
-register_kernel("numpy", NumpyKernel)
-register_kernel("csrmm", CsrmmKernel)
-if HAVE_NUMBA:
-    register_kernel("numba", NumbaKernel)
+            f"unknown RGF kernel {name!r}; expected one of {RGF_KERNELS}"
+        ) from None

@@ -1,6 +1,6 @@
-"""Factorization-reuse numpy kernel: the optimized dense RGF recursion.
+"""Factorization-reuse numpy kernel: the production RGF recursion.
 
-Two structural inefficiencies of the reference recursion are removed
+Three structural inefficiencies of the reference recursion are removed
 while producing the same diagonal blocks to ≤ 1e-10:
 
 * **Factorize once, reuse everywhere.**  The reference forms every
@@ -28,12 +28,37 @@ while producing the same diagonal blocks to ≤ 1e-10:
   8 gemms per block instead of the reference's 16 (each ``t`` term and
   the ``Gᴿ`` update are written as independent 4-gemm chains there).
 
+* **Coupling products over the observed support.**  Only the bonds
+  crossing a slab interface populate ``V = M[n,n+1]`` (paper §5.1.2:
+  the inter-slab blocks are sparse, ``gᴿ`` is dense — multiply sparse x
+  dense and keep ``gᴿ`` dense): on a generated device ``V`` is nonzero
+  on (last layer of slab n) x (first layer of slab n+1), ``1/slab_width``
+  of each dimension.  :class:`Coupling` reads the nonzero row/column
+  support ``r x c`` off each block, keeps the dense sub-block
+  ``V[r, c]``, and every product of the recursion contracts over the
+  support instead of the block:
+
+  ==========  ==================================  ==============
+  quantity    expression                          flops ~
+  ==========  ==================================  ==============
+  fold        ``V† g[r,r] V`` into ``[c,c]``      ``s³``
+  ``P``       ``gᴿ[:,r] V``                       ``n·s²``
+  ``X``       ``P Gᴿ₊[c,c] V†``                   ``n·s²``
+  ``Gᴿ``      ``gᴿ + X gᴿ[r,:]``                  ``n²·s``
+  ``t1..t3``  as above on the thin ``P``, ``X``   ``n²·s`` each
+  ==========  ==================================  ==============
+
+  (``n`` the block width, ``s`` the support width.)
+
+  The one rule: when the support covers more than half of either
+  dimension, gathering it would copy more than it saves, so the support
+  *is* the whole block (``r = c = :``) and the same statements run on
+  whole-block views — which are the dense formulas above.
+
 Matmul workspaces are preallocated per (role, shape) and reused across
 the recursion steps, and ω-independent 2-D coupling blocks stay 2-D so
 their products broadcast (one ``V†`` conjugation per block, not per
-batch element).  Coupling products go through the overridable
-``_prepare_couplings`` hook — the seam the Table-6 ``csrmm`` kernel
-plugs into.
+batch element).
 """
 
 from __future__ import annotations
@@ -45,46 +70,45 @@ import numpy as np
 from ..rgf import _H
 from . import RGFKernel
 
-__all__ = ["NumpyKernel", "DenseCoupling"]
+__all__ = ["NumpyKernel", "Coupling"]
 
 
-class DenseCoupling:
-    """One super-diagonal block ``V = M_{n,n+1}`` with its dense products.
+class Coupling:
+    """One super-diagonal block ``V = M[n,n+1]`` on its observed support.
 
-    ``V†`` is materialized once (2-D couplings stay 2-D and broadcast
-    across the batch); the three product shapes the recursion needs are
-    methods so sparse couplings can substitute CSR strategies.
+    ``r``/``c`` index the rows/columns where ``V`` is nonzero anywhere in
+    the batch (index arrays), or are ``slice(None)`` when the support
+    covers more than half of either dimension; ``rr``/``cc`` select the
+    square ``[..., r, r]``/``[..., c, c]`` sub-blocks of a stacked
+    operand.  ``V`` and ``Vh`` hold ``V[r, c]`` and its conjugate
+    transpose (2-D couplings stay 2-D and broadcast across the batch).
     """
 
-    kind = "dense"
-
-    def __init__(self, Vd: np.ndarray):
-        self.Vd = Vd
-        self.Vl = np.ascontiguousarray(_H(Vd))
+    def __init__(self, V: np.ndarray):
+        n, m = V.shape[-2:]
+        nonzero = (V != 0).reshape(-1, n, m).any(axis=0)
+        r = np.flatnonzero(nonzero.any(axis=1))
+        c = np.flatnonzero(nonzero.any(axis=0))
+        if 2 * r.size <= n and 2 * c.size <= m:
+            self.r, self.c = r, c
+            self.rr = (..., r[:, None], r)
+            self.cc = (..., c[:, None], c)
+            V = V[..., r[:, None], c]
+        else:
+            self.r = self.c = slice(None)
+            self.rr = self.cc = (...,)
+        self.V = np.ascontiguousarray(V)
+        self.Vh = np.ascontiguousarray(_H(V))
 
     def fold(self, g: np.ndarray) -> np.ndarray:
-        """``V† g V`` — the forward-pass folding product."""
-        return self.Vl @ g @ self.Vd
-
-    def gv(self, g: np.ndarray) -> np.ndarray:
-        """``g V`` — the backward-pass ``P`` intermediate."""
-        return g @ self.Vd
-
-    def wv(self, w: np.ndarray) -> np.ndarray:
-        """``w V†`` — the backward-pass ``X`` intermediate."""
-        return w @ self.Vl
+        """The nonzero ``[c, c]`` sub-block of ``V† g V``."""
+        return self.Vh @ g[self.rr] @ self.V
 
 
 class NumpyKernel(RGFKernel):
-    """Optimized dense recursion (see module docstring)."""
+    """The production recursion (see module docstring)."""
 
     name = "numpy"
-
-    # -- coupling preparation (overridden by the csrmm kernel) ---------------
-    def _prepare_couplings(
-        self, upper: Sequence[np.ndarray], batch: int
-    ) -> List[DenseCoupling]:
-        return [DenseCoupling(u) for u in upper]
 
     # -- factorization --------------------------------------------------------
     @staticmethod
@@ -101,9 +125,8 @@ class NumpyKernel(RGFKernel):
         sigma_lesser: Optional[Sequence[np.ndarray]],
     ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         N = len(diag)
-        B = diag[0].shape[0]
         want_lesser = sigma_lesser is not None
-        V = self._prepare_couplings(upper, B)
+        V = [Coupling(u) for u in upper]
 
         # Preallocated matmul workspaces, keyed by (role, shape).  Each
         # role's buffer is fully consumed before the role recurs, so one
@@ -121,20 +144,25 @@ class NumpyKernel(RGFKernel):
                 buf = ws[key] = np.empty(shape, dtype=np.complex128)
             return np.matmul(a, b, out=buf)
 
-        # Forward pass: left-connected Green's functions.
+        # Forward pass: left-connected Green's functions.  The folded
+        # coupling term touches only the [c, c] sub-block of block n.
         gR: List[np.ndarray] = [self._factorize(diag[0])]
         gl: List[np.ndarray] = []
         if want_lesser:
             gl.append(mm("gS", gR[0], sigma_lesser[0]) @ _H(gR[0]))
         for n in range(1, N):
             c = V[n - 1]
-            gR.append(self._factorize(diag[n] - c.fold(gR[n - 1])))
+            A = diag[n].copy()
+            A[c.cc] -= c.fold(gR[n - 1])
+            gR.append(self._factorize(A))
             if want_lesser:
-                S = sigma_lesser[n] + c.fold(gl[n - 1])
+                S = sigma_lesser[n].copy()
+                S[c.cc] += c.fold(gl[n - 1])
                 gl.append(mm("gS", gR[n], S) @ _H(gR[n]))
 
         # Backward pass: fully-connected diagonal blocks through the
-        # shared P/W/X intermediates (see module docstring).
+        # shared intermediates P = gᴿV (column support c) and
+        # X = P Gᴿ₊ V† (column support r), both kept thin.
         GR: List[Optional[np.ndarray]] = [None] * N
         Gl: List[Optional[np.ndarray]] = [None] * N
         GR[N - 1] = gR[N - 1]
@@ -143,38 +171,14 @@ class NumpyKernel(RGFKernel):
         for n in range(N - 2, -1, -1):
             c = V[n]
             gRn = gR[n]
-            if getattr(c, "projected", False):
-                # Interface-support projection (csrmm kernel): V is
-                # nonzero only on rsup x csup, so P = gᴿV has column
-                # support csup and X = PGᴿ₊V† has column support rsup.
-                # Every backward product then contracts over the thin
-                # support dimension instead of the full block:
-                #   X̃  = P̃ Gᴿ₊[c,c] V†[c,r]          (n·c² + n·c·r)
-                #   Gᴿ  = gᴿ + X̃ gᴿ[r,:]              (n²·r)
-                #   t1  = (P̃ G<₊[c,c]) P̃†            (n·c² + n²·c)
-                #   t2  = X̃ g<[r,:],  t3 = -like      (n²·r each)
-                r, ci = c.rsup, c.csup
-                Pt = c.pv(gRn)  # [B, n, |c|]
-                Gc = GR[n + 1][:, ci[:, None], ci[None, :]]
-                Xt = mm("Xt", mm("PGc", Pt, Gc), c.vl_sub)
-                GR[n] = gRn + mm("XG", Xt, gRn[:, r, :])
-                if want_lesser:
-                    gln = gl[n]
-                    Glc = Gl[n + 1][:, ci[:, None], ci[None, :]]
-                    t1 = mm("t1", mm("PG", Pt, Glc), _H(Pt))
-                    t2 = mm("t2", Xt, gln[:, r, :])
-                    t3 = _H(mm("t3", Xt, _H(gln[:, :, r])))
-                    Gl[n] = gln + t1 + t2 + t3
-                continue
-            P = c.gv(gRn)  # gᴿ V
-            W = mm("W", P, GR[n + 1])  # gᴿ V Gᴿ₊
-            X = c.wv(W)  # gᴿ V Gᴿ₊ V†
-            GR[n] = gRn + mm("XG", X, gRn)
+            P = gRn[..., c.r] @ c.V
+            X = mm("X", mm("W", P, GR[n + 1][c.cc]), c.Vh)
+            GR[n] = gRn + mm("XG", X, gRn[..., c.r, :])
             if want_lesser:
                 gln = gl[n]
-                t1 = mm("t1", mm("PG", P, Gl[n + 1]), _H(P))
-                t2 = mm("t2", X, gln)
-                t3 = _H(mm("t3", X, _H(gln)))
+                t1 = mm("t1", mm("PG", P, Gl[n + 1][c.cc]), _H(P))
+                t2 = mm("t2", X, gln[..., c.r, :])
+                t3 = _H(mm("t3", X, _H(gln[..., c.r])))
                 Gl[n] = gln + t1 + t2 + t3
 
         return list(GR), (list(Gl) if want_lesser else [])

@@ -15,10 +15,10 @@ which holds for real energies since the retarded self-energies only touch
 the diagonal blocks.
 
 The recursion bodies themselves live in :mod:`repro.negf.kernels`:
-:func:`rgf_solve_batched` dispatches to a pluggable kernel (reference /
-factorization-reuse numpy / Table-6 csrmm / compiled numba) and
-:func:`rgf_solve` is a batch-of-1 view of the reference kernel, so the
-serial oracle and the batched reference can never drift.
+:func:`rgf_solve_batched` runs the production ``numpy`` kernel (or the
+``reference`` oracle, by name) and :func:`rgf_solve` is a batch-of-1
+view of the reference kernel, so the serial oracle and the batched
+reference can never drift.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ def rgf_solve_batched(
         Stacked diagonal ``Σ<`` blocks ``[batch, ni, ni]``; when omitted
         only ``Gᴿ`` is computed.
     kernel:
-        Kernel name (see :func:`repro.negf.kernels.available_kernels`),
-        an :class:`repro.negf.kernels.RGFKernel` instance, or ``None``
-        for the default (``"numpy"``).
+        Kernel name (``repro.config.RGF_KERNELS``), an
+        :class:`repro.negf.kernels.RGFKernel` instance, or ``None`` for
+        the default (``"numpy"``).
     """
     from .kernels import get_kernel
 

@@ -101,9 +101,8 @@ class SCBASettings:
     #: spectral-grid execution backend (see :mod:`repro.negf.engine`):
     #: ``serial`` per-point oracle, ``batched`` stacked tensors
     engine: Literal["serial", "batched"] = "batched"
-    #: RGF kernel of the batched backends (see :mod:`repro.negf.kernels`):
-    #: ``reference`` seed recursion, ``numpy`` factorization reuse,
-    #: ``csrmm`` Table-6 sparse foldings, ``numba`` compiled (optional).
+    #: RGF kernel of the batched backend (see :mod:`repro.negf.kernels`):
+    #: ``numpy`` production recursion, ``reference`` seed recursion.
     #: The serial engine stays pinned to ``reference`` — it is the oracle.
     rgf_kernel: str = "numpy"
     #: memoize lead self-energies across Born iterations; ``False``

@@ -12,6 +12,12 @@ Hamiltonian blocks with a dense retarded GF block:
 
 On the paper's P100 with cuSPARSE, CSRMM wins by 1.98-4.33x; the same
 ordering holds for scipy/MKL on representative sizes and sparsities.
+
+This module is the Table-6 reproduction, on the operands the paper
+measures (``benchmarks/bench_table6_sparse.py``); the solver does not
+call it.  The production RGF kernel (:mod:`repro.negf.kernels.numpy_opt`)
+applies the table's conclusion — sparse coupling, dense ``gR`` — by
+contracting over the coupling block's observed support.
 """
 
 from __future__ import annotations
@@ -24,33 +30,10 @@ import scipy.sparse as sp
 __all__ = [
     "three_matrix_product",
     "generate_rgf_operands",
-    "select_strategy",
     "METHODS",
 ]
 
 METHODS = ("dense", "csrmm", "csrgemm")
-
-#: blocks smaller than this never pay off as sparse (call overhead and
-#: the todense conversion both vanish at small n)
-_SPARSE_MIN_BLOCK = 48
-#: above this fill the CSRMM advantage over two dense GEMMs is gone
-_SPARSE_MAX_DENSITY = 0.08
-
-
-def select_strategy(block_size: int, density: float) -> str:
-    """Pick the Table-6 strategy for one coupling block.
-
-    Mirrors the paper's §5.1.2 measurement: ``csrmm`` (sparse x dense,
-    ``gR`` kept dense) wins for large, sparse Hamiltonian blocks —
-    1.98-4.33x over ``dense`` on the P100, with the same ordering for
-    scipy/BLAS — while small or filled blocks are fastest as two dense
-    GEMMs.  ``csrgemm`` loses across the whole measured range (the
-    sparse-sparse-sparse product re-densifies ``gR``) and is never
-    auto-selected.
-    """
-    if block_size < _SPARSE_MIN_BLOCK or density > _SPARSE_MAX_DENSITY:
-        return "dense"
-    return "csrmm"
 
 
 def three_matrix_product(

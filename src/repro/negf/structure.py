@@ -24,7 +24,7 @@ from typing import List, Tuple
 import networkx as nx
 import numpy as np
 
-__all__ = ["DeviceStructure", "build_device", "coupling_density_estimate"]
+__all__ = ["DeviceStructure", "build_device"]
 
 # Relative (dx, dy) neighbor offsets in preference order, nearest first.
 # Each ± pair is adjacent so that every even-length prefix is closed under
@@ -109,33 +109,6 @@ class DeviceStructure:
                     rev[a, b] = back[0]
         return rev
 
-    def coupling_block_density(self) -> np.ndarray:
-        """Nonzero fraction of each super-diagonal coupling block.
-
-        Only bonds crossing a slab interface populate ``M_{n,n+1}``, so
-        the coupling blocks are far sparser than the diagonal ones — the
-        structural fact behind the paper's §5.1.2 / Table 6 CSRMM
-        measurement and the ``csrmm`` RGF kernel's plan.  Each bonded
-        cross-interface atom pair contributes one dense ``Norb x Norb``
-        sub-block, so the per-orbital density equals the atom-pair
-        density (``Norb`` cancels).  Returns ``bnum - 1`` fractions.
-        """
-        sizes = self.block_sizes
-        pairs = [set() for _ in range(self.bnum - 1)]
-        NA, NB = self.neighbors.shape
-        for a in range(NA):
-            ba = int(self.block_of[a])
-            for c in self.neighbors[a]:
-                bc = int(self.block_of[int(c)])
-                if bc == ba + 1:
-                    pairs[ba].add((a, int(c)))
-        return np.array(
-            [
-                len(pairs[i]) / (int(sizes[i]) * int(sizes[i + 1]))
-                for i in range(self.bnum - 1)
-            ]
-        )
-
     def connectivity_graph(self) -> nx.Graph:
         """Undirected bond graph (used for validation/analysis)."""
         g = nx.Graph()
@@ -159,24 +132,6 @@ class DeviceStructure:
                     f"bond {a}-{nb} spans non-adjacent blocks "
                     f"{blocks[a]}..{blocks[nb]} (not block tridiagonal)"
                 )
-
-
-def coupling_density_estimate(ny_rows: int, slab_width: int, NB: int) -> float:
-    """Analytic coupling-block density of a generated device, plan-time.
-
-    Each interface-column atom bonds to ``cross`` atoms of the next slab
-    (the +x offsets of the ``NB``-neighborhood: 1 for NB=4, 2 for NB=6,
-    3 for NB=8), giving ``ny·cross`` nonzero atom pairs in a
-    ``(slab·ny) x (slab·ny)`` block — ``cross / (slab² · ny)`` density,
-    independent of ``Norb``.  Matches
-    :meth:`DeviceStructure.coupling_block_density` exactly on interior
-    interfaces; used by the Plan layer to pick an RGF kernel without
-    building the device.
-    """
-    cross = {4: 1, 6: 2, 8: 3}.get(NB)
-    if cross is None:
-        raise ValueError("NB must be 4, 6 or 8 for the 2-D lattice")
-    return cross / (slab_width**2 * ny_rows)
 
 
 def build_device(

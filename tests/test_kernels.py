@@ -1,4 +1,4 @@
-"""Pluggable RGF kernels: registry, oracle equivalence, engine/plan wiring."""
+"""RGF kernels: oracle equivalence, coupling support, engine/plan wiring."""
 
 import numpy as np
 import pytest
@@ -11,56 +11,48 @@ from repro.negf import (
     RGFKernel,
     SCBASettings,
     SCBASimulation,
-    available_kernels,
     block_offsets,
     build_device,
     build_hamiltonian_model,
     dense_reference,
     get_kernel,
-    register_kernel,
     rgf_solve,
     rgf_solve_batched,
-    sancho_rubio_batched,
-    select_strategy,
 )
-from repro.negf.kernels import _REGISTRY
-from repro.negf.kernels.csrmm import CsrmmKernel
-from repro.negf.kernels.numpy_opt import NumpyKernel
+from repro.negf.kernels.numpy_opt import Coupling, NumpyKernel
 from repro.negf.kernels.reference import ReferenceKernel
 from repro.negf.sparse_kernels import generate_rgf_operands
 
 from test_engine import stacked_random_system
 from test_rgf_boundary import random_system
 
+#: removed kernel names: they fail like any other unknown name
+UNKNOWN_KERNELS = ["cublas", "csrmm", "numba"]
 
-def sparse_stacked_system(batch, sizes, density=0.05, seed=0):
-    """Stacked system with *sparse* coupling blocks (one shared pattern)."""
-    diag, upper, sless = stacked_random_system(batch, sizes, seed=seed)
-    rng = np.random.default_rng(seed + 99)
-    for i, u in enumerate(upper):
-        mask = rng.random(u.shape[-2:]) < density
-        mask.flat[0] = True  # never fully empty
-        upper[i] = u * mask
-    return diag, upper, sless
+#: coupling support patterns: which side of the kernel's one rule
+#: (support <= half of both dimensions -> index arrays) each lands on
+SUPPORT_PATTERNS = {
+    "full": False, "corner": True, "scattered": False, "zero": True,
+}
+
+
+def support_mask(pattern, n, m, rng):
+    """Nonzero pattern of one ``n x m`` coupling block."""
+    mask = np.zeros((n, m), dtype=bool)
+    if pattern == "full":
+        mask[:] = True
+    elif pattern == "corner":  # last rows x first columns, <= half of each
+        mask[n - n // 2:, : m // 2] = True
+    elif pattern == "scattered":  # sparse, but every row is in the support
+        mask[np.arange(n), rng.integers(m, size=n)] = True
+    return mask
 
 
 class TestKernelRegistry:
     def test_builtins_registered(self):
-        names = available_kernels()
-        for k in ("reference", "numpy", "csrmm"):
-            assert k in names
-        # Every registered name is part of the config-level tuple (custom
-        # registrations below are cleaned up by their own tests).
-        for k in names:
-            assert k in RGF_KERNELS
-
-    def test_numba_registered_iff_importable(self):
-        try:
-            import numba  # noqa: F401
-
-            assert "numba" in available_kernels()
-        except ImportError:
-            assert "numba" not in available_kernels()
+        assert RGF_KERNELS == ("reference", "numpy")
+        for k in RGF_KERNELS:
+            assert get_kernel(k).name == k
 
     def test_default_kernel(self):
         assert SCBASettings().rgf_kernel == "numpy"
@@ -69,32 +61,15 @@ class TestKernelRegistry:
     def test_get_kernel_by_name(self):
         assert isinstance(get_kernel("reference"), ReferenceKernel)
         assert isinstance(get_kernel("numpy"), NumpyKernel)
-        assert isinstance(get_kernel("csrmm"), CsrmmKernel)
 
     def test_get_kernel_passthrough_instance(self):
-        k = CsrmmKernel(strategy="dense")
+        k = NumpyKernel()
         assert get_kernel(k) is k
 
-    def test_get_kernel_unknown_raises(self):
+    @pytest.mark.parametrize("name", UNKNOWN_KERNELS)
+    def test_get_kernel_unknown_raises(self, name):
         with pytest.raises(KernelError, match="unknown RGF kernel"):
-            get_kernel("cublas")
-
-    def test_missing_numba_message(self):
-        if "numba" in available_kernels():
-            pytest.skip("numba installed: the kernel is available")
-        with pytest.raises(KernelError, match="optional numba package"):
-            get_kernel("numba")
-
-    def test_custom_registration(self):
-        class MyKernel(ReferenceKernel):
-            name = "mine"
-
-        register_kernel("mine", MyKernel)
-        try:
-            assert "mine" in available_kernels()
-            assert isinstance(get_kernel("mine"), MyKernel)
-        finally:
-            del _REGISTRY["mine"]
+            get_kernel(name)
 
     def test_kernel_error_is_value_error(self):
         assert issubclass(KernelError, ValueError)
@@ -102,7 +77,7 @@ class TestKernelRegistry:
 
 
 def all_kernel_names():
-    return list(available_kernels())
+    return list(RGF_KERNELS)
 
 
 class TestKernelEquivalence:
@@ -120,17 +95,26 @@ class TestKernelEquivalence:
         nblocks=st.integers(1, 4),
         batch=st.integers(1, 4),
         shared_upper=st.booleans(),
+        patterns=st.lists(
+            st.sampled_from(sorted(SUPPORT_PATTERNS)), min_size=3, max_size=3
+        ),
         seed=st.integers(0, 50),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_property_all_kernels_match_dense(
-        self, nblocks, batch, shared_upper, seed
+        self, nblocks, batch, shared_upper, patterns, seed
     ):
-        """Satellite: mixed block sizes + broadcast 2-D couplings, every
-        kernel against the dense ground truth."""
+        """Mixed block sizes (non-square couplings), broadcast 2-D and
+        per-energy 3-D couplings, one support pattern per coupling block
+        (all-zero included): every kernel against the dense ground
+        truth, and each pattern on its side of the support rule."""
         rng = np.random.default_rng(seed)
-        sizes = [int(s) for s in rng.integers(1, 6, size=nblocks)]
+        sizes = [int(s) for s in rng.integers(1, 9, size=nblocks)]
         diag, upper, sless = stacked_random_system(batch, sizes, seed=seed)
+        for i, u in enumerate(upper):
+            upper[i] = u * support_mask(patterns[i], *u.shape[-2:], rng)
+            thin = isinstance(Coupling(upper[i]).r, np.ndarray)
+            assert thin == SUPPORT_PATTERNS[patterns[i]]
         if shared_upper:  # ω-independent couplings broadcast across batch
             upper = [u[0] for u in upper]
         offs = block_offsets([d[0] for d in diag])
@@ -142,7 +126,7 @@ class TestKernelEquivalence:
             )
             for b in range(batch)
         ]
-        for name in available_kernels():
+        for name in RGF_KERNELS:
             res = get_kernel(name).solve(diag, upper, sless)
             for b in range(batch):
                 GRd, Gld = dense[b]
@@ -175,7 +159,7 @@ class TestKernelEquivalence:
 
     def test_validation_messages_preserved(self):
         diag, upper, sless = stacked_random_system(2, [3, 3], seed=0)
-        for name in available_kernels():
+        for name in RGF_KERNELS:
             k = get_kernel(name)
             with pytest.raises(ValueError, match="expected 1 upper blocks"):
                 k.solve(diag, [], sless)
@@ -184,74 +168,12 @@ class TestKernelEquivalence:
             with pytest.raises(ValueError, match=r"diag\[0\] must be"):
                 k.solve([d[0] for d in diag], [u[0] for u in upper], None)
 
-    def test_invert_matches_solve(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
-        a = a + 5 * np.eye(5)
-        eye = np.broadcast_to(np.eye(5, dtype=np.complex128), a.shape)
-        expect = np.linalg.solve(a, eye)
-        for name in available_kernels():
-            assert np.array_equal(get_kernel(name).invert(a), expect)
 
-    def test_boundary_invert_routing_bit_exact(self, small_model):
-        """sancho_rubio_batched through a kernel's invert seam returns the
-        same bits as the plain path (all shipped kernels keep solve(A, I))."""
-        H = small_model.hamiltonian_blocks(0.2)
-        S = small_model.overlap_blocks(0.2)
-        z = np.linspace(-0.5, 0.5, 4)
-        plain = sancho_rubio_batched(
-            z, H.diag[0], H.upper[0], S.diag[0], S.upper[0], eta=1e-5
-        )
-        for name in available_kernels():
-            routed = sancho_rubio_batched(
-                z, H.diag[0], H.upper[0], S.diag[0], S.upper[0],
-                eta=1e-5, kernel=name,
-            )
-            assert np.array_equal(routed, plain)
-
-
-class TestCsrmmKernel:
-    def test_select_strategy_thresholds(self):
-        assert select_strategy(768, 0.02) == "csrmm"
-        assert select_strategy(16, 0.02) == "dense"  # too small
-        assert select_strategy(768, 0.5) == "dense"  # too dense
-        assert select_strategy(48, 0.08) == "csrmm"  # at the boundary
-
-    def test_invalid_strategy_raises(self):
-        with pytest.raises(ValueError, match="fold strategy"):
-            CsrmmKernel(strategy="cusparse")
-
-    @pytest.mark.parametrize("strategy", ["auto", "dense", "csrmm", "csrgemm"])
-    def test_forced_strategies_match_reference(self, strategy):
-        diag, upper, sless = sparse_stacked_system(2, [64, 64, 64], seed=5)
-        ref = get_kernel("reference").solve(diag, upper, sless)
-        k = CsrmmKernel(strategy=strategy)
-        res = k.solve(diag, upper, sless)
-        for a, b in zip(ref.Gl, res.Gl):
-            assert np.abs(a - b).max() < 1e-10
-
-    def test_auto_plan_takes_sparse_path(self):
-        diag, upper, sless = sparse_stacked_system(
-            2, [64, 64, 64], density=0.04, seed=5
-        )
-        k = CsrmmKernel()
-        k.solve(diag, upper, sless)
-        assert len(k.last_plan) == 2
-        for size, density, strat in k.last_plan:
-            assert size == 64 and density <= 0.08 and strat == "csrmm"
-
-    def test_auto_plan_keeps_small_blocks_dense(self):
-        diag, upper, sless = stacked_random_system(2, [4, 4, 4], seed=1)
-        k = CsrmmKernel()
-        k.solve(diag, upper, sless)
-        assert all(strat == "dense" for _, _, strat in k.last_plan)
-
+class TestCouplingSupport:
     def test_interface_support_projection(self):
         """Structured interface couplings (last layer -> first layer)
-        trigger the thin-support backward projection and still match the
+        are contracted over their thin support and still match the
         reference to <= 1e-10."""
-        from repro.negf.kernels.csrmm import SparseCoupling
-
         rng = np.random.default_rng(7)
         n = 64
         diag, upper, sless = stacked_random_system(2, [n, n, n], seed=7)
@@ -260,59 +182,59 @@ class TestCsrmmKernel:
         mask[-1, 0] = True
         upper = [u * mask for u in upper]
 
-        c = SparseCoupling(upper[0], "csrmm", 0.0)
-        assert c.projected
-        assert c.rsup.size <= n // 4 and c.csup.size <= n // 4
+        c = Coupling(upper[0])
+        assert c.r.size <= n // 4 and c.c.size <= n // 4
+        assert c.V.shape == (2, c.r.size, c.c.size)
+        assert np.array_equal(c.V, upper[0][:, c.r[:, None], c.c])
 
         ref = get_kernel("reference").solve(diag, upper, sless)
-        res = CsrmmKernel(strategy="csrmm").solve(diag, upper, sless)
+        res = NumpyKernel().solve(diag, upper, sless)
         for attr in ("GR", "Gl", "Gg"):
             for a, b in zip(getattr(ref, attr), getattr(res, attr)):
                 assert np.abs(a - b).max() < 1e-10
 
     def test_dense_support_disables_projection(self):
-        from repro.negf.kernels.csrmm import SparseCoupling
-
         rng = np.random.default_rng(3)
         u = (rng.random((32, 32)) < 0.1).astype(complex)  # scattered support
-        c = SparseCoupling(u, "csrmm", 0.1)
-        assert not c.projected
+        c = Coupling(u)
+        assert c.r == slice(None) and c.c == slice(None)
+        assert c.V.shape == u.shape
 
-    def test_shared_pattern_2d_coupling(self):
-        """ω-independent 2-D sparse couplings build one CSR per block."""
-        diag, upper, sless = sparse_stacked_system(3, [64, 64], seed=8)
-        shared = [u[0] for u in upper]
-        ref = get_kernel("reference").solve(diag, shared, sless)
-        res = CsrmmKernel(strategy="csrmm").solve(diag, shared, sless)
-        for a, b in zip(ref.Gl, res.Gl):
-            assert np.abs(a - b).max() < 1e-10
+    @pytest.mark.parametrize("slab_width", [1, 2, 4])
+    def test_device_couplings_live_on_interface_layer(self, slab_width):
+        """Every H, E·S−H and Φ coupling of a generated device is nonzero
+        exactly on (last layer of slab n) x (first layer of slab n+1) —
+        the whole block at slab_width 1 — and the batched production run
+        matches the serial oracle on each."""
+        dev = build_device(nx_cols=8, ny_rows=3, NB=6, slab_width=slab_width)
+        model = build_hamiltonian_model(dev, Norb=2)
+        H, S = model.hamiltonian_blocks(0.3), model.overlap_blocks(0.3)
+        E = np.linspace(-1.0, 1.0, 3)[:, None, None]
+        couplings = (
+            H.upper
+            + [E * s[None] - h[None] for h, s in zip(H.upper, S.upper)]
+            + model.dynamical_blocks(0.3).upper
+        )
+        assert len(couplings) == 3 * (dev.bnum - 1)
+        for u in couplings:
+            c = Coupling(u)
+            n, m = u.shape[-2:]
+            if slab_width == 1:
+                assert c.r == slice(None) and c.c == slice(None)
+            else:
+                layer_r, layer_c = n // slab_width, m // slab_width
+                assert np.array_equal(c.r, np.arange(n - layer_r, n))
+                assert np.array_equal(c.c, np.arange(layer_c))
 
-
-class TestNumbaKernel:
-    def test_constructor_raises_without_numba(self):
-        from repro.negf.kernels.compiled import HAVE_NUMBA, NumbaKernel
-
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: constructor must succeed")
-        with pytest.raises(KernelError, match="optional numba package"):
-            NumbaKernel()
-
-    def test_uniform_blocks_match_reference(self):
-        pytest.importorskip("numba")
-        diag, upper, sless = stacked_random_system(3, [5, 5, 5, 5], seed=9)
-        ref = get_kernel("reference").solve(diag, upper, sless)
-        res = get_kernel("numba").solve(diag, upper, sless)
-        for attr in ("GR", "Gl", "Gg"):
-            for a, b in zip(getattr(ref, attr), getattr(res, attr)):
-                assert np.abs(a - b).max() < 1e-10
-
-    def test_mixed_blocks_delegate(self):
-        pytest.importorskip("numba")
-        diag, upper, sless = stacked_random_system(2, [3, 5, 4], seed=9)
-        ref = get_kernel("reference").solve(diag, upper, sless)
-        res = get_kernel("numba").solve(diag, upper, sless)
-        for a, b in zip(ref.Gl, res.Gl):
-            assert np.abs(a - b).max() < 1e-10
+        controls = dict(
+            NE=6, Nkz=1, Nqz=1, Nw=2, e_min=-1.2, e_max=1.2, eta=1e-4,
+            coupling=0.25, max_iterations=2, tolerance=1e-12,
+        )
+        ref = SCBASimulation(model, SCBASettings(engine="serial", **controls)).run()
+        res = SCBASimulation(model, SCBASettings(engine="batched", **controls)).run()
+        for name in ("Gl", "Gg", "Dl", "Dg", "current_left", "dissipation"):
+            diff = np.abs(getattr(res, name) - getattr(ref, name)).max()
+            assert diff < 1e-10, f"slab_width={slab_width}.{name}: {diff}"
 
 
 class TestOperandGeneration:
@@ -378,16 +300,17 @@ class TestEngineKernelEquivalence:
             assert diff < 1e-10, f"kernel={kernel}.{name} deviates by {diff}"
 
     def test_serial_engine_pins_reference(self, sim_factory):
-        sim = sim_factory(engine="serial", rgf_kernel="csrmm")
+        sim = sim_factory(engine="serial", rgf_kernel="numpy")
         assert sim.engine.kernel.name == "reference"
 
     def test_batched_engine_uses_setting(self, sim_factory):
-        sim = sim_factory(engine="batched", rgf_kernel="csrmm")
-        assert isinstance(sim.engine.kernel, CsrmmKernel)
+        sim = sim_factory(engine="batched", rgf_kernel="reference")
+        assert isinstance(sim.engine.kernel, ReferenceKernel)
 
-    def test_unknown_kernel_raises_at_engine_build(self, sim_factory):
+    @pytest.mark.parametrize("name", UNKNOWN_KERNELS)
+    def test_unknown_kernel_raises_at_engine_build(self, sim_factory, name):
         with pytest.raises(KernelError, match="unknown RGF kernel"):
-            sim_factory(engine="batched", rgf_kernel="cublas")
+            sim_factory(engine="batched", rgf_kernel=name)
 
 
 class TestPlanWiring:
@@ -403,53 +326,50 @@ class TestPlanWiring:
         )
 
     def test_plan_carries_kernel(self, workload):
+        from repro.api import PlanError, compile_workload
+
+        plan = compile_workload(workload, rgf_kernel="reference")
+        assert plan.rgf_kernel == "reference"
+        assert "rgf_kernel=reference" in plan.describe()
+        assert plan.to_dict()["rgf_kernel"] == "reference"
+        for g in plan.groups:
+            assert g.base_settings["rgf_kernel"] == "reference"
+        # the serial engine runs the reference recursion whatever the
+        # setting says: a plan must not report a kernel the run ignores
+        with pytest.raises(PlanError, match="rgf_kernel='numpy'.*engine='serial'"):
+            compile_workload(workload, engine="serial", rgf_kernel="numpy")
+
+    def test_plan_default_kernel(self, workload):
         from repro.api import compile_workload
 
-        plan = compile_workload(workload, rgf_kernel="csrmm")
-        assert plan.rgf_kernel == "csrmm"
-        assert "rgf_kernel=csrmm" in plan.describe()
-        assert plan.to_dict()["rgf_kernel"] == "csrmm"
-        for g in plan.groups:
-            assert g.base_settings["rgf_kernel"] == "csrmm"
+        assert compile_workload(workload).rgf_kernel == "numpy"
+        serial = compile_workload(workload, engine="serial")
+        assert serial.rgf_kernel == "reference"
+        assert "serial (rgf_kernel=reference" in serial.describe()
+        explicit = compile_workload(
+            workload, engine="serial", rgf_kernel="reference"
+        )
+        assert explicit.rgf_kernel == "reference"
 
-    def test_plan_default_is_heuristic(self, workload):
-        from repro.api import choose_rgf_kernel, compile_workload
-
-        plan = compile_workload(workload)
-        assert plan.rgf_kernel == choose_rgf_kernel(workload.device)
-        assert plan.rgf_kernel == "numpy"  # small blocks -> dense kernel
-
-    def test_heuristic_picks_csrmm_for_large_sparse(self):
-        from repro.api import DeviceSpec, choose_rgf_kernel
-
-        big = DeviceSpec(
-            nx_cols=16, ny_rows=8, NB=4, slab_width=4, Norb=4
-        )  # block = 128, coupling density 1/128
-        assert choose_rgf_kernel(big) == "csrmm"
-
-    def test_unknown_kernel_raises_at_compile(self, workload):
+    @pytest.mark.parametrize("name", UNKNOWN_KERNELS)
+    def test_unknown_kernel_raises_at_compile(self, workload, name):
         from repro.api import PlanError, compile_workload
 
         with pytest.raises(PlanError, match="unknown rgf_kernel"):
-            compile_workload(workload, rgf_kernel="cublas")
-
-    def test_unavailable_numba_raises_at_compile(self, workload):
-        from repro.api import PlanError, compile_workload
-
-        if "numba" in available_kernels():
-            pytest.skip("numba installed: compile must succeed")
-        with pytest.raises(PlanError, match="numba"):
-            compile_workload(workload, rgf_kernel="numba")
+            compile_workload(workload, rgf_kernel=name)
+        with pytest.raises(PlanError, match="unknown rgf_kernel"):
+            compile_workload(workload, engine="serial", rgf_kernel=name)
 
     def test_run_result_reports_kernel(self, workload):
-        from repro.api import Session, compile_workload
+        """The reported kernel is the one the engine ran, per engine."""
+        from repro.api import RunResult, Session, compile_workload
 
-        plan = compile_workload(workload, rgf_kernel="numpy")
-        with Session(plan) as session:
-            sweep = session.run(keep_arrays=False)
-        assert all(r.rgf_kernel == "numpy" for r in sweep.runs)
-        d = sweep.runs[0].to_dict()
-        assert d["rgf_kernel"] == "numpy"
-        from repro.api import RunResult
-
-        assert RunResult.from_dict(d).rgf_kernel == "numpy"
+        for engine, kernel in (("batched", "numpy"), ("serial", "reference")):
+            plan = compile_workload(workload, engine=engine)
+            with Session(plan) as session:
+                sweep = session.run(keep_arrays=False)
+                assert session.simulation(0).engine.kernel.name == kernel
+            assert all(r.rgf_kernel == kernel for r in sweep.runs)
+            d = sweep.runs[0].to_dict()
+            assert d["rgf_kernel"] == kernel
+            assert RunResult.from_dict(d).rgf_kernel == kernel
