@@ -9,8 +9,8 @@ hand recipe pays for), and every winning stage must verify against the
 reference kernel with an *exact* analytic-vs-executed flop agreement.
 
 Emits ``BENCH_autotune.json`` next to this file: search wall time and
-candidate counts for both strategies, the winning move sequence, and the
-per-stage modeled-vs-measured roofline record.  ``REPRO_BENCH_FAST=1``
+candidate count, the winning move sequence, and the per-stage
+modeled-vs-measured roofline record.  ``REPRO_BENCH_FAST=1``
 (the CI smoke mode) keeps the committed JSON untouched and runs only the
 toy-dims smoke: the searched pipeline must match or beat the hand
 recipe's modeled bytes.
@@ -70,9 +70,6 @@ def test_autotune_paper_dims_and_roofline(bench_writer):
     t0 = time.time()
     greedy = tuned_sse_search(_PAPER_DIMS)
     t_greedy = time.time() - t0
-    t0 = time.time()
-    beam = tuned_sse_search(_PAPER_DIMS, strategy="beam")
-    t_beam = time.time() - t0
     hand = sse_movement_report(_PAPER_DIMS)
 
     assert greedy.total_reduction >= 677
@@ -98,23 +95,13 @@ def test_autotune_paper_dims_and_roofline(bench_writer):
         "paper_dims": dict(_PAPER_DIMS),
         "measure_dims": dict(_TOY_DIMS),
         "hand_reduction": hand.total_reduction,
-        "strategies": {
-            "greedy": {
-                "seconds": t_greedy,
-                "evaluations": greedy.evaluations,
-                "moves": [m.to_dict() for m in greedy.moves],
-                "reduction": greedy.total_reduction,
-                "final_bytes": greedy.report.stages[-1].total_bytes,
-                "max_verify_error": max(greedy.verification.values()),
-            },
-            "beam": {
-                "seconds": t_beam,
-                "evaluations": beam.evaluations,
-                "moves": [m.to_dict() for m in beam.moves],
-                "reduction": beam.total_reduction,
-                "final_bytes": beam.report.stages[-1].total_bytes,
-                "max_verify_error": max(beam.verification.values()),
-            },
+        "greedy": {
+            "seconds": t_greedy,
+            "evaluations": greedy.evaluations,
+            "moves": [m.to_dict() for m in greedy.moves],
+            "reduction": greedy.total_reduction,
+            "final_bytes": greedy.report.stages[-1].total_bytes,
+            "max_verify_error": max(greedy.verification.values()),
         },
         "roofline": roof.to_dict(),
     }
@@ -125,13 +112,12 @@ def test_autotune_paper_dims_and_roofline(bench_writer):
         f"  hand  : {hand.total_reduction:7.1f}x "
         f"({hand.stages[-1].total_bytes} B)"
     )
-    for name, res, dt in (("greedy", greedy, t_greedy), ("beam", beam, t_beam)):
-        report(
-            f"  {name:6s}: {res.total_reduction:7.1f}x "
-            f"({res.report.stages[-1].total_bytes} B), "
-            f"{len(res.moves)} moves, {res.evaluations} candidates, "
-            f"{dt:.1f}s"
-        )
+    report(
+        f"  greedy: {greedy.total_reduction:7.1f}x "
+        f"({greedy.report.stages[-1].total_bytes} B), "
+        f"{len(greedy.moves)} moves, {greedy.evaluations} candidates, "
+        f"{t_greedy:.1f}s"
+    )
     report(
         f"  roofline: flops agreement exact on all "
         f"{len(roof.stages)} stages"

@@ -22,9 +22,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.report import report
-from repro.core import SSE_PIPELINE, build_stages, run_stage, sse_movement_report
+from repro.core import SSE_PIPELINE, sse_movement_report
 from repro.core.sse_sdfg import random_sse_inputs
 from repro.sdfg import get_backend
+from repro.sdfg.pipeline import run_stage
 
 #: CI smoke mode: no JSON record, no wall-clock assertions.
 FAST = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
@@ -32,7 +33,7 @@ FAST = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
 _DIMS = dict(Nkz=3, NE=6, Nqz=2, Nw=2, N3D=2, NA=6, NB=3, Norb=2)
 #: Table-1 structure (PAPER_STRUCTURE_4864) for the movement model.
 _PAPER_DIMS = dict(Nkz=7, NE=706, Nqz=7, Nw=70, NA=4864, NB=34, Norb=12, N3D=3)
-_STAGES = {s.name: s for s in build_stages()}
+_STAGES = {s.name: s for s in SSE_PIPELINE.build()}
 _ARRAYS, _TABLES = random_sse_inputs(_DIMS)
 _STATS = {}
 

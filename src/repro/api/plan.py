@@ -20,8 +20,8 @@ lives, apart from the physics: compiling a :class:`~repro.api.Workload`
   (:func:`repro.core.recipe.sse_movement_report`, the paper's §4.1
   metric) — the recipe enters the plan as a measured
   :class:`~repro.sdfg.PipelineReport`, not as a static table,
-* optionally *autotunes* the SSE pipeline (``autotune="greedy"`` /
-  ``"beam"``): :func:`repro.core.recipe.tuned_sse_search` searches the
+* optionally *autotunes* the SSE pipeline (``autotune="greedy"``):
+  :func:`repro.core.recipe.tuned_sse_search` searches the
   transformation move space at the planned dimensions and the plan
   carries the searched pipeline's movement report beside the hand
   recipe's for comparison.
@@ -416,9 +416,9 @@ def compile_workload(
     volume-minimizing one per group via the §4.1 models and the
     exhaustive tile search.
 
-    ``autotune`` runs the movement-model-guided search
-    (:func:`repro.core.recipe.tuned_sse_search`) with the named strategy
-    (``"greedy"`` / ``"beam"``) at the planned peak-group dimensions;
+    ``autotune="greedy"`` runs the movement-model-guided search
+    (:func:`repro.core.recipe.tuned_sse_search`) at the planned
+    peak-group dimensions;
     the plan then carries the searched pipeline's movement report in
     ``tuned_sse_report`` beside the hand recipe's ``sse_report``.  It
     requires an SSE workload — requesting it for a ballistic run or a
@@ -454,7 +454,7 @@ def compile_workload(
         from ..sdfg.backends import BackendError, get_backend
 
         try:
-            get_backend(sse_backend)  # respects custom registrations
+            get_backend(sse_backend)
         except BackendError as exc:
             raise PlanError(f"invalid sse_backend: {exc}") from exc
 
@@ -619,7 +619,7 @@ def compile_workload(
             from ..core.recipe import tuned_sse_search
 
             try:
-                tuned = tuned_sse_search(peak_dims, strategy=autotune)
+                tuned = tuned_sse_search(peak_dims)
             except AutotuneError as exc:
                 raise PlanError(f"autotune failed: {exc}") from exc
             tuned_sse_report = tuned.report

@@ -8,9 +8,9 @@ This package rediscovers such sequences mechanically:
   SDFG state by instantiating each pass type over its transformation's
   ``match()`` sites — candidate pipeline extensions are legal by
   construction;
-* :mod:`~repro.autotune.search` runs greedy (with plateau escape) or
-  beam search over that space, minimizing the §4.1 modeled bytes at
-  target symbol bindings with transient footprint as tiebreaker —
+* :mod:`~repro.autotune.search` runs a greedy search (with plateau
+  escape) over that space, minimizing the §4.1 modeled bytes at target
+  symbol bindings with transient footprint as tiebreaker —
   deterministic, seedless, and resumable via a JSON trace;
 * :mod:`~repro.autotune.roofline` validates winners measured-vs-modeled
   per stage: §4.1 bytes and analytic flops beside wall-clock seconds
@@ -18,8 +18,9 @@ This package rediscovers such sequences mechanically:
 
 The SSE-specific move library (batched-GEMM templates) lives in
 :func:`repro.core.recipe.sse_move_library`; the searched pipeline is
-exposed as :func:`repro.core.recipe.tuned_sse_pipeline` and through
-:func:`repro.api.compile_workload` via its ``autotune=`` option.
+``repro.core.recipe.tuned_sse_search(dims).pipeline``, and
+:func:`repro.api.compile_workload` reports it via its ``autotune=``
+option.
 """
 
 from .roofline import RooflineReport, RooflineStage, roofline_report

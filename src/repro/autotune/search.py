@@ -1,20 +1,14 @@
-"""Greedy and beam search over the transformation move space.
+"""Greedy search over the transformation move space.
 
-Both strategies minimize the paper's §4.1 modeled data movement
+The search minimizes the paper's §4.1 modeled data movement
 (:func:`~repro.sdfg.pipeline.measure_movement`, evaluated at the *target*
 symbol bindings) lexicographically with the transient footprint
-(:func:`~repro.sdfg.pipeline._transient_bytes`) as tiebreaker:
-
-* **greedy** commits the best strictly-improving move per step; on a
-  plateau it runs a bounded breadth-first probe over byte-neutral
-  *enabler* moves (template layouts, expansions, fusions) and commits
-  the shortest enabler chain ending in an improvement — this is how the
-  layout -> batch and expand -> fuse -> shrink sequences are found
-  without domain hints;
-* **beam** keeps the ``beam_width`` best states per depth, with a
-  dominance pruning rule (a state is dropped when another state of the
-  same depth moves no more bytes, allocates no more scratch, and is
-  strictly better in one of the two) and signature-based deduplication.
+(:func:`~repro.sdfg.pipeline._transient_bytes`) as tiebreaker.  It
+commits the best strictly-improving move per step; on a plateau it runs
+a bounded breadth-first probe over byte-neutral *enabler* moves
+(template layouts, expansions, fusions) and commits the shortest enabler
+chain ending in an improvement — this is how the layout -> batch and
+expand -> fuse -> shrink sequences are found without domain hints.
 
 Searches are deterministic and seedless: move enumeration, scoring and
 every tiebreak are fully ordered, so the same graph, library and config
@@ -22,6 +16,8 @@ always produce the same pipeline.  Progress is checkpointed to a JSON
 trace after every commitment; rerunning with the same ``trace_path``
 replays the committed prefix (validating state signatures step by step)
 and continues — or just rebuilds the result when the trace is complete.
+Replayed moves are not evaluations: a resumed search reports the
+trace's recorded count plus what it evaluated after the replay.
 
 Configuration is :class:`SearchConfig`; only the move budget has an
 environment default (``REPRO_AUTOTUNE_MAX_MOVES``, which the e2e
@@ -30,13 +26,12 @@ benchmark's ``--smoke`` mode sets).
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..config import AUTOTUNE_STRATEGIES, default_autotune_max_moves
+from ..config import default_autotune_max_moves
 from ..sdfg import Pipeline, PipelineReport
 from ..sdfg.pipeline import _transient_bytes, measure_movement
 from ..telemetry import metrics as _metrics
@@ -62,20 +57,18 @@ __all__ = [
 #: (modeled bytes moved, transient bytes) — compared lexicographically
 Score = Tuple[int, int]
 
+#: longest byte-neutral enabler chain a plateau escape probes: the
+#: longest such chain the move space produces before a payoff
+_ESCAPE_DEPTH = 4
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Autotune search configuration.  ``None`` fields resolve to the
-    defaults: ``greedy``, beam width 4 (keeps enough byte-neutral enabler
-    states alive to thread layout -> batch -> fuse sequences), escape
-    depth 4 (the longest byte-neutral chain the move space produces
-    before a payoff), and :func:`~repro.config.default_autotune_max_moves`
-    moves.  Anything else must be a valid strategy / a positive int."""
+    """Autotune search configuration.  ``max_moves=None`` resolves to
+    :func:`~repro.config.default_autotune_max_moves`; any other value
+    must be a positive int."""
 
-    strategy: Optional[str] = None
-    beam_width: Optional[int] = None
     max_moves: Optional[int] = None
-    escape_depth: Optional[int] = None
     #: verify every stage of the winning pipeline against the base
     #: pipeline's reference kernel (requires ``verify_dims``)
     verify: bool = True
@@ -86,25 +79,12 @@ class SearchConfig:
     seed: int = 0
 
     def resolved(self) -> "SearchConfig":
-        strategy = self.strategy or "greedy"
-        if strategy not in AUTOTUNE_STRATEGIES:
+        value = self.max_moves
+        if value is not None and (not isinstance(value, int) or value < 1):
             raise AutotuneError(
-                f"strategy {strategy!r} is not a valid autotune strategy; "
-                f"expected one of {AUTOTUNE_STRATEGIES}"
+                f"max_moves={value!r} must be a positive integer"
             )
-        for name in ("beam_width", "max_moves", "escape_depth"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
-                raise AutotuneError(
-                    f"{name}={value!r} must be a positive integer"
-                )
-        return replace(
-            self,
-            strategy=strategy,
-            beam_width=self.beam_width or 4,
-            max_moves=self.max_moves or default_autotune_max_moves(),
-            escape_depth=self.escape_depth or 4,
-        )
+        return replace(self, max_moves=value or default_autotune_max_moves())
 
 
 @dataclass
@@ -112,7 +92,6 @@ class SearchTrace:
     """The resumable JSON record of one search run."""
 
     pipeline: str
-    strategy: str
     dims: Dict[str, int]
     steps: List[Dict[str, Any]] = field(default_factory=list)
     evaluations: int = 0
@@ -123,7 +102,6 @@ class SearchTrace:
         return {
             "version": self.version,
             "pipeline": self.pipeline,
-            "strategy": self.strategy,
             "dims": dict(self.dims),
             "steps": list(self.steps),
             "evaluations": self.evaluations,
@@ -134,7 +112,6 @@ class SearchTrace:
     def from_dict(cls, d: Mapping[str, Any]) -> "SearchTrace":
         return cls(
             pipeline=d["pipeline"],
-            strategy=d["strategy"],
             dims={k: int(v) for k, v in d["dims"].items()},
             steps=list(d["steps"]),
             evaluations=int(d.get("evaluations", 0)),
@@ -157,7 +134,6 @@ class SearchResult:
     pipeline: Pipeline
     report: PipelineReport
     moves: Tuple[Move, ...]
-    strategy: str
     dims: Dict[str, int]
     evaluations: int
     trace: SearchTrace
@@ -170,7 +146,7 @@ class SearchResult:
 
     def describe(self) -> str:
         lines = [
-            f"autotune[{self.strategy}] over {self.pipeline.name}: "
+            f"autotune[greedy] over {self.pipeline.name}: "
             f"{len(self.moves)} moves, {self.evaluations} evaluated, "
             f"{self.total_reduction:.1f}x less movement"
         ]
@@ -219,7 +195,7 @@ def _is_enabler(move: Move) -> bool:
 
 
 class _Search:
-    """Shared expansion/bookkeeping for both strategies."""
+    """Successor expansion and the evaluation count."""
 
     def __init__(self, library: MoveLibrary, dims, hooks):
         self.library = library
@@ -238,8 +214,6 @@ class _Search:
                 score = _score(sdfg, self.dims, self.hooks)
         except (ValueError, KeyError):
             return None  # not legal from here: not a child
-        self.evaluations += 1
-        _metrics.add("autotune.candidates")
         sig = state_signature(sdfg)
         step = {
             "index": node.depth,
@@ -260,10 +234,11 @@ class _Search:
         )
 
     def children(self, node: _Node, probe: bool = False) -> List[_Node]:
-        """All legal scored successors.  With ``probe`` (escape levels
-        past the first), tile and generic layout rotations are skipped:
-        both are byte-neutral-or-worse under the §4.1 model and neither
-        is an enabler, so scoring them cannot change the outcome."""
+        """All legal scored successors, each one an evaluation.  With
+        ``probe`` (escape levels past the first), tile and generic layout
+        rotations are skipped: both are byte-neutral-or-worse under the
+        §4.1 model and neither is an enabler, so scoring them cannot
+        change the outcome."""
         state = node.sdfg.states[0]
         out = []
         for move in enumerate_moves(node.sdfg, state, self.library):
@@ -272,23 +247,9 @@ class _Search:
             c = self.child(node, move)
             if c is not None:
                 out.append(c)
+        self.evaluations += len(out)
+        _metrics.add("autotune.candidates", len(out))
         return out
-
-
-def _prune_dominated(pool: List[_Node]) -> List[_Node]:
-    """Drop states dominated by a same-depth sibling: no fewer bytes
-    moved, no less scratch, and strictly worse in one of the two."""
-    keep: List[_Node] = []
-    for n in sorted(pool, key=lambda n: n.score):
-        if any(
-            k.score[0] <= n.score[0]
-            and k.score[1] <= n.score[1]
-            and k.score != n.score
-            for k in keep
-        ):
-            continue
-        keep.append(n)
-    return keep
 
 
 def _greedy(search: _Search, root: _Node, cfg: SearchConfig, on_commit):
@@ -303,7 +264,7 @@ def _greedy(search: _Search, root: _Node, cfg: SearchConfig, on_commit):
         # Plateau: breadth-first probe over byte-neutral enabler chains,
         # committing the first (shortest) chain that ends in a strictly
         # better state.  Signature dedup prunes re-converging chains.
-        winner = _escape(search, cur, cfg, kids)
+        winner = _escape(search, cur, kids)
         if winner is None:
             break
         cur = winner
@@ -314,7 +275,6 @@ def _greedy(search: _Search, root: _Node, cfg: SearchConfig, on_commit):
 def _escape(
     search: _Search,
     origin: _Node,
-    cfg: SearchConfig,
     first_level: List[_Node],
 ) -> Optional[_Node]:
     """Shortest enabler chain from ``origin`` ending strictly better.
@@ -323,11 +283,11 @@ def _escape(
     greedy step just evaluated them), so level 1 costs nothing extra."""
     seen = {origin.signature}
     level = list(first_level)
-    for depth in range(1, cfg.escape_depth + 1):
+    for depth in range(1, _ESCAPE_DEPTH + 1):
         winners = [c for c in level if c.score < origin.score]
         if winners:
             return min(winners, key=_rank)
-        if depth == cfg.escape_depth:
+        if depth == _ESCAPE_DEPTH:
             return None
         frontier: List[_Node] = []
         for c in level:
@@ -344,37 +304,6 @@ def _escape(
             c for node in frontier for c in search.children(node, probe=True)
         ]
     return None
-
-
-def _beam(search: _Search, root: _Node, cfg: SearchConfig, on_depth):
-    frontier = [root]
-    visited = {root.signature}
-    best = root
-    stall = 0
-    stall_limit = cfg.escape_depth + 2
-    for _ in range(root.depth, cfg.max_moves):
-        pool: List[_Node] = []
-        for node in frontier:
-            for c in search.children(node):
-                if c.signature in visited:
-                    continue
-                pool.append(c)
-        if not pool:
-            break
-        pool = _prune_dominated(pool)
-        pool.sort(key=_rank)
-        frontier = pool[: cfg.beam_width]
-        visited.update(n.signature for n in frontier)
-        leader = min(frontier, key=lambda n: n.score)
-        if leader.score < best.score:
-            best = leader
-            stall = 0
-        else:
-            stall += 1
-            if stall >= stall_limit:
-                break
-        on_depth(best)
-    return best
 
 
 # -- the entry point ----------------------------------------------------------
@@ -415,20 +344,18 @@ def autotune(
     )
 
     search = _Search(library, dims, hooks)
-    trace = SearchTrace(
-        pipeline=base.name, strategy=cfg.strategy, dims=dict(dims)
-    )
+    trace = SearchTrace(pipeline=base.name, dims=dict(dims))
     start = root
     completed = False
     if trace_path is not None and Path(trace_path).exists():
         prior = SearchTrace.load(trace_path)
-        if prior.strategy != cfg.strategy or prior.dims != dict(dims):
+        if prior.dims != dict(dims):
             raise AutotuneError(
-                f"trace {str(trace_path)!r} records a "
-                f"{prior.strategy!r} search at {prior.dims}; "
-                f"requested {cfg.strategy!r} at {dict(dims)}"
+                f"trace {str(trace_path)!r} records a search at "
+                f"{prior.dims}; requested {dict(dims)}"
             )
         start = _replay(search, root, prior.steps)
+        search.evaluations = prior.evaluations
         trace = prior
         trace.steps = list(start.history)
         completed = prior.completed
@@ -440,16 +367,11 @@ def autotune(
         if trace_path is not None:
             trace.save(trace_path)
 
-    if completed:
-        final = start
-    elif cfg.strategy == "greedy":
-        final = _greedy(search, start, cfg, on_commit=checkpoint)
-    else:
-        final = _beam(search, start, cfg, on_depth=checkpoint)
+    final = start if completed else _greedy(search, start, cfg, checkpoint)
     checkpoint(final, done=True)
 
     tuned = Pipeline(
-        name=f"{base.name}_{cfg.strategy}",
+        name=f"{base.name}_greedy",
         passes=list(base.passes) + list(final.passes),
         graph_factory=base.graph_factory,
         initial=base.initial,
@@ -481,7 +403,6 @@ def autotune(
         pipeline=tuned,
         report=tuned.report(dims),
         moves=final.moves,
-        strategy=cfg.strategy,
         dims=dict(dims),
         evaluations=search.evaluations,
         trace=trace,
@@ -490,7 +411,9 @@ def autotune(
 
 
 def _replay(search: _Search, root: _Node, steps: List[Dict]) -> _Node:
-    """Re-apply a trace's committed moves, validating state signatures."""
+    """Re-apply a trace's committed moves, validating state signatures.
+    Replayed moves are not evaluations (only :meth:`_Search.children`
+    counts)."""
     node = root
     for step in steps:
         move = move_from_dict(step)

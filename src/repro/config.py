@@ -88,12 +88,10 @@ def default_telemetry_mode() -> str:
     return env
 
 
-#: Search strategies of the transformation autotuner (``repro.autotune``):
+#: Search strategy of the transformation autotuner (``repro.autotune``):
 #: ``greedy`` commits the best byte-reducing move per step and escapes
-#: plateaus with a bounded breadth-first probe over enabler moves;
-#: ``beam`` keeps the best-``width`` frontier per depth with dominated
-#: states pruned.
-AUTOTUNE_STRATEGIES: Tuple[str, ...] = ("greedy", "beam")
+#: plateaus with a bounded breadth-first probe over enabler moves.
+AUTOTUNE_STRATEGIES: Tuple[str, ...] = ("greedy",)
 
 
 def default_autotune_max_moves() -> int:

@@ -13,11 +13,8 @@ from .recipe import (
     RECIPE_SUMMARY,
     SSE_PIPELINE,
     Stage,
-    build_stages,
     compile_sse_pipeline,
-    run_stage,
     sse_movement_report,
-    verify_stage,
 )
 from .sse_sdfg import (
     build_sse_sigma_sdfg,
@@ -33,11 +30,8 @@ __all__ = [
     "Stage",
     "SSE_PIPELINE",
     "RECIPE_SUMMARY",
-    "build_stages",
     "compile_sse_pipeline",
-    "run_stage",
     "sse_movement_report",
-    "verify_stage",
     "build_sse_sigma_sdfg",
     "find_map_entry",
     "random_sse_inputs",

@@ -9,7 +9,9 @@ single declaration:
 
 * :data:`RECIPE_SUMMARY` — the (stage, description) table consumed by
   ``repro.api.Plan``;
-* :func:`build_stages` — per-stage snapshots of the transformed SDFG;
+* ``SSE_PIPELINE.build()`` — per-stage snapshots of the transformed SDFG
+  (run or check one with :func:`repro.sdfg.pipeline.run_stage` /
+  :func:`~repro.sdfg.pipeline.verify_stage`);
 * :func:`sse_movement_report` — the §4.1 data-movement model, evaluated
   per stage at concrete dimensions;
 * :func:`compile_sse_pipeline` — an interpreter-backed callable of the
@@ -62,7 +64,6 @@ from ..autotune import (
     SearchResult,
 )
 from ..autotune import autotune as _autotune
-from ..sdfg import pipeline as _pipeline_mod
 from .sse_sdfg import build_sse_sigma_sdfg, sse_sigma_reference
 
 __all__ = [
@@ -70,15 +71,11 @@ __all__ = [
     "SSE_PIPELINE",
     "SSE_BATCH_TEMPLATES",
     "RECIPE_SUMMARY",
-    "build_stages",
     "compile_sse_pipeline",
     "compiled_sse_kernel",
     "sse_movement_report",
     "sse_move_library",
     "tuned_sse_search",
-    "tuned_sse_pipeline",
-    "verify_stage",
-    "run_stage",
 ]
 
 _G_PERM = (2, 0, 1, 3, 4)
@@ -382,11 +379,6 @@ SSE_PIPELINE = Pipeline(
 RECIPE_SUMMARY: Tuple[Tuple[str, str], ...] = SSE_PIPELINE.summary
 
 
-def build_stages() -> List[Stage]:
-    """Apply the full recipe to a fresh graph; snapshot after every pass."""
-    return SSE_PIPELINE.build()
-
-
 def sse_movement_report(dims: Mapping[str, int]) -> PipelineReport:
     """Per-stage modeled data movement (paper §4.1) at concrete dims."""
     return SSE_PIPELINE.report(dims)
@@ -410,8 +402,6 @@ _TUNED_CACHE: Dict[tuple, SearchResult] = {}
 
 def tuned_sse_search(
     dims: Mapping[str, int],
-    strategy: Optional[str] = None,
-    beam_width: Optional[int] = None,
     max_moves: Optional[int] = None,
     verify: bool = True,
     trace_path=None,
@@ -423,16 +413,15 @@ def tuned_sse_search(
     with :func:`sse_move_library`, minimizing modeled bytes at ``dims``;
     with ``verify`` (default) every stage of the winner is checked
     against :func:`sse_sigma_reference` at :data:`VERIFY_DIMS`.
-    ``strategy``/``beam_width``/``max_moves`` default as in
-    :class:`repro.autotune.SearchConfig`; ``library`` (default
-    :func:`sse_move_library`) restricts or extends the move space.
+    ``max_moves`` defaults as in :class:`repro.autotune.SearchConfig`;
+    ``library`` (default :func:`sse_move_library`) restricts or extends
+    the move space.  The searched pipeline — the autotuned counterpart of
+    :data:`SSE_PIPELINE` — is the result's ``pipeline``.
     Results are cached per dims and resolved settings (except when
     ``trace_path`` or a custom ``library`` is given — those carry their
     own identity).
     """
     cfg = SearchConfig(
-        strategy=strategy,
-        beam_width=beam_width,
         max_moves=max_moves,
         verify=verify,
         verify_dims=dict(VERIFY_DIMS),
@@ -445,30 +434,12 @@ def tuned_sse_search(
             cfg,
             trace_path,
         )
-    key = (
-        tuple(sorted(dims.items())),
-        cfg.strategy,
-        cfg.beam_width,
-        cfg.max_moves,
-        cfg.escape_depth,
-        verify,
-    )
+    key = (tuple(sorted(dims.items())), cfg.max_moves, verify)
     if key not in _TUNED_CACHE:
         _TUNED_CACHE[key] = _autotune(
             SSE_SEARCH_BASE, sse_move_library(), dims, cfg
         )
     return _TUNED_CACHE[key]
-
-
-def tuned_sse_pipeline(
-    dims: Mapping[str, int],
-    strategy: Optional[str] = None,
-    **kwargs,
-) -> Pipeline:
-    """The searched SSE pipeline (see :func:`tuned_sse_search`) — the
-    autotuned counterpart of :data:`SSE_PIPELINE`, ready for
-    ``report``/``compile``."""
-    return tuned_sse_search(dims, strategy=strategy, **kwargs).pipeline
 
 
 def compile_sse_pipeline(
@@ -534,35 +505,3 @@ def compiled_sse_kernel(backend: Optional[str] = None):
 
         _SSE_KERNELS[name] = kernel
     return _SSE_KERNELS[name]
-
-
-def run_stage(
-    stage: Stage,
-    dims: Dict[str, int],
-    arrays: Dict[str, np.ndarray],
-    tables: Dict[str, np.ndarray],
-    backend: str = "interpreter",
-):
-    """Execute one stage; returns Σ≷ in the *original* [kz, E, a] layout
-    together with an execution-report carrier (see
-    :func:`repro.sdfg.pipeline.run_stage`)."""
-    return _pipeline_mod.run_stage(stage, dims, arrays, tables, backend)
-
-
-def verify_stage(
-    stage: Stage,
-    dims: Dict[str, int],
-    arrays: Dict[str, np.ndarray],
-    tables: Dict[str, np.ndarray],
-    reference: Optional[np.ndarray] = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
-) -> float:
-    """Compare a stage against the naive reference; returns the max error."""
-    if reference is None:
-        reference = sse_sigma_reference(
-            arrays["G"], arrays["dH"], arrays["D"], tables["__neigh__"]
-        )
-    return _pipeline_mod.verify_stage(
-        stage, dims, arrays, tables, reference, rtol=rtol, atol=atol
-    )

@@ -6,8 +6,15 @@ This package reimplements the subset of the Stateful Dataflow multiGraph
 * symbolic expressions and multi-dimensional subsets,
 * states, tasklets, map scopes and memlets with conflict resolution,
 * a reference interpreter defining execution semantics,
-* memlet propagation through (tiled) map scopes, and
-* the graph transformations used in §4 of the paper.
+* memlet propagation through (tiled) map scopes,
+* the graph transformations used in §4 of the paper, composed into
+  :class:`Pipeline` declarations with the §4.1 movement model
+  (:func:`measure_movement`), and
+* two execution backends (:func:`get_backend`): the interpreter and
+  generated numpy code.
+
+Graphs are built node by node (``repro.core.sse_sdfg`` builds the Σ≷
+graph of Figs. 5/8 that way).
 """
 
 from .backends import (
@@ -16,7 +23,6 @@ from .backends import (
     SDFG_BACKENDS,
     StageRunner,
     get_backend,
-    register_backend,
 )
 from .graph import SDFG, ArrayDesc, InterstateEdge, InvalidSDFGError, SDFGState
 from .interpreter import ExecutionReport, Interpreter, execute
@@ -74,7 +80,6 @@ __all__ = [
     "SDFG_BACKENDS",
     "StageRunner",
     "get_backend",
-    "register_backend",
     "SDFG",
     "ArrayDesc",
     "InterstateEdge",

@@ -1,14 +1,14 @@
-"""Execution backends: pluggable lowering of SDFG stages to callables.
+"""Execution backends: the two lowerings of SDFG stages to callables.
 
 The paper's pipeline ends with DaCe *generating fast code* from the
-optimized graph (§5); this package is the corresponding seam in our
+optimized graph (§5); this package is the corresponding step in our
 reproduction.  A :class:`Backend` turns one pipeline
 :class:`~repro.sdfg.pipeline.Stage` into a :class:`StageRunner` — a
 callable executing the stage's SDFG on concrete numpy arrays, in the
 caller's *original* data layout (the stage's accumulated layout
 permutations are applied on the way in and inverted on the way out).
 
-Two backends are registered:
+There are two backends, looked up by name with :func:`get_backend`:
 
 ``interpreter``
     Wraps the reference :class:`~repro.sdfg.interpreter.Interpreter`
@@ -30,7 +30,7 @@ the reference kernel.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +39,7 @@ __all__ = [
     "BackendError",
     "StageRunner",
     "SDFG_BACKENDS",
-    "available_backends",
     "get_backend",
-    "register_backend",
 ]
 
 
@@ -86,37 +84,22 @@ class Backend:
         return f"{type(self).__name__}({self.name!r})"
 
 
-_REGISTRY: Dict[str, Callable[[], Backend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register a backend factory under ``name`` (last wins)."""
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of all currently registered backends (built-in + custom)."""
-    return tuple(_REGISTRY)
-
-
 def get_backend(name: Optional[str] = None) -> Backend:
     """Instantiate a backend by name (``None`` → ``"numpy"``)."""
     if name is None:
         name = "numpy"
-    if name not in _REGISTRY:
+    if name not in _BACKENDS:
         raise BackendError(
             f"unknown SDFG backend {name!r}; expected one of "
-            f"{available_backends()}"
+            f"{SDFG_BACKENDS}"
         )
-    return _REGISTRY[name]()
+    return _BACKENDS[name]()
 
 
 from .interpreter import InterpreterBackend  # noqa: E402
 from .codegen import NumpyBackend  # noqa: E402
 
-register_backend("interpreter", InterpreterBackend)
-register_backend("numpy", NumpyBackend)
+_BACKENDS = {"interpreter": InterpreterBackend, "numpy": NumpyBackend}
 
-#: The built-in execution backends of the SDFG layer (custom backends
-#: added via :func:`register_backend` show up in :func:`available_backends`).
-SDFG_BACKENDS: Tuple[str, ...] = ("interpreter", "numpy")
+#: The execution backends of the SDFG layer.
+SDFG_BACKENDS: Tuple[str, ...] = tuple(_BACKENDS)

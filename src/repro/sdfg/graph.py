@@ -324,19 +324,5 @@ class SDFG:
                                 f"nested SDFG maps {inner!r} to unknown {outer!r}"
                             )
 
-    # -- analysis ---------------------------------------------------------------
-    def total_movement(self, env: Dict[str, int]) -> Dict[str, int]:
-        """Sum of memlet access volumes (in elements) per array, over all
-        top-level memlets of all states.  A coarse data-movement metric used
-        by tests and the communication model cross-checks."""
-        out: Dict[str, int] = {}
-        for st in self.states:
-            for _, _, d in st.edges():
-                mem: Optional[Memlet] = d.get("memlet")
-                if mem is None:
-                    continue
-                out[mem.data] = out.get(mem.data, 0) + mem.accesses.evaluate(env)
-        return out
-
     def __repr__(self) -> str:
         return f"SDFG({self.name}, {len(self.states)} states, {len(self.arrays)} arrays)"

@@ -514,7 +514,7 @@ class Pipeline:
         """Lower every stage through an execution backend and wrap the
         final stage as a callable.
 
-        ``backend`` names a registered execution backend
+        ``backend`` names one of the two execution backends
         (:data:`repro.sdfg.backends.SDFG_BACKENDS`: ``"numpy"`` generates
         vectorized source, ``"interpreter"`` wraps the reference
         interpreter); ``None`` means ``numpy``.  Unknown names raise a

@@ -1,4 +1,4 @@
-"""Autotuner subsystem: move space, search strategies, traces, roofline."""
+"""Autotuner subsystem: move space, greedy search, traces, roofline."""
 
 import dataclasses
 import json
@@ -28,7 +28,6 @@ from repro.core.recipe import (
     VERIFY_DIMS,
     sse_move_library,
     sse_movement_report,
-    tuned_sse_pipeline,
     tuned_sse_search,
 )
 from repro.core.sse_sdfg import build_sse_sigma_sdfg
@@ -54,20 +53,12 @@ def greedy_result():
     return tuned_sse_search(_DIMS, library=restricted_library())
 
 
-@pytest.fixture(scope="module")
-def beam_result():
+def _traced_run(trace_path, dims=_DIMS):
     return tuned_sse_search(
-        _DIMS, strategy="beam", library=restricted_library()
-    )
-
-
-def _traced_run(trace_path, **kwargs):
-    return tuned_sse_search(
-        _DIMS,
+        dims,
         library=restricted_library(),
         trace_path=trace_path,
         verify=False,
-        **kwargs,
     )
 
 
@@ -150,12 +141,6 @@ class TestSearch:
         tuned = greedy_result.report
         assert tuned.stages[-1].total_bytes < hand.stages[-1].total_bytes
 
-    def test_beam_matches_greedy_bytes(self, greedy_result, beam_result):
-        assert (
-            beam_result.report.stages[-1].total_bytes
-            <= greedy_result.report.stages[-1].total_bytes
-        )
-
     def test_emitted_sequence_is_legal(self, greedy_result):
         # Each committed step's move must be offered by a fresh
         # enumeration of the state it was committed from, and replaying
@@ -203,8 +188,7 @@ class TestSearch:
         )
 
     def test_tuned_pipeline_is_compilable(self, greedy_result):
-        pipe = tuned_sse_pipeline(_DIMS, library=restricted_library())
-        compiled = pipe.compile(verify_dims=_DIMS)
+        compiled = greedy_result.pipeline.compile(verify_dims=_DIMS)
         assert set(compiled.verification) == {
             s.name for s in compiled.stages
         }
@@ -228,12 +212,16 @@ class TestTrace:
         trace = SearchTrace.load(path)
         assert trace.completed
         assert len(trace.steps) == len(first.moves)
+        assert trace.evaluations == first.evaluations
         assert SearchTrace.from_dict(
             json.loads(json.dumps(trace.to_dict()))
         ).to_dict() == trace.to_dict()
-        # Completed trace: the rerun replays instead of searching.
+        # Completed trace: the rerun replays instead of searching, and
+        # replayed moves are not evaluations — the recorded count stays.
         again = _traced_run(path)
         assert [m.key for m in again.moves] == [m.key for m in first.moves]
+        assert again.evaluations == first.evaluations
+        assert SearchTrace.load(path).evaluations == first.evaluations
 
     def test_truncated_trace_continues_search(self, searched):
         first, path = searched
@@ -245,11 +233,16 @@ class TestTrace:
         assert [m.key for m in resumed.moves] == [
             m.key for m in first.moves
         ]
+        # The prefix's recorded count is kept and what the resumed search
+        # evaluated after the replay is added to it.
+        assert trace.evaluations == first.evaluations
+        assert first.evaluations < resumed.evaluations < 2 * first.evaluations
+        assert SearchTrace.load(path).evaluations == resumed.evaluations
 
     def test_mismatched_trace_raises(self, searched):
         _, path = searched
         with pytest.raises(AutotuneError, match="records"):
-            _traced_run(path, strategy="beam")
+            _traced_run(path, dims=dict(_DIMS, NE=_DIMS["NE"] + 1))
 
     def test_diverged_trace_raises(self, searched):
         _, path = searched
@@ -265,20 +258,12 @@ class TestTrace:
 
 
 class TestConfig:
-    def test_invalid_strategy_raises(self):
-        with pytest.raises(AutotuneError, match="not a valid"):
-            SearchConfig(strategy="annealing").resolved()
-
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("beam_width", 0),
-            ("beam_width", -2),
             ("max_moves", 0),
             ("max_moves", -3),
-            ("escape_depth", 0),
             ("max_moves", 2.5),
-            ("beam_width", "4"),
         ],
     )
     def test_non_positive_int_argument_raises(self, field, value):
@@ -390,11 +375,12 @@ class TestPlanIntegration:
             physics=PhysicsSpec(**physics),
         )
 
-    def test_unknown_strategy_raises_plan_error(self):
+    @pytest.mark.parametrize("name", ["annealing", "beam"])
+    def test_unknown_strategy_raises_plan_error(self, name):
         from repro.api import PlanError, compile_workload
 
         with pytest.raises(PlanError, match="unknown autotune strategy"):
-            compile_workload(self._scba_workload(), autotune="annealing")
+            compile_workload(self._scba_workload(), autotune=name)
 
     def test_autotune_requires_sse_workload(self):
         from repro.api import (

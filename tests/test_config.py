@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import (
+    AUTOTUNE_STRATEGIES,
     PAPER_STRUCTURE_4864,
     PAPER_STRUCTURE_10240,
     PARAMETER_RANGES,
@@ -121,7 +122,5 @@ def test_removed_env_names_are_inert(monkeypatch, name, garbage):
     with SchedulerService() as svc:
         assert (svc.mode, svc.capacity_flops) == ("sync", 1e13)
     assert ResultCache().max_entries == 128
-    cfg = SearchConfig().resolved()
-    assert (cfg.strategy, cfg.beam_width, cfg.max_moves, cfg.escape_depth) == (
-        "greedy", 4, 24, 4,
-    )
+    assert SearchConfig().resolved().max_moves == 24
+    assert AUTOTUNE_STRATEGIES == ("greedy",)

@@ -87,14 +87,6 @@ class TestGraphStructure:
         st = sd.states[0]
         assert len(st.top_level_maps()) == 1
 
-    def test_total_movement(self):
-        # Static per-edge accounting: the full outer memlet (M*K elements)
-        # plus the un-propagated inner point memlet (1 element).
-        sd = build_matmul_sdfg()
-        mv = sd.total_movement(dict(M=2, N=3, K=4))
-        assert mv["A"] == 2 * 4 + 1
-        assert mv["C"] == 2 * 3 + 1
-
 
 class TestValidation:
     def test_valid_graph_passes(self):

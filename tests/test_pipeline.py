@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.core import (
     RECIPE_SUMMARY,
     SSE_PIPELINE,
-    build_stages,
     compile_sse_pipeline,
     sse_movement_report,
 )
@@ -40,7 +39,7 @@ _PAPER_DIMS = dict(Nkz=7, NE=706, Nqz=7, Nw=70, NA=4864, NB=34, Norb=12, N3D=3)
 
 @pytest.fixture(scope="module")
 def stages():
-    return {s.name: s for s in build_stages()}
+    return {s.name: s for s in SSE_PIPELINE.build()}
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +194,8 @@ class TestRecipePipeline:
         assert d["passes"][0]["reduce"] == {"dHD": ["j"]}
 
     def test_build_is_repeatable_and_independent(self):
-        a = build_stages()
-        b = build_stages()
+        a = SSE_PIPELINE.build()
+        b = SSE_PIPELINE.build()
         assert [s.name for s in a] == [s.name for s in b]
         assert a[0].sdfg is not b[0].sdfg
 
