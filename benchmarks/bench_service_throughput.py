@@ -1,4 +1,4 @@
-"""Scheduler throughput: shared rank pools vs isolated per-tenant runs.
+"""Scheduler throughput: shared executors vs isolated per-tenant runs.
 
 Six tenants submit single-point ballistic workloads of the same device
 on the same spectral grid — the classic multi-tenant pattern where every
@@ -6,9 +6,9 @@ job is structurally identical but physically distinct (different bias),
 plus one exact duplicate.  The batch runs twice:
 
 * ``scheduler`` — one :class:`repro.service.SchedulerService` drain:
-  jobs are priced, bin-packed onto shared pools (here one pool, by
-  structural affinity), executed against a common warm boundary cache,
-  and the duplicate is served from the content-addressed result cache;
+  jobs are planned, executed on the service's one executor set against
+  a common warm boundary cache (one structural group), and the
+  duplicate is served from the content-addressed result cache;
 * ``isolated``  — one :class:`repro.api.Session` per workload, the
   pre-service pattern: every tenant pays the full boundary bill.
 
@@ -66,14 +66,22 @@ def _run_scheduler(batch) -> dict:
         svc.drain()
         currents = [j.result.currents_left[0] for j in jobs]
         stats = svc.stats()
+        done = sorted(
+            (j for j in jobs if j.state == "DONE"),
+            key=lambda j: j.metrics["exec_order"],
+        )
     return {
         "seconds": time.perf_counter() - start,
         "currents": currents,
         "boundary_solves": stats["boundary_solves"],
-        "boundary_solves_saved": stats["boundary_solves_saved"],
         "cache_hits": stats["cache"]["hits"],
-        "pools": len(stats["pools"]),
+        "groups": stats["groups"],
         "jobs": stats["jobs"],
+        # (solves, hits) of each executed job, in execution order
+        "done_solves_hits": [
+            [j.metrics["boundary_solves"], j.metrics["boundary_hits"]]
+            for j in done
+        ],
     }
 
 
@@ -134,7 +142,7 @@ def test_service_throughput(benchmark, bench_writer):
     report(
         render_table(
             f"Scheduler ({len(TENANT_BIASES)} mixed-tenant jobs, shared "
-            "pools) vs isolated sessions",
+            "executors) vs isolated sessions",
             ["path", "seconds", "boundary solves"],
             rows,
         )
@@ -142,16 +150,19 @@ def test_service_throughput(benchmark, bench_writer):
 
     # ISSUE 7 acceptance: numerically equivalent ...
     assert record["max_current_deviation"] <= 1e-10
-    # ... the shared pool pays one boundary bill (each lead once per
+    # ... the shared executors pay one boundary bill (each lead once per
     # grid point and contact) where every isolated session pays its own;
-    # the five other distinct jobs hit it, the duplicate never runs ...
+    # the five other distinct jobs only hit it, the duplicate never runs ...
     g = _workload("any", 0.0).grid
     per_run = 2 * g.Nkz * g.NE + 2 * g.Nqz * g.Nw
     n = len(TENANT_BIASES)
     assert record["scheduler"]["boundary_solves"] == per_run
     assert record["isolated"]["boundary_solves"] == n * per_run
     assert record["solve_reduction"] == n == 7
-    assert record["scheduler"]["boundary_solves_saved"] == (n - 2) * per_run
+    first, *later = record["scheduler"]["done_solves_hits"]
+    assert first[0] == per_run and len(later) == n - 2
+    assert all(solves == 0 and hits > 0 for solves, hits in later)
+    assert record["scheduler"]["groups"] == 1
     # ... AND strictly less wall time.
     assert record["scheduler"]["seconds"] < record["isolated"]["seconds"]
     # the duplicate tenant resolved from the result cache

@@ -1,17 +1,17 @@
 """The multi-tenant scheduler service, end to end.
 
-Three tenants share one machine.  Alice and Bob run bias points of the
-same device on the same grid — structurally identical workloads, so the
-packer co-schedules them onto one rank pool and Bob inherits Alice's
-open-boundary solves for free.  Carol's grid differs (her own structural
-group), so she pays her own boundary bill.  Dave resubmits Alice's exact
-physics under a different label and is served from the content-addressed
-result cache without touching a rank at all.
+Four tenants share one machine.  Alice and Bob run bias points of the
+same device on the same grid — structurally identical workloads, so they
+share one resident simulation and Bob inherits Alice's open-boundary
+solves for free.  Carol's grid differs (her own structural group), so
+she pays her own boundary bill.  Dave resubmits Alice's exact physics
+under a different label and is served from the content-addressed result
+cache without touching a rank at all.
 
-Along the way: jobs are priced with the Table-3 flop model before
-admission, executed strictly in priority order, and every result carries
-a ``service`` block (pool, cache outcome, measured boundary-solve
-savings) that serializes with it.
+Along the way: jobs are priced with the Table-3 flop model while
+planning, executed strictly in priority order, and every result carries
+a ``service`` block (cache outcome, priced vs executed flops, measured
+boundary solves and hits) that serializes with it.
 
 Run:  python examples/scheduler_service.py
 """
@@ -19,7 +19,7 @@ Run:  python examples/scheduler_service.py
 import json
 
 from repro.api import DeviceSpec, GridSpec, PhysicsSpec, SweepAxis, Workload
-from repro.service import ResultCache, SchedulerService, price_plan
+from repro.service import ResultCache, SchedulerService
 
 
 def tenant_workload(name, bias=0.2, NE=8, points=None):
@@ -40,53 +40,41 @@ def main():
     w_carol = tenant_workload("carol-fine", NE=12)
     w_dave = tenant_workload("dave-copy", points=(0.0, 0.2, 0.4))
 
-    # Size each pool from the Table-3 prices so the machine genuinely has
-    # to bin-pack: alice+dave+bob fit one pool, carol overflows into her
-    # own — which matches the sharing structure anyway.
-    flops = {w.name: price_plan(w.compile()).flops
-             for w in (w_alice, w_bob, w_carol, w_dave)}
-    capacity = (flops["alice-iv"] + flops["dave-copy"]
-                + (flops["bob-spot"] + flops["carol-fine"]) / 2)
-
-    with SchedulerService(
-        capacity_flops=capacity, cache=ResultCache(max_entries=32)
-    ) as svc:
+    with SchedulerService(cache=ResultCache(max_entries=32)) as svc:
         # -- submission: four tenants, mixed priorities ------------------
         alice = svc.submit(w_alice, tenant="alice", priority=5)
         bob = svc.submit(w_bob, tenant="bob", priority=0)
         carol = svc.submit(w_carol, tenant="carol", priority=0)
         # dave resubmits alice's exact physics under a different label
         dave = svc.submit(w_dave, tenant="dave", priority=0)
-        print(f"queued {len(svc.jobs())} jobs from 4 tenants "
-              f"(pool capacity {capacity:.2e} modeled flops)\n")
+        print(f"queued {len(svc.jobs())} jobs from 4 tenants\n")
 
-        # -- one drain: price, pack, execute in priority order -----------
+        # -- one drain: plan, cache-probe, execute in priority order -----
         svc.drain()
-        print(f"{'job':>12} {'tenant':>7} {'state':>7} {'pool':>7} "
-              f"{'solves':>7} {'saved':>6}  cache")
+        print(f"{'job':>12} {'tenant':>7} {'state':>7} "
+              f"{'solves':>7} {'hits':>6}  cache")
         for job in svc.jobs():
             s = job.result.service
             print(f"{job.workload.name:>12} {job.tenant:>7} {job.state:>7} "
-                  f"{s['pool_id'] or '-':>7} {s['boundary_solves']:>7} "
-                  f"{s['boundary_solves_saved']:>6}  {s['cache']}")
+                  f"{s['boundary_solves']:>7} {s['boundary_hits']:>6}  "
+                  f"{s['cache']}")
 
         # -- what sharing bought ----------------------------------------
         stats = svc.stats()
-        print(f"\nboundary solves paid : {stats['boundary_solves']}")
-        print(f"boundary solves saved: {stats['boundary_solves_saved']} "
-              "(bob reused alice's warm pool)")
+        print(f"\nboundary solves paid : {stats['boundary_solves']} "
+              "(bob reused alice's warm simulation)")
         print(f"cache hits           : {stats['cache']['hits']} "
               "(dave ran nothing)")
-        print(f"pools                : {len(stats['pools'])} "
+        print(f"structural groups    : {stats['groups']} "
               "(alice+bob+dave share one; carol's grid gets its own)")
 
         # the service block travels with the serialized result
         blob = json.loads(bob.result.to_json())["service"]
-        print(f"\nbob's serialized service block: pool={blob['pool_id']}, "
-              f"saved={blob['boundary_solves_saved']} solves")
+        print(f"\nbob's serialized service block: "
+              f"solves={blob['boundary_solves']}, hits={blob['boundary_hits']}")
 
         assert dave.state == "CACHED" and blob["boundary_solves"] == 0
-        assert len(stats["pools"]) == 2
+        assert blob["boundary_hits"] > 0 and stats["groups"] == 2
         assert alice.metrics["exec_order"] == 1  # priority 5 ran first
         print("\nscheduler service sane: sharing, caching, priority order")
 

@@ -32,9 +32,9 @@ Packages
     executed ``Session`` (with sweeps as first-class axes and named
     scenario presets) — the canonical entry point for every scenario.
 ``repro.service``
-    The multi-tenant scheduler above the facade: a cost-model-priced job
-    queue, structural-affinity bin-packing onto shared rank pools, and a
-    content-addressed result cache — many tenants, one machine.
+    The multi-tenant scheduler above the facade: a priority job queue and
+    a content-addressed result cache in front of one executor set that
+    keeps each structural group's simulation warm across tenants.
 ``repro.analysis``
     Experiment drivers that regenerate every table/figure of the paper.
 """

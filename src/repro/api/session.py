@@ -18,7 +18,7 @@ planned workload and reuses it across sweep points:
   GC/atexit.
 
 One sweep point is executed by :func:`execute_point` — for a session and
-for the scheduler service's shared pools alike.  Results come back as
+for the scheduler service's shared executors alike.  Results come back as
 structured :class:`RunResult`/:class:`SweepResult` objects with JSON
 export built on :meth:`repro.negf.SCBAResult.to_dict`.
 """
@@ -159,9 +159,9 @@ class SweepResult:
     #: sweep-invariant work ran once; always serialized by :meth:`to_dict`
     reuse: Dict[str, int] = field(default_factory=dict)
     engine: str = ""
-    #: scheduler-service metadata (cache hit/miss, shared-pool savings,
+    #: scheduler-service metadata (cache hit/miss, boundary solves/hits,
     #: queue latency) attached by :class:`repro.service.SchedulerService`
-    #: so the savings accounting serializes with the result; None for
+    #: so the job's accounting serializes with the result; None for
     #: plain :meth:`Session.run` results
     service: Optional[Dict[str, Any]] = None
     #: sweep-wide telemetry snapshot ({"mode", "trace", "metrics"},

@@ -9,9 +9,9 @@ into decisions:
   measured idle fractions, the critical path, and the overlap-headroom
   estimate the async-runtime roadmap item needs;
 * :mod:`~repro.observe.health` — service introspection layered on
-  :meth:`~repro.service.SchedulerService.stats`: queue-latency
-  percentiles, pool utilization vs modeled-flop capacity, and a single
-  ok/degraded verdict.
+  :meth:`~repro.service.SchedulerService.stats`: queue depth and
+  latency percentiles, failure and cache counters, per-tenant
+  breakdowns, and a single ok/degraded verdict.
 
 ``python -m repro.observe`` renders either as markdown.  Timings are
 recorded and compared by the end-to-end benchmark

@@ -6,8 +6,6 @@ verdict:
 
 * queue depth and queue-latency percentiles (p50/p95/max, from the
   scheduler's bounded latency reservoir) against thresholds;
-* per-pool utilization — committed modeled flops vs the pool's
-  Table-3-priced capacity — plus the fleet aggregate;
 * failure and cache counters, per-tenant job breakdowns;
 * one :func:`service_health` verdict: ``ok`` or ``degraded`` with the
   reasons spelled out.
@@ -29,7 +27,6 @@ DEFAULT_THRESHOLDS: Dict[str, float] = {
     "max_queued": 100,  # jobs sitting unprocessed
     "max_latency_p95_s": 60.0,  # queue latency tail
     "max_failed_fraction": 0.0,  # any failure degrades by default
-    "max_pool_utilization": 1.0,  # committed flops vs modeled capacity
 }
 
 
@@ -67,16 +64,6 @@ class HealthReport:
         lines.append(
             f"- jobs: {d.get('jobs', {})}, cache: {d.get('cache', {})}"
         )
-        pools = d.get("pools", [])
-        if pools:
-            lines += ["", "| pool | utilization | committed flops "
-                      "| capacity flops | jobs |", "|---|---:|---:|---:|---:|"]
-            for p in pools:
-                lines.append(
-                    f"| {p['pool_id']} | {100 * p['utilization']:.1f}% "
-                    f"| {p['committed_flops']:.3e} "
-                    f"| {p['capacity_flops']:.3e} | {len(p['jobs'])} |"
-                )
         tenants = d.get("tenants", {})
         if tenants:
             lines += ["", "| tenant | jobs | done | cached | failed |",
@@ -149,26 +136,11 @@ def service_health(
     if total and failed / total > limits["max_failed_fraction"]:
         reasons.append(f"{failed}/{total} jobs FAILED")
 
-    # pool utilization vs modeled-flop capacity
-    pools = []
-    for p in stats.get("pools", []):
-        capacity = p.get("capacity_flops") or 0.0
-        committed = p.get("committed_flops") or 0.0
-        utilization = (committed / capacity) if capacity else 0.0
-        pools.append({**p, "utilization": utilization})
-        if utilization > limits["max_pool_utilization"]:
-            reasons.append(
-                f"pool {p.get('pool_id')} overcommitted: "
-                f"{100 * utilization:.0f}% of modeled capacity "
-                f"(oversize admission)"
-            )
-
     tenants = stats.get("tenants")
     if tenants is None and service is not None:
         tenants = tenant_breakdown(service.jobs())
 
     details = dict(stats)
-    details["pools"] = pools
     if tenants is not None:
         details["tenants"] = tenants
     details["thresholds"] = limits

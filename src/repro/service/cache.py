@@ -13,7 +13,10 @@ Two tiers:
   returns the exact object payload a fresh run would have produced;
 * an optional on-disk store (``directory=...``): each entry is persisted
   as ``<key>.json`` through :meth:`SweepResult.to_json`, surviving
-  process restarts.  Disk hits are promoted back into the LRU.  Arrays
+  process restarts.  Disk hits are promoted back into the LRU.  Entries
+  are written to a temporary file and renamed into place, and an entry
+  that cannot be read or decoded counts as a miss (the next ``put``
+  replaces it), so a crash mid-write costs one re-run.  Arrays
   are included on disk only with ``persist_arrays=True`` — the scalar
   summary is the default, matching :meth:`SweepResult.save`.
 
@@ -23,6 +26,8 @@ Hit/miss/eviction counters feed the scheduler's :meth:`stats`.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -75,13 +80,21 @@ class ResultCache:
             self.hits += 1
             return self._entries[key]
         path = self._disk_path(key)
-        if path is not None:
-            result = SweepResult.from_dict(json.loads(path.read_text()))
+        result = None if path is None else self._read(path)
+        if result is not None:
             self._insert(key, result)  # promote to the LRU tier
             self.hits += 1
             return result
         self.misses += 1
         return None
+
+    @staticmethod
+    def _read(path: Path) -> Optional[SweepResult]:
+        """A disk entry, or None when it cannot be read or decoded."""
+        try:
+            return SweepResult.from_dict(json.loads(path.read_text()))
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
 
     # -- store --------------------------------------------------------------------
     def put(self, key: str, result: SweepResult) -> None:
@@ -91,10 +104,11 @@ class ResultCache:
         self._insert(key, result)
         self.puts += 1
         if self.directory is not None:
-            path = self.directory / f"{key}.json"
-            path.write_text(
-                result.to_json(include_arrays=self.persist_arrays) + "\n"
-            )
+            text = result.to_json(include_arrays=self.persist_arrays) + "\n"
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, self.directory / f"{key}.json")
 
     def _insert(self, key: str, result: SweepResult) -> None:
         self._entries[key] = result

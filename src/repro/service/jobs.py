@@ -9,8 +9,9 @@ deadline hint — and an explicit state machine::
                  └─► CACHED ◄┘                 └─► FAILED
 
 ``PLANNING`` is the compile step (:func:`repro.api.compile_workload`
-validates and prices the job), ``ADMITTED`` means the packer placed it on
-a :class:`~repro.service.RankPool`, and ``CACHED`` is the short-circuit
+validates and prices the job), ``ADMITTED`` means planned, cache-missed
+and queued for execution in this batch on the service's one executor set
+(:class:`~repro.service.RankPool`), and ``CACHED`` is the short-circuit
 taken when the content-addressed result cache already holds the
 workload's :class:`~repro.api.SweepResult` — a cached job never touches a
 rank.  Every transition is validated (illegal moves raise
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api import Plan, Workload
@@ -74,11 +75,7 @@ class JobRecord:
     note: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "state": self.state,
-            "timestamp": self.timestamp,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -96,16 +93,13 @@ class Job:
     seq: int = field(default_factory=lambda: next(_JOB_IDS))
     state: str = "QUEUED"
     history: List[JobRecord] = field(default_factory=list)
-    #: compile artifacts, filled during PLANNING
+    #: compile artifact, filled during PLANNING
     plan: Optional[Plan] = None
-    price: Optional[Any] = None  # JobPrice (packer.py layers above jobs.py)
-    #: pool placement, filled on ADMITTED
-    pool_id: Optional[str] = None
     #: outcome: the SweepResult (DONE/CACHED) or the failure reason
     result: Optional[Any] = None
     error: Optional[str] = None
     #: per-job scheduler metrics (queue latency, cache hit/miss, flops
-    #: priced vs executed, boundary-solve deltas and savings)
+    #: priced vs executed, measured boundary solves and hits)
     metrics: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -169,8 +163,6 @@ class Job:
             "state": self.state,
             "workload": self.workload.to_dict(),
             "cache_key": self.cache_key,
-            "pool_id": self.pool_id,
-            "price": self.price.to_dict() if self.price is not None else None,
             "error": self.error,
             "metrics": dict(self.metrics),
             "history": [r.to_dict() for r in self.history],

@@ -1,20 +1,21 @@
 """SchedulerService: the multi-tenant front door of the repository.
 
-``submit()`` queues a :class:`~repro.service.Job`; processing a batch
-then walks each job through the lifecycle:
+The service is a queue and a result cache in front of one executor set
+(:class:`~repro.service.RankPool`).  ``submit()`` queues a
+:class:`~repro.service.Job`; processing a batch then walks each job
+through the lifecycle:
 
 1. **PLANNING** — ``workload.compile()`` validates against Table 1 and
-   prices the job (:func:`~repro.service.packer.price_plan`: Table-3
-   flops + §4.1 volumes).  A content-addressed cache probe happens here:
-   a hit short-circuits straight to **CACHED** without touching a rank.
-2. **ADMITTED** — :func:`~repro.service.packer.pack_jobs` places the
-   batch onto the persistent :class:`~repro.service.RankPool` fleet
-   (first-fit-decreasing, structural-affinity bonus, warm pools
-   included), opening new pools as capacity demands.
+   prices the job (Table-3 flops, :attr:`repro.api.PlanCost.total_flops`).
+   A content-addressed cache probe happens here: a hit short-circuits
+   straight to **CACHED** without touching a rank.
+2. **ADMITTED** — planned and cache-missed: queued for execution in this
+   batch.
 3. **RUNNING → DONE** — admitted jobs execute in strict priority order
    (priority desc, deadline asc, submit order asc — priority inversion
-   is structurally impossible within a batch) on their pool's shared
-   executors; results enter the cache, and a duplicate admitted in the
+   is structurally impossible within a batch) on the one resident
+   executor set, where every job of a structural group shares one warm
+   simulation; results enter the cache, and a duplicate admitted in the
    same batch resolves from the cache at this point with zero additional
    boundary solves.
 
@@ -22,10 +23,11 @@ Two modes (the ``mode`` argument): ``sync`` — jobs run inside explicit
 :meth:`drain` calls (or a :meth:`wait` that triggers one); fully
 deterministic, the mode every test uses — and ``thread`` — a background
 worker drains the queue as it fills, with :meth:`wait` blocking on the
-job's terminal state.
+job's terminal state.  A batch that raises fails its unfinished jobs
+with the reason; the service keeps serving.
 
 Per-job metrics (queue latency, cache hit/miss, flops priced vs
-executed, boundary-solve savings attributable to sharing) live on
+executed, measured boundary solves and hits) live on
 :attr:`Job.metrics`, are attached to each result's
 :attr:`~repro.api.SweepResult.service` block, and aggregate in
 :meth:`stats`.
@@ -39,8 +41,6 @@ from collections import deque
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Union
 
-import numpy as np
-
 from ..api import PlanError, Workload, WorkloadError
 from ..api.session import SweepResult
 from ..config import SERVICE_MODES
@@ -48,7 +48,6 @@ from ..telemetry import metrics as _metrics
 from ..telemetry.spans import metrics_enabled, trace
 from .cache import ResultCache
 from .jobs import Job
-from .packer import pack_jobs, price_plan
 from .pool import RankPool
 
 __all__ = ["SchedulerError", "SchedulerService"]
@@ -59,46 +58,19 @@ __all__ = ["SchedulerError", "SchedulerService"]
 LATENCY_RESERVOIR = 256
 
 
-def _jsonify(value: Any) -> Any:
-    """Coerce numpy scalars/arrays so ``stats()`` JSON-round-trips."""
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
-
-
 class SchedulerError(RuntimeError):
     """The service cannot accept, run, or return a job."""
 
 
 class SchedulerService:
-    """Queue, price, pack, and execute many tenants' workloads."""
+    """Queue, cache-probe, and execute many tenants' workloads."""
 
     def __init__(
         self,
-        capacity_flops: float = 1e13,
         cache: Optional[ResultCache] = None,
         mode: str = "sync",
-        allow_oversize: bool = True,
         keep_arrays: bool = True,
     ):
-        #: per-pool capacity in modeled flops; the default fits several
-        #: Table-3-priced small workloads per pool while still splitting
-        #: heavy mixed-tenant batches
-        self.capacity_flops = capacity_flops
-        if self.capacity_flops <= 0:
-            raise SchedulerError(
-                f"capacity_flops={self.capacity_flops} must be positive"
-            )
         self.mode = mode
         if self.mode not in SERVICE_MODES:
             raise SchedulerError(
@@ -106,15 +78,13 @@ class SchedulerService:
                 f"expected one of {SERVICE_MODES}"
             )
         self.cache = ResultCache() if cache is None else cache
-        self.allow_oversize = allow_oversize
         self.keep_arrays = keep_arrays
         self._jobs: Dict[str, Job] = {}
         self._queue: List[Job] = []
         #: bounded recent-window queue-latency samples + lifetime count
         self._latencies: deque = deque(maxlen=LATENCY_RESERVOIR)
         self._latency_count = 0
-        self._pools: Dict[str, RankPool] = {}
-        self._pool_counter = 0
+        self._pool = RankPool()
         self._exec_counter = 0
         self._cond = threading.Condition()
         self._stop = False
@@ -167,7 +137,7 @@ class SchedulerService:
             return []
         with self._cond:
             batch, self._queue = self._queue, []
-        return self._process(batch)
+        return self._run_batch(batch)
 
     def wait(
         self, job: Union[Job, str], timeout: Optional[float] = None
@@ -208,70 +178,52 @@ class SchedulerService:
                 if self._stop and not self._queue:
                     return
                 batch, self._queue = self._queue, []
-            self._process(batch)
+            self._run_batch(batch)
 
     # -- the batch pipeline -------------------------------------------------------
-    def _process(self, batch: List[Job]) -> List[Job]:
-        """Plan, cache-probe, pack, and execute one batch of jobs."""
-        planned: List[Job] = []
+    def _run_batch(self, batch: List[Job]) -> List[Job]:
+        """:meth:`_process` a batch; if it raises, fail what is unfinished.
+
+        The queue outlives any one batch: neither a ``sync`` drain nor
+        the ``thread`` worker dies with it, and no job is left waiting
+        in a non-terminal state.
+        """
+        try:
+            self._process(batch)
+        except Exception as exc:
+            for job in batch:
+                if not job.terminal:
+                    job.fail(f"batch failed: {exc!r}")
+                    _metrics.add("service.jobs_failed")
+        finally:
+            with self._cond:
+                self._cond.notify_all()
+        return sorted(batch, key=Job.order_key)
+
+    def _process(self, batch: List[Job]) -> None:
+        """Plan, cache-probe, and execute one batch of jobs."""
+        admitted: List[Job] = []
         for job in sorted(batch, key=Job.order_key):
             job.transition("PLANNING")
             with trace("service.plan", job_id=job.job_id, tenant=job.tenant):
                 try:
                     job.plan = job.workload.compile()
-                    job.price = price_plan(job.plan)
                 except (PlanError, WorkloadError) as exc:
                     job.fail(f"planning failed: {exc}")
                     _metrics.add("service.jobs_failed")
                     continue
-            job.metrics["flops_priced"] = job.price.flops
+            job.metrics["flops_priced"] = job.plan.cost.total_flops
             cached = self.cache.get(job.cache_key)
             if cached is not None:
                 self._finish_cached(job, cached, "hit at planning")
                 continue
             job.metrics["cache"] = "miss"
-            planned.append(job)
+            job.transition("ADMITTED", "cache miss: queued for execution")
+            admitted.append(job)
 
-        with trace("service.pack", jobs=len(planned)):
-            packing = pack_jobs(
-                planned,
-                self.capacity_flops,
-                pools=tuple(self._pools.values()),
-                allow_oversize=self.allow_oversize,
-                start_index=self._pool_counter,
-            )
-        for job in planned:
-            if job.job_id in packing.rejected:
-                job.fail(packing.rejected[job.job_id])
-                _metrics.add("service.jobs_failed")
-        admitted: List[Job] = []
-        for assignment in packing.assignments:
-            if assignment.new and assignment.job_ids:
-                capacity = (
-                    max(self.capacity_flops, assignment.flops)
-                    if assignment.oversize
-                    else self.capacity_flops
-                )
-                self._pools[assignment.pool_id] = RankPool(
-                    assignment.pool_id, capacity
-                )
-                self._pool_counter += 1
-            pool = self._pools.get(assignment.pool_id)
-            for job_id in assignment.job_ids:
-                job = self._jobs[job_id]
-                with trace(
-                    "service.admit", job_id=job.job_id, pool=pool.pool_id
-                ):
-                    pool.admit(job)
-                    job.transition("ADMITTED", f"packed onto {pool.pool_id}")
-                admitted.append(job)
-
-        # strict priority order across all pools: no priority inversion
-        for job in sorted(admitted, key=Job.order_key):
+        # strict priority order (``admitted`` is sorted): no inversion
+        for job in admitted:
             self._execute(job)
-        with self._cond:
-            self._cond.notify_all()
-        return sorted(batch, key=Job.order_key)
 
     def _execute(self, job: Job) -> None:
         """Run one admitted job (or resolve a same-batch duplicate)."""
@@ -282,16 +234,12 @@ class SchedulerService:
         job.transition("RUNNING")
         self._exec_counter += 1
         job.metrics["exec_order"] = self._exec_counter
-        pool = self._pools[job.pool_id]
         before = (
             _metrics.get_registry().snapshot() if metrics_enabled() else None
         )
-        with trace(
-            "service.execute", job_id=job.job_id, tenant=job.tenant,
-            pool=job.pool_id,
-        ):
+        with trace("service.execute", job_id=job.job_id, tenant=job.tenant):
             try:
-                result = pool.execute(job, keep_arrays=self.keep_arrays)
+                result = self._pool.execute(job, keep_arrays=self.keep_arrays)
             except Exception as exc:  # surface, don't kill the batch
                 job.fail(f"execution failed: {exc}")
                 _metrics.add("service.jobs_failed")
@@ -303,7 +251,7 @@ class SchedulerService:
                 for k in after
                 if after[k] != before.get(k, 0)
             }
-        job.metrics["flops_executed"] = job.price.flops
+        job.metrics["flops_executed"] = job.plan.cost.total_flops
         job.metrics["queue_latency_s"] = job.queue_latency_s
         self._record_latency(job.queue_latency_s)
         result.service = self._service_block(job)
@@ -319,7 +267,6 @@ class SchedulerService:
             flops_executed=0.0,
             boundary_solves=0,
             boundary_hits=0,
-            boundary_solves_saved=0,
             queue_latency_s=job.queue_latency_s,
         )
         job.result = replace(cached, service=self._service_block(job))
@@ -328,20 +275,16 @@ class SchedulerService:
         _metrics.add("service.jobs_cached")
 
     def _service_block(self, job: Job) -> Dict[str, Any]:
-        """The metrics block serialized with the result (satellite 2)."""
+        """The metrics block serialized with the result."""
         return {
             "job_id": job.job_id,
             "tenant": job.tenant,
             "priority": job.priority,
-            "pool_id": job.pool_id,
             "cache": job.metrics.get("cache", "miss"),
             "flops_priced": job.metrics.get("flops_priced", 0.0),
             "flops_executed": job.metrics.get("flops_executed", 0.0),
             "boundary_solves": job.metrics.get("boundary_solves", 0),
             "boundary_hits": job.metrics.get("boundary_hits", 0),
-            "boundary_solves_saved": job.metrics.get(
-                "boundary_solves_saved", 0
-            ),
             "queue_latency_s": job.metrics.get("queue_latency_s"),
         }
 
@@ -375,16 +318,17 @@ class SchedulerService:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Aggregated service metrics across all jobs, pools, and tiers.
+        """Aggregated service metrics across all jobs and cache tiers.
 
-        JSON-serializable end-to-end (numpy scalars coerced), so the dict
-        can be dumped for out-of-process health checks
+        JSON-serializable end-to-end (every leaf is a Python scalar,
+        string, list or dict), so the dict can be dumped for
+        out-of-process health checks
         (:func:`repro.observe.health.service_health`).
         """
         states: Dict[str, int] = {}
         tenants: Dict[str, Dict[str, int]] = {}
         priced = executed = 0.0
-        solves = hits = saved = 0
+        solves = hits = 0
         latencies: List[float] = []
         for job in self._jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
@@ -392,22 +336,16 @@ class SchedulerService:
                 job.tenant, {"jobs": 0, "done": 0, "cached": 0, "failed": 0}
             )
             t["jobs"] += 1
-            if job.state == "DONE":
-                t["done"] += 1
-            elif job.state == "CACHED":
-                t["cached"] += 1
-            elif job.state == "FAILED":
-                t["failed"] += 1
+            if job.terminal:
+                t[job.state.lower()] += 1
             priced += job.metrics.get("flops_priced", 0.0)
             executed += job.metrics.get("flops_executed", 0.0)
             solves += job.metrics.get("boundary_solves", 0)
             hits += job.metrics.get("boundary_hits", 0)
-            saved += job.metrics.get("boundary_solves_saved", 0)
             if job.queue_latency_s is not None:
                 latencies.append(job.queue_latency_s)
-        return _jsonify({
+        return {
             "mode": self.mode,
-            "capacity_flops": self.capacity_flops,
             "jobs": states,
             "tenants": tenants,
             "queued": len(self._queue),
@@ -415,14 +353,13 @@ class SchedulerService:
             "flops_executed": executed,
             "boundary_solves": solves,
             "boundary_hits": hits,
-            "boundary_solves_saved": saved,
+            "groups": len(self._pool),
             "mean_queue_latency_s": (
                 sum(latencies) / len(latencies) if latencies else None
             ),
             "queue_latency_s": self._latency_stats(),
             "cache": self.cache.stats(),
-            "pools": [p.stats() for p in self._pools.values()],
-        })
+        }
 
     def jobs(self) -> List[Job]:
         """Every job the service has seen, in submit order."""
@@ -430,7 +367,7 @@ class SchedulerService:
 
     # -- lifetime -----------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker (thread mode) and shut every pool down."""
+        """Stop the worker (thread mode) and shut the executors down."""
         if self._closed:
             return
         with self._cond:
@@ -438,9 +375,7 @@ class SchedulerService:
             self._cond.notify_all()
         if self._worker is not None:
             self._worker.join(timeout=30)
-        for pool in self._pools.values():
-            pool.close()
-        self._pools.clear()
+        self._pool.close()
         self._closed = True
 
     def __enter__(self) -> "SchedulerService":

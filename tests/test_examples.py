@@ -86,7 +86,7 @@ def test_autotune_recipe_example():
 def test_scheduler_service_example():
     out = _run("scheduler_service.py")
     assert "CACHED" in out
-    assert "boundary solves saved: 40" in out
+    assert "boundary solves paid : 96" in out
     assert "scheduler service sane" in out
 
 

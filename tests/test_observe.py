@@ -173,13 +173,7 @@ def _stats(**overrides):
             "count": 4, "window": 4,
             "p50": 0.01, "p95": 0.02, "max": 0.03, "mean": 0.012,
         },
-        "pools": [
-            {
-                "pool_id": "pool-0", "capacity_flops": 1e9,
-                "committed_flops": 4e8, "utilization": 0.4,
-                "jobs": ["j0", "j1"], "groups": 1,
-            }
-        ],
+        "groups": 1,
         "tenants": {"alice": {"jobs": 4, "done": 3, "cached": 1,
                               "failed": 0}},
     }
@@ -191,7 +185,7 @@ def test_health_ok_verdict():
     report = service_health(stats=_stats())
     assert report.ok and report.status == "ok" and not report.reasons
     md = report.to_markdown()
-    assert "**OK**" in md and "pool-0" in md and "alice" in md
+    assert "**OK**" in md and "alice" in md
     json.loads(json.dumps(report.to_dict()))
 
 
@@ -204,11 +198,6 @@ def test_health_ok_verdict():
             {"queue_latency_s": {"count": 4, "window": 4, "p50": 1.0,
                                  "p95": 120.0, "max": 130.0, "mean": 30.0}},
             "latency p95",
-        ),
-        (
-            {"pools": [{"pool_id": "pool-0", "capacity_flops": 1e9,
-                        "committed_flops": 2e9, "jobs": []}]},
-            "overcommitted",
         ),
     ],
 )

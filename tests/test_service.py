@@ -1,4 +1,4 @@
-"""Multi-tenant scheduler service: jobs, cache, pools, packing, metrics."""
+"""Multi-tenant scheduler service: jobs, cache, executors, metrics."""
 
 import json
 
@@ -18,13 +18,10 @@ from repro.config import SERVICE_MODES
 from repro.service import (
     Job,
     JobError,
-    PackingError,
     RankPool,
     ResultCache,
     SchedulerError,
     SchedulerService,
-    pack_jobs,
-    price_plan,
     structural_key,
 )
 
@@ -139,94 +136,22 @@ class TestResultCache:
         assert hit is not None and hit.workload["name"] == "persisted"
         assert second.stats()["hits"] == 1
 
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+        (tmp_path / "k.json").write_text('{"workload": {"na')  # torn write
+        cache = ResultCache(max_entries=4, directory=tmp_path)
+        assert cache.get("k") is None
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
+        cache.put("k", _dummy_sweep("rewritten"))
+        fresh = ResultCache(max_entries=4, directory=tmp_path)
+        assert fresh.get("k").workload["name"] == "rewritten"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+
     def test_negative_entries_raise(self):
         with pytest.raises(ValueError, match="max_entries"):
             ResultCache(max_entries=-1)
 
 
-# -- pricing and packing --------------------------------------------------------
-
-
-class TestPacker:
-    def _priced_job(self, workload, **job_kwargs):
-        job = Job(workload=workload, **job_kwargs)
-        job.plan = workload.compile(engine="batched")
-        job.price = price_plan(job.plan)
-        return job
-
-    def test_price_positive_and_serializable(self):
-        job = self._priced_job(small_workload(transport="scba"))
-        assert job.price.flops > 0 and job.price.points == 1
-        assert job.price.movement_bytes > 0  # dace SSE movement model
-        assert json.loads(json.dumps(job.price.to_dict()))["flops"] > 0
-
-    def test_distributed_plan_prices_comm_volume(self):
-        w = small_workload(transport="scba")
-        job = Job(workload=w)
-        job.plan = w.compile(engine="batched", runtime="sim", ranks=2)
-        job.price = price_plan(job.plan)
-        assert job.price.comm_bytes > 0
-
-    def test_shared_group_packs_onto_one_pool(self):
-        a = self._priced_job(small_workload("a", bias=0.1))
-        b = self._priced_job(small_workload("b", bias=0.3))
-        packing = pack_jobs([a, b], capacity_flops=1e12)
-        assert len(packing.assignments) == 1
-        assert packing.assignments[0].job_ids == [a.job_id, b.job_id]
-
-    def test_affinity_beats_first_fit(self):
-        # FFD order: alien (largest, own structural group) claims pool-0,
-        # big overflows into pool-1, and the small twin then fits BOTH
-        # pools — plain first-fit would take pool-0, affinity must send
-        # it to big's pool-1.
-        sweep = (SweepAxis("bias", (0.1, 0.3)),)
-        alien = self._priced_job(small_workload("alien", NE=16, sweeps=sweep))
-        big = self._priced_job(small_workload("big", NE=12, sweeps=sweep))
-        twin = self._priced_job(small_workload("twin", NE=12, bias=0.5))
-        capacity = alien.price.flops + 1.5 * twin.price.flops
-        assert capacity - alien.price.flops < big.price.flops  # big overflows
-        assert capacity - big.price.flops >= twin.price.flops  # twin fits both
-        packing = pack_jobs([alien, big, twin], capacity_flops=capacity)
-        a_alien = packing.assignment_of(alien.job_id)
-        a_big = packing.assignment_of(big.job_id)
-        a_twin = packing.assignment_of(twin.job_id)
-        assert a_big.pool_id == a_twin.pool_id != a_alien.pool_id
-
-    def test_over_capacity_rejected_with_clear_error(self):
-        job = self._priced_job(small_workload())
-        packing = pack_jobs(
-            [job], capacity_flops=job.price.flops / 2, allow_oversize=False
-        )
-        assert not packing.assignments
-        assert "larger capacity" in packing.rejected[job.job_id]
-
-    def test_over_capacity_gets_own_pool_when_allowed(self):
-        small = self._priced_job(small_workload("s", NE=6))
-        huge = self._priced_job(small_workload("h", NE=12))
-        packing = pack_jobs(
-            [small, huge], capacity_flops=huge.price.flops * 0.9
-        )
-        a_huge = packing.assignment_of(huge.job_id)
-        assert a_huge.oversize and a_huge.job_ids == [huge.job_id]
-        assert packing.assignment_of(small.job_id).pool_id != a_huge.pool_id
-
-    def test_warm_existing_pool_attracts_returning_tenant(self):
-        first = self._priced_job(small_workload("warm"))
-        with RankPool("pool-7", capacity_flops=1e12) as pool:
-            pool.admit(first)
-            pool.execute(first)
-            returning = self._priced_job(small_workload("warm", bias=0.6))
-            packing = pack_jobs(
-                [returning], capacity_flops=1e12, pools=(pool,), start_index=8
-            )
-            assert packing.assignment_of(returning.job_id).pool_id == "pool-7"
-
-    def test_bad_capacity_raises(self):
-        with pytest.raises(PackingError, match="positive"):
-            pack_jobs([], capacity_flops=0.0)
-
-
-# -- rank pools -----------------------------------------------------------------
+# -- the executor set -----------------------------------------------------------
 
 
 class TestRankPool:
@@ -242,35 +167,18 @@ class TestRankPool:
 
     def test_shared_group_reuses_boundary_cache(self):
         a, b = small_workload("a", bias=0.1), small_workload("b", bias=0.5)
-        with RankPool("p", capacity_flops=1e12) as pool:
+        with RankPool() as pool:
             jobs = []
             for w in (a, b):
                 job = Job(workload=w)
                 job.plan = w.compile(engine="batched")
-                job.price = price_plan(job.plan)
-                pool.admit(job)
                 jobs.append(job)
             pool.execute(jobs[0])
             pool.execute(jobs[1])
+            assert len(pool) == 1
         assert jobs[0].metrics["boundary_solves"] > 0
         assert jobs[1].metrics["boundary_solves"] == 0
         assert jobs[1].metrics["boundary_hits"] > 0
-        assert (
-            jobs[1].metrics["boundary_solves_saved"]
-            == jobs[0].metrics["boundary_solves"]
-        )
-
-    def test_admit_beyond_capacity_raises(self):
-        w = small_workload()
-        job1, job2 = Job(workload=w), Job(workload=w)
-        for job in (job1, job2):
-            job.plan = w.compile(engine="batched")
-            job.price = price_plan(job.plan)
-        pool = RankPool("p", capacity_flops=job1.price.flops * 1.5)
-        pool.admit(job1)  # fits
-        with pytest.raises(Exception, match="remain"):
-            pool.admit(job2)
-        pool.close()
 
 
 # -- scheduler service ----------------------------------------------------------
@@ -368,10 +276,46 @@ class TestSchedulerService:
             )
             assert first.metrics["boundary_solves"] > 0
             assert second.metrics["boundary_solves"] == 0
-            assert second.metrics["boundary_solves_saved"] > 0
+            assert second.metrics["boundary_hits"] > 0
             # the disjoint tenant pays its own boundary bill in full
             assert jc.metrics["boundary_solves"] > 0
-            assert jc.metrics["boundary_solves_saved"] == 0
+            assert svc.stats()["groups"] == 2
+
+    def test_same_group_tenants_pay_one_boundary_bill(self):
+        """One structural group, four tenants over two drains: the group's
+        boundary bill is paid once, by whichever job runs first."""
+        biases = (0.1, 0.3, 0.5, 0.7)
+        workloads = [
+            small_workload(f"t{i}", bias=b, transport="scba")
+            for i, b in enumerate(biases)
+        ]
+        isolated = []
+        for w in workloads:
+            with Session(w.compile()) as session:
+                isolated.append(session.run())
+        bill = isolated[0].boundary_solves
+        assert bill > 0
+        assert all(r.boundary_solves == bill for r in isolated)
+        with sync_service() as svc:
+            jobs = [
+                svc.submit(w, tenant=f"tenant-{i}")
+                for i, w in enumerate(workloads[:3])
+            ]
+            svc.drain()
+            jobs.append(svc.submit(workloads[3], tenant="tenant-3"))
+            svc.drain()
+            s = svc.stats()
+        assert s["groups"] == 1 and s["jobs"] == {"DONE": 4}
+        assert s["boundary_solves"] == bill
+        first, *later = sorted(jobs, key=lambda j: j.metrics["exec_order"])
+        assert first.metrics["boundary_solves"] == bill
+        for job in later:
+            assert job.metrics["boundary_solves"] == 0
+            assert job.metrics["boundary_hits"] > 0
+        for job, ref in zip(jobs, isolated):
+            assert np.abs(
+                job.result.currents_left - ref.currents_left
+            ).max() <= 1e-10
 
     def test_priority_inversion_avoided(self):
         with sync_service() as svc:
@@ -389,28 +333,49 @@ class TestSchedulerService:
             svc.drain()
             assert soon.metrics["exec_order"] < late.metrics["exec_order"]
 
-    def test_over_capacity_job_rejected_with_clear_error(self):
-        w = small_workload()
-        flops = price_plan(w.compile(engine="batched")).flops
-        with sync_service(
-            capacity_flops=flops / 2, allow_oversize=False
-        ) as svc:
+    @pytest.mark.parametrize("mode", SERVICE_MODES)
+    def test_corrupt_cache_entry_reruns_job(self, tmp_path, mode):
+        w = small_workload(bias=0.1)
+        torn = tmp_path / f"{w.cache_key()}.json"
+        torn.write_text('{"workload": {"na')  # a crash mid-write
+        cache = ResultCache(max_entries=8, directory=tmp_path)
+        with SchedulerService(mode=mode, cache=cache) as svc:
             job = svc.submit(w)
-            svc.drain()
-            assert job.state == "FAILED"
-            assert "larger capacity" in job.error
-            with pytest.raises(SchedulerError, match="failed"):
-                svc.wait(job)
+            other = svc.submit(small_workload(bias=0.3))
+            svc.wait(job, timeout=60)
+            svc.wait(other, timeout=60)
+            assert job.state == other.state == "DONE"
+            assert job.metrics["cache"] == "miss"
+        restored = SweepResult.from_dict(json.loads(torn.read_text()))
+        assert restored.currents_left[0] == job.result.currents_left[0]
 
-    def test_over_capacity_job_gets_own_pool(self):
-        w = small_workload()
-        flops = price_plan(w.compile(engine="batched")).flops
-        with sync_service(capacity_flops=flops / 2) as svc:
-            job = svc.submit(w)
-            sweep = svc.wait(job)
-            assert job.state == "DONE" and len(sweep.runs) == 1
-            (pool,) = svc.stats()["pools"]
-            assert pool["capacity_flops"] >= flops
+    @pytest.mark.parametrize("mode", SERVICE_MODES)
+    def test_failing_batch_fails_its_jobs_and_keeps_serving(
+        self, monkeypatch, mode
+    ):
+        real_get = ResultCache.get
+        calls = []
+
+        def flaky_get(cache, key):
+            calls.append(key)
+            if len(calls) == 1:
+                raise RuntimeError("injected cache fault")
+            return real_get(cache, key)
+
+        monkeypatch.setattr(ResultCache, "get", flaky_get)
+        with SchedulerService(mode=mode, cache=ResultCache()) as svc:
+            doomed = [svc.submit(small_workload(bias=b)) for b in (0.1, 0.3)]
+            with pytest.raises(SchedulerError, match="injected cache fault"):
+                svc.wait(doomed[0], timeout=60)
+            # in thread mode the worker may have taken it as its own batch
+            try:
+                svc.wait(doomed[1], timeout=60)
+            except SchedulerError as exc:
+                assert "injected cache fault" in str(exc)
+            assert all(j.terminal for j in svc.jobs())
+            later = svc.submit(small_workload(bias=0.5))
+            assert len(svc.wait(later, timeout=60).runs) == 1
+            assert later.state == "DONE"
 
     def test_invalid_workload_fails_job_not_batch(self):
         bad = small_workload(grid=GridSpec(NE=8, Nkz=2, Nqz=3, Nw=2))
@@ -441,7 +406,7 @@ class TestSchedulerService:
             assert s["jobs"] == {"DONE": 1, "CACHED": 1}
             assert s["flops_executed"] < s["flops_priced"]
             assert s["cache"]["hits"] == 1
-            assert len(s["pools"]) == 1
+            assert s["groups"] == 1
             assert s["mean_queue_latency_s"] is not None
 
     def test_stats_json_roundtrip(self):
@@ -534,12 +499,7 @@ class TestServiceConfig:
     def test_defaults(self):
         with SchedulerService() as svc:
             assert svc.mode == "sync"
-            assert svc.capacity_flops == 1e13
             assert svc.cache.max_entries == 128
-
-    def test_non_positive_capacity_raises(self):
-        with pytest.raises(SchedulerError, match="must be positive"):
-            SchedulerService(capacity_flops=0)
 
     def test_modes_registry(self):
         assert SERVICE_MODES == ("sync", "thread")
