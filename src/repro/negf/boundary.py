@@ -4,10 +4,24 @@ OMEN computes open boundary conditions with a contour-integral/eigenvalue
 solver; the textbook alternative is Sancho-Rubio decimation.  Both are
 implemented here and cross-validated:
 
-* :func:`sancho_rubio` — iterative decimation, robust default;
+* :func:`sancho_rubio_batched` — iterative decimation for a stack of
+  energies, robust default; :func:`sancho_rubio` is its batch-of-1 view;
 * :func:`transfer_matrix_modes` — companion-linearized quadratic eigenvalue
   problem (the mode/contour approach): selects decaying/outgoing Bloch
   modes and assembles the surface GF, mirroring OMEN's boundary kernel.
+
+The decimation runs on the coupling's interface support ``r x c``
+(:func:`~repro.negf.kernels.numpy_opt.interface_support`, the RGF
+kernel's rule): ``alpha = -(z S01 - H01)`` lives on ``r x c``, ``beta``
+on ``c x r``, and each update keeps its support — ``αgβ`` on ``[r, r]``
+reads ``g[c, c]``, ``βgα`` on ``[c, c]`` reads ``g[r, r]``, ``αgα`` reads
+``g[c, r]``, ``βgβ`` reads ``g[r, c]`` — so a step's eight GEMMs do
+``4·|r|·|c|·(|r|+|c|)`` multiply-adds instead of ``8·n³`` (``n³`` at
+``slab_width`` 2); only the inverse of the bulk block stays ``n x n``.
+The scalar solvers are batch-of-1 views of the batched ones, and must
+be: near a band edge at small η the decimation amplifies a ~1e-16
+change of summation order into ~1e-10 relative in Σ, so the serial and
+batched engines meet their 1e-10 contract only by issuing the same GEMMs.
 
 For electrons the lead blocks derive from ``E·S - H``; for phonons from
 ``ω² I - Φ`` (pass ``z = (ω + iη)²`` and the dynamical-matrix blocks).
@@ -20,6 +34,7 @@ from typing import Literal, Tuple
 import numpy as np
 import scipy.linalg as sla
 
+from .kernels.numpy_opt import interface_support, sub_block
 from .rgf import _H
 
 __all__ = [
@@ -46,33 +61,12 @@ def sancho_rubio(
 
     Solves ``g = (z S00 - H00 - (z S01 - H01) g (z S01 - H01)†)^{-1}``
     for the semi-infinite lead, doubling the decimated cell each step
-    (quadratic convergence).
+    (quadratic convergence).  A batch-of-1 view of
+    :func:`sancho_rubio_batched`.
     """
-    n = H00.shape[0]
-    S00 = np.eye(n) if S00 is None else S00
-    S01 = np.zeros_like(H01) if S01 is None else S01
-    zc = z + 1j * eta
-
-    eps_s = zc * S00 - H00  # surface block
-    eps = eps_s.copy()  # bulk block
-    alpha = -(zc * S01 - H01)  # coupling to the next cell
-    beta = alpha.conj().T
-
-    for _ in range(max_iter):
-        g_bulk = np.linalg.solve(eps, np.eye(n))
-        agb = alpha @ g_bulk @ beta
-        bga = beta @ g_bulk @ alpha
-        eps_s = eps_s - agb
-        eps = eps - agb - bga
-        alpha = alpha @ g_bulk @ alpha
-        beta = beta @ g_bulk @ beta
-        if np.linalg.norm(alpha, ord="fro") < tol and np.linalg.norm(
-            beta, ord="fro"
-        ) < tol:
-            break
-    else:
-        raise RuntimeError("Sancho-Rubio decimation did not converge")
-    return np.linalg.solve(eps_s, np.eye(n))
+    return sancho_rubio_batched(
+        np.array([z]), H00, H01, S00, S01, eta, tol, max_iter
+    )[0]
 
 
 def sancho_rubio_batched(
@@ -91,36 +85,50 @@ def sancho_rubio_batched(
     array, e.g. the frequency-dependent phonon broadening); one decimation
     recursion runs for the entire stack and iterates until *every* entry
     converges.  Post-convergence updates shrink quadratically (the
-    coupling norm is already < ``tol``), so each entry agrees with the
-    scalar :func:`sancho_rubio` to far better than the 1e-10 engine
-    equivalence tolerance.  Returns ``[B, n, n]`` surface GFs.
+    coupling norm is already < ``tol``), so each entry agrees with its
+    own batch-of-1 solve to far better than the 1e-10 engine equivalence
+    tolerance.  The support is read off the coupling passed in (the
+    adjoint for a left lead).  Returns ``[B, n, n]`` surface GFs; a
+    ``RuntimeError`` names the unconverged energies.
     """
     n = H00.shape[0]
     S00 = np.eye(n) if S00 is None else S00
     S01 = np.zeros_like(H01) if S01 is None else S01
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    zc = (z + 1j * np.broadcast_to(np.asarray(eta), z.shape))[:, None, None]
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), z.shape)
+    zc = (z + 1j * eta)[:, None, None]
 
     eps_s = zc * S00 - H00  # surface blocks [B, n, n]
     eps = eps_s.copy()  # bulk blocks
     alpha = -(zc * S01 - H01)  # coupling to the next cell
-    beta = _H(alpha)
+    r, c = interface_support(alpha)
+    rr, cc = sub_block(r, r), sub_block(c, c)
+    rc, cr = sub_block(r, c), sub_block(c, r)
+    alpha = alpha[rc]  # [B, |r|, |c|]
+    beta = _H(alpha)  # [B, |c|, |r|]
 
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), eps.shape)
+    norm = np.full(z.shape, np.inf)
     for _ in range(max_iter):
         g_bulk = np.linalg.solve(eps, eye)
-        agb = alpha @ g_bulk @ beta
-        bga = beta @ g_bulk @ alpha
-        eps_s = eps_s - agb
-        eps = eps - agb - bga
-        alpha = alpha @ g_bulk @ alpha
-        beta = beta @ g_bulk @ beta
-        a_norm = np.linalg.norm(alpha, axis=(-2, -1))
-        b_norm = np.linalg.norm(beta, axis=(-2, -1))
-        if (np.maximum(a_norm, b_norm) < tol).all():
+        agb = alpha @ g_bulk[cc] @ beta
+        bga = beta @ g_bulk[rr] @ alpha
+        eps_s[rr] -= agb
+        eps[rr] -= agb
+        eps[cc] -= bga
+        alpha = alpha @ g_bulk[cr] @ alpha
+        beta = beta @ g_bulk[rc] @ beta
+        norm = np.maximum(*(np.linalg.norm(m, axis=(1, 2)) for m in (alpha, beta)))
+        if (norm < tol).all():
             break
     else:
-        raise RuntimeError("batched Sancho-Rubio decimation did not converge")
+        bad = np.flatnonzero(~(norm < tol))
+        raise RuntimeError(
+            f"Sancho-Rubio decimation did not converge in max_iter={max_iter} "
+            f"steps: {bad.size} of {z.size} energies unconverged, first at "
+            f"z={z[bad[0]]:.6g} (eta={eta[bad[0]]:.3g}); largest remaining "
+            f"coupling norm {norm.max():.3e} (tol {tol:.1e})"
+        )
     return np.linalg.solve(eps_s, eye)
 
 
@@ -207,25 +215,12 @@ def lead_self_energy(
     With ``τ = z S01 - H01`` the bulk inter-cell block (pointing towards
     +x), the right lead gives ``Σ_R = τ g_R τ†`` with ``g_R`` the surface
     GF of the +x-extending chain; the left lead is the mirror image:
-    ``Σ_L = τ† g_L τ`` with ``g_L`` from the chain built on ``τ†``.
+    ``Σ_L = τ† g_L τ`` with ``g_L`` from the chain built on ``τ†``.  A
+    batch-of-1 view of :func:`lead_self_energy_batched`.
     """
-    S01_eff = np.zeros_like(H01) if S01 is None else S01
-    tau = (z + 1j * eta) * S01_eff - H01
-    if side == "right":
-        g = surface_greens_function(z, H00, H01, S00, S01, eta, method)
-        return tau @ g @ tau.conj().T
-    if side == "left":
-        g = surface_greens_function(
-            z,
-            H00,
-            H01.conj().T,
-            S00,
-            None if S01 is None else S01.conj().T,
-            eta,
-            method,
-        )
-        return tau.conj().T @ g @ tau
-    raise ValueError(f"unknown side {side!r}")
+    return lead_self_energy_batched(
+        np.array([z]), H00, H01, side, S00, S01, eta, method
+    )[0]
 
 
 def lead_self_energy_batched(
@@ -242,32 +237,24 @@ def lead_self_energy_batched(
 
     The Sancho-Rubio path shares one decimation recursion across the whole
     stack (the engine's hot path); the transfer-matrix method has no
-    batched dense eigensolver and falls back to a per-point loop.
-    Returns ``[B, n, n]`` with the same conventions as
-    :func:`lead_self_energy`.
+    batched dense eigensolver and solves point by point.  Returns
+    ``[B, n, n]`` with the conventions of :func:`lead_self_energy`.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    eta_arr = np.broadcast_to(np.asarray(eta, dtype=float), z.shape)
-    if method != "sancho-rubio":
-        return np.stack(
-            [
-                lead_self_energy(zi, H00, H01, side, S00, S01, float(ei), method)
-                for zi, ei in zip(z, eta_arr)
-            ]
-        )
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), z.shape)
     S01_eff = np.zeros_like(H01) if S01 is None else S01
-    tau = (z + 1j * eta_arr)[:, None, None] * S01_eff - H01
-    if side == "right":
-        g = sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta_arr)
-        return tau @ g @ _H(tau)
-    if side == "left":
-        g = sancho_rubio_batched(
-            z,
-            H00,
-            H01.conj().T,
-            S00,
-            None if S01 is None else S01.conj().T,
-            eta=eta_arr,
-        )
-        return _H(tau) @ g @ tau
-    raise ValueError(f"unknown side {side!r}")
+    tau = (z + 1j * eta)[:, None, None] * S01_eff - H01
+    if side == "left":  # the chain built on τ†
+        H01, S01 = H01.conj().T, None if S01 is None else S01.conj().T
+    if method == "sancho-rubio":
+        g = sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta)
+    elif method == "transfer-matrix":
+        g = np.stack([
+            transfer_matrix_modes(zi, H00, H01, S00, S01, float(ei))
+            for zi, ei in zip(z, eta)
+        ])
+    else:
+        raise ValueError(f"unknown boundary method {method!r}")
+    return tau @ g @ _H(tau) if side == "right" else _H(tau) @ g @ tau

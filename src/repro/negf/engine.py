@@ -45,7 +45,7 @@ import numpy as np
 from ..config import EXECUTION_BACKENDS
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
-from .boundary import lead_self_energy, lead_self_energy_batched
+from .boundary import lead_self_energy_batched
 from .kernels import get_kernel
 from .rgf import _H, rgf_solve, rgf_solve_batched
 
@@ -73,6 +73,11 @@ def bose(w: np.ndarray, kT: float) -> np.ndarray:
     w = np.maximum(np.asarray(w, dtype=float), 1e-9)
     x = np.clip(w / max(kT, 1e-12), 1e-9, 700)
     return 1.0 / np.expm1(x)
+
+
+def _trace_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Tr[a_k b_k]`` per stack entry in O(n²), without forming ``a_k b_k``."""
+    return np.einsum("bij,bji->b", a, b)
 
 
 def energy_grid(settings) -> Tuple[np.ndarray, float]:
@@ -198,29 +203,6 @@ class BoundaryCache:
         }
 
     # -- electrons -----------------------------------------------------------
-    def electron(self, ik: int, iE: int, E: float, H, S):
-        """(Σ_L, Σ_R) for one (kz, E) point (per-point solver)."""
-        key = (ik, iE)
-        if self.enabled and key in self._el:
-            self.el_hits += 1
-            _metrics.add("boundary.el_hits")
-            return self._el[key]
-        s = self.s
-        with trace("boundary.solve", kind="electron", ik=int(ik), points=1):
-            sig_L = lead_self_energy(
-                E, H.diag[0], H.upper[0], "left", S.diag[0], S.upper[0],
-                eta=s.eta, method=s.boundary_method,
-            )
-            sig_R = lead_self_energy(
-                E, H.diag[-1], H.upper[-1], "right", S.diag[-1], S.upper[-1],
-                eta=s.eta, method=s.boundary_method,
-            )
-        self.el_solves += 2
-        _metrics.add("boundary.el_solves", 2)
-        if self.enabled:
-            self._el[key] = (sig_L, sig_R)
-        return sig_L, sig_R
-
     def electron_row(self, ik: int, e_idx: np.ndarray, E: np.ndarray, H, S):
         """Stacked (Σ_L, Σ_R) for the energies ``E = energies[e_idx]``.
 
@@ -269,30 +251,6 @@ class BoundaryCache:
         z = ((np.asarray(w) + 1j * eta) ** 2).real
         eta_eff = np.maximum(eta, 2 * np.asarray(w) * eta)
         return z, eta_eff
-
-    def phonon(self, iq: int, iw: int, w: float, Phi):
-        """(Π_L, Π_R) for one (qz, ω) point (per-point solver)."""
-        key = (iq, iw)
-        if self.enabled and key in self._ph:
-            self.ph_hits += 1
-            _metrics.add("boundary.ph_hits")
-            return self._ph[key]
-        s = self.s
-        z, eta_eff = self._phonon_z_eta(w, s.eta)
-        with trace("boundary.solve", kind="phonon", iq=int(iq), points=1):
-            pi_L = lead_self_energy(
-                float(z), Phi.diag[0], Phi.upper[0], "left",
-                eta=float(eta_eff), method=s.boundary_method,
-            )
-            pi_R = lead_self_energy(
-                float(z), Phi.diag[-1], Phi.upper[-1], "right",
-                eta=float(eta_eff), method=s.boundary_method,
-            )
-        self.ph_solves += 2
-        _metrics.add("boundary.ph_solves", 2)
-        if self.enabled:
-            self._ph[key] = (pi_L, pi_R)
-        return pi_L, pi_R
 
     def phonon_row(self, iq: int, w_idx: np.ndarray, w: np.ndarray, Phi):
         """Stacked (Π_L, Π_R) for the frequencies ``w = omegas[w_idx]``."""
@@ -386,10 +344,11 @@ class SerialEngine(GridEngine):
     """The seed per-point loop — the bit-exactness oracle.
 
     Identical to the original ``SCBASimulation`` solver loops except that
-    the boundary self-energies go through the shared :class:`BoundaryCache`.
-    The RGF kernel is pinned to ``reference`` regardless of
-    ``SCBASettings.rgf_kernel`` — this backend *is* the oracle the other
-    kernels are validated against.
+    the boundary self-energies go through the shared :class:`BoundaryCache`
+    as one-point rows (the decimation is one code path; see
+    :mod:`repro.negf.boundary`).  The RGF kernel is pinned to
+    ``reference`` regardless of ``SCBASettings.rgf_kernel`` — this backend
+    *is* the oracle the other kernels are validated against.
     """
 
     name = "serial"
@@ -417,7 +376,8 @@ class SerialEngine(GridEngine):
             diag.append((E + 1j * s.eta) * sv - h)
         upper = [E * u_s - u_h for u_h, u_s in zip(H.upper, S.upper)]
 
-        sig_L, sig_R = self.boundary.electron(ik, iE, E, H, S)
+        row = self.boundary.electron_row(ik, [iE], np.array([E]), H, S)
+        sig_L, sig_R = row[0][0], row[1][0]
         diag[0] = diag[0] - sig_L
         diag[-1] = diag[-1] - sig_R
 
@@ -469,7 +429,8 @@ class SerialEngine(GridEngine):
                 diag = [z * np.eye(b.shape[0]) - b for b in Phi.diag]
                 upper = [-u for u in Phi.upper]
 
-                pi_L, pi_R = self.boundary.phonon(iq, iw, w, Phi)
+                row = self.boundary.phonon_row(iq, [iw], np.array([w]), Phi)
+                pi_L, pi_R = row[0][0], row[1][0]
                 diag[0] = diag[0] - pi_L
                 diag[-1] = diag[-1] - pi_R
 
@@ -590,12 +551,8 @@ class BatchedEngine(GridEngine):
 
         sl_L, sg_L = 1j * fL * gam_L, -1j * (1 - fL) * gam_L
         sl_R, sg_R = 1j * fR * gam_R, -1j * (1 - fR) * gam_R
-        I_L = np.trace(
-            sl_L @ res.Gg[0] - sg_L @ res.Gl[0], axis1=-2, axis2=-1
-        ).real
-        I_R = np.trace(
-            sl_R @ res.Gg[-1] - sg_R @ res.Gl[-1], axis1=-2, axis2=-1
-        ).real
+        I_L = (_trace_mm(sl_L, res.Gg[0]) - _trace_mm(sg_L, res.Gl[0])).real
+        I_R = (_trace_mm(sl_R, res.Gg[-1]) - _trace_mm(sg_R, res.Gl[-1])).real
         return Gl_row, Gg_row, I_L, I_R
 
     # -- phonons ---------------------------------------------------------------

@@ -53,7 +53,8 @@ while producing the same diagonal blocks to ≤ 1e-10:
   The one rule: when the support covers more than half of either
   dimension, gathering it would copy more than it saves, so the support
   *is* the whole block (``r = c = :``) and the same statements run on
-  whole-block views — which are the dense formulas above.
+  whole-block views — which are the dense formulas above.  The lead
+  decimation (:mod:`repro.negf.boundary`) uses the same rule.
 
 Matmul workspaces are preallocated per (role, shape) and reused across
 the recursion steps, and ω-independent 2-D coupling blocks stay 2-D so
@@ -70,35 +71,53 @@ import numpy as np
 from ..rgf import _H
 from . import RGFKernel
 
-__all__ = ["NumpyKernel", "Coupling"]
+__all__ = ["NumpyKernel", "Coupling", "interface_support", "sub_block"]
+
+
+def interface_support(V: np.ndarray) -> tuple:
+    """Rows/columns ``(r, c)`` where ``V[..., n, m]`` is nonzero anywhere
+    in the batch.  More than half of either dimension is the whole block
+    (``slice(None)``); a contiguous range (every generated device's
+    interface layer) is a basic slice, so sub-blocks are views; any other
+    support is an index array."""
+    n, m = V.shape[-2:]
+    nonzero = (V != 0).reshape(-1, n, m).any(axis=0)
+    r = np.flatnonzero(nonzero.any(axis=1))
+    c = np.flatnonzero(nonzero.any(axis=0))
+    if 2 * r.size > n or 2 * c.size > m:
+        return slice(None), slice(None)
+    return _as_range(r), _as_range(c)
+
+
+def _as_range(idx: np.ndarray):
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def sub_block(r, c) -> tuple:
+    """Index tuple selecting the ``[..., r, c]`` sub-block of a stack."""
+    if isinstance(r, np.ndarray) and isinstance(c, np.ndarray):
+        return (..., r[:, None], c)
+    return (..., r, c)
 
 
 class Coupling:
     """One super-diagonal block ``V = M[n,n+1]`` on its observed support.
 
-    ``r``/``c`` index the rows/columns where ``V`` is nonzero anywhere in
-    the batch (index arrays), or are ``slice(None)`` when the support
-    covers more than half of either dimension; ``rr``/``cc`` select the
-    square ``[..., r, r]``/``[..., c, c]`` sub-blocks of a stacked
-    operand.  ``V`` and ``Vh`` hold ``V[r, c]`` and its conjugate
-    transpose (2-D couplings stay 2-D and broadcast across the batch).
+    ``r``/``c`` are the :func:`interface_support` of ``V``;
+    ``rr``/``cc`` select the square ``[..., r, r]``/``[..., c, c]``
+    sub-blocks of a stacked operand.  ``V`` and ``Vh`` hold ``V[r, c]``
+    and its conjugate transpose (2-D couplings stay 2-D and broadcast
+    across the batch).
     """
 
     def __init__(self, V: np.ndarray):
-        n, m = V.shape[-2:]
-        nonzero = (V != 0).reshape(-1, n, m).any(axis=0)
-        r = np.flatnonzero(nonzero.any(axis=1))
-        c = np.flatnonzero(nonzero.any(axis=0))
-        if 2 * r.size <= n and 2 * c.size <= m:
-            self.r, self.c = r, c
-            self.rr = (..., r[:, None], r)
-            self.cc = (..., c[:, None], c)
-            V = V[..., r[:, None], c]
-        else:
-            self.r = self.c = slice(None)
-            self.rr = self.cc = (...,)
-        self.V = np.ascontiguousarray(V)
-        self.Vh = np.ascontiguousarray(_H(V))
+        self.r, self.c = interface_support(V)
+        self.rr = sub_block(self.r, self.r)
+        self.cc = sub_block(self.c, self.c)
+        self.V = np.ascontiguousarray(V[sub_block(self.r, self.c)])
+        self.Vh = np.ascontiguousarray(_H(self.V))
 
     def fold(self, g: np.ndarray) -> np.ndarray:
         """The nonzero ``[c, c]`` sub-block of ``V† g V``."""

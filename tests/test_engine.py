@@ -17,8 +17,10 @@ from repro.negf import (
     lead_self_energy_batched,
     rgf_solve,
     rgf_solve_batched,
+    sancho_rubio_batched,
 )
 from repro.negf.engine import BatchedEngine, SerialEngine, make_engine
+from repro.negf.kernels.numpy_opt import interface_support
 from repro.parallel import OmenDecomposition, partition_spectral_grid
 
 from test_rgf_boundary import random_system
@@ -119,36 +121,133 @@ class TestBatchedRGF:
             rgf_solve_batched(diag, upper, sless)
 
 
+def _dense_sancho_rubio(
+    z, H00, H01, S00=None, S01=None, eta=1e-6, tol=1e-12, max_iter=200
+):
+    """The seed's scalar decimation loop — eight dense n³ GEMMs per step,
+    no support contraction: the independent oracle of the production
+    solver, which contracts over the coupling's interface support."""
+    n = H00.shape[0]
+    S00 = np.eye(n) if S00 is None else S00
+    S01 = np.zeros_like(H01) if S01 is None else S01
+    zc = z + 1j * eta
+
+    eps_s = zc * S00 - H00  # surface block
+    eps = eps_s.copy()  # bulk block
+    alpha = -(zc * S01 - H01)  # coupling to the next cell
+    beta = alpha.conj().T
+
+    for _ in range(max_iter):
+        g_bulk = np.linalg.solve(eps, np.eye(n))
+        agb = alpha @ g_bulk @ beta
+        bga = beta @ g_bulk @ alpha
+        eps_s = eps_s - agb
+        eps = eps - agb - bga
+        alpha = alpha @ g_bulk @ alpha
+        beta = beta @ g_bulk @ beta
+        if np.linalg.norm(alpha, ord="fro") < tol and np.linalg.norm(
+            beta, ord="fro"
+        ) < tol:
+            break
+    else:
+        raise RuntimeError("Sancho-Rubio decimation did not converge")
+    return np.linalg.solve(eps_s, np.eye(n))
+
+
+def _dense_lead_self_energy(z, H00, H01, side, S00=None, S01=None, eta=1e-6):
+    """:func:`lead_self_energy`'s Σ on top of :func:`_dense_sancho_rubio`."""
+    S01 = np.zeros_like(H01) if S01 is None else S01
+    tau = (z + 1j * eta) * S01 - H01
+    if side == "right":
+        g = _dense_sancho_rubio(z, H00, H01, S00, S01, eta)
+        return tau @ g @ tau.conj().T
+    g = _dense_sancho_rubio(z, H00, H01.conj().T, S00, S01.conj().T, eta)
+    return tau.conj().T @ g @ tau
+
+
+def _assert_matches_dense(z, H00, H01, side, S00=None, S01=None, eta=1e-6):
+    batched = lead_self_energy_batched(z, H00, H01, side, S00, S01, eta=eta)
+    etas = np.broadcast_to(eta, np.shape(z))
+    for i, (zi, ei) in enumerate(zip(z, etas)):
+        ref = _dense_lead_self_energy(zi, H00, H01, side, S00, S01, float(ei))
+        assert np.abs(batched[i] - ref).max() < 1e-10
+
+
 class TestBatchedBoundary:
     def test_matches_per_point(self, small_model):
         H = small_model.hamiltonian_blocks(0.3)
         S = small_model.overlap_blocks(0.3)
         energies = np.linspace(-1.0, 1.0, 7)
         for side in ("left", "right"):
-            batched = lead_self_energy_batched(
+            _assert_matches_dense(
                 energies, H.diag[0], H.upper[0], side, S.diag[0], S.upper[0],
                 eta=1e-5,
             )
-            for i, E in enumerate(energies):
-                ref = lead_self_energy(
-                    E, H.diag[0], H.upper[0], side, S.diag[0], S.upper[0],
-                    eta=1e-5,
-                )
-                assert np.abs(batched[i] - ref).max() < 1e-10
 
     def test_per_point_eta(self, small_model):
         """Array-valued broadening (the phonon convention) is honored."""
         Phi = small_model.dynamical_blocks(0.5)
         z = np.array([0.5, 0.9])
         eta = np.array([1e-5, 3e-5])
-        batched = lead_self_energy_batched(
-            z, Phi.diag[0], Phi.upper[0], "left", eta=eta
+        _assert_matches_dense(z, Phi.diag[0], Phi.upper[0], "left", eta=eta)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("slab_width", [1, 2, 4])
+    def test_interface_support_matches_dense_loop(self, slab_width, side):
+        """The support-contracted decimation (interface layer = 1/slab_width
+        of each dimension; the whole block at slab_width 1) against the
+        dense loop: electrons with S01 != 0, phonons with array eta."""
+        dev = build_device(nx_cols=8, ny_rows=3, NB=6, slab_width=slab_width)
+        model = build_hamiltonian_model(dev, Norb=2)
+        H, S = model.hamiltonian_blocks(0.3), model.overlap_blocks(0.3)
+        assert np.abs(S.upper[0]).max() > 0
+        _assert_matches_dense(
+            np.linspace(-1.0, 1.0, 5), H.diag[0], H.upper[0], side,
+            S.diag[0], S.upper[0], eta=1e-5,
         )
-        for i in range(2):
-            ref = lead_self_energy(
-                z[i], Phi.diag[0], Phi.upper[0], "left", eta=float(eta[i])
+        Phi = model.dynamical_blocks(0.3)
+        _assert_matches_dense(
+            np.array([0.2, 0.5, 0.9]), Phi.diag[0], Phi.upper[0], side,
+            eta=np.array([1e-5, 2e-5, 3e-5]),
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_scattered_and_zero_support(self, side):
+        """Hand-built couplings on the other branches of the support rule:
+        scattered (non-contiguous, <= half) rows and columns — an index
+        gather — and an all-zero coupling, whose decoupled lead is
+        g = eps^-1 and Σ = 0."""
+        n = 12
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H00 = 0.25 * (m + m.conj().T)
+        H01 = np.zeros((n, n), dtype=complex)
+        rows, cols = [1, 4, 9], [0, 5, 7, 11]
+        H01[np.ix_(rows, cols)] = 0.3 * rng.standard_normal((3, 4))
+        assert all(isinstance(i, np.ndarray) for i in interface_support(H01))
+        S01 = np.zeros((n, n), dtype=complex)
+        S01[rows[0], cols[-1]] = 0.05
+        energies = np.linspace(-1.0, 1.0, 4)
+        _assert_matches_dense(
+            energies, H00, H01, side, np.eye(n), S01, eta=1e-3
+        )
+        zero = np.zeros((n, n), dtype=complex)
+        _assert_matches_dense(energies, H00, zero, side, eta=1e-3)
+        g = sancho_rubio_batched(energies, H00, zero, eta=1e-3)
+        eps = (energies + 1e-3j)[:, None, None] * np.eye(n) - H00
+        assert np.allclose(g, np.linalg.inv(eps), rtol=1e-12, atol=0)
+
+    def test_non_convergence_names_the_point(self, small_model):
+        H = small_model.hamiltonian_blocks(0.3)
+        energies = np.array([-0.5, 0.25])
+        with pytest.raises(
+            RuntimeError,
+            match=r"max_iter=1 steps: 2 of 2 energies unconverged, first at "
+            r"z=-0\.5\S* \(eta=1e-05\); largest remaining coupling norm",
+        ):
+            sancho_rubio_batched(
+                energies, H.diag[0], H.upper[0], eta=1e-5, max_iter=1
             )
-            assert np.abs(batched[i] - ref).max() < 1e-10
 
     def test_transfer_matrix_fallback(self, small_model):
         H = small_model.hamiltonian_blocks(0.0)

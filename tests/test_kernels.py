@@ -19,7 +19,11 @@ from repro.negf import (
     rgf_solve,
     rgf_solve_batched,
 )
-from repro.negf.kernels.numpy_opt import Coupling, NumpyKernel
+from repro.negf.kernels.numpy_opt import (
+    Coupling,
+    NumpyKernel,
+    interface_support,
+)
 from repro.negf.kernels.reference import ReferenceKernel
 from repro.negf.sparse_kernels import generate_rgf_operands
 
@@ -30,7 +34,7 @@ from test_rgf_boundary import random_system
 UNKNOWN_KERNELS = ["cublas", "csrmm", "numba"]
 
 #: coupling support patterns: which side of the kernel's one rule
-#: (support <= half of both dimensions -> index arrays) each lands on
+#: (support <= half of both dimensions -> a sub-block) each lands on
 SUPPORT_PATTERNS = {
     "full": False, "corner": True, "scattered": False, "zero": True,
 }
@@ -113,7 +117,7 @@ class TestKernelEquivalence:
         diag, upper, sless = stacked_random_system(batch, sizes, seed=seed)
         for i, u in enumerate(upper):
             upper[i] = u * support_mask(patterns[i], *u.shape[-2:], rng)
-            thin = isinstance(Coupling(upper[i]).r, np.ndarray)
+            thin = Coupling(upper[i]).V.shape[-2:] != upper[i].shape[-2:]
             assert thin == SUPPORT_PATTERNS[patterns[i]]
         if shared_upper:  # ω-independent couplings broadcast across batch
             upper = [u[0] for u in upper]
@@ -183,15 +187,37 @@ class TestCouplingSupport:
         upper = [u * mask for u in upper]
 
         c = Coupling(upper[0])
-        assert c.r.size <= n // 4 and c.c.size <= n // 4
-        assert c.V.shape == (2, c.r.size, c.c.size)
-        assert np.array_equal(c.V, upper[0][:, c.r[:, None], c.c])
+        r, cols = np.arange(n)[c.r], np.arange(n)[c.c]
+        assert r.size <= n // 4 and cols.size <= n // 4
+        assert c.V.shape == (2, r.size, cols.size)
+        assert np.array_equal(c.V, upper[0][:, r[:, None], cols])
 
         ref = get_kernel("reference").solve(diag, upper, sless)
         res = NumpyKernel().solve(diag, upper, sless)
         for attr in ("GR", "Gl", "Gg"):
             for a, b in zip(getattr(ref, attr), getattr(res, attr)):
                 assert np.abs(a - b).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "rows, cols, kind",
+        [
+            ([5, 6, 7], [0, 1], slice),  # one contiguous range: a view
+            ([1, 4], [0, 2], np.ndarray),  # scattered, <= half: a gather
+            ([], [], np.ndarray),  # all-zero coupling: the empty support
+            (list(range(9)), [0], slice),  # > half of the rows: whole block
+        ],
+    )
+    def test_support_rule_branches(self, rows, cols, kind):
+        u = np.zeros((2, 16, 8), dtype=complex)
+        u[:, rows, cols[:1]] = 1.0
+        u[:, rows[:1], cols] = 1.0
+        r, c = interface_support(u)
+        assert isinstance(r, kind) and isinstance(c, kind)
+        if len(rows) > 8:
+            assert r == c == slice(None)
+        else:
+            assert np.array_equal(np.arange(16)[r], rows)
+            assert np.array_equal(np.arange(8)[c], cols)
 
     def test_dense_support_disables_projection(self):
         rng = np.random.default_rng(3)
@@ -223,8 +249,8 @@ class TestCouplingSupport:
                 assert c.r == slice(None) and c.c == slice(None)
             else:
                 layer_r, layer_c = n // slab_width, m // slab_width
-                assert np.array_equal(c.r, np.arange(n - layer_r, n))
-                assert np.array_equal(c.c, np.arange(layer_c))
+                assert np.array_equal(np.arange(n)[c.r], np.arange(n - layer_r, n))
+                assert np.array_equal(np.arange(m)[c.c], np.arange(layer_c))
 
         controls = dict(
             NE=6, Nkz=1, Nqz=1, Nw=2, e_min=-1.2, e_max=1.2, eta=1e-4,
