@@ -41,7 +41,7 @@ from repro.negf import (
     lead_self_energy_batched,
     sancho_rubio_batched,
 )
-from repro.negf.kernels.numpy_opt import interface_support
+from repro.negf.rgf import interface_support
 
 #: CI smoke mode: tiny operands, relaxed assertions, no JSON record.
 FAST = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
@@ -138,7 +138,7 @@ def run_boundary_row() -> dict:
     }
     n = H.diag[0].shape[0]
     alpha = E[:, None, None] * leads["right"][3] - leads["right"][1]
-    r, c = (np.arange(n)[i].size for i in interface_support(alpha))
+    r, c = (len(range(n)[i]) for i in interface_support(alpha))
 
     def decimate(solve):
         return [solve(E, *blocks, eta=ETA) for blocks in leads.values()]

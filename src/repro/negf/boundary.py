@@ -11,8 +11,8 @@ implemented here and cross-validated:
   modes and assembles the surface GF, mirroring OMEN's boundary kernel.
 
 The decimation runs on the coupling's interface support ``r x c``
-(:func:`~repro.negf.kernels.numpy_opt.interface_support`, the RGF
-kernel's rule): ``alpha = -(z S01 - H01)`` lives on ``r x c``, ``beta``
+(:func:`~repro.negf.rgf.interface_support`, the RGF kernel's rule):
+``alpha = -(z S01 - H01)`` lives on ``r x c``, ``beta``
 on ``c x r``, and each update keeps its support — ``αgβ`` on ``[r, r]``
 reads ``g[c, c]``, ``βgα`` on ``[c, c]`` reads ``g[r, r]``, ``αgα`` reads
 ``g[c, r]``, ``βgβ`` reads ``g[r, c]`` — so a step's eight GEMMs do
@@ -34,8 +34,7 @@ from typing import Literal, Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels.numpy_opt import interface_support, sub_block
-from .rgf import _H
+from .rgf import _H, interface_support
 
 __all__ = [
     "sancho_rubio",
@@ -102,8 +101,7 @@ def sancho_rubio_batched(
     eps = eps_s.copy()  # bulk blocks
     alpha = -(zc * S01 - H01)  # coupling to the next cell
     r, c = interface_support(alpha)
-    rr, cc = sub_block(r, r), sub_block(c, c)
-    rc, cr = sub_block(r, c), sub_block(c, r)
+    rr, cc, rc, cr = (..., r, r), (..., c, c), (..., r, c), (..., c, r)
     alpha = alpha[rc]  # [B, |r|, |c|]
     beta = _H(alpha)  # [B, |c|, |r|]
 
@@ -192,11 +190,24 @@ def surface_greens_function(
     eta: float = 1e-6,
     method: Literal["sancho-rubio", "transfer-matrix"] = "sancho-rubio",
 ) -> np.ndarray:
-    """Dispatch between the two boundary solvers."""
+    """Dispatch between the two boundary solvers: a batch-of-1 view of
+    :func:`_surface_gfs`."""
+    return _surface_gfs(np.array([z]), H00, H01, S00, S01, eta, method)[0]
+
+
+def _surface_gfs(z, H00, H01, S00, S01, eta, method) -> np.ndarray:
+    """``[B, n, n]`` surface GFs of a stack of energies — the one dispatch
+    between the solvers.  Sancho-Rubio shares one decimation recursion
+    across the stack (the engine's hot path); the transfer-matrix method
+    has no batched dense eigensolver and solves point by point."""
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), z.shape)
     if method == "sancho-rubio":
-        return sancho_rubio(z, H00, H01, S00, S01, eta)
+        return sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta)
     if method == "transfer-matrix":
-        return transfer_matrix_modes(z, H00, H01, S00, S01, eta)
+        return np.stack([
+            transfer_matrix_modes(zi, H00, H01, S00, S01, float(ei))
+            for zi, ei in zip(z, eta)
+        ])
     raise ValueError(f"unknown boundary method {method!r}")
 
 
@@ -236,9 +247,9 @@ def lead_self_energy_batched(
     """Stacked retarded lead self-energies for a batch of energies.
 
     The Sancho-Rubio path shares one decimation recursion across the whole
-    stack (the engine's hot path); the transfer-matrix method has no
-    batched dense eigensolver and solves point by point.  Returns
-    ``[B, n, n]`` with the conventions of :func:`lead_self_energy`.
+    stack (the engine's hot path); the transfer-matrix method solves point
+    by point (both via :func:`_surface_gfs`).  Returns ``[B, n, n]`` with
+    the conventions of :func:`lead_self_energy`.
     """
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
@@ -248,13 +259,5 @@ def lead_self_energy_batched(
     tau = (z + 1j * eta)[:, None, None] * S01_eff - H01
     if side == "left":  # the chain built on τ†
         H01, S01 = H01.conj().T, None if S01 is None else S01.conj().T
-    if method == "sancho-rubio":
-        g = sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta)
-    elif method == "transfer-matrix":
-        g = np.stack([
-            transfer_matrix_modes(zi, H00, H01, S00, S01, float(ei))
-            for zi, ei in zip(z, eta)
-        ])
-    else:
-        raise ValueError(f"unknown boundary method {method!r}")
+    g = _surface_gfs(z, H00, H01, S00, S01, eta, method)
     return tau @ g @ _H(tau) if side == "right" else _H(tau) @ g @ tau

@@ -33,10 +33,11 @@ while producing the same diagonal blocks to ≤ 1e-10:
   the inter-slab blocks are sparse, ``gᴿ`` is dense — multiply sparse x
   dense and keep ``gᴿ`` dense): on a generated device ``V`` is nonzero
   on (last layer of slab n) x (first layer of slab n+1), ``1/slab_width``
-  of each dimension.  :class:`Coupling` reads the nonzero row/column
-  support ``r x c`` off each block, keeps the dense sub-block
-  ``V[r, c]``, and every product of the recursion contracts over the
-  support instead of the block:
+  of each dimension.  :class:`Coupling` reads the row/column ranges
+  ``r x c`` that bound the nonzeros off each block
+  (:func:`~repro.negf.rgf.interface_support`), keeps the dense
+  sub-block ``V[r, c]``, and every product of the recursion contracts
+  over the support instead of the block:
 
   ==========  ==================================  ==============
   quantity    expression                          flops ~
@@ -50,11 +51,11 @@ while producing the same diagonal blocks to ≤ 1e-10:
 
   (``n`` the block width, ``s`` the support width.)
 
-  The one rule: when the support covers more than half of either
-  dimension, gathering it would copy more than it saves, so the support
-  *is* the whole block (``r = c = :``) and the same statements run on
-  whole-block views — which are the dense formulas above.  The lead
-  decimation (:mod:`repro.negf.boundary`) uses the same rule.
+  The one rule: when a range covers more than half of its dimension,
+  the support *is* the whole block (``r = c = :``) and the same
+  statements run on whole-block views — which are the dense formulas
+  above.  The lead decimation (:mod:`repro.negf.boundary`) uses the
+  same rule.
 
 Matmul workspaces are preallocated per (role, shape) and reused across
 the recursion steps, and ω-independent 2-D coupling blocks stay 2-D so
@@ -68,55 +69,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..rgf import _H
+from ..rgf import _H, interface_support
 from . import RGFKernel
 
-__all__ = ["NumpyKernel", "Coupling", "interface_support", "sub_block"]
-
-
-def interface_support(V: np.ndarray) -> tuple:
-    """Rows/columns ``(r, c)`` where ``V[..., n, m]`` is nonzero anywhere
-    in the batch.  More than half of either dimension is the whole block
-    (``slice(None)``); a contiguous range (every generated device's
-    interface layer) is a basic slice, so sub-blocks are views; any other
-    support is an index array."""
-    n, m = V.shape[-2:]
-    nonzero = (V != 0).reshape(-1, n, m).any(axis=0)
-    r = np.flatnonzero(nonzero.any(axis=1))
-    c = np.flatnonzero(nonzero.any(axis=0))
-    if 2 * r.size > n or 2 * c.size > m:
-        return slice(None), slice(None)
-    return _as_range(r), _as_range(c)
-
-
-def _as_range(idx: np.ndarray):
-    if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-def sub_block(r, c) -> tuple:
-    """Index tuple selecting the ``[..., r, c]`` sub-block of a stack."""
-    if isinstance(r, np.ndarray) and isinstance(c, np.ndarray):
-        return (..., r[:, None], c)
-    return (..., r, c)
+__all__ = ["NumpyKernel", "Coupling"]
 
 
 class Coupling:
     """One super-diagonal block ``V = M[n,n+1]`` on its observed support.
 
-    ``r``/``c`` are the :func:`interface_support` of ``V``;
-    ``rr``/``cc`` select the square ``[..., r, r]``/``[..., c, c]``
-    sub-blocks of a stacked operand.  ``V`` and ``Vh`` hold ``V[r, c]``
-    and its conjugate transpose (2-D couplings stay 2-D and broadcast
-    across the batch).
+    ``r``/``c`` are the :func:`~repro.negf.rgf.interface_support`
+    slices of ``V``; ``rr``/``cc`` select the square
+    ``[..., r, r]``/``[..., c, c]`` sub-blocks of a stacked operand.
+    ``V`` and ``Vh`` hold ``V[r, c]`` and its conjugate transpose (2-D
+    couplings stay 2-D and broadcast across the batch).
     """
 
     def __init__(self, V: np.ndarray):
         self.r, self.c = interface_support(V)
-        self.rr = sub_block(self.r, self.r)
-        self.cc = sub_block(self.c, self.c)
-        self.V = np.ascontiguousarray(V[sub_block(self.r, self.c)])
+        self.rr = (..., self.r, self.r)
+        self.cc = (..., self.c, self.c)
+        self.V = np.ascontiguousarray(V[..., self.r, self.c])
         self.Vh = np.ascontiguousarray(_H(self.V))
 
     def fold(self, g: np.ndarray) -> np.ndarray:

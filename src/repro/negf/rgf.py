@@ -43,6 +43,27 @@ def _H(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def interface_support(V: np.ndarray) -> tuple:
+    """Row/column ranges ``(r, c)`` of a coupling block ``V[..., n, m]``:
+    the bounding range of the rows (columns) where ``V`` is nonzero
+    anywhere in the batch, ``slice(0, 0)`` for an all-zero block.  When
+    either range covers more than half of its dimension the support is
+    the whole block (``slice(None)``).  The one rule of the RGF kernel's
+    coupling products and the lead decimation: sub-blocks are views, and
+    rows/columns inside a range that ``V`` does not touch hold exact
+    zeros, so contracting over the range is exact."""
+    n, m = V.shape[-2:]
+    nonzero = (V != 0).reshape(-1, n, m).any(axis=0)
+    r, c = (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))
+    r, c = (
+        slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
+        for i in (r, c)
+    )
+    if 2 * (r.stop - r.start) > n or 2 * (c.stop - c.start) > m:
+        return slice(None), slice(None)
+    return r, c
+
+
 @dataclass
 class RGFResult:
     """Diagonal blocks of the retarded/lesser/greater Green's functions."""
