@@ -70,8 +70,7 @@ def build_model():
 def run_scba_kernels() -> dict:
     dev, model = build_model()
     settings = dict(
-        e_min=E_MIN, e_max=E_MAX, eta=ETA, tolerance=1e-14,
-        cache_boundary=True, cache_operators=True, **GRID
+        e_min=E_MIN, e_max=E_MAX, eta=ETA, tolerance=1e-14, **GRID
     )
     seconds, errors = {}, {}
     reference = None

@@ -1,7 +1,7 @@
 """Quickstart: a dissipative quantum-transport simulation in ~30 lines.
 
 Declares a small synthetic FinFET workload, compiles it into a plan
-(validation + engine/cache selection + cost estimate), and executes a
+(validation + engine selection + cost estimate), and executes a
 ballistic reference and the full self-consistent Born (GF ⇄ SSE) loop
 through a :class:`repro.api.Session`.  Ends with the legacy-API engine
 comparison (serial vs batched) to show what the facade wraps.

@@ -14,7 +14,7 @@ The canonical way every scenario enters the codebase::
 device, physics, spectral grids, and sweeps as first-class axes, plus a
 registry of named scenario presets.  *Plan* (:mod:`repro.api.plan`) is
 the explicit compile step where the performance-engineering choices live:
-Table-1 validation, engine/decomposition/cache policy, Table-3 cost
+Table-1 validation, engine/kernel/decomposition selection, Table-3 cost
 estimates.  *Session* (:mod:`repro.api.session`) executes the plan with
 sweep-level reuse and deterministic resource lifetimes.
 """

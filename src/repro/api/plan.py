@@ -5,9 +5,10 @@ lives, apart from the physics: compiling a :class:`~repro.api.Workload`
 
 * validates every sweep point against the Table-1 ``PARAMETER_RANGES``
   (through :class:`repro.config.SimulationParameters`),
-* selects the spectral-grid execution backend, the boundary/operator
-  cache policy, and — for a distributed runtime — the ``(kz, E-chunk)``
-  rank decomposition and SSE schedule,
+* selects the spectral-grid execution backend, the RGF kernel, and —
+  for a distributed runtime — the ``(kz, E-chunk)`` rank decomposition
+  and SSE schedule, each made once here and stored as an
+  :class:`~repro.negf.SCBASettings` field,
 * groups sweep points by their *structural* settings (grid shape, η,
   boundary method) so a :class:`~repro.api.Session` can reuse one
   Hamiltonian, one :class:`~repro.negf.SpectralGrid`, one engine, and one
@@ -83,6 +84,19 @@ STRUCTURAL_FIELDS: Tuple[str, ...] = (
     "boundary_method",
 )
 
+#: Settings fields fixed when a simulation is constructed: a resident
+#: simulation cannot be re-pointed at another engine, kernel, SSE backend
+#: or runtime, so they complete each :attr:`PlanGroup.key`.
+EXECUTION_FIELDS: Tuple[str, ...] = (
+    "engine",
+    "rgf_kernel",
+    "sse_backend",
+    "runtime",
+    "ranks",
+    "schedule",
+)
+
+
 @dataclass(frozen=True)
 class PlanCost:
     """Cost estimate from the Table-3 flop models and tensor footprints.
@@ -124,9 +138,12 @@ class PlanCost:
 class PlanGroup:
     """Sweep points sharing one simulation (grid + engine + caches).
 
-    ``base_settings`` are the full :class:`~repro.negf.SCBASettings`
-    kwargs of the group; each point carries only the *overrides* of the
-    non-structural fields its sweep coordinates set.
+    ``key`` is the group's :data:`STRUCTURAL_FIELDS` followed by its
+    :data:`EXECUTION_FIELDS`: points (or service jobs on one device)
+    with equal keys may share one simulation.  ``base_settings`` are the
+    full :class:`~repro.negf.SCBASettings` kwargs of the group; each
+    point carries only the *overrides* of the non-structural fields its
+    sweep coordinates set.
     """
 
     key: Tuple
@@ -161,8 +178,6 @@ class Plan:
     #: RGF kernel the solves run through (see :mod:`repro.negf.kernels`;
     #: always ``reference`` under ``engine="serial"``)
     rgf_kernel: str
-    cache_boundary: bool
-    cache_operators: bool
     ballistic: bool
     groups: Tuple[PlanGroup, ...]
     cost: PlanCost
@@ -222,10 +237,7 @@ class Plan:
             f"{'ballistic' if self.ballistic else 'SCBA'} transport",
             f"  device : NA={w.device.NA} atoms, NB={w.device.NB}, "
             f"Norb={w.device.Norb}, bnum={w.device.bnum}",
-            f"  engine : {self.engine} "
-            f"(rgf_kernel={self.rgf_kernel}, "
-            f"cache_boundary={self.cache_boundary}, "
-            f"cache_operators={self.cache_operators})",
+            f"  engine : {self.engine} (rgf_kernel={self.rgf_kernel})",
         ]
         if self.runtime != "serial":
             lines.append(
@@ -303,8 +315,6 @@ class Plan:
             "engine": self.engine,
             "rgf_kernel": self.rgf_kernel,
             "sse_backend": self.sse_backend,
-            "cache_boundary": self.cache_boundary,
-            "cache_operators": self.cache_operators,
             "ballistic": self.ballistic,
             "groups": [g.to_dict() for g in self.groups],
             "cost": self.cost.to_dict(),
@@ -385,8 +395,6 @@ def compile_workload(
     workload: Workload,
     engine: Optional[str] = None,
     rgf_kernel: Optional[str] = None,
-    cache_boundary: bool = True,
-    cache_operators: bool = True,
     sse_backend: Optional[str] = None,
     runtime: Optional[str] = None,
     ranks: Optional[int] = None,
@@ -519,8 +527,6 @@ def compile_workload(
         base = dict(members[0].settings)
         base["engine"] = engine
         base["rgf_kernel"] = rgf_kernel
-        base["cache_boundary"] = cache_boundary
-        base["cache_operators"] = cache_operators
         base["sse_backend"] = sse_backend
         grid_kw = dict(
             Nkz=base["Nkz"], Nqz=base["Nqz"], NE=base["NE"], Nw=base["Nw"]
@@ -560,7 +566,7 @@ def compile_workload(
             runtime_plan.append(entry)
         groups.append(
             PlanGroup(
-                key=key,
+                key=key + tuple(base[f] for f in EXECUTION_FIELDS),
                 base_settings=base,
                 points=tuple(
                     (
@@ -628,8 +634,6 @@ def compile_workload(
         workload=workload,
         engine=engine,
         rgf_kernel=rgf_kernel,
-        cache_boundary=cache_boundary,
-        cache_operators=cache_operators,
         ballistic=workload.ballistic,
         groups=tuple(groups),
         cost=cost,

@@ -121,15 +121,8 @@ class SpectralGrid:
         The operators depend only on the structure and the momentum —
         never on bias, temperature, or the Born iteration — so one
         assembly serves every solve and every sweep point routed through
-        this grid.  ``SCBASettings.cache_operators=False`` restores the
-        per-solve reassembly of the seed (benchmarks only).
+        this grid.
         """
-        if not getattr(self.s, "cache_operators", True):
-            kz = self.kz_grid[ik]
-            return (
-                self.model.hamiltonian_blocks(kz),
-                self.model.overlap_blocks(kz),
-            )
         if ik not in self._el_ops:
             kz = self.kz_grid[ik]
             self._el_ops[ik] = (
@@ -140,8 +133,6 @@ class SpectralGrid:
 
     def phonon_operators(self, iq: int):
         """Assembled ``Φ(qz)`` for ``qz_grid[iq]``, memoized as above."""
-        if not getattr(self.s, "cache_operators", True):
-            return self.model.dynamical_blocks(self.qz_grid[iq])
         if iq not in self._ph_ops:
             self._ph_ops[iq] = self.model.dynamical_blocks(self.qz_grid[iq])
         return self._ph_ops[iq]
@@ -177,13 +168,11 @@ class BoundaryCache:
     them on every iteration.  The cache keys on the grid indices and
     counts per-point boundary *solves* (two per point: left + right lead)
     and cache hits, so tests can assert the solver runs exactly once per
-    grid point per run.  ``enabled=False`` reproduces the seed behavior
-    for benchmarking.
+    grid point per run.
     """
 
-    def __init__(self, settings, enabled: bool = True):
+    def __init__(self, settings):
         self.s = settings
-        self.enabled = enabled
         self._el: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._ph: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         #: per-point solver invocations (left + right each count one)
@@ -212,8 +201,7 @@ class BoundaryCache:
         """
         s = self.s
         missing = [
-            j for j, iE in enumerate(e_idx)
-            if not (self.enabled and (ik, int(iE)) in self._el)
+            j for j, iE in enumerate(e_idx) if (ik, int(iE)) not in self._el
         ]
         self.el_hits += len(e_idx) - len(missing)
         _metrics.add("boundary.el_hits", len(e_idx) - len(missing))
@@ -236,8 +224,6 @@ class BoundaryCache:
                 )
             self.el_solves += 2 * len(missing)
             _metrics.add("boundary.el_solves", 2 * len(missing))
-            if not self.enabled:
-                return sl, sr
             for j, m in enumerate(missing):
                 self._el[(ik, int(e_idx[m]))] = (sl[j], sr[j])
         sig_L = np.stack([self._el[(ik, int(iE))][0] for iE in e_idx])
@@ -256,8 +242,7 @@ class BoundaryCache:
         """Stacked (Π_L, Π_R) for the frequencies ``w = omegas[w_idx]``."""
         s = self.s
         missing = [
-            j for j, iw in enumerate(w_idx)
-            if not (self.enabled and (iq, int(iw)) in self._ph)
+            j for j, iw in enumerate(w_idx) if (iq, int(iw)) not in self._ph
         ]
         self.ph_hits += len(w_idx) - len(missing)
         _metrics.add("boundary.ph_hits", len(w_idx) - len(missing))
@@ -279,8 +264,6 @@ class BoundaryCache:
                 )
             self.ph_solves += 2 * len(missing)
             _metrics.add("boundary.ph_solves", 2 * len(missing))
-            if not self.enabled:
-                return pl, pr
             for j, m in enumerate(missing):
                 self._ph[(iq, int(w_idx[m]))] = (pl[j], pr[j])
         pi_L = np.stack([self._ph[(iq, int(iw))][0] for iw in w_idx])
@@ -305,12 +288,8 @@ class GridEngine:
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         #: resolved RGF kernel instance for this backend's solves
-        self.kernel = get_kernel(
-            self.pinned_kernel or getattr(grid.s, "rgf_kernel", None)
-        )
-        self.boundary = BoundaryCache(
-            grid.s, enabled=getattr(grid.s, "cache_boundary", True)
-        )
+        self.kernel = get_kernel(self.pinned_kernel or grid.s.rgf_kernel)
+        self.boundary = BoundaryCache(grid.s)
 
     def solve_electrons(self, sigma_r, sigma_l, sigma_g):
         """RGF over the (kz, E) grid -> (Gl, Gg, I_left, I_right)."""

@@ -20,9 +20,10 @@ selected with :attr:`SCBASettings.engine`.  Both memoize the
 iteration-invariant lead self-energies across Born iterations.
 
 The public entry point for new scenarios is the :mod:`repro.api` facade
-(Workload → Plan → Session), which reuses the model, grid, and boundary
-cache across whole sweeps.  ``SCBASettings``/``SCBASimulation`` remain
-as thin shims (see :meth:`SCBASimulation.from_workload`).
+(Workload → Plan → Session): ``compile_workload`` makes every execution
+choice once and stores it as an :class:`SCBASettings` field, and a
+Session builds one ``SCBASimulation`` per plan group, reusing the model,
+grid, and boundary cache across whole sweeps.
 
 Physical conventions (dimensionless units, ħ = e = 1):
 
@@ -105,12 +106,6 @@ class SCBASettings:
     #: ``numpy`` production recursion, ``reference`` seed recursion.
     #: The serial engine stays pinned to ``reference`` — it is the oracle.
     rgf_kernel: str = "numpy"
-    #: memoize lead self-energies across Born iterations; ``False``
-    #: restores the seed's per-iteration recomputation (benchmarks only)
-    cache_boundary: bool = True
-    #: memoize the assembled H(kz)/S(kz)/Φ(qz) operator blocks per
-    #: momentum point; ``False`` restores per-solve reassembly
-    cache_operators: bool = True
     #: SCBA execution runtime (see :mod:`repro.runtime`): ``serial`` is
     #: the in-process Born loop below; ``sim``/``pipe`` distribute it over
     #: ranks exchanging G≷/Π≷ through an SSE schedule
@@ -337,9 +332,6 @@ class SCBASimulation:
         self.omegas = g.omegas
         self.rev = g.rev
         self._atom_slices = g.atom_slices
-        #: what ``run()`` does when ``ballistic`` is not passed; set from
-        #: the workload's ``PhysicsSpec.transport`` by :meth:`from_workload`
-        self.default_ballistic = False
         #: resident distributed runtime (built lazily when
         #: ``settings.runtime != "serial"``; reused across sweep points)
         self._runtime = None
@@ -368,26 +360,6 @@ class SCBASimulation:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    @classmethod
-    def from_workload(cls, workload) -> "SCBASimulation":
-        """Legacy shim: one simulation for a sweep-free ``repro.api.Workload``.
-
-        Sweeps must go through :class:`repro.api.Session`, which reuses the
-        Hamiltonian, spectral grid, and boundary cache across points.
-        """
-        from ..api import compile_workload  # api layers on top of negf
-
-        plan = compile_workload(workload)
-        if plan.n_points != 1:
-            raise ValueError(
-                f"workload has {plan.n_points} sweep points; "
-                "use repro.api.Session for sweeps"
-            )
-        model = workload.device.build()
-        sim = cls(model, SCBASettings(**plan.groups[0].point_settings(0)))
-        sim.default_ballistic = plan.ballistic
-        return sim
 
     # -- distributed execution -----------------------------------------------------
     def _run_distributed(self, ballistic: bool) -> "SCBAResult":
@@ -474,16 +446,12 @@ class SCBASimulation:
         return Sl, Sg, Pl, Pg
 
     # -- driver ------------------------------------------------------------------
-    def run(self, ballistic: Optional[bool] = None) -> SCBAResult:
+    def run(self, ballistic: bool = False) -> SCBAResult:
         """Iterate GF ⇄ SSE to self-consistency (Fig. 2).
 
-        ``ballistic=None`` follows :attr:`default_ballistic` (False unless
-        the simulation came from a ballistic workload); passing a bool
-        overrides it explicitly.
+        ``ballistic=True`` stops after the first GF phase (no scattering).
         """
-        if ballistic is None:
-            ballistic = self.default_ballistic
-        if getattr(self.s, "runtime", "serial") != "serial":
+        if self.s.runtime != "serial":
             return self._run_distributed(ballistic)
         s = self.s
         Gl = Gg = Dl = Dg = I_L = I_R = None

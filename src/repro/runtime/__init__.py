@@ -6,9 +6,11 @@ ranks (:class:`~repro.runtime.rank.RankWorker`), exchanges G≷/Σ≷/Π≷/D≷
 through the resident OMEN or DaCe communication schedule each iteration,
 and meters every byte per rank and per phase.  Transports:
 ``sim`` (in-process, bit-exact accounting) and ``pipe`` (forked rank
-processes over multiprocessing pipes).  Select with
-``SCBASettings(runtime=..., ranks=..., schedule=...)`` or
-``workload.compile(runtime=...)``.
+processes over multiprocessing pipes).  The transport, rank count and
+schedule are read only from the ``runtime``/``ranks``/``schedule`` fields
+of :class:`~repro.negf.SCBASettings`, which ``workload.compile(runtime=...,
+ranks=..., schedule=...)`` fills in (a direct ``ranks=None`` runs one rank
+per kz; only the plan picks the largest decomposition).
 """
 
 from .rank import RankWorker

@@ -62,35 +62,25 @@ __all__ = ["DistributedSCBARuntime"]
 class DistributedSCBARuntime:
     """Run the Born loop rank-parallel over an SSE communication schedule.
 
-    Parameters are taken from ``settings`` (``runtime``/``ranks``/
-    ``schedule``) unless overridden explicitly.  The runtime is resident:
-    workers (and their boundary caches) survive across :meth:`run` calls,
-    so a :class:`~repro.api.Session` sweep reuses them point to point.
+    The transport, rank count and SSE schedule are the ``runtime``,
+    ``ranks`` (None: one rank per kz) and ``schedule`` fields of
+    ``settings``.  The runtime is resident: workers (and their boundary
+    caches) survive across :meth:`run` calls, so a
+    :class:`~repro.api.Session` sweep reuses them point to point.
     """
 
-    def __init__(
-        self,
-        model,
-        settings,
-        ranks: Optional[int] = None,
-        schedule: Optional[str] = None,
-        transport: Optional[str] = None,
-    ):
+    def __init__(self, model, settings):
         self.model = model
-        self.s = settings
-        s = settings
-        runtime = getattr(s, "runtime", "serial")
-        self.transport_name = transport or (
-            runtime if runtime != "serial" else "sim"
-        )
-        self.schedule = schedule or getattr(s, "schedule", "omen")
+        self.s = s = settings
+        self.transport_name = s.runtime
+        self.schedule = s.schedule
         if self.schedule not in SSE_SCHEDULES:
             raise ValueError(
                 f"unknown SSE schedule {self.schedule!r}; "
                 f"expected one of {SSE_SCHEDULES}"
             )
 
-        P = ranks if ranks is not None else (getattr(s, "ranks", None) or s.Nkz)
+        P = s.ranks or s.Nkz
         try:
             self.gf_decomp = OmenDecomposition(Nkz=s.Nkz, NE=s.NE, P=P)
         except ValueError as exc:

@@ -305,20 +305,35 @@ class PipeTransport(Transport):
                 self.close()
                 raise TransportError(f"rank {rank} failed to start:\n{err}")
 
-    def _recv(self, rank: int):
-        ok, payload = self._conns[rank].recv()
+    def _send(self, rank: int, method: str, args: Tuple) -> None:
+        try:
+            self._conns[rank].send((method, args))
+        except OSError as exc:  # BrokenPipeError: the rank is gone
+            raise TransportError(
+                f"rank {rank} is dead; cannot call {method!r}: {exc!r}"
+            ) from exc
+
+    def _recv(self, rank: int, method: str):
+        try:
+            ok, payload = self._conns[rank].recv()
+        except (EOFError, OSError) as exc:  # the rank died mid-call
+            raise TransportError(
+                f"rank {rank} died during {method!r}: {exc!r}"
+            ) from exc
         if not ok:
-            raise TransportError(f"rank {rank} worker failed:\n{payload}")
+            raise TransportError(
+                f"rank {rank} worker failed in {method!r}:\n{payload}"
+            )
         return payload
 
     def call(self, rank: int, method: str, *args):
-        self._conns[rank].send((method, args))
-        return self._recv(rank)
+        self._send(rank, method, args)
+        return self._recv(rank, method)
 
     def call_all(self, method: str, args_list: Sequence[Tuple]):
         for rank, args in enumerate(args_list):
-            self._conns[rank].send((method, args))
-        return [self._recv(rank) for rank in range(self.P)]
+            self._send(rank, method, args)
+        return [self._recv(rank, method) for rank in range(self.P)]
 
     def mark_epoch(self) -> None:
         if spans_enabled():

@@ -10,14 +10,13 @@ keeps them resident across **jobs** and tenants.  Two tenants whose
 workloads share a structural group hit the same warm boundary cache by
 construction, so the group's boundary bill is paid once.
 
-The structural group extends the Session/Plan notion
-(:data:`repro.api.STRUCTURAL_FIELDS`) with everything else that is fixed
-at simulation construction: the device spec and the engine/kernel/runtime
-selection.  Jobs in the same group differ only in fields the executor
-syncs per point (bias, temperatures, coupling, tolerances, ...), exactly
-like sweep points within a Session group — so pool execution is
-bit-identical to a per-workload ``Session.run()`` (pinned by
-``tests/test_service.py``).
+The structural group is the device spec plus the plan group's choice
+key (:attr:`repro.api.PlanGroup.key`: the structural settings and the
+execution selection fixed at simulation construction).  Jobs in the same
+group differ only in fields the executor syncs per point (bias,
+temperatures, coupling, tolerances, ...), exactly like sweep points
+within a Session group — so pool execution is bit-identical to a
+per-workload ``Session.run()`` (pinned by ``tests/test_service.py``).
 """
 
 from __future__ import annotations
@@ -38,34 +37,14 @@ from ..negf.scba import SCBASettings, SCBASimulation
 __all__ = ["structural_key", "RankPool"]
 
 
-#: base-settings fields fixed at SCBASimulation construction — a shared
-#: simulation cannot be re-pointed at a different engine, kernel, cache
-#: policy, or runtime after the fact, so they join the structural key
-_CONSTRUCTION_FIELDS: Tuple[str, ...] = (
-    "engine",
-    "rgf_kernel",
-    "cache_boundary",
-    "cache_operators",
-    "sse_backend",
-    "runtime",
-    "ranks",
-    "schedule",
-)
-
-
 def structural_key(device: DeviceSpec, group: PlanGroup) -> Tuple:
     """The sharing key: jobs with equal keys may share one simulation.
 
-    Combines the device spec (operators), the plan group's structural
-    settings (grid shape, η, boundary method — ``PlanGroup.key``), and
-    the construction-time execution selection.  Everything *not* in the
-    key is synced per point by :func:`repro.api.session.execute_point`.
+    The device spec (operators) and the plan group's choice key
+    (:attr:`~repro.api.PlanGroup.key`).  Everything *not* in the key is
+    synced per point by :func:`repro.api.session.execute_point`.
     """
-    return (
-        tuple(sorted(asdict(device).items())),
-        tuple(group.key),
-        tuple(group.base_settings.get(f) for f in _CONSTRUCTION_FIELDS),
-    )
+    return (tuple(sorted(asdict(device).items())), group.key)
 
 
 class RankPool:

@@ -393,23 +393,6 @@ class TestSessionLifetime:
         with SCBASimulation(small_model, settings) as sim:
             sim.solve_electrons(None, None, None)
 
-    def test_from_workload_shim(self):
-        w = small_workload()
-        sim = SCBASimulation.from_workload(w)
-        # run() honors the workload's declared transport (ballistic here).
-        assert sim.default_ballistic
-        res = sim.run()
-        assert res.iterations == 1
-        with Session(w.compile()) as session:
-            sweep = session.run()
-        assert abs(res.total_current_left - sweep[0].current_left) < 1e-10
-        sim.close()
-
-    def test_from_workload_rejects_sweeps(self):
-        w = small_workload(sweeps=(SweepAxis("bias", (0.0, 0.2)),))
-        with pytest.raises(ValueError, match="Session"):
-            SCBASimulation.from_workload(w)
-
 
 class TestResultPersistence:
     def test_scba_result_round_trip(self):

@@ -350,19 +350,33 @@ class TestBoundaryCache:
         assert cache.ph_solves == 2 * s.Nqz * s.Nw
         assert cache.el_hits == (res.iterations - 1) * s.Nkz * s.NE
 
-    def test_seed_mode_recomputes_every_iteration(self, sim_factory):
-        """cache_boundary=False restores the seed per-iteration behavior."""
-        sim = sim_factory(engine="serial", cache_boundary=False)
-        res = sim.run()
-        s = sim.s
-        cache = sim.engine.boundary
-        assert cache.el_solves == res.iterations * 2 * s.Nkz * s.NE
-        assert cache.el_hits == 0
-
-    def test_cached_values_match_uncached(self, sim_factory):
-        a = sim_factory(engine="serial").run()
-        b = sim_factory(engine="serial", cache_boundary=False).run()
-        assert np.abs(a.Gl - b.Gl).max() < 1e-12
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    def test_cached_entries_match_fresh_solves(self, sim_factory, engine):
+        """Every memoized lead self-energy of a finished run equals a
+        fresh one-point solve at that grid point."""
+        sim = sim_factory(engine=engine)
+        sim.run()
+        g, s, cache = sim.grid, sim.s, sim.engine.boundary
+        assert len(cache._el) == s.Nkz * s.NE
+        assert len(cache._ph) == s.Nqz * s.Nw
+        for (ik, iE), cached in cache._el.items():
+            H, S = g.electron_operators(ik)
+            E = g.energies[iE : iE + 1]
+            for side, blk, sig in zip(("left", "right"), (0, -1), cached):
+                fresh = lead_self_energy_batched(
+                    E, H.diag[blk], H.upper[blk], side, S.diag[blk],
+                    S.upper[blk], eta=s.eta, method=s.boundary_method,
+                )[0]
+                assert np.abs(sig - fresh).max() <= 1e-12
+        for (iq, iw), cached in cache._ph.items():
+            Phi = g.phonon_operators(iq)
+            z, eta_eff = cache._phonon_z_eta(g.omegas[iw : iw + 1], s.eta)
+            for side, blk, pi in zip(("left", "right"), (0, -1), cached):
+                fresh = lead_self_energy_batched(
+                    z, Phi.diag[blk], Phi.upper[blk], side,
+                    eta=eta_eff, method=s.boundary_method,
+                )[0]
+                assert np.abs(pi - fresh).max() <= 1e-12
 
 
 class TestPartition:

@@ -14,6 +14,8 @@ The acceptance contract of the runtime tier:
 """
 
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -51,6 +53,14 @@ def model():
 def serial_result(model):
     with SCBASimulation(model, SCBASettings(runtime="serial", **GRID)) as sim:
         return sim.run()
+
+
+class _PingWorker:
+    def ping(self):
+        return "pong"
+
+    def die(self):
+        os._exit(1)
 
 
 def distributed_sim(model, schedule, P, transport="sim", **overrides):
@@ -179,6 +189,27 @@ class TestPipeTransport:
         t.close()
         t.close()  # idempotent
 
+    def test_dead_rank_raises_transport_error(self):
+        from repro.runtime import PipeTransport, TransportError
+
+        t = PipeTransport(3)
+        t.start(lambda rank: _PingWorker())
+        procs = list(t._procs)
+        try:
+            assert t.call_all("ping", [()] * 3) == ["pong"] * 3
+            # killed between calls: the next send hits a closed pipe
+            os.kill(procs[1].pid, signal.SIGKILL)
+            procs[1].join()
+            with pytest.raises(TransportError, match="rank 1 .*'ping'"):
+                t.call(1, "ping")
+            # dies mid-call: the reply never comes
+            with pytest.raises(TransportError, match="rank 2 died during 'die'"):
+                t.call(2, "die")
+            assert t.call(0, "ping") == "pong"
+        finally:
+            t.close()
+        assert not any(proc.is_alive() for proc in procs)
+
 
 class TestRuntimeSelection:
     def test_env_unset_is_serial(self):
@@ -198,8 +229,7 @@ class TestRuntimeSelection:
         with pytest.raises(ValueError, match="schedule"):
             DistributedSCBARuntime(
                 model,
-                SCBASettings(runtime="sim", ranks=2, **GRID),
-                schedule="ring",
+                SCBASettings(runtime="sim", ranks=2, schedule="ring", **GRID),
             )
 
     def test_default_ranks_one_per_momentum(self, model):

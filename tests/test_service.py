@@ -165,6 +165,21 @@ class TestRankPool:
             keys.append(structural_key(w.device, plan.groups[0]))
         assert keys[0] == keys[1] and keys[0] != keys[2]
 
+    def test_structural_key_separates_execution_choices(self):
+        w = small_workload(transport="scba")
+
+        def key(workload, **compile_kwargs):
+            plan = workload.compile(**compile_kwargs)
+            return structural_key(workload.device, plan.groups[0])
+
+        assert key(w, engine="serial") != key(w, engine="batched")
+        assert key(w, runtime="serial") != key(w, runtime="sim", ranks=2)
+        # bias still merges under every execution choice
+        for kw in ({"engine": "serial"}, {"runtime": "sim", "ranks": 2}):
+            assert key(small_workload(bias=0.1), **kw) == key(
+                small_workload(bias=0.5), **kw
+            )
+
     def test_shared_group_reuses_boundary_cache(self):
         a, b = small_workload("a", bias=0.1), small_workload("b", bias=0.5)
         with RankPool() as pool:
