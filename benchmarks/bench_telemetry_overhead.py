@@ -1,4 +1,4 @@
-"""Telemetry overhead: off must be free, full must stay under 10%.
+"""Telemetry overhead: off must be free, spans must stay under 10%.
 
 Times the engine hot path — a fixed-iteration dissipative SCBA run at
 the README quickstart dimensions — under each ``REPRO_TELEMETRY`` mode
@@ -7,13 +7,13 @@ and emits ``BENCH_telemetry.json``:
 * **off**  — the instrumentation is a handful of module-level boolean
   checks; its cost is bounded *analytically* from a measured per-call
   ``trace()`` fast-path cost times the number of instrumentation sites
-  the full-mode run actually recorded.  Acceptance: <= 1% of the
+  the spans-mode run actually recorded.  Acceptance: <= 1% of the
   baseline wall clock.
-* **spans / full** — the recording modes, compared against the off-mode
-  wall clock directly.  Acceptance: full <= 10% overhead.
+* **spans** — the recording mode, compared against the off-mode wall
+  clock directly.  Acceptance: <= 10% overhead.
 
 The same session also serves as the CI telemetry smoke: a 2-rank
-distributed SCBA run captured in ``full`` mode writes
+distributed SCBA run captured in ``spans`` mode writes
 ``telemetry_smoke.trace.json`` (rank-tagged, opens in Perfetto) and its
 drift report — measured comm bytes vs the §4.1 exchange models, executed
 flops vs the Table-3 analytic counts — must reconcile cleanly.
@@ -86,38 +86,30 @@ def run_overhead() -> dict:
     previous = configure("off")
     try:
         seconds = {}
-        events = metrics_ops = 0
-        for mode in ("off", "spans", "full"):
+        for mode in ("off", "spans"):
             configure(mode)
             telemetry.get_tracer().clear()
-            telemetry.get_registry().reset()
             seconds[mode] = timeit(
                 lambda: _run_once(model), repeats=REPEATS
             ).best
-            if mode == "full":
-                snap = telemetry.telemetry_snapshot()
-                events = len(snap["trace"])
-                metrics_ops = len(snap["metrics"])
+        events = len(telemetry.chrome_trace_events())
         per_call_ns = _off_call_cost_ns()
-        # Every recorded full-mode event was one trace() call that, in
+        # Every recorded spans-mode event was one trace() call that, in
         # off mode, costs one fast-path check — an upper bound on what
         # the disabled instrumentation adds to the baseline run.
         off_overhead = events * per_call_ns * 1e-9 / seconds["off"]
     finally:
         configure(previous)
         telemetry.get_tracer().clear()
-        telemetry.get_registry().reset()
     return {
         "device": {**DEVICE, "Norb": NORB},
         "grid": GRID,
         "repeats": REPEATS,
         "seconds": seconds,
-        "full_events": events,
-        "full_metrics": metrics_ops,
+        "spans_events": events,
         "off_trace_call_ns": per_call_ns,
         "off_overhead_bound": off_overhead,
         "spans_overhead": seconds["spans"] / seconds["off"] - 1.0,
-        "full_overhead": seconds["full"] / seconds["off"] - 1.0,
     }
 
 
@@ -131,7 +123,7 @@ def run_drift_smoke() -> dict:
         NE=12, Nkz=2, Nqz=2, Nw=2, e_min=-1.5, e_max=1.5,
         coupling=0.2, mixing=0.5, max_iterations=3, tolerance=0.0,
     )
-    with capture("full") as cap:
+    with capture("spans") as cap:
         with SCBASimulation(model, settings) as sim:
             sim.run()
             drift = comm_drift(sim) + sse_flops_drift()
@@ -162,8 +154,6 @@ def test_telemetry_overhead(benchmark, bench_writer):
                  f"{record['off_overhead_bound'] * 100:.3f}% (bound)"],
                 ["spans", f"{record['seconds']['spans']:.3f}",
                  f"{record['spans_overhead'] * 100:.1f}%"],
-                ["full", f"{record['seconds']['full']:.3f}",
-                 f"{record['full_overhead'] * 100:.1f}%"],
             ],
         )
     )
@@ -183,5 +173,5 @@ def test_telemetry_overhead(benchmark, bench_writer):
         # shared runners are a scheduling lottery.
         assert all(t > 0 for t in record["seconds"].values())
         return
-    # Recording modes: full telemetry stays within 10% of the baseline.
-    assert record["full_overhead"] <= 0.10
+    # The recording mode: spans stay within 10% of the baseline.
+    assert record["spans_overhead"] <= 0.10

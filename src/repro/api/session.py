@@ -20,7 +20,11 @@ planned workload and reuses it across sweep points:
 One sweep point is executed by :func:`execute_point` — for a session and
 for the scheduler service's shared executors alike.  Results come back as
 structured :class:`RunResult`/:class:`SweepResult` objects with JSON
-export built on :meth:`repro.negf.SCBAResult.to_dict`.
+export built on :meth:`repro.negf.SCBAResult.to_dict`.  Under
+``REPRO_TELEMETRY=spans`` a sweep also carries the spans of its own
+:meth:`Session.run` (:attr:`SweepResult.telemetry`); the counts live on
+the results themselves (``RunResult.iterations``/``.comm``,
+``SweepResult.reuse``).
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional
 import numpy as np
 
 from ..negf.scba import SCBAResult, SCBASettings, SCBASimulation
-from ..telemetry import metrics as _metrics
-from ..telemetry.spans import mode as _mode
-from ..telemetry.spans import metrics_enabled, spans_enabled, trace
+from ..telemetry.spans import get_tracer, spans_enabled, trace
 from ..telemetry.timing import timeit
 from .plan import Plan, PlanGroup
 from .workload import Workload
@@ -72,10 +74,6 @@ class RunResult:
     comm: Optional[Dict[str, Any]] = None
     #: RGF kernel the point's solves ran through (None for legacy results)
     rgf_kernel: Optional[str] = None
-    #: per-point telemetry (:func:`repro.telemetry.telemetry_snapshot`
-    #: shape: {"mode", "trace", "metrics"}); None unless REPRO_TELEMETRY
-    #: was enabled for the run
-    telemetry: Optional[Dict[str, Any]] = None
 
     @property
     def total_current_left(self) -> float:
@@ -91,7 +89,6 @@ class RunResult:
         elapsed: float, keep_arrays: bool = True,
         comm: Optional[Dict[str, Any]] = None,
         rgf_kernel: Optional[str] = None,
-        telemetry: Optional[Dict[str, Any]] = None,
     ) -> "RunResult":
         return cls(
             index=index,
@@ -105,7 +102,6 @@ class RunResult:
             result=res if keep_arrays else None,
             comm=comm,
             rgf_kernel=rgf_kernel,
-            telemetry=telemetry,
         )
 
     def to_dict(self, include_arrays: bool = False) -> Dict[str, Any]:
@@ -123,8 +119,6 @@ class RunResult:
             out["rgf_kernel"] = self.rgf_kernel
         if self.comm is not None:
             out["comm"] = {k: dict(v) for k, v in self.comm.items()}
-        if self.telemetry is not None:
-            out["telemetry"] = dict(self.telemetry)
         if include_arrays and self.result is not None:
             out["result"] = self.result.to_dict()
         return out
@@ -144,7 +138,6 @@ class RunResult:
             result=SCBAResult.from_dict(res) if res is not None else None,
             comm=d.get("comm"),
             rgf_kernel=d.get("rgf_kernel"),
-            telemetry=d.get("telemetry"),
         )
 
 
@@ -164,9 +157,10 @@ class SweepResult:
     #: so the job's accounting serializes with the result; None for
     #: plain :meth:`Session.run` results
     service: Optional[Dict[str, Any]] = None
-    #: sweep-wide telemetry snapshot ({"mode", "trace", "metrics"},
-    #: :func:`repro.telemetry.telemetry_snapshot`) taken at the end of
-    #: :meth:`Session.run`; None when REPRO_TELEMETRY is off
+    #: the spans of this :meth:`Session.run` ({"mode", "trace"},
+    #: :func:`repro.telemetry.telemetry_snapshot`): its ``session.run``
+    #: root plus the rank tracks merged during it; None when
+    #: REPRO_TELEMETRY is off
     telemetry: Optional[Dict[str, Any]] = None
 
     def __len__(self) -> int:
@@ -259,27 +253,13 @@ def execute_point(
     The point's full settings are applied to the (shared, resident)
     simulation first — only non-structural fields differ between the
     points routed to one simulation, so its grid, operators and boundary
-    cache stay valid.  The run is timed inside a ``span_name`` span; with
-    metrics enabled the point's metric delta is attached as
-    :attr:`RunResult.telemetry`.
+    cache stay valid.  The run is timed inside a ``span_name`` span.
     """
     index, coords, _overrides = group.points[j]
     for k, v in group.point_settings(j).items():
         setattr(sim.s, k, v)
-    telemetry = None
     with trace(span_name, index=index, **span_attrs):
-        before = _metrics.snapshot() if metrics_enabled() else None
         timing = timeit(lambda: sim.run(ballistic=ballistic), repeats=1)
-        if before is not None:
-            after = _metrics.snapshot()
-            telemetry = {
-                "mode": _mode(),
-                "metrics": {
-                    k: after[k] - before.get(k, 0)
-                    for k in after
-                    if after[k] != before.get(k, 0)
-                },
-            }
     comm = None
     if sim.last_comm:
         comm = {
@@ -287,7 +267,7 @@ def execute_point(
         }
     return RunResult.from_scba(
         index, coords, timing.result, timing.best, keep_arrays=keep_arrays,
-        comm=comm, rgf_kernel=sim.engine.kernel.name, telemetry=telemetry,
+        comm=comm, rgf_kernel=sim.engine.kernel.name,
     )
 
 
@@ -387,6 +367,7 @@ class Session:
         """
         runs: List[RunResult] = []
         n_points = sum(len(g.points) for g in self.plan.groups)
+        first_root = len(get_tracer().roots())
         with trace("session.run", points=n_points, engine=self.plan.engine):
             for gi, group in enumerate(self.plan.groups):
                 for j in range(len(group.points)):
@@ -399,7 +380,7 @@ class Session:
         if spans_enabled():
             from ..telemetry.export import telemetry_snapshot
 
-            telemetry = telemetry_snapshot()
+            telemetry = telemetry_snapshot(since=first_root)
         return SweepResult(
             workload=self.plan.workload.to_dict(),
             runs=runs,

@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..config import default_autotune_max_moves
 from ..sdfg import Pipeline, PipelineReport
 from ..sdfg.pipeline import _transient_bytes, measure_movement
-from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
 from .space import (
     KIND_PRIORITY,
@@ -248,7 +247,6 @@ class _Search:
             if c is not None:
                 out.append(c)
         self.evaluations += len(out)
-        _metrics.add("autotune.candidates", len(out))
         return out
 
 

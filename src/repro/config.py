@@ -62,11 +62,9 @@ SERVICE_MODES: Tuple[str, ...] = ("sync", "thread")
 
 #: Observability modes of the telemetry subsystem (``repro.telemetry``):
 #: ``off`` disables every probe (the default; near-zero overhead),
-#: ``spans`` records the hierarchical span tree only, ``full``
-#: additionally accumulates the process-wide metrics registry (bytes,
-#: flops, cache counters) that the drift reports reconcile against the
-#: analytic models.
-TELEMETRY_MODES: Tuple[str, ...] = ("off", "spans", "full")
+#: ``spans`` records the hierarchical span tree.  Counts (bytes, flops,
+#: cache hits) live on the results that produce them, not in telemetry.
+TELEMETRY_MODES: Tuple[str, ...] = ("off", "spans")
 
 
 def default_telemetry_mode() -> str:

@@ -481,8 +481,7 @@ def compiled_sse_kernel(backend: Optional[str] = None):
     original ``[kz, E, a]`` layout; cached per resolved backend name.
     """
     from ..sdfg.backends import get_backend
-    from ..telemetry import metrics as _metrics
-    from ..telemetry.spans import metrics_enabled, trace
+    from ..telemetry.spans import trace
 
     name = backend or "numpy"
     if name not in _SSE_KERNELS:
@@ -491,16 +490,7 @@ def compiled_sse_kernel(backend: Optional[str] = None):
 
         def kernel(dims, arrays, tables=None, _runner=runner, _name=name):
             with trace("backend.execute", backend=_name, stage=stage.name):
-                result, executed = _runner(dims, arrays, tables)
-            if metrics_enabled():
-                report = executed.report
-                _metrics.add("backend.flops", int(report.flops))
-                _metrics.add(
-                    "backend.element_reads", int(report.element_reads)
-                )
-                _metrics.add(
-                    "backend.element_writes", int(report.element_writes)
-                )
+                result, _ = _runner(dims, arrays, tables)
             return result
 
         _SSE_KERNELS[name] = kernel

@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import EXECUTION_BACKENDS
-from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
 from .boundary import lead_self_energy_batched
 from .kernels import get_kernel
@@ -204,7 +203,6 @@ class BoundaryCache:
             j for j, iE in enumerate(e_idx) if (ik, int(iE)) not in self._el
         ]
         self.el_hits += len(e_idx) - len(missing)
-        _metrics.add("boundary.el_hits", len(e_idx) - len(missing))
         if missing:
             with trace(
                 "boundary.solve",
@@ -223,7 +221,6 @@ class BoundaryCache:
                     eta=s.eta, method=s.boundary_method,
                 )
             self.el_solves += 2 * len(missing)
-            _metrics.add("boundary.el_solves", 2 * len(missing))
             for j, m in enumerate(missing):
                 self._el[(ik, int(e_idx[m]))] = (sl[j], sr[j])
         sig_L = np.stack([self._el[(ik, int(iE))][0] for iE in e_idx])
@@ -245,7 +242,6 @@ class BoundaryCache:
             j for j, iw in enumerate(w_idx) if (iq, int(iw)) not in self._ph
         ]
         self.ph_hits += len(w_idx) - len(missing)
-        _metrics.add("boundary.ph_hits", len(w_idx) - len(missing))
         if missing:
             with trace(
                 "boundary.solve",
@@ -263,7 +259,6 @@ class BoundaryCache:
                     eta=eta_eff, method=s.boundary_method,
                 )
             self.ph_solves += 2 * len(missing)
-            _metrics.add("boundary.ph_solves", 2 * len(missing))
             for j, m in enumerate(missing):
                 self._ph[(iq, int(w_idx[m]))] = (pl[j], pr[j])
         pi_L = np.stack([self._ph[(iq, int(iw))][0] for iw in w_idx])
@@ -489,8 +484,6 @@ class BatchedEngine(GridEngine):
         """
         g, s = self.grid, self.grid.s
         e_idx = np.asarray(e_idx)
-        _metrics.add("engine.electron_rows")
-        _metrics.add("engine.electron_points", len(e_idx))
         E = g.energies[e_idx]
         H, S = g.electron_operators(ik)
 
@@ -554,8 +547,6 @@ class BatchedEngine(GridEngine):
         """
         g, s = self.grid, self.grid.s
         w_idx = np.asarray(w_idx)
-        _metrics.add("engine.phonon_rows")
-        _metrics.add("engine.phonon_points", len(w_idx))
         w = g.omegas[w_idx]
         Phi = g.phonon_operators(iq)
         dev = g.model.structure

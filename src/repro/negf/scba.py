@@ -45,7 +45,6 @@ from typing import Any, Callable, Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
 from .engine import SpectralGrid, bose, energy_grid, fermi, make_engine
 from .hamiltonian import HamiltonianModel
@@ -465,7 +464,6 @@ class SCBASimulation:
             nonlocal Gl, Gg, Dl, Dg, I_L, I_R
             iteration_span.close()
             iteration_span.enter_context(trace("scba.iteration", iteration=it))
-            _metrics.add("scba.iterations")
             Gl_prev = Gl
             Gl, Gg, I_L, I_R = self.solve_electrons(Sr, Sl, Sg)
             Dl, Dg = self.solve_phonons(Pr, Pl)

@@ -23,8 +23,6 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..telemetry.metrics import meter_transfer
-
 __all__ = ["CommStats", "SimComm"]
 
 
@@ -123,13 +121,14 @@ class SimComm:
 
         The one accounting entry point of every transport (the
         distributed runtime's sim/pipe transports move the payloads
-        themselves).  The actual
-        bookkeeping lives in the single shared helper
-        :func:`repro.telemetry.metrics.meter_transfer`, which also
-        publishes the aggregate bytes to the metrics registry under
-        ``REPRO_TELEMETRY=full``.
+        themselves): local copies cost nothing, as in the paper's §4.1
+        model.
         """
-        meter_transfer(self.stats, src, dst, nbytes)
+        if src == dst:
+            return
+        self.stats.sent_bytes[src] += nbytes
+        self.stats.recv_bytes[dst] += nbytes
+        self.stats.messages[src] += 1
 
     def reset(self):
         self.stats.sent_bytes[:] = 0

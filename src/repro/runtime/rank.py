@@ -32,7 +32,6 @@ from ..negf.scba import SCBASettings, mix_step, sse_prefactors
 from ..negf.sse import preprocess_phonon_green, retarded_from_lesser_greater
 from ..parallel.decomposition import OmenDecomposition
 from ..parallel.schedules import RankSSEStore
-from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.spans import Tracer, scoped_span
 
 __all__ = ["RankWorker"]
@@ -67,11 +66,10 @@ class RankWorker(RankSSEStore):
         self.rows_by_q: Dict[int, List[int]] = {}
         for q, w in self.phonon_rows:
             self.rows_by_q.setdefault(q, []).append(w)
-        #: rank-private telemetry sinks — kept separate from the driver's
-        #: even under the in-process ``sim`` transport, drained through
+        #: rank-private span sink — kept separate from the driver's even
+        #: under the in-process ``sim`` transport, drained through
         #: :meth:`drain_telemetry` and merged rank-tagged by the runtime
         self.tracer = Tracer()
-        self.registry = MetricsRegistry()
         self._reset_state()
 
     # -- run lifecycle ----------------------------------------------------------
@@ -108,13 +106,10 @@ class RankWorker(RankSSEStore):
 
         Returns ``(had_previous, |ΔG<|², |G<|²)`` — the rank's residual
         contributions, allreduced by the driver into the global Born
-        convergence criterion.  Engine/boundary telemetry recorded inside
-        lands in this rank's private tracer/registry.
+        convergence criterion.  Engine/boundary spans recorded inside
+        land in this rank's private tracer.
         """
-        with scoped_span(
-            self.tracer, "rank.solve_gf", registry=self.registry,
-            rank=self.rank,
-        ):
+        with scoped_span(self.tracer, "rank.solve_gf", rank=self.rank):
             return self._solve_gf()
 
     def _solve_gf(self) -> Tuple[bool, float, float]:
@@ -146,10 +141,7 @@ class RankWorker(RankSSEStore):
     # -- SSE phase ---------------------------------------------------------------
     def sse_begin(self) -> None:
         """Combine the owned phonon rows (Eq. 3) and zero the accumulators."""
-        with scoped_span(
-            self.tracer, "rank.sse_prepare", registry=self.registry,
-            rank=self.rank,
-        ):
+        with scoped_span(self.tracer, "rank.sse_prepare", rank=self.rank):
             super().sse_begin()
             self.Dc = {}
             for (q, w), d in self.D.items():
@@ -214,14 +206,11 @@ class RankWorker(RankSSEStore):
         """Boundary-cache solve/hit counters of this rank."""
         return self.engine.boundary.counters()
 
-    def drain_telemetry(self) -> Dict[str, object]:
-        """Pop this rank's recorded spans and metrics (picklable dicts).
+    def drain_telemetry(self) -> List[Dict[str, object]]:
+        """Pop this rank's recorded root spans (picklable dicts).
 
         Works identically over both transports: in-process ``sim`` reads
-        the sinks directly, ``pipe`` ships the dicts through the worker
+        the tracer directly, ``pipe`` ships the dicts through the worker
         pipe like any other method result.
         """
-        return {
-            "spans": self.tracer.drain(),
-            "metrics": self.registry.drain(),
-        }
+        return self.tracer.drain()

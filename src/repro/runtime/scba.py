@@ -46,13 +46,7 @@ from ..parallel.schedules import (
     default_round_owner,
 )
 from ..parallel.simmpi import CommStats
-from ..telemetry import metrics as _metrics
-from ..telemetry.spans import (
-    get_tracer,
-    metrics_enabled,
-    spans_enabled,
-    trace,
-)
+from ..telemetry.spans import get_tracer, spans_enabled, trace
 from .rank import RankWorker
 from .transport import Transport, make_transport
 
@@ -318,23 +312,17 @@ class DistributedSCBARuntime:
 
     # -- accounting ---------------------------------------------------------------
     def _drain_rank_telemetry(self, t: Transport) -> None:
-        """Ship per-rank spans/metrics back and merge them driver-side.
-
-        Spans become rank-tagged tracks of the driver's tracer (aligned
-        timelines: ``perf_counter_ns`` is process-shared CLOCK_MONOTONIC
-        on Linux); rank metrics accumulate into the global registry.
-        """
-        if not (spans_enabled() or metrics_enabled()):
+        """Ship per-rank spans back as rank-tagged tracks of the driver's
+        tracer (aligned timelines: ``perf_counter_ns`` is process-shared
+        CLOCK_MONOTONIC on Linux)."""
+        if not spans_enabled():
             return
         tracer = get_tracer()
-        registry = _metrics.get_registry()
-        for r, tele in enumerate(
+        for r, spans in enumerate(
             t.call_all("drain_telemetry", [()] * self.P)
         ):
-            if tele["spans"]:
-                tracer.add_track(f"rank {r}", tele["spans"])
-            if tele["metrics"]:
-                registry.merge(tele["metrics"])
+            if spans:
+                tracer.add_track(f"rank {r}", spans)
 
     def comm_stats(self) -> Dict[str, CommStats]:
         """Per-phase per-rank stats of the last run (copy-safe view)."""

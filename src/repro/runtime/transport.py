@@ -65,8 +65,8 @@ class Transport:
     def charge(self, src: int, dst: int, nbytes: int) -> None:
         """Meter one logical rank-to-rank transfer (self-sends free).
 
-        Delegates to :meth:`SimComm.charge` and through it to the one
-        shared :func:`repro.telemetry.metrics.meter_transfer` helper.
+        Delegates to :meth:`SimComm.charge`, the one metering entry
+        point.
         """
         self.comm.charge(src, dst, int(nbytes))
 

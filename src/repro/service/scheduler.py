@@ -30,7 +30,9 @@ Per-job metrics (queue latency, cache hit/miss, flops priced vs
 executed, measured boundary solves and hits) live on
 :attr:`Job.metrics`, are attached to each result's
 :attr:`~repro.api.SweepResult.service` block, and aggregate in
-:meth:`stats`.
+:meth:`stats` — the one home of the service's job counts.  Under
+``REPRO_TELEMETRY=spans`` a job additionally records its
+``service.plan``/``service.execute``/``service.point`` spans.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..api import PlanError, Workload, WorkloadError
 from ..api.session import SweepResult
 from ..config import SERVICE_MODES
-from ..telemetry import metrics as _metrics
-from ..telemetry.spans import metrics_enabled, trace
+from ..telemetry.spans import trace
 from .cache import ResultCache
 from .jobs import Job
 from .pool import RankPool
@@ -194,7 +195,6 @@ class SchedulerService:
             for job in batch:
                 if not job.terminal:
                     job.fail(f"batch failed: {exc!r}")
-                    _metrics.add("service.jobs_failed")
         finally:
             with self._cond:
                 self._cond.notify_all()
@@ -210,7 +210,6 @@ class SchedulerService:
                     job.plan = job.workload.compile()
                 except (PlanError, WorkloadError) as exc:
                     job.fail(f"planning failed: {exc}")
-                    _metrics.add("service.jobs_failed")
                     continue
             job.metrics["flops_priced"] = job.plan.cost.total_flops
             cached = self.cache.get(job.cache_key)
@@ -234,23 +233,12 @@ class SchedulerService:
         job.transition("RUNNING")
         self._exec_counter += 1
         job.metrics["exec_order"] = self._exec_counter
-        before = (
-            _metrics.get_registry().snapshot() if metrics_enabled() else None
-        )
         with trace("service.execute", job_id=job.job_id, tenant=job.tenant):
             try:
                 result = self._pool.execute(job, keep_arrays=self.keep_arrays)
             except Exception as exc:  # surface, don't kill the batch
                 job.fail(f"execution failed: {exc}")
-                _metrics.add("service.jobs_failed")
                 return
-        if before is not None:
-            after = _metrics.get_registry().snapshot()
-            job.metrics["telemetry"] = {
-                k: after[k] - before.get(k, 0)
-                for k in after
-                if after[k] != before.get(k, 0)
-            }
         job.metrics["flops_executed"] = job.plan.cost.total_flops
         job.metrics["queue_latency_s"] = job.queue_latency_s
         self._record_latency(job.queue_latency_s)
@@ -258,7 +246,6 @@ class SchedulerService:
         job.result = result
         self.cache.put(job.cache_key, result)
         job.transition("DONE")
-        _metrics.add("service.jobs_done")
 
     def _finish_cached(self, job: Job, cached: SweepResult, note: str) -> None:
         """Terminal CACHED: attach the hit's own metadata, zero execution."""
@@ -272,7 +259,6 @@ class SchedulerService:
         job.result = replace(cached, service=self._service_block(job))
         self._record_latency(job.queue_latency_s)
         job.transition("CACHED", note)
-        _metrics.add("service.jobs_cached")
 
     def _service_block(self, job: Job) -> Dict[str, Any]:
         """The metrics block serialized with the result."""

@@ -1,44 +1,38 @@
-"""Unified observability: tracing spans, a metrics registry, Chrome-trace
-export, and model-vs-measured drift validation.
+"""Unified observability: tracing spans, Chrome-trace export, and
+model-vs-measured drift validation.
 
 The telemetry layer measures what the rest of the repo executes and
-reconciles it against what the paper's analytic models predict:
+reconciles it against what the paper's analytic models predict.  Spans
+are its only record: every count (bytes, flops, cache hits, Born
+iterations) lives on the result or span that produced it — ``run.comm``,
+``sweep.reuse``, ``RunResult.iterations``, span attributes.
 
 ``repro.telemetry.spans``
     Hierarchical tracing (:func:`trace` / :func:`traced`), thread-safe
     span stacks, per-rank tracers merged as rank-tagged tracks.
-``repro.telemetry.metrics``
-    The process-wide counter/gauge registry, plus
-    :func:`~repro.telemetry.metrics.meter_transfer` — the single
-    point-to-point byte-metering helper every transport ``charge()``
-    shares.
 ``repro.telemetry.timing``
     :func:`timeit`, the shared min-of-repeats wall-clock idiom.
 ``repro.telemetry.export``
-    Chrome-trace/Perfetto JSON of the span tree and metrics snapshots
-    (``RunResult.telemetry`` / ``SweepResult.telemetry`` /
-    ``Job.metrics``).
+    Chrome-trace/Perfetto JSON of the span tree (``SweepResult.telemetry``).
 ``repro.telemetry.drift``
     Reconciliation reports: measured comm bytes == §4.1 exchange models
     to the byte, executed flops == Table-3 analytic counts exactly
     (imported lazily — it pulls in the SDFG stack).
 
-Everything is gated on ``REPRO_TELEMETRY`` (``off`` | ``spans`` |
-``full``; invalid values raise), with
-near-zero overhead when off.  The quickest way in::
+Everything is gated on ``REPRO_TELEMETRY`` (``off`` | ``spans``; invalid
+values raise), with near-zero overhead when off.  The quickest way in::
 
     from repro import telemetry
-    with telemetry.capture("full") as cap:
+    with telemetry.capture("spans") as cap:
         ...  # any run: Session, SCBASimulation, service
     cap.save("run.trace.json")      # open in https://ui.perfetto.dev
-    cap.metrics                     # the registry snapshot
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .export import (
     chrome_trace_events,
@@ -46,13 +40,11 @@ from .export import (
     telemetry_snapshot,
     trace_json,
 )
-from .metrics import MetricsRegistry, get_registry, meter_transfer
 from .spans import (
     Span,
     Tracer,
     configure,
     get_tracer,
-    metrics_enabled,
     mode,
     scoped_span,
     spans_enabled,
@@ -61,7 +53,6 @@ from .spans import (
     use_scope,
 )
 from .timing import Timing, timeit
-from . import metrics
 
 __all__ = [
     "Span",
@@ -71,14 +62,9 @@ __all__ = [
     "configure",
     "mode",
     "spans_enabled",
-    "metrics_enabled",
     "get_tracer",
     "scoped_span",
     "use_scope",
-    "MetricsRegistry",
-    "get_registry",
-    "meter_transfer",
-    "metrics",
     "Timing",
     "timeit",
     "chrome_trace_events",
@@ -120,10 +106,9 @@ class Capture:
     def __init__(self):
         self.mode: str = "off"
         self.events: List[Dict[str, Any]] = []
-        self.metrics: Dict[str, Any] = {}
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"mode": self.mode, "trace": self.events, "metrics": self.metrics}
+        return {"mode": self.mode, "trace": self.events}
 
     def save(self, path) -> None:
         """Write the captured Chrome trace (open in Perfetto)."""
@@ -132,18 +117,16 @@ class Capture:
 
 
 @contextmanager
-def capture(capture_mode: str = "full"):
+def capture(capture_mode: str = "spans"):
     """Scope a telemetry recording: activate ``capture_mode``, clear the
-    global tracer and registry, and on exit populate the yielded
-    :class:`Capture` and restore the previous mode."""
+    global tracer, and on exit populate the yielded :class:`Capture` and
+    restore the previous mode."""
     previous = configure(capture_mode)
     get_tracer().clear()
-    get_registry().reset()
     cap = Capture()
     try:
         yield cap
     finally:
         cap.mode = mode()
         cap.events = chrome_trace_events()
-        cap.metrics = get_registry().snapshot()
         configure(previous)

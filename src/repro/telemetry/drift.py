@@ -21,9 +21,7 @@ bench-only assertions into an always-available check:
   CI telemetry smoke step asserts ``clean`` on.
 
 Heavyweight imports (``core.recipe``, the SDFG stack) happen inside the
-functions so that ``repro.telemetry`` stays importable from the lowest
-layers (``parallel.simmpi`` routes its metering through
-:mod:`repro.telemetry.metrics`).
+functions so that importing ``repro.telemetry`` stays cheap.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Chrome-trace/Perfetto export of span trees plus JSON metrics snapshots.
+"""Chrome-trace/Perfetto export of span trees.
 
 :func:`chrome_trace_events` flattens a :class:`~.spans.Tracer`'s
 completed span trees into the Chrome trace-event JSON array format —
@@ -8,9 +8,9 @@ named through ``process_name``/``thread_name`` metadata events.  The
 resulting file opens directly in https://ui.perfetto.dev or
 ``chrome://tracing``.
 
-:func:`telemetry_snapshot` bundles the trace with a metrics-registry
-snapshot into one JSON-serializable dict, the form carried by
-``RunResult.telemetry`` / ``SweepResult.telemetry`` / ``Job.metrics``.
+:func:`telemetry_snapshot` bundles the trace with the active mode into
+one JSON-serializable dict, the form carried by
+``SweepResult.telemetry``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from . import metrics as _metrics
 from . import spans as _spans
 
 __all__ = [
@@ -79,16 +78,17 @@ def _earliest_start(roots) -> int:
 
 
 def chrome_trace_events(
-    tracer: Optional[_spans.Tracer] = None,
+    tracer: Optional[_spans.Tracer] = None, since: int = 0
 ) -> List[Dict[str, Any]]:
     """Flatten completed spans into a Chrome trace-event array.
 
     Timestamps are microseconds relative to the earliest recorded span;
     tracks share the monotonic clock, so merged rank spans line up with
-    the driver's phases.
+    the driver's phases.  ``since`` skips the roots completed before a
+    mark taken as ``len(tracer.roots())``.
     """
     tracer = tracer or _spans.get_tracer()
-    roots = tracer.roots()
+    roots = tracer.roots()[since:]
     t0_ns = _earliest_start(roots)
 
     events: List[Dict[str, Any]] = []
@@ -135,13 +135,10 @@ def save_trace(path, tracer: Optional[_spans.Tracer] = None) -> None:
 
 
 def telemetry_snapshot(
-    tracer: Optional[_spans.Tracer] = None,
-    registry: Optional[_metrics.MetricsRegistry] = None,
+    tracer: Optional[_spans.Tracer] = None, since: int = 0
 ) -> Dict[str, Any]:
-    """The JSON-serializable bundle carried by results and job metrics."""
-    registry = registry or _metrics.get_registry()
+    """The JSON-serializable bundle carried by ``SweepResult.telemetry``."""
     return {
         "mode": _spans.mode(),
-        "trace": chrome_trace_events(tracer),
-        "metrics": registry.snapshot(),
+        "trace": chrome_trace_events(tracer, since),
     }

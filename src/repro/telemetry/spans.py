@@ -9,8 +9,8 @@ on.  The :func:`trace` context manager is the single user-facing probe:
     with trace("scba.iteration", iteration=3):
         ...
 
-Everything is gated on the ``REPRO_TELEMETRY`` mode (``off``/``spans``/
-``full``; see :func:`repro.config.default_telemetry_mode`).  When
+Everything is gated on the ``REPRO_TELEMETRY`` mode (``off``/``spans``;
+see :func:`repro.config.default_telemetry_mode`).  When
 tracing is off, :func:`trace` returns a shared no-op context — no span
 object, no dictionary, no lock — so instrumented hot paths stay within
 noise of the uninstrumented code.
@@ -41,22 +41,19 @@ __all__ = [
     "configure",
     "mode",
     "spans_enabled",
-    "metrics_enabled",
     "get_tracer",
     "scoped_span",
     "use_scope",
-    "current_registry",
 ]
 
 
 # --------------------------------------------------------------------------
 # Mode handling
 # --------------------------------------------------------------------------
-#: module-level fast-path flags; ``trace()``/``metrics.add()`` check these
-#: booleans before doing any work, which is the entire "off" cost.
+#: module-level fast-path flag; ``trace()`` checks this boolean before
+#: doing any work, which is the entire "off" cost.
 _MODE: str = "unset"
 _SPANS_ON: bool = False
-_METRICS_ON: bool = False
 
 _mode_lock = threading.Lock()
 
@@ -69,7 +66,7 @@ def configure(new_mode: Optional[str] = None) -> str:
     Forked worker processes (the ``pipe`` transport's ranks) inherit the
     configured mode at fork time.
     """
-    global _MODE, _SPANS_ON, _METRICS_ON
+    global _MODE, _SPANS_ON
     if new_mode is None:
         new_mode = default_telemetry_mode()
     if new_mode not in TELEMETRY_MODES:
@@ -80,8 +77,7 @@ def configure(new_mode: Optional[str] = None) -> str:
     with _mode_lock:
         previous = _MODE if _MODE != "unset" else default_telemetry_mode()
         _MODE = new_mode
-        _SPANS_ON = new_mode in ("spans", "full")
-        _METRICS_ON = new_mode == "full"
+        _SPANS_ON = new_mode == "spans"
     return previous
 
 
@@ -96,12 +92,6 @@ def spans_enabled() -> bool:
     if _MODE == "unset":
         configure(None)
     return _SPANS_ON
-
-
-def metrics_enabled() -> bool:
-    if _MODE == "unset":
-        configure(None)
-    return _METRICS_ON
 
 
 # --------------------------------------------------------------------------
@@ -217,12 +207,12 @@ def get_tracer() -> Tracer:
 
 
 # --------------------------------------------------------------------------
-# Scopes: thread-local (tracer, registry) redirection for rank workers
+# Scopes: thread-local tracer redirection for rank workers
 # --------------------------------------------------------------------------
 _scope_local = threading.local()
 
 
-def _scope_stack() -> List[Tuple[Tracer, Any]]:
+def _scope_stack() -> List[Tracer]:
     stack = getattr(_scope_local, "stack", None)
     if stack is None:
         stack = _scope_local.stack = []
@@ -231,22 +221,16 @@ def _scope_stack() -> List[Tuple[Tracer, Any]]:
 
 def current_tracer() -> Tracer:
     stack = _scope_stack()
-    return stack[-1][0] if stack else _GLOBAL_TRACER
-
-
-def current_registry() -> Any:
-    """The registry of the innermost active scope (None → process global)."""
-    stack = _scope_stack()
-    return stack[-1][1] if stack else None
+    return stack[-1] if stack else _GLOBAL_TRACER
 
 
 @contextmanager
-def use_scope(tracer: Optional[Tracer], registry: Any = None) -> Iterator[None]:
-    """Route spans (and metrics, when ``registry`` is given) into private
-    sinks for the duration — how rank workers keep their telemetry
-    separate from the driver's under the in-process ``sim`` transport."""
+def use_scope(tracer: Optional[Tracer]) -> Iterator[None]:
+    """Route spans into a private tracer for the duration — how rank
+    workers keep their telemetry separate from the driver's under the
+    in-process ``sim`` transport."""
     stack = _scope_stack()
-    stack.append((tracer or _GLOBAL_TRACER, registry))
+    stack.append(tracer or _GLOBAL_TRACER)
     try:
         yield
     finally:
@@ -349,18 +333,13 @@ def traced(name: Optional[str] = None, **attrs: Any):
 
 @contextmanager
 def scoped_span(
-    tracer: Tracer, name: str, registry: Any = None, **attrs: Any
+    tracer: Tracer, name: str, **attrs: Any
 ) -> Iterator[Optional[Span]]:
-    """Activate ``tracer`` (and optionally ``registry``) and open a span
-    in it — the rank-worker entry-point probe.  No-op when spans are off
-    (metrics still redirect when enabled so worker counts stay local)."""
+    """Activate ``tracer`` and open a span in it — the rank-worker
+    entry-point probe.  No-op when spans are off."""
     if not spans_enabled():
-        if metrics_enabled() and registry is not None:
-            with use_scope(None, registry):
-                yield None
-        else:
-            yield None
+        yield None
         return
-    with use_scope(tracer, registry):
+    with use_scope(tracer):
         with trace(name, **attrs) as span:
             yield span

@@ -27,7 +27,7 @@ from repro.observe import (
     service_health,
 )
 from repro.observe.__main__ import main as observe_main
-from repro.telemetry import capture, configure, get_registry, get_tracer
+from repro.telemetry import capture, configure, get_tracer
 from repro.telemetry.drift import comm_drift
 
 
@@ -35,11 +35,9 @@ from repro.telemetry.drift import comm_drift
 def _clean_telemetry():
     previous = configure("off")
     get_tracer().clear()
-    get_registry().reset()
     yield
     configure(previous)
     get_tracer().clear()
-    get_registry().reset()
 
 
 def _distributed_settings(runtime, ranks=2):

@@ -232,20 +232,30 @@ class TestSchedulerService:
         )
 
     def test_pool_points_carry_per_point_telemetry(self):
-        """Pool jobs run through the Session's point executor, so their
-        points report the same per-point metric delta."""
-        from repro.telemetry import capture
+        """Pool jobs run through the Session's point executor, so each
+        ``service.point`` span holds the same Born iterations as the
+        matching ``session.point``."""
+        from repro.telemetry import capture, get_tracer
+        from repro.telemetry.export import walk_span_tree
 
         w = small_workload(transport="scba")
-        with capture("full"):
+        with capture("spans"):
             with Session(w.compile()) as session:
-                reference = session.run()
+                session.run()
             with sync_service() as svc:
                 sweep = svc.wait(svc.submit(w))
-        ref, got = reference.runs[0].telemetry, sweep.runs[0].telemetry
-        assert got is not None and got["mode"] == "full"
-        assert got["metrics"]["scba.iterations"] == sweep.runs[0].iterations
-        assert set(got["metrics"]) == set(ref["metrics"])
+            iterations = {"session.point": {}, "service.point": {}}
+            for _, root in get_tracer().roots():
+                for _, span in walk_span_tree(root):
+                    if span["name"] in iterations:
+                        iterations[span["name"]][span["attrs"]["index"]] = sum(
+                            c["name"] == "scba.iteration"
+                            for c in span["children"]
+                        )
+        assert iterations["service.point"] == iterations["session.point"]
+        assert iterations["service.point"] == {
+            r.index: r.iterations for r in sweep.runs
+        }
 
     def test_duplicate_submission_served_from_cache(self):
         w = small_workload()

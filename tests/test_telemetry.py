@@ -1,16 +1,17 @@
-"""Telemetry subsystem: spans, metrics, export, drift, and off-mode cost.
+"""Telemetry subsystem: spans, export, drift, and off-mode cost.
 
-Covers the ISSUE-9 acceptance surface:
+Covers:
 
 * span nesting and thread-safety of the tracer;
 * Chrome-trace export schema (opens in Perfetto);
-* metrics round-trip through ``RunResult.to_dict/from_dict``;
+* sweep telemetry round-trip through ``SweepResult.to_dict/from_dict``,
+  carrying only the spans of its own ``Session.run``;
 * per-rank span merge under both distributed transports;
 * drift zero-divergence on a 2-rank distributed SCBA run — measured
   comm bytes equal the §4.1 models to the byte, executed flops equal
   the analytic counts exactly;
-* ``REPRO_TELEMETRY=off`` leaves results bit-identical and the
-  registry empty.
+* ``REPRO_TELEMETRY=off`` leaves results bit-identical and records
+  nothing.
 """
 
 from __future__ import annotations
@@ -25,16 +26,12 @@ from repro import telemetry
 from repro.config import default_telemetry_mode
 from repro.negf import SCBASettings, SCBASimulation
 from repro.telemetry import (
-    MetricsRegistry,
     Tracer,
     capture,
     chrome_trace_events,
     configure,
-    get_registry,
     get_tracer,
-    meter_transfer,
     scoped_span,
-    telemetry_snapshot,
     timeit,
     trace,
     traced,
@@ -47,11 +44,9 @@ def _clean_telemetry():
     """Every test starts and ends with telemetry off and sinks empty."""
     previous = configure("off")
     get_tracer().clear()
-    get_registry().reset()
     yield
     configure(previous)
     get_tracer().clear()
-    get_registry().reset()
 
 
 # -- mode knob ---------------------------------------------------------------
@@ -60,13 +55,15 @@ def _clean_telemetry():
 def test_telemetry_mode_knob(monkeypatch):
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     assert default_telemetry_mode() == "off"
-    monkeypatch.setenv("REPRO_TELEMETRY", "full")
-    assert default_telemetry_mode() == "full"
-    monkeypatch.setenv("REPRO_TELEMETRY", "verbose")
-    with pytest.raises(ValueError, match="REPRO_TELEMETRY"):
-        default_telemetry_mode()
-    with pytest.raises(ValueError, match="not valid"):
-        configure("everything")
+    monkeypatch.setenv("REPRO_TELEMETRY", "spans")
+    assert default_telemetry_mode() == "spans"
+    for retired in ("full", "verbose"):
+        monkeypatch.setenv("REPRO_TELEMETRY", retired)
+        with pytest.raises(ValueError, match=r"REPRO_TELEMETRY.*'off', 'spans'"):
+            default_telemetry_mode()
+    for retired in ("full", "everything"):
+        with pytest.raises(ValueError, match="not valid"):
+            configure(retired)
 
 
 def test_trace_is_noop_when_off():
@@ -140,47 +137,15 @@ def test_tracer_thread_safety():
 
 
 def test_scoped_span_routes_to_private_sinks():
-    configure("full")
-    private_tracer, private_registry = Tracer(), MetricsRegistry()
-    with scoped_span(private_tracer, "rank.work", registry=private_registry):
+    configure("spans")
+    private_tracer = Tracer()
+    with scoped_span(private_tracer, "rank.work"):
         with trace("rank.inner"):
-            telemetry.metrics.add("rank.counter", 3)
+            pass
     assert get_tracer().roots() == []
-    assert len(get_registry()) == 0
     (root,) = private_tracer.drain()
     assert root["name"] == "rank.work"
     assert [c["name"] for c in root["children"]] == ["rank.inner"]
-    assert private_registry.snapshot() == {"rank.counter": 3}
-
-
-# -- metrics -----------------------------------------------------------------
-
-
-def test_metrics_registry_basics():
-    reg = MetricsRegistry()
-    reg.add("a")
-    reg.add("a", 2)
-    reg.gauge("g", 1.5)
-    reg.merge({"a": 4, "b": 1})
-    assert reg.snapshot() == {"a": 7, "g": 1.5, "b": 1}
-    assert reg.drain() == {"a": 7, "g": 1.5, "b": 1}
-    assert len(reg) == 0
-
-
-def test_meter_transfer_charges_stats_and_registry():
-    from repro.parallel.simmpi import CommStats
-
-    configure("full")
-    stats = CommStats(
-        sent_bytes=np.zeros(2, dtype=np.int64),
-        recv_bytes=np.zeros(2, dtype=np.int64),
-        messages=np.zeros(2, dtype=np.int64),
-    )
-    meter_transfer(stats, 0, 1, 100)
-    meter_transfer(stats, 1, 1, 7)  # self-send: never metered
-    assert stats.sent_bytes[0] == 100 and stats.recv_bytes[1] == 100
-    assert stats.messages.sum() == 1
-    assert get_registry().snapshot() == {"comm.bytes": 100, "comm.messages": 1}
 
 
 # -- export ------------------------------------------------------------------
@@ -298,11 +263,11 @@ def test_walk_span_tree_preorder_and_iter_spans():
 
 
 def test_capture_roundtrip(tmp_path):
-    with capture("full") as cap:
+    with capture("spans") as cap:
         with trace("captured"):
-            telemetry.metrics.add("captured.count")
-    assert cap.mode == "full"
-    assert cap.metrics == {"captured.count": 1}
+            pass
+    assert cap.mode == "spans"
+    assert cap.snapshot() == {"mode": "spans", "trace": cap.events}
     assert any(e.get("name") == "captured" for e in cap.events)
     out = tmp_path / "t.trace.json"
     cap.save(out)
@@ -339,30 +304,43 @@ def _quick_workload():
     )
 
 
+def _span_count(events, name):
+    return sum(1 for e in events if e["ph"] == "X" and e["name"] == name)
+
+
 def test_metrics_roundtrip_through_run_result():
     from repro.api import Session
-    from repro.api.session import RunResult, SweepResult
+    from repro.api.session import SweepResult
 
-    configure("full")
+    configure("spans")
     with Session(_quick_workload().compile()) as session:
         sweep = session.run()
     rr = sweep[0]
-    assert rr.telemetry is not None and rr.telemetry["mode"] == "full"
-    assert rr.telemetry["metrics"]["scba.iterations"] == 2
-    assert rr.telemetry["metrics"]["engine.electron_rows"] > 0
-    assert sweep.telemetry is not None
-    assert any(
-        e.get("name") == "session.point" for e in sweep.telemetry["trace"]
-    )
+    assert sweep.telemetry is not None and sweep.telemetry["mode"] == "spans"
+    events = sweep.telemetry["trace"]
+    assert _span_count(events, "session.point") == 1
+    # the Born iteration count lives on the result and in the spans
+    assert _span_count(events, "scba.iteration") == rr.iterations == 2
 
     d = sweep.to_dict()
-    json.dumps(d)  # everything JSON-serializable
     back = SweepResult.from_dict(json.loads(json.dumps(d)))
-    assert back[0].telemetry == rr.telemetry
     assert back.telemetry == sweep.telemetry
+    assert back[0].iterations == rr.iterations
 
-    rd = RunResult.from_dict(rr.to_dict())
-    assert rd.telemetry == rr.telemetry
+
+def test_sweep_telemetry_holds_only_its_own_run():
+    from repro.api import Session
+
+    configure("spans")
+    plan = _quick_workload().compile()
+    sweeps = []
+    for _ in range(2):
+        with Session(plan) as session:
+            sweeps.append(session.run())
+    first, second = (s.telemetry["trace"] for s in sweeps)
+    assert _span_count(first, "session.run") == 1
+    assert _span_count(second, "session.run") == 1
+    assert len(second) == len(first)
 
 
 # -- distributed runtime ------------------------------------------------------
@@ -378,9 +356,10 @@ def _distributed_settings(runtime):
 
 @pytest.mark.parametrize("runtime", ["sim", "pipe"])
 def test_rank_span_merge_under_both_transports(small_model, runtime):
-    with capture("full") as cap:
+    with capture("spans") as cap:
         with SCBASimulation(small_model, _distributed_settings(runtime)) as sim:
             sim.run()
+            last_comm = sim.last_comm
     tracks = {
         e["args"]["name"] for e in cap.events if e["name"] == "process_name"
     }
@@ -393,9 +372,27 @@ def test_rank_span_merge_under_both_transports(small_model, runtime):
         "rank.solve_gf", "rank.sse_prepare", "rgf.batch", "boundary.solve",
     ):
         assert required in names, f"missing span {required} under {runtime}"
-    # rank metrics merged into the driver registry (2 ranks x 2 iterations)
-    assert cap.metrics["engine.electron_rows"] == 4
-    assert cap.metrics["comm.bytes"] > 0
+    # rank-side engine spans merged as rank tracks (2 ranks x 2 iterations)
+    track_of = {
+        e["pid"]: e["args"]["name"]
+        for e in cap.events
+        if e["name"] == "process_name"
+    }
+    rank_electron_batches = [
+        e for e in cap.events
+        if e["ph"] == "X" and e["name"] == "rgf.batch"
+        and e["args"].get("kind") == "electron"
+        and track_of[e["pid"]].startswith("rank ")
+    ]
+    assert len(rank_electron_batches) == 4
+    # the phase spans carry the exact per-phase bytes of the run
+    span_bytes = sum(
+        sum(e["args"]["comm"]["recv_bytes"])
+        for e in cap.events
+        if e["ph"] == "X" and "comm" in e["args"]
+    )
+    run_bytes = sum(stats.total_bytes for stats in last_comm.values())
+    assert span_bytes == run_bytes > 0
 
 
 @pytest.mark.parametrize("runtime", ["sim", "pipe"])
@@ -437,18 +434,17 @@ def test_off_mode_bit_identical_and_no_registry_growth(small_model):
     configure("off")
     with SCBASimulation(small_model, SCBASettings(**settings)) as sim:
         res_off = sim.run()
-    assert len(get_registry()) == 0
     assert get_tracer().roots() == []
 
-    configure("full")
+    configure("spans")
     with SCBASimulation(small_model, SCBASettings(**settings)) as sim:
-        res_full = sim.run()
-    assert len(get_registry()) > 0
+        res_spans = sim.run()
+    assert len(get_tracer().roots()) > 0
 
     for name in ("Gl", "Gg", "Sigma_l", "Sigma_g", "current_left"):
-        a, b = getattr(res_off, name), getattr(res_full, name)
+        a, b = getattr(res_off, name), getattr(res_spans, name)
         assert np.array_equal(a, b), f"{name} not bit-identical"
-    assert res_off.iterations == res_full.iterations
+    assert res_off.iterations == res_spans.iterations
 
 
 def test_use_scope_restores_on_exit():
