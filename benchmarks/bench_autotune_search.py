@@ -24,9 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.report import report
-from repro.autotune import MoveLibrary, roofline_report
+from repro.autotune import roofline_report
 from repro.core.recipe import (
-    SSE_BATCH_TEMPLATES,
     VERIFY_DIMS,
     sse_movement_report,
     tuned_sse_search,
@@ -44,11 +43,8 @@ _OUT = Path(__file__).resolve().parent / "BENCH_autotune.json"
 
 def test_greedy_smoke_matches_hand_recipe_at_toy_dims():
     """CI smoke: the searched pipeline moves no more modeled bytes than
-    the hand Fig. 8 -> 12 recipe (template-core move space, toy dims)."""
-    lib = MoveLibrary(
-        templates=SSE_BATCH_TEMPLATES, tile_sizes=(), generic_layouts=False
-    )
-    res = tuned_sse_search(_TOY_DIMS, library=lib)
+    the hand Fig. 8 -> 12 recipe (toy dims)."""
+    res = tuned_sse_search(_TOY_DIMS)
     hand = sse_movement_report(_TOY_DIMS)
     assert (
         res.report.stages[-1].total_bytes
@@ -63,7 +59,7 @@ def test_greedy_smoke_matches_hand_recipe_at_toy_dims():
     )
 
 
-@pytest.mark.skipif(FAST, reason="full-space paper-dims search")
+@pytest.mark.skipif(FAST, reason="paper-dims search and roofline")
 def test_autotune_paper_dims_and_roofline(bench_writer):
     """Acceptance: >= the hand recipe's 677x at paper dims, strictly
     fewer modeled bytes, and exact per-stage flops-model agreement."""

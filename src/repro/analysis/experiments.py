@@ -1,7 +1,8 @@
 """Experiment drivers: one entry per paper table/figure.
 
 Each function returns structured rows (lists of dicts) that the benchmark
-harness prints in the paper's layout and ``EXPERIMENTS.md`` records.
+harness (``benchmarks/bench_table*.py``, ``bench_fig13_scaling.py``)
+prints in the paper's layout.
 Paper values are embedded for side-by-side comparison.
 """
 

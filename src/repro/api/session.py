@@ -147,9 +147,10 @@ class SweepResult:
 
     workload: Dict[str, Any]
     runs: List[RunResult]
-    #: boundary-cache and operator-assembly counters accumulated over the
-    #: whole sweep (:meth:`Session.reuse_counters`) — the evidence that
-    #: sweep-invariant work ran once; always serialized by :meth:`to_dict`
+    #: boundary-cache and operator-assembly counters of this run alone
+    #: (the change in :meth:`Session.reuse_counters` across it) — the
+    #: evidence that sweep-invariant work ran once; always serialized by
+    #: :meth:`to_dict`
     reuse: Dict[str, int] = field(default_factory=dict)
     engine: str = ""
     #: scheduler-service metadata (cache hit/miss, boundary solves/hits,
@@ -363,11 +364,13 @@ class Session:
         Numerical results are identical (≤ 1e-10, pinned by
         ``tests/test_api.py``) to running each point through a fresh
         ``SCBASimulation`` — the session only removes re-computation of
-        sweep-invariant state.
+        sweep-invariant state.  The result's ``reuse`` counts this run
+        only; :meth:`reuse_counters` keeps the session's lifetime totals.
         """
         runs: List[RunResult] = []
         n_points = sum(len(g.points) for g in self.plan.groups)
         first_root = len(get_tracer().roots())
+        before = self.reuse_counters()
         with trace("session.run", points=n_points, engine=self.plan.engine):
             for gi, group in enumerate(self.plan.groups):
                 for j in range(len(group.points)):
@@ -381,10 +384,11 @@ class Session:
             from ..telemetry.export import telemetry_snapshot
 
             telemetry = telemetry_snapshot(since=first_root)
+        after = self.reuse_counters()
         return SweepResult(
             workload=self.plan.workload.to_dict(),
             runs=runs,
-            reuse=self.reuse_counters(),
+            reuse={k: v - before.get(k, 0) for k, v in after.items()},
             engine=self.plan.engine,
             telemetry=telemetry,
         )
@@ -478,7 +482,8 @@ class Session:
 
     # -- accounting ----------------------------------------------------------------
     def reuse_counters(self) -> Dict[str, int]:
-        """Aggregated boundary-solve/hit and operator-assembly counters.
+        """Boundary-solve/hit and operator-assembly counters summed over
+        the session's lifetime (every run and run point so far).
 
         Boundary counters are exact for every execution path (the
         distributed runtime sums its resident per-rank caches).  The

@@ -7,7 +7,8 @@ This package rediscovers such sequences mechanically:
 * :mod:`~repro.autotune.space` enumerates the legal next moves from any
   SDFG state by instantiating each pass type over its transformation's
   ``match()`` sites — candidate pipeline extensions are legal by
-  construction;
+  construction, and only the seven kinds the greedy can commit are
+  offered;
 * :mod:`~repro.autotune.search` runs a greedy search (with plateau
   escape) over that space, minimizing the §4.1 modeled bytes at target
   symbol bindings with transient footprint as tiebreaker —

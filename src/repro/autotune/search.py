@@ -21,7 +21,9 @@ trace's recorded count plus what it evaluated after the replay.
 
 Configuration is :class:`SearchConfig`; only the move budget has an
 environment default (``REPRO_AUTOTUNE_MAX_MOVES``, which the e2e
-benchmark's ``--smoke`` mode sets).
+benchmark's ``--smoke`` mode sets).  Verification of the winner is
+fixed: every stage runs through the ``interpreter`` backend on seed-0
+inputs and must match the reference kernel to 1e-10.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from ..sdfg import Pipeline, PipelineReport
 from ..sdfg.pipeline import _transient_bytes, measure_movement
 from ..telemetry.spans import trace
 from .space import (
-    KIND_PRIORITY,
     AutotuneError,
     Move,
     MoveLibrary,
@@ -72,10 +73,6 @@ class SearchConfig:
     #: pipeline's reference kernel (requires ``verify_dims``)
     verify: bool = True
     verify_dims: Optional[Dict[str, int]] = None
-    verify_backend: str = "interpreter"
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    seed: int = 0
 
     def resolved(self) -> "SearchConfig":
         value = self.max_moves
@@ -188,9 +185,8 @@ def _rank(node: _Node) -> tuple:
 
 
 def _is_enabler(move: Move) -> bool:
-    if move.kind in ("expand", "fuse"):
-        return True
-    return move.kind == "layout" and bool(move.spec.get("template"))
+    """Byte-neutral kinds the plateau escape may chain."""
+    return move.kind in ("layout", "expand", "fuse")
 
 
 class _Search:
@@ -232,17 +228,11 @@ class _Search:
             history=node.history + (step,),
         )
 
-    def children(self, node: _Node, probe: bool = False) -> List[_Node]:
-        """All legal scored successors, each one an evaluation.  With
-        ``probe`` (escape levels past the first), tile and generic layout
-        rotations are skipped: both are byte-neutral-or-worse under the
-        §4.1 model and neither is an enabler, so scoring them cannot
-        change the outcome."""
+    def children(self, node: _Node) -> List[_Node]:
+        """All legal scored successors, each one an evaluation."""
         state = node.sdfg.states[0]
         out = []
         for move in enumerate_moves(node.sdfg, state, self.library):
-            if probe and move.priority >= KIND_PRIORITY["tile"]:
-                continue
             c = self.child(node, move)
             if c is not None:
                 out.append(c)
@@ -298,9 +288,7 @@ def _escape(
                 frontier.append(c)
         if not frontier:
             return None
-        level = [
-            c for node in frontier for c in search.children(node, probe=True)
-        ]
+        level = [c for node in frontier for c in search.children(node)]
     return None
 
 
@@ -385,12 +373,9 @@ def autotune(
         and base.reference is not None
     ):
         try:
+            # Pipeline.compile's defaults: seed-0 inputs, 1e-10 tolerances
             compiled = tuned.compile(
-                verify_dims=cfg.verify_dims,
-                seed=cfg.seed,
-                rtol=cfg.rtol,
-                atol=cfg.atol,
-                backend=cfg.verify_backend,
+                verify_dims=cfg.verify_dims, backend="interpreter"
             )
         except AssertionError as exc:
             raise AutotuneError(

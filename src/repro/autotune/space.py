@@ -12,12 +12,16 @@ transformation's ``match()`` site enumeration —
 * **batch** substitutions driven by a :class:`BatchTemplate` library
   (the only domain knowledge the search receives: which replacement
   tasklets exist, *not* when to apply them),
-* **layout** moves — permutations that establish a template's required
-  array layouts, plus generic bring-dimension-to-front rotations
-  (the ``LayoutPass`` permutation axis of the space),
+* **layout permutations** establishing a template's required array
+  layouts, and
 * **expansion** subsets shared by top-level scopes, **fusion** groups
-  and **shrink** sites as matched, and
-* **tile** moves over a size menu (the ``TilePass`` parameter axis).
+  and **shrink** sites as matched.
+
+Only kinds the greedy search can commit are enumerated.  A pure array
+permutation leaves the §4.1 element count of every memlet unchanged and
+tiling an iteration space can only keep or raise it, so neither a
+generic layout rotation nor a tiling is ever a strict improvement or a
+plateau enabler; the space holds neither.
 
 Every move re-selects its site through a fresh ``match()`` when applied,
 so a candidate that no longer matches fails loudly instead of silently
@@ -44,14 +48,12 @@ from ..sdfg.passes import (
     Pass,
     RedundancyPass,
     ShrinkPass,
-    TilePass,
 )
 from ..sdfg.transformations import (
     ArrayShrink,
     BatchedOperationSubstitution,
     MapFission,
     MapFusion,
-    MapTiling,
 )
 from ..sdfg.transformations.redundancy import RedundantComputationRemoval
 
@@ -61,7 +63,6 @@ __all__ = [
     "MoveLibrary",
     "Move",
     "KIND_PRIORITY",
-    "ENABLER_KINDS",
     "discover_reductions",
     "enumerate_moves",
     "apply_move",
@@ -75,22 +76,17 @@ class AutotuneError(ValueError):
 
 
 #: deterministic tiebreak order between move kinds: structural wins
-#: (fission/redundancy) first, then the payoff moves, then byte-neutral
-#: enablers, generic layout rotations and tiling last.
+#: (fission/redundancy) first, then the payoff moves, then the
+#: byte-neutral enablers.
 KIND_PRIORITY: Dict[str, int] = {
     "fission": 0,
     "redundancy": 1,
     "batch": 2,
     "shrink": 3,
-    "layout": 4,       # template-directed (spec carries "template")
+    "layout": 4,
     "expand": 5,
     "fuse": 6,
-    "tile": 7,
-    "layout*": 8,      # generic rotation (no template)
 }
-
-#: byte-neutral kinds the greedy plateau escape is allowed to chain
-ENABLER_KINDS = ("layout", "expand", "fuse")
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,6 @@ class MoveLibrary:
     """Everything :func:`enumerate_moves` needs beyond the graph itself."""
 
     templates: Tuple[BatchTemplate, ...] = ()
-    #: tile-size menu for the ``TilePass`` axis of the space
-    tile_sizes: Tuple[int, ...] = (2,)
-    #: offer generic bring-dim-to-front layout rotations
-    generic_layouts: bool = True
 
     def template(self, name: str) -> BatchTemplate:
         for t in self.templates:
@@ -167,8 +159,6 @@ class Move:
 
     @property
     def priority(self) -> int:
-        if self.kind == "layout" and not self.spec.get("template"):
-            return KIND_PRIORITY["layout*"]
         return KIND_PRIORITY[self.kind]
 
     @property
@@ -186,9 +176,7 @@ class Move:
         if self.kind == "redundancy":
             return f"remove {list(s['params'])} offsets from {s['array']!r}"
         if self.kind == "layout":
-            t = s.get("template")
-            why = f" (enables {t!r})" if t else ""
-            return f"permute {sorted(s['perms'])}{why}"
+            return f"permute {sorted(s['perms'])} (enables {s['template']!r})"
         if self.kind == "batch":
             return f"batch substitution {s['template']!r}"
         if self.kind == "expand":
@@ -197,8 +185,6 @@ class Move:
             return f"fuse scopes over {list(s['params'])}"
         if self.kind == "shrink":
             return f"shrink {s['array']!r} over {list(s['params'])}"
-        if self.kind == "tile":
-            return f"tile {s['scope']!r} by {s['tile_sizes']}"
         return f"{self.kind} {s}"
 
     def build_pass(
@@ -234,13 +220,6 @@ class Move:
             return ShrinkPass(
                 stage, self.describe(),
                 arrays=(s["array"],), params=s["params"],
-            )
-        if self.kind == "tile":
-            return TilePass(
-                stage, self.describe(),
-                tile_sizes=s["tile_sizes"],
-                divides_evenly=s.get("divides_evenly", False),
-                scope=s.get("scope"),
             )
         raise AutotuneError(f"unknown move kind {self.kind!r}")
 
@@ -458,26 +437,6 @@ def _template_moves(
     return moves
 
 
-def _generic_layout_moves(sdfg: SDFG, state: SDFGState) -> List[Move]:
-    """Bring-dimension-to-front rotations of every referenced array —
-    the unguided ``LayoutPass`` axis of the space (byte-neutral under
-    the movement model, so only a tiebreak or enabler by accident)."""
-    referenced = set()
-    for u, v, d in state.edges():
-        mem = d.get("memlet")
-        if mem is not None:
-            referenced.add(mem.data)
-    moves = []
-    for name in sorted(referenced):
-        rank = sdfg.arrays[name].rank
-        for dim in range(1, rank):
-            perm = (dim,) + tuple(i for i in range(rank) if i != dim)
-            moves.append(
-                Move("layout", {"perms": {name: list(perm)}})
-            )
-    return moves
-
-
 def _expansion_moves(state: SDFGState) -> List[Move]:
     """Hoistable parameter subsets shared (name and range) by at least
     two top-level scopes, each leaving a non-empty inner map."""
@@ -543,34 +502,13 @@ def _shrink_moves(sdfg: SDFG, state: SDFGState) -> List[Move]:
     ]
 
 
-def _tile_moves(
-    sdfg: SDFG, state: SDFGState, library: MoveLibrary
-) -> List[Move]:
-    moves = []
-    for site in MapTiling.match(sdfg, state):
-        for p in site.params:
-            for size in library.tile_sizes:
-                moves.append(
-                    Move(
-                        "tile",
-                        {
-                            "scope": site.scope,
-                            "tile_sizes": {p: size},
-                            "divides_evenly": False,
-                        },
-                    )
-                )
-    return moves
-
-
 def enumerate_moves(
     sdfg: SDFG, state: SDFGState, library: MoveLibrary
 ) -> List[Move]:
     """Every candidate next move from the current graph, in deterministic
     kind-priority order.  Legality is structural (each generator reads a
-    fresh ``match()`` enumeration); moves that still fail to apply —
-    e.g. a tile size incompatible with a bound — are discarded by
-    :func:`apply_move` during search expansion."""
+    fresh ``match()`` enumeration); moves that still fail to apply are
+    discarded by :func:`apply_move` during search expansion."""
     moves: List[Move] = []
     moves += _fission_moves(sdfg, state)
     moves += _redundancy_moves(sdfg, state)
@@ -578,9 +516,6 @@ def enumerate_moves(
     moves += _shrink_moves(sdfg, state)
     moves += _expansion_moves(state)
     moves += _fuse_moves(sdfg, state)
-    moves += _tile_moves(sdfg, state, library)
-    if library.generic_layouts:
-        moves += _generic_layout_moves(sdfg, state)
     moves.sort(key=lambda m: (m.priority, m.key))
     return moves
 

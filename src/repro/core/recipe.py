@@ -293,7 +293,7 @@ SSE_BATCH_TEMPLATES: Tuple[BatchTemplate, ...] = _sse_templates()
 
 def sse_move_library() -> MoveLibrary:
     """The autotuner move library for the SSE kernel: the batch templates
-    above plus the default layout/tile axes of the search space."""
+    above."""
     return MoveLibrary(templates=SSE_BATCH_TEMPLATES)
 
 
@@ -405,7 +405,6 @@ def tuned_sse_search(
     max_moves: Optional[int] = None,
     verify: bool = True,
     trace_path=None,
-    library: Optional[MoveLibrary] = None,
 ) -> SearchResult:
     """Autotune the SSE kernel from the untransformed Fig. 8 graph.
 
@@ -413,26 +412,20 @@ def tuned_sse_search(
     with :func:`sse_move_library`, minimizing modeled bytes at ``dims``;
     with ``verify`` (default) every stage of the winner is checked
     against :func:`sse_sigma_reference` at :data:`VERIFY_DIMS`.
-    ``max_moves`` defaults as in :class:`repro.autotune.SearchConfig`;
-    ``library`` (default :func:`sse_move_library`) restricts or extends
-    the move space.  The searched pipeline — the autotuned counterpart of
+    ``max_moves`` defaults as in :class:`repro.autotune.SearchConfig`.
+    The searched pipeline — the autotuned counterpart of
     :data:`SSE_PIPELINE` — is the result's ``pipeline``.
     Results are cached per dims and resolved settings (except when
-    ``trace_path`` or a custom ``library`` is given — those carry their
-    own identity).
+    ``trace_path`` is given — a trace carries its own identity).
     """
     cfg = SearchConfig(
         max_moves=max_moves,
         verify=verify,
         verify_dims=dict(VERIFY_DIMS),
     ).resolved()
-    if library is not None or trace_path is not None:
+    if trace_path is not None:
         return _autotune(
-            SSE_SEARCH_BASE,
-            library or sse_move_library(),
-            dims,
-            cfg,
-            trace_path,
+            SSE_SEARCH_BASE, sse_move_library(), dims, cfg, trace_path
         )
     key = (tuple(sorted(dims.items())), cfg.max_moves, verify)
     if key not in _TUNED_CACHE:

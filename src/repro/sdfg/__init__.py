@@ -39,7 +39,6 @@ from .passes import (
     PassOutcome,
     RedundancyPass,
     ShrinkPass,
-    TilePass,
 )
 from .pipeline import (
     CompiledPipeline,
@@ -105,7 +104,6 @@ __all__ = [
     "ExpandPass",
     "FusePass",
     "ShrinkPass",
-    "TilePass",
     "Pipeline",
     "CompiledPipeline",
     "PipelineReport",

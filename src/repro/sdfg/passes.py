@@ -27,7 +27,6 @@ from .transformations import (
     MapExpansion,
     MapFission,
     MapFusion,
-    MapTiling,
     Site,
     Transformation,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "ExpandPass",
     "FusePass",
     "ShrinkPass",
-    "TilePass",
 ]
 
 
@@ -451,48 +449,3 @@ class ShrinkPass(Pass):
             params = [p for _, p in keep]
             out.append((site, ArrayShrink(array, dims, params)))
         return out
-
-
-class TilePass(Pass):
-    """Tile the (unique) map scope carrying all tiled parameters.
-
-    ``scope`` optionally pins the pass to the map with that label —
-    the autotuner uses this to address one of several tileable scopes.
-    """
-
-    transformation = MapTiling
-
-    def __init__(
-        self,
-        stage: str,
-        description: str,
-        tile_sizes: Mapping[str, Any],
-        divides_evenly: bool = True,
-        scope: Optional[str] = None,
-    ):
-        super().__init__(stage, description)
-        self.tile_sizes = dict(tile_sizes)
-        self.divides_evenly = divides_evenly
-        self.scope = scope
-
-    def config(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "tile_sizes": {k: repr(v) for k, v in self.tile_sizes.items()},
-            "divides_evenly": self.divides_evenly,
-        }
-        if self.scope is not None:
-            out["scope"] = self.scope
-        return out
-
-    def select(self, sdfg, state, sites):
-        hits = [
-            s
-            for s in sites
-            if set(self.tile_sizes) <= set(s.params)
-            and (self.scope is None or s.scope == self.scope)
-        ]
-        site = self._unique(hits, "to tile", state, sites)
-        tx = MapTiling(
-            site.nodes[0], self.tile_sizes, divides_evenly=self.divides_evenly
-        )
-        return [(site, tx)]

@@ -362,6 +362,31 @@ class TestSessionReuse:
 
 
 class TestSessionLifetime:
+    def test_second_run_reports_only_its_own_reuse(self):
+        w = small_workload(
+            grid=GridSpec(
+                e_min=-1.2, e_max=1.2, NE=4, Nkz=2, Nqz=1, Nw=2, eta=1e-4
+            )
+        )
+        with Session(w.compile(engine="batched")) as session:
+            first = session.run()
+            second = session.run()
+        # Everything the second run needed was solved by the first.
+        assert second.reuse["boundary_el_solves"] == 0
+        assert second.reuse["boundary_ph_solves"] == 0
+        s = w.grid
+        assert second.reuse["boundary_el_hits"] == s.Nkz * s.NE
+        assert second.reuse["boundary_ph_hits"] == s.Nqz * s.Nw
+        assert all(
+            v == 0 for k, v in second.reuse.items()
+            if k.startswith("assemblies_")
+        )
+        # The session keeps the lifetime totals, also after close().
+        lifetime = session.reuse_counters()
+        assert lifetime == {
+            k: first.reuse[k] + second.reuse[k] for k in lifetime
+        }
+
     def test_reuse_counters_survive_close(self):
         w = small_workload(sweeps=(SweepAxis("bias", (0.0, 0.2)),))
         with Session(w.compile(engine="batched")) as session:

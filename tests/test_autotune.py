@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.autotune import (
     AutotuneError,
-    MoveLibrary,
     SearchConfig,
     SearchTrace,
     apply_move,
@@ -22,7 +21,6 @@ from repro.autotune import (
     state_signature,
 )
 from repro.core.recipe import (
-    SSE_BATCH_TEMPLATES,
     SSE_PIPELINE,
     SSE_SEARCH_BASE,
     VERIFY_DIMS,
@@ -40,26 +38,13 @@ _PAPER_DIMS = dict(
 )
 
 
-def restricted_library() -> MoveLibrary:
-    """The template-driven core of the space — no tiling axis and no
-    generic layout rotations, so searches in tests stay fast."""
-    return MoveLibrary(
-        templates=SSE_BATCH_TEMPLATES, tile_sizes=(), generic_layouts=False
-    )
-
-
 @pytest.fixture(scope="module")
 def greedy_result():
-    return tuned_sse_search(_DIMS, library=restricted_library())
+    return tuned_sse_search(_DIMS)
 
 
 def _traced_run(trace_path, dims=_DIMS):
-    return tuned_sse_search(
-        dims,
-        library=restricted_library(),
-        trace_path=trace_path,
-        verify=False,
-    )
+    return tuned_sse_search(dims, trace_path=trace_path, verify=False)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +81,7 @@ class TestMoveSpace:
 
     def test_every_enumerated_move_applies_and_validates(self):
         sd = build_sse_sigma_sdfg()
-        lib = restricted_library()
+        lib = sse_move_library()
         moves = enumerate_moves(sd, sd.states[0], lib)
         assert moves
         for move in moves:
@@ -119,7 +104,7 @@ class TestMoveSpace:
         # Property: every move the space emits is legal from the state
         # it was enumerated at — applying it succeeds, the rewritten
         # graph validates, and the byte model can still score it.
-        lib = restricted_library()
+        lib = sse_move_library()
         sd = build_sse_sigma_sdfg()
         hooks = SSE_PIPELINE.hooks()
         for depth in range(3):
@@ -145,7 +130,7 @@ class TestSearch:
         # Each committed step's move must be offered by a fresh
         # enumeration of the state it was committed from, and replaying
         # it must reproduce the recorded structural signature.
-        lib = restricted_library()
+        lib = sse_move_library()
         sd = SSE_SEARCH_BASE.graph_factory()
         for step in greedy_result.trace.steps:
             offered = {
@@ -176,12 +161,18 @@ class TestSearch:
         assert f"{len(greedy_result.moves)} moves" in text
 
     def test_greedy_rediscovers_paper_reduction(self):
-        # Acceptance: the full-space search finds a pipeline at least as
-        # good as the hand Fig. 8 -> 12 recipe (677x) at paper dims.
+        # Acceptance: the search finds a pipeline at least as good as the
+        # hand Fig. 8 -> 12 recipe (677x) at paper dims — the Fig. 9-12
+        # sequence with the ω-accumulation batched as well (700.8x).
         res = tuned_sse_search(_PAPER_DIMS)
         hand = sse_movement_report(_PAPER_DIMS)
         assert res.total_reduction >= hand.total_reduction
         assert res.total_reduction >= 677
+        assert res.total_reduction == pytest.approx(700.8, abs=0.1)
+        assert [m.kind for m in res.moves] == [
+            "fission", "redundancy", "layout", "batch", "batch", "layout",
+            "batch", "expand", "fuse", "shrink", "shrink",
+        ]
         assert (
             res.report.stages[-1].total_bytes
             <= hand.stages[-1].total_bytes
@@ -285,7 +276,7 @@ class TestConfig:
     def test_max_moves_bounds_pipeline_depth(self):
         res = autotune(
             SSE_SEARCH_BASE,
-            restricted_library(),
+            sse_move_library(),
             _DIMS,
             SearchConfig(max_moves=2, verify=False),
         )
