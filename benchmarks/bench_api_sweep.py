@@ -10,7 +10,11 @@ Runs the 7-point ballistic FinFET I-V bias sweep twice:
 
 Asserts the ISSUE 2 acceptance criteria: identical terminal currents to
 ≤ 1e-10 while the session performs *strictly fewer* boundary solves and
-Hamiltonian assemblies.  Emits ``BENCH_api.json`` next to this file;
+Hamiltonian assemblies.  It also records the RGF solves
+(``repro.negf.engine.rgf_solve_batched`` calls) of both paths: the
+session's bias points share one retarded solve per row, so its count is
+the same for 3 and for 7 bias points, while the independent runs solve
+every row at every point.  Emits ``BENCH_api.json`` next to this file;
 ``REPRO_BENCH_FAST=1`` (the CI smoke mode) runs the same comparison and
 assertions but leaves the committed JSON record untouched.
 """
@@ -18,9 +22,13 @@ assertions but leaves the committed JSON record untouched.
 import json
 import os
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+
+import repro.negf.engine as engine_module
 
 from repro.analysis import render_table
 from repro.analysis.report import report
@@ -46,10 +54,27 @@ def _workload() -> Workload:
     )
 
 
+@contextmanager
+def _counting_rgf_solves():
+    """Count ``repro.negf.engine.rgf_solve_batched`` calls into a list."""
+    calls, solve = [], engine_module.rgf_solve_batched
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    engine_module.rgf_solve_batched = counting
+    try:
+        yield calls
+    finally:
+        engine_module.rgf_solve_batched = solve
+
+
 def _run_session(w: Workload) -> dict:
     start = time.perf_counter()
-    with Session(w.compile(engine="batched")) as session:
-        sweep = session.run()
+    with _counting_rgf_solves() as calls:
+        with Session(w.compile(engine="batched")) as session:
+            sweep = session.run()
     elapsed = time.perf_counter() - start
     r = sweep.reuse
     return {
@@ -57,25 +82,29 @@ def _run_session(w: Workload) -> dict:
         "currents": list(sweep.currents_left),
         "boundary_solves": r["boundary_el_solves"] + r["boundary_ph_solves"],
         "assemblies": r["assemblies_H"] + r["assemblies_S"] + r["assemblies_Phi"],
+        "rgf_solves": len(calls),
     }
 
 
 def _run_independent(w: Workload) -> dict:
     model = w.device.build()  # shared, as in the legacy example
     start = time.perf_counter()
-    currents, solves = [], 0
-    for pt in w.sweep_points():
-        with SCBASimulation(model, SCBASettings(**pt.settings)) as sim:
-            res = sim.run(ballistic=True)
-        currents.append(res.total_current_left)
-        cache = sim.engine.boundary
-        solves += cache.el_solves + cache.ph_solves
+    currents, solves, assemblies = [], 0, 0
+    with _counting_rgf_solves() as calls:
+        for pt in w.sweep_points():
+            with SCBASimulation(model, SCBASettings(**pt.settings)) as sim:
+                res = sim.run(ballistic=True)
+            currents.append(res.total_current_left)
+            cache = sim.engine.boundary
+            solves += cache.el_solves + cache.ph_solves
+            assemblies += sum(sim.grid.assembly_counts().values())
     elapsed = time.perf_counter() - start
     return {
         "seconds": elapsed,
         "currents": currents,
         "boundary_solves": solves,
-        "assemblies": model.total_assemblies,
+        "assemblies": assemblies,
+        "rgf_solves": len(calls),
     }
 
 
@@ -83,6 +112,7 @@ def run_sweep_comparison() -> dict:
     w = _workload()
     session = _run_session(w)
     independent = _run_independent(w)
+    three = replace(w, sweeps=(SweepAxis("bias", BIASES[::3]),))
     dev = float(
         np.abs(
             np.asarray(session["currents"]) - np.asarray(independent["currents"])
@@ -96,6 +126,7 @@ def run_sweep_comparison() -> dict:
         },
         "max_current_deviation": dev,
         "speedup": independent["seconds"] / session["seconds"],
+        "session_rgf_solves_3_points": _run_session(three)["rgf_solves"],
     }
 
 
@@ -109,6 +140,7 @@ def test_api_sweep_reuse(benchmark, bench_writer):
             f"{record[label]['seconds']:.3f}",
             str(record[label]["boundary_solves"]),
             str(record[label]["assemblies"]),
+            str(record[label]["rgf_solves"]),
         ]
         for label in ("session", "independent")
     ]
@@ -116,7 +148,8 @@ def test_api_sweep_reuse(benchmark, bench_writer):
         render_table(
             f"Session sweep vs {len(BIASES)} independent runs "
             "(7-point ballistic I-V)",
-            ["path", "seconds", "boundary solves", "operator assemblies"],
+            ["path", "seconds", "boundary solves", "operator assemblies",
+             "RGF solves"],
             rows,
         )
     )
@@ -133,5 +166,14 @@ def test_api_sweep_reuse(benchmark, bench_writer):
         == len(BIASES) * per_sweep
         == 1806
     )
-    # ... and strictly fewer Hamiltonian assemblies.
+    # ... and strictly fewer Hamiltonian assemblies ...
     assert record["session"]["assemblies"] < record["independent"]["assemblies"]
+    # ... and RGF solves: one per row at each independent point; in the
+    # session one per row (first point), one per lead per electron row
+    # and one per phonon row (second point), none after that.
+    assert record["independent"]["rgf_solves"] == len(BIASES) * (g.Nkz + g.Nqz)
+    assert (
+        record["session"]["rgf_solves"]
+        == record["session_rgf_solves_3_points"]
+        == 3 * g.Nkz + 2 * g.Nqz
+    )

@@ -47,7 +47,7 @@ __all__ = [
     "RunResult",
     "SweepResult",
     "execute_point",
-    "sum_boundary_counters",
+    "sum_reuse_counters",
 ]
 
 
@@ -272,17 +272,14 @@ def execute_point(
     )
 
 
-def sum_boundary_counters(sims: Iterable[SCBASimulation]) -> Dict[str, int]:
-    """``boundary_{el,ph}_{solves,hits}`` summed over ``sims``."""
-    out = {
-        "boundary_el_solves": 0,
-        "boundary_el_hits": 0,
-        "boundary_ph_solves": 0,
-        "boundary_ph_hits": 0,
-    }
+def sum_reuse_counters(sims: Iterable[SCBASimulation]) -> Dict[str, int]:
+    """``boundary_{el,ph}_{solves,hits}`` and ``assemblies_{H,S,Phi}``
+    summed over ``sims``."""
+    out: Dict[str, int] = {}
     for sim in sims:
         for key, value in sim.boundary_counters().items():
-            out[f"boundary_{key}"] += value
+            key = key if key.startswith("assemblies_") else f"boundary_{key}"
+            out[key] = out.get(key, 0) + value
     return out
 
 
@@ -485,21 +482,12 @@ class Session:
         """Boundary-solve/hit and operator-assembly counters summed over
         the session's lifetime (every run and run point so far).
 
-        Boundary counters are exact for every execution path (the
-        distributed runtime sums its resident per-rank caches).  The
-        assembly counters cover the parent process only: distributed
-        rank workers additionally assemble operators on their own grids,
-        which the parent's ``assembly_counts`` cannot observe.  After
-        :meth:`close` the counters frozen at shutdown are returned.
+        Both are exact for every execution path: the distributed runtime
+        sums its resident per-rank caches and grids, whether its ranks
+        share the session's model (``sim``) or hold a forked copy of it
+        (``pipe``).  After :meth:`close` the counters frozen at shutdown
+        are returned.
         """
         if self._final_counters is not None:
             return dict(self._final_counters)
-        out = sum_boundary_counters(self._sims.values())
-        if self._model is not None:
-            out.update(
-                {
-                    f"assemblies_{k}": v
-                    for k, v in self._model.assembly_counts.items()
-                }
-            )
-        return out
+        return sum_reuse_counters(self._sims.values())

@@ -16,7 +16,8 @@ This module turns that sweep into an explicit execution layer:
   point serves every Born iteration and every sweep point;
 * :class:`BoundaryCache` — memoizes the lead self-energies across SCBA
   iterations (they depend only on the grid point, never on the
-  iteration) and exposes solve/hit counters;
+  iteration) and the lead-resolved blocks of scattering-free rows
+  (below), and exposes solve/hit counters;
 * :class:`SerialEngine` — the seed per-point loop, kept as the
   bit-exactness oracle;
 * :class:`BatchedEngine` — the production path: one stacked
@@ -26,6 +27,16 @@ This module turns that sweep into an explicit execution layer:
   distributed runtime (:mod:`repro.runtime`) each hold one over their own
   ``(kz, E-chunk)`` shard — that runtime, not an engine, is how a sweep
   runs in several processes.
+
+Bias, gate and temperature (not :data:`repro.api.STRUCTURAL_FIELDS`)
+change only lead occupations, never ``M = E·S - H - Σᴸ - Σᴿ``.  Without
+scattering, ``G< = f_L A_L + f_R A_R`` (``A_α = Gᴿ iΓ_α Gᴬ``), ``G> = G< +
+Gᴿ - Gᴬ``, ``D< = n_B A``, and the contact currents are combinations of
+``Tr[Γ_α A_β]`` and ``Tr[Γ_α(Gᴿ - Gᴬ)]``.  So :class:`BatchedEngine`
+solves a scattering-free row's first visit directly, its second once
+per lead at unit occupation, reduced at once to atom tensors and traces
+kept in the :class:`BoundaryCache`, and later visits are linear
+combinations in fresh arrays: no assembly, RGF or scatter.
 
 Backends are selected with ``SCBASettings.engine`` (default ``batched``);
 ``tests/test_engine.py`` pins batched == serial to 1e-10.  The batched
@@ -38,6 +49,7 @@ it is the oracle everything else is validated against.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -136,6 +148,11 @@ class SpectralGrid:
             self._ph_ops[iq] = self.model.dynamical_blocks(self.qz_grid[iq])
         return self._ph_ops[iq]
 
+    def assembly_counts(self) -> Dict[str, int]:
+        """The operator assemblies this grid made (one per memo entry)."""
+        n, n_ph = len(self._el_ops), len(self._ph_ops)
+        return dict(assemblies_H=n, assemblies_S=n, assemblies_Phi=n_ph)
+
     def _build_atom_slices(self) -> List[Tuple[int, slice, slice]]:
         """Per atom: (block index, orbital slice in block, N3D slice)."""
         dev = self.model.structure
@@ -180,6 +197,9 @@ class BoundaryCache:
         #: per-point (pair) cache hits
         self.el_hits = 0
         self.ph_hits = 0
+        #: scattering-free rows ``(kind, momentum, grid indices)``: visit
+        #: count, then the lead-resolved tensors (see :class:`BatchedEngine`)
+        self.rows: Dict[Tuple, object] = {}
 
     def counters(self) -> Dict[str, int]:
         """The solve/hit counters as a dict (summable across caches)."""
@@ -189,6 +209,18 @@ class BoundaryCache:
             "ph_solves": self.ph_solves,
             "ph_hits": self.ph_hits,
         }
+
+    def row_visit(self, key: Tuple):
+        """A scattering-free row's visits so far (0, 1), then its stored
+        tensors — whose points count as lead self-energy hits."""
+        visit = self.rows.get(key, 0)
+        if isinstance(visit, int):
+            self.rows[key] = visit + 1
+        elif key[0] == "el":
+            self.el_hits += len(key[2])
+        else:
+            self.ph_hits += len(key[2])
+        return visit
 
     # -- electrons -----------------------------------------------------------
     def electron_row(self, ik: int, e_idx: np.ndarray, E: np.ndarray, H, S):
@@ -458,9 +490,15 @@ class BatchedEngine(GridEngine):
     ``[batch, bnum, n, n]`` block-tridiagonal system; assembly, boundary
     conditions, the RGF recursions, the atom scatter, and the contact
     currents are all broadcasted tensor operations.
+    Scattering-free rows reuse one retarded solve across visits (see
+    the module docstring).
     """
 
     name = "batched"
+
+    def _solve(self, diag, upper, sless, **attrs):
+        with trace("rgf.batch", **attrs, batch=len(diag[0])):
+            return rgf_solve_batched(diag, upper, sless, kernel=self.kernel)
 
     # -- electrons -----------------------------------------------------------
     def solve_electrons(self, sigma_r, sigma_l, sigma_g):
@@ -476,6 +514,14 @@ class BatchedEngine(GridEngine):
                 )
         return Gl, Gg, I_L, I_R
 
+    def _electron_atoms(self, blocks):
+        """Per-atom ``[nE, NA, Norb, Norb]`` diagonal blocks of ``blocks``."""
+        g = self.grid
+        out = np.zeros((len(blocks[0]), g.NA, g.Norb, g.Norb), complex)
+        for a, (blk, orb, _) in enumerate(g.atom_slices):
+            out[:, a] = blocks[blk][:, orb, orb]
+        return out
+
     def electron_row(self, ik, e_idx, sigma_r_row, sigma_l_row):
         """Solve the stacked electron systems of one kz / energy subset.
 
@@ -485,6 +531,12 @@ class BatchedEngine(GridEngine):
         g, s = self.grid, self.grid.s
         e_idx = np.asarray(e_idx)
         E = g.energies[e_idx]
+        f = np.stack([fermi(E, mu, s.kT_el) for mu in (s.mu_left, s.mu_right)], 1)
+        if sigma_r_row is None:
+            key = ("el", int(ik), tuple(e_idx.tolist()))
+            visit = self.boundary.row_visit(key)
+            if not isinstance(visit, int):
+                return _electron_combination(*visit, f)
         H, S = g.electron_operators(ik)
 
         zE = (E + 1j * s.eta)[:, None, None]
@@ -500,32 +552,45 @@ class BatchedEngine(GridEngine):
 
         gam_L = 1j * (sig_L - _H(sig_L))
         gam_R = 1j * (sig_R - _H(sig_R))
-        fL = fermi(E, s.mu_left, s.kT_el)[:, None, None]
-        fR = fermi(E, s.mu_right, s.kT_el)[:, None, None]
-        sless = [np.zeros_like(b) for b in diag]
-        sless[0] = sless[0] + 1j * fL * gam_L
-        sless[-1] = sless[-1] + 1j * fR * gam_R
 
+        def injection(occ_L, occ_R):
+            sless = [np.zeros_like(b) for b in diag]
+            sless[0] = sless[0] + 1j * occ_L * gam_L
+            sless[-1] = sless[-1] + 1j * occ_R * gam_R
+            return sless
+
+        if sigma_r_row is None and visit == 1:
+            # unit injection per lead β -> A_β and the contact traces
+            # C[α, β] = Tr[Γ_α(A_β + δ_αβ(Gᴿ - Gᴬ))]; each solve is freed
+            A, C = [], np.empty((len(E), 2, 2), complex)
+            for beta, occ in enumerate(((1.0, 0.0), (0.0, 1.0))):
+                res = self._solve(
+                    diag, upper, injection(*occ), kind="electron", ik=int(ik)
+                )
+                for alpha, (blk, gam) in enumerate(((0, gam_L), (-1, gam_R))):
+                    G = res.Gg if alpha == beta else res.Gl  # G> = G< + Gᴿ - Gᴬ
+                    C[:, alpha, beta] = _trace_mm(gam, G[blk])
+                A.append(self._electron_atoms(res.Gl))
+                GR = self._electron_atoms(res.GR)
+                del res, G
+            blocks = (A[0], A[1], GR - _H(GR), C)
+            self.boundary.rows[key] = blocks
+            return _electron_combination(*blocks, f)
+
+        fL, fR = f[:, 0, None, None], f[:, 1, None, None]
+        sless = injection(fL, fR)
         if sigma_r_row is not None:
             for a, (blk, orb, _) in enumerate(g.atom_slices):
                 diag[blk][:, orb, orb] -= sigma_r_row[:, a]
                 sless[blk][:, orb, orb] += sigma_l_row[:, a]
 
-        with trace("rgf.batch", kind="electron", ik=int(ik), batch=len(e_idx)):
-            res = rgf_solve_batched(diag, upper, sless, kernel=self.kernel)
-
-        nE = len(e_idx)
-        Gl_row = np.zeros((nE, g.NA, g.Norb, g.Norb), dtype=np.complex128)
-        Gg_row = np.zeros_like(Gl_row)
-        for a, (blk, orb, _) in enumerate(g.atom_slices):
-            Gl_row[:, a] = res.Gl[blk][:, orb, orb]
-            Gg_row[:, a] = res.Gg[blk][:, orb, orb]
-
+        res = self._solve(diag, upper, sless, kind="electron", ik=int(ik))
         sl_L, sg_L = 1j * fL * gam_L, -1j * (1 - fL) * gam_L
         sl_R, sg_R = 1j * fR * gam_R, -1j * (1 - fR) * gam_R
         I_L = (_trace_mm(sl_L, res.Gg[0]) - _trace_mm(sg_L, res.Gl[0])).real
         I_R = (_trace_mm(sl_R, res.Gg[-1]) - _trace_mm(sg_R, res.Gl[-1])).real
-        return Gl_row, Gg_row, I_L, I_R
+        atoms = self._electron_atoms
+        return atoms(res.Gl), atoms(res.Gg), I_L, I_R
 
     # -- phonons ---------------------------------------------------------------
     def solve_phonons(self, pi_r, pi_l):
@@ -539,6 +604,30 @@ class BatchedEngine(GridEngine):
                 Dl[iq], Dg[iq] = self.phonon_row(iq, w_idx, pr, pl)
         return Dl, Dg
 
+    @cached_property
+    def _phonon_bonds(self) -> List[Tuple[int, int, int, slice, slice]]:
+        """``(atom, slot, block, rows, cols)`` of the on-site (slot 0) and
+        intra-slab bond (1 + b) blocks; cross-slab bonds are dropped."""
+        g = self.grid
+        neigh = g.model.structure.neighbors
+        out = []
+        for a, (blk, _, vib) in enumerate(g.atom_slices):
+            out.append((a, 0, blk, vib, vib))
+            for b in range(g.NB):
+                blk_c, _, vib_c = g.atom_slices[int(neigh[a, b])]
+                if blk_c == blk:
+                    out.append((a, 1 + b, blk, vib, vib_c))
+        return out
+
+    def _phonon_atoms(self, blocks):
+        """Per-atom ``[nW, NA, NB+1, N3D, N3D]`` bond blocks of ``blocks``."""
+        g = self.grid
+        shape = (len(blocks[0]), g.NA, g.NB + 1, g.N3D, g.N3D)
+        out = np.zeros(shape, complex)
+        for a, slot, blk, rows, cols in self._phonon_bonds:
+            out[:, a, slot] = blocks[blk][:, rows, cols]
+        return out
+
     def phonon_row(self, iq, w_idx, pi_r_row, pi_l_row):
         """Solve the stacked phonon systems of one qz / frequency subset.
 
@@ -548,8 +637,13 @@ class BatchedEngine(GridEngine):
         g, s = self.grid, self.grid.s
         w_idx = np.asarray(w_idx)
         w = g.omegas[w_idx]
+        nb = bose(w, s.kT_ph)[:, None, None]
+        if pi_r_row is None:
+            key = ("ph", int(iq), tuple(w_idx.tolist()))
+            visit = self.boundary.row_visit(key)
+            if not isinstance(visit, int):
+                return _phonon_combination(*visit, nb)
         Phi = g.phonon_operators(iq)
-        dev = g.model.structure
 
         z = ((w + 1j * s.eta) ** 2)[:, None, None]
         diag = [z * np.eye(b.shape[0])[None] - b[None] for b in Phi.diag]
@@ -560,44 +654,41 @@ class BatchedEngine(GridEngine):
         diag[0] = diag[0] - pi_L
         diag[-1] = diag[-1] - pi_R
 
-        nb = bose(w, s.kT_ph)[:, None, None]
+        # D< = n_B A: the second visit solves at unit occupation
+        unit = pi_r_row is None and visit == 1
+        occ = 1.0 if unit else nb
         gam_L = 1j * (pi_L - _H(pi_L))
         gam_R = 1j * (pi_R - _H(pi_R))
         pless = [np.zeros_like(b) for b in diag]
-        pless[0] = pless[0] + 1j * nb * gam_L
-        pless[-1] = pless[-1] + 1j * nb * gam_R
+        pless[0] = pless[0] + 1j * occ * gam_L
+        pless[-1] = pless[-1] + 1j * occ * gam_R
 
         if pi_r_row is not None:
-            for a, (blk, _, vib) in enumerate(g.atom_slices):
-                diag[blk][:, vib, vib] -= pi_r_row[:, a, 0]
-                pless[blk][:, vib, vib] += pi_l_row[:, a, 0]
-                for b in range(g.NB):
-                    c = int(dev.neighbors[a, b])
-                    blk_c, _, vib_c = g.atom_slices[c]
-                    if blk_c != blk:
-                        continue  # cross-slab bond blocks dropped
-                    diag[blk][:, vib, vib_c] -= pi_r_row[:, a, 1 + b]
-                    pless[blk][:, vib, vib_c] += pi_l_row[:, a, 1 + b]
+            for a, slot, blk, rows, cols in self._phonon_bonds:
+                diag[blk][:, rows, cols] -= pi_r_row[:, a, slot]
+                pless[blk][:, rows, cols] += pi_l_row[:, a, slot]
 
-        with trace("rgf.batch", kind="phonon", iq=int(iq), batch=len(w_idx)):
-            res = rgf_solve_batched(diag, upper, pless, kernel=self.kernel)
+        res = self._solve(diag, upper, pless, kind="phonon", iq=int(iq))
+        if unit:
+            A = self._phonon_atoms(res.Gl)
+            blocks = (A, self._phonon_atoms(res.Gg) - A)  # Dᴿ - Dᴬ = D> - D<
+            self.boundary.rows[key] = blocks
+            return _phonon_combination(*blocks, nb)
+        return self._phonon_atoms(res.Gl), self._phonon_atoms(res.Gg)
 
-        nW = len(w_idx)
-        Dl_row = np.zeros(
-            (nW, g.NA, g.NB + 1, g.N3D, g.N3D), dtype=np.complex128
-        )
-        Dg_row = np.zeros_like(Dl_row)
-        for a, (blk, _, vib) in enumerate(g.atom_slices):
-            Dl_row[:, a, 0] = res.Gl[blk][:, vib, vib]
-            Dg_row[:, a, 0] = res.Gg[blk][:, vib, vib]
-            for b in range(g.NB):
-                c = int(dev.neighbors[a, b])
-                blk_c, _, vib_c = g.atom_slices[c]
-                if blk_c != blk:
-                    continue
-                Dl_row[:, a, 1 + b] = res.Gl[blk][:, vib, vib_c]
-                Dg_row[:, a, 1 + b] = res.Gg[blk][:, vib, vib_c]
-        return Dl_row, Dg_row
+
+def _electron_combination(A_L, A_R, B, C, f):
+    """Fresh ``(G<, G>, I_L, I_R)`` of a scattering-free row at occupations
+    ``f = [f_L, f_R]``: ``I_α = Re(i Σ_β C[α, β] f_β)``."""
+    Gl = f[:, 0, None, None, None] * A_L + f[:, 1, None, None, None] * A_R
+    I = (1j * np.einsum("eab,eb->ea", C, f)).real
+    return Gl, Gl + B, I[:, 0], I[:, 1]
+
+
+def _phonon_combination(A, B, nb):
+    """Fresh ``(D<, D>)`` of a scattering-free phonon row."""
+    Dl = nb[..., None, None] * A
+    return Dl, Dl + B
 
 
 _ENGINES = {

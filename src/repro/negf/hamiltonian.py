@@ -20,8 +20,8 @@ with exactly those properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -93,21 +93,10 @@ class HamiltonianModel:
     #: phonon z-direction spring (scalar)
     z_spring: float
     N3D: int = 3
-    #: operator assembly counters ``{"H", "S", "Phi"}`` — sweeps and
-    #: benchmarks read these to prove (kz/qz-resolved) operators are
-    #: assembled once per momentum point, not once per solve
-    assembly_counts: Dict[str, int] = field(
-        default_factory=lambda: {"H": 0, "S": 0, "Phi": 0}
-    )
-
-    @property
-    def total_assemblies(self) -> int:
-        return sum(self.assembly_counts.values())
 
     # -- electrons ---------------------------------------------------------
     def hamiltonian_blocks(self, kz: float) -> BlockTridiagonal:
         """Assemble H(kz) in block-tridiagonal form."""
-        self.assembly_counts["H"] += 1
         return self._assemble(
             self.onsite
             + self.z_coupling * np.exp(1j * kz)
@@ -118,7 +107,6 @@ class HamiltonianModel:
 
     def overlap_blocks(self, kz: float) -> BlockTridiagonal:
         """Assemble S(kz): identity + small bond overlaps."""
-        self.assembly_counts["S"] += 1
         NA = self.structure.NA
         eye = np.broadcast_to(np.eye(self.Norb), (NA, self.Norb, self.Norb)).copy()
         return self._assemble(eye.astype(np.complex128), self.overlap, self.Norb)
@@ -131,7 +119,6 @@ class HamiltonianModel:
         the acoustic-sum-rule counterpart on the diagonal; the periodic z
         bond adds ``2 kz_spring (1 - cos qz)`` to the diagonal.
         """
-        self.assembly_counts["Phi"] += 1
         s = self.structure
         NA, NB = s.neighbors.shape
         onsite = np.zeros((NA, self.N3D, self.N3D), dtype=np.complex128)

@@ -378,21 +378,23 @@ class SCBASimulation:
         return result
 
     def boundary_counters(self) -> Dict[str, int]:
-        """Boundary solve/hit counters across every execution path.
+        """Boundary solve/hit counters (``{el,ph}_{solves,hits}``) and
+        operator assemblies (``assemblies_{H,S,Phi}``) across every
+        execution path.
 
         The engine counts in the in-process
-        :class:`~repro.negf.engine.BoundaryCache`; the distributed
-        runtime additionally sums its per-rank caches.
+        :class:`~repro.negf.engine.BoundaryCache` and grid; the
+        distributed runtime adds its per-rank caches and grids (each
+        rank assembles on its own grid, so nothing is counted twice).
         """
-        out = self.engine.boundary.counters()
+        out = {**self.engine.boundary.counters(), **self.grid.assembly_counts()}
         runtime_counters = (
             self._runtime.boundary_counters()
             if self._runtime is not None
             else self._final_runtime_counters
         )
-        if runtime_counters is not None:
-            for key, value in runtime_counters.items():
-                out[key] += value
+        for key, value in (runtime_counters or {}).items():
+            out[key] += value
         return out
 
     # -- GF phases (delegated to the execution engine) ---------------------------

@@ -203,8 +203,9 @@ class RankWorker(RankSSEStore):
         return out
 
     def counters(self) -> Dict[str, int]:
-        """Boundary-cache solve/hit counters of this rank."""
-        return self.engine.boundary.counters()
+        """Boundary-cache solve/hit counters and operator assemblies of
+        this rank's grid."""
+        return {**self.engine.boundary.counters(), **self.grid.assembly_counts()}
 
     def drain_telemetry(self) -> List[Dict[str, object]]:
         """Pop this rank's recorded root spans (picklable dicts).

@@ -329,10 +329,11 @@ class DistributedSCBARuntime:
         return dict(self.last_comm)
 
     def boundary_counters(self) -> Dict[str, int]:
-        """Summed per-rank boundary-cache counters (0 before any run)."""
-        out = {"el_solves": 0, "el_hits": 0, "ph_solves": 0, "ph_hits": 0}
+        """Summed per-rank :meth:`RankWorker.counters` (empty before any
+        run): boundary solves/hits and operator assemblies."""
+        out: Dict[str, int] = {}
         if self._transport is not None:
             for counters in self._transport.call_all("counters", [()] * self.P):
                 for key, value in counters.items():
-                    out[key] += value
+                    out[key] = out.get(key, 0) + value
         return out

@@ -29,7 +29,7 @@ from ..api.session import (
     RunResult,
     SweepResult,
     execute_point,
-    sum_boundary_counters,
+    sum_reuse_counters,
 )
 from ..api.workload import DeviceSpec
 from ..negf.scba import SCBASettings, SCBASimulation
@@ -97,7 +97,7 @@ class RankPool:
                 )
         runs.sort(key=lambda r: r.index)
         after = self.boundary_counters()
-        delta = {k: after[k] - before[k] for k in after}
+        delta = {k: after[k] - before.get(k, 0) for k in after}
         job.metrics["boundary_solves"] = (
             delta["boundary_el_solves"] + delta["boundary_ph_solves"]
         )
@@ -113,8 +113,8 @@ class RankPool:
 
     # -- accounting ---------------------------------------------------------------
     def boundary_counters(self) -> Dict[str, int]:
-        """Aggregated boundary solve/hit counters across resident sims."""
-        return sum_boundary_counters(self._sims.values())
+        """Aggregated boundary and assembly counters across resident sims."""
+        return sum_reuse_counters(self._sims.values())
 
     # -- lifetime -----------------------------------------------------------------
     def close(self) -> None:
