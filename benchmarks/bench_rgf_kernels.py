@@ -10,11 +10,14 @@ faster end to end.
 
 On the same device, one kz row of lead self-energies (both leads, every
 energy of the grid) is timed through ``lead_self_energy_batched``, and
-its decimation beside the dense loop (every product over the block).
-The record holds the modeled GEMM work per decimation step, dense
-``8·n³`` versus ``4·|r|·|c|·(|r|+|c|)`` on the interface support the
-solver reads off the coupling (asserted exactly: ``8·(n/slab_width)³``),
-and the surface GFs agree with the dense loop to 1e-10.
+its decimation beside the dense loop (every product over the whole
+cell).  The solver decimates the chain of interface faces: the face is
+the column range of the coupling's interface support, read off the
+coupling with the solver's rule.  The record holds the face width, the
+per-step factorization size (face versus cell) and the modeled GEMM work
+per step (dense ``8·n³`` versus ``8·|F|³`` on the face chain), all
+asserted exactly (``|F| = n/slab_width``), and the surface GFs agree
+with the dense loop to 1e-10.
 
 The Table-6 ordering of the ``F gᴿ E`` fold strategies is asserted where
 the paper measures it, on sparse random operands:
@@ -93,10 +96,10 @@ def run_scba_kernels() -> dict:
     }
 
 
-def decimation_gemm_macs(nr: int, nc: int) -> int:
+def decimation_gemm_macs(n: int) -> int:
     """Complex multiply-adds of one decimation step's eight GEMMs
-    (``αgβ``, ``βgα``, ``αgα``, ``βgβ``) on an ``nr x nc`` support."""
-    return 4 * nr * nc * (nr + nc)
+    (``αgβ``, ``βgα``, ``αgα``, ``βgβ``) on ``n``-wide blocks."""
+    return 8 * n**3
 
 
 def dense_decimation(z, H00, H01, S00, S01, eta, tol=1e-12, max_iter=200):
@@ -137,7 +140,7 @@ def run_boundary_row() -> dict:
     }
     n = H.diag[0].shape[0]
     alpha = E[:, None, None] * leads["right"][3] - leads["right"][1]
-    r, c = (len(range(n)[i]) for i in interface_support(alpha))
+    face = len(range(n)[interface_support(alpha)[1]])
 
     def decimate(solve):
         return [solve(E, *blocks, eta=ETA) for blocks in leads.values()]
@@ -149,8 +152,8 @@ def run_boundary_row() -> dict:
             )
 
     errors = {
-        side: float(np.abs(support - dense).max())
-        for side, support, dense in zip(
+        side: float(np.abs(faces - dense).max())
+        for side, faces, dense in zip(
             leads, decimate(sancho_rubio_batched), decimate(dense_decimation)
         )
     }
@@ -158,14 +161,15 @@ def run_boundary_row() -> dict:
     return {
         "block": n,
         "batch": len(E),
-        "support": [r, c],
+        "face": face,
+        "factorization_per_step": {"cell": n, "face": face},
         "gemm_macs_per_step": {
-            "dense": decimation_gemm_macs(n, n),
-            "support": decimation_gemm_macs(r, c),
+            "dense": decimation_gemm_macs(n),
+            "face": decimation_gemm_macs(face),
         },
         "seconds": {
             "lead_self_energy_batched": best_of(self_energies, repeats),
-            "support_decimation": best_of(
+            "face_decimation": best_of(
                 lambda: decimate(sancho_rubio_batched), repeats
             ),
             "dense_decimation": best_of(
@@ -205,32 +209,33 @@ def test_rgf_kernels(benchmark, machine_info, bench_writer):
     # Every kernel reproduced the reference solution.
     assert all(e <= 1e-10 for e in scba["max_err_vs_reference"].values())
 
-    # The decimation contracts over the interface layer (1/slab_width of
-    # each dimension): its modeled GEMM work per step, exactly, and the
-    # surface GFs of the dense loop to 1e-10.
+    # The decimation runs on the chain of faces (1/slab_width of the
+    # cell): its factorization size and modeled GEMM work per step,
+    # exactly, and the surface GFs of the dense loop to 1e-10.
     row = record["boundary_row"]
+    width = row["factorization_per_step"]
     report(
         render_table(
             f"Lead self-energies, one kz row (B={row['batch']}, "
-            f"n={row['block']}, support {row['support']})",
-            ["path", "seconds", "GEMM multiply-adds / step"],
+            f"n={row['block']}, face {row['face']})",
+            ["path", "seconds", "factorization / step",
+             "GEMM multiply-adds / step"],
             [
                 ["lead_self_energy_batched",
-                 f"{row['seconds']['lead_self_energy_batched']:.3f}", ""],
-                ["decimation on the support",
-                 f"{row['seconds']['support_decimation']:.3f}",
-                 row["gemm_macs_per_step"]["support"]],
+                 f"{row['seconds']['lead_self_energy_batched']:.3f}", "", ""],
+                ["decimation on the face chain",
+                 f"{row['seconds']['face_decimation']:.3f}", width["face"],
+                 row["gemm_macs_per_step"]["face"]],
                 ["dense decimation loop",
-                 f"{row['seconds']['dense_decimation']:.3f}",
+                 f"{row['seconds']['dense_decimation']:.3f}", width["cell"],
                  row["gemm_macs_per_step"]["dense"]],
             ],
         )
     )
-    n, layer = row["block"], row["block"] // DEVICE["slab_width"]
-    assert row["support"] == [layer, layer]
-    assert row["gemm_macs_per_step"] == {
-        "dense": 8 * n**3, "support": 8 * layer**3,
-    }
+    n, face = row["block"], row["block"] // DEVICE["slab_width"]
+    assert row["face"] == face
+    assert width == {"cell": n, "face": face}
+    assert row["gemm_macs_per_step"] == {"dense": 8 * n**3, "face": 8 * face**3}
     assert all(e <= 1e-10 for e in row["max_err_vs_dense"].values())
     if FAST:
         # CI smoke: completion + equivalence only — sub-second timings on

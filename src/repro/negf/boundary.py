@@ -10,14 +10,17 @@ implemented here and cross-validated:
   problem (the mode/contour approach): selects decaying/outgoing Bloch
   modes and assembles the surface GF, mirroring OMEN's boundary kernel.
 
-The decimation runs on the coupling's interface support ``r x c``
-(:func:`~repro.negf.rgf.interface_support`, the RGF kernel's rule):
-``alpha = -(z S01 - H01)`` lives on ``r x c``, ``beta``
-on ``c x r``, and each update keeps its support — ``αgβ`` on ``[r, r]``
-reads ``g[c, c]``, ``βgα`` on ``[c, c]`` reads ``g[r, r]``, ``αgα`` reads
-``g[c, r]``, ``βgβ`` reads ``g[r, c]`` — so a step's eight GEMMs do
-``4·|r|·|c|·(|r|+|c|)`` multiply-adds instead of ``8·n³`` (``n³`` at
-``slab_width`` 2); only the inverse of the bulk block stays ``n x n``.
+The decimation runs on the chain of interface faces.  The coupling
+``alpha = -(z S01 - H01)`` lives on its interface support ``r x c``
+(:func:`~repro.negf.rgf.interface_support`, the RGF kernel's rule), so
+the rest ``K`` of a cell couples only to its own face ``c`` and to the
+next cell's.  Eliminating ``K`` once per energy (one ``|K|``-wide inverse)
+leaves a uniform nearest-neighbour chain of faces, and every decimation
+step factorizes and multiplies ``|c|``-wide blocks instead of the whole
+``n``-wide cell (``|c| = n / slab_width`` on a generated device; the
+whole cell at ``slab_width`` 1).  A lead self-energy reads the face only,
+``Σ = τ[:, c] g[c, c] τ[:, c]†``; :func:`sancho_rubio_batched` closes the
+whole cell's surface GF with one final ``n``-wide solve.
 The scalar solvers are batch-of-1 views of the batched ones, and must
 be: near a band edge at small η the decimation amplifies a ~1e-16
 change of summation order into ~1e-10 relative in Σ, so the serial and
@@ -87,9 +90,24 @@ def sancho_rubio_batched(
     coupling norm is already < ``tol``), so each entry agrees with its
     own batch-of-1 solve to far better than the 1e-10 engine equivalence
     tolerance.  The support is read off the coupling passed in (the
-    adjoint for a left lead).  Returns ``[B, n, n]`` surface GFs; a
+    adjoint for a left lead).  Returns ``[B, n, n]`` surface GFs: the
+    face chain's ``g[c, c]`` (:func:`_face_decimation`) closes the cell in
+    one solve, ``g = (M - α g[c, c] β on [r, r])^{-1}``.  A
     ``RuntimeError`` names the unconverged energies.
     """
+    g_face, M, alpha, r, c = _face_decimation(
+        z, H00, H01, S00, S01, eta, tol, max_iter
+    )
+    alpha = alpha[..., r, c]
+    M[..., r, r] -= alpha @ g_face @ _H(alpha)
+    return np.linalg.solve(M, np.broadcast_to(np.eye(M.shape[-1]), M.shape))
+
+
+def _face_decimation(z, H00, H01, S00, S01, eta, tol=1e-12, max_iter=200):
+    """The decimation on the chain of interface faces (see the module
+    docstring) -> ``(g[c, c], M, α, r, c)``.  ``K`` is empty for a
+    whole-block support (the loop on whole cells), ``c`` for a zero
+    coupling."""
     n = H00.shape[0]
     S00 = np.eye(n) if S00 is None else S00
     S01 = np.zeros_like(H01) if S01 is None else S01
@@ -97,25 +115,28 @@ def sancho_rubio_batched(
     eta = np.broadcast_to(np.asarray(eta, dtype=float), z.shape)
     zc = (z + 1j * eta)[:, None, None]
 
-    eps_s = zc * S00 - H00  # surface blocks [B, n, n]
-    eps = eps_s.copy()  # bulk blocks
-    alpha = -(zc * S01 - H01)  # coupling to the next cell
-    r, c = interface_support(alpha)
-    rr, cc, rc, cr = (..., r, r), (..., c, c), (..., r, c), (..., c, r)
-    alpha = alpha[rc]  # [B, |r|, |c|]
-    beta = _H(alpha)  # [B, |c|, |r|]
+    M = zc * S00 - H00  # on-site blocks [B, n, n]
+    a = -(zc * S01 - H01)  # coupling to the next cell [B, n, n]
+    r, c = interface_support(a)
+    K = np.delete(np.arange(n), np.arange(n)[c])
+    g_K = np.linalg.inv(M[:, K[:, None], K])
+    McK, aKc = M[:, c, K], a[:, K, c]
+    X, Y = g_K @ M[:, K, c], g_K @ aKc
+    eps_s = M[:, c, c] - McK @ X  # surface face
+    eps = eps_s - _H(aKc) @ Y  # bulk face
+    alpha = a[:, c, c] - McK @ Y  # face -> next face
+    beta = _H(a[:, c, c]) - _H(aKc) @ X  # face -> previous face
 
-    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), eps.shape)
+    eye = np.broadcast_to(np.eye(eps.shape[-1], dtype=np.complex128), eps.shape)
     norm = np.full(z.shape, np.inf)
     for _ in range(max_iter):
         g_bulk = np.linalg.solve(eps, eye)
-        agb = alpha @ g_bulk[cc] @ beta
-        bga = beta @ g_bulk[rr] @ alpha
-        eps_s[rr] -= agb
-        eps[rr] -= agb
-        eps[cc] -= bga
-        alpha = alpha @ g_bulk[cr] @ alpha
-        beta = beta @ g_bulk[rc] @ beta
+        agb = alpha @ g_bulk @ beta
+        eps_s -= agb
+        eps -= agb
+        eps -= beta @ g_bulk @ alpha
+        alpha = alpha @ g_bulk @ alpha
+        beta = beta @ g_bulk @ beta
         norm = np.maximum(*(np.linalg.norm(m, axis=(1, 2)) for m in (alpha, beta)))
         if (norm < tol).all():
             break
@@ -127,7 +148,7 @@ def sancho_rubio_batched(
             f"z={z[bad[0]]:.6g} (eta={eta[bad[0]]:.3g}); largest remaining "
             f"coupling norm {norm.max():.3e} (tol {tol:.1e})"
         )
-    return np.linalg.solve(eps_s, eye)
+    return np.linalg.solve(eps_s, eye), M, a, r, c
 
 
 def transfer_matrix_modes(
@@ -190,24 +211,29 @@ def surface_greens_function(
     eta: float = 1e-6,
     method: Literal["sancho-rubio", "transfer-matrix"] = "sancho-rubio",
 ) -> np.ndarray:
-    """Dispatch between the two boundary solvers: a batch-of-1 view of
-    :func:`_surface_gfs`."""
-    return _surface_gfs(np.array([z]), H00, H01, S00, S01, eta, method)[0]
+    """The whole cell's surface GF: Sancho-Rubio closes its face GF over
+    the cell, the transfer-matrix method solves the whole cell anyway."""
+    if method == "sancho-rubio":
+        return sancho_rubio(z, H00, H01, S00, S01, eta)
+    return _surface_gfs(np.array([z]), H00, H01, S00, S01, eta, method)[0][0]
 
 
-def _surface_gfs(z, H00, H01, S00, S01, eta, method) -> np.ndarray:
-    """``[B, n, n]`` surface GFs of a stack of energies — the one dispatch
-    between the solvers.  Sancho-Rubio shares one decimation recursion
-    across the stack (the engine's hot path); the transfer-matrix method
-    has no batched dense eigensolver and solves point by point."""
+def _surface_gfs(z, H00, H01, S00, S01, eta, method) -> Tuple[np.ndarray, slice]:
+    """``([B, f, f] g, F)``: surface GFs of a stack of energies on the face
+    ``F`` of the cell that the previous cell couples into — the one
+    dispatch between the solvers.  Sancho-Rubio shares one face-chain
+    recursion across the stack (the engine's hot path); the
+    transfer-matrix method has no batched dense eigensolver and solves
+    the whole cell point by point (``F`` the whole cell)."""
     eta = np.broadcast_to(np.asarray(eta, dtype=float), z.shape)
     if method == "sancho-rubio":
-        return sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta)
+        g, *_, c = _face_decimation(z, H00, H01, S00, S01, eta)
+        return g, c
     if method == "transfer-matrix":
         return np.stack([
             transfer_matrix_modes(zi, H00, H01, S00, S01, float(ei))
             for zi, ei in zip(z, eta)
-        ])
+        ]), slice(None)
     raise ValueError(f"unknown boundary method {method!r}")
 
 
@@ -259,5 +285,7 @@ def lead_self_energy_batched(
     tau = (z + 1j * eta)[:, None, None] * S01_eff - H01
     if side == "left":  # the chain built on τ†
         H01, S01 = H01.conj().T, None if S01 is None else S01.conj().T
-    g = _surface_gfs(z, H00, H01, S00, S01, eta, method)
-    return tau @ g @ _H(tau) if side == "right" else _H(tau) @ g @ tau
+        tau = _H(tau)
+    g, F = _surface_gfs(z, H00, H01, S00, S01, eta, method)
+    tau = tau[..., F]  # τ only reaches the chain's surface cell on F
+    return tau @ g @ _H(tau)

@@ -176,6 +176,21 @@ class SpectralGrid:
         return out
 
 
+def _lead_pair(where: str, z, eta, method, left: tuple, right: tuple):
+    """``(Σ_L, Σ_R)`` of one grid row from each lead's ``(H00, H01, S00,
+    S01)``.  A decimation that does not converge re-raises naming the
+    lead side and ``where`` (the momentum index) beside the energy."""
+    out = []
+    for side, (H00, H01, S00, S01) in (("left", left), ("right", right)):
+        try:
+            out.append(lead_self_energy_batched(
+                z, H00, H01, side, S00, S01, eta=eta, method=method
+            ))
+        except RuntimeError as err:
+            raise RuntimeError(f"{side} lead at {where}: {err}") from err
+    return out
+
+
 class BoundaryCache:
     """Memoized open-boundary self-energies with solve accounting.
 
@@ -242,15 +257,10 @@ class BoundaryCache:
                 ik=int(ik),
                 points=len(missing),
             ):
-                z = E[missing]
-                sl = lead_self_energy_batched(
-                    z, H.diag[0], H.upper[0], "left", S.diag[0], S.upper[0],
-                    eta=s.eta, method=s.boundary_method,
-                )
-                sr = lead_self_energy_batched(
-                    z, H.diag[-1], H.upper[-1], "right",
-                    S.diag[-1], S.upper[-1],
-                    eta=s.eta, method=s.boundary_method,
+                sl, sr = _lead_pair(
+                    f"ik={ik}", E[missing], s.eta, s.boundary_method,
+                    (H.diag[0], H.upper[0], S.diag[0], S.upper[0]),
+                    (H.diag[-1], H.upper[-1], S.diag[-1], S.upper[-1]),
                 )
             self.el_solves += 2 * len(missing)
             for j, m in enumerate(missing):
@@ -282,13 +292,10 @@ class BoundaryCache:
                 points=len(missing),
             ):
                 z, eta_eff = self._phonon_z_eta(w[missing], s.eta)
-                pl = lead_self_energy_batched(
-                    z, Phi.diag[0], Phi.upper[0], "left",
-                    eta=eta_eff, method=s.boundary_method,
-                )
-                pr = lead_self_energy_batched(
-                    z, Phi.diag[-1], Phi.upper[-1], "right",
-                    eta=eta_eff, method=s.boundary_method,
+                pl, pr = _lead_pair(
+                    f"iq={iq}", z, eta_eff, s.boundary_method,
+                    (Phi.diag[0], Phi.upper[0], None, None),
+                    (Phi.diag[-1], Phi.upper[-1], None, None),
                 )
             self.ph_solves += 2 * len(missing)
             for j, m in enumerate(missing):

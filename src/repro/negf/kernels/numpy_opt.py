@@ -54,8 +54,8 @@ while producing the same diagonal blocks to ≤ 1e-10:
   The one rule: when a range covers more than half of its dimension,
   the support *is* the whole block (``r = c = :``) and the same
   statements run on whole-block views — which are the dense formulas
-  above.  The lead decimation (:mod:`repro.negf.boundary`) uses the
-  same rule.
+  above.  The lead decimation (:mod:`repro.negf.boundary`) reads the
+  same rule's column range as the face it decimates on.
 
 Matmul workspaces are preallocated per (role, shape) and reused across
 the recursion steps, and ω-independent 2-D coupling blocks stay 2-D so

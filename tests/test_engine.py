@@ -1,5 +1,7 @@
 """Spectral-grid engine: batched RGF, backend equivalence, boundary cache."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,10 @@ from repro.negf import (
     rgf_solve_batched,
     sancho_rubio_batched,
 )
+from repro.negf import boundary
+from repro.negf import engine as engine_module
 from repro.negf.engine import BatchedEngine, SerialEngine, make_engine
-from repro.negf.rgf import interface_support
+from repro.negf.rgf import _H, interface_support
 from repro.parallel import OmenDecomposition, partition_spectral_grid
 
 from test_rgf_boundary import random_system
@@ -173,6 +177,41 @@ def _assert_matches_dense(z, H00, H01, side, S00=None, S01=None, eta=1e-6):
         assert np.abs(batched[i] - ref).max() < 1e-10
 
 
+def _slab_model(slab_width):
+    """A small generated device whose lead cell is ``slab_width`` slabs."""
+    nx_cols = 9 if slab_width == 3 else 8
+    dev = build_device(nx_cols=nx_cols, ny_rows=3, NB=6, slab_width=slab_width)
+    return build_hamiltonian_model(dev, Norb=2)
+
+
+def _scattered_lead(n=12, seed=9):
+    """``(H00, H01, S01)`` whose coupling sits on scattered rows 1, 3, 5
+    and columns 6, 8, 11: bounding ranges of <= half the block."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H00 = 0.25 * (m + m.conj().T)
+    H01 = np.zeros((n, n), dtype=complex)
+    rows, cols = [1, 3, 5], [6, 8, 11]
+    H01[np.ix_(rows, cols)] = 0.3 * rng.standard_normal((3, 3))
+    S01 = np.zeros((n, n), dtype=complex)
+    S01[rows[0], cols[-1]] = 0.05
+    return H00, H01, S01
+
+
+def _assert_fixed_point(z, H00, H01, S00=None, S01=None, eta=1e-6):
+    """``sancho_rubio_batched``'s surface GF against its defining
+    equation ``g = (M - α g β)^-1`` (``M = z S00 - H00``,
+    ``α = -(z S01 - H01)``, ``β = α†``), contracted over whole blocks."""
+    g = sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta)
+    n = H00.shape[0]
+    S00 = np.eye(n) if S00 is None else S00
+    S01 = np.zeros_like(H01) if S01 is None else S01
+    zc = (z + 1j * np.asarray(eta))[:, None, None]
+    alpha = -(zc * S01 - H01)
+    closed = np.linalg.inv(zc * S00 - H00 - alpha @ g @ _H(alpha))
+    assert np.abs(closed - g).max() <= 1e-10 * np.abs(g).max()
+
+
 class TestBatchedBoundary:
     def test_matches_per_point(self, small_model):
         H = small_model.hamiltonian_blocks(0.3)
@@ -192,13 +231,13 @@ class TestBatchedBoundary:
         _assert_matches_dense(z, Phi.diag[0], Phi.upper[0], "left", eta=eta)
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("slab_width", [1, 2, 4])
+    @pytest.mark.parametrize("slab_width", [1, 2, 3, 4])
     def test_interface_support_matches_dense_loop(self, slab_width, side):
-        """The support-contracted decimation (interface layer = 1/slab_width
-        of each dimension; the whole block at slab_width 1) against the
-        dense loop: electrons with S01 != 0, phonons with array eta."""
-        dev = build_device(nx_cols=8, ny_rows=3, NB=6, slab_width=slab_width)
-        model = build_hamiltonian_model(dev, Norb=2)
+        """The face-chain decimation (face = 1/slab_width of the cell; the
+        whole cell at slab_width 1; at slab_width 3 the cell has an
+        interior beyond both faces) against the dense loop: electrons with
+        S01 != 0, phonons with array eta."""
+        model = _slab_model(slab_width)
         H, S = model.hamiltonian_blocks(0.3), model.overlap_blocks(0.3)
         assert np.abs(S.upper[0]).max() > 0
         _assert_matches_dense(
@@ -217,16 +256,9 @@ class TestBatchedBoundary:
         scattered rows and columns whose bounding ranges are <= half of
         the block (the ranges hold exact zeros between them), and an
         all-zero coupling, whose decoupled lead is g = eps^-1 and Σ = 0."""
-        n = 12
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H00 = 0.25 * (m + m.conj().T)
-        H01 = np.zeros((n, n), dtype=complex)
-        rows, cols = [1, 3, 5], [6, 8, 11]
-        H01[np.ix_(rows, cols)] = 0.3 * rng.standard_normal((3, 3))
+        H00, H01, S01 = _scattered_lead()
+        n = H00.shape[0]
         assert interface_support(H01) == (slice(1, 6), slice(6, 12))
-        S01 = np.zeros((n, n), dtype=complex)
-        S01[rows[0], cols[-1]] = 0.05
         energies = np.linspace(-1.0, 1.0, 4)
         _assert_matches_dense(
             energies, H00, H01, side, np.eye(n), S01, eta=1e-3
@@ -236,6 +268,32 @@ class TestBatchedBoundary:
         g = sancho_rubio_batched(energies, H00, zero, eta=1e-3)
         eps = (energies + 1e-3j)[:, None, None] * np.eye(n) - H00
         assert np.allclose(g, np.linalg.inv(eps), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("flip", [np.asarray, _H], ids=["+x", "-x"])
+    @pytest.mark.parametrize("slab_width", [1, 2, 4])
+    def test_surface_gf_is_a_fixed_point(self, slab_width, flip):
+        """The whole cell's surface GF closes over the face chain's: it
+        solves g = (M - α g[c, c] β on [r, r])^-1 for chains running
+        either way, electrons with S01 != 0 and phonons with array eta."""
+        model = _slab_model(slab_width)
+        H, S = model.hamiltonian_blocks(0.3), model.overlap_blocks(0.3)
+        Phi = model.dynamical_blocks(0.3)
+        _assert_fixed_point(
+            np.linspace(-1.0, 1.0, 5), H.diag[0], flip(H.upper[0]),
+            S.diag[0], flip(S.upper[0]), eta=1e-5,
+        )
+        _assert_fixed_point(
+            np.array([0.2, 0.5, 0.9]), Phi.diag[0], flip(Phi.upper[0]),
+            eta=np.array([1e-5, 2e-5, 3e-5]),
+        )
+
+    @pytest.mark.parametrize("flip", [np.asarray, _H], ids=["+x", "-x"])
+    def test_scattered_support_is_a_fixed_point(self, flip):
+        H00, H01, S01 = _scattered_lead()
+        _assert_fixed_point(
+            np.linspace(-1.0, 1.0, 4), H00, flip(H01), np.eye(len(H00)),
+            flip(S01), eta=1e-3,
+        )
 
     def test_non_convergence_names_the_point(self, small_model):
         H = small_model.hamiltonian_blocks(0.3)
@@ -377,6 +435,42 @@ class TestBoundaryCache:
                     eta=eta_eff, method=s.boundary_method,
                 )[0]
                 assert np.abs(pi - fresh).max() <= 1e-12
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_convergence_names_lead_and_momentum(
+        self, sim_factory, monkeypatch, side
+    ):
+        """One lead's decimation stalls (``max_iter=1``): the error raised
+        through the cache names the lead side and the momentum index, and
+        keeps the decimation's own message."""
+        solve = engine_module.lead_self_energy_batched
+        stalled = functools.partial(boundary._face_decimation, max_iter=1)
+
+        def one_stalled_lead(*args, **kwargs):
+            with monkeypatch.context() as m:
+                if args[3] == side:
+                    m.setattr(boundary, "_face_decimation", stalled)
+                return solve(*args, **kwargs)
+
+        monkeypatch.setattr(
+            engine_module, "lead_self_energy_batched", one_stalled_lead
+        )
+        sim = sim_factory(engine="batched")
+        g, cache = sim.grid, sim.engine.boundary
+        points = np.arange(2)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^{side} lead at ik=1: Sancho-Rubio decimation did not "
+            r"converge in max_iter=1 steps: 2 of 2 energies unconverged",
+        ):
+            cache.electron_row(1, points, g.energies[points], *g.electron_operators(1))
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^{side} lead at iq=1: Sancho-Rubio decimation did not "
+            r"converge in max_iter=1 steps",
+        ):
+            cache.phonon_row(1, points, g.omegas[points], g.phonon_operators(1))
+        assert cache.counters() == dict.fromkeys(cache.counters(), 0)
 
 
 class TestPartition:
