@@ -170,8 +170,8 @@ class _Node:
         return len(self.moves)
 
 
-def _score(sdfg, dims, hooks) -> Score:
-    moved = measure_movement(sdfg, dims, hooks)
+def _score(sdfg, dims) -> Score:
+    moved = measure_movement(sdfg, dims)
     return (sum(moved.values()), _transient_bytes(sdfg, dims))
 
 
@@ -192,10 +192,9 @@ def _is_enabler(move: Move) -> bool:
 class _Search:
     """Successor expansion and the evaluation count."""
 
-    def __init__(self, library: MoveLibrary, dims, hooks):
+    def __init__(self, library: MoveLibrary, dims):
         self.library = library
         self.dims = dict(dims)
-        self.hooks = hooks
         self.evaluations = 0
 
     def child(self, node: _Node, move: Move) -> Optional[_Node]:
@@ -206,7 +205,7 @@ class _Search:
                 depth=node.depth,
             ):
                 sdfg, p = apply_move(node.sdfg, move, stage, self.library)
-                score = _score(sdfg, self.dims, self.hooks)
+                score = _score(sdfg, self.dims)
         except (ValueError, KeyError):
             return None  # not legal from here: not a child
         sig = state_signature(sdfg)
@@ -304,9 +303,9 @@ def autotune(
 ) -> SearchResult:
     """Search for a transformation pipeline minimizing modeled movement.
 
-    ``base`` carries the problem — graph factory, indirection hooks,
-    input factory and reference kernel (its own passes, usually none,
-    are applied first and kept as a prefix).  ``dims`` are the *target*
+    ``base`` carries the problem — graph factory, input factory and
+    reference kernel (its own passes, usually none, are applied first
+    and kept as a prefix).  ``dims`` are the *target*
     symbol bindings the byte model is evaluated at; the search itself is
     purely symbolic/structural, so paper-scale dims cost the same as toy
     dims.  With ``config.verify`` (default), every stage of the winning
@@ -319,17 +318,16 @@ def autotune(
     replayed (signatures validated) instead of searched again.
     """
     cfg = (config or SearchConfig()).resolved()
-    hooks = base.hooks()
     sdfg = base.graph_factory()
     for p in base.passes:
         p.run(sdfg, sdfg.states[0])
     root = _Node(
         sdfg=sdfg,
-        score=_score(sdfg, dims, hooks),
+        score=_score(sdfg, dims),
         signature=state_signature(sdfg),
     )
 
-    search = _Search(library, dims, hooks)
+    search = _Search(library, dims)
     trace = SearchTrace(pipeline=base.name, dims=dict(dims))
     start = root
     completed = False
@@ -361,7 +359,6 @@ def autotune(
         passes=list(base.passes) + list(final.passes),
         graph_factory=base.graph_factory,
         initial=base.initial,
-        hooks=hooks,
         make_inputs=base.make_inputs,
         reference=base.reference,
     )

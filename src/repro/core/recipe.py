@@ -54,7 +54,6 @@ from ..sdfg import (
     ShrinkPass,
     Stage,
     Tasklet,
-    neighbor_indirection_hook,
     symbols,
 )
 from ..autotune import (
@@ -346,11 +345,6 @@ def _sse_passes() -> List:
     ]
 
 
-def _sse_hooks():
-    NA, NB = symbols("NA NB")
-    return [neighbor_indirection_hook(NA, NB)]
-
-
 def _sse_reference(arrays, tables):
     return sse_sigma_reference(
         arrays["G"], arrays["dH"], arrays["D"], tables["__neigh__"]
@@ -369,7 +363,6 @@ SSE_PIPELINE = Pipeline(
     passes=_sse_passes(),
     graph_factory=build_sse_sigma_sdfg,
     initial=("fig8", "initial Σ≷ dataflow"),
-    hooks=_sse_hooks,
     make_inputs=_sse_inputs,
     reference=_sse_reference,
 )
@@ -384,14 +377,13 @@ def sse_movement_report(dims: Mapping[str, int]) -> PipelineReport:
     return SSE_PIPELINE.report(dims)
 
 
-#: the search problem: the untransformed Fig. 8 graph with its hooks,
-#: input factory and reference kernel — and *no* recipe knowledge.
+#: the search problem: the untransformed Fig. 8 graph with its input
+#: factory and reference kernel — and *no* recipe knowledge.
 SSE_SEARCH_BASE = Pipeline(
     name="sse_search",
     passes=[],
     graph_factory=build_sse_sigma_sdfg,
     initial=("fig8", "initial Σ≷ dataflow"),
-    hooks=_sse_hooks,
     make_inputs=_sse_inputs,
     reference=_sse_reference,
 )

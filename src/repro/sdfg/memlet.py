@@ -39,6 +39,9 @@ class Memlet:
     wcr:
         Optional write-conflict resolution: ``"sum"``, ``"min"`` or
         ``"max"``.  Writes through a wcr memlet combine with existing data.
+
+    Memlets are immutable (transformations replace an edge's memlet,
+    they never edit one), so copies share them.
     """
 
     __slots__ = ("data", "subset", "accesses", "wcr")
@@ -60,6 +63,9 @@ class Memlet:
             subset.num_elements() if accesses is None else sympify(accesses)
         )
         self.wcr = wcr
+
+    def __deepcopy__(self, memo) -> "Memlet":
+        return self
 
     # -- helpers -----------------------------------------------------------
     @staticmethod

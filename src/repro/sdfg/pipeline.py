@@ -6,11 +6,11 @@ The executable form of the paper's optimization workflow (§4):
   :class:`~repro.sdfg.passes.Pass` objects applied to a freshly built
   SDFG, snapshotting a :class:`Stage` after every pass;
 * :func:`measure_movement` models the paper's §4.1 data-movement metric:
-  every tasklet memlet is propagated outward through its enclosing map
-  scopes (:func:`~repro.sdfg.propagation.propagate_through_maps`, the
-  Fig. 7 derivation) and its access volume evaluated in bytes under
-  concrete symbol bindings — :meth:`Pipeline.report` tabulates this per
-  stage as a serializable :class:`PipelineReport`;
+  every tasklet memlet's access count is multiplied by the iteration
+  volumes of its enclosing map scopes (the count the Fig. 7 outward
+  propagation forms; no subset is propagated) and evaluated in bytes
+  under concrete symbol bindings — :meth:`Pipeline.report` tabulates
+  this per stage as a serializable :class:`PipelineReport`;
 * :meth:`Pipeline.compile` lowers every stage through a pluggable
   execution backend (:mod:`repro.sdfg.backends`: ``numpy`` code
   generation by default, ``interpreter`` as the oracle; selectable via
@@ -29,7 +29,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -46,7 +45,6 @@ from .graph import SDFG
 from .memlet import Memlet
 from .nodes import Tasklet
 from .passes import Pass, PassOutcome
-from .propagation import IndirectionHook, propagate_through_maps
 from .symbolic import Expr
 
 __all__ = [
@@ -87,22 +85,20 @@ class Stage:
 # -- data-movement accounting ---------------------------------------------------
 
 
-def measure_movement(
-    sdfg: SDFG,
-    env: Mapping[str, int],
-    hooks: Iterable[IndirectionHook] = (),
-) -> Dict[str, int]:
+def measure_movement(sdfg: SDFG, env: Mapping[str, int]) -> Dict[str, int]:
     """Modeled bytes moved per array, summed over all tasklet memlets.
 
-    Each memlet attached to a tasklet is propagated outward through the
-    tasklet's enclosing map scopes (innermost first, the paper's Fig. 7
-    derivation), multiplying its access count by every scope's iteration
-    volume; the symbolic totals are then evaluated under ``env`` and
-    scaled by the array element size.  Non-tasklet edges (the full-array
-    memlets decorating scope boundaries) are not movement — they restate
-    the same traffic one level out — and are skipped.
+    Each memlet attached to a tasklet moves its access count once per
+    iteration of its enclosing map scopes: the count is multiplied by
+    every scope's iteration volume, innermost first.  That is the count
+    the paper's Fig. 7 outward propagation
+    (:func:`~repro.sdfg.propagation.propagate_through_maps`) forms; no
+    propagated subset feeds it, so none is built.  The symbolic totals
+    are evaluated under ``env`` and scaled by the array element size.
+    Non-tasklet edges (the full-array memlets decorating scope
+    boundaries) are not movement — they restate the same traffic one
+    level out — and are skipped.
     """
-    hooks = list(hooks)
     volumes: Dict[str, Expr] = {}
     for st in sdfg.states:
         chains: Dict[Tasklet, list] = {}
@@ -118,21 +114,11 @@ def measure_movement(
                 continue
             if node not in chains:
                 chains[node] = st.scope_chain(node)
-            chain = chains[node]
-            desc = sdfg.arrays[mem.data]
-            if chain:
-                prop = propagate_through_maps(
-                    mem,
-                    [e.map for e in chain],
-                    array_shape=desc.shape,
-                    hooks=hooks,
-                )
-            else:
-                prop = mem
+            accesses = mem.accesses
+            for e in chains[node]:
+                accesses = accesses * e.map.range.num_elements()
             prev = volumes.get(mem.data)
-            volumes[mem.data] = (
-                prop.accesses if prev is None else prev + prop.accesses
-            )
+            volumes[mem.data] = accesses if prev is None else prev + accesses
     return {
         name: int(expr.evaluate(env)) * sdfg.arrays[name].dtype.itemsize
         for name, expr in volumes.items()
@@ -341,9 +327,6 @@ class Pipeline:
         Builds the initial SDFG the pipeline optimizes.
     initial:
         ``(stage_name, description)`` of the untransformed graph.
-    hooks:
-        :class:`~repro.sdfg.propagation.IndirectionHook` list (or factory
-        returning one) for the movement model's irregular accesses.
     make_inputs:
         ``(dims, seed) -> (arrays, tables)`` factory of random concrete
         inputs, used by :meth:`compile` for stage verification.
@@ -358,7 +341,6 @@ class Pipeline:
         passes: Sequence[Pass],
         graph_factory: Callable[[], SDFG],
         initial: Tuple[str, str] = ("initial", "initial dataflow"),
-        hooks: Any = (),
         make_inputs: Optional[Callable[..., tuple]] = None,
         reference: Optional[Callable[..., np.ndarray]] = None,
     ):
@@ -366,7 +348,6 @@ class Pipeline:
         self.passes: Tuple[Pass, ...] = tuple(passes)
         self.graph_factory = graph_factory
         self.initial = (str(initial[0]), str(initial[1]))
-        self._hooks = hooks
         self.make_inputs = make_inputs
         self.reference = reference
         self._cached_stages: Optional[List[Stage]] = None
@@ -396,10 +377,6 @@ class Pipeline:
             },
             "passes": [p.to_dict() for p in self.passes],
         }
-
-    def hooks(self) -> List[IndirectionHook]:
-        h = self._hooks() if callable(self._hooks) else self._hooks
-        return list(h)
 
     # -- application -----------------------------------------------------------
     def apply(self, sdfg: SDFG) -> Tuple[List[Stage], List[PassOutcome]]:
@@ -487,12 +464,11 @@ class Pipeline:
                 f"bindings {missing}; required: "
                 f"{list(self.required_symbols(stages))}"
             )
-        hooks = self.hooks()
         movements = tuple(
             StageMovement(
                 name=s.name,
                 description=s.description,
-                per_array=measure_movement(s.sdfg, dims, hooks),
+                per_array=measure_movement(s.sdfg, dims),
                 transient_bytes=_transient_bytes(s.sdfg, dims),
                 applied=s.applied,
             )

@@ -17,9 +17,14 @@ DimLike = Union[ExprLike, Tuple[ExprLike, ExprLike], Tuple[ExprLike, ExprLike, E
 
 
 class Range:
-    """An axis-aligned symbolic box with per-dimension strides."""
+    """An axis-aligned symbolic box with per-dimension strides.
 
-    __slots__ = ("dims",)
+    Ranges are immutable (transformations replace a range, they never
+    edit one), so copies share them and the element count and text are
+    computed once per range.
+    """
+
+    __slots__ = ("dims", "_num_elements", "_repr")
 
     def __init__(self, dims: Iterable[DimLike]):
         norm: List[Tuple[Expr, Expr, Expr]] = []
@@ -37,6 +42,11 @@ class Range:
                 s = 1
             norm.append((sympify(b), sympify(e), sympify(s)))
         self.dims = tuple(norm)
+        self._num_elements = None
+        self._repr = None
+
+    def __deepcopy__(self, memo) -> "Range":
+        return self
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -80,10 +90,12 @@ class Range:
 
     def num_elements(self) -> Expr:
         """Symbolic total number of elements."""
-        out: Expr = Integer(1)
-        for i in range(len(self.dims)):
-            out = Mul.make(out, self.dim_length(i))
-        return out
+        if self._num_elements is None:
+            out: Expr = Integer(1)
+            for i in range(len(self.dims)):
+                out = Mul.make(out, self.dim_length(i))
+            self._num_elements = out
+        return self._num_elements
 
     def is_point(self) -> bool:
         return all(b == e for b, e, _ in self.dims)
@@ -163,15 +175,17 @@ class Range:
         )
 
     def __repr__(self) -> str:
-        parts = []
-        for b, e, s in self.dims:
-            if b == e:
-                parts.append(repr(b))
-            elif s == Integer(1):
-                parts.append(f"{b!r}:{(e + 1)!r}")
-            else:
-                parts.append(f"{b!r}:{(e + 1)!r}:{s!r}")
-        return "[" + ", ".join(parts) + "]"
+        if self._repr is None:
+            parts = []
+            for b, e, s in self.dims:
+                if b == e:
+                    parts.append(repr(b))
+                elif s == Integer(1):
+                    parts.append(f"{b!r}:{(e + 1)!r}")
+                else:
+                    parts.append(f"{b!r}:{(e + 1)!r}:{s!r}")
+            self._repr = "[" + ", ".join(parts) + "]"
+        return self._repr
 
 
 class Indices:

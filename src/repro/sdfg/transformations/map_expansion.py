@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..graph import SDFG, SDFGState
-from ..memlet import Memlet
 from ..nodes import Map, MapEntry, MapExit
 from ..subsets import Range
 from .base import Site, Transformation, TransformationError
@@ -75,14 +74,9 @@ class MapExpansion(Transformation):
         for _, v, d in list(state.out_edges(entry)):
             state.graph.remove_edge(entry, v)
             state.add_edge(ientry, v, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
-            state.add_edge(entry, ientry, _copy(d.get("memlet")))
+            state.add_edge(entry, ientry, d.get("memlet"))
         for u, _, d in list(state.in_edges(exit_node)):
             state.graph.remove_edge(u, exit_node)
             state.add_edge(u, iexit, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
-            state.add_edge(iexit, exit_node, _copy(d.get("memlet")))
+            state.add_edge(iexit, exit_node, d.get("memlet"))
 
-
-def _copy(mem: Optional[Memlet]) -> Optional[Memlet]:
-    if mem is None:
-        return None
-    return Memlet(mem.data, mem.subset, accesses=mem.accesses, wcr=mem.wcr)

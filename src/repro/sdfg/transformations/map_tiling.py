@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..graph import SDFG, SDFGState
-from ..memlet import Memlet
 from ..nodes import Map, MapEntry, MapExit
 from ..subsets import Range
 from ..symbolic import ExprLike, Min, sympify
@@ -121,19 +120,14 @@ class MapTiling(Transformation):
         for u, _, d in list(state.in_edges(entry)):
             state.graph.remove_edge(u, entry)
             state.add_edge(u, oentry, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
-            state.add_edge(oentry, entry, _copy_memlet(d.get("memlet")))
+            state.add_edge(oentry, entry, d.get("memlet"))
         for _, v, d in list(state.out_edges(exit_node)):
             state.graph.remove_edge(exit_node, v)
             state.add_edge(oexit, v, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
-            state.add_edge(exit_node, oexit, _copy_memlet(d.get("memlet")))
+            state.add_edge(exit_node, oexit, d.get("memlet"))
         # Keep the scope connected even without data edges.
         if not list(state.in_edges(entry)):
             state.add_edge(oentry, entry, None)
         if not list(state.out_edges(exit_node)):
             state.add_edge(exit_node, oexit, None)
 
-
-def _copy_memlet(mem: Optional[Memlet]) -> Optional[Memlet]:
-    if mem is None:
-        return None
-    return Memlet(mem.data, mem.subset, accesses=mem.accesses, wcr=mem.wcr)

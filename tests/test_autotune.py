@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +31,69 @@ from repro.core.recipe import (
 )
 from repro.core.sse_sdfg import build_sse_sigma_sdfg
 from repro.model.performance import stage_flops
+from repro.sdfg import Tasklet, neighbor_indirection_hook, symbols
+from repro.sdfg.nodes import MapEntry
 from repro.sdfg.pipeline import measure_movement
+from repro.sdfg.propagation import propagate_through_maps
 
 _DIMS = dict(VERIFY_DIMS)
 _PAPER_DIMS = dict(
     Nkz=7, NE=706, Nqz=7, Nw=70, NA=4864, NB=34, Norb=12, N3D=3
 )
+#: the greedy search's committed trace at ``_DIMS``, written when the
+#: byte model still propagated every memlet's subset
+_TOY_TRACE = Path(__file__).parent / "data" / "sse_search_toy.json"
+
+
+def _propagated_bytes(sdfg, dims):
+    """The movement model by outward subset propagation (Fig. 7).
+
+    Every tasklet memlet goes through ``propagate_through_maps`` over its
+    scope chain, clamped to its array, with the recipe's neighbor hook;
+    the propagated access counts are summed per array.  Raises
+    ``NonAffineError`` on a non-affine or unhooked subset.
+    """
+    hook = neighbor_indirection_hook(*symbols("NA NB"))
+    volumes = {}
+    for st in sdfg.states:
+        for u, v, d in st.edges():
+            mem = d.get("memlet")
+            node = u if isinstance(u, Tasklet) else v
+            if mem is None or not isinstance(node, Tasklet):
+                continue
+            chain = st.scope_chain(node)
+            if chain:
+                mem = propagate_through_maps(
+                    mem,
+                    [e.map for e in chain],
+                    array_shape=sdfg.arrays[mem.data].shape,
+                    hooks=[hook],
+                )
+            prev = volumes.get(mem.data)
+            volumes[mem.data] = (
+                mem.accesses if prev is None else prev + mem.accesses
+            )
+    return {
+        name: int(expr.evaluate(dims)) * sdfg.arrays[name].dtype.itemsize
+        for name, expr in volumes.items()
+    }
+
+
+def _shared_values(sdfg):
+    """What candidate copies share: every edge memlet's fields and every
+    map's range, as plain values."""
+    out = []
+    for st in sdfg.states:
+        for _, _, d in st.edges():
+            mem = d.get("memlet")
+            if mem is not None:
+                out.append(
+                    (mem.data, mem.subset.dims, mem.accesses, mem.wcr)
+                )
+        out.extend(
+            n.map.range.dims for n in st.nodes if isinstance(n, MapEntry)
+        )
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +145,7 @@ class TestMoveSpace:
         for move in moves:
             nxt, _ = apply_move(sd, move, "t00", lib)
             nxt.validate()
-            assert sum(
-                measure_movement(nxt, _DIMS, SSE_PIPELINE.hooks()).values()
-            ) > 0
+            assert sum(measure_movement(nxt, _DIMS).values()) > 0
 
     def test_move_dict_round_trip(self):
         sd = build_sse_sigma_sdfg()
@@ -103,10 +159,10 @@ class TestMoveSpace:
     def test_random_walks_stay_legal(self, data):
         # Property: every move the space emits is legal from the state
         # it was enumerated at — applying it succeeds, the rewritten
-        # graph validates, and the byte model can still score it.
+        # graph validates, its subsets still propagate (affine or
+        # hooked), and the byte model scores it as propagation would.
         lib = sse_move_library()
         sd = build_sse_sigma_sdfg()
-        hooks = SSE_PIPELINE.hooks()
         for depth in range(3):
             moves = enumerate_moves(sd, sd.states[0], lib)
             if not moves:
@@ -114,7 +170,55 @@ class TestMoveSpace:
             move = data.draw(st.sampled_from(moves), label=f"move{depth}")
             sd, _ = apply_move(sd, move, f"w{depth:02d}", lib)
             sd.validate()
-            assert sum(measure_movement(sd, _DIMS, hooks).values()) > 0
+            moved = measure_movement(sd, _DIMS)
+            assert moved == _propagated_bytes(sd, _DIMS)
+            assert sum(moved.values()) > 0
+
+    @pytest.mark.parametrize(
+        "dims", [_DIMS, _PAPER_DIMS], ids=["toy", "paper"]
+    )
+    def test_access_counts_equal_propagated_model(self, dims):
+        # Scoring by scope-volume products is the propagated model's
+        # access count, integer for integer, on every recipe stage.
+        for stage in SSE_PIPELINE.stages():
+            assert measure_movement(stage.sdfg, dims) == _propagated_bytes(
+                stage.sdfg, dims
+            ), stage.name
+
+    def test_candidates_leave_their_parent_untouched(self):
+        # Candidate graphs share Memlet and Range objects with their
+        # parent: a pass that edited one in place would change the
+        # parent.  The base state and three states of the greedy path
+        # (depths 1, 3, 9) offer every move kind between them.
+        lib = sse_move_library()
+        sd = SSE_SEARCH_BASE.graph_factory()
+        steps = json.loads(_TOY_TRACE.read_text())["steps"]
+        kinds = set()
+        depth = 0
+        for target in (0, 1, 3, 9):
+            for step in steps[depth:target]:
+                sd, _ = apply_move(
+                    sd, move_from_dict(step), step["stage"], lib
+                )
+            depth = target
+            before = (
+                state_signature(sd),
+                measure_movement(sd, _DIMS),
+                _shared_values(sd),
+            )
+            for move in enumerate_moves(sd, sd.states[0], lib):
+                apply_move(sd, move, "alias", lib)
+                kinds.add(move.kind)
+                after = (
+                    state_signature(sd),
+                    measure_movement(sd, _DIMS),
+                    _shared_values(sd),
+                )
+                assert after == before, (depth, move.describe())
+        assert kinds == {
+            "fission", "redundancy", "layout", "batch", "expand", "fuse",
+            "shrink",
+        }
 
 
 # -- search -------------------------------------------------------------------
@@ -147,6 +251,12 @@ class TestSearch:
         # fig8 plus one entry per committed move, all within tolerance.
         assert len(v) == len(greedy_result.moves) + 1
         assert all(err <= 1e-10 for err in v.values())
+
+    def test_search_is_pinned(self, greedy_result):
+        # Every step's move, score and signature and the evaluation
+        # count match the committed trace of the propagated-subset model.
+        pinned = json.loads(_TOY_TRACE.read_text())
+        assert greedy_result.trace.to_dict() == pinned
 
     def test_search_is_deterministic(self, greedy_result, traced_search):
         again, _ = traced_search

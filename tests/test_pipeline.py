@@ -285,7 +285,7 @@ class TestMovement:
 
     def test_measure_movement_initial_graph(self):
         sd = build_sse_sigma_sdfg()
-        moved = measure_movement(sd, _DIMS, SSE_PIPELINE.hooks())
+        moved = measure_movement(sd, _DIMS)
         # Every container of the Fig. 8 kernel is moved.
         assert set(moved) == {"G", "dH", "D", "Sigma", "dHG", "dHD"}
         n_iters = (
