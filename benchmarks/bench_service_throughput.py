@@ -1,34 +1,47 @@
-"""Scheduler throughput: shared executors vs isolated per-tenant runs.
+"""Scheduler throughput: one shared Session vs isolated per-tenant runs.
 
 Six tenants submit single-point ballistic workloads of the same device
 on the same spectral grid — the classic multi-tenant pattern where every
 job is structurally identical but physically distinct (different bias),
-plus one exact duplicate.  The batch runs twice:
+plus one exact duplicate.  The batch runs three ways:
 
 * ``scheduler`` — one :class:`repro.service.SchedulerService` drain:
-  jobs are planned, executed on the service's one executor set against
-  a common warm boundary cache (one structural group), and the
-  duplicate is served from the content-addressed result cache;
+  jobs are planned, executed as ``session.run(job.plan)`` on the
+  service's one :class:`repro.api.Session` against a common warm
+  boundary cache (one structural group), and the duplicate is served
+  from the content-addressed result cache;
 * ``isolated``  — one :class:`repro.api.Session` per workload, the
-  pre-service pattern: every tenant pays the full boundary bill.
+  pre-service pattern: every tenant pays the full boundary bill;
+* ``merged_session`` — the six distinct biases as one ``bias`` sweep
+  through one :class:`repro.api.Session`, no service.
 
-Asserts the ISSUE 7 acceptance criteria: identical currents to ≤ 1e-10
-while the scheduler performs strictly fewer boundary solves in strictly
-less wall time.  Emits ``BENCH_service.json`` next to this file;
+Asserts identical currents to ≤ 1e-10 while the scheduler performs
+strictly fewer boundary solves in strictly less wall time than the
+isolated sessions, and that the merged Session makes exactly the
+scheduler's boundary solves with exactly its currents: what the service
+adds is the queue and the cache hit, not solve sharing.  Emits
+``BENCH_service.json`` next to this file;
 ``REPRO_BENCH_FAST=1`` (the CI smoke mode) runs the same comparison and
 assertions on a smaller grid and leaves the committed record untouched.
 """
 
-import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.analysis import render_table
 from repro.analysis.report import report
-from repro.api import DeviceSpec, GridSpec, PhysicsSpec, Session, Workload
+from repro.api import (
+    DeviceSpec,
+    GridSpec,
+    PhysicsSpec,
+    Session,
+    SweepAxis,
+    Workload,
+)
 from repro.service import ResultCache, SchedulerService
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
@@ -100,10 +113,35 @@ def _run_isolated(batch) -> dict:
     }
 
 
+def _run_merged_session(biases) -> dict:
+    """The distinct biases as one ``bias`` sweep through one Session."""
+    start = time.perf_counter()
+    workload = replace(
+        _workload("merged", 0.0), sweeps=(SweepAxis("bias", biases),)
+    )
+    with Session(workload.compile(engine="batched")) as session:
+        sweep = session.run()
+    return {
+        "seconds": time.perf_counter() - start,
+        "currents": list(sweep.currents_left),
+        "boundary_solves": sweep.boundary_solves,
+    }
+
+
 def run_throughput_comparison() -> dict:
     batch = [(t, _workload(t, b)) for t, b in TENANT_BIASES]
     scheduler = _run_scheduler(batch)
     isolated = _run_isolated(batch)
+    # the scheduler's current of each distinct bias, in submission order
+    by_bias = {}
+    for (_, bias), current in zip(TENANT_BIASES, scheduler["currents"]):
+        by_bias.setdefault(bias, current)
+    merged = _run_merged_session(tuple(by_bias))
+    merged_dev = float(
+        np.abs(
+            np.asarray(merged["currents"]) - np.asarray(list(by_bias.values()))
+        ).max()
+    )
     dev = float(
         np.abs(
             np.asarray(scheduler["currents"])
@@ -117,7 +155,11 @@ def run_throughput_comparison() -> dict:
             k: v for k, v in scheduler.items() if k != "currents"
         },
         "isolated": {k: v for k, v in isolated.items() if k != "currents"},
+        "merged_session": {
+            k: v for k, v in merged.items() if k != "currents"
+        },
         "max_current_deviation": dev,
+        "merged_max_current_deviation": merged_dev,
         "speedup": isolated["seconds"] / scheduler["seconds"],
         "solve_reduction": (
             isolated["boundary_solves"] / scheduler["boundary_solves"]
@@ -137,12 +179,12 @@ def test_service_throughput(benchmark, bench_writer):
             f"{record[label]['seconds']:.3f}",
             str(record[label]["boundary_solves"]),
         ]
-        for label in ("scheduler", "isolated")
+        for label in ("scheduler", "isolated", "merged_session")
     ]
     report(
         render_table(
-            f"Scheduler ({len(TENANT_BIASES)} mixed-tenant jobs, shared "
-            "executors) vs isolated sessions",
+            f"Scheduler ({len(TENANT_BIASES)} mixed-tenant jobs, one shared "
+            "Session) vs isolated sessions vs one merged bias sweep",
             ["path", "seconds", "boundary solves"],
             rows,
         )
@@ -168,3 +210,11 @@ def test_service_throughput(benchmark, bench_writer):
     # the duplicate tenant resolved from the result cache
     assert record["scheduler"]["cache_hits"] >= 1
     assert record["scheduler"]["jobs"].get("CACHED", 0) == 1
+    # what the service does not add: one Session running the distinct
+    # biases as one sweep pays the same boundary bill, to the bit
+    assert (
+        record["merged_session"]["boundary_solves"]
+        == record["scheduler"]["boundary_solves"]
+        == per_run
+    )
+    assert record["merged_max_current_deviation"] == 0.0

@@ -33,8 +33,9 @@ Packages
     scenario presets) — the canonical entry point for every scenario.
 ``repro.service``
     The multi-tenant scheduler above the facade: a priority job queue and
-    a content-addressed result cache in front of one executor set that
-    keeps each structural group's simulation warm across tenants.
+    a content-addressed result cache in front of one long-lived
+    ``Session`` that keeps each structural group's simulation warm
+    across tenants.
 ``repro.analysis``
     Experiment drivers that regenerate every table/figure of the paper.
 """

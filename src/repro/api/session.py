@@ -1,30 +1,32 @@
-"""Session: context-managed execution of a compiled plan.
+"""Session: context-managed execution of compiled plans.
 
-A :class:`Session` owns every expensive, sweep-invariant resource of a
-planned workload and reuses it across sweep points:
+A :class:`Session` owns every expensive, sweep-invariant resource of the
+plans it runs and reuses it across sweep points — and across plans:
 
-* the :class:`~repro.negf.HamiltonianModel` (synthetic DFT operators)
-  is built once per session;
-* each :class:`~repro.api.PlanGroup` gets one
-  :class:`~repro.negf.SCBASimulation` — hence one
+* one :class:`~repro.negf.HamiltonianModel` (synthetic DFT operators)
+  per :class:`~repro.api.DeviceSpec`, built once;
+* one :class:`~repro.negf.SCBASimulation` per *structural key* — the
+  device plus the :attr:`~repro.api.PlanGroup.key` — hence one
   :class:`~repro.negf.SpectralGrid` (with its memoized H(kz)/S(kz)/Φ(qz)
   operator blocks), one execution engine, one
   :class:`~repro.negf.BoundaryCache`, and — for a distributed runtime —
-  one set of resident rank workers, shared by every point of the group,
+  one set of resident rank workers, shared by every point routed to it,
   because bias, temperature, and gate never touch the grid, the
   operators, or the lead self-energies;
 * the rank processes of ``runtime="pipe"`` are shut down
   deterministically on ``close()`` / ``with``-exit instead of relying on
   GC/atexit.
 
-One sweep point is executed by :func:`execute_point` — for a session and
-for the scheduler service's shared executors alike.  Results come back as
-structured :class:`RunResult`/:class:`SweepResult` objects with JSON
+``Session(plan).run()`` runs the plan the session was opened with;
+``run(other_plan)`` runs a further plan on the same resident
+simulations wherever its structural keys match — how the scheduler
+service shares warm executors across tenants' jobs.  Results come back
+as structured :class:`RunResult`/:class:`SweepResult` objects with JSON
 export built on :meth:`repro.negf.SCBAResult.to_dict`.  Under
 ``REPRO_TELEMETRY=spans`` a sweep also carries the spans of its own
-:meth:`Session.run` (:attr:`SweepResult.telemetry`); the counts live on
-the results themselves (``RunResult.iterations``/``.comm``,
-``SweepResult.reuse``).
+:meth:`Session.run` (:attr:`SweepResult.telemetry`), wherever the run is
+called from; the counts live on the results themselves
+(``RunResult.iterations``/``.comm``, ``SweepResult.reuse``).
 """
 
 from __future__ import annotations
@@ -32,23 +34,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..negf.scba import SCBAResult, SCBASettings, SCBASimulation
-from ..telemetry.spans import get_tracer, spans_enabled, trace
+from ..telemetry.spans import get_tracer, trace
 from ..telemetry.timing import timeit
 from .plan import Plan, PlanGroup
-from .workload import Workload
+from .workload import DeviceSpec, Workload
 
-__all__ = [
-    "Session",
-    "RunResult",
-    "SweepResult",
-    "execute_point",
-    "sum_reuse_counters",
-]
+__all__ = ["Session", "RunResult", "SweepResult"]
 
 
 @dataclass
@@ -160,8 +156,8 @@ class SweepResult:
     service: Optional[Dict[str, Any]] = None
     #: the spans of this :meth:`Session.run` ({"mode", "trace"},
     #: :func:`repro.telemetry.telemetry_snapshot`): its ``session.run``
-    #: root plus the rank tracks merged during it; None when
-    #: REPRO_TELEMETRY is off
+    #: subtree plus the rank tracks merged during it, also when the run
+    #: is nested in an enclosing span; None when REPRO_TELEMETRY is off
     telemetry: Optional[Dict[str, Any]] = None
 
     def __len__(self) -> int:
@@ -239,58 +235,15 @@ class SweepResult:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def execute_point(
-    sim: SCBASimulation,
-    group: PlanGroup,
-    j: int,
-    *,
-    ballistic: bool,
-    keep_arrays: bool,
-    span_name: str,
-    **span_attrs,
-) -> RunResult:
-    """Run the ``j``-th point of ``group`` on the group's simulation.
-
-    The point's full settings are applied to the (shared, resident)
-    simulation first — only non-structural fields differ between the
-    points routed to one simulation, so its grid, operators and boundary
-    cache stay valid.  The run is timed inside a ``span_name`` span.
-    """
-    index, coords, _overrides = group.points[j]
-    for k, v in group.point_settings(j).items():
-        setattr(sim.s, k, v)
-    with trace(span_name, index=index, **span_attrs):
-        timing = timeit(lambda: sim.run(ballistic=ballistic), repeats=1)
-    comm = None
-    if sim.last_comm:
-        comm = {
-            phase: stats.to_dict() for phase, stats in sim.last_comm.items()
-        }
-    return RunResult.from_scba(
-        index, coords, timing.result, timing.best, keep_arrays=keep_arrays,
-        comm=comm, rgf_kernel=sim.engine.kernel.name,
-    )
-
-
-def sum_reuse_counters(sims: Iterable[SCBASimulation]) -> Dict[str, int]:
-    """``boundary_{el,ph}_{solves,hits}`` and ``assemblies_{H,S,Phi}``
-    summed over ``sims``."""
-    out: Dict[str, int] = {}
-    for sim in sims:
-        for key, value in sim.boundary_counters().items():
-            key = key if key.startswith("assemblies_") else f"boundary_{key}"
-            out[key] = out.get(key, 0) + value
-    return out
-
-
 class Session:
-    """Run a compiled plan, reusing sweep-invariant state across points.
+    """Run compiled plans, reusing sweep-invariant state across points.
 
     Usage::
 
         plan = scenario("finfet_iv").compile()
         with Session(plan) as session:
             sweep = session.run()
+            other = session.run(plan_on_the_same_grid)  # warm caches
 
     The context manager guarantees the rank processes of a
     ``runtime="pipe"`` plan are shut down on exit.
@@ -299,14 +252,19 @@ class Session:
 
     def __init__(self, plan: Plan):
         self.plan = plan
-        self._model = None
-        self._sims: Dict[int, SCBASimulation] = {}
+        self._models: Dict[DeviceSpec, Any] = {}
+        #: resident simulations by structural key: (device, PlanGroup.key)
+        self._sims: Dict[Tuple[DeviceSpec, Tuple], SCBASimulation] = {}
         self._closed = False
         self._final_counters: Optional[Dict[str, int]] = None
 
     @classmethod
     def from_workload(cls, workload: Workload, **compile_kwargs) -> "Session":
         return cls(workload.compile(**compile_kwargs))
+
+    def __len__(self) -> int:
+        """Number of resident simulations (one per structural group)."""
+        return len(self._sims)
 
     # -- lifetime -----------------------------------------------------------------
     def __enter__(self) -> "Session":
@@ -333,79 +291,134 @@ class Session:
     # -- lazily-built shared state -------------------------------------------------
     @property
     def model(self):
-        """The session-wide Hamiltonian model (built on first access)."""
-        if self._model is None:
-            self._model = self.plan.workload.device.build()
-        return self._model
+        """The Hamiltonian model of the opening plan's device (built on
+        first access)."""
+        return self._model(self.plan.workload.device)
+
+    def _model(self, device: DeviceSpec):
+        if device not in self._models:
+            self._models[device] = device.build()
+        return self._models[device]
 
     def simulation(self, group_index: int) -> SCBASimulation:
-        """The (cached) simulation executing one plan group."""
+        """The (cached) simulation executing one group of the opening plan."""
+        return self._simulation(
+            self.plan.workload.device, self.plan.groups[group_index]
+        )
+
+    def _simulation(
+        self, device: DeviceSpec, group: PlanGroup
+    ) -> SCBASimulation:
+        """The resident simulation of ``group``'s structural key, built once.
+
+        Everything not in the key is applied per point by
+        :meth:`_execute_point`, so every plan whose group has this key
+        shares the simulation's operators and boundary cache.
+        """
         if self._closed:
             raise RuntimeError("session is closed")
-        if group_index not in self._sims:
-            group = self.plan.groups[group_index]
-            self._sims[group_index] = SCBASimulation(
-                self.model, SCBASettings(**group.base_settings)
+        key = (device, group.key)
+        if key not in self._sims:
+            self._sims[key] = SCBASimulation(
+                self._model(device), SCBASettings(**group.base_settings)
             )
-        return self._sims[group_index]
+        return self._sims[key]
 
     # -- execution -----------------------------------------------------------------
-    def run(self, progress=None, keep_arrays: bool = True) -> SweepResult:
-        """Execute every sweep point of the plan, in sweep order.
+    def run(
+        self, plan: Optional[Plan] = None, progress=None,
+        keep_arrays: bool = True,
+    ) -> SweepResult:
+        """Execute every sweep point of a plan, in sweep order.
 
-        ``progress`` is an optional callable receiving each
-        :class:`RunResult` as it completes.  ``keep_arrays=False`` drops
-        each point's full tensor set once its scalar observables are
-        extracted — sweep memory then stays O(1) in the number of points
-        instead of pinning every ``SCBAResult`` until the sweep ends.
-        Numerical results are identical (≤ 1e-10, pinned by
-        ``tests/test_api.py``) to running each point through a fresh
-        ``SCBASimulation`` — the session only removes re-computation of
-        sweep-invariant state.  The result's ``reuse`` counts this run
-        only; :meth:`reuse_counters` keeps the session's lifetime totals.
+        ``plan`` defaults to the plan the session was opened with; any
+        further plan runs on the same resident simulations wherever its
+        groups' structural keys (device + :attr:`PlanGroup.key`) match
+        one the session already holds, so its points hit the warm
+        boundary cache and assembled operators.  ``progress`` is an
+        optional callable receiving each :class:`RunResult` as it
+        completes.  ``keep_arrays=False`` drops each point's full tensor
+        set once its scalar observables are extracted — sweep memory
+        then stays O(1) in the number of points instead of pinning every
+        ``SCBAResult`` until the sweep ends.  Numerical results are
+        identical (≤ 1e-10, pinned by ``tests/test_api.py``) to running
+        each point through a fresh ``SCBASimulation`` — the session only
+        removes re-computation of sweep-invariant state.  The result's
+        ``reuse`` counts this run only; :meth:`reuse_counters` keeps the
+        session's lifetime totals.
         """
+        plan = self.plan if plan is None else plan
+        device = plan.workload.device
         runs: List[RunResult] = []
-        n_points = sum(len(g.points) for g in self.plan.groups)
-        first_root = len(get_tracer().roots())
+        n_points = sum(len(g.points) for g in plan.groups)
+        tracer = get_tracer()
+        first_root = len(tracer.roots())
         before = self.reuse_counters()
-        with trace("session.run", points=n_points, engine=self.plan.engine):
-            for gi, group in enumerate(self.plan.groups):
+        with trace("session.run", points=n_points, engine=plan.engine) as span:
+            for group in plan.groups:
+                sim = self._simulation(device, group)
                 for j in range(len(group.points)):
-                    rr = self._execute_point(gi, j, keep_arrays)
+                    rr = self._execute_point(
+                        sim, group, j, plan.ballistic, keep_arrays
+                    )
                     runs.append(rr)
                     if progress is not None:
                         progress(rr)
+            # roots completed during this run (merged rank tracks); the
+            # run's own span is still open, so it is not among them
+            merged = tracer.roots()[first_root:]
         runs.sort(key=lambda r: r.index)
         telemetry = None
-        if spans_enabled():
+        if span is not None:
             from ..telemetry.export import telemetry_snapshot
 
-            telemetry = telemetry_snapshot(since=first_root)
+            telemetry = telemetry_snapshot(merged + [("main", span.to_dict())])
         after = self.reuse_counters()
         return SweepResult(
-            workload=self.plan.workload.to_dict(),
+            workload=plan.workload.to_dict(),
             runs=runs,
             reuse={k: v - before.get(k, 0) for k, v in after.items()},
-            engine=self.plan.engine,
+            engine=plan.engine,
             telemetry=telemetry,
         )
 
     def run_point(self, index: int, keep_arrays: bool = True) -> RunResult:
-        """Execute a single sweep point by its linear index."""
+        """Execute a single sweep point of the opening plan by its linear
+        index."""
         for gi, group in enumerate(self.plan.groups):
             for j, (idx, _coords, _ov) in enumerate(group.points):
                 if idx == index:
-                    return self._execute_point(gi, j, keep_arrays)
+                    return self._execute_point(
+                        self.simulation(gi), group, j, self.plan.ballistic,
+                        keep_arrays,
+                    )
         raise IndexError(f"no sweep point with index {index}")
 
     def _execute_point(
-        self, group_index: int, j: int, keep_arrays: bool
+        self, sim: SCBASimulation, group: PlanGroup, j: int,
+        ballistic: bool, keep_arrays: bool,
     ) -> RunResult:
-        group = self.plan.groups[group_index]
-        return execute_point(
-            self.simulation(group_index), group, j,
-            ballistic=self.plan.ballistic, keep_arrays=keep_arrays,
-            span_name="session.point", **group.points[j][1],
+        """Run the ``j``-th point of ``group`` on its resident simulation.
+
+        The point's full settings are applied to the simulation first —
+        only non-structural fields differ between the points routed to
+        one simulation, so its grid, operators and boundary cache stay
+        valid.  The run is timed inside a ``session.point`` span.
+        """
+        index, coords, _overrides = group.points[j]
+        for k, v in group.point_settings(j).items():
+            setattr(sim.s, k, v)
+        with trace("session.point", index=index, **coords):
+            timing = timeit(lambda: sim.run(ballistic=ballistic), repeats=1)
+        comm = None
+        if sim.last_comm:
+            comm = {
+                phase: stats.to_dict()
+                for phase, stats in sim.last_comm.items()
+            }
+        return RunResult.from_scba(
+            index, coords, timing.result, timing.best, keep_arrays=keep_arrays,
+            comm=comm, rgf_kernel=sim.engine.kernel.name,
         )
 
     # -- verification --------------------------------------------------------------
@@ -490,4 +503,10 @@ class Session:
         """
         if self._final_counters is not None:
             return dict(self._final_counters)
-        return sum_reuse_counters(self._sims.values())
+        out: Dict[str, int] = {}
+        for sim in self._sims.values():
+            for key, value in sim.boundary_counters().items():
+                if not key.startswith("assemblies_"):
+                    key = f"boundary_{key}"
+                out[key] = out.get(key, 0) + value
+        return out

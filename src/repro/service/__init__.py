@@ -1,8 +1,10 @@
-"""Multi-tenant scheduler service: a queue and a cache in front of one executor set.
+"""Multi-tenant scheduler service: a queue and a cache in front of one Session.
 
-One :class:`~repro.api.Session` owns its engine and ranks end to end;
-this package is the layer above, where many tenants' workloads queue,
-share one set of warm executors, and reuse each other's results:
+One :class:`~repro.api.Session` owns the engines, boundary caches and
+ranks, one per structural group, for every plan it runs; this package is
+the layer above, where many tenants' workloads queue, run through one
+long-lived Session (so a group's boundary bill is paid once, across
+tenants), and reuse each other's results:
 
 ``jobs``
     :class:`Job` — a :class:`~repro.api.Workload` with tenant, priority,
@@ -12,11 +14,6 @@ share one set of warm executors, and reuse each other's results:
     :class:`ResultCache` — content-addressed results keyed by
     :meth:`Workload.cache_key` (sha256 of canonical JSON); in-memory LRU
     plus an optional on-disk tier.  Repeat traffic never touches a rank.
-``pool``
-    :class:`RankPool` — the one executor set: one engine + boundary
-    cache + assembled operators per structural group
-    (:func:`structural_key`), kept warm *across tenants*, so a group's
-    boundary bill is paid once.
 ``scheduler``
     :class:`SchedulerService` — ``submit``/``wait``/``drain``/``stats``,
     deterministic ``sync`` mode plus a threaded worker, per-job metrics.
@@ -38,7 +35,6 @@ disables).
 
 from .cache import ResultCache
 from .jobs import JOB_STATES, TERMINAL_STATES, Job, JobError, JobRecord
-from .pool import RankPool, structural_key
 from .scheduler import SchedulerError, SchedulerService
 
 __all__ = [
@@ -48,8 +44,6 @@ __all__ = [
     "JobError",
     "JobRecord",
     "ResultCache",
-    "RankPool",
-    "structural_key",
     "SchedulerError",
     "SchedulerService",
 ]

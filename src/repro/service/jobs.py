@@ -10,8 +10,8 @@ deadline hint — and an explicit state machine::
 
 ``PLANNING`` is the compile step (:func:`repro.api.compile_workload`
 validates and prices the job), ``ADMITTED`` means planned, cache-missed
-and queued for execution in this batch on the service's one executor set
-(:class:`~repro.service.RankPool`), and ``CACHED`` is the short-circuit
+and queued for execution in this batch on the service's one
+:class:`~repro.api.Session`, and ``CACHED`` is the short-circuit
 taken when the content-addressed result cache already holds the
 workload's :class:`~repro.api.SweepResult` — a cached job never touches a
 rank.  Every transition is validated (illegal moves raise

@@ -1,9 +1,9 @@
 """SchedulerService: the multi-tenant front door of the repository.
 
-The service is a queue and a result cache in front of one executor set
-(:class:`~repro.service.RankPool`).  ``submit()`` queues a
-:class:`~repro.service.Job`; processing a batch then walks each job
-through the lifecycle:
+The service is a queue and a result cache in front of one long-lived
+:class:`~repro.api.Session`, opened on the first executed job's plan.
+``submit()`` queues a :class:`~repro.service.Job`; processing a batch
+then walks each job through the lifecycle:
 
 1. **PLANNING** — ``workload.compile()`` validates against Table 1 and
    prices the job (Table-3 flops, :attr:`repro.api.PlanCost.total_flops`).
@@ -13,11 +13,11 @@ through the lifecycle:
    batch.
 3. **RUNNING → DONE** — admitted jobs execute in strict priority order
    (priority desc, deadline asc, submit order asc — priority inversion
-   is structurally impossible within a batch) on the one resident
-   executor set, where every job of a structural group shares one warm
-   simulation; results enter the cache, and a duplicate admitted in the
-   same batch resolves from the cache at this point with zero additional
-   boundary solves.
+   is structurally impossible within a batch) as
+   ``session.run(job.plan)``, so every job of a structural group shares
+   the session's one warm simulation; results enter the cache, and a
+   duplicate admitted in the same batch resolves from the cache at this
+   point with zero additional boundary solves.
 
 Two modes (the ``mode`` argument): ``sync`` — jobs run inside explicit
 :meth:`drain` calls (or a :meth:`wait` that triggers one); fully
@@ -32,7 +32,8 @@ executed, measured boundary solves and hits) live on
 :attr:`~repro.api.SweepResult.service` block, and aggregate in
 :meth:`stats` — the one home of the service's job counts.  Under
 ``REPRO_TELEMETRY=spans`` a job additionally records its
-``service.plan``/``service.execute``/``service.point`` spans.
+``service.plan``/``service.execute`` spans, the latter holding the
+job's ``session.run`` with one ``session.point`` per sweep point.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Union
 
 from ..api import PlanError, Workload, WorkloadError
-from ..api.session import SweepResult
+from ..api.session import Session, SweepResult
 from ..config import SERVICE_MODES
 from ..telemetry.spans import trace
 from .cache import ResultCache
 from .jobs import Job
-from .pool import RankPool
 
 __all__ = ["SchedulerError", "SchedulerService"]
 
@@ -85,7 +85,8 @@ class SchedulerService:
         #: bounded recent-window queue-latency samples + lifetime count
         self._latencies: deque = deque(maxlen=LATENCY_RESERVOIR)
         self._latency_count = 0
-        self._pool = RankPool()
+        #: the one executor holder, opened on the first executed job
+        self._session: Optional[Session] = None
         self._exec_counter = 0
         self._cond = threading.Condition()
         self._stop = False
@@ -235,10 +236,16 @@ class SchedulerService:
         job.metrics["exec_order"] = self._exec_counter
         with trace("service.execute", job_id=job.job_id, tenant=job.tenant):
             try:
-                result = self._pool.execute(job, keep_arrays=self.keep_arrays)
+                if self._session is None:
+                    self._session = Session(job.plan)
+                result = self._session.run(
+                    job.plan, keep_arrays=self.keep_arrays
+                )
             except Exception as exc:  # surface, don't kill the batch
                 job.fail(f"execution failed: {exc}")
                 return
+        job.metrics["boundary_solves"] = result.boundary_solves
+        job.metrics["boundary_hits"] = result.boundary_hits
         job.metrics["flops_executed"] = job.plan.cost.total_flops
         job.metrics["queue_latency_s"] = job.queue_latency_s
         self._record_latency(job.queue_latency_s)
@@ -339,7 +346,7 @@ class SchedulerService:
             "flops_executed": executed,
             "boundary_solves": solves,
             "boundary_hits": hits,
-            "groups": len(self._pool),
+            "groups": 0 if self._session is None else len(self._session),
             "mean_queue_latency_s": (
                 sum(latencies) / len(latencies) if latencies else None
             ),
@@ -353,7 +360,7 @@ class SchedulerService:
 
     # -- lifetime -----------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker (thread mode) and shut the executors down."""
+        """Stop the worker (thread mode) and close the session."""
         if self._closed:
             return
         with self._cond:
@@ -361,7 +368,8 @@ class SchedulerService:
             self._cond.notify_all()
         if self._worker is not None:
             self._worker.join(timeout=30)
-        self._pool.close()
+        if self._session is not None:
+            self._session.close()
         self._closed = True
 
     def __enter__(self) -> "SchedulerService":

@@ -78,17 +78,19 @@ def _earliest_start(roots) -> int:
 
 
 def chrome_trace_events(
-    tracer: Optional[_spans.Tracer] = None, since: int = 0
+    tracer: Optional[_spans.Tracer] = None,
 ) -> List[Dict[str, Any]]:
-    """Flatten completed spans into a Chrome trace-event array.
+    """Flatten a tracer's completed spans into a Chrome trace-event array."""
+    return _trace_events((tracer or _spans.get_tracer()).roots())
+
+
+def _trace_events(roots) -> List[Dict[str, Any]]:
+    """Chrome trace events of ``(track, root span dict)`` pairs.
 
     Timestamps are microseconds relative to the earliest recorded span;
     tracks share the monotonic clock, so merged rank spans line up with
-    the driver's phases.  ``since`` skips the roots completed before a
-    mark taken as ``len(tracer.roots())``.
+    the driver's phases.
     """
-    tracer = tracer or _spans.get_tracer()
-    roots = tracer.roots()[since:]
     t0_ns = _earliest_start(roots)
 
     events: List[Dict[str, Any]] = []
@@ -134,11 +136,8 @@ def save_trace(path, tracer: Optional[_spans.Tracer] = None) -> None:
         fh.write(trace_json(tracer))
 
 
-def telemetry_snapshot(
-    tracer: Optional[_spans.Tracer] = None, since: int = 0
-) -> Dict[str, Any]:
-    """The JSON-serializable bundle carried by ``SweepResult.telemetry``."""
-    return {
-        "mode": _spans.mode(),
-        "trace": chrome_trace_events(tracer, since),
-    }
+def telemetry_snapshot(roots) -> Dict[str, Any]:
+    """The JSON-serializable bundle carried by ``SweepResult.telemetry``:
+    the active mode and the trace events of ``roots``, a list of
+    ``(track, root span dict)`` pairs."""
+    return {"mode": _spans.mode(), "trace": _trace_events(roots)}

@@ -18,11 +18,9 @@ from repro.config import SERVICE_MODES
 from repro.service import (
     Job,
     JobError,
-    RankPool,
     ResultCache,
     SchedulerError,
     SchedulerService,
-    structural_key,
 )
 
 
@@ -151,49 +149,104 @@ class TestResultCache:
             ResultCache(max_entries=-1)
 
 
-# -- the executor set -----------------------------------------------------------
+# -- the executor holder: one Session across plans ----------------------------
 
 
-class TestRankPool:
-    def test_structural_key_separates_grids_not_bias(self):
+def resident_groups(*plans):
+    """Resident simulations after running every plan through one Session."""
+    with Session(plans[0]) as session:
+        for plan in plans:
+            session.run(plan)
+        return len(session)
+
+
+class TestSharedSession:
+    def test_separates_grids_not_bias(self):
         w1 = small_workload(bias=0.1)
         w2 = small_workload(bias=0.5)
         w3 = small_workload(NE=12)
-        keys = []
-        for w in (w1, w2, w3):
-            plan = w.compile(engine="batched")
-            keys.append(structural_key(w.device, plan.groups[0]))
-        assert keys[0] == keys[1] and keys[0] != keys[2]
+        plans = [w.compile(engine="batched") for w in (w1, w2, w3)]
+        assert resident_groups(plans[0], plans[1]) == 1
+        assert resident_groups(*plans) == 2
 
-    def test_structural_key_separates_execution_choices(self):
+    def test_separates_execution_choices(self):
         w = small_workload(transport="scba")
 
-        def key(workload, **compile_kwargs):
-            plan = workload.compile(**compile_kwargs)
-            return structural_key(workload.device, plan.groups[0])
+        def groups(*compile_kwargs):
+            return resident_groups(*(w.compile(**kw) for kw in compile_kwargs))
 
-        assert key(w, engine="serial") != key(w, engine="batched")
-        assert key(w, runtime="serial") != key(w, runtime="sim", ranks=2)
+        assert groups({"engine": "serial"}, {"engine": "batched"}) == 2
+        sim2 = {"runtime": "sim", "ranks": 2}
+        assert groups({"runtime": "serial"}, sim2) == 2
         # bias still merges under every execution choice
-        for kw in ({"engine": "serial"}, {"runtime": "sim", "ranks": 2}):
-            assert key(small_workload(bias=0.1), **kw) == key(
-                small_workload(bias=0.5), **kw
-            )
+        for kw in ({"engine": "serial"}, sim2):
+            assert resident_groups(
+                small_workload(bias=0.1).compile(**kw),
+                small_workload(bias=0.5).compile(**kw),
+            ) == 1
 
-    def test_shared_group_reuses_boundary_cache(self):
+    def test_second_plan_reuses_boundary_cache(self):
         a, b = small_workload("a", bias=0.1), small_workload("b", bias=0.5)
-        with RankPool() as pool:
-            jobs = []
-            for w in (a, b):
-                job = Job(workload=w)
-                job.plan = w.compile(engine="batched")
-                jobs.append(job)
-            pool.execute(jobs[0])
-            pool.execute(jobs[1])
-            assert len(pool) == 1
-        assert jobs[0].metrics["boundary_solves"] > 0
-        assert jobs[1].metrics["boundary_solves"] == 0
-        assert jobs[1].metrics["boundary_hits"] > 0
+        plan_a, plan_b = (w.compile(engine="batched") for w in (a, b))
+        with Session(plan_a) as session:
+            first = session.run()
+            second = session.run(plan_b)
+            assert len(session) == 1
+        assert first.boundary_solves > 0
+        assert second.boundary_solves == 0
+        assert second.boundary_hits > 0
+        assert second.workload["name"] == "b"
+
+    def test_second_device_builds_second_model(self, monkeypatch):
+        other = DeviceSpec(nx_cols=6, ny_rows=3, NB=4, slab_width=2, Norb=2,
+                           seed=7)
+        plans = [
+            small_workload(bias=0.1).compile(),
+            small_workload(bias=0.5).compile(),
+            small_workload(device=other).compile(),
+        ]
+        builds = []
+        real_build = DeviceSpec.build
+
+        def counting_build(spec):
+            builds.append(spec)
+            return real_build(spec)
+
+        monkeypatch.setattr(DeviceSpec, "build", counting_build)
+        with Session(plans[0]) as session:
+            for plan in plans:
+                session.run(plan)
+            assert len(session) == 2
+            assert session.model is session.model
+        assert builds == [plans[0].workload.device, other]
+
+    def test_run_after_close_raises(self):
+        plan = small_workload().compile()
+        session = Session(plan)
+        session.run()
+        session.close()
+        with pytest.raises(RuntimeError, match="session is closed"):
+            session.run(small_workload(bias=0.5).compile())
+
+    def test_simulation_index_is_the_run_executor(self):
+        """``simulation(gi)`` is what ``run()`` uses for group ``gi`` — the
+        contract the e2e harness builds its set-up on."""
+        w = small_workload(sweeps=(SweepAxis("grid", (8, 12)),))
+        plan = w.compile()
+        assert plan.n_groups == 2
+        with Session(plan) as session:
+            sims = [session.simulation(gi) for gi in range(plan.n_groups)]
+            sweep = session.run()
+            # run() built no simulation of its own ...
+            assert len(session) == 2
+            assert all(
+                session.simulation(gi) is sim for gi, sim in enumerate(sims)
+            )
+            # ... and every boundary solve of the run was paid by those two
+            assert sweep.boundary_solves == sum(
+                sim.boundary_counters()[k]
+                for sim in sims for k in ("el_solves", "ph_solves")
+            )
 
 
 # -- scheduler service ----------------------------------------------------------
@@ -232,11 +285,20 @@ class TestSchedulerService:
         )
 
     def test_pool_points_carry_per_point_telemetry(self):
-        """Pool jobs run through the Session's point executor, so each
-        ``service.point`` span holds the same Born iterations as the
-        matching ``session.point``."""
+        """Jobs run through the service's Session, so each job's
+        ``service.execute`` span holds ``session.point`` spans with the
+        same Born iterations as a direct ``Session.run``."""
         from repro.telemetry import capture, get_tracer
         from repro.telemetry.export import walk_span_tree
+
+        def point_iterations(root):
+            return {
+                span["attrs"]["index"]: sum(
+                    c["name"] == "scba.iteration" for c in span["children"]
+                )
+                for _, span in walk_span_tree(root)
+                if span["name"] == "session.point"
+            }
 
         w = small_workload(transport="scba")
         with capture("spans"):
@@ -244,18 +306,14 @@ class TestSchedulerService:
                 session.run()
             with sync_service() as svc:
                 sweep = svc.wait(svc.submit(w))
-            iterations = {"session.point": {}, "service.point": {}}
-            for _, root in get_tracer().roots():
-                for _, span in walk_span_tree(root):
-                    if span["name"] in iterations:
-                        iterations[span["name"]][span["attrs"]["index"]] = sum(
-                            c["name"] == "scba.iteration"
-                            for c in span["children"]
-                        )
-        assert iterations["service.point"] == iterations["session.point"]
-        assert iterations["service.point"] == {
-            r.index: r.iterations for r in sweep.runs
-        }
+            roots = {root["name"]: root for _, root in get_tracer().roots()}
+        direct = point_iterations(roots["session.run"])
+        job = point_iterations(roots["service.execute"])
+        assert roots["service.execute"]["attrs"]["job_id"] == sweep.service[
+            "job_id"
+        ]
+        assert job == direct
+        assert job == {r.index: r.iterations for r in sweep.runs}
 
     def test_duplicate_submission_served_from_cache(self):
         w = small_workload()

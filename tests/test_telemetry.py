@@ -343,6 +343,39 @@ def test_sweep_telemetry_holds_only_its_own_run():
     assert len(second) == len(first)
 
 
+def test_nested_run_telemetry_holds_its_own_subtree():
+    """A ``Session.run`` inside an open span (a service job runs under
+    ``service.execute``) still carries its own spans."""
+    from repro.api import Session
+
+    plan = _quick_workload().compile()
+    with capture("spans"):
+        with Session(plan) as session:
+            top = session.run()
+        with trace("outer"):
+            with Session(plan) as session:
+                nested = session.run()
+    for sweep in (top, nested):
+        events = sweep.telemetry["trace"]
+        assert _span_count(events, "session.run") == 1
+        assert _span_count(events, "session.point") == 1
+        assert _span_count(events, "scba.iteration") == sweep[0].iterations
+        assert _span_count(events, "outer") == 0
+    assert len(nested.telemetry["trace"]) == len(top.telemetry["trace"])
+
+
+def test_service_result_has_no_telemetry_when_off():
+    from repro.service import SchedulerService
+
+    configure("off")
+    with SchedulerService() as svc:
+        sweep = svc.wait(svc.submit(_quick_workload()))
+    assert sweep.telemetry is None
+    assert set(sweep.to_dict()) == {
+        "workload", "engine", "reuse", "runs", "service",
+    }
+
+
 # -- distributed runtime ------------------------------------------------------
 
 
