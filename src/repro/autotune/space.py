@@ -281,7 +281,7 @@ def discover_reductions(
     ``{"dHD": ["j"]}``.
     """
     entry: MapEntry = site.nodes[0]
-    children = state.scope_children(entry)
+    children = state.scope_index().scope_children(entry)
     tasklets = [n for n in children if isinstance(n, Tasklet)]
     params = list(entry.map.params)
     directs = {t: _direct_params(state, t, params) for t in tasklets}
@@ -440,7 +440,7 @@ def _template_moves(
 def _expansion_moves(state: SDFGState) -> List[Move]:
     """Hoistable parameter subsets shared (name and range) by at least
     two top-level scopes, each leaving a non-empty inner map."""
-    tops = state.top_level_maps()
+    tops = state.scope_index().top_level_maps()
     if len(tops) < 2:
         return []
 

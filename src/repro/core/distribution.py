@@ -81,7 +81,9 @@ def derive_sse_footprints() -> TileFootprint:
     NA, NB = symbols("NA NB")
     hook = neighbor_indirection_hook(NA, NB, atom_param="a")
 
-    tasklets = [n for n in st.scope_children(entry) if isinstance(n, Tasklet)]
+    tasklets = [
+        n for n in st.scope_index().scope_children(entry) if isinstance(n, Tasklet)
+    ]
     out: Dict[str, Memlet] = {}
     for t in tasklets:
         edges = [

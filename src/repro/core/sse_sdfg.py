@@ -223,7 +223,7 @@ def find_map_entry(
     state: SDFGState, label_substring: str, top_level: bool = False
 ) -> MapEntry:
     """Locate a map entry whose label contains the given substring."""
-    pool = state.top_level_maps() if top_level else [
+    pool = state.scope_index().top_level_maps() if top_level else [
         n for n in state.graph.nodes if isinstance(n, MapEntry)
     ]
     hits = [n for n in pool if label_substring in n.map.label]

@@ -224,12 +224,13 @@ def stage_flops(sdfg, env: Mapping[str, int]) -> int:
     """
     total = 0
     for st in sdfg.states:
+        scopes = st.scope_index()
         for t in st.tasklets():
             per_call = tasklet_flops(st, t, env)
             if per_call == 0:
                 continue
             iters = 1
-            for entry in st.scope_chain(t):
+            for entry in scopes.scope_chain(t):
                 iters *= int(entry.map.range.num_elements().evaluate(env))
             total += per_call * iters
     return total

@@ -45,7 +45,7 @@ import numpy as np
 from ..graph import SDFG, SDFGState
 from ..interpreter import ExecutionReport
 from ..memlet import Memlet
-from ..nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Tasklet
+from ..nodes import AccessNode, MapEntry, NestedSDFG, Tasklet
 from ..symbolic import (
     Add,
     Expr,
@@ -160,6 +160,8 @@ class _Codegen:
             )
         self.sdfg = sdfg
         self.state: SDFGState = sdfg.states[0]
+        # Code generation never edits the graph: one index serves it all.
+        self.scopes = self.state.scope_index()
         for n in self.state.graph.nodes:
             if isinstance(n, NestedSDFG):
                 raise BackendError(
@@ -221,38 +223,14 @@ class _Codegen:
                 self._register_tables(sub)
 
     # -- structure helpers -------------------------------------------------------
-    def _immediate_children(self, entry: Optional[MapEntry]) -> List:
-        """Nodes directly inside a scope (or at state top level), in
-        topological order; nested scopes appear as their entry node."""
-        st = self.state
-        if entry is None:
-            interior = set()
-            for top in st.top_level_maps():
-                interior.update(st.scope_children(top))
-                interior.add(st.exit_node(top))
-            pool = [n for n in st.topological_nodes() if n not in interior]
-        else:
-            inside = st.scope_children(entry)
-            nested_interior = set()
-            for n in inside:
-                if isinstance(n, MapEntry):
-                    nested_interior.update(st.scope_children(n))
-            pool = [
-                n
-                for n in st.topological_nodes()
-                if n in set(inside) and n not in nested_interior
-            ]
-        return pool
-
     def _scope_tasklets(self, entry: MapEntry) -> List[Tuple[Tasklet, List[str]]]:
         """All tasklets inside ``entry`` (any depth) in topological order,
         each with the map parameters binding it, outermost first."""
-        st = self.state
         out = []
-        for n in st.topological_nodes():
+        for n in self.scopes.order:
             if not isinstance(n, Tasklet):
                 continue
-            chain = st.scope_chain(n)
+            chain = self.scopes.scope_chain(n)
             if entry not in chain:
                 continue
             cut = chain[: chain.index(entry) + 1]
@@ -280,9 +258,9 @@ class _Codegen:
         """Transients whose every access node / memlet lives inside
         ``entry``'s scope: per-iteration scratch storage."""
         st = self.state
-        inside = set(st.scope_children(entry))
+        inside = set(self.scopes.scope_children(entry))
         inside.add(entry)
-        inside.add(st.exit_node(entry))
+        inside.add(self.scopes.exits[entry])
         local = set()
         for name, desc in self.sdfg.arrays.items():
             if not desc.transient:
@@ -359,8 +337,8 @@ class _Codegen:
 
     # -- scope walk --------------------------------------------------------------
     def _emit_scope_body(self, em: _Emitter, entry: Optional[MapEntry], scope):
-        for node in self._immediate_children(entry):
-            if isinstance(node, (AccessNode, MapExit)):
+        for node in self.scopes.immediate_children(entry):
+            if isinstance(node, AccessNode):
                 continue
             if isinstance(node, Tasklet):
                 self._emit_direct_tasklet(em, node, scope)
@@ -486,14 +464,13 @@ class _Codegen:
     def _emit_vectorized_scope(self, em: _Emitter, entry: MapEntry, scope):
         """Collapse a whole map scope (nested maps included) into einsum /
         broadcast statements; raises :class:`_Fallback` when impossible."""
-        st = self.state
         tasklets = self._scope_tasklets(entry)
         if not tasklets:
             raise _Fallback("empty scope")
         # Every involved map must have dims-only, unit-stride ranges.
         seen_params: List[Tuple[str, Tuple[Expr, Expr]]] = []
         for t, params in tasklets:
-            chain = st.scope_chain(t)
+            chain = self.scopes.scope_chain(t)
             chain = chain[: chain.index(entry) + 1]
             for e in reversed(chain):
                 for p, (b, ee, s) in zip(e.map.params, e.map.range):
@@ -961,6 +938,7 @@ def analytic_execution_report(
     env = dict(env)
     try:
         for state in sdfg.states:
+            scopes = state.scope_index()
             for node in state.graph.nodes:
                 if isinstance(node, NestedSDFG):
                     raise BackendError(
@@ -969,7 +947,7 @@ def analytic_execution_report(
                 if not isinstance(node, Tasklet):
                     continue
                 inv = 1
-                for entry in state.scope_chain(node):
+                for entry in scopes.scope_chain(node):
                     inv *= _range_volume(entry.map.range.dims, env)
                 rep.tasklet_invocations += inv
                 dummies = {}

@@ -7,19 +7,20 @@ Ben-Nun et al. that the paper builds on.
 
 States are `networkx.MultiDiGraph`s whose nodes are
 :class:`~repro.sdfg.nodes.Node` objects and whose edges carry
-:class:`~repro.sdfg.memlet.Memlet` annotations.
+:class:`~repro.sdfg.memlet.Memlet` annotations.  Scope queries read a
+:class:`ScopeIndex` built per call, never cached (graphs are edited in place).
+A state holds its SDFG's ``arrays`` dict, not the SDFG: no reference cycle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from .memlet import Memlet
 from .nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Node, Tasklet
-from .subsets import Range
 from .symbolic import Expr, ExprLike, sympify
 
 __all__ = ["ArrayDesc", "SDFGState", "InterstateEdge", "SDFG", "InvalidSDFGError"]
@@ -65,12 +66,79 @@ class ArrayDesc:
         return f"{self.name}[{dims}] ({self.dtype}{t})"
 
 
+class ScopeIndex:
+    """One state's map scopes from one topological pass: ``parent[n]`` is
+    the innermost :class:`MapEntry` enclosing ``n`` (``None`` at top level;
+    a :class:`MapExit` maps to its own entry), ``exits[e]`` is entry
+    ``e``'s exit and ``order`` the topological node order."""
+
+    def __init__(self, state: "SDFGState"):
+        g = state.graph
+        try:
+            self.order: List[Node] = list(nx.topological_sort(g))
+        except nx.NetworkXUnfeasible:
+            raise InvalidSDFGError(f"state {state.label!r} contains a cycle") from None
+        entries = {n.map: n for n in self.order if isinstance(n, MapEntry)}
+        self.parent: Dict[Node, Optional[MapEntry]] = {}
+        self.exits: Dict[MapEntry, MapExit] = {}
+        for n in self.order:
+            if isinstance(n, MapExit):
+                e = entries.get(n.map)
+                if e is None or e in self.exits:
+                    what = "has no MapEntry" if e is None else "is its map's 2nd exit"
+                    raise InvalidSDFGError(f"{n!r} {what} in state {state.label!r}")
+                self.exits[e], self.parent[n] = n, e
+                continue
+            scope = None  # the deepest scope a predecessor hands on
+            for p in g.predecessors(n):
+                s = p if isinstance(p, MapEntry) else self.parent[p]
+                if isinstance(p, MapExit):
+                    s = self.parent[s]
+                if s is not None and (scope is None or scope in self.scope_chain(s)):
+                    scope = s
+            self.parent[n] = scope
+
+    def scope_chain(self, node: Node) -> List[MapEntry]:
+        """Map entries enclosing ``node``, innermost first.
+
+        A map entry's own chain starts with its *parent* scope (a map is
+        not inside itself); every other node's chain starts with the map
+        whose scope immediately contains it.  Used by memlet propagation
+        (innermost-to-outermost) and by shrink/movement analyses.
+        """
+        chain, e = [], self.parent[node]
+        while e is not None:
+            chain.append(e)
+            e = self.parent[e]
+        return chain
+
+    def scope_children(self, entry: MapEntry) -> List[Node]:
+        """Nodes strictly inside the scope of ``entry`` (its own exit
+        excluded, nested exits included), in topological order."""
+        return [
+            n for n in self.order
+            if entry in self.scope_chain(n) and n is not self.exits.get(entry)
+        ]
+
+    def immediate_children(self, entry: Optional[MapEntry]) -> List[Node]:
+        """Nodes whose innermost scope is ``entry`` (``None``: top level),
+        in topological order; nested scopes appear as their entry only."""
+        return [
+            n for n in self.order
+            if self.parent[n] is entry and not isinstance(n, MapExit)
+        ]
+
+    def top_level_maps(self) -> List[MapEntry]:
+        """Map entries not nested inside any other map, in topological order."""
+        return [n for n in self.immediate_children(None) if isinstance(n, MapEntry)]
+
+
 class SDFGState:
     """A single dataflow state: an acyclic multigraph of nodes and memlets."""
 
-    def __init__(self, label: str, sdfg: "SDFG"):
+    def __init__(self, label: str, arrays: Dict[str, ArrayDesc]):
         self.label = label
-        self.sdfg = sdfg
+        self.arrays = arrays
         self.graph = nx.MultiDiGraph()
 
     # -- construction ------------------------------------------------------
@@ -79,7 +147,7 @@ class SDFGState:
         return node
 
     def add_access(self, data: str) -> AccessNode:
-        if data not in self.sdfg.arrays:
+        if data not in self.arrays:
             raise KeyError(f"unknown array {data!r} in state {self.label!r}")
         return self.add_node(AccessNode(data))
 
@@ -117,92 +185,26 @@ class SDFGState:
     def topological_nodes(self) -> List[Node]:
         return list(nx.topological_sort(self.graph))
 
-    def scope_children(self, entry: MapEntry) -> List[Node]:
-        """Nodes strictly inside the scope of ``entry`` (excluding exit)."""
-        exit_node = self.exit_node(entry)
-        inside: List[Node] = []
-        seen = {entry, exit_node}
-        frontier = [v for _, v, _ in self.out_edges(entry)]
-        while frontier:
-            n = frontier.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            inside.append(n)
-            for _, v, _ in self.out_edges(n):
-                frontier.append(v)
-        return inside
-
-    def exit_node(self, entry: MapEntry) -> MapExit:
-        for n in self.graph.nodes:
-            if isinstance(n, MapExit) and n.map is entry.map:
-                return n
-        raise InvalidSDFGError(f"no MapExit for {entry!r} in state {self.label!r}")
-
-    def entry_node(self, exit_node: MapExit) -> MapEntry:
-        for n in self.graph.nodes:
-            if isinstance(n, MapEntry) and n.map is exit_node.map:
-                return n
-        raise InvalidSDFGError(f"no MapEntry for {exit_node!r}")
-
-    def scope_chain(self, node: Node) -> List[MapEntry]:
-        """Map entries enclosing ``node``, innermost first.
-
-        A map entry's own chain starts with its *parent* scope (a map is
-        not inside itself); every other node's chain starts with the map
-        whose scope immediately contains it.  Used by memlet propagation
-        (innermost-to-outermost) and by shrink/movement analyses.
-        """
-        entries = [n for n in self.graph.nodes if isinstance(n, MapEntry)]
-        sets = {e: self._scope_sets(e) for e in entries}
-        chain = [e for e in entries if e is not node and node in sets[e]]
-        # Innermost first == deepest nesting first: an entry nested inside
-        # another appears in the other's scope, so sort by how many of the
-        # chain's scopes contain each entry (more containers -> deeper).
-        # The membership pool must be a snapshot: list.sort() empties the
-        # list while running, so a key closing over ``chain`` itself would
-        # see an empty pool and leave insertion order untouched.
-        members = tuple(chain)
-        chain.sort(
-            key=lambda e: sum(
-                1 for o in members if o is not e and e in sets[o]
-            ),
-            reverse=True,
-        )
-        return chain
-
-    def _scope_sets(self, entry: MapEntry) -> set:
-        children = set(self.scope_children(entry))
-        children.add(self.exit_node(entry))
-        return children
-
-    def top_level_maps(self) -> List[MapEntry]:
-        """Map entries not nested inside any other map."""
-        entries = [n for n in self.graph.nodes if isinstance(n, MapEntry)]
-        nested = set()
-        for e in entries:
-            for child in self.scope_children(e):
-                if isinstance(child, MapEntry):
-                    nested.add(child)
-        return [e for e in entries if e not in nested]
-
     def tasklets(self) -> List[Tasklet]:
         return [n for n in self.graph.nodes if isinstance(n, Tasklet)]
+
+    def scope_index(self) -> ScopeIndex:
+        """The scope structure of the graph as it is now (not cached)."""
+        return ScopeIndex(self)
 
     # -- validation ----------------------------------------------------------
     def validate(self):
         g = self.graph
-        if not nx.is_directed_acyclic_graph(g):
-            raise InvalidSDFGError(f"state {self.label!r} contains a cycle")
+        scopes = self.scope_index()  # raises on a cycle, orphan or second exit
         for u, v, d in g.edges(data=True):
             mem: Optional[Memlet] = d.get("memlet")
             if mem is None:
                 continue
-            if mem.data not in self.sdfg.arrays:
+            if mem.data not in self.arrays:
                 raise InvalidSDFGError(
                     f"memlet references unknown array {mem.data!r}"
                 )
-            desc = self.sdfg.arrays[mem.data]
+            desc = self.arrays[mem.data]
             if len(mem.subset) != desc.rank:
                 raise InvalidSDFGError(
                     f"memlet {mem!r} rank {len(mem.subset)} != array rank {desc.rank}"
@@ -225,8 +227,8 @@ class SDFGState:
                         raise InvalidSDFGError(
                             f"tasklet {n.label!r}: output connector {conn!r} unconnected"
                         )
-            if isinstance(n, MapEntry):
-                self.exit_node(n)  # raises when missing
+            if isinstance(n, MapEntry) and n not in scopes.exits:
+                raise InvalidSDFGError(f"no MapExit for {n!r} in state {self.label!r}")
 
     def __repr__(self) -> str:
         return f"SDFGState({self.label}, {self.graph.number_of_nodes()} nodes)"
@@ -281,11 +283,8 @@ class SDFG:
     def add_transient(self, name: str, shape, dtype=np.complex128) -> ArrayDesc:
         return self.add_array(name, shape, dtype, transient=True)
 
-    def remove_array(self, name: str):
-        del self.arrays[name]
-
     def add_state(self, label: str, is_start: bool = False) -> SDFGState:
-        st = SDFGState(label, self)
+        st = SDFGState(label, self.arrays)
         self.states.append(st)
         if is_start or self.start_state is None:
             self.start_state = st

@@ -14,13 +14,13 @@ untransformed graph.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from .graph import SDFG, InterstateEdge, SDFGState
+from .graph import SDFG, ScopeIndex, SDFGState
 from .memlet import Memlet
-from .nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Node, Tasklet
+from .nodes import AccessNode, MapEntry, NestedSDFG, Node, Tasklet
 
 __all__ = ["Interpreter", "ExecutionReport", "execute"]
 
@@ -97,44 +97,41 @@ class Interpreter:
 
     # -- state / scope execution -------------------------------------------
     def _run_state(self, state: SDFGState, env: Dict, store: Dict):
-        interior: set = set()
-        for entry in state.top_level_maps():
-            interior.update(state.scope_children(entry))
-            interior.add(state.exit_node(entry))
-        for node in state.topological_nodes():
-            if node in interior:
-                continue
-            self._run_node(state, node, env, store)
+        scopes = state.scope_index()
+        for node in scopes.immediate_children(None):
+            self._run_node(state, scopes, node, env, store)
 
-    def _run_node(self, state: SDFGState, node: Node, env: Dict, store: Dict):
+    def _run_node(
+        self,
+        state: SDFGState,
+        scopes: ScopeIndex,
+        node: Node,
+        env: Dict,
+        store: Dict,
+    ):
         if isinstance(node, AccessNode):
             return
         if isinstance(node, Tasklet):
             self._run_tasklet(state, node, env, store)
         elif isinstance(node, MapEntry):
-            self._run_scope(state, node, env, store)
-        elif isinstance(node, MapExit):
-            return
+            self._run_scope(state, scopes, node, env, store)
         elif isinstance(node, NestedSDFG):
             self._run_nested(node, env, store)
         else:
             raise TypeError(f"cannot interpret node {node!r}")
 
-    def _run_scope(self, state: SDFGState, entry: MapEntry, env: Dict, store: Dict):
+    def _run_scope(
+        self,
+        state: SDFGState,
+        scopes: ScopeIndex,
+        entry: MapEntry,
+        env: Dict,
+        store: Dict,
+    ):
         m = entry.map
         ranges = m.range.evaluate(env)
-        interior = state.scope_children(entry)
-        interior_set = set(interior)
         # Nested scopes are executed by their own entries.
-        nested_interior: set = set()
-        for n in interior:
-            if isinstance(n, MapEntry):
-                nested_interior.update(state.scope_children(n))
-        order = [
-            n
-            for n in state.topological_nodes()
-            if n in interior_set and n not in nested_interior
-        ]
+        order = scopes.immediate_children(entry)
         iter_spaces = [
             range(b, e + 1, s) if s > 0 else range(b, e - 1, s)
             for (b, e, s) in ranges
@@ -144,7 +141,7 @@ class Interpreter:
             for p, v in zip(m.params, combo):
                 local_env[p] = v
             for node in order:
-                self._run_node(state, node, local_env, store)
+                self._run_node(state, scopes, node, local_env, store)
 
     def _run_nested(self, node: NestedSDFG, env: Dict, store: Dict):
         inner_syms = {

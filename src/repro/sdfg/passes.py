@@ -66,7 +66,7 @@ def _describe_sites(
         text = site.describe()
         if state is not None and site.nodes:
             try:
-                chain = state.scope_chain(site.nodes[0])
+                chain = state.scope_index().scope_chain(site.nodes[0])
             except Exception:
                 chain = []
             if chain:
@@ -368,7 +368,7 @@ class ExpandPass(Pass):
         return {"outer": list(self.outer)}
 
     def select(self, sdfg, state, sites):
-        top = set(state.top_level_maps())
+        top = set(state.scope_index().top_level_maps())
         out = []
         for site in sites:
             if site.nodes[0] not in top:

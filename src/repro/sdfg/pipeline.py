@@ -101,7 +101,7 @@ def measure_movement(sdfg: SDFG, env: Mapping[str, int]) -> Dict[str, int]:
     """
     volumes: Dict[str, Expr] = {}
     for st in sdfg.states:
-        chains: Dict[Tasklet, list] = {}
+        scopes = st.scope_index()
         for u, v, d in st.edges():
             mem: Optional[Memlet] = d.get("memlet")
             if mem is None:
@@ -112,10 +112,8 @@ def measure_movement(sdfg: SDFG, env: Mapping[str, int]) -> Dict[str, int]:
                 node = v
             else:
                 continue
-            if node not in chains:
-                chains[node] = st.scope_chain(node)
             accesses = mem.accesses
-            for e in chains[node]:
+            for e in scopes.scope_chain(node):
                 accesses = accesses * e.map.range.num_elements()
             prev = volumes.get(mem.data)
             volumes[mem.data] = accesses if prev is None else prev + accesses

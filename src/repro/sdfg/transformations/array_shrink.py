@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..graph import SDFG, ArrayDesc, SDFGState
+from ..graph import SDFG, ArrayDesc, ScopeIndex, SDFGState
 from ..memlet import Memlet
 from ..nodes import MapEntry
 from ..subsets import Range
@@ -59,6 +59,7 @@ class ArrayShrink(Transformation):
         stay materialized.
         """
         sites: List[Site] = []
+        scopes = state.scope_index()
         for name in sorted(sdfg.transients()):
             desc = sdfg.arrays[name]
             edges = [
@@ -82,7 +83,7 @@ class ArrayShrink(Transformation):
                 if not point or len(symbols) != 1:
                     continue
                 p = symbols.pop()
-                if cls._common_binding(state, edges, p):
+                if cls._common_binding(scopes, edges, p):
                     drop.append(pos)
                     params.append(p)
             if drop:
@@ -98,12 +99,12 @@ class ArrayShrink(Transformation):
         return sites
 
     @staticmethod
-    def _common_binding(state: SDFGState, edges, param: str) -> bool:
+    def _common_binding(scopes: ScopeIndex, edges, param: str) -> bool:
         """True when one map binds ``param`` for every given edge."""
         binding: List[MapEntry] = []
         for u, v, _ in edges:
             # The edge executes within the deeper endpoint's scope.
-            cu, cv = state.scope_chain(u), state.scope_chain(v)
+            cu, cv = scopes.scope_chain(u), scopes.scope_chain(v)
             chain = cu if len(cu) >= len(cv) else cv
             inner = next(
                 (e for e in chain if param in e.map.params), None

@@ -66,6 +66,7 @@ class BatchedOperationSubstitution(Transformation):
         since the rewrite encodes an algebraic identity.
         """
         sites: List[Site] = []
+        scopes = state.scope_index()
         for entry in state.graph.nodes:
             if not isinstance(entry, MapEntry):
                 continue
@@ -73,7 +74,7 @@ class BatchedOperationSubstitution(Transformation):
                 continue
             tasklets = [
                 n
-                for n in state.scope_children(entry)
+                for n in scopes.scope_children(entry)
                 if isinstance(n, Tasklet)
             ]
             if len(tasklets) != 1:
@@ -103,7 +104,9 @@ class BatchedOperationSubstitution(Transformation):
             if p not in m.params:
                 raise TransformationError(f"{p!r} not a parameter of the map")
         tasklets = [
-            n for n in state.scope_children(self.map_entry) if isinstance(n, Tasklet)
+            n
+            for n in state.scope_index().scope_children(self.map_entry)
+            if isinstance(n, Tasklet)
         ]
         if len(tasklets) != 1:
             raise TransformationError("pattern requires a single-tasklet scope")
@@ -123,10 +126,11 @@ class BatchedOperationSubstitution(Transformation):
 
     def apply(self, sdfg: SDFG, state: SDFGState) -> None:
         entry = self.map_entry
-        exit_node = state.exit_node(entry)
+        scopes = state.scope_index()
+        exit_node = scopes.exits[entry]
         m = entry.map
         old = [
-            n for n in state.scope_children(entry) if isinstance(n, Tasklet)
+            n for n in scopes.scope_children(entry) if isinstance(n, Tasklet)
         ][0]
 
         keep = [i for i, p in enumerate(m.params) if p not in self.batch_params]

@@ -56,7 +56,7 @@ class MapExpansion(Transformation):
 
     def apply(self, sdfg: SDFG, state: SDFGState) -> None:
         entry = self.map_entry
-        exit_node = state.exit_node(entry)
+        exit_node = state.scope_index().exits[entry]
         m = entry.map
 
         inner_params = [p for p in m.params if p not in self.outer_params]

@@ -55,12 +55,13 @@ class MapFission(Transformation):
         the rewrite rebuilds the split maps at state top level, which
         would hoist the body out of any enclosing map's bindings."""
         sites: List[Site] = []
+        scopes = state.scope_index()
         for entry in state.graph.nodes:
             if not isinstance(entry, MapEntry):
                 continue
-            if state.scope_chain(entry):
+            if scopes.scope_chain(entry):
                 continue
-            children = state.scope_children(entry)
+            children = scopes.scope_children(entry)
             if any(isinstance(n, (MapEntry, MapExit)) for n in children):
                 continue
             accesses = [n for n in children if isinstance(n, AccessNode)]
@@ -84,12 +85,13 @@ class MapFission(Transformation):
     def check(self, sdfg: SDFG, state: SDFGState) -> None:
         if self.map_entry not in state.graph.nodes:
             raise TransformationError("map entry not in state")
-        if state.scope_chain(self.map_entry):
+        scopes = state.scope_index()
+        if scopes.scope_chain(self.map_entry):
             raise TransformationError(
                 "fission of nested scopes not supported: the split maps "
                 "are rebuilt at state top level"
             )
-        children = state.scope_children(self.map_entry)
+        children = scopes.scope_children(self.map_entry)
         for n in children:
             if isinstance(n, (MapEntry, MapExit)):
                 raise TransformationError("nested maps not supported by fission")
@@ -105,13 +107,11 @@ class MapFission(Transformation):
     # -- rewrite --------------------------------------------------------------
     def apply(self, sdfg: SDFG, state: SDFGState) -> None:
         entry = self.map_entry
-        exit_node = state.exit_node(entry)
+        scopes = state.scope_index()
+        exit_node = scopes.exits[entry]
         m = entry.map
-        children = state.scope_children(entry)
-        tasklets = [
-            n for n in state.topological_nodes()
-            if n in set(children) and isinstance(n, Tasklet)
-        ]
+        children = scopes.scope_children(entry)
+        tasklets = [n for n in children if isinstance(n, Tasklet)]
         inner_accesses = [n for n in children if isinstance(n, AccessNode)]
         intermediates = {n.data for n in inner_accesses}
 

@@ -43,17 +43,16 @@ class MapFusion(Transformation):
     def match(cls, sdfg: SDFG, state: SDFGState) -> List[Site]:
         """Groups of >= 2 top-level scopes with identical parameters and
         ranges.  One site per group; ``nodes`` is ordered topologically
-        (writers before readers), the order fusion applies them in."""
-        order = {n: i for i, n in enumerate(state.topological_nodes())}
+        (writers before readers), the order fusion applies them in —
+        the order the scope index lists top-level maps in."""
         groups: Dict[tuple, List[MapEntry]] = {}
-        for entry in state.top_level_maps():
+        for entry in state.scope_index().top_level_maps():
             key = (tuple(entry.map.params), entry.map.range)
             groups.setdefault(key, []).append(entry)
         sites: List[Site] = []
         for (params, _), entries in groups.items():
             if len(entries) < 2:
                 continue
-            entries.sort(key=lambda e: order[e])
             sites.append(
                 Site(
                     transformation=cls.__name__,
@@ -76,14 +75,15 @@ class MapFusion(Transformation):
                 raise TransformationError(
                     f"scope {me.label!r} differs in params/range from {ref.label!r}"
                 )
-        top = set(state.top_level_maps())
+        top = set(state.scope_index().top_level_maps())
         for me in self.map_entries:
             if me not in top:
                 raise TransformationError(f"{me.label!r} is not a top-level scope")
 
     def apply(self, sdfg: SDFG, state: SDFGState) -> None:
         entries = self.map_entries
-        exits = [state.exit_node(e) for e in entries]
+        scopes = state.scope_index()
+        exits = [scopes.exits[e] for e in entries]
         ref = entries[0].map
 
         fused = Map(self.label, list(ref.params), ref.range)
@@ -187,14 +187,8 @@ class MapFusion(Transformation):
             # zeroing precedes the accumulation in topological order.
             anchor = writer_node[a]
             if isinstance(anchor, MapExit):
-                anchor = state.entry_node(anchor)
+                anchor = scopes.parent[anchor]
             state.add_edge(an_pre, anchor, None)
-
-        # Ensure every interior source is anchored to the fused entry.
-        fused_interior = state.scope_children(fentry)
-        for n in fused_interior:
-            if not list(state.in_edges(n)):
-                state.add_edge(fentry, n, None)
 
 
 def _init_memlet(sdfg: SDFG, array: str, writer: Memlet, fused_params) -> Memlet:

@@ -88,7 +88,7 @@ class MapTiling(Transformation):
 
     def apply(self, sdfg: SDFG, state: SDFGState) -> None:
         entry = self.map_entry
-        exit_node = state.exit_node(entry)
+        exit_node = state.scope_index().exits[entry]
         m = entry.map
 
         outer_params = []

@@ -59,12 +59,13 @@ class RedundantComputationRemoval(Transformation):
         produced tensor (so that dimension can be dropped).
         """
         sites: List[Site] = []
+        scopes = state.scope_index()
         for entry in state.graph.nodes:
             if not isinstance(entry, MapEntry):
                 continue
             tasklets = [
                 n
-                for n in state.scope_children(entry)
+                for n in scopes.scope_children(entry)
                 if isinstance(n, Tasklet)
             ]
             if len(tasklets) != 1:
@@ -151,7 +152,7 @@ class RedundantComputationRemoval(Transformation):
                 raise TransformationError(f"{r!r} is not a parameter of the map")
         tasklets = [
             n
-            for n in state.scope_children(self.map_entry)
+            for n in state.scope_index().scope_children(self.map_entry)
             if isinstance(n, Tasklet)
         ]
         if len(tasklets) != 1:
@@ -207,9 +208,8 @@ class RedundantComputationRemoval(Transformation):
     def apply(self, sdfg: SDFG, state: SDFGState) -> None:
         entry = self.map_entry
         m = entry.map
-        tasklet = [
-            n for n in state.scope_children(entry) if isinstance(n, Tasklet)
-        ][0]
+        interior = state.scope_index().scope_children(entry)
+        tasklet = [n for n in interior if isinstance(n, Tasklet)][0]
         spec = self._shift_spec(state, tasklet)
 
         # Positions of removed dims in the produced tensor (indexed by plain
@@ -256,7 +256,7 @@ class RedundantComputationRemoval(Transformation):
 
         old_full = Range.from_shape(desc.shape)
         new_desc = sdfg.arrays[self.array]
-        producer_nodes = set(state.scope_children(entry)) | {entry, tasklet}
+        producer_nodes = set(interior) | {entry, tasklet}
         for u, v, d in state.edges():
             mem = d.get("memlet")
             if mem is None or mem.data != self.array:

@@ -35,6 +35,7 @@ from repro.sdfg import Tasklet, neighbor_indirection_hook, symbols
 from repro.sdfg.nodes import MapEntry
 from repro.sdfg.pipeline import measure_movement
 from repro.sdfg.propagation import propagate_through_maps
+from tests.scope_reference import assert_index_matches_walks
 
 _DIMS = dict(VERIFY_DIMS)
 _PAPER_DIMS = dict(
@@ -61,7 +62,7 @@ def _propagated_bytes(sdfg, dims):
             node = u if isinstance(u, Tasklet) else v
             if mem is None or not isinstance(node, Tasklet):
                 continue
-            chain = st.scope_chain(node)
+            chain = st.scope_index().scope_chain(node)
             if chain:
                 mem = propagate_through_maps(
                     mem,
@@ -159,8 +160,9 @@ class TestMoveSpace:
     def test_random_walks_stay_legal(self, data):
         # Property: every move the space emits is legal from the state
         # it was enumerated at — applying it succeeds, the rewritten
-        # graph validates, its subsets still propagate (affine or
-        # hooked), and the byte model scores it as propagation would.
+        # graph validates, its scope index equals the node-by-node walks,
+        # its subsets still propagate (affine or hooked), and the byte
+        # model scores it as propagation would.
         lib = sse_move_library()
         sd = build_sse_sigma_sdfg()
         for depth in range(3):
@@ -170,6 +172,7 @@ class TestMoveSpace:
             move = data.draw(st.sampled_from(moves), label=f"move{depth}")
             sd, _ = apply_move(sd, move, f"w{depth:02d}", lib)
             sd.validate()
+            assert_index_matches_walks(sd.states[0])
             moved = measure_movement(sd, _DIMS)
             assert moved == _propagated_bytes(sd, _DIMS)
             assert sum(moved.values()) > 0

@@ -198,10 +198,11 @@ def _scattered_lead(n=12, seed=9):
     return H00, H01, S01
 
 
-def _assert_fixed_point(z, H00, H01, S00=None, S01=None, eta=1e-6):
+def _assert_fixed_point(z, H00, H01, S00=None, S01=None, eta=1e-6, rtol=1e-10):
     """``sancho_rubio_batched``'s surface GF against its defining
     equation ``g = (M - α g β)^-1`` (``M = z S00 - H00``,
-    ``α = -(z S01 - H01)``, ``β = α†``), contracted over whole blocks."""
+    ``α = -(z S01 - H01)``, ``β = α†``), contracted over whole blocks,
+    to ``rtol`` of the largest entry."""
     g = sancho_rubio_batched(z, H00, H01, S00, S01, eta=eta)
     n = H00.shape[0]
     S00 = np.eye(n) if S00 is None else S00
@@ -209,7 +210,7 @@ def _assert_fixed_point(z, H00, H01, S00=None, S01=None, eta=1e-6):
     zc = (z + 1j * np.asarray(eta))[:, None, None]
     alpha = -(zc * S01 - H01)
     closed = np.linalg.inv(zc * S00 - H00 - alpha @ g @ _H(alpha))
-    assert np.abs(closed - g).max() <= 1e-10 * np.abs(g).max()
+    assert np.abs(closed - g).max() <= rtol * np.abs(g).max()
 
 
 class TestBatchedBoundary:
@@ -285,6 +286,23 @@ class TestBatchedBoundary:
         _assert_fixed_point(
             np.array([0.2, 0.5, 0.9]), Phi.diag[0], flip(Phi.upper[0]),
             eta=np.array([1e-5, 2e-5, 3e-5]),
+        )
+
+    def test_fixed_point_bound_at_e2e_eta(self):
+        """The bound the decimation meets at the e2e workloads' η = 1e-6.
+
+        The left lead of the slab_width-3 device has a near-singular
+        decimation step at E = -0.3: there the surface GF misses its
+        fixed point by 6.8e-9 relative (6.6e-9 at η = 1e-5, 2.9e-11 at
+        1e-4; 1.5e-14 .. 2.5e-11 at its neighbors -0.32 .. -0.28).  The
+        worst measured on any e2e lead at η = 1e-6 is 7.2e-8 (scba_gf's
+        96-wide left lead, seed 1234, kz 0.3, 61 energies in
+        [-1.5, 1.5]); the stated bound is 1e-7."""
+        model = _slab_model(3)
+        H, S = model.hamiltonian_blocks(0.3), model.overlap_blocks(0.3)
+        _assert_fixed_point(
+            np.array([-0.32, -0.3, -0.28]), H.diag[0], _H(H.upper[0]),
+            S.diag[0], _H(S.upper[0]), eta=1e-6, rtol=1e-7,
         )
 
     @pytest.mark.parametrize("flip", [np.asarray, _H], ids=["+x", "-x"])

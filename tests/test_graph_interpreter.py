@@ -79,13 +79,13 @@ class TestGraphStructure:
         sd = build_matmul_sdfg()
         st = sd.states[0]
         entry = [n for n in st.graph.nodes if isinstance(n, MapEntry)][0]
-        kids = st.scope_children(entry)
+        kids = st.scope_index().scope_children(entry)
         assert any(isinstance(k, Tasklet) for k in kids)
 
     def test_top_level_maps_excludes_nested(self):
         sd = build_matmul_sdfg()
         st = sd.states[0]
-        assert len(st.top_level_maps()) == 1
+        assert len(st.scope_index().top_level_maps()) == 1
 
 
 class TestValidation:
@@ -137,6 +137,21 @@ class TestValidation:
         m = Map("m", ["i"], Range([(0, 3)]))
         st.add_node(MapEntry(m))
         with pytest.raises(InvalidSDFGError):
+            sd.validate()
+
+    def test_map_exit_without_entry(self):
+        sd = SDFG("x")
+        st = sd.add_state("s")
+        st.add_node(MapExit(Map("m", ["i"], Range([(0, 3)]))))
+        with pytest.raises(InvalidSDFGError, match="has no MapEntry"):
+            sd.validate()
+
+    def test_map_with_two_exits(self):
+        sd = build_matmul_sdfg()
+        st = sd.states[0]
+        entry = next(n for n in st.graph.nodes if isinstance(n, MapEntry))
+        st.add_node(MapExit(entry.map))
+        with pytest.raises(InvalidSDFGError, match="2nd exit"):
             sd.validate()
 
 

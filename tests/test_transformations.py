@@ -64,7 +64,7 @@ class TestMapTiling:
         sd, st = fresh_sse()
         entry = find_map_entry(st, "sse")
         MapTiling(entry, {"kz": Symbol("skz"), "E": Symbol("sE")}).apply_checked(sd, st)
-        outer = st.top_level_maps()[0]
+        outer = st.scope_index().top_level_maps()[0]
         assert outer.map.params == ["tkz", "tE"]
 
     def test_execution_preserved(self, sse_data):
@@ -93,7 +93,7 @@ class TestMapFission:
     def test_produces_three_scopes(self):
         sd, st = fresh_sse()
         MapFission(find_map_entry(st, "sse"), reduce={"dHD": ["j"]}).apply_checked(sd, st)
-        assert len(st.top_level_maps()) == 3
+        assert len(st.scope_index().top_level_maps()) == 3
 
     def test_param_elimination(self):
         """The paper: j removed from the dHG and Σ maps, kz/E from dHD."""
@@ -218,7 +218,9 @@ class TestMapExpansion:
         MapExpansion(entry, ["a", "b"]).apply_checked(sd, st)
         assert entry.map.params == ["a", "b"]
         inner = [
-            n for n in st.scope_children(entry) if isinstance(n, MapEntry)
+            n
+            for n in st.scope_index().scope_children(entry)
+            if isinstance(n, MapEntry)
         ]
         assert len(inner) == 1
         assert "a" not in inner[0].map.params
@@ -240,7 +242,7 @@ class TestMapFusionAndShrink:
     def test_fusion_requires_identical_ranges(self):
         sd, st = fresh_sse()
         MapFission(find_map_entry(st, "sse"), reduce={"dHD": ["j"]}).apply_checked(sd, st)
-        entries = st.top_level_maps()
+        entries = st.scope_index().top_level_maps()
         with pytest.raises(TransformationError):
             MapFusion(entries).apply_checked(sd, st)
 
