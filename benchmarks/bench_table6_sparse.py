@@ -10,7 +10,7 @@ or comparable to CSRGEMM) reproduces on scipy/MKL.
 import numpy as np
 import pytest
 
-from repro.negf import generate_rgf_operands, three_matrix_product
+from repro.negf.sparse_kernels import generate_rgf_operands, three_matrix_product
 
 _OPERANDS = generate_rgf_operands(n=768, block_density=0.02, seed=0)
 _RESULTS = {}

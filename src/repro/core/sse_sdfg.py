@@ -224,7 +224,7 @@ def find_map_entry(
 ) -> MapEntry:
     """Locate a map entry whose label contains the given substring."""
     pool = state.scope_index().top_level_maps() if top_level else [
-        n for n in state.graph.nodes if isinstance(n, MapEntry)
+        n for n in state.nodes if isinstance(n, MapEntry)
     ]
     hits = [n for n in pool if label_substring in n.map.label]
     if len(hits) != 1:

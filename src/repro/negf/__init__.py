@@ -36,11 +36,6 @@ from .scba import (
     encode_array,
     fermi,
 )
-from .sparse_kernels import (
-    METHODS,
-    generate_rgf_operands,
-    three_matrix_product,
-)
 from .sse import (
     pi_sse,
     preprocess_phonon_green,
@@ -83,9 +78,6 @@ __all__ = [
     "decode_array",
     "encode_array",
     "fermi",
-    "METHODS",
-    "generate_rgf_operands",
-    "three_matrix_product",
     "pi_sse",
     "preprocess_phonon_green",
     "retarded_from_lesser_greater",

@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Literal, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .rgf import _H, interface_support
 
@@ -182,7 +181,9 @@ def transfer_matrix_modes(
     eye = np.eye(n, dtype=np.complex128)
     lhs = np.block([[-B, -C.conj().T], [eye, zero]])
     rhs = np.block([[C, zero], [zero, eye]])
-    lam, vec = sla.eig(lhs, rhs)
+    import scipy.linalg  # here, not at module level: no default boundary method uses it
+
+    lam, vec = scipy.linalg.eig(lhs, rhs)
 
     finite = np.isfinite(lam)
     lam, vec = lam[finite], vec[:, finite]

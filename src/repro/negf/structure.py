@@ -12,8 +12,6 @@ the same structural properties:
   indices are very often neighbors in the coupling matrix", §4.1);
 * slabs of ``slab_width`` columns form the RGF blocks; the neighbor
   cutoff never exceeds one slab, guaranteeing block tridiagonality.
-
-`networkx` is used to sanity-check connectivity and bipartition quality.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["DeviceStructure", "build_device"]
@@ -109,29 +106,26 @@ class DeviceStructure:
                     rev[a, b] = back[0]
         return rev
 
-    def connectivity_graph(self) -> nx.Graph:
-        """Undirected bond graph (used for validation/analysis)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.NA))
-        NA, NB = self.neighbors.shape
-        for a in range(NA):
-            for b in range(NB):
-                if self.neighbors[a, b] != a:
-                    g.add_edge(a, int(self.neighbors[a, b]))
-        return g
-
     def validate(self) -> None:
         """Structural invariants: connectivity + block tridiagonality."""
-        g = self.connectivity_graph()
-        if not nx.is_connected(g):
+        nbr = self.neighbors
+        reached = np.zeros(self.NA, dtype=bool)
+        reached[0] = True
+        while True:  # grow along bonds in either direction until closed
+            grown = reached | reached[nbr].any(axis=1)
+            grown[nbr[reached]] = True
+            if (grown == reached).all():
+                break
+            reached = grown
+        if not reached.all():
             raise ValueError("device structure is disconnected")
-        blocks = self.block_of
-        for a, nb in g.edges():
-            if abs(int(blocks[a]) - int(blocks[nb])) > 1:
-                raise ValueError(
-                    f"bond {a}-{nb} spans non-adjacent blocks "
-                    f"{blocks[a]}..{blocks[nb]} (not block tridiagonal)"
-                )
+        far = np.argwhere(np.abs(self.block_of[nbr] - self.block_of[:, None]) > 1)
+        if far.size:
+            a, nb = far[0][0], nbr[tuple(far[0])]
+            raise ValueError(
+                f"bond {a}-{nb} spans non-adjacent blocks "
+                f"{self.block_of[a]}..{self.block_of[nb]} (not block tridiagonal)"
+            )
 
 
 def build_device(

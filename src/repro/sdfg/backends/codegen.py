@@ -162,7 +162,7 @@ class _Codegen:
         self.state: SDFGState = sdfg.states[0]
         # Code generation never edits the graph: one index serves it all.
         self.scopes = self.state.scope_index()
-        for n in self.state.graph.nodes:
+        for n in self.state.nodes:
             if isinstance(n, NestedSDFG):
                 raise BackendError(
                     "numpy backend does not lower nested SDFGs; "
@@ -173,7 +173,7 @@ class _Codegen:
         # Base name scope: SDFG symbols, map parameters, array/table aliases.
         params = {
             p
-            for n in self.state.graph.nodes
+            for n in self.state.nodes
             if isinstance(n, MapEntry)
             for p in n.map.params
         }
@@ -267,7 +267,7 @@ class _Codegen:
                 continue
             nodes = [
                 n
-                for n in st.graph.nodes
+                for n in st.nodes
                 if isinstance(n, AccessNode) and n.data == name
             ]
             edges = [
@@ -939,7 +939,7 @@ def analytic_execution_report(
     try:
         for state in sdfg.states:
             scopes = state.scope_index()
-            for node in state.graph.nodes:
+            for node in state.nodes:
                 if isinstance(node, NestedSDFG):
                     raise BackendError(
                         "analytic report does not cover nested SDFGs"

@@ -5,18 +5,23 @@ An :class:`SDFG` holds named array descriptors, free symbols, a set of
 (conditions + assignments), mirroring the intermediate representation of
 Ben-Nun et al. that the paper builds on.
 
-States are `networkx.MultiDiGraph`s whose nodes are
-:class:`~repro.sdfg.nodes.Node` objects and whose edges carry
-:class:`~repro.sdfg.memlet.Memlet` annotations.  Scope queries read a
-:class:`ScopeIndex` built per call, never cached (graphs are edited in place).
-A state holds its SDFG's ``arrays`` dict, not the SDFG: no reference cycle.
+A state is its own insertion-ordered directed multigraph of
+:class:`~repro.sdfg.nodes.Node` objects: ``_succ[u][v]`` (the same list
+as ``_pred[v][u]``) holds one data dict per ``u -> v`` edge with its
+:class:`~repro.sdfg.memlet.Memlet` and connectors.  Edges iterate in
+insertion order and :meth:`SDFGState.topological_nodes` is a
+generation-wise Kahn sort, so signatures and generated source are
+deterministic.  Scope queries read a :class:`ScopeIndex` built per call,
+never cached (graphs are edited in place).  A state holds its SDFG's
+``arrays`` dict, not the SDFG: no reference cycle, so a dropped copy is
+freed by reference counting.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .memlet import Memlet
@@ -73,11 +78,7 @@ class ScopeIndex:
     ``e``'s exit and ``order`` the topological node order."""
 
     def __init__(self, state: "SDFGState"):
-        g = state.graph
-        try:
-            self.order: List[Node] = list(nx.topological_sort(g))
-        except nx.NetworkXUnfeasible:
-            raise InvalidSDFGError(f"state {state.label!r} contains a cycle") from None
+        self.order: List[Node] = state.topological_nodes()
         entries = {n.map: n for n in self.order if isinstance(n, MapEntry)}
         self.parent: Dict[Node, Optional[MapEntry]] = {}
         self.exits: Dict[MapEntry, MapExit] = {}
@@ -90,7 +91,7 @@ class ScopeIndex:
                 self.exits[e], self.parent[n] = n, e
                 continue
             scope = None  # the deepest scope a predecessor hands on
-            for p in g.predecessors(n):
+            for p in state.predecessors(n):
                 s = p if isinstance(p, MapEntry) else self.parent[p]
                 if isinstance(p, MapExit):
                     s = self.parent[s]
@@ -134,16 +135,33 @@ class ScopeIndex:
 
 
 class SDFGState:
-    """A single dataflow state: an acyclic multigraph of nodes and memlets."""
+    """A single dataflow state: an acyclic multigraph of nodes and memlets.
+
+    Each edge is one data dict (``memlet``, ``src_conn``, ``dst_conn``)
+    shared by its two endpoints' adjacency, so transformations rewrite
+    ``d["memlet"]`` in place."""
 
     def __init__(self, label: str, arrays: Dict[str, ArrayDesc]):
         self.label = label
         self.arrays = arrays
-        self.graph = nx.MultiDiGraph()
+        self._succ: Dict[Node, Dict[Node, List[dict]]] = {}
+        self._pred: Dict[Node, Dict[Node, List[dict]]] = {}
+
+    def __deepcopy__(self, memo) -> "SDFGState":
+        """Nodes and ``arrays`` go through ``memo``; every edge gets a fresh
+        data dict holding the same (immutable) memlet."""
+        new = memo[id(self)] = SDFGState(self.label, copy.deepcopy(self.arrays, memo))
+        node = {n: copy.deepcopy(n, memo) for n in self._succ}
+        for u, nbrs in self._succ.items():
+            new._succ[node[u]] = {node[v]: [dict(d) for d in ds] for v, ds in nbrs.items()}
+        for v, nbrs in self._pred.items():
+            new._pred[node[v]] = {node[u]: new._succ[node[u]][node[v]] for u in nbrs}
+        return new
 
     # -- construction ------------------------------------------------------
     def add_node(self, node: Node) -> Node:
-        self.graph.add_node(node)
+        if node not in self._succ:
+            self._succ[node], self._pred[node] = {}, {}
         return node
 
     def add_access(self, data: str) -> AccessNode:
@@ -159,34 +177,73 @@ class SDFGState:
         src_conn: Optional[str] = None,
         dst_conn: Optional[str] = None,
     ):
-        self.graph.add_node(src)
-        self.graph.add_node(dst)
-        self.graph.add_edge(
-            src, dst, memlet=memlet, src_conn=src_conn, dst_conn=dst_conn
-        )
+        self.add_node(src)
+        self.add_node(dst)
+        ds = self._succ[src].get(dst)
+        if ds is None:
+            ds = self._succ[src][dst] = self._pred[dst][src] = []
+        ds.append({"memlet": memlet, "src_conn": src_conn, "dst_conn": dst_conn})
+
+    def remove_edge(self, u: Node, v: Node):
+        """Remove the most recently added ``u -> v`` edge."""
+        ds = self._succ[u][v]
+        ds.pop()
+        if not ds:
+            del self._succ[u][v], self._pred[v][u]
 
     def remove_node(self, node: Node):
-        self.graph.remove_node(node)
+        for v in self._succ.pop(node):
+            del self._pred[v][node]
+        for u in self._pred.pop(node):
+            del self._succ[u][node]
 
     # -- queries -----------------------------------------------------------
+    def __contains__(self, node: Node) -> bool:
+        return node in self._succ
+
     @property
     def nodes(self) -> List[Node]:
-        return list(self.graph.nodes)
+        return list(self._succ)
 
     def edges(self) -> List[Tuple[Node, Node, dict]]:
-        return [(u, v, d) for u, v, d in self.graph.edges(data=True)]
+        return [
+            (u, v, d)
+            for u, nbrs in self._succ.items()
+            for v, ds in nbrs.items()
+            for d in ds
+        ]
 
     def in_edges(self, node: Node) -> List[Tuple[Node, Node, dict]]:
-        return [(u, v, d) for u, v, d in self.graph.in_edges(node, data=True)]
+        return [(u, node, d) for u, ds in self._pred[node].items() for d in ds]
 
     def out_edges(self, node: Node) -> List[Tuple[Node, Node, dict]]:
-        return [(u, v, d) for u, v, d in self.graph.out_edges(node, data=True)]
+        return [(node, v, d) for v, ds in self._succ[node].items() for d in ds]
+
+    def predecessors(self, node: Node) -> List[Node]:
+        return list(self._pred[node])
+
+    def degree(self, node: Node) -> int:
+        """In- plus out-edges of ``node``, parallel edges counted."""
+        return sum(map(len, self._succ[node].values())) + sum(
+            map(len, self._pred[node].values())
+        )
 
     def topological_nodes(self) -> List[Node]:
-        return list(nx.topological_sort(self.graph))
+        """Kahn order by generations: the sources in insertion order, then
+        the nodes each releases in turn.  Raises on a cycle."""
+        indeg = {v: sum(map(len, ps.values())) for v, ps in self._pred.items()}
+        order = [v for v, d in indeg.items() if not d]
+        for u in order:  # grows while it is walked: one generation after another
+            for v, ds in self._succ[u].items():
+                indeg[v] -= len(ds)
+                if not indeg[v]:
+                    order.append(v)
+        if len(order) != len(indeg):
+            raise InvalidSDFGError(f"state {self.label!r} contains a cycle")
+        return order
 
     def tasklets(self) -> List[Tasklet]:
-        return [n for n in self.graph.nodes if isinstance(n, Tasklet)]
+        return [n for n in self._succ if isinstance(n, Tasklet)]
 
     def scope_index(self) -> ScopeIndex:
         """The scope structure of the graph as it is now (not cached)."""
@@ -194,9 +251,8 @@ class SDFGState:
 
     # -- validation ----------------------------------------------------------
     def validate(self):
-        g = self.graph
         scopes = self.scope_index()  # raises on a cycle, orphan or second exit
-        for u, v, d in g.edges(data=True):
+        for u, v, d in self.edges():
             mem: Optional[Memlet] = d.get("memlet")
             if mem is None:
                 continue
@@ -209,19 +265,15 @@ class SDFGState:
                 raise InvalidSDFGError(
                     f"memlet {mem!r} rank {len(mem.subset)} != array rank {desc.rank}"
                 )
-        for n in g.nodes:
+        for n in self._succ:
             if isinstance(n, Tasklet):
-                in_conns = {
-                    d.get("dst_conn") for _, _, d in g.in_edges(n, data=True)
-                }
+                in_conns = {d.get("dst_conn") for _, _, d in self.in_edges(n)}
                 for conn in n.inputs:
                     if conn not in in_conns:
                         raise InvalidSDFGError(
                             f"tasklet {n.label!r}: input connector {conn!r} unconnected"
                         )
-                out_conns = {
-                    d.get("src_conn") for _, _, d in g.out_edges(n, data=True)
-                }
+                out_conns = {d.get("src_conn") for _, _, d in self.out_edges(n)}
                 for conn in n.outputs:
                     if conn not in out_conns:
                         raise InvalidSDFGError(
@@ -231,7 +283,7 @@ class SDFGState:
                 raise InvalidSDFGError(f"no MapExit for {n!r} in state {self.label!r}")
 
     def __repr__(self) -> str:
-        return f"SDFGState({self.label}, {self.graph.number_of_nodes()} nodes)"
+        return f"SDFGState({self.label}, {len(self._succ)} nodes)"
 
 
 class InterstateEdge:
@@ -314,7 +366,7 @@ class SDFG:
         for st in self.states:
             st.validate()
         for st in self.states:
-            for n in st.graph.nodes:
+            for n in st.nodes:
                 if isinstance(n, NestedSDFG):
                     n.sdfg.validate()
                     for inner, outer in n.array_mapping.items():

@@ -67,7 +67,7 @@ class BatchedOperationSubstitution(Transformation):
         """
         sites: List[Site] = []
         scopes = state.scope_index()
-        for entry in state.graph.nodes:
+        for entry in state.nodes:
             if not isinstance(entry, MapEntry):
                 continue
             if len(entry.map.params) < 2:
@@ -97,7 +97,7 @@ class BatchedOperationSubstitution(Transformation):
         return sites
 
     def check(self, sdfg: SDFG, state: SDFGState) -> None:
-        if self.map_entry not in state.graph.nodes:
+        if self.map_entry not in state:
             raise TransformationError("map entry not in state")
         m = self.map_entry.map
         for p in self.batch_params:

@@ -40,12 +40,12 @@ class MapExpansion(Transformation):
                 params=tuple(n.map.params),
                 nodes=(n,),
             )
-            for n in state.graph.nodes
+            for n in state.nodes
             if isinstance(n, MapEntry) and len(n.map.params) >= 2
         ]
 
     def check(self, sdfg: SDFG, state: SDFGState) -> None:
-        if self.map_entry not in state.graph.nodes:
+        if self.map_entry not in state:
             raise TransformationError("map entry not in state")
         m = self.map_entry.map
         for p in self.outer_params:
@@ -56,7 +56,9 @@ class MapExpansion(Transformation):
 
     def apply(self, sdfg: SDFG, state: SDFGState) -> None:
         entry = self.map_entry
-        exit_node = state.scope_index().exits[entry]
+        exit_node = next(
+            n for n in state.nodes if isinstance(n, MapExit) and n.map is entry.map
+        )
         m = entry.map
 
         inner_params = [p for p in m.params if p not in self.outer_params]
@@ -72,11 +74,11 @@ class MapExpansion(Transformation):
         m.range = outer_rng
 
         for _, v, d in list(state.out_edges(entry)):
-            state.graph.remove_edge(entry, v)
+            state.remove_edge(entry, v)
             state.add_edge(ientry, v, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
             state.add_edge(entry, ientry, d.get("memlet"))
         for u, _, d in list(state.in_edges(exit_node)):
-            state.graph.remove_edge(u, exit_node)
+            state.remove_edge(u, exit_node)
             state.add_edge(u, iexit, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
             state.add_edge(iexit, exit_node, d.get("memlet"))
 

@@ -56,7 +56,7 @@ class MapFission(Transformation):
         would hoist the body out of any enclosing map's bindings."""
         sites: List[Site] = []
         scopes = state.scope_index()
-        for entry in state.graph.nodes:
+        for entry in state.nodes:
             if not isinstance(entry, MapEntry):
                 continue
             if scopes.scope_chain(entry):
@@ -83,7 +83,7 @@ class MapFission(Transformation):
         return sites
 
     def check(self, sdfg: SDFG, state: SDFGState) -> None:
-        if self.map_entry not in state.graph.nodes:
+        if self.map_entry not in state:
             raise TransformationError("map entry not in state")
         scopes = state.scope_index()
         if scopes.scope_chain(self.map_entry):
@@ -193,9 +193,9 @@ class MapFission(Transformation):
         for n in old_nodes:
             if isinstance(n, Tasklet):
                 for u, _, _ in list(state.in_edges(n)):
-                    state.graph.remove_edge(u, n)
+                    state.remove_edge(u, n)
                 for _, v, _ in list(state.out_edges(n)):
-                    state.graph.remove_edge(n, v)
+                    state.remove_edge(n, v)
         for n in old_nodes:
             if not isinstance(n, Tasklet):
                 state.remove_node(n)

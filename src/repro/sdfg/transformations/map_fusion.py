@@ -69,7 +69,7 @@ class MapFusion(Transformation):
             raise TransformationError("fusion needs at least two scopes")
         ref = self.map_entries[0].map
         for me in self.map_entries:
-            if me not in state.graph.nodes:
+            if me not in state:
                 raise TransformationError("map entry not in state")
             if me.map.params != ref.params or me.map.range != ref.range:
                 raise TransformationError(
@@ -119,7 +119,7 @@ class MapFusion(Transformation):
             # Writer side first would be wrong: readers in this scope consume
             # the *previous* scope's AN, so handle inputs before outputs.
             for _, v, d in list(state.out_edges(en)):
-                state.graph.remove_edge(en, v)
+                state.remove_edge(en, v)
                 mem = d.get("memlet")
                 if mem is not None and mem.data in intermediates:
                     src = an_current.get(mem.data)
@@ -131,7 +131,7 @@ class MapFusion(Transformation):
                 elif mem is not None:
                     state.add_edge(fentry, v, mem, d.get("src_conn"), d.get("dst_conn"))
             for u, _, d in list(state.in_edges(en)):
-                state.graph.remove_edge(u, en)
+                state.remove_edge(u, en)
                 mem = d.get("memlet")
                 if (
                     isinstance(u, AccessNode)
@@ -140,7 +140,7 @@ class MapFusion(Transformation):
                 ):
                     state.add_edge(u, fentry, mem, d.get("src_conn"), d.get("dst_conn"))
             for u, _, d in list(state.in_edges(ex)):
-                state.graph.remove_edge(u, ex)
+                state.remove_edge(u, ex)
                 mem = d.get("memlet")
                 if mem is not None and mem.data in intermediates:
                     an = AccessNode(mem.data)
@@ -151,10 +151,10 @@ class MapFusion(Transformation):
                 elif mem is not None:
                     state.add_edge(u, fexit, mem, d.get("src_conn"), d.get("dst_conn"))
             for _, v, d in list(state.out_edges(ex)):
-                state.graph.remove_edge(ex, v)
+                state.remove_edge(ex, v)
                 mem = d.get("memlet")
                 if mem is not None and mem.data in intermediates:
-                    if state.graph.degree(v) == 0:
+                    if state.degree(v) == 0:
                         state.remove_node(v)
                 elif mem is not None:
                     state.add_edge(fexit, v, mem, d.get("src_conn"), d.get("dst_conn"))
@@ -163,11 +163,11 @@ class MapFusion(Transformation):
         for en, ex in zip(entries, exits):
             state.remove_node(en)
             state.remove_node(ex)
-        for n in list(state.graph.nodes):
+        for n in state.nodes:
             if (
                 isinstance(n, AccessNode)
                 and n.data in intermediates
-                and state.graph.degree(n) == 0
+                and state.degree(n) == 0
             ):
                 state.remove_node(n)
 

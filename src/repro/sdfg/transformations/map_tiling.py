@@ -58,7 +58,7 @@ class MapTiling(Transformation):
         """Every map scope is tileable; ``params`` lists the candidates
         (those whose ``t``-prefixed tile name is still free)."""
         sites = []
-        for n in state.graph.nodes:
+        for n in state.nodes:
             if not isinstance(n, MapEntry):
                 continue
             candidates = tuple(
@@ -77,7 +77,7 @@ class MapTiling(Transformation):
         return sites
 
     def check(self, sdfg: SDFG, state: SDFGState) -> None:
-        if self.map_entry not in state.graph.nodes:
+        if self.map_entry not in state:
             raise TransformationError("map entry not in state")
         m = self.map_entry.map
         for p in self.tile_sizes:
@@ -118,11 +118,11 @@ class MapTiling(Transformation):
 
         # Re-route incoming edges through the outer scope.
         for u, _, d in list(state.in_edges(entry)):
-            state.graph.remove_edge(u, entry)
+            state.remove_edge(u, entry)
             state.add_edge(u, oentry, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
             state.add_edge(oentry, entry, d.get("memlet"))
         for _, v, d in list(state.out_edges(exit_node)):
-            state.graph.remove_edge(exit_node, v)
+            state.remove_edge(exit_node, v)
             state.add_edge(oexit, v, d.get("memlet"), d.get("src_conn"), d.get("dst_conn"))
             state.add_edge(exit_node, oexit, d.get("memlet"))
         # Keep the scope connected even without data edges.

@@ -60,7 +60,7 @@ class RedundantComputationRemoval(Transformation):
         """
         sites: List[Site] = []
         scopes = state.scope_index()
-        for entry in state.graph.nodes:
+        for entry in state.nodes:
             if not isinstance(entry, MapEntry):
                 continue
             tasklets = [
@@ -144,7 +144,7 @@ class RedundantComputationRemoval(Transformation):
         return sites
 
     def check(self, sdfg: SDFG, state: SDFGState) -> None:
-        if self.map_entry not in state.graph.nodes:
+        if self.map_entry not in state:
             raise TransformationError("map entry not in state")
         m = self.map_entry.map
         for r in self.removed_params:

@@ -7,11 +7,16 @@
 * A memlet lint written over the index: every access node's memlet paths
   are followed through the scopes they cross and checked at concrete
   dims.
+* ``networkx`` as an ordering oracle for the state's own multigraph: a
+  ``MultiDiGraph`` rebuilt from the state must sort and list edges the
+  same way.
 """
 
 from __future__ import annotations
 
 from typing import List, Mapping
+
+import networkx as nx
 
 from repro.sdfg import neighbor_indirection_hook, symbols
 from repro.sdfg.nodes import AccessNode, MapEntry, MapExit
@@ -24,7 +29,7 @@ from repro.sdfg.propagation import propagate_through_maps
 def _exit_of(state, entry):
     return next(
         n
-        for n in state.graph.nodes
+        for n in state.nodes
         if isinstance(n, MapExit) and n.map is entry.map
     )
 
@@ -33,21 +38,21 @@ def bfs_scope_children(state, entry) -> List:
     """Nodes reachable from ``entry`` without passing its exit."""
     exit_node = _exit_of(state, entry)
     inside, seen = [], {entry, exit_node}
-    frontier = [v for _, v in state.graph.out_edges(entry)]
+    frontier = [v for _, v, _ in state.out_edges(entry)]
     while frontier:
         n = frontier.pop()
         if n in seen:
             continue
         seen.add(n)
         inside.append(n)
-        frontier.extend(v for _, v in state.graph.out_edges(n))
+        frontier.extend(v for _, v, _ in state.out_edges(n))
     return inside
 
 
 def sorted_scope_chain(state, node) -> List:
     """Entries whose scope set holds ``node``, sorted deepest first by
     how many of the chain's other scopes contain each entry."""
-    entries = [n for n in state.graph.nodes if isinstance(n, MapEntry)]
+    entries = [n for n in state.nodes if isinstance(n, MapEntry)]
     sets = {
         e: set(bfs_scope_children(state, e)) | {_exit_of(state, e)}
         for e in entries
@@ -62,7 +67,7 @@ def sorted_scope_chain(state, node) -> List:
 
 
 def nested_top_level_maps(state) -> List:
-    entries = [n for n in state.graph.nodes if isinstance(n, MapEntry)]
+    entries = [n for n in state.nodes if isinstance(n, MapEntry)]
     nested = {
         c
         for e in entries
@@ -76,7 +81,7 @@ def assert_index_matches_walks(state) -> int:
     """The scope index equals the old walks on every node of ``state``;
     returns the number of nodes compared."""
     scopes = state.scope_index()
-    for n in state.graph.nodes:
+    for n in state.nodes:
         assert scopes.scope_chain(n) == sorted_scope_chain(state, n), n
         if isinstance(n, MapEntry):
             assert set(scopes.scope_children(n)) == set(
@@ -84,7 +89,32 @@ def assert_index_matches_walks(state) -> int:
             ), n
             assert scopes.exits[n] is _exit_of(state, n)
     assert set(scopes.top_level_maps()) == set(nested_top_level_maps(state))
-    return state.graph.number_of_nodes()
+    return len(state.nodes)
+
+
+# -- oracle: networkx's ordering of the same multigraph ------------------------
+
+
+def _edge_keys(edges) -> List:
+    return [
+        (u, v, id(d["memlet"]), d["src_conn"], d["dst_conn"]) for u, v, d in edges
+    ]
+
+
+def assert_orders_match_networkx(state) -> int:
+    """``topological_nodes``, ``in_edges`` and ``out_edges`` of ``state``
+    equal those of a ``MultiDiGraph`` rebuilt from its nodes and edges;
+    returns the number of nodes compared."""
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(state.nodes)
+    for u, v, d in state.edges():
+        g.add_edge(u, v, **d)
+    assert state.topological_nodes() == list(nx.topological_sort(g))
+    for n in state.nodes:
+        assert _edge_keys(state.in_edges(n)) == _edge_keys(g.in_edges(n, data=True)), n
+        assert _edge_keys(state.out_edges(n)) == _edge_keys(g.out_edges(n, data=True)), n
+        assert state.degree(n) == g.degree(n), n
+    return len(state.nodes)
 
 
 # -- memlet lint over the index -----------------------------------------------

@@ -1,6 +1,10 @@
 """Workload → Plan → Session facade: validation, reuse, equivalence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,3 +491,39 @@ class TestSessionCrossCheck:
         with Session(plan) as session:
             with pytest.raises(RuntimeError, match="no dace/sdfg SSE pipeline"):
                 session.cross_check_sse()
+
+
+_COLD_START = """
+import sys
+
+import repro.api as api
+
+workload = api.Workload(
+    device=api.DeviceSpec(nx_cols=6, ny_rows=3, NB=4, slab_width=2, Norb=2),
+    grid=api.GridSpec(e_min=-1.2, e_max=1.2, NE=8, Nkz=2, Nqz=2, Nw=2, eta=1e-4),
+    physics=api.PhysicsSpec(transport="scba", max_iterations=2),
+)
+plan = api.compile_workload(workload)
+assert plan.sse_report is not None  # sse_movement_report ran
+with api.Session(plan) as session:
+    session.model  # DeviceSpec.build + validate
+    for gi in range(plan.n_groups):
+        session.simulation(gi)
+print(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "networkx"}))
+"""
+
+
+class TestColdStart:
+    def test_import_compile_and_session_load_neither_scipy_nor_networkx(self):
+        # a fresh interpreter: this test process has both loaded already
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -78,7 +78,7 @@ class TestGraphStructure:
     def test_scope_children(self):
         sd = build_matmul_sdfg()
         st = sd.states[0]
-        entry = [n for n in st.graph.nodes if isinstance(n, MapEntry)][0]
+        entry = [n for n in st.nodes if isinstance(n, MapEntry)][0]
         kids = st.scope_index().scope_children(entry)
         assert any(isinstance(k, Tasklet) for k in kids)
 
@@ -149,7 +149,7 @@ class TestValidation:
     def test_map_with_two_exits(self):
         sd = build_matmul_sdfg()
         st = sd.states[0]
-        entry = next(n for n in st.graph.nodes if isinstance(n, MapEntry))
+        entry = next(n for n in st.nodes if isinstance(n, MapEntry))
         st.add_node(MapExit(entry.map))
         with pytest.raises(InvalidSDFGError, match="2nd exit"):
             sd.validate()

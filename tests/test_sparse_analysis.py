@@ -13,7 +13,7 @@ from repro.analysis import (
     table5_rows,
     table8_rows,
 )
-from repro.negf import METHODS, generate_rgf_operands, three_matrix_product
+from repro.negf.sparse_kernels import METHODS, generate_rgf_operands, three_matrix_product
 
 
 class TestSparseKernels:

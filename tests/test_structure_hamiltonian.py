@@ -1,10 +1,13 @@
 """Device structures and synthetic operator construction."""
 
-import networkx as nx
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from repro.negf import build_device, build_hamiltonian_model
 
@@ -33,8 +36,31 @@ class TestStructure:
             assert (small_device.neighbors[a] != a).all()
 
     def test_connectivity(self, small_device):
-        g = small_device.connectivity_graph()
-        assert nx.is_connected(g)
+        # independent oracle: components of the undirected bond graph
+        NA, NB = small_device.neighbors.shape
+        rows = np.repeat(np.arange(NA), NB)
+        bonds = sp.coo_matrix(
+            (np.ones(NA * NB), (rows, small_device.neighbors.ravel())), shape=(NA, NA)
+        )
+        assert connected_components(bonds, directed=False)[0] == 1
+
+    def test_rejects_disconnected_device(self):
+        dev = build_device(nx_cols=4, ny_rows=3, NB=4, slab_width=2)
+        # cut every bond between columns 0-1 and 2-3: each atom's first
+        # (in-column) bond takes the place of its crossing ones
+        left = dev.positions[:, 0] < 2
+        nbr = dev.neighbors.copy()
+        crossing = left[nbr] != left[:, None]
+        nbr[crossing] = np.broadcast_to(nbr[:, :1], nbr.shape)[crossing]
+        with pytest.raises(ValueError, match="disconnected"):
+            replace(dev, neighbors=nbr).validate()
+
+    def test_rejects_bond_between_non_adjacent_blocks(self):
+        dev = build_device(nx_cols=6, ny_rows=3, NB=4, slab_width=2)
+        nbr = dev.neighbors.copy()
+        nbr[0, 0] = dev.NA - 1  # block 0 -> block 2
+        with pytest.raises(ValueError, match="non-adjacent blocks 0..2"):
+            replace(dev, neighbors=nbr).validate()
 
     def test_block_tridiagonality(self, small_device):
         small_device.validate()  # raises on cross-block bonds
