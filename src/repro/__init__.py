@@ -37,7 +37,8 @@ Packages
     ``Session`` that keeps each structural group's simulation warm
     across tenants.
 ``repro.analysis``
-    Experiment drivers that regenerate every table/figure of the paper.
+    The paper scorecard: each quantitative claim of Tables 3-5, 8 and
+    Fig. 13 written once beside ours (``python -m repro.analysis``).
 """
 
 __version__ = "1.1.0"

@@ -1,33 +1,6 @@
-"""Experiment drivers and table rendering for the paper's evaluation."""
+"""The paper scorecard and the table rendering of the benchmark harness."""
 
-from .experiments import (
-    PAPER_TABLE3,
-    PAPER_TABLE4,
-    PAPER_TABLE5,
-    PAPER_TABLE8,
-    fig13_series,
-    table3_rows,
-    table4_rows,
-    table5_rows,
-    table7_rows,
-    table8_rows,
-)
-from .state_of_the_art import STATE_OF_THE_ART, SimulatorCapability
+from .scorecard import Claim, paper_claims, scorecard_markdown
 from .tables import fmt, render_table
 
-__all__ = [
-    "PAPER_TABLE3",
-    "PAPER_TABLE4",
-    "PAPER_TABLE5",
-    "PAPER_TABLE8",
-    "fig13_series",
-    "table3_rows",
-    "table4_rows",
-    "table5_rows",
-    "table7_rows",
-    "table8_rows",
-    "STATE_OF_THE_ART",
-    "SimulatorCapability",
-    "fmt",
-    "render_table",
-]
+__all__ = ["Claim", "paper_claims", "scorecard_markdown", "fmt", "render_table"]

@@ -9,8 +9,8 @@ lives, apart from the physics: compiling a :class:`~repro.api.Workload`
   for a distributed runtime — the ``(kz, E-chunk)`` rank decomposition
   and SSE schedule, each made once here and stored as an
   :class:`~repro.negf.SCBASettings` field,
-* groups sweep points by their *structural* settings (grid shape, η,
-  boundary method) so a :class:`~repro.api.Session` can reuse one
+* groups sweep points by their *structural* settings (grid shape, η)
+  so a :class:`~repro.api.Session` can reuse one
   Hamiltonian, one :class:`~repro.negf.SpectralGrid`, one engine, and one
   boundary cache across every point of a group (bias/temperature/gate
   never invalidate them),
@@ -81,7 +81,6 @@ STRUCTURAL_FIELDS: Tuple[str, ...] = (
     "Nqz",
     "Nw",
     "eta",
-    "boundary_method",
 )
 
 #: Settings fields fixed when a simulation is constructed: a resident

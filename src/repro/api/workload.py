@@ -116,7 +116,6 @@ class PhysicsSpec:
     mixing: float = 0.5
     max_iterations: int = 20
     tolerance: float = 1e-5
-    boundary_method: str = "sancho-rubio"
     sse_variant: str = "dace"
 
     def __post_init__(self):

@@ -181,7 +181,7 @@ def transfer_matrix_modes(
     eye = np.eye(n, dtype=np.complex128)
     lhs = np.block([[-B, -C.conj().T], [eye, zero]])
     rhs = np.block([[C, zero], [zero, eye]])
-    import scipy.linalg  # here, not at module level: no default boundary method uses it
+    import scipy.linalg  # here, not at module level: no workload uses this method
 
     lam, vec = scipy.linalg.eig(lhs, rhs)
 

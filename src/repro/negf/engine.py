@@ -176,7 +176,7 @@ class SpectralGrid:
         return out
 
 
-def _lead_pair(where: str, z, eta, method, left: tuple, right: tuple):
+def _lead_pair(where: str, z, eta, left: tuple, right: tuple):
     """``(Σ_L, Σ_R)`` of one grid row from each lead's ``(H00, H01, S00,
     S01)``.  A decimation that does not converge re-raises naming the
     lead side and ``where`` (the momentum index) beside the energy."""
@@ -184,7 +184,7 @@ def _lead_pair(where: str, z, eta, method, left: tuple, right: tuple):
     for side, (H00, H01, S00, S01) in (("left", left), ("right", right)):
         try:
             out.append(lead_self_energy_batched(
-                z, H00, H01, side, S00, S01, eta=eta, method=method
+                z, H00, H01, side, S00, S01, eta=eta
             ))
         except RuntimeError as err:
             raise RuntimeError(f"{side} lead at {where}: {err}") from err
@@ -242,8 +242,7 @@ class BoundaryCache:
         """Stacked (Σ_L, Σ_R) for the energies ``E = energies[e_idx]``.
 
         Missing points are filled with one batched Sancho-Rubio recursion
-        per lead (the transfer-matrix method falls back to a loop inside
-        :func:`lead_self_energy_batched`).
+        per lead.
         """
         s = self.s
         missing = [
@@ -258,7 +257,7 @@ class BoundaryCache:
                 points=len(missing),
             ):
                 sl, sr = _lead_pair(
-                    f"ik={ik}", E[missing], s.eta, s.boundary_method,
+                    f"ik={ik}", E[missing], s.eta,
                     (H.diag[0], H.upper[0], S.diag[0], S.upper[0]),
                     (H.diag[-1], H.upper[-1], S.diag[-1], S.upper[-1]),
                 )
@@ -293,7 +292,7 @@ class BoundaryCache:
             ):
                 z, eta_eff = self._phonon_z_eta(w[missing], s.eta)
                 pl, pr = _lead_pair(
-                    f"iq={iq}", z, eta_eff, s.boundary_method,
+                    f"iq={iq}", z, eta_eff,
                     (Phi.diag[0], Phi.upper[0], None, None),
                     (Phi.diag[-1], Phi.upper[-1], None, None),
                 )

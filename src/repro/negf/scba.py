@@ -89,7 +89,6 @@ class SCBASettings:
     mixing: float = 0.5
     max_iterations: int = 20
     tolerance: float = 1e-5
-    boundary_method: Literal["sancho-rubio", "transfer-matrix"] = "sancho-rubio"
     #: Σ≷ kernel: ``dace`` is the hand-vectorized transformed algorithm;
     #: ``sdfg`` executes the compiled Fig. 8 → 12 pipeline graph itself
     #: (backend per :attr:`sse_backend`); ``reference`` is the loop-nest

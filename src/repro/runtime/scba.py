@@ -226,11 +226,15 @@ class DistributedSCBARuntime:
                 t.call_all("finish_iteration", [()] * P)
             self.n_sse_iterations += 1
 
+        # The wait window brackets the run window, so each rank's first
+        # and last waits reach past it (the timeline clips them to it):
+        # a pipe rank stamps MARK_EPOCH before the driver opens the run
+        # and FLUSH_WAITS after the driver closed it.
+        t.mark_epoch()
         with trace(
             "runtime.run", ranks=P, schedule=self.schedule,
             transport=self.transport_name,
         ):
-            t.mark_epoch()
             iterations, converged, history = born_loop(
                 gf_phase,
                 sse_phase,
@@ -241,7 +245,7 @@ class DistributedSCBARuntime:
             with trace("runtime.gather") as span, \
                     self._meter("gather", span):
                 tensors = self._gather(t)
-            t.flush_waits()
+        t.flush_waits()
         self._drain_rank_telemetry(t)
         return SCBAResult.assemble(
             s, **tensors,

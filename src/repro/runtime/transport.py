@@ -87,9 +87,11 @@ class Transport:
     def mark_epoch(self) -> None:
         """Start measuring per-rank wait time (no-op when spans are off).
 
-        Called by the runtime right after the ``runtime.run`` span opens;
-        from here until :meth:`flush_waits` every gap between a rank's
-        activities is recorded as a ``runtime.wait`` span on its track.
+        Called by the runtime just before the ``runtime.run`` span opens
+        (and :meth:`flush_waits` just after it closes, so the window
+        covers the run); from here until :meth:`flush_waits` every gap
+        between a rank's activities is recorded as a ``runtime.wait``
+        span on its track.
         """
 
     def flush_waits(self) -> None:

@@ -27,7 +27,7 @@ from .backends import (
 from .graph import SDFG, ArrayDesc, InterstateEdge, InvalidSDFGError, SDFGState
 from .interpreter import ExecutionReport, Interpreter, execute
 from .memlet import Memlet
-from .nodes import AccessNode, Map, MapEntry, MapExit, NestedSDFG, Tasklet
+from .nodes import AccessNode, Map, MapEntry, MapExit, Tasklet
 from .passes import (
     BatchPass,
     ExpandPass,
@@ -92,7 +92,6 @@ __all__ = [
     "Map",
     "MapEntry",
     "MapExit",
-    "NestedSDFG",
     "Tasklet",
     "Pass",
     "PassError",

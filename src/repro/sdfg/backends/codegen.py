@@ -45,7 +45,7 @@ import numpy as np
 from ..graph import SDFG, SDFGState
 from ..interpreter import ExecutionReport
 from ..memlet import Memlet
-from ..nodes import AccessNode, MapEntry, NestedSDFG, Tasklet
+from ..nodes import AccessNode, MapEntry, Tasklet
 from ..symbolic import (
     Add,
     Expr,
@@ -162,12 +162,6 @@ class _Codegen:
         self.state: SDFGState = sdfg.states[0]
         # Code generation never edits the graph: one index serves it all.
         self.scopes = self.state.scope_index()
-        for n in self.state.nodes:
-            if isinstance(n, NestedSDFG):
-                raise BackendError(
-                    "numpy backend does not lower nested SDFGs; "
-                    "use the interpreter backend"
-                )
         self.func_name = func_name
         self.tasklet_codes: Dict[str, object] = {}
         # Base name scope: SDFG symbols, map parameters, array/table aliases.
@@ -940,10 +934,6 @@ def analytic_execution_report(
         for state in sdfg.states:
             scopes = state.scope_index()
             for node in state.nodes:
-                if isinstance(node, NestedSDFG):
-                    raise BackendError(
-                        "analytic report does not cover nested SDFGs"
-                    )
                 if not isinstance(node, Tasklet):
                     continue
                 inv = 1

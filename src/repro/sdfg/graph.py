@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .memlet import Memlet
-from .nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Node, Tasklet
+from .nodes import AccessNode, MapEntry, MapExit, Node, Tasklet
 from .symbolic import Expr, ExprLike, sympify
 
 __all__ = ["ArrayDesc", "SDFGState", "InterstateEdge", "SDFG", "InvalidSDFGError"]
@@ -365,15 +365,6 @@ class SDFG:
             raise InvalidSDFGError("SDFG has no states")
         for st in self.states:
             st.validate()
-        for st in self.states:
-            for n in st.nodes:
-                if isinstance(n, NestedSDFG):
-                    n.sdfg.validate()
-                    for inner, outer in n.array_mapping.items():
-                        if outer not in self.arrays:
-                            raise InvalidSDFGError(
-                                f"nested SDFG maps {inner!r} to unknown {outer!r}"
-                            )
 
     def __repr__(self) -> str:
         return f"SDFG({self.name}, {len(self.states)} states, {len(self.arrays)} arrays)"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import SDFG, ScopeIndex, SDFGState
 from .memlet import Memlet
-from .nodes import AccessNode, MapEntry, NestedSDFG, Node, Tasklet
+from .nodes import AccessNode, MapEntry, Node, Tasklet
 
 __all__ = ["Interpreter", "ExecutionReport", "execute"]
 
@@ -115,8 +115,6 @@ class Interpreter:
             self._run_tasklet(state, node, env, store)
         elif isinstance(node, MapEntry):
             self._run_scope(state, scopes, node, env, store)
-        elif isinstance(node, NestedSDFG):
-            self._run_nested(node, env, store)
         else:
             raise TypeError(f"cannot interpret node {node!r}")
 
@@ -142,24 +140,6 @@ class Interpreter:
                 local_env[p] = v
             for node in order:
                 self._run_node(state, scopes, node, local_env, store)
-
-    def _run_nested(self, node: NestedSDFG, env: Dict, store: Dict):
-        inner_syms = {
-            k: (v.evaluate(env) if hasattr(v, "evaluate") else env.get(v, v))
-            for k, v in node.symbol_mapping.items()
-        }
-        # Pass through all outer symbols too (cheap and convenient).
-        merged = {k: v for k, v in env.items() if isinstance(v, int)}
-        merged.update(inner_syms)
-        inner_arrays = {
-            inner: store[outer] for inner, outer in node.array_mapping.items()
-        }
-        sub = Interpreter(node.sdfg)
-        result = sub.run(merged, inner_arrays, tables=env.get("__tables__"))
-        self.report.flops += sub.report.flops
-        self.report.tasklet_invocations += sub.report.tasklet_invocations
-        for inner, outer in node.array_mapping.items():
-            store[outer] = result[inner]
 
     # -- tasklet execution ----------------------------------------------------
     def _run_tasklet(self, state: SDFGState, node: Tasklet, env: Dict, store: Dict):

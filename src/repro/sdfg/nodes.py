@@ -1,4 +1,4 @@
-"""SDFG node types: access nodes, tasklets, map scopes, nested SDFGs.
+"""SDFG node types: access nodes, tasklets, map scopes.
 
 The dataflow model follows the paper's Fig. 3: *Data* nodes are array
 containers, *Tasklets* are fine-grained computations, *Maps* are parametric
@@ -9,11 +9,11 @@ carry data-movement annotations.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from .subsets import Range
 
-__all__ = ["Node", "AccessNode", "Tasklet", "Map", "MapEntry", "MapExit", "NestedSDFG"]
+__all__ = ["Node", "AccessNode", "Tasklet", "Map", "MapEntry", "MapExit"]
 
 _counter = itertools.count()
 
@@ -134,31 +134,3 @@ class MapExit(Node):
     def __init__(self, m: Map):
         super().__init__(f"{m.label}[exit]")
         self.map = m
-
-
-class NestedSDFG(Node):
-    """An SDFG embedded as a node, with array and symbol mappings.
-
-    ``array_mapping`` maps inner array names to outer array names;
-    ``symbol_mapping`` maps inner symbols to outer symbolic expressions.
-    """
-
-    __slots__ = ("sdfg", "array_mapping", "symbol_mapping")
-
-    def __init__(
-        self,
-        label: str,
-        sdfg,
-        array_mapping: Dict[str, str],
-        symbol_mapping: Optional[Dict[str, object]] = None,
-    ):
-        super().__init__(label)
-        self.sdfg = sdfg
-        self.array_mapping = dict(array_mapping)
-        self.symbol_mapping = dict(symbol_mapping or {})
-
-
-def make_map(label: str, spec: Dict[str, Tuple]) -> Tuple[MapEntry, MapExit]:
-    """Create a paired entry/exit for ``Map`` from ``{param: (b, e[, s])}``."""
-    m = Map(label, list(spec.keys()), Range(list(spec.values())))
-    return MapEntry(m), MapExit(m)

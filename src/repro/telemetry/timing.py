@@ -1,9 +1,7 @@
 """Shared wall-clock timing: the min-of-repeats ``perf_counter`` idiom.
 
-Before the telemetry subsystem this pattern was copy-pasted across
-``autotune/roofline.py``, ``analysis/experiments.py``, ``service/pool.py``
-and ``api/session.py``; :func:`timeit` is the single implementation they
-now share.
+:func:`timeit` is the one implementation; ``autotune/roofline.py``,
+``api/session.py`` and the benchmarks use it.
 """
 
 from __future__ import annotations

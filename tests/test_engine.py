@@ -275,7 +275,13 @@ class TestBatchedBoundary:
     def test_surface_gf_is_a_fixed_point(self, slab_width, flip):
         """The whole cell's surface GF closes over the face chain's: it
         solves g = (M - α g[c, c] β on [r, r])^-1 for chains running
-        either way, electrons with S01 != 0 and phonons with array eta."""
+        either way, electrons with S01 != 0 and phonons with array eta.
+
+        Its 1e-10 bound holds on well-conditioned decimation steps only:
+        this grid misses the near-singular ones (the slab_width-3 left
+        lead at E = -0.3 misses its fixed point by 6.6e-9 at η = 1e-5).
+        :meth:`test_fixed_point_bound_at_e2e_eta` states the bound that
+        holds there."""
         model = _slab_model(slab_width)
         H, S = model.hamiltonian_blocks(0.3), model.overlap_blocks(0.3)
         Phi = model.dynamical_blocks(0.3)
@@ -441,7 +447,7 @@ class TestBoundaryCache:
             for side, blk, sig in zip(("left", "right"), (0, -1), cached):
                 fresh = lead_self_energy_batched(
                     E, H.diag[blk], H.upper[blk], side, S.diag[blk],
-                    S.upper[blk], eta=s.eta, method=s.boundary_method,
+                    S.upper[blk], eta=s.eta,
                 )[0]
                 assert np.abs(sig - fresh).max() <= 1e-12
         for (iq, iw), cached in cache._ph.items():
@@ -450,7 +456,7 @@ class TestBoundaryCache:
             for side, blk, pi in zip(("left", "right"), (0, -1), cached):
                 fresh = lead_self_energy_batched(
                     z, Phi.diag[blk], Phi.upper[blk], side,
-                    eta=eta_eff, method=s.boundary_method,
+                    eta=eta_eff,
                 )[0]
                 assert np.abs(pi - fresh).max() <= 1e-12
 

@@ -13,7 +13,6 @@ from repro.sdfg import (
     MapEntry,
     MapExit,
     Memlet,
-    NestedSDFG,
     Range,
     Tasklet,
     execute,
@@ -226,22 +225,6 @@ class TestInterpreter:
         )
         out = execute(sd, {}, dict(acc=np.zeros(1)))
         assert out["acc"][0] == 5
-
-    def test_nested_sdfg(self):
-        inner = SDFG("inner")
-        inner.add_array("x", (2,), np.float64)
-        ist = inner.add_state("s")
-        t = Tasklet("dbl", ["v"], ["o"], lambda v: {"o": 2 * v})
-        ist.add_edge(ist.add_access("x"), t, Memlet.full("x", (2,)), dst_conn="v")
-        ist.add_edge(t, ist.add_access("x"), Memlet.full("x", (2,)), src_conn="o")
-
-        outer = SDFG("outer")
-        outer.add_array("y", (2,), np.float64)
-        ost = outer.add_state("s")
-        n = NestedSDFG("sub", inner, {"x": "y"})
-        ost.add_node(n)
-        out = execute(outer, {}, dict(y=np.array([1.0, 2.0])))
-        assert np.allclose(out["y"], [2.0, 4.0])
 
     def test_read_views_are_readonly(self):
         sd = SDFG("ro")
