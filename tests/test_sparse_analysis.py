@@ -1,9 +1,13 @@
-"""Sparse RGF kernels (Table 6) and the benchmark table rendering."""
+"""Sparse RGF kernels (Table 6) and the analysis/reporting layer."""
+
+import re
 
 import numpy as np
 import pytest
 
-from repro.analysis import fmt, render_table
+from repro.analysis import fmt, paper_claims, render_table
+from repro.config import PAPER_STRUCTURE_4864
+from repro.model import TIB, search_tiling
 from repro.negf.sparse_kernels import METHODS, generate_rgf_operands, three_matrix_product
 
 
@@ -37,6 +41,27 @@ class TestSparseKernels:
 
 
 class TestAnalysis:
+    @pytest.fixture(scope="class")
+    def claims(self):
+        return paper_claims()
+
+    def test_table3_rows_match_paper(self, claims):
+        rows = [c for c in claims
+                if c.source == "Table 3" and "SSE-OMEN" in c.quantity]
+        assert len(rows) == 5
+        for c in rows:
+            assert c.ours == pytest.approx(c.paper, rel=0.005)
+
+    def test_table4_rows_structure(self, claims):
+        rows = [c for c in claims
+                if c.source == "Table 4" and c.quantity.endswith("DaCe TiB")]
+        Ps = [int(re.match(r"P=(\d+) ", c.quantity).group(1)) for c in rows]
+        assert Ps == [768, 1280, 1792, 2304, 2816]
+        for P, c in zip(Ps, rows):
+            nkz = P // 256
+            p = PAPER_STRUCTURE_4864.replace(Nkz=nkz, Nqz=nkz)
+            assert search_tiling(p, P).total_bytes / TIB <= c.ours * 1.0001
+
     def test_render_table_alignment(self):
         out = render_table("T", ["a", "bb"], [[1, 2.5], [10, 3.25]])
         lines = out.splitlines()
