@@ -45,7 +45,7 @@ def _time_backend(model, engine: str) -> float:
     with SCBASimulation(model, SCBASettings(engine=engine, **GRID)) as sim:
         start = time.perf_counter()
         for _ in range(N_SWEEPS):
-            sim.solve_electrons(None, None, None)
+            sim.solve_electrons(None, None)
             sim.solve_phonons(None, None)
         return time.perf_counter() - start
 

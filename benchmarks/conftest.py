@@ -81,7 +81,7 @@ def single_node_workload():
         NE=24, Nkz=3, Nqz=3, Nw=4, e_min=-1.5, e_max=1.5, eta=1e-3
     )
     sim = SCBASimulation(model, st)
-    Gl, Gg, _, _ = sim.solve_electrons(None, None, None)
+    Gl, Gg, _, _ = sim.solve_electrons(None, None)
     Dl, Dg = sim.solve_phonons(None, None)
     rev = dev.reverse_neighbor()
     Dcl = preprocess_phonon_green(Dl, dev.neighbors, rev)

@@ -69,7 +69,7 @@ def main():
     for backend in ("serial", "batched"):
         with SCBASimulation(model, replace(settings, engine=backend)) as sim:
             t0 = time.perf_counter()
-            Gl, _, _, _ = sim.solve_electrons(None, None, None)
+            Gl, _, _, _ = sim.solve_electrons(None, None)
             elapsed = time.perf_counter() - t0
         dev_str = ""
         if reference is not None:

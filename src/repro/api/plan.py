@@ -517,6 +517,16 @@ def compile_workload(
     dev = workload.device
     grouped: Dict[Tuple, List] = {}
     for pt in points:
+        # mixing 0 freezes Σ≷/Π≷ at the first iterate and reads as
+        # converged; a loop of no iterations has no result to report
+        mixing = pt.settings["mixing"]
+        max_iterations = pt.settings["max_iterations"]
+        if not 0 < mixing <= 1 or max_iterations < 1:
+            raise PlanError(
+                f"workload {workload.name!r} point {pt.index} {pt.coords}: "
+                f"mixing={mixing} must lie in (0, 1] and "
+                f"max_iterations={max_iterations} must be >= 1"
+            )
         key = tuple(pt.settings[f] for f in STRUCTURAL_FIELDS)
         grouped.setdefault(key, []).append(pt)
 

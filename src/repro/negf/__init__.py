@@ -30,6 +30,7 @@ from .scba import (
     SCBAResult,
     SCBASettings,
     SCBASimulation,
+    SelfEnergies,
     born_loop,
     bose,
     decode_array,
@@ -73,6 +74,7 @@ __all__ = [
     "SCBAResult",
     "SCBASettings",
     "SCBASimulation",
+    "SelfEnergies",
     "born_loop",
     "bose",
     "decode_array",

@@ -324,7 +324,7 @@ class GridEngine:
         self.kernel = get_kernel(self.pinned_kernel or grid.s.rgf_kernel)
         self.boundary = BoundaryCache(grid.s)
 
-    def solve_electrons(self, sigma_r, sigma_l, sigma_g):
+    def solve_electrons(self, sigma_r, sigma_l):
         """RGF over the (kz, E) grid -> (Gl, Gg, I_left, I_right)."""
         raise NotImplementedError
 
@@ -367,21 +367,21 @@ class SerialEngine(GridEngine):
     pinned_kernel = "reference"
 
     # -- electrons -----------------------------------------------------------
-    def solve_electrons(self, sigma_r, sigma_l, sigma_g):
+    def solve_electrons(self, sigma_r, sigma_l):
         g = self.grid
         Gl, Gg, I_L, I_R = self._alloc_electrons()
         for ik in range(len(g.kz_grid)):
             H, S = g.electron_operators(ik)
             for iE, E in enumerate(g.energies):
                 diag, upper, sless, extras = self._electron_system(
-                    H, S, E, ik, iE, sigma_r, sigma_l, sigma_g
+                    H, S, E, ik, iE, sigma_r, sigma_l
                 )
                 res = rgf_solve(diag, upper, sless)
                 self._scatter_to_atoms(res, Gl, Gg, ik, iE)
                 I_L[ik, iE], I_R[ik, iE] = self._contact_currents(res, extras)
         return Gl, Gg, I_L, I_R
 
-    def _electron_system(self, H, S, E, ik, iE, sigma_r, sigma_l, sigma_g):
+    def _electron_system(self, H, S, E, ik, iE, sigma_r, sigma_l):
         g, s = self.grid, self.grid.s
         diag = []
         for i, (h, sv) in enumerate(zip(H.diag, S.diag)):
@@ -507,7 +507,7 @@ class BatchedEngine(GridEngine):
             return rgf_solve_batched(diag, upper, sless, kernel=self.kernel)
 
     # -- electrons -----------------------------------------------------------
-    def solve_electrons(self, sigma_r, sigma_l, sigma_g):
+    def solve_electrons(self, sigma_r, sigma_l):
         g, s = self.grid, self.grid.s
         Gl, Gg, I_L, I_R = self._alloc_electrons()
         e_idx = np.arange(s.NE)

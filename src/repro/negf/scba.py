@@ -7,10 +7,13 @@ the new Green's functions, mixes, and repeats until the Green's-function
 update drops below tolerance — exactly the outer state machine of the
 paper's top-level SDFG (Fig. 6).
 
-That state machine exists once, in :func:`born_loop`: the in-process
+One state machine, one state: the machine exists once, in
+:func:`born_loop`, and the Σ≷/Π≷ containers it iterates once, as
+:class:`SelfEnergies` (mixing and the retarded parts).  The in-process
 :meth:`SCBASimulation.run` and the rank-parallel
-:meth:`repro.runtime.DistributedSCBARuntime.run` both drive it with
-their own GF and SSE phases, and both build their result through
+:meth:`repro.runtime.DistributedSCBARuntime.run` both drive the machine
+with their own GF and SSE phases, each over one :class:`SelfEnergies`
+of the domain it holds, and both build their result through
 :meth:`SCBAResult.assemble`.
 
 The grid sweeps themselves are delegated to a spectral-grid execution
@@ -55,8 +58,8 @@ __all__ = [
     "SCBAResult",
     "SCBASimulation",
     "born_loop",
+    "SelfEnergies",
     "sse_prefactors",
-    "mix_step",
     "fermi",
     "bose",
     "encode_array",
@@ -254,9 +257,39 @@ def sse_prefactors(settings, dE: float) -> Tuple[float, float]:
     return pre / max(settings.Nqz, 1), pre / max(settings.Nkz, 1)
 
 
-def mix_step(old: Optional[np.ndarray], new: np.ndarray, mix: float):
-    """Linear mixing ``(1-mix)·old + mix·new``; the first iterate is ``new``."""
-    return new if old is None else (1 - mix) * old + mix * new
+class SelfEnergies:
+    """The Σ≷/Π≷ state the Born loop iterates, over its owner's domain.
+
+    Serially the domain is the whole grid (Σ ``[Nkz, NE, NA, Norb, Norb]``,
+    Π ``[Nqz, Nw, NA, NB+1, N3D, N3D]``); on a rank it is the electron
+    shard (Σ ``[nE_local, NA, Norb, Norb]``) and the owned phonon rows
+    stacked in ``phonon_rows`` order (Π ``[n_rows, NA, NB+1, N3D, N3D]``,
+    ``n_rows`` possibly 0).  Every component is ``None`` until the first
+    :meth:`update`: the first GF phase is scattering-free.  The damping
+    is the owner's ``settings.mixing``, read once per run.
+    """
+
+    def __init__(self, settings):
+        self.mixing = settings.mixing
+        self.Sl = self.Sg = self.Sr = None
+        self.Pl = self.Pg = self.Pr = None
+
+    def update(self, Sl, Sg, Pl, Pg) -> None:
+        """Mix one SSE evaluation in and derive the retarded parts.
+
+        Linear mixing ``(1-m)·old + m·new`` with ``m = mixing``; the first
+        iterate is taken as is.  ``Σᴿ``/``Πᴿ`` follow from the mixed
+        lesser and greater parts (:func:`retarded_from_lesser_greater`).
+        """
+        # one component at a time, so each old iterate is freed as soon
+        # as its successor exists
+        m, first = self.mixing, self.Sl is None
+        self.Sl = Sl if first else (1 - m) * self.Sl + m * Sl
+        self.Sg = Sg if first else (1 - m) * self.Sg + m * Sg
+        self.Pl = Pl if first else (1 - m) * self.Pl + m * Pl
+        self.Pg = Pg if first else (1 - m) * self.Pg + m * Pg
+        self.Sr = retarded_from_lesser_greater(self.Sl, self.Sg)
+        self.Pr = retarded_from_lesser_greater(self.Pl, self.Pg)
 
 
 def density_observable(Gl: np.ndarray, dE: float, Nkz: int) -> np.ndarray:
@@ -398,8 +431,7 @@ class SCBASimulation:
 
     # -- GF phases (delegated to the execution engine) ---------------------------
     def solve_electrons(
-        self, sigma_r: Optional[np.ndarray], sigma_l: Optional[np.ndarray],
-        sigma_g: Optional[np.ndarray],
+        self, sigma_r: Optional[np.ndarray], sigma_l: Optional[np.ndarray]
     ):
         """RGF over the (kz, E) grid.
 
@@ -407,7 +439,7 @@ class SCBASimulation:
         ``[Nkz, NE, NA, Norb, Norb]`` (or None in the ballistic limit).
         Returns ``(Gl, Gg, I_left, I_right)``.
         """
-        return self.engine.solve_electrons(sigma_r, sigma_l, sigma_g)
+        return self.engine.solve_electrons(sigma_r, sigma_l)
 
     def solve_phonons(
         self, pi_r: Optional[np.ndarray], pi_l: Optional[np.ndarray]
@@ -455,8 +487,7 @@ class SCBASimulation:
             return self._run_distributed(ballistic)
         s = self.s
         Gl = Gg = Dl = Dg = I_L = I_R = None
-        Sl = Sg = Sr = None
-        Pl = Pg = Pr = None
+        se = SelfEnergies(s)
         #: holds the open ``scba.iteration`` span: one iteration runs from
         #: its GF phase to the start of the next (or the end of the loop)
         iteration_span = ExitStack()
@@ -466,8 +497,8 @@ class SCBASimulation:
             iteration_span.close()
             iteration_span.enter_context(trace("scba.iteration", iteration=it))
             Gl_prev = Gl
-            Gl, Gg, I_L, I_R = self.solve_electrons(Sr, Sl, Sg)
-            Dl, Dg = self.solve_phonons(Pr, Pl)
+            Gl, Gg, I_L, I_R = self.solve_electrons(se.Sr, se.Sl)
+            Dl, Dg = self.solve_phonons(se.Pr, se.Pl)
             if Gl_prev is None:
                 return None
             num = np.linalg.norm(Gl - Gl_prev)
@@ -475,17 +506,9 @@ class SCBASimulation:
             return num / den
 
         def sse_phase(it: int) -> None:
-            nonlocal Sl, Sg, Sr, Pl, Pg, Pr
             with trace("scba.sse", iteration=it):
-                Sl_new, Sg_new, Pl_new, Pg_new = (
-                    self.scattering_self_energies(Gl, Gg, Dl, Dg)
-                )
-            Sl = mix_step(Sl, Sl_new, s.mixing)
-            Sg = mix_step(Sg, Sg_new, s.mixing)
-            Pl = mix_step(Pl, Pl_new, s.mixing)
-            Pg = mix_step(Pg, Pg_new, s.mixing)
-            Sr = retarded_from_lesser_greater(Sl, Sg)
-            Pr = retarded_from_lesser_greater(Pl, Pg)
+                new = self.scattering_self_energies(Gl, Gg, Dl, Dg)
+            se.update(*new)
 
         with iteration_span:
             iterations, converged, history = born_loop(
@@ -497,6 +520,6 @@ class SCBASimulation:
             )
         return SCBAResult.assemble(
             s, Gl=Gl, Gg=Gg, Dl=Dl, Dg=Dg, I_L=I_L, I_R=I_R,
-            Sl=Sl, Sg=Sg, Pl=Pl, Pg=Pg,
+            Sl=se.Sl, Sg=se.Sg, Pl=se.Pl, Pg=se.Pg,
             iterations=iterations, converged=converged, history=history,
         )

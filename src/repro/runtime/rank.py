@@ -10,9 +10,11 @@ one rank needs to run whole Born iterations:
   rank's grid points are solved once and reused across Born iterations
   and sweep points (counters exposed through :meth:`counters`);
 * the electron shard ``G≷[k, esl]`` and the owned phonon rows
-  ``D≷(q, w)``, refreshed by :meth:`solve_gf` each iteration (with the
-  Π≷ feedback from the previous exchange applied to the phonon systems);
-* the Σ≷/Π≷ mixing state of the Born loop, updated rank-locally by
+  ``D≷(q, w)`` (stacked in ``phonon_rows`` order), refreshed by
+  :meth:`solve_gf` each iteration (with the Π≷ feedback from the
+  previous exchange applied to the phonon systems);
+* the Born loop's :class:`~repro.negf.scba.SelfEnergies` over the
+  electron shard and the stacked owned rows, updated rank-locally by
   :meth:`finish_iteration` after each exchange.
 
 Workers are constructed once per runtime (inside the rank process for
@@ -23,13 +25,14 @@ the boundary cache warm.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..negf.engine import BatchedEngine, SpectralGrid
-from ..negf.scba import SCBASettings, mix_step, sse_prefactors
-from ..negf.sse import preprocess_phonon_green, retarded_from_lesser_greater
+from ..negf.scba import SCBASettings, SelfEnergies, sse_prefactors
+from ..negf.sse import preprocess_phonon_green
 from ..parallel.decomposition import OmenDecomposition
 from ..parallel.schedules import RankSSEStore
 from ..telemetry.spans import Tracer, scoped_span
@@ -63,9 +66,13 @@ class RankWorker(RankSSEStore):
             grid.rev,
         )
         self.phonon_rows = list(phonon_rows)
-        self.rows_by_q: Dict[int, List[int]] = {}
-        for q, w in self.phonon_rows:
-            self.rows_by_q.setdefault(q, []).append(w)
+        #: owned rows per qz: ``(q, ω indices, slice of the stacked rows)``
+        self.q_blocks: List[Tuple[int, np.ndarray, slice]] = []
+        start = 0
+        for q, rows in groupby(self.phonon_rows, key=lambda row: row[0]):
+            w_idx = np.array([w for _, w in rows])
+            self.q_blocks.append((q, w_idx, slice(start, start + len(w_idx))))
+            start += len(w_idx)
         #: rank-private span sink — kept separate from the driver's even
         #: under the in-process ``sim`` transport, drained through
         #: :meth:`drain_telemetry` and merged rank-tagged by the runtime
@@ -76,15 +83,10 @@ class RankWorker(RankSSEStore):
     def _reset_state(self) -> None:
         self.Gl = self.Gg = None
         self.I_L = self.I_R = None
-        self.Sl = self.Sg = self.Sr = None
-        #: raw phonon rows from the last GF phase: {(q, w): [2, NA, NB+1, ...]}
-        self.D: Dict[Tuple[int, int], np.ndarray] = {}
-        self.Dc = {}
-        #: mixed Π≷ / retarded Π rows (owned rows only)
-        self.Pi: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        self.Pi_r: Dict[Tuple[int, int], np.ndarray] = {}
-        self.pi_raw = {}
-        self._acc_Sl = self._acc_Sg = None
+        #: owned phonon rows of the last GF phase, stacked in
+        #: ``phonon_rows`` order: ``[n_rows, NA, NB+1, N3D, N3D]``
+        self.Dl = self.Dg = None
+        self.se = SelfEnergies(self.grid.s)
 
     def begin_run(self, state: Dict) -> None:
         """Sync sweep-mutable settings and reset the Born-loop state.
@@ -113,10 +115,11 @@ class RankWorker(RankSSEStore):
             return self._solve_gf()
 
     def _solve_gf(self) -> Tuple[bool, float, float]:
+        se = self.se
         e_idx = np.arange(self.esl.start, self.esl.stop)
         Gl_prev = self.Gl
         Gl, Gg, I_L, I_R = self.engine.electron_row(
-            self.k, e_idx, self.Sr, self.Sl
+            self.k, e_idx, se.Sr, se.Sl
         )
         num2 = (
             float(np.sum(np.abs(Gl - Gl_prev) ** 2))
@@ -127,15 +130,16 @@ class RankWorker(RankSSEStore):
         self.Gl, self.Gg = Gl, Gg
         self.I_L, self.I_R = I_L, I_R
 
-        for q, ws in self.rows_by_q.items():
-            w_idx = np.asarray(ws)
+        shape = (len(self.phonon_rows), self.NA, self.NB + 1, self.N3D, self.N3D)
+        self.Dl = np.empty(shape, dtype=np.complex128)
+        self.Dg = np.empty(shape, dtype=np.complex128)
+        for q, w_idx, rows in self.q_blocks:
             pr = pl = None
-            if self.Pi_r:
-                pr = np.stack([self.Pi_r[(q, w)] for w in ws])
-                pl = np.stack([self.Pi[(q, w)][0] for w in ws])
-            Dl_rows, Dg_rows = self.engine.phonon_row(q, w_idx, pr, pl)
-            for j, w in enumerate(ws):
-                self.D[(q, w)] = np.stack([Dl_rows[j], Dg_rows[j]])
+            if se.Pr is not None:
+                pr, pl = se.Pr[rows], se.Pl[rows]
+            self.Dl[rows], self.Dg[rows] = self.engine.phonon_row(
+                q, w_idx, pr, pl
+            )
         return Gl_prev is not None, num2, den2
 
     # -- SSE phase ---------------------------------------------------------------
@@ -144,63 +148,52 @@ class RankWorker(RankSSEStore):
         with scoped_span(self.tracer, "rank.sse_prepare", rank=self.rank):
             super().sse_begin()
             self.Dc = {}
-            for (q, w), d in self.D.items():
+            for row, dl, dg in zip(self.phonon_rows, self.Dl, self.Dg):
                 Dcl = preprocess_phonon_green(
-                    d[0][None, None], self.neigh, self.rev
+                    dl[None, None], self.neigh, self.rev
                 )[0, 0]
                 Dcg = preprocess_phonon_green(
-                    d[1][None, None], self.neigh, self.rev
+                    dg[None, None], self.neigh, self.rev
                 )[0, 0]
-                self.Dc[(q, w)] = np.stack([Dcl, Dcg])
+                self.Dc[row] = np.stack([Dcl, Dcg])
 
     def finish_iteration(self) -> None:
-        """Scale, mix, and close the Born feedback loop rank-locally.
+        """Scale the exchanged Σ≷/Π≷ and close the Born feedback loop.
 
-        Applies the Eq. 3-5 grid prefactors to the exchanged raw Σ≷/Π≷,
-        mixes them into the running self-energies, and derives the
-        retarded components (``Σᴿ ≈ (Σ> - Σ<)/2``) that the next
-        :meth:`solve_gf` inserts into the linear systems.
+        Applies the Eq. 3-5 grid prefactors to the exchanged raw Σ≷ and
+        owned Π≷ rows (stacked in ``phonon_rows`` order) and updates the
+        rank's :class:`~repro.negf.scba.SelfEnergies`, whose retarded
+        parts the next :meth:`solve_gf` inserts into the linear systems.
         """
-        s = self.grid.s
-        pre_sigma, pre_pi = sse_prefactors(s, self.grid.dE)
-        mix = s.mixing
-
-        self.Sl = mix_step(self.Sl, pre_sigma * self._acc_Sl, mix)
-        self.Sg = mix_step(self.Sg, pre_sigma * self._acc_Sg, mix)
-        self.Sr = retarded_from_lesser_greater(self.Sl, self.Sg)
-
-        for row, (pl_raw, pg_raw) in self.pi_raw.items():
-            Pl_old, Pg_old = self.Pi.get(row, (None, None))
-            Pl = mix_step(Pl_old, pre_pi * pl_raw, mix)
-            Pg = mix_step(Pg_old, pre_pi * pg_raw, mix)
-            self.Pi[row] = (Pl, Pg)
-            self.Pi_r[row] = retarded_from_lesser_greater(Pl, Pg)
+        pre_sigma, pre_pi = sse_prefactors(self.grid.s, self.grid.dE)
+        Pl = np.empty_like(self.Dl)
+        Pg = np.empty_like(self.Dg)
+        for j, row in enumerate(self.phonon_rows):
+            Pl[j], Pg[j] = self.pi_raw[row]
+        self.se.update(
+            pre_sigma * self._acc_Sl, pre_sigma * self._acc_Sg,
+            pre_pi * Pl, pre_pi * Pg,
+        )
 
     # -- result collection --------------------------------------------------------
     def result_shard(self) -> Dict[str, Optional[np.ndarray]]:
-        """The rank's electron-side tensors for the final gather."""
+        """The rank's tensors for the final gather, keyed as
+        :meth:`~repro.negf.SCBAResult.assemble` takes them: the electron
+        shard and the stacked owned phonon rows (Σ≷/Π≷ ``None`` before
+        the first exchange)."""
+        se = self.se
         return {
             "Gl": self.Gl,
             "Gg": self.Gg,
             "I_L": self.I_L,
             "I_R": self.I_R,
-            "Sl": self.Sl,
-            "Sg": self.Sg,
+            "Sl": se.Sl,
+            "Sg": se.Sg,
+            "Dl": self.Dl,
+            "Dg": self.Dg,
+            "Pl": se.Pl,
+            "Pg": se.Pg,
         }
-
-    def phonon_shard(self) -> Dict[Tuple[int, int], Tuple]:
-        """The rank's owned phonon rows (D≷ and mixed Π≷) for the gather."""
-        out = {}
-        for row in self.phonon_rows:
-            d = self.D[row]
-            pi = self.Pi.get(row)
-            out[row] = (
-                d[0],
-                d[1],
-                pi[0] if pi is not None else None,
-                pi[1] if pi is not None else None,
-            )
-        return out
 
     def counters(self) -> Dict[str, int]:
         """Boundary-cache solve/hit counters and operator assemblies of

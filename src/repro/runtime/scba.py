@@ -256,63 +256,31 @@ class DistributedSCBARuntime:
     def _gather(self, t: Transport) -> Dict[str, Optional[np.ndarray]]:
         """Collect every shard at rank 0 and assemble the global tensors.
 
-        Keyed as :meth:`~repro.negf.SCBAResult.assemble` takes them;
-        self-energies no rank ever evaluated come back as ``None``.
+        Keyed as :meth:`~repro.negf.SCBAResult.assemble` takes them:
+        electron tensors land at the rank's ``(k, esl)`` block, its
+        stacked phonon rows at their ``(q, w)`` indices.  Self-energies
+        no rank ever evaluated come back as ``None``.
         """
-        s, model = self.s, self.model
-        P = self.P
-        NA, Norb = model.structure.NA, model.Norb
-        NB, N3D = model.structure.NB, model.N3D
-
-        Gl = np.zeros((s.Nkz, s.NE, NA, Norb, Norb), dtype=np.complex128)
-        Gg = np.zeros_like(Gl)
-        I_L = np.zeros((s.Nkz, s.NE))
-        I_R = np.zeros_like(I_L)
-        Sl = np.zeros_like(Gl)
-        Sg = np.zeros_like(Gl)
-        have_sigma = True
-        for r in range(P):
-            shard = t.call(r, "result_shard")
-            for value in shard.values():
-                if value is not None:
-                    t.charge(r, 0, value.nbytes)
+        s = self.s
+        out: Dict[str, Optional[np.ndarray]] = {}
+        for r in range(self.P):
             k, _ = self.gf_decomp.coords(r)
             esl = self.gf_decomp.energy_slice(r)
-            Gl[k, esl] = shard["Gl"]
-            Gg[k, esl] = shard["Gg"]
-            I_L[k, esl] = shard["I_L"]
-            I_R[k, esl] = shard["I_R"]
-            if shard["Sl"] is None:
-                have_sigma = False
-            else:
-                Sl[k, esl] = shard["Sl"]
-                Sg[k, esl] = shard["Sg"]
-
-        Dl = np.zeros((s.Nqz, s.Nw, NA, NB + 1, N3D, N3D), dtype=np.complex128)
-        Dg = np.zeros_like(Dl)
-        Pl = np.zeros_like(Dl)
-        Pg = np.zeros_like(Dl)
-        have_pi = True
-        for r in range(P):
-            rows = t.call(r, "phonon_shard")
-            for (q, w), (dl, dg, pl, pg) in rows.items():
-                for value in (dl, dg, pl, pg):
-                    if value is not None:
-                        t.charge(r, 0, value.nbytes)
-                Dl[q, w] = dl
-                Dg[q, w] = dg
-                if pl is None:
-                    have_pi = False
+            rows = self.phonon_rows[r]
+            q_idx, w_idx = [q for q, _ in rows], [w for _, w in rows]
+            for name, value in t.call(r, "result_shard").items():
+                if value is None:
+                    out[name] = None
+                    continue
+                t.charge(r, 0, value.nbytes)
+                if name in ("Dl", "Dg", "Pl", "Pg"):
+                    lead, index = (s.Nqz, s.Nw), (q_idx, w_idx)
                 else:
-                    Pl[q, w] = pl
-                    Pg[q, w] = pg
-        return dict(
-            Gl=Gl, Gg=Gg, I_L=I_L, I_R=I_R, Dl=Dl, Dg=Dg,
-            Sl=Sl if have_sigma else None,
-            Sg=Sg if have_sigma else None,
-            Pl=Pl if have_pi else None,
-            Pg=Pg if have_pi else None,
-        )
+                    lead, index = (s.Nkz, s.NE), (k, esl)
+                if name not in out:
+                    out[name] = np.zeros(lead + value.shape[1:], value.dtype)
+                out[name][index] = value
+        return out
 
     # -- accounting ---------------------------------------------------------------
     def _drain_rank_telemetry(self, t: Transport) -> None:

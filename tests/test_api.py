@@ -208,6 +208,29 @@ class TestPlan:
         with pytest.raises(PlanError, match="Nqz"):
             w.compile(engine="batched")
 
+    @pytest.mark.parametrize("field, value", [
+        ("mixing", 0.0), ("mixing", -0.1), ("mixing", 1.5),
+        ("max_iterations", 0),
+    ])
+    def test_non_converging_loop_raises(self, field, value):
+        """mixing 0 freezes the first iterate and reads as converged; a
+        loop of no iterations has no result."""
+        w = small_workload(physics=scba_physics(**{field: value}))
+        with pytest.raises(PlanError, match=f"{field}={value}"):
+            w.compile(engine="batched")
+
+    @pytest.mark.parametrize("field, values", [
+        ("mixing", (0.5, 0.0)), ("max_iterations", (3, 0)),
+    ])
+    def test_sweep_axis_reaching_a_non_converging_loop_raises(
+        self, field, values
+    ):
+        w = small_workload(
+            physics=scba_physics(), sweeps=(SweepAxis(field, values),)
+        )
+        with pytest.raises(PlanError, match=f"point 1 .*{field}="):
+            w.compile(engine="batched")
+
     def test_scba_plan_records_dace_recipe(self):
         plan = small_workload(physics=scba_physics()).compile(engine="batched")
         names = [n for n, _ in plan.sse_recipe]
@@ -420,7 +443,7 @@ class TestSessionLifetime:
     def test_scba_simulation_context_manager(self, small_model):
         settings = SCBASettings(NE=4, Nkz=2, Nqz=2, Nw=2, engine="batched")
         with SCBASimulation(small_model, settings) as sim:
-            sim.solve_electrons(None, None, None)
+            sim.solve_electrons(None, None)
 
 
 class TestResultPersistence:

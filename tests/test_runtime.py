@@ -90,9 +90,11 @@ class TestMatchesSerial:
         assert np.allclose(res.history, serial_result.history, atol=1e-10)
 
     def test_eight_ranks(self, model, serial_result):
+        """Four of the eight ranks own no phonon row (Nqz x Nw = 4)."""
         with distributed_sim(model, "omen", 8) as sim:
             res = sim.run()
         assert np.max(np.abs(res.Gl - serial_result.Gl)) <= 1e-10
+        assert np.max(np.abs(res.Pi_l - serial_result.Pi_l)) <= 1e-10
 
     def test_convergent_run_same_decision(self, model):
         """With a live tolerance both loops must break at the same spot."""

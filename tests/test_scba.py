@@ -6,6 +6,7 @@ import pytest
 from repro.negf import (
     SCBASettings,
     SCBASimulation,
+    SelfEnergies,
     born_loop,
     bose,
     build_device,
@@ -80,6 +81,59 @@ class TestBornLoop:
         assert (iterations, converged) == (4, False)
         assert len(history) == 4 - 1
         assert calls.count(("sse", 3)) == 1
+
+
+class TestSelfEnergies:
+    """The one mixing rule, on every domain a ``SelfEnergies`` holds."""
+
+    #: (Σ shape, Π shape) per domain, on a 6 x 3 device (NA 18, NB 4)
+    DOMAINS = {
+        "whole": ((2, 12, 18, 2, 2), (2, 2, 18, 5, 3, 3)),
+        "rank_rows": ((3, 18, 2, 2), (2, 18, 5, 3, 3)),
+        # P = 8 on a (Nqz, Nw) = (2, 2) grid: half the ranks own no row
+        "rank_no_rows": ((3, 18, 2, 2), (0, 18, 5, 3, 3)),
+    }
+    SETTINGS = SCBASettings(mixing=0.6)
+
+    @pytest.fixture(params=sorted(DOMAINS))
+    def iterates(self, request):
+        """Two SSE evaluations ``(Σ<, Σ>, Π<, Π>)`` on one domain."""
+        rng = np.random.default_rng(7)
+        sigma, pi = self.DOMAINS[request.param]
+        return [
+            tuple(
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in (sigma, sigma, pi, pi)
+            )
+            for _ in range(2)
+        ]
+
+    @staticmethod
+    def _state(se):
+        return se.Sl, se.Sg, se.Pl, se.Pg
+
+    def test_first_iterate_is_taken_as_is(self, iterates):
+        se = SelfEnergies(self.SETTINGS)
+        assert se.Sr is None and se.Pr is None  # scattering-free start
+        se.update(*iterates[0])
+        for got, new in zip(self._state(se), iterates[0]):
+            np.testing.assert_array_equal(got, new)
+
+    def test_second_iterate_mixes_linearly(self, iterates):
+        m = self.SETTINGS.mixing
+        se = SelfEnergies(self.SETTINGS)
+        for new in iterates:
+            se.update(*new)
+        for got, old, new in zip(self._state(se), *iterates):
+            np.testing.assert_array_equal(got, (1 - m) * old + m * new)
+
+    def test_retarded_parts_follow_the_mixed_state(self, iterates):
+        se = SelfEnergies(self.SETTINGS)
+        for new in iterates:
+            se.update(*new)
+            np.testing.assert_array_equal(se.Sr, (se.Sg - se.Sl) / 2)
+            np.testing.assert_array_equal(se.Pr, (se.Pg - se.Pl) / 2)
+            assert se.Pr.shape == new[2].shape
 
 
 class TestOccupations:
