@@ -1,25 +1,29 @@
-"""The multi-tenant scheduler service, end to end.
+"""A multi-tenant job queue over one ``Session``.
 
-Four tenants share one machine.  Alice and Bob run bias points of the
-same device on the same grid — structurally identical workloads, so they
-share one resident simulation and Bob inherits Alice's open-boundary
-solves for free.  Carol's grid differs (her own structural group), so
-she pays her own boundary bill.  Dave resubmits Alice's exact physics
-under a different label and is served from the content-addressed result
-cache without touching a rank at all.
+Four tenants share one machine.  Their jobs wait in a priority queue and
+run, highest priority first, through one long-lived
+:class:`repro.api.Session`, which keeps one warm simulation per
+structural group (device + grid + execution choices):
 
-Along the way: jobs are priced with the Table-3 flop model while
-planning, executed strictly in priority order, and every result carries
-a ``service`` block (cache outcome, priced vs executed flops, measured
-boundary solves and hits) that serializes with it.
+* Alice sweeps three bias points; Bob asks for one more bias on the same
+  device and grid, so his job lands in Alice's group and reuses every
+  open-boundary solve she paid for;
+* Carol's grid is finer, a structural group of its own, so she pays her
+  own boundary solves;
+* Dave resubmits Alice's exact physics under another label.
+  ``Workload.cache_key()`` ignores the label, so a plain dict of results
+  answers him and he runs nothing.
+
+The queue is a sorted list of ``(-priority, seq, workload)``: equal
+priorities run first come, first served.
 
 Run:  python examples/scheduler_service.py
 """
 
-import json
+import bisect
+import itertools
 
-from repro.api import DeviceSpec, GridSpec, PhysicsSpec, SweepAxis, Workload
-from repro.service import ResultCache, SchedulerService
+from repro.api import DeviceSpec, GridSpec, PhysicsSpec, Session, SweepAxis, Workload
 
 
 def tenant_workload(name, bias=0.2, NE=8, points=None):
@@ -34,49 +38,73 @@ def tenant_workload(name, bias=0.2, NE=8, points=None):
     )
 
 
+class JobQueue:
+    """Priority-ordered jobs over one session, with a result cache."""
+
+    def __init__(self, session):
+        self.session = session
+        self.pending = []  # sorted (-priority, seq, workload)
+        self.results = {}  # workload.cache_key() -> SweepResult
+        self._seq = itertools.count()
+
+    def enqueue(self, workload, priority=0):
+        bisect.insort(self.pending, (-priority, next(self._seq), workload))
+
+    def drain(self):
+        """Run every queued job; yield ``(workload, priority, result, hit)``.
+
+        A hit is answered from the cache without touching the session.
+        """
+        while self.pending:
+            neg_priority, _, workload = self.pending.pop(0)
+            key = workload.cache_key()
+            hit = key in self.results
+            if not hit:
+                self.results[key] = self.session.run(workload.compile())
+            yield workload, -neg_priority, self.results[key], hit
+
+
 def main():
-    w_alice = tenant_workload("alice-iv", points=(0.0, 0.2, 0.4))
-    w_bob = tenant_workload("bob-spot", bias=0.3)
-    w_carol = tenant_workload("carol-fine", NE=12)
-    w_dave = tenant_workload("dave-copy", points=(0.0, 0.2, 0.4))
+    alice = tenant_workload("alice-iv", points=(0.0, 0.2, 0.4))
+    bob = tenant_workload("bob-spot", bias=0.3)
+    carol = tenant_workload("carol-fine", NE=12)
+    dave = tenant_workload("dave-copy", points=(0.0, 0.2, 0.4))
 
-    with SchedulerService(cache=ResultCache(max_entries=32)) as svc:
-        # -- submission: four tenants, mixed priorities ------------------
-        alice = svc.submit(w_alice, tenant="alice", priority=5)
-        bob = svc.submit(w_bob, tenant="bob", priority=0)
-        carol = svc.submit(w_carol, tenant="carol", priority=0)
-        # dave resubmits alice's exact physics under a different label
-        dave = svc.submit(w_dave, tenant="dave", priority=0)
-        print(f"queued {len(svc.jobs())} jobs from 4 tenants\n")
+    with Session(alice.compile()) as session:
+        queue = JobQueue(session)
+        # bob and carol queue first; alice's priority puts her ahead of them
+        queue.enqueue(bob, priority=0)
+        queue.enqueue(carol, priority=0)
+        queue.enqueue(alice, priority=5)
+        queue.enqueue(dave, priority=0)
+        print(f"queued {len(queue.pending)} jobs from 4 tenants\n")
 
-        # -- one drain: plan, cache-probe, execute in priority order -----
-        svc.drain()
-        print(f"{'job':>12} {'tenant':>7} {'state':>7} "
-              f"{'solves':>7} {'hits':>6}  cache")
-        for job in svc.jobs():
-            s = job.result.service
-            print(f"{job.workload.name:>12} {job.tenant:>7} {job.state:>7} "
-                  f"{s['boundary_solves']:>7} {s['boundary_hits']:>6}  "
-                  f"{s['cache']}")
+        print(f"{'order':>5} {'job':>12} {'priority':>8} {'solves':>7} "
+              f"{'hits':>6}  cache")
+        order, paid, hits = [], 0, 0
+        for workload, priority, result, hit in queue.drain():
+            # a cache hit ran nothing: it paid no boundary solve
+            solves = 0 if hit else result.boundary_solves
+            reused = 0 if hit else result.boundary_hits
+            order.append(workload.name)
+            paid += solves
+            hits += hit
+            print(f"{len(order):>5} {workload.name:>12} {priority:>8} "
+                  f"{solves:>7} {reused:>6}  {'hit' if hit else 'miss'}")
 
-        # -- what sharing bought ----------------------------------------
-        stats = svc.stats()
-        print(f"\nboundary solves paid : {stats['boundary_solves']} "
+        counters = session.reuse_counters()
+        assert paid == counters["boundary_el_solves"] + counters[
+            "boundary_ph_solves"]
+        print(f"\nrun order            : {' > '.join(order)}")
+        print(f"boundary solves paid : {paid} "
               "(bob reused alice's warm simulation)")
-        print(f"cache hits           : {stats['cache']['hits']} "
-              "(dave ran nothing)")
-        print(f"structural groups    : {stats['groups']} "
+        print(f"cache hits           : {hits} (dave ran nothing)")
+        print(f"structural groups    : {len(session)} "
               "(alice+bob+dave share one; carol's grid gets its own)")
 
-        # the service block travels with the serialized result
-        blob = json.loads(bob.result.to_json())["service"]
-        print(f"\nbob's serialized service block: "
-              f"solves={blob['boundary_solves']}, hits={blob['boundary_hits']}")
-
-        assert dave.state == "CACHED" and blob["boundary_solves"] == 0
-        assert blob["boundary_hits"] > 0 and stats["groups"] == 2
-        assert alice.metrics["exec_order"] == 1  # priority 5 ran first
-        print("\nscheduler service sane: sharing, caching, priority order")
+        assert order == ["alice-iv", "bob-spot", "carol-fine", "dave-copy"]
+        assert hits == 1 and len(session) == 2
+    print("\njob queue sane: priority order, one cache hit, shared groups")
 
 
 if __name__ == "__main__":

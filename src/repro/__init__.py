@@ -31,11 +31,6 @@ Packages
     The public facade: declarative ``Workload`` → compiled ``Plan`` →
     executed ``Session`` (with sweeps as first-class axes and named
     scenario presets) — the canonical entry point for every scenario.
-``repro.service``
-    The multi-tenant scheduler above the facade: a priority job queue and
-    a content-addressed result cache in front of one long-lived
-    ``Session`` that keeps each structural group's simulation warm
-    across tenants.
 ``repro.analysis``
     The paper scorecard: each quantitative claim of Tables 3-5, 8 and
     Fig. 13 written once beside ours (``python -m repro.analysis``).

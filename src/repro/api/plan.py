@@ -51,6 +51,7 @@ from ..config import (
 from ..model.communication import omen_comm_total_bytes
 from ..model.distribution import search_tiling
 from ..model.performance import iteration_flops
+from ..negf.scba import born_controls_error
 from ..parallel.decomposition import partition_spectral_grid
 from ..sdfg.pipeline import PipelineReport
 from .workload import Workload
@@ -138,11 +139,12 @@ class PlanGroup:
     """Sweep points sharing one simulation (grid + engine + caches).
 
     ``key`` is the group's :data:`STRUCTURAL_FIELDS` followed by its
-    :data:`EXECUTION_FIELDS`: points (or service jobs on one device)
-    with equal keys may share one simulation.  ``base_settings`` are the
-    full :class:`~repro.negf.SCBASettings` kwargs of the group; each
-    point carries only the *overrides* of the non-structural fields its
-    sweep coordinates set.
+    :data:`EXECUTION_FIELDS`: points with equal keys, also of different
+    plans run through one :class:`~repro.api.Session`, may share one
+    simulation.  ``base_settings`` are the full
+    :class:`~repro.negf.SCBASettings` kwargs of the group; each point
+    carries only the *overrides* of the non-structural fields its sweep
+    coordinates set.
     """
 
     key: Tuple
@@ -517,15 +519,13 @@ def compile_workload(
     dev = workload.device
     grouped: Dict[Tuple, List] = {}
     for pt in points:
-        # mixing 0 freezes Σ≷/Π≷ at the first iterate and reads as
-        # converged; a loop of no iterations has no result to report
-        mixing = pt.settings["mixing"]
-        max_iterations = pt.settings["max_iterations"]
-        if not 0 < mixing <= 1 or max_iterations < 1:
+        error = born_controls_error(
+            pt.settings["mixing"], pt.settings["max_iterations"]
+        )
+        if error:
             raise PlanError(
                 f"workload {workload.name!r} point {pt.index} {pt.coords}: "
-                f"mixing={mixing} must lie in (0, 1] and "
-                f"max_iterations={max_iterations} must be >= 1"
+                f"{error}"
             )
         key = tuple(pt.settings[f] for f in STRUCTURAL_FIELDS)
         grouped.setdefault(key, []).append(pt)

@@ -19,8 +19,9 @@ plans it runs and reuses it across sweep points — and across plans:
 
 ``Session(plan).run()`` runs the plan the session was opened with;
 ``run(other_plan)`` runs a further plan on the same resident
-simulations wherever its structural keys match — how the scheduler
-service shares warm executors across tenants' jobs.  Results come back
+simulations wherever its structural keys match, so several workloads
+on one device share warm executors (``examples/scheduler_service.py``
+queues jobs over one session this way).  Results come back
 as structured :class:`RunResult`/:class:`SweepResult` objects with JSON
 export built on :meth:`repro.negf.SCBAResult.to_dict`.  Under
 ``REPRO_TELEMETRY=spans`` a sweep also carries the spans of its own
@@ -149,11 +150,6 @@ class SweepResult:
     #: :meth:`to_dict`
     reuse: Dict[str, int] = field(default_factory=dict)
     engine: str = ""
-    #: scheduler-service metadata (cache hit/miss, boundary solves/hits,
-    #: queue latency) attached by :class:`repro.service.SchedulerService`
-    #: so the job's accounting serializes with the result; None for
-    #: plain :meth:`Session.run` results
-    service: Optional[Dict[str, Any]] = None
     #: the spans of this :meth:`Session.run` ({"mode", "trace"},
     #: :func:`repro.telemetry.telemetry_snapshot`): its ``session.run``
     #: subtree plus the rank tracks merged during it, also when the run
@@ -205,8 +201,6 @@ class SweepResult:
             "reuse": dict(self.reuse),
             "runs": [r.to_dict(include_arrays) for r in self.runs],
         }
-        if self.service is not None:
-            out["service"] = dict(self.service)
         if self.telemetry is not None:
             out["telemetry"] = dict(self.telemetry)
         return out
@@ -219,14 +213,12 @@ class SweepResult:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SweepResult":
-        service = d.get("service")
         telemetry = d.get("telemetry")
         return cls(
             workload=dict(d["workload"]),
             runs=[RunResult.from_dict(r) for r in d["runs"]],
             reuse=dict(d.get("reuse", {})),
             engine=d.get("engine", ""),
-            service=dict(service) if service is not None else None,
             telemetry=dict(telemetry) if telemetry is not None else None,
         )
 

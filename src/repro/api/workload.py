@@ -362,15 +362,6 @@ class Workload:
         canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def submit(self, service, **job_kwargs):
-        """Convenience: submit this workload to a scheduler service.
-
-        Equivalent to ``service.submit(self, **job_kwargs)`` — accepts the
-        same ``tenant``/``priority``/``deadline_s`` hints and returns the
-        queued :class:`~repro.service.Job`.
-        """
-        return service.submit(self, **job_kwargs)
-
 
 # -- scenario registry ----------------------------------------------------------
 

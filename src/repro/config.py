@@ -18,7 +18,6 @@ __all__ = [
     "RGF_KERNELS",
     "RUNTIMES",
     "SSE_SCHEDULES",
-    "SERVICE_MODES",
     "AUTOTUNE_STRATEGIES",
     "TELEMETRY_MODES",
     "default_telemetry_mode",
@@ -54,11 +53,6 @@ RUNTIMES: Tuple[str, ...] = ("serial", "sim", "pipe")
 #: (paper §4.1): OMEN's per-(qz, ω) broadcast rounds or the
 #: communication-avoiding DaCe ``TE x TA`` tile exchange.
 SSE_SCHEDULES: Tuple[str, ...] = ("omen", "dace")
-
-#: Execution modes of the multi-tenant scheduler (``repro.service``):
-#: ``sync`` runs jobs inside explicit ``drain()`` calls (deterministic,
-#: the testing mode); ``thread`` drains the queue on a background worker.
-SERVICE_MODES: Tuple[str, ...] = ("sync", "thread")
 
 #: Observability modes of the telemetry subsystem (``repro.telemetry``):
 #: ``off`` disables every probe (the default; near-zero overhead),

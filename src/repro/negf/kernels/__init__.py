@@ -2,8 +2,8 @@
 
 Every Born iteration spends its time in the RGF forward/backward
 recursions behind :func:`repro.negf.rgf.rgf_solve_batched`.  That hot
-path is one *kernel* — the unit that the engine, the distributed runtime
-and the scheduler all amortize (the extreme-scale follow-up of the paper
+path is one *kernel* — the unit that the engine and the distributed
+runtime both amortize (the extreme-scale follow-up of the paper
 treats RGF exactly this way: one tuned kernel):
 
 ``reference``

@@ -55,6 +55,7 @@ from .sse import pi_sse, preprocess_phonon_green, retarded_from_lesser_greater, 
 
 __all__ = [
     "SCBASettings",
+    "born_controls_error",
     "SCBAResult",
     "SCBASimulation",
     "born_loop",
@@ -116,6 +117,25 @@ class SCBASettings:
     ranks: Optional[int] = None
     #: SSE communication schedule of the distributed runtime (§4.1)
     schedule: Literal["omen", "dace"] = "omen"
+
+    def __post_init__(self):
+        error = born_controls_error(self.mixing, self.max_iterations)
+        if error:
+            raise ValueError(error)
+
+
+def born_controls_error(mixing: float, max_iterations: int) -> Optional[str]:
+    """Why the Born loop cannot run with these controls, or None.
+
+    Mixing 0 freezes Σ≷/Π≷ at the first iterate and reads as converged;
+    a loop of no iterations has no result to report.
+    """
+    if 0 < mixing <= 1 and max_iterations >= 1:
+        return None
+    return (
+        f"mixing={mixing} must lie in (0, 1] and "
+        f"max_iterations={max_iterations} must be >= 1"
+    )
 
 
 @dataclass

@@ -24,7 +24,7 @@ values raise), with near-zero overhead when off.  The quickest way in::
 
     from repro import telemetry
     with telemetry.capture("spans") as cap:
-        ...  # any run: Session, SCBASimulation, service
+        ...  # any run: Session, SCBASimulation, a distributed runtime
     cap.save("run.trace.json")      # open in https://ui.perfetto.dev
 """
 

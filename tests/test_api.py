@@ -446,6 +446,119 @@ class TestSessionLifetime:
             sim.solve_electrons(None, None)
 
 
+# -- the executor holder: one Session across plans ----------------------------
+
+
+def tenant_workload(name="svc", bias=0.2, NE=8, transport="ballistic", **kwargs):
+    """One tenant's job: ``small_workload`` at a bias, grid size and
+    transport of its own."""
+    return small_workload(
+        name=name,
+        grid=GridSpec(e_min=-1.2, e_max=1.2, NE=NE, Nkz=2, Nqz=2, Nw=2, eta=1e-4),
+        physics=scba_physics(
+            transport=transport, mu_left=bias / 2, mu_right=-bias / 2,
+        ),
+        **kwargs,
+    )
+
+
+def resident_groups(*plans):
+    """Resident simulations after running every plan through one Session."""
+    with Session(plans[0]) as session:
+        for plan in plans:
+            session.run(plan)
+        return len(session)
+
+
+class TestSharedSession:
+    def test_separates_grids_not_bias(self):
+        w1 = tenant_workload(bias=0.1)
+        w2 = tenant_workload(bias=0.5)
+        w3 = tenant_workload(NE=12)
+        plans = [w.compile(engine="batched") for w in (w1, w2, w3)]
+        assert resident_groups(plans[0], plans[1]) == 1
+        assert resident_groups(*plans) == 2
+
+    def test_separates_execution_choices(self):
+        w = tenant_workload(transport="scba")
+
+        def groups(*compile_kwargs):
+            return resident_groups(*(w.compile(**kw) for kw in compile_kwargs))
+
+        assert groups({"engine": "serial"}, {"engine": "batched"}) == 2
+        sim2 = {"runtime": "sim", "ranks": 2}
+        assert groups({"runtime": "serial"}, sim2) == 2
+        # bias still merges under every execution choice
+        for kw in ({"engine": "serial"}, sim2):
+            assert resident_groups(
+                tenant_workload(bias=0.1).compile(**kw),
+                tenant_workload(bias=0.5).compile(**kw),
+            ) == 1
+
+    def test_second_plan_reuses_boundary_cache(self):
+        a, b = tenant_workload("a", bias=0.1), tenant_workload("b", bias=0.5)
+        plan_a, plan_b = (w.compile(engine="batched") for w in (a, b))
+        with Session(plan_a) as session:
+            first = session.run()
+            second = session.run(plan_b)
+            assert len(session) == 1
+        assert first.boundary_solves > 0
+        assert second.boundary_solves == 0
+        assert second.boundary_hits > 0
+        assert second.workload["name"] == "b"
+
+    def test_second_device_builds_second_model(self, monkeypatch):
+        other = DeviceSpec(nx_cols=6, ny_rows=3, NB=4, slab_width=2, Norb=2,
+                           seed=7)
+        plans = [
+            tenant_workload(bias=0.1).compile(),
+            tenant_workload(bias=0.5).compile(),
+            tenant_workload(device=other).compile(),
+        ]
+        builds = []
+        real_build = DeviceSpec.build
+
+        def counting_build(spec):
+            builds.append(spec)
+            return real_build(spec)
+
+        monkeypatch.setattr(DeviceSpec, "build", counting_build)
+        with Session(plans[0]) as session:
+            for plan in plans:
+                session.run(plan)
+            assert len(session) == 2
+            assert session.model is session.model
+        assert builds == [plans[0].workload.device, other]
+
+    def test_run_after_close_raises(self):
+        plan = tenant_workload().compile()
+        session = Session(plan)
+        session.run()
+        session.close()
+        with pytest.raises(RuntimeError, match="session is closed"):
+            session.run(tenant_workload(bias=0.5).compile())
+
+    def test_simulation_index_is_the_run_executor(self):
+        """``simulation(gi)`` is what ``run()`` uses for group ``gi`` — the
+        contract the e2e harness builds its set-up on."""
+        w = tenant_workload(sweeps=(SweepAxis("grid", (8, 12)),))
+        plan = w.compile()
+        assert plan.n_groups == 2
+        with Session(plan) as session:
+            sims = [session.simulation(gi) for gi in range(plan.n_groups)]
+            sweep = session.run()
+            # run() built no simulation of its own ...
+            assert len(session) == 2
+            assert all(
+                session.simulation(gi) is sim for gi, sim in enumerate(sims)
+            )
+            # ... and every boundary solve of the run was paid by those two
+            assert sweep.boundary_solves == sum(
+                sim.boundary_counters()[k]
+                for sim in sims for k in ("el_solves", "ph_solves")
+            )
+
+
 class TestResultPersistence:
     def test_scba_result_round_trip(self):
         w = small_workload(physics=scba_physics())

@@ -107,7 +107,6 @@ def test_removed_env_names_are_inert(monkeypatch, name, garbage):
     from repro.autotune import SearchConfig
     from repro.negf import SCBASettings
     from repro.sdfg import get_backend
-    from repro.service import ResultCache, SchedulerService
 
     monkeypatch.delenv("REPRO_AUTOTUNE_MAX_MOVES", raising=False)
     monkeypatch.setenv(name, garbage)
@@ -119,8 +118,5 @@ def test_removed_env_names_are_inert(monkeypatch, name, garbage):
     plan = compile_workload(scenario("quickstart"))
     assert (plan.rgf_kernel, plan.runtime) == ("numpy", "serial")
     assert get_backend().name == "numpy"
-    with SchedulerService() as svc:
-        assert svc.mode == "sync"
-    assert ResultCache().max_entries == 128
     assert SearchConfig().resolved().max_moves == 24
     assert AUTOTUNE_STRATEGIES == ("greedy",)

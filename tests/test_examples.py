@@ -85,9 +85,16 @@ def test_autotune_recipe_example():
 
 def test_scheduler_service_example():
     out = _run("scheduler_service.py")
-    assert "CACHED" in out
+    # alice's priority 5 runs ahead of bob and carol, who queued before her
+    assert "run order            : alice-iv > bob-spot > carol-fine > dave-copy" in out
+    # dave's resubmission is the one cache hit, and it paid no boundary solve
+    hits = [line.split() for line in out.splitlines() if line.endswith(" hit")]
+    assert hits == [["4", "dave-copy", "0", "0", "0", "hit"]]
+    assert "cache hits           : 1" in out
+    # bob shares alice's group: only alice and carol paid boundary solves
     assert "boundary solves paid : 96" in out
-    assert "scheduler service sane" in out
+    assert "structural groups    : 2" in out
+    assert "job queue sane" in out
 
 
 @pytest.mark.slow

@@ -1,4 +1,4 @@
-"""Performance observatory: timeline analytics and service health.
+"""Performance observatory: timeline analytics and its CLI.
 
 Covers the ISSUE-10 acceptance surface:
 
@@ -9,8 +9,7 @@ Covers the ISSUE-10 acceptance surface:
   rank's busy time, and the exchange bytes re-derived from the phase
   spans match the §4.1 models to the byte (through
   ``drift.comm_drift(last_comm=...)``);
-* the service health verdict flips to ``degraded`` for each threshold;
-* the ``python -m repro.observe`` CLI renders both reports.
+* the ``python -m repro.observe trace`` CLI renders the report.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.observe import (
     analyze_events,
     analyze_trace_file,
     analyze_tracer,
-    service_health,
 )
 from repro.observe.__main__ import main as observe_main
 from repro.telemetry import capture, configure, get_tracer
@@ -159,58 +157,6 @@ def test_analysis_selects_run_window(small_model):
     assert first.wall_s != last.wall_s or first.to_dict() != last.to_dict()
 
 
-# -- service health ----------------------------------------------------------
-
-
-def _stats(**overrides):
-    base = {
-        "queued": 0,
-        "jobs": {"DONE": 3, "CACHED": 1},
-        "cache": {"hits": 1, "misses": 3},
-        "queue_latency_s": {
-            "count": 4, "window": 4,
-            "p50": 0.01, "p95": 0.02, "max": 0.03, "mean": 0.012,
-        },
-        "groups": 1,
-        "tenants": {"alice": {"jobs": 4, "done": 3, "cached": 1,
-                              "failed": 0}},
-    }
-    base.update(overrides)
-    return base
-
-
-def test_health_ok_verdict():
-    report = service_health(stats=_stats())
-    assert report.ok and report.status == "ok" and not report.reasons
-    md = report.to_markdown()
-    assert "**OK**" in md and "alice" in md
-    json.loads(json.dumps(report.to_dict()))
-
-
-@pytest.mark.parametrize(
-    "overrides, reason",
-    [
-        ({"queued": 500}, "queue depth"),
-        ({"jobs": {"DONE": 3, "FAILED": 1}}, "FAILED"),
-        (
-            {"queue_latency_s": {"count": 4, "window": 4, "p50": 1.0,
-                                 "p95": 120.0, "max": 130.0, "mean": 30.0}},
-            "latency p95",
-        ),
-    ],
-)
-def test_health_degraded_verdicts(overrides, reason):
-    report = service_health(stats=_stats(**overrides))
-    assert not report.ok and report.status == "degraded"
-    assert any(reason in r for r in report.reasons), report.reasons
-
-
-def test_health_thresholds_overridable():
-    stats = _stats(queued=500)
-    assert not service_health(stats=stats).ok
-    assert service_health(stats=stats, max_queued=1000).ok
-
-
 # -- the CLI -----------------------------------------------------------------
 
 
@@ -225,13 +171,3 @@ def test_cli_trace_report(small_model, tmp_path, capsys):
     assert "critical path" in capsys.readouterr().out
     assert observe_main(["trace", str(trace), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["wall_s"] > 0
-
-
-def test_cli_health_gate(tmp_path, capsys):
-    stats = tmp_path / "stats.json"
-    stats.write_text(json.dumps(_stats()))
-    assert observe_main(["health", str(stats)]) == 0
-    assert "**OK**" in capsys.readouterr().out
-    stats.write_text(json.dumps(_stats(queued=500)))
-    assert observe_main(["health", str(stats), "--gate"]) == 1
-    assert "DEGRADED" in capsys.readouterr().out

@@ -83,6 +83,18 @@ class TestBornLoop:
         assert calls.count(("sse", 3)) == 1
 
 
+@pytest.mark.parametrize("runtime", ["serial", "sim"])
+@pytest.mark.parametrize("field, value", [
+    ("mixing", 0.0), ("mixing", -0.1), ("mixing", 1.5),
+    ("max_iterations", 0),
+])
+def test_non_converging_controls_raise(sim_factory, runtime, field, value):
+    """Mixing 0 freezes the first iterate and reads as converged; a loop
+    of no iterations has no result.  Both are refused on every runtime."""
+    with pytest.raises(ValueError, match=f"{field}={value} must"):
+        sim_factory(runtime=runtime, **{field: value}).run()
+
+
 class TestSelfEnergies:
     """The one mixing rule, on every domain a ``SelfEnergies`` holds."""
 

@@ -344,8 +344,8 @@ def test_sweep_telemetry_holds_only_its_own_run():
 
 
 def test_nested_run_telemetry_holds_its_own_subtree():
-    """A ``Session.run`` inside an open span (a service job runs under
-    ``service.execute``) still carries its own spans."""
+    """A ``Session.run`` inside an open span (a caller that wraps each
+    queued job in a span of its own) still carries its own spans."""
     from repro.api import Session
 
     plan = _quick_workload().compile()
@@ -365,15 +365,13 @@ def test_nested_run_telemetry_holds_its_own_subtree():
 
 
 def test_service_result_has_no_telemetry_when_off():
-    from repro.service import SchedulerService
+    from repro.api import Session
 
     configure("off")
-    with SchedulerService() as svc:
-        sweep = svc.wait(svc.submit(_quick_workload()))
+    with Session(_quick_workload().compile()) as session:
+        sweep = session.run()
     assert sweep.telemetry is None
-    assert set(sweep.to_dict()) == {
-        "workload", "engine", "reuse", "runs", "service",
-    }
+    assert set(sweep.to_dict()) == {"workload", "engine", "reuse", "runs"}
 
 
 # -- distributed runtime ------------------------------------------------------
