@@ -31,7 +31,7 @@ PAPER_DIMS = dict(Nkz=7, NE=706, Nqz=7, Nw=70, NA=4864, NB=34, Norb=12, N3D=3)
 
 
 def main():
-    # -- search: fig8 + empty pass list -> a full pipeline ------------------
+    # -- search: fig8 + empty step list -> a full pipeline ------------------
     t0 = time.time()
     res = tuned_sse_search(PAPER_DIMS)
     print(f"search took {time.time() - t0:.1f}s "

@@ -1,8 +1,10 @@
 """Walk the paper's SSE transformation pipeline (Figs. 8 -> 12).
 
 The recipe is a declarative ``Pipeline`` (``repro.core.SSE_PIPELINE``):
-an ordered list of passes that select their application sites through
-each transformation's ``match()`` pattern enumeration.  This example
+an ordered list of ``(stage, description, Move)`` steps.  A ``Move`` —
+the one transformation-step type, which the autotuner searches over
+too — selects its application sites through its transformation's
+``match()`` pattern enumeration.  This example
 
 1. compiles the pipeline through the *numpy* execution backend — every
    stage lowered to generated vectorized source and verified against
@@ -34,7 +36,7 @@ def main():
         arrays["G"], arrays["dH"], arrays["D"], tables["__neigh__"]
     )
 
-    # -- compile: lower every pass through the numpy backend, verify --------
+    # -- compile: lower every stage through the numpy backend, verify -------
     compiled = compile_sse_pipeline(backend="numpy")
     assert compiled.verified
     print(f"compiled {compiled!r}")

@@ -4,11 +4,12 @@ The hand-written SSE recipe (:data:`repro.core.recipe.SSE_PIPELINE`)
 encodes the paper's Fig. 8 -> Fig. 12 sequence as domain knowledge.
 This package rediscovers such sequences mechanically:
 
-* :mod:`~repro.autotune.space` enumerates the legal next moves from any
-  SDFG state by instantiating each pass type over its transformation's
-  ``match()`` sites — candidate pipeline extensions are legal by
-  construction, and only the seven kinds the greedy can commit are
-  offered;
+* :mod:`~repro.autotune.space` enumerates the legal next moves
+  (:class:`~repro.sdfg.passes.Move`, the step type the hand recipe is
+  written in too) from any SDFG state over each move kind's
+  transformation ``match()`` sites — candidate pipeline extensions are
+  legal by construction, and only the seven kinds the greedy can commit
+  are offered;
 * :mod:`~repro.autotune.search` runs a greedy search (with plateau
   escape) over that space, minimizing the §4.1 modeled bytes at target
   symbol bindings with transient footprint as tiebreaker —
@@ -24,17 +25,14 @@ The SSE-specific move library (batched-GEMM templates) lives in
 option.
 """
 
+from ..sdfg.passes import BatchTemplate, Move, MoveLibrary, move_from_dict
 from .roofline import RooflineReport, RooflineStage, roofline_report
 from .search import SearchConfig, SearchResult, SearchTrace, autotune
 from .space import (
     AutotuneError,
-    BatchTemplate,
-    Move,
-    MoveLibrary,
     apply_move,
     discover_reductions,
     enumerate_moves,
-    move_from_dict,
     state_signature,
 )
 

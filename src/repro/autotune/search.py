@@ -35,17 +35,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..config import default_autotune_max_moves
 from ..sdfg import Pipeline, PipelineReport
+from ..sdfg.passes import Move, MoveLibrary, move_from_dict
 from ..sdfg.pipeline import _transient_bytes, measure_movement
 from ..telemetry.spans import trace
-from .space import (
-    AutotuneError,
-    Move,
-    MoveLibrary,
-    apply_move,
-    enumerate_moves,
-    move_from_dict,
-    state_signature,
-)
+from .space import AutotuneError, apply_move, enumerate_moves, state_signature
 
 __all__ = [
     "SearchConfig",
@@ -159,9 +152,8 @@ class _Node:
     sdfg: Any
     score: Score
     signature: str
-    #: committed (move, pass) pairs from the base state, in order
+    #: committed moves from the base state, in order
     moves: Tuple[Move, ...] = ()
-    passes: Tuple[Any, ...] = ()
     #: serialized step records (one per move), for the trace
     history: Tuple[Dict[str, Any], ...] = ()
 
@@ -204,7 +196,7 @@ class _Search:
                 "autotune.candidate", stage=stage, kind=move.kind,
                 depth=node.depth,
             ):
-                sdfg, p = apply_move(node.sdfg, move, stage, self.library)
+                sdfg = apply_move(node.sdfg, move, self.library)
                 score = _score(sdfg, self.dims)
         except (ValueError, KeyError):
             return None  # not legal from here: not a child
@@ -223,7 +215,6 @@ class _Search:
             score=score,
             signature=sig,
             moves=node.moves + (move,),
-            passes=node.passes + (p,),
             history=node.history + (step,),
         )
 
@@ -304,8 +295,8 @@ def autotune(
     """Search for a transformation pipeline minimizing modeled movement.
 
     ``base`` carries the problem — graph factory, input factory and
-    reference kernel (its own passes, usually none, are applied first
-    and kept as a prefix).  ``dims`` are the *target*
+    reference kernel; it must have no steps of its own (the search
+    starts from the untransformed graph).  ``dims`` are the *target*
     symbol bindings the byte model is evaluated at; the search itself is
     purely symbolic/structural, so paper-scale dims cost the same as toy
     dims.  With ``config.verify`` (default), every stage of the winning
@@ -318,9 +309,12 @@ def autotune(
     replayed (signatures validated) instead of searched again.
     """
     cfg = (config or SearchConfig()).resolved()
+    if base.steps:
+        raise AutotuneError(
+            f"base pipeline {base.name!r} has steps; the search starts "
+            "from the untransformed graph"
+        )
     sdfg = base.graph_factory()
-    for p in base.passes:
-        p.run(sdfg, sdfg.states[0])
     root = _Node(
         sdfg=sdfg,
         score=_score(sdfg, dims),
@@ -356,11 +350,15 @@ def autotune(
 
     tuned = Pipeline(
         name=f"{base.name}_greedy",
-        passes=list(base.passes) + list(final.passes),
+        steps=[
+            (step["stage"], _stage_description(move, library), move)
+            for step, move in zip(final.history, final.moves)
+        ],
         graph_factory=base.graph_factory,
         initial=base.initial,
         make_inputs=base.make_inputs,
         reference=base.reference,
+        library=library,
     )
     verification = None
     if (
@@ -388,6 +386,14 @@ def autotune(
         trace=trace,
         verification=verification,
     )
+
+
+def _stage_description(move: Move, library: MoveLibrary) -> str:
+    """A searched stage's description: the batch template's own for a
+    batch move, the move's description otherwise."""
+    if move.kind == "batch":
+        return library.template(move.spec["template"]).description
+    return move.describe()
 
 
 def _replay(search: _Search, root: _Node, steps: List[Dict]) -> _Node:

@@ -1,15 +1,17 @@
 """Move-space enumeration: legal next steps from any SDFG state.
 
-The autotuner treats optimization recipes as data: a :class:`Move` is a
-serializable description of one :class:`~repro.sdfg.passes.Pass`
-application, and :func:`enumerate_moves` lists every move that is legal
-from the current graph by instantiating each pass type over its
-transformation's ``match()`` site enumeration —
+The autotuner treats optimization recipes as data: a
+:class:`~repro.sdfg.passes.Move` is one serializable transformation step
+(the same step type the hand recipe is written in), and
+:func:`enumerate_moves` lists every move that is legal from the current
+graph by reading each move kind's transformation ``match()`` site
+enumeration —
 
 * **fission** sites with parameter reductions discovered structurally
   (:func:`discover_reductions`),
 * **redundancy** removal sites as matched,
-* **batch** substitutions driven by a :class:`BatchTemplate` library
+* **batch** substitutions driven by a
+  :class:`~repro.sdfg.passes.BatchTemplate` library
   (the only domain knowledge the search receives: which replacement
   tasklets exist, *not* when to apply them),
 * **layout permutations** establishing a template's required array
@@ -23,32 +25,24 @@ tiling an iteration space can only keep or raise it, so neither a
 generic layout rotation nor a tiling is ever a strict improvement or a
 plateau enabler; the space holds neither.
 
-Every move re-selects its site through a fresh ``match()`` when applied,
-so a candidate that no longer matches fails loudly instead of silently
-transforming the wrong scope; :func:`apply_move` filters such failures
-during expansion, making the enumerated frontier legal by construction.
+Every move re-selects its site through a fresh ``match()`` when applied
+(:meth:`~repro.sdfg.passes.Move.run`), so a candidate that no longer
+matches fails loudly instead of silently transforming the wrong scope;
+:func:`apply_move` is the search's applicator, and search expansion
+drops the moves it rejects, making the enumerated frontier legal by
+construction.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..sdfg import SDFG, SDFGState, Memlet, Tasklet
+from ..sdfg import SDFG, SDFGState, Tasklet
 from ..sdfg.nodes import AccessNode, MapEntry, MapExit
-from ..sdfg.passes import (
-    BatchPass,
-    ExpandPass,
-    FissionPass,
-    FusePass,
-    LayoutPass,
-    Pass,
-    RedundancyPass,
-    ShrinkPass,
-)
+from ..sdfg.passes import Move, MoveLibrary
 from ..sdfg.transformations import (
     ArrayShrink,
     BatchedOperationSubstitution,
@@ -59,196 +53,15 @@ from ..sdfg.transformations.redundancy import RedundantComputationRemoval
 
 __all__ = [
     "AutotuneError",
-    "BatchTemplate",
-    "MoveLibrary",
-    "Move",
-    "KIND_PRIORITY",
     "discover_reductions",
     "enumerate_moves",
     "apply_move",
-    "move_from_dict",
     "state_signature",
 ]
 
 
 class AutotuneError(ValueError):
     """The search was misconfigured or produced an invalid result."""
-
-
-#: deterministic tiebreak order between move kinds: structural wins
-#: (fission/redundancy) first, then the payoff moves, then the
-#: byte-neutral enablers.
-KIND_PRIORITY: Dict[str, int] = {
-    "fission": 0,
-    "redundancy": 1,
-    "batch": 2,
-    "shrink": 3,
-    "layout": 4,
-    "expand": 5,
-    "fuse": 6,
-}
-
-
-@dataclass(frozen=True)
-class BatchTemplate:
-    """A reusable batched-tasklet substitution the search may instantiate.
-
-    Templates are the library's physical-operator vocabulary (which
-    batched kernels exist — e.g. "the per-(kz, E) multiplications form
-    one GEMM"); *when* a template applies is decided structurally:
-    every array in ``required_layouts`` must currently have exactly the
-    required symbolic shape (rank gates included), and a matching
-    :class:`BatchedOperationSubstitution` site must exist.  When the
-    shapes differ only by a permutation, :func:`enumerate_moves` offers
-    the layout move establishing them instead.
-    """
-
-    name: str
-    description: str
-    #: the array whose single-tasklet producer is substituted
-    array: str
-    #: map parameters absorbed into the batched tasklet
-    batch_params: Tuple[str, ...]
-    #: prototype replacement tasklet (fresh nodes are cloned per use)
-    tasklet: Tasklet
-    in_memlets: Mapping[str, Memlet]
-    out_memlets: Mapping[str, Memlet]
-    #: array name -> symbolic shape the template's memlets assume
-    required_layouts: Mapping[str, Tuple[Any, ...]]
-
-    def make_pass(self, stage: str) -> BatchPass:
-        return BatchPass(
-            stage,
-            self.description,
-            array=self.array,
-            batch_params=self.batch_params,
-            tasklet=self.tasklet,
-            in_memlets=self.in_memlets,
-            out_memlets=self.out_memlets,
-        )
-
-
-@dataclass(frozen=True)
-class MoveLibrary:
-    """Everything :func:`enumerate_moves` needs beyond the graph itself."""
-
-    templates: Tuple[BatchTemplate, ...] = ()
-
-    def template(self, name: str) -> BatchTemplate:
-        for t in self.templates:
-            if t.name == name:
-                return t
-        raise AutotuneError(
-            f"no batch template {name!r} in library "
-            f"({[t.name for t in self.templates]})"
-        )
-
-
-@dataclass(frozen=True)
-class Move:
-    """One serializable candidate step: a pass kind plus its config."""
-
-    kind: str
-    spec: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        # Canonical spec: sequences become tuples, so a move's ``key``
-        # is stable across the JSON round trip (lists) and whatever
-        # container the enumerator happened to build.
-        object.__setattr__(self, "spec", _canon(self.spec))
-
-    @property
-    def priority(self) -> int:
-        return KIND_PRIORITY[self.kind]
-
-    @property
-    def key(self) -> str:
-        """Deterministic identity/ordering key."""
-        items = sorted((k, repr(v)) for k, v in self.spec.items())
-        return f"{self.kind}:{items!r}"
-
-    def describe(self) -> str:
-        s = self.spec
-        if self.kind == "fission":
-            red = s.get("reduce") or {}
-            extra = f", reducing {red}" if red else ""
-            return f"fission of {s['scope']!r}{extra}"
-        if self.kind == "redundancy":
-            return f"remove {list(s['params'])} offsets from {s['array']!r}"
-        if self.kind == "layout":
-            return f"permute {sorted(s['perms'])} (enables {s['template']!r})"
-        if self.kind == "batch":
-            return f"batch substitution {s['template']!r}"
-        if self.kind == "expand":
-            return f"hoist {list(s['outer'])} to outer maps"
-        if self.kind == "fuse":
-            return f"fuse scopes over {list(s['params'])}"
-        if self.kind == "shrink":
-            return f"shrink {s['array']!r} over {list(s['params'])}"
-        return f"{self.kind} {s}"
-
-    def build_pass(
-        self, stage: str, library: Optional[MoveLibrary] = None
-    ) -> Pass:
-        """A fresh configured pass applying this move as pipeline stage
-        ``stage`` (batch moves resolve their template via ``library``)."""
-        s = self.spec
-        if self.kind == "fission":
-            return FissionPass(
-                stage, self.describe(),
-                reduce=s.get("reduce") or {}, scope=s.get("scope"),
-            )
-        if self.kind == "redundancy":
-            return RedundancyPass(
-                stage, self.describe(), array=s["array"], params=s["params"]
-            )
-        if self.kind == "layout":
-            return LayoutPass(stage, self.describe(), perms=s["perms"])
-        if self.kind == "batch":
-            if library is None:
-                raise AutotuneError(
-                    f"batch move {s['template']!r} needs a MoveLibrary"
-                )
-            return library.template(s["template"]).make_pass(stage)
-        if self.kind == "expand":
-            return ExpandPass(stage, self.describe(), outer=s["outer"])
-        if self.kind == "fuse":
-            return FusePass(
-                stage, self.describe(), label=s["label"], params=s["params"]
-            )
-        if self.kind == "shrink":
-            return ShrinkPass(
-                stage, self.describe(),
-                arrays=(s["array"],), params=s["params"],
-            )
-        raise AutotuneError(f"unknown move kind {self.kind!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "spec": _plain(self.spec)}
-
-
-def _plain(value):
-    """JSON-serializable copy (tuples -> lists, nested dicts kept)."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _canon(value):
-    """Canonical in-memory form: every sequence a tuple."""
-    if isinstance(value, dict):
-        return {k: _canon(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return tuple(_canon(v) for v in value)
-    return value
-
-
-def move_from_dict(d: Mapping[str, Any]) -> Move:
-    """Rebuild a move from its :meth:`Move.to_dict` form (trace resume).
-    ``Move`` canonicalizes the spec, so the JSON lists are harmless."""
-    return Move(kind=d["kind"], spec=dict(d["spec"]))
 
 
 # -- structural discovery -----------------------------------------------------
@@ -469,7 +282,7 @@ def _expansion_moves(state: SDFGState) -> List[Move]:
                 # Expansion must act on >= 2 scopes (else no fusion can
                 # follow it; hoisting one scope alone is pure noise) and
                 # leave every affected scope a non-empty inner map —
-                # ExpandPass enforces the latter per map.
+                # the expand move enforces the latter per map.
                 eligible = [
                     e for e in tops if set(subset) < set(e.map.params)
                 ]
@@ -521,20 +334,17 @@ def enumerate_moves(
 
 
 def apply_move(
-    sdfg: SDFG,
-    move: Move,
-    stage: str,
-    library: Optional[MoveLibrary] = None,
-) -> Tuple[SDFG, Pass]:
-    """Apply ``move`` to a deep copy of ``sdfg`` (validated), returning
-    the new graph and the configured pass.  Raises ``ValueError``
-    subclasses (``PassError``/``TransformationError``/...) when the move
-    does not apply — search expansion treats that as 'not a child'."""
+    sdfg: SDFG, move: Move, library: Optional[MoveLibrary] = None
+) -> SDFG:
+    """Apply ``move`` to a deep copy of ``sdfg`` and validate it — the
+    one applicator of search expansion and trace replay.  Raises
+    ``ValueError`` subclasses (``PassError``/``TransformationError``/...)
+    when the move does not apply — search expansion treats that as 'not
+    a child'."""
     out = copy.deepcopy(sdfg)
-    p = move.build_pass(stage, library)
-    p.run(out, out.states[0])
+    move.run(out, out.states[0], library)
     out.validate()
-    return out, p
+    return out
 
 
 # -- state identity -----------------------------------------------------------

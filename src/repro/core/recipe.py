@@ -1,11 +1,12 @@
 """The paper's SSE transformation recipe (Figs. 8 → 12), as a Pipeline.
 
 The §4.2 sequence of data-centric transformations is declared once, as
-data: :data:`SSE_PIPELINE` is an ordered list of
-:class:`~repro.sdfg.passes.Pass` objects that select their application
-sites through each transformation's ``match()`` pattern enumeration —
-no graph-node or map-label lookups.  Everything else derives from that
-single declaration:
+data: :data:`SSE_PIPELINE` is an ordered list of ``(stage, description,
+Move)`` steps.  A :class:`~repro.sdfg.passes.Move` — the same step type
+the autotuner searches over — selects its application sites through its
+transformation's ``match()`` pattern enumeration, with no graph-node or
+map-label lookups.  Everything else derives from that single
+declaration:
 
 * :data:`RECIPE_SUMMARY` — the (stage, description) table consumed by
   ``repro.api.Plan``;
@@ -35,33 +36,25 @@ fig12s    Transient shrinking                    Fig. 12 (final)
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..sdfg import (
+    BatchTemplate,
     CompiledPipeline,
-    ExpandPass,
-    FissionPass,
-    FusePass,
     IndirectAccess,
-    LayoutPass,
     Memlet,
+    Move,
+    MoveLibrary,
     Pipeline,
     PipelineReport,
     Range,
-    RedundancyPass,
-    ShrinkPass,
     Stage,
     Tasklet,
     symbols,
 )
-from ..autotune import (
-    BatchTemplate,
-    MoveLibrary,
-    SearchConfig,
-    SearchResult,
-)
+from ..autotune import SearchConfig, SearchResult
 from ..autotune import autotune as _autotune
 from .sse_sdfg import build_sse_sigma_sdfg, sse_sigma_reference
 
@@ -120,8 +113,8 @@ def _batched_dhd_flops(h, d):
 def _sse_templates() -> Tuple[BatchTemplate, ...]:
     """The SSE batched-operator vocabulary the autotuner may instantiate.
 
-    The first two mirror the hand recipe's fig10d/fig11c substitutions
-    (the recipe builds its passes from these same templates); the third,
+    The first two are the hand recipe's fig10d/fig11c substitutions
+    (its batch moves name these same templates); the third,
     ``dhd_contract``, batches the ∇HD≷ scaling over ``(qz, ω, j)`` in one
     move — summing ``j`` *inside* the tasklet removes the write-conflict
     accumulation on ``dHD``, which is what lets the searched pipeline
@@ -296,53 +289,60 @@ def sse_move_library() -> MoveLibrary:
     return MoveLibrary(templates=SSE_BATCH_TEMPLATES)
 
 
-def _template(name: str) -> BatchTemplate:
-    return sse_move_library().template(name)
-
-
-def _sse_passes() -> List:
-    """The Fig. 8 → 12 pass sequence (pure declaration); the two batched
-    substitutions are instantiated from :data:`SSE_BATCH_TEMPLATES`."""
-    return [
-        FissionPass(
-            "fig9",
-            "Map Fission: one map per computation, expanded transients",
-            reduce={"dHD": ["j"]},
-        ),
-        RedundancyPass(
-            "fig10b",
-            "(qz, ω) offsets removed from ∇HG≷ producer",
-            array="dHG",
-            params=("qz", "w"),
-        ),
-        LayoutPass(
-            "fig10c",
-            "contiguous (kz, E) layout for G≷, Σ≷ and transients",
-            perms={
-                "G": _G_PERM,
-                "Sigma": _SIGMA_PERM,
-                "dHG": _TENSOR_PERM,
-                "dHD": _TENSOR_PERM,
+#: The Fig. 8 → 12 step sequence (pure data); the two batched
+#: substitutions name templates of :data:`SSE_BATCH_TEMPLATES`.
+_SSE_STEPS: Tuple[Tuple[str, str, Move], ...] = (
+    (
+        "fig9",
+        "Map Fission: one map per computation, expanded transients",
+        Move("fission", {"reduce": {"dHD": ["j"]}}),
+    ),
+    (
+        "fig10b",
+        "(qz, ω) offsets removed from ∇HG≷ producer",
+        Move("redundancy", {"array": "dHG", "params": ("qz", "w")}),
+    ),
+    (
+        "fig10c",
+        "contiguous (kz, E) layout for G≷, Σ≷ and transients",
+        Move(
+            "layout",
+            {
+                "perms": {
+                    "G": _G_PERM,
+                    "Sigma": _SIGMA_PERM,
+                    "dHG": _TENSOR_PERM,
+                    "dHD": _TENSOR_PERM,
+                }
             },
         ),
-        _template("dhg_gemm").make_pass("fig10d"),
-        _template("sigma_window_gemm").make_pass("fig11c"),
-        ExpandPass(
-            "fig12a", "(a, b) hoisted to outer maps", outer=("a", "b")
-        ),
-        FusePass(
-            "fig12",
-            "three scopes fused into a single (a, b) map",
-            label="sse_fused",
-            params=("a", "b"),
-        ),
-        ShrinkPass(
-            "fig12s",
-            "transients shrunk to per-(a, b) blocks",
-            arrays=("dHG", "dHD"),
-            params=("a", "b"),
-        ),
-    ]
+    ),
+    (
+        "fig10d",
+        "Nkz*NE small multiplications fused into one GEMM",
+        Move("batch", {"template": "dhg_gemm"}),
+    ),
+    (
+        "fig11c",
+        "ω accumulation substituted by a windowed GEMM",
+        Move("batch", {"template": "sigma_window_gemm"}),
+    ),
+    (
+        "fig12a",
+        "(a, b) hoisted to outer maps",
+        Move("expand", {"outer": ("a", "b")}),
+    ),
+    (
+        "fig12",
+        "three scopes fused into a single (a, b) map",
+        Move("fuse", {"label": "sse_fused", "params": ("a", "b")}),
+    ),
+    (
+        "fig12s",
+        "transients shrunk to per-(a, b) blocks",
+        Move("shrink", {"arrays": ("dHG", "dHD"), "params": ("a", "b")}),
+    ),
+)
 
 
 def _sse_reference(arrays, tables):
@@ -360,11 +360,12 @@ def _sse_inputs(dims, seed: int = 0):
 #: The Fig. 8 → 12 recipe — THE single declaration everything derives from.
 SSE_PIPELINE = Pipeline(
     name="sse_recipe",
-    passes=_sse_passes(),
+    steps=_SSE_STEPS,
     graph_factory=build_sse_sigma_sdfg,
     initial=("fig8", "initial Σ≷ dataflow"),
     make_inputs=_sse_inputs,
     reference=_sse_reference,
+    library=sse_move_library(),
 )
 
 #: (stage, description) table — *derived* from the pipeline declaration;
@@ -381,7 +382,7 @@ def sse_movement_report(dims: Mapping[str, int]) -> PipelineReport:
 #: factory and reference kernel — and *no* recipe knowledge.
 SSE_SEARCH_BASE = Pipeline(
     name="sse_search",
-    passes=[],
+    steps=(),
     graph_factory=build_sse_sigma_sdfg,
     initial=("fig8", "initial Σ≷ dataflow"),
     make_inputs=_sse_inputs,

@@ -55,9 +55,6 @@ class MachineSpec:
     def peak_proc_flops(self) -> float:
         return self.peak_node_flops / self.procs_per_node
 
-    def peak_system_flops(self) -> float:
-        return self.nodes * self.peak_node_flops
-
     def rate(self, phase: str, variant: str, processes: int) -> float:
         """Aggregate compute rate (flop/s) of `processes` ranks."""
         eff = {

@@ -86,9 +86,6 @@ class DeviceStructure:
         """Number of atoms per RGF block."""
         return np.bincount(self.block_of, minlength=self.bnum)
 
-    def atoms_in_block(self, i: int) -> np.ndarray:
-        return np.nonzero(self.block_of == i)[0]
-
     # -- derived tables ------------------------------------------------------
     def reverse_neighbor(self) -> np.ndarray:
         """``rev[a, b]`` = index c such that ``neighbors[neighbors[a,b], c] == a``.

@@ -43,11 +43,6 @@ class CommStats:
         """Total volume: every byte is counted once at the receiver."""
         return int(self.recv_bytes.sum())
 
-    @property
-    def total_exchanged(self) -> int:
-        """Paper-style accounting: sent + received."""
-        return int(self.sent_bytes.sum() + self.recv_bytes.sum())
-
     def max_per_rank(self) -> int:
         return int((self.sent_bytes + self.recv_bytes).max())
 

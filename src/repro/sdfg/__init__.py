@@ -7,7 +7,8 @@ This package reimplements the subset of the Stateful Dataflow multiGraph
 * states, tasklets, map scopes and memlets with conflict resolution,
 * a reference interpreter defining execution semantics,
 * memlet propagation through (tiled) map scopes,
-* the graph transformations used in §4 of the paper, composed into
+* the graph transformations used in §4 of the paper, driven by
+  serializable :class:`Move` steps and composed into
   :class:`Pipeline` declarations with the §4.1 movement model
   (:func:`measure_movement`), and
 * two execution backends (:func:`get_backend`): the interpreter and
@@ -28,18 +29,7 @@ from .graph import SDFG, ArrayDesc, InterstateEdge, InvalidSDFGError, SDFGState
 from .interpreter import ExecutionReport, Interpreter, execute
 from .memlet import Memlet
 from .nodes import AccessNode, Map, MapEntry, MapExit, Tasklet
-from .passes import (
-    BatchPass,
-    ExpandPass,
-    FissionPass,
-    FusePass,
-    LayoutPass,
-    Pass,
-    PassError,
-    PassOutcome,
-    RedundancyPass,
-    ShrinkPass,
-)
+from .passes import BatchTemplate, Move, MoveLibrary, PassError, move_from_dict
 from .pipeline import (
     CompiledPipeline,
     Pipeline,
@@ -93,16 +83,11 @@ __all__ = [
     "MapEntry",
     "MapExit",
     "Tasklet",
-    "Pass",
+    "BatchTemplate",
+    "Move",
+    "MoveLibrary",
     "PassError",
-    "PassOutcome",
-    "FissionPass",
-    "RedundancyPass",
-    "LayoutPass",
-    "BatchPass",
-    "ExpandPass",
-    "FusePass",
-    "ShrinkPass",
+    "move_from_dict",
     "Pipeline",
     "CompiledPipeline",
     "PipelineReport",

@@ -1,21 +1,33 @@
-"""Passes: declarative pipeline stages over SDFG transformations.
+"""Moves: the one serialisable transformation step.
 
-A :class:`Pass` is one named step of an optimization
-:class:`~repro.sdfg.pipeline.Pipeline`.  Where a raw
+A :class:`Move` is one step of an optimization
+:class:`~repro.sdfg.pipeline.Pipeline` — the paper's Fig. 8 → 12 recipe
+(:mod:`repro.core.recipe`) and the autotuner's searched pipelines
+(:mod:`repro.autotune`) are both sequences of moves.  Where a raw
 :class:`~repro.sdfg.transformations.Transformation` is constructed around
-explicit graph nodes, a pass is *pure configuration*: it stores only array
-names, parameter names, permutations and replacement-tasklet prototypes,
-and selects its application sites at run time through the transformation's
-:meth:`~repro.sdfg.transformations.Transformation.match` enumeration.
-That makes a pipeline a piece of data that can be reported, serialized and
-re-applied to freshly built graphs — the paper's Fig. 8 → 12 recipe
-becomes one such declaration (:mod:`repro.core.recipe`).
+explicit graph nodes, a move is *pure data*: a kind plus a spec of array
+names, parameter names and permutations (batch substitutions name a
+:class:`BatchTemplate` of a :class:`MoveLibrary`).  :meth:`Move.run`
+selects its application sites at run time through the kind's
+transformation :meth:`~repro.sdfg.transformations.Transformation.match`
+enumeration and one site selector per kind, so a move can be reported,
+serialized (:meth:`Move.to_dict` / :func:`move_from_dict`) and
+re-applied to freshly built graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .graph import SDFG, SDFGState
 from .memlet import Memlet
@@ -34,25 +46,77 @@ from .transformations.redundancy import RedundantComputationRemoval
 
 __all__ = [
     "PassError",
-    "PassOutcome",
-    "Pass",
-    "FissionPass",
-    "RedundancyPass",
-    "LayoutPass",
-    "BatchPass",
-    "ExpandPass",
-    "FusePass",
-    "ShrinkPass",
+    "KIND_PRIORITY",
+    "BatchTemplate",
+    "MoveLibrary",
+    "Move",
+    "move_from_dict",
 ]
 
 
 class PassError(ValueError):
-    """A pass found no (or ambiguously many) matching sites."""
+    """A move found no (or ambiguously many) matching sites."""
 
 
-def _describe_sites(
-    state: Optional[SDFGState], sites: Sequence[Site]
-) -> str:
+#: deterministic tiebreak order between move kinds: structural wins
+#: (fission/redundancy) first, then the payoff moves, then the
+#: byte-neutral enablers.
+KIND_PRIORITY: Dict[str, int] = {
+    "fission": 0,
+    "redundancy": 1,
+    "batch": 2,
+    "shrink": 3,
+    "layout": 4,
+    "expand": 5,
+    "fuse": 6,
+}
+
+
+@dataclass(frozen=True)
+class BatchTemplate:
+    """A reusable batched-tasklet substitution a batch move instantiates.
+
+    Templates are the library's physical-operator vocabulary (which
+    batched kernels exist — e.g. "the per-(kz, E) multiplications form
+    one GEMM"); *when* a template applies is decided structurally:
+    every array in ``required_layouts`` must currently have exactly the
+    required symbolic shape (rank gates included), and a matching
+    :class:`BatchedOperationSubstitution` site must exist.  When the
+    shapes differ only by a permutation, the autotuner offers the
+    layout move establishing them instead.
+    """
+
+    name: str
+    description: str
+    #: the array whose single-tasklet producer is substituted
+    array: str
+    #: map parameters absorbed into the batched tasklet
+    batch_params: Tuple[str, ...]
+    #: prototype replacement tasklet (fresh nodes are cloned per use)
+    tasklet: Tasklet
+    in_memlets: Mapping[str, Memlet]
+    out_memlets: Mapping[str, Memlet]
+    #: array name -> symbolic shape the template's memlets assume
+    required_layouts: Mapping[str, Tuple[Any, ...]]
+
+
+@dataclass(frozen=True)
+class MoveLibrary:
+    """The batch templates batch moves resolve by name."""
+
+    templates: Tuple[BatchTemplate, ...] = ()
+
+    def template(self, name: str) -> BatchTemplate:
+        for t in self.templates:
+            if t.name == name:
+                return t
+        raise PassError(
+            f"no batch template {name!r} in library "
+            f"({[t.name for t in self.templates]})"
+        )
+
+
+def _describe_sites(state: SDFGState, sites: Sequence[Site]) -> str:
     """Render candidate sites as indented lines for failure messages.
 
     Each line shows the site's own description (transformation, scope,
@@ -64,7 +128,7 @@ def _describe_sites(
     lines = []
     for site in sites:
         text = site.describe()
-        if state is not None and site.nodes:
+        if site.nodes:
             try:
                 chain = state.scope_index().scope_chain(site.nodes[0])
             except Exception:
@@ -80,372 +144,260 @@ def _describe_sites(
 
 
 @dataclass(frozen=True)
-class PassOutcome:
-    """What one pass did to the graph: the sites it selected and the
-    transformations it applied (by description)."""
+class Move:
+    """One serializable transformation step: a kind plus its spec.
 
-    stage: str
-    description: str
-    transformation: str
-    applied: Tuple[str, ...]
-    sites: Tuple[Dict[str, Any], ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "description": self.description,
-            "transformation": self.transformation,
-            "applied": list(self.applied),
-            "sites": [dict(s) for s in self.sites],
-        }
-
-
-class Pass:
-    """One declarative pipeline stage.
-
-    Subclasses set ``transformation`` (the transformation class whose
-    :meth:`match` enumerates candidates) and implement :meth:`select`,
-    turning matched sites into configured transformation instances using
-    only the pass's declarative configuration.
+    Spec keys per kind (optional ones in brackets): ``fission``
+    ``{[scope], [reduce]}``; ``redundancy`` ``{array, params}``;
+    ``layout`` ``{perms, [template]}``; ``batch`` ``{template}``;
+    ``expand`` ``{outer}``; ``fuse`` ``{params, [label]}``;
+    ``shrink`` ``{array | arrays, params}``.
     """
 
-    transformation: type = Transformation
+    kind: str
+    spec: Dict[str, Any] = field(default_factory=dict)
 
-    def __init__(self, stage: str, description: str):
-        self.stage = stage
-        self.description = description
+    def __post_init__(self):
+        # Canonical spec: sequences become tuples, so a move's ``key``
+        # is stable across the JSON round trip (lists) and whatever
+        # container the enumerator happened to build.
+        object.__setattr__(self, "spec", _canon(self.spec))
 
-    # -- declarative surface -------------------------------------------------
-    def config(self) -> Dict[str, Any]:
-        """The pass's configuration as plain data (for reports)."""
-        return {}
+    @property
+    def priority(self) -> int:
+        return KIND_PRIORITY[self.kind]
+
+    @property
+    def key(self) -> str:
+        """Deterministic identity/ordering key."""
+        items = sorted((k, repr(v)) for k, v in self.spec.items())
+        return f"{self.kind}:{items!r}"
+
+    def describe(self) -> str:
+        s = self.spec
+        if self.kind == "fission":
+            red = s.get("reduce") or {}
+            extra = f", reducing {red}" if red else ""
+            where = f" of {s['scope']!r}" if "scope" in s else ""
+            return f"fission{where}{extra}"
+        if self.kind == "redundancy":
+            return f"remove {list(s['params'])} offsets from {s['array']!r}"
+        if self.kind == "layout":
+            enables = (
+                f" (enables {s['template']!r})" if "template" in s else ""
+            )
+            return f"permute {sorted(s['perms'])}{enables}"
+        if self.kind == "batch":
+            return f"batch substitution {s['template']!r}"
+        if self.kind == "expand":
+            return f"hoist {list(s['outer'])} to outer maps"
+        if self.kind == "fuse":
+            return f"fuse scopes over {list(s['params'])}"
+        if self.kind == "shrink":
+            arrays = s["arrays"] if "arrays" in s else s["array"]
+            return f"shrink {arrays!r} over {list(s['params'])}"
+        return f"{self.kind} {s}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "description": self.description,
-            "transformation": self.transformation.__name__,
-            **self.config(),
-        }
+        return {"kind": self.kind, "spec": _plain(self.spec)}
 
-    #: permutations this pass imposes on array layouts ({} for most)
-    @property
-    def perms(self) -> Dict[str, Tuple[int, ...]]:
-        return {}
-
-    # -- application ---------------------------------------------------------
-    def select(
-        self, sdfg: SDFG, state: SDFGState, sites: List[Site]
-    ) -> List[Tuple[Site, Transformation]]:
-        raise NotImplementedError
-
-    def run(self, sdfg: SDFG, state: SDFGState) -> PassOutcome:
-        sites = self.transformation.match(sdfg, state)
-        chosen = self.select(sdfg, state, sites)
+    def run(
+        self,
+        sdfg: SDFG,
+        state: SDFGState,
+        library: Optional[MoveLibrary] = None,
+    ) -> Tuple[str, ...]:
+        """Apply the move to ``state`` in place; returns the reprs of the
+        transformations applied (batch moves resolve their template via
+        ``library``)."""
+        if self.kind not in _SELECTORS:
+            raise PassError(f"unknown move kind {self.kind!r}")
+        transformation, select = _SELECTORS[self.kind]
+        sites = transformation.match(sdfg, state)
+        chosen = select(self, state, sites, library)
         if not chosen:
             raise PassError(
-                f"pass {self.stage!r}: no matching site for "
-                f"{self.transformation.__name__} in state {state.label!r}"
+                f"move {self.describe()!r}: no matching site for "
+                f"{transformation.__name__} in state {state.label!r}"
                 + _describe_sites(state, sites)
             )
-        for _, tx in chosen:
+        for tx in chosen:
             tx.apply_checked(sdfg, state)
-        return PassOutcome(
-            stage=self.stage,
-            description=self.description,
-            transformation=self.transformation.__name__,
-            applied=tuple(repr(tx) for _, tx in chosen),
-            sites=tuple(site.to_dict() for site, _ in chosen),
-        )
-
-    # -- selection helpers -----------------------------------------------------
-    def _unique(
-        self,
-        sites: List[Site],
-        what: str,
-        state: Optional[SDFGState] = None,
-        candidates: Optional[List[Site]] = None,
-    ) -> Site:
-        """The single site matching the pass's configuration.
-
-        On failure the error lists the candidate sites — the ones that
-        matched the pass's filter when it is over-matched, the full
-        ``match()`` enumeration when nothing matched — with node labels
-        and scope chains, so search- and user-surfaced errors are
-        actionable rather than a bare count.
-        """
-        if len(sites) != 1:
-            shown = sites if sites else (candidates or [])
-            raise PassError(
-                f"pass {self.stage!r}: expected exactly one site {what}, "
-                f"found {len(sites)}" + _describe_sites(state, shown)
-            )
-        return sites[0]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.stage!r})"
+        return tuple(repr(tx) for tx in chosen)
 
 
-class FissionPass(Pass):
-    """Distribute the (unique) multi-tasklet map over its tasklets.
+def _plain(value):
+    """JSON-serializable copy (tuples -> lists, nested dicts kept)."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
-    ``scope`` optionally pins the pass to the map with that label —
-    the autotuner uses this to address one of several fission sites.
+
+def _canon(value):
+    """Canonical in-memory form: every sequence a tuple."""
+    if isinstance(value, dict):
+        return {k: _canon(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return tuple(_canon(v) for v in value)
+    return value
+
+
+def move_from_dict(d: Mapping[str, Any]) -> Move:
+    """Rebuild a move from its :meth:`Move.to_dict` form (trace resume).
+    ``Move`` canonicalizes the spec, so the JSON lists are harmless."""
+    return Move(kind=d["kind"], spec=dict(d["spec"]))
+
+
+# -- site selection, one function per kind ------------------------------------
+
+
+def _unique(
+    move: Move,
+    sites: List[Site],
+    what: str,
+    state: SDFGState,
+    candidates: List[Site],
+) -> Site:
+    """The single site matching the move's spec.
+
+    On failure the error lists the candidate sites — the ones that
+    matched the move's filter when it is over-matched, the full
+    ``match()`` enumeration when nothing matched — with node labels
+    and scope chains, so search- and user-surfaced errors are
+    actionable rather than a bare count.
     """
-
-    transformation = MapFission
-
-    def __init__(
-        self,
-        stage: str,
-        description: str,
-        reduce: Optional[Mapping[str, Sequence[str]]] = None,
-        scope: Optional[str] = None,
-    ):
-        super().__init__(stage, description)
-        self.reduce = {k: tuple(v) for k, v in (reduce or {}).items()}
-        self.scope = scope
-
-    def config(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "reduce": {k: list(v) for k, v in self.reduce.items()}
-        }
-        if self.scope is not None:
-            out["scope"] = self.scope
-        return out
-
-    def select(self, sdfg, state, sites):
-        hits = [
-            s for s in sites if self.scope is None or s.scope == self.scope
-        ]
-        site = self._unique(hits, "to fission", state, sites)
-        tx = MapFission(
-            site.nodes[0], reduce={k: list(v) for k, v in self.reduce.items()}
+    if len(sites) != 1:
+        shown = sites if sites else candidates
+        raise PassError(
+            f"move {move.describe()!r}: expected exactly one site {what}, "
+            f"found {len(sites)}" + _describe_sites(state, shown)
         )
-        return [(site, tx)]
+    return sites[0]
 
 
-class RedundancyPass(Pass):
-    """Remove offset-only parameters from the producer of ``array``."""
-
-    transformation = RedundantComputationRemoval
-
-    def __init__(
-        self, stage: str, description: str, array: str, params: Sequence[str]
-    ):
-        super().__init__(stage, description)
-        self.array = array
-        self.params = tuple(params)
-
-    def config(self) -> Dict[str, Any]:
-        return {"array": self.array, "params": list(self.params)}
-
-    def select(self, sdfg, state, sites):
-        hits = [
-            s
-            for s in sites
-            if self.array in s.arrays and set(self.params) <= set(s.params)
-        ]
-        site = self._unique(hits, f"producing {self.array!r}", state, sites)
-        return [
-            (site, RedundantComputationRemoval(
-                site.nodes[0], self.array, list(self.params)
-            ))
-        ]
+def _fission(move, state, sites, library):
+    """The (unique) multi-tasklet map, or the one labelled ``scope``."""
+    scope = move.spec.get("scope")
+    hits = [s for s in sites if scope is None or s.scope == scope]
+    site = _unique(move, hits, "to fission", state, sites)
+    reduce = move.spec.get("reduce") or {}
+    return [
+        MapFission(
+            site.nodes[0], reduce={k: list(v) for k, v in reduce.items()}
+        )
+    ]
 
 
-class LayoutPass(Pass):
+def _redundancy(move, state, sites, library):
+    """Offset-only ``params`` of the producer of ``array``."""
+    array, params = move.spec["array"], move.spec["params"]
+    hits = [
+        s for s in sites if array in s.arrays and set(params) <= set(s.params)
+    ]
+    site = _unique(move, hits, f"producing {array!r}", state, sites)
+    return [RedundantComputationRemoval(site.nodes[0], array, list(params))]
+
+
+def _layout(move, state, sites, library):
     """Permute the dimensions of the given arrays SDFG-wide."""
-
-    transformation = DataLayoutTransformation
-
-    def __init__(
-        self,
-        stage: str,
-        description: str,
-        perms: Mapping[str, Sequence[int]],
-    ):
-        super().__init__(stage, description)
-        self._perms = {k: tuple(v) for k, v in perms.items()}
-
-    @property
-    def perms(self) -> Dict[str, Tuple[int, ...]]:
-        return dict(self._perms)
-
-    def config(self) -> Dict[str, Any]:
-        return {"perms": {k: list(v) for k, v in self._perms.items()}}
-
-    def select(self, sdfg, state, sites):
-        matched = {a for s in sites for a in s.arrays}
-        out = []
-        for array, perm in self._perms.items():
-            hits = [s for s in sites if array in s.arrays]
-            if array not in matched or not hits:
-                raise PassError(
-                    f"pass {self.stage!r}: array {array!r} not referenced "
-                    f"in state {state.label!r}"
-                    + _describe_sites(state, sites)
-                )
-            out.append((hits[0], DataLayoutTransformation(array, perm)))
-        return out
-
-
-class BatchPass(Pass):
-    """Swap the single-tasklet producer of ``array`` for a batched tasklet.
-
-    ``tasklet`` is a prototype :class:`~repro.sdfg.nodes.Tasklet`; a fresh
-    node is instantiated per application so the pass can be re-applied to
-    independently built graphs.
-    """
-
-    transformation = BatchedOperationSubstitution
-
-    def __init__(
-        self,
-        stage: str,
-        description: str,
-        array: str,
-        batch_params: Sequence[str],
-        tasklet: Tasklet,
-        in_memlets: Mapping[str, Memlet],
-        out_memlets: Mapping[str, Memlet],
-    ):
-        super().__init__(stage, description)
-        self.array = array
-        self.batch_params = tuple(batch_params)
-        self.tasklet = tasklet
-        self.in_memlets = dict(in_memlets)
-        self.out_memlets = dict(out_memlets)
-
-    def config(self) -> Dict[str, Any]:
-        return {
-            "array": self.array,
-            "batch_params": list(self.batch_params),
-            "tasklet": self.tasklet.label,
-            "in_memlets": {k: repr(v) for k, v in self.in_memlets.items()},
-            "out_memlets": {k: repr(v) for k, v in self.out_memlets.items()},
-        }
-
-    def select(self, sdfg, state, sites):
-        hits = [
-            s
-            for s in sites
-            if self.array in s.arrays
-            and set(self.batch_params) <= set(s.params)
-        ]
-        site = self._unique(hits, f"writing {self.array!r}", state, sites)
-        # Fresh node and memlet instances per application: the pass is a
-        # reusable declaration, the graph owns what it attaches.
-        proto = self.tasklet
-        fresh = Tasklet(
-            proto.label, proto.inputs, proto.outputs, proto.code,
-            proto.flops, op=proto.op,
-        )
-
-        def clone(m: Memlet) -> Memlet:
-            return Memlet(m.data, m.subset, accesses=m.accesses, wcr=m.wcr)
-
-        tx = BatchedOperationSubstitution(
-            site.nodes[0],
-            list(self.batch_params),
-            fresh,
-            in_memlets={k: clone(m) for k, m in self.in_memlets.items()},
-            out_memlets={k: clone(m) for k, m in self.out_memlets.items()},
-        )
-        return [(site, tx)]
-
-
-class ExpandPass(Pass):
-    """Hoist ``outer`` params out of every top-level map carrying them."""
-
-    transformation = MapExpansion
-
-    def __init__(self, stage: str, description: str, outer: Sequence[str]):
-        super().__init__(stage, description)
-        self.outer = tuple(outer)
-
-    def config(self) -> Dict[str, Any]:
-        return {"outer": list(self.outer)}
-
-    def select(self, sdfg, state, sites):
-        top = set(state.scope_index().top_level_maps())
-        out = []
-        for site in sites:
-            if site.nodes[0] not in top:
-                continue
-            if not set(self.outer) < set(site.params):
-                continue  # must leave a non-empty inner map
-            out.append(
-                (site, MapExpansion(site.nodes[0], list(self.outer)))
+    referenced = {a for s in sites for a in s.arrays}
+    out = []
+    for array, perm in move.spec["perms"].items():
+        if array not in referenced:
+            raise PassError(
+                f"move {move.describe()!r}: array {array!r} not referenced "
+                f"in state {state.label!r}" + _describe_sites(state, sites)
             )
-        return out
+        out.append(DataLayoutTransformation(array, perm))
+    return out
 
 
-class FusePass(Pass):
-    """Fuse the (unique) group of identically-ranged top-level scopes."""
+def _batch(move, state, sites, library):
+    """Swap the single-tasklet producer of the template's array for a
+    fresh instance of its batched tasklet."""
+    name = move.spec["template"]
+    if library is None:
+        raise PassError(f"batch move {name!r} needs a MoveLibrary")
+    t = library.template(name)
+    hits = [
+        s
+        for s in sites
+        if t.array in s.arrays and set(t.batch_params) <= set(s.params)
+    ]
+    site = _unique(move, hits, f"writing {t.array!r}", state, sites)
+    # Fresh node and memlet instances per application: the template is a
+    # reusable declaration, the graph owns what it attaches.
+    proto = t.tasklet
+    fresh = Tasklet(
+        proto.label, proto.inputs, proto.outputs, proto.code,
+        proto.flops, op=proto.op,
+    )
 
-    transformation = MapFusion
+    def clone(m: Memlet) -> Memlet:
+        return Memlet(m.data, m.subset, accesses=m.accesses, wcr=m.wcr)
 
-    def __init__(
-        self,
-        stage: str,
-        description: str,
-        label: str = "fused",
-        params: Optional[Sequence[str]] = None,
-    ):
-        super().__init__(stage, description)
-        self.label = label
-        self.params = tuple(params) if params is not None else None
+    return [
+        BatchedOperationSubstitution(
+            site.nodes[0],
+            list(t.batch_params),
+            fresh,
+            in_memlets={k: clone(m) for k, m in t.in_memlets.items()},
+            out_memlets={k: clone(m) for k, m in t.out_memlets.items()},
+        )
+    ]
 
-    def config(self) -> Dict[str, Any]:
-        return {"label": self.label, "params": list(self.params or [])}
 
-    def select(self, sdfg, state, sites):
-        hits = [
-            s
-            for s in sites
-            if self.params is None or s.params == self.params
+def _expand(move, state, sites, library):
+    """Hoist ``outer`` out of every top-level map carrying more params."""
+    outer = move.spec["outer"]
+    top = set(state.scope_index().top_level_maps())
+    return [
+        MapExpansion(s.nodes[0], list(outer))
+        for s in sites
+        # a strict subset: each map must keep a non-empty inner map
+        if s.nodes[0] in top and set(outer) < set(s.params)
+    ]
+
+
+def _fuse(move, state, sites, library):
+    """The (unique) group of identically-ranged top-level scopes over
+    ``params``."""
+    hits = [s for s in sites if s.params == move.spec["params"]]
+    site = _unique(move, hits, "of fusable scopes", state, sites)
+    return [MapFusion(list(site.nodes), label=move.spec.get("label", "fused"))]
+
+
+def _shrink(move, state, sites, library):
+    """Drop the ``params``-indexed dimensions of each named transient."""
+    s = move.spec
+    params = s["params"]
+    out = []
+    for array in s["arrays"] if "arrays" in s else (s["array"],):
+        hits = [x for x in sites if array in x.arrays]
+        site = _unique(move, hits, f"shrinking {array!r}", state, sites)
+        keep = [
+            (pos, p) for pos, p in zip(site.dims, site.params) if p in params
         ]
-        site = self._unique(hits, "of fusable scopes", state, sites)
-        return [(site, MapFusion(list(site.nodes), label=self.label))]
+        if not keep:
+            raise PassError(
+                f"move {move.describe()!r}: no shrinkable dims of {array!r} "
+                f"indexed by {params}" + _describe_sites(state, sites)
+            )
+        out.append(
+            ArrayShrink(array, [pos for pos, _ in keep], [p for _, p in keep])
+        )
+    return out
 
 
-class ShrinkPass(Pass):
-    """Drop the ``params``-indexed dimensions of the given transients."""
-
-    transformation = ArrayShrink
-
-    def __init__(
-        self,
-        stage: str,
-        description: str,
-        arrays: Sequence[str],
-        params: Sequence[str],
-    ):
-        super().__init__(stage, description)
-        self.arrays = tuple(arrays)
-        self.params = tuple(params)
-
-    def config(self) -> Dict[str, Any]:
-        return {"arrays": list(self.arrays), "params": list(self.params)}
-
-    def select(self, sdfg, state, sites):
-        out = []
-        for array in self.arrays:
-            hits = [s for s in sites if array in s.arrays]
-            site = self._unique(hits, f"shrinking {array!r}", state, sites)
-            keep = [
-                (pos, p)
-                for pos, p in zip(site.dims, site.params)
-                if p in self.params
-            ]
-            if not keep:
-                raise PassError(
-                    f"pass {self.stage!r}: no shrinkable dims of {array!r} "
-                    f"indexed by {self.params}"
-                    + _describe_sites(state, sites)
-                )
-            dims = [pos for pos, _ in keep]
-            params = [p for _, p in keep]
-            out.append((site, ArrayShrink(array, dims, params)))
-        return out
+#: kind -> (transformation whose match() enumerates the sites, selector)
+_SELECTORS: Dict[str, Tuple[type, Callable[..., List[Transformation]]]] = {
+    "fission": (MapFission, _fission),
+    "redundancy": (RedundantComputationRemoval, _redundancy),
+    "layout": (DataLayoutTransformation, _layout),
+    "batch": (BatchedOperationSubstitution, _batch),
+    "expand": (MapExpansion, _expand),
+    "fuse": (MapFusion, _fuse),
+    "shrink": (ArrayShrink, _shrink),
+}

@@ -1,10 +1,12 @@
-"""Pipeline: ordered passes with snapshots, movement accounting, compile.
+"""Pipeline: ordered moves with snapshots, movement accounting, compile.
 
 The executable form of the paper's optimization workflow (§4):
 
-* a :class:`Pipeline` is an ordered, declarative list of
-  :class:`~repro.sdfg.passes.Pass` objects applied to a freshly built
-  SDFG, snapshotting a :class:`Stage` after every pass;
+* a :class:`Pipeline` is an ordered list of ``(stage, description,
+  Move)`` steps (:class:`~repro.sdfg.passes.Move`) applied to a freshly
+  built SDFG, snapshotting a :class:`Stage` after every step; batch
+  moves resolve their template through the pipeline's
+  :class:`~repro.sdfg.passes.MoveLibrary`;
 * :func:`measure_movement` models the paper's §4.1 data-movement metric:
   every tasklet memlet's access count is multiplied by the iteration
   volumes of its enclosing map scopes (the count the Fig. 7 outward
@@ -44,7 +46,7 @@ from .backends.common import written_arrays as _written_arrays
 from .graph import SDFG
 from .memlet import Memlet
 from .nodes import Tasklet
-from .passes import Pass, PassOutcome
+from .passes import Move, MoveLibrary
 from .symbolic import Expr
 
 __all__ = [
@@ -62,10 +64,10 @@ __all__ = [
 
 @dataclass
 class Stage:
-    """A snapshot of the SDFG after one pipeline pass.
+    """A snapshot of the SDFG after one pipeline step.
 
     ``input_perms``/``output_perm`` record the physical-layout
-    permutations accumulated by layout passes: callers permute the
+    permutations accumulated by layout moves: callers permute the
     corresponding input arrays before interpretation and invert the
     output permutation afterwards (:func:`run_stage` does both).
     """
@@ -75,7 +77,7 @@ class Stage:
     sdfg: SDFG
     input_perms: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     output_perm: Optional[Tuple[int, ...]] = None
-    #: transformations the producing pass applied (reprs; () for initial)
+    #: transformations the producing move applied (reprs; () for initial)
     applied: Tuple[str, ...] = ()
 
     def __repr__(self) -> str:
@@ -134,7 +136,7 @@ class StageMovement:
     #: total bytes of transient (scratch) storage the stage allocates —
     #: the metric array shrinking improves (§4.2 footprint reduction)
     transient_bytes: int = 0
-    #: transformations the stage's pass applied
+    #: transformations the stage's move applied
     applied: Tuple[str, ...] = ()
 
     @property
@@ -319,8 +321,8 @@ class Pipeline:
     ----------
     name:
         Pipeline identifier (used in reports).
-    passes:
-        The ordered :class:`~repro.sdfg.passes.Pass` list.
+    steps:
+        The ordered ``(stage, description, Move)`` list.
     graph_factory:
         Builds the initial SDFG the pipeline optimizes.
     initial:
@@ -331,25 +333,29 @@ class Pipeline:
     reference:
         ``(arrays, tables) -> ndarray`` ground-truth kernel the compiled
         pipeline is verified against.
+    library:
+        The batch templates the steps' batch moves resolve by name.
     """
 
     def __init__(
         self,
         name: str,
-        passes: Sequence[Pass],
+        steps: Sequence[Tuple[str, str, Move]],
         graph_factory: Callable[[], SDFG],
         initial: Tuple[str, str] = ("initial", "initial dataflow"),
         make_inputs: Optional[Callable[..., tuple]] = None,
         reference: Optional[Callable[..., np.ndarray]] = None,
+        library: Optional[MoveLibrary] = None,
     ):
         self.name = name
-        self.passes: Tuple[Pass, ...] = tuple(passes)
+        self.steps: Tuple[Tuple[str, str, Move], ...] = tuple(steps)
         self.graph_factory = graph_factory
         self.initial = (str(initial[0]), str(initial[1]))
         self.make_inputs = make_inputs
         self.reference = reference
+        self.library = library
         self._cached_stages: Optional[List[Stage]] = None
-        names = [self.initial[0]] + [p.stage for p in self.passes]
+        names = [self.initial[0]] + [stage for stage, _, _ in self.steps]
         if len(set(names)) != len(names):
             raise ValueError(f"pipeline {name!r}: duplicate stage names")
 
@@ -359,7 +365,7 @@ class Pipeline:
         """(stage, description) table, initial stage included — the
         single source for ``RECIPE_SUMMARY``-style listings."""
         return (self.initial,) + tuple(
-            (p.stage, p.description) for p in self.passes
+            (stage, description) for stage, description, _ in self.steps
         )
 
     @property
@@ -373,15 +379,18 @@ class Pipeline:
                 "stage": self.initial[0],
                 "description": self.initial[1],
             },
-            "passes": [p.to_dict() for p in self.passes],
+            "steps": [
+                {"stage": stage, "description": description, **m.to_dict()}
+                for stage, description, m in self.steps
+            ],
         }
 
     # -- application -----------------------------------------------------------
-    def apply(self, sdfg: SDFG) -> Tuple[List[Stage], List[PassOutcome]]:
-        """Run every pass on ``sdfg`` in place, snapshotting per stage."""
+    def apply(self, sdfg: SDFG) -> List[Stage]:
+        """Run every step on ``sdfg`` in place, snapshotting per stage."""
         if len(sdfg.states) != 1:
             raise ValueError(
-                f"pipeline {self.name!r}: passes transform a single-state "
+                f"pipeline {self.name!r}: moves transform a single-state "
                 f"SDFG; got {len(sdfg.states)} states"
             )
         input_perms: Dict[str, Tuple[int, ...]] = {}
@@ -389,14 +398,11 @@ class Pipeline:
         stages = [
             Stage(self.initial[0], self.initial[1], copy.deepcopy(sdfg))
         ]
-        outcomes: List[PassOutcome] = []
-        for p in self.passes:
-            state = sdfg.states[0]
-            outcome = p.run(sdfg, state)
-            outcomes.append(outcome)
-            if p.perms:
+        for stage, description, move in self.steps:
+            applied = move.run(sdfg, sdfg.states[0], self.library)
+            if move.kind == "layout":
                 written = set(_written_arrays(sdfg))
-                for array, perm in p.perms.items():
+                for array, perm in move.spec["perms"].items():
                     desc = sdfg.arrays[array]
                     if desc.transient:
                         continue  # interior layout: no caller-visible effect
@@ -408,19 +414,19 @@ class Pipeline:
                         )
             stages.append(
                 Stage(
-                    p.stage,
-                    p.description,
+                    stage,
+                    description,
                     copy.deepcopy(sdfg),
                     dict(input_perms),
                     output_perm,
-                    applied=outcome.applied,
+                    applied=applied,
                 )
             )
-        return stages, outcomes
+        return stages
 
     def build(self) -> List[Stage]:
         """Build a fresh graph and apply the full pipeline to it."""
-        return self.apply(self.graph_factory())[0]
+        return self.apply(self.graph_factory())
 
     def stages(self) -> List[Stage]:
         """Cached stage snapshots (build once, reuse for reports)."""

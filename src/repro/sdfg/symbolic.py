@@ -125,9 +125,6 @@ class Expr:
         return hash(repr(self))
 
     # -- helpers ---------------------------------------------------------
-    def is_constant(self) -> bool:
-        return not self.free_symbols
-
     def maybe_int(self):
         """Return the integer value if constant, else ``None``."""
         if isinstance(self, Integer):

@@ -1,6 +1,6 @@
 """Transformation framework: pattern-checked graph rewrites.
 
-Transformations mutate an SDFG in place, after ``can_apply`` verified the
+Transformations mutate an SDFG in place, after ``check`` verified the
 pattern.  Each one corresponds to a rewrite used in §4 of the paper.
 
 Two entry points:
@@ -9,7 +9,7 @@ Two entry points:
   nodes and ``apply_checked`` it — used by unit tests and one-off rewrites;
 * the *declarative* path — :meth:`Transformation.match` enumerates every
   candidate :class:`Site` in a state by structural pattern, and a
-  :class:`~repro.sdfg.passes.Pass` selects among them by array/parameter
+  :class:`~repro.sdfg.passes.Move` selects among them by array/parameter
   names only, never by graph-node identity or map-label lookups.
 """
 
@@ -91,13 +91,6 @@ class Transformation:
         raise NotImplementedError(
             f"{cls.__name__} does not implement site enumeration"
         )
-
-    def can_apply(self, sdfg: SDFG, state: SDFGState) -> bool:
-        try:
-            self.check(sdfg, state)
-            return True
-        except TransformationError:
-            return False
 
     def check(self, sdfg: SDFG, state: SDFGState) -> None:
         """Raise :class:`TransformationError` when not applicable."""

@@ -61,8 +61,8 @@ class BatchedOperationSubstitution(Transformation):
         """Single-tasklet scopes with >= 2 parameters.
 
         ``arrays`` lists the arrays the scope's tasklet *writes* — the
-        natural selection key for a pass ("batch the producer of X"); the
-        replacement tasklet and memlets remain the pass's configuration,
+        natural selection key for a move ("batch the producer of X"); the
+        replacement tasklet and memlets come from the move's template,
         since the rewrite encodes an algebraic identity.
         """
         sites: List[Site] = []

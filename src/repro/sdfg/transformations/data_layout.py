@@ -36,7 +36,7 @@ class DataLayoutTransformation(Transformation):
     @classmethod
     def match(cls, sdfg: SDFG, state: SDFGState) -> List[Site]:
         """Every multi-dimensional array referenced by a memlet of the
-        state is re-layoutable; the permutation is the pass's choice."""
+        state is re-layoutable; the permutation is the move's choice."""
         referenced = {
             d["memlet"].data
             for _, _, d in state.edges()

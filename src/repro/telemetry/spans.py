@@ -110,11 +110,6 @@ class Span:
         self.children: List["Span"] = []
         self.thread = threading.current_thread().name
 
-    @property
-    def duration_s(self) -> float:
-        end = self.end_ns if self.end_ns is not None else time.perf_counter_ns()
-        return (end - self.start_ns) / 1e9
-
     def to_dict(self) -> Dict[str, Any]:
         """A picklable/JSON-serializable snapshot of the subtree."""
         return {

@@ -144,7 +144,7 @@ class TestMoveSpace:
         moves = enumerate_moves(sd, sd.states[0], lib)
         assert moves
         for move in moves:
-            nxt, _ = apply_move(sd, move, "t00", lib)
+            nxt = apply_move(sd, move, lib)
             nxt.validate()
             assert sum(measure_movement(nxt, _DIMS).values()) > 0
 
@@ -154,6 +154,24 @@ class TestMoveSpace:
             back = move_from_dict(move.to_dict())
             assert back.key == move.key
             assert back.priority == move.priority
+
+    def test_recipe_steps_replay_through_the_search_applicator(self):
+        # The hand recipe and the search apply a step one way: replaying
+        # every SSE_PIPELINE move through apply_move reaches each built
+        # stage's graph, and each move survives the JSON round trip.
+        built = SSE_PIPELINE.build()
+        sd = build_sse_sigma_sdfg()
+        assert state_signature(sd) == state_signature(built[0].sdfg)
+        for (name, _, move), stage in zip(SSE_PIPELINE.steps, built[1:]):
+            assert stage.name == name
+            back = move_from_dict(json.loads(json.dumps(move.to_dict())))
+            assert back.key == move.key
+            sd = apply_move(sd, back, SSE_PIPELINE.library)
+            assert state_signature(sd) == state_signature(stage.sdfg), name
+            for dims in (_DIMS, _PAPER_DIMS):
+                assert measure_movement(sd, dims) == measure_movement(
+                    stage.sdfg, dims
+                ), name
 
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
@@ -170,7 +188,7 @@ class TestMoveSpace:
             if not moves:
                 break
             move = data.draw(st.sampled_from(moves), label=f"move{depth}")
-            sd, _ = apply_move(sd, move, f"w{depth:02d}", lib)
+            sd = apply_move(sd, move, lib)
             sd.validate()
             assert_index_matches_walks(sd.states[0])
             moved = measure_movement(sd, _DIMS)
@@ -190,7 +208,7 @@ class TestMoveSpace:
 
     def test_candidates_leave_their_parent_untouched(self):
         # Candidate graphs share Memlet and Range objects with their
-        # parent: a pass that edited one in place would change the
+        # parent: a move that edited one in place would change the
         # parent.  The base state and three states of the greedy path
         # (depths 1, 3, 9) offer every move kind between them.
         lib = sse_move_library()
@@ -200,9 +218,7 @@ class TestMoveSpace:
         depth = 0
         for target in (0, 1, 3, 9):
             for step in steps[depth:target]:
-                sd, _ = apply_move(
-                    sd, move_from_dict(step), step["stage"], lib
-                )
+                sd = apply_move(sd, move_from_dict(step), lib)
             depth = target
             before = (
                 state_signature(sd),
@@ -210,7 +226,7 @@ class TestMoveSpace:
                 _shared_values(sd),
             )
             for move in enumerate_moves(sd, sd.states[0], lib):
-                apply_move(sd, move, "alias", lib)
+                apply_move(sd, move, lib)
                 kinds.add(move.kind)
                 after = (
                     state_signature(sd),
@@ -245,7 +261,7 @@ class TestSearch:
             }
             move = move_from_dict(step)
             assert move.key in offered
-            sd, _ = apply_move(sd, move, step["stage"], lib)
+            sd = apply_move(sd, move, lib)
             assert state_signature(sd) == step["signature"]
 
     def test_every_searched_stage_verifies(self, greedy_result):
@@ -385,6 +401,10 @@ class TestConfig:
         monkeypatch.setenv("REPRO_AUTOTUNE_MAX_MOVES", "9")
         assert SearchConfig().resolved().max_moves == 9
         assert SearchConfig(max_moves=5).resolved().max_moves == 5
+
+    def test_base_with_steps_raises(self):
+        with pytest.raises(AutotuneError, match="has steps"):
+            autotune(SSE_PIPELINE, sse_move_library(), _DIMS)
 
     def test_max_moves_bounds_pipeline_depth(self):
         res = autotune(

@@ -1,4 +1,4 @@
-"""The Pass/Pipeline/CompiledPipeline API and its movement accounting."""
+"""The Move/Pipeline/CompiledPipeline API and its movement accounting."""
 
 import copy
 import json
@@ -20,7 +20,7 @@ from repro.core.sse_sdfg import (
     sse_sigma_reference,
 )
 from repro.sdfg import PipelineReport, measure_movement
-from repro.sdfg.passes import FissionPass, PassError, RedundancyPass
+from repro.sdfg.passes import Move, PassError
 from repro.sdfg.transformations import (
     ArrayShrink,
     BatchedOperationSubstitution,
@@ -151,21 +151,20 @@ class TestMatch:
         assert "nodes" not in d
 
 
-# -- pass selection ---------------------------------------------------------------
+# -- move site selection ----------------------------------------------------------
 
 
 class TestPassSelection:
     def test_no_site_raises(self, stages):
+        # no multi-tasklet scope is left after fission
         sd = copy.deepcopy(stages["fig9"].sdfg)
         with pytest.raises(PassError, match="found 0"):
-            FissionPass("x", "no multi-tasklet scope left").run(
-                sd, sd.states[0]
-            )
+            Move("fission").run(sd, sd.states[0])
 
     def test_wrong_array_raises(self, stages):
         sd = copy.deepcopy(stages["fig9"].sdfg)
         with pytest.raises(PassError):
-            RedundancyPass("x", "d", array="nope", params=("qz",)).run(
+            Move("redundancy", {"array": "nope", "params": ("qz",)}).run(
                 sd, sd.states[0]
             )
 
@@ -180,7 +179,7 @@ class TestRecipePipeline:
             "fig8", "fig9", "fig10b", "fig10c", "fig10d", "fig11c",
             "fig12a", "fig12", "fig12s",
         ]
-        # Descriptions live only on the passes — no duplicate table.
+        # Descriptions live only on the steps — no duplicate table.
         from repro.core import recipe
 
         assert not hasattr(recipe, "_RECIPE_DESCRIPTIONS")
@@ -188,10 +187,11 @@ class TestRecipePipeline:
     def test_pipeline_to_dict_is_declarative(self):
         d = SSE_PIPELINE.to_dict()
         json.dumps(d)
-        assert [p["stage"] for p in d["passes"]] == [
+        assert [s["stage"] for s in d["steps"]] == [
             n for n, _ in RECIPE_SUMMARY[1:]
         ]
-        assert d["passes"][0]["reduce"] == {"dHD": ["j"]}
+        assert d["steps"][0]["kind"] == "fission"
+        assert d["steps"][0]["spec"]["reduce"] == {"dHD": ["j"]}
 
     def test_build_is_repeatable_and_independent(self):
         a = SSE_PIPELINE.build()
@@ -217,15 +217,17 @@ class TestRecipePipeline:
         # A reusable pipeline may re-permute an array it already moved:
         # the caller-facing perms must compose, not overwrite.
         import repro.sdfg.pipeline as plmod
-        from repro.sdfg import LayoutPass, Pipeline
+        from repro.sdfg import Pipeline
 
         arrays, tables, ref = data
         p1, p2 = (2, 0, 1, 3, 4), (1, 0, 2, 3, 4)
         pipe = Pipeline(
             "layout_twice",
-            passes=[
-                LayoutPass("l1", "first perm", perms={"G": p1, "Sigma": p1}),
-                LayoutPass("l2", "second perm", perms={"G": p2, "Sigma": p2}),
+            steps=[
+                ("l1", "first perm",
+                 Move("layout", {"perms": {"G": p1, "Sigma": p1}})),
+                ("l2", "second perm",
+                 Move("layout", {"perms": {"G": p2, "Sigma": p2}})),
             ],
             graph_factory=build_sse_sigma_sdfg,
             initial=("g0", "initial"),

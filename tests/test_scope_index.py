@@ -46,7 +46,7 @@ def greedy_path():
     sd = SSE_SEARCH_BASE.graph_factory()
     graphs = [sd]
     for step in json.loads(_TOY_TRACE.read_text())["steps"]:
-        sd, _ = apply_move(sd, move_from_dict(step), step["stage"], lib)
+        sd = apply_move(sd, move_from_dict(step), lib)
         graphs.append(sd)
     return graphs
 
@@ -130,7 +130,7 @@ def test_dropped_sdfg_is_freed_without_cyclic_gc(recipe_stages):
     gc.disable()
     try:
         stage_copy = copy.deepcopy(recipe_stages[-1].sdfg)
-        candidate, _ = apply_move(base, move, "probe", lib)
+        candidate = apply_move(base, move, lib)
         refs = [weakref.ref(stage_copy), weakref.ref(candidate)]
         del stage_copy, candidate
         assert [r() for r in refs] == [None, None]
