@@ -13,9 +13,9 @@ treats RGF exactly this way: one tuned kernel):
     :func:`repro.negf.rgf.rgf_solve` is a batch-of-1 view of it, and
     :class:`repro.negf.engine.SerialEngine` is pinned to it.
 ``numpy``
-    The production kernel and the default.  Factorizes each diagonal
-    block once (one batched ``getrf`` + ``getri`` instead of a fresh
-    ``gesv`` against the identity), shares the backward intermediates,
+    The production kernel and the default.  Inverts each diagonal block
+    once (``inv``: the same ``gesv`` against the identity the oracle
+    calls) and reuses it in both passes, shares the backward intermediates,
     and contracts every coupling product over the block's *observed*
     nonzero support — the paper's §5.1.2 / Table 6 point (sparse
     inter-slab blocks, ``gᴿ`` kept dense) read off the operands

@@ -3,15 +3,15 @@
 Three structural inefficiencies of the reference recursion are removed
 while producing the same diagonal blocks to ≤ 1e-10:
 
-* **Factorize once, reuse everywhere.**  The reference forms every
-  left-connected inverse with a fresh ``gesv`` against the identity
-  (``np.linalg.solve(A, I)``, ≈ 8/3 n³ flops) and then re-multiplies it
-  into each downstream product.  Here each diagonal block is factorized
-  once per solve with a single batched ``getrf`` + ``getri``
-  (``np.linalg.inv``, ≈ 2 n³) — the batched equivalent of
-  ``lu_factor``/``lu_solve``, which LAPACK does not expose in batched
-  form — and the explicit factor product is reused across the forward
-  *and* backward passes through shared intermediates.
+* **Invert once, reuse everywhere.**  The reference forms every
+  left-connected inverse with ``np.linalg.solve(A, I)`` and then
+  re-multiplies it into each downstream product.  Here each diagonal
+  block is inverted once per solve with ``np.linalg.inv``, which is the
+  same LAPACK call: numpy's ``inv`` *is* ``gesv`` against the identity
+  (≈ 8/3 n³ flops), so forming the inverse costs what the reference's
+  does.  The gain is that this one inverse is reused across the forward
+  *and* backward passes through shared intermediates, plus the thin
+  coupling products below.
 
 * **Shared backward intermediates.**  With ``P = gᴿ V``, ``W = P Gᴿ₊``
   and ``X = W V†`` the four backward updates collapse to
@@ -105,8 +105,8 @@ class NumpyKernel(RGFKernel):
     # -- factorization --------------------------------------------------------
     @staticmethod
     def _factorize(a: np.ndarray) -> np.ndarray:
-        """One batched ``getrf`` + ``getri`` per block; the explicit
-        factor product is what both passes multiply against."""
+        """One batched inverse per block (``gesv`` against the identity,
+        as numpy's ``inv`` is); both passes multiply against it."""
         return np.linalg.inv(a)
 
     # -- the recursions -------------------------------------------------------

@@ -11,8 +11,9 @@ as ``_pred[v][u]``) holds one data dict per ``u -> v`` edge with its
 :class:`~repro.sdfg.memlet.Memlet` and connectors.  Edges iterate in
 insertion order and :meth:`SDFGState.topological_nodes` is a
 generation-wise Kahn sort, so signatures and generated source are
-deterministic.  Scope queries read a :class:`ScopeIndex` built per call,
-never cached (graphs are edited in place).  A state holds its SDFG's
+deterministic.  The order and the :class:`ScopeIndex` that scope queries
+read are built on first use and dropped by every node or edge insertion
+or removal (a memlet rewrite keeps them).  A state holds its SDFG's
 ``arrays`` dict, not the SDFG: no reference cycle, so a dropped copy is
 freed by reference counting.
 """
@@ -51,6 +52,10 @@ class ArrayDesc:
         self.shape: Tuple[Expr, ...] = tuple(sympify(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.transient = transient
+
+    def __deepcopy__(self, memo) -> "ArrayDesc":  # shape and dtype are immutable
+        memo[id(self)] = new = ArrayDesc(self.name, self.shape, self.dtype, self.transient)
+        return new
 
     @property
     def rank(self) -> int:
@@ -146,6 +151,7 @@ class SDFGState:
         self.arrays = arrays
         self._succ: Dict[Node, Dict[Node, List[dict]]] = {}
         self._pred: Dict[Node, Dict[Node, List[dict]]] = {}
+        self._scopes = self._order = None  # built on demand, dropped by edits
 
     def __deepcopy__(self, memo) -> "SDFGState":
         """Nodes and ``arrays`` go through ``memo``; every edge gets a fresh
@@ -162,6 +168,7 @@ class SDFGState:
     def add_node(self, node: Node) -> Node:
         if node not in self._succ:
             self._succ[node], self._pred[node] = {}, {}
+            self._scopes = self._order = None
         return node
 
     def add_access(self, data: str) -> AccessNode:
@@ -183,6 +190,7 @@ class SDFGState:
         if ds is None:
             ds = self._succ[src][dst] = self._pred[dst][src] = []
         ds.append({"memlet": memlet, "src_conn": src_conn, "dst_conn": dst_conn})
+        self._scopes = self._order = None
 
     def remove_edge(self, u: Node, v: Node):
         """Remove the most recently added ``u -> v`` edge."""
@@ -190,12 +198,14 @@ class SDFGState:
         ds.pop()
         if not ds:
             del self._succ[u][v], self._pred[v][u]
+        self._scopes = self._order = None
 
     def remove_node(self, node: Node):
         for v in self._succ.pop(node):
             del self._pred[v][node]
         for u in self._pred.pop(node):
             del self._succ[u][node]
+        self._scopes = self._order = None
 
     # -- queries -----------------------------------------------------------
     def __contains__(self, node: Node) -> bool:
@@ -230,7 +240,9 @@ class SDFGState:
 
     def topological_nodes(self) -> List[Node]:
         """Kahn order by generations: the sources in insertion order, then
-        the nodes each releases in turn.  Raises on a cycle."""
+        the nodes each releases in turn (a copy).  Raises on a cycle."""
+        if self._order is not None:
+            return list(self._order)
         indeg = {v: sum(map(len, ps.values())) for v, ps in self._pred.items()}
         order = [v for v, d in indeg.items() if not d]
         for u in order:  # grows while it is walked: one generation after another
@@ -240,14 +252,17 @@ class SDFGState:
                     order.append(v)
         if len(order) != len(indeg):
             raise InvalidSDFGError(f"state {self.label!r} contains a cycle")
-        return order
+        self._order = order
+        return list(order)
 
     def tasklets(self) -> List[Tasklet]:
         return [n for n in self._succ if isinstance(n, Tasklet)]
 
     def scope_index(self) -> ScopeIndex:
-        """The scope structure of the graph as it is now (not cached)."""
-        return ScopeIndex(self)
+        """The scope structure of the graph as it is now (read-only)."""
+        if self._scopes is None:
+            self._scopes = ScopeIndex(self)
+        return self._scopes
 
     # -- validation ----------------------------------------------------------
     def validate(self):

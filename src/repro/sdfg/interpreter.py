@@ -5,6 +5,13 @@ to nested loops over their (evaluated) index ranges, tasklets run their
 Python code on views selected by the incoming memlets, and writes through
 ``wcr`` memlets combine with the existing array contents (``CR: Sum``).
 
+A run first turns each state into a plan, once: its scopes as nested
+step lists, and per tasklet the ``(connector, memlet, evaluator, point
+axes)`` of every input and output memlet, where the evaluator is the
+subset's :meth:`~repro.sdfg.subsets.Range.evaluator` (the same integer
+triples as ``Range.evaluate``, compiled once per range).  Invocations
+then only evaluate and slice; the semantics are those of the graph.
+
 This interpreter defines the *semantics* that every graph transformation
 must preserve — the equivalence tests in ``tests/test_recipe.py`` execute
 the SSE SDFG after each transformation step and compare results against the
@@ -14,13 +21,14 @@ untransformed graph.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from .graph import SDFG, ScopeIndex, SDFGState
 from .memlet import Memlet
-from .nodes import AccessNode, MapEntry, Node, Tasklet
+from .nodes import AccessNode, MapEntry, Tasklet
+from .subsets import as_slices
 
 __all__ = ["Interpreter", "ExecutionReport", "execute"]
 
@@ -78,8 +86,11 @@ class Interpreter:
         state = self.sdfg.start_state
         transitions = 0
         ctx: Dict[str, object] = dict(env)
+        plans: Dict[SDFGState, List] = {}  # built on a state's first visit
         while state is not None:
-            self._run_state(state, env, store)
+            if state not in plans:
+                plans[state] = _plan(state, state.scope_index(), None)
+            self._run_steps(plans[state], env, store)
             transitions += 1
             if transitions > _MAX_STATE_TRANSITIONS:
                 raise RuntimeError("state machine exceeded transition limit")
@@ -96,118 +107,91 @@ class Interpreter:
         return store
 
     # -- state / scope execution -------------------------------------------
-    def _run_state(self, state: SDFGState, env: Dict, store: Dict):
-        scopes = state.scope_index()
-        for node in scopes.immediate_children(None):
-            self._run_node(state, scopes, node, env, store)
+    def _run_steps(self, steps: List, env: Dict, store: Dict):
+        for node, a, b in steps:  # see _plan
+            if isinstance(node, Tasklet):
+                self._run_tasklet(node, a, b, env, store)
+            else:
+                self._run_scope(node.map.params, a(env), b, env, store)
 
-    def _run_node(
-        self,
-        state: SDFGState,
-        scopes: ScopeIndex,
-        node: Node,
-        env: Dict,
-        store: Dict,
-    ):
-        if isinstance(node, AccessNode):
-            return
-        if isinstance(node, Tasklet):
-            self._run_tasklet(state, node, env, store)
-        elif isinstance(node, MapEntry):
-            self._run_scope(state, scopes, node, env, store)
-        else:
-            raise TypeError(f"cannot interpret node {node!r}")
-
-    def _run_scope(
-        self,
-        state: SDFGState,
-        scopes: ScopeIndex,
-        entry: MapEntry,
-        env: Dict,
-        store: Dict,
-    ):
-        m = entry.map
-        ranges = m.range.evaluate(env)
-        # Nested scopes are executed by their own entries.
-        order = scopes.immediate_children(entry)
-        iter_spaces = [
-            range(b, e + 1, s) if s > 0 else range(b, e - 1, s)
-            for (b, e, s) in ranges
-        ]
+    def _run_scope(self, params, ranges, body: List, env: Dict, store: Dict):
+        iter_spaces = [range(b, e + 1, s) if s > 0 else range(b, e - 1, s)
+                       for (b, e, s) in ranges]
         local_env = dict(env)
         for combo in itertools.product(*iter_spaces):
-            for p, v in zip(m.params, combo):
+            for p, v in zip(params, combo):
                 local_env[p] = v
-            for node in order:
-                self._run_node(state, scopes, node, local_env, store)
+            self._run_steps(body, local_env, store)
 
     # -- tasklet execution ----------------------------------------------------
-    def _run_tasklet(self, state: SDFGState, node: Tasklet, env: Dict, store: Dict):
-        inputs: Dict[str, object] = {}
-        for u, _, d in state.in_edges(node):
-            mem: Optional[Memlet] = d.get("memlet")
-            conn = d.get("dst_conn")
-            if mem is None or conn is None:
-                continue
-            inputs[conn] = self._read(mem, env, store)
+    def _run_tasklet(self, node: Tasklet, ins: List, outs: List, env: Dict, store: Dict):
+        inputs = {c: self._read(m, evaluate(env), p, store) for c, m, evaluate, p in ins}
         missing = [c for c in node.inputs if c not in inputs]
         if missing:
             raise RuntimeError(
                 f"tasklet {node.label!r}: unbound input connectors {missing}"
             )
-        outputs = node.code(**inputs)
-        if outputs is None:
-            outputs = {}
+        outputs = node.code(**inputs) or {}
         if node.flops is not None:
             self.report.flops += int(node.flops(**inputs))
         self.report.tasklet_invocations += 1
-        for _, v, d in state.out_edges(node):
-            mem = d.get("memlet")
-            conn = d.get("src_conn")
-            if mem is None or conn is None:
-                continue
+        for conn, mem, evaluate, points in outs:
             if conn not in outputs:
                 raise RuntimeError(
                     f"tasklet {node.label!r} did not produce output {conn!r}"
                 )
-            self._write(mem, env, store, outputs[conn])
+            self._write(mem, evaluate(env), points, store, outputs[conn])
 
-    def _read(self, mem: Memlet, env: Dict, store: Dict):
-        arr = store[mem.data]
-        slices = mem.subset.to_slices(env)
-        view = arr[slices]
-        squeeze_axes = mem.subset.degenerate_axes(env)
+    def _read(self, mem: Memlet, triples, points, store: Dict):
+        view = store[mem.data][as_slices(triples)]
         # Squeeze only symbolically-degenerate (point) dimensions.
-        sym_points = tuple(
-            i for i, (b, e, _) in enumerate(mem.subset.dims) if b == e
-        )
-        axes = tuple(i for i in squeeze_axes if i in sym_points)
-        if axes:
-            view = np.squeeze(view, axis=axes)
-        self.report.element_reads += view.size if hasattr(view, "size") else 1
-        if isinstance(view, np.ndarray) and view.ndim == 0:
+        if points:
+            view = view.squeeze(axis=points)
+        self.report.element_reads += view.size
+        if view.ndim == 0:
             return view[()]
-        if isinstance(view, np.ndarray):
-            view = view.view()
-            view.flags.writeable = False
+        view = view.view()
+        view.flags.writeable = False
         return view
 
-    def _write(self, mem: Memlet, env: Dict, store: Dict, value):
+    def _write(self, mem: Memlet, triples, points, store: Dict, value):
         arr = store[mem.data]
-        slices = mem.subset.to_slices(env)
-        target_shape = arr[slices].shape
+        slices = as_slices(triples)
+        target = arr[slices]
         value = np.asarray(value)
-        sym_points = tuple(
-            i for i, (b, e, _) in enumerate(mem.subset.dims) if b == e
-        )
-        if sym_points and value.ndim < len(target_shape):
+        if points and value.ndim < target.ndim:
             # Re-insert squeezed point dimensions for broadcasting.
-            value = np.expand_dims(value, axis=sym_points)
-        self.report.element_writes += int(np.prod(target_shape)) if target_shape else 1
+            value = np.expand_dims(value, axis=points)
+        self.report.element_writes += target.size
         if mem.wcr is None:
             arr[slices] = value
         else:
-            arr[slices] = mem.wcr_function()(arr[slices], value)
+            arr[slices] = mem.wcr_function()(target, value)
+
+
+def _plan(state: SDFGState, scopes: ScopeIndex, entry: Optional[MapEntry]) -> List:
+    """``entry``'s scope (``None``: the state) as steps ``(tasklet, inputs,
+    outputs)`` (see :func:`_io`) or ``(map entry, evaluator, body)``."""
+    steps: List = []
+    for node in scopes.immediate_children(entry):
+        if isinstance(node, Tasklet):
+            steps.append((node, _io(state.in_edges(node), "dst_conn"),
+                          _io(state.out_edges(node), "src_conn")))
+        elif isinstance(node, MapEntry):
+            steps.append((node, node.map.range.evaluator(), _plan(state, scopes, node)))
+        elif not isinstance(node, AccessNode):
+            raise TypeError(f"cannot interpret node {node!r}")
+    return steps
+
+
+def _io(edges, key: str) -> List:
+    """``(connector, memlet, evaluator, point axes)`` per memlet on a ``key``
+    connector of a tasklet's ``edges``, in edge order."""
+    return [
+        (d[key], m, m.subset.evaluator(), m.subset.point_axes)
+        for *_, d in edges
+        if (m := d.get("memlet")) is not None and d.get(key) is not None
+    ]
 
 
 def execute(

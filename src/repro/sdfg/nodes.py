@@ -8,6 +8,7 @@ carry data-movement annotations.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Callable, Dict, Optional, Sequence
 
@@ -26,6 +27,17 @@ class Node:
     def __init__(self, label: str):
         self.label = label
         self._uid = next(_counter)
+
+    def __deepcopy__(self, memo) -> "Node":
+        """Same ``_uid`` (hash, codegen's ``label#uid`` keys), attributes
+        shared, but a map node's :class:`Map` copied once per ``memo``."""
+        new = memo[id(self)] = object.__new__(type(self))
+        for cls in type(self).__mro__[:-1]:
+            for name in cls.__dict__.get("__slots__", ()):
+                setattr(new, name, getattr(self, name))
+        if isinstance(self, (MapEntry, MapExit)):
+            new.map = copy.deepcopy(self.map, memo)
+        return new
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.label})"
@@ -109,6 +121,10 @@ class Map:
         self.label = label
         self.params = list(params)
         self.range = rng
+
+    def __deepcopy__(self, memo) -> "Map":
+        memo[id(self)] = new = Map(self.label, self.params, self.range)
+        return new
 
     def param_index(self, name: str) -> int:
         return self.params.index(name)

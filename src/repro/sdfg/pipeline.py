@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -47,7 +48,6 @@ from .graph import SDFG
 from .memlet import Memlet
 from .nodes import Tasklet
 from .passes import Move, MoveLibrary
-from .symbolic import Expr
 
 __all__ = [
     "Stage",
@@ -95,13 +95,14 @@ def measure_movement(sdfg: SDFG, env: Mapping[str, int]) -> Dict[str, int]:
     every scope's iteration volume, innermost first.  That is the count
     the paper's Fig. 7 outward propagation
     (:func:`~repro.sdfg.propagation.propagate_through_maps`) forms; no
-    propagated subset feeds it, so none is built.  The symbolic totals
-    are evaluated under ``env`` and scaled by the array element size.
-    Non-tasklet edges (the full-array memlets decorating scope
+    propagated subset feeds it, so none is built.  Each factor is
+    evaluated under ``env`` (integer products and sums equal the
+    evaluated symbolic total) and the total scaled by the array element
+    size.  Non-tasklet edges (the full-array memlets decorating scope
     boundaries) are not movement — they restate the same traffic one
     level out — and are skipped.
     """
-    volumes: Dict[str, Expr] = {}
+    counts: Dict[str, int] = {}
     for st in sdfg.states:
         scopes = st.scope_index()
         for u, v, d in st.edges():
@@ -114,14 +115,12 @@ def measure_movement(sdfg: SDFG, env: Mapping[str, int]) -> Dict[str, int]:
                 node = v
             else:
                 continue
-            accesses = mem.accesses
+            count = mem.accesses.evaluate(env)
             for e in scopes.scope_chain(node):
-                accesses = accesses * e.map.range.num_elements()
-            prev = volumes.get(mem.data)
-            volumes[mem.data] = accesses if prev is None else prev + accesses
+                count *= e.map.range.num_elements().evaluate(env)
+            counts[mem.data] = counts.get(mem.data, 0) + count
     return {
-        name: int(expr.evaluate(env)) * sdfg.arrays[name].dtype.itemsize
-        for name, expr in volumes.items()
+        name: n * sdfg.arrays[name].dtype.itemsize for name, n in counts.items()
     }
 
 
@@ -252,7 +251,7 @@ def _compose_perm(
 def _transient_bytes(sdfg: SDFG, env: Mapping[str, int]) -> int:
     """Total allocated transient (scratch) storage under ``env``."""
     return sum(
-        int(sdfg.arrays[name].total_size().evaluate(env))
+        math.prod(sdfg.arrays[name].evaluate_shape(env))
         * sdfg.arrays[name].dtype.itemsize
         for name in sdfg.transients()
     )

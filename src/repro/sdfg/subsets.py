@@ -7,9 +7,9 @@ with *inclusive* ends, mirroring DaCe's convention: ``A[0:M, k, 0:K]`` is
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .symbolic import Expr, ExprLike, Integer, Max, Min, Mul, sympify
+from .symbolic import Expr, ExprLike, Integer, Max, Min, Mul, compile_rows, sympify
 
 __all__ = ["Range", "Indices"]
 
@@ -21,10 +21,10 @@ class Range:
 
     Ranges are immutable (transformations replace a range, they never
     edit one), so copies share them and the element count and text are
-    computed once per range.
+    computed once per range, as are its compiled evaluator and point axes.
     """
 
-    __slots__ = ("dims", "_num_elements", "_repr")
+    __slots__ = ("dims", "_num_elements", "_repr", "_evaluator", "_points")
 
     def __init__(self, dims: Iterable[DimLike]):
         norm: List[Tuple[Expr, Expr, Expr]] = []
@@ -44,6 +44,8 @@ class Range:
         self.dims = tuple(norm)
         self._num_elements = None
         self._repr = None
+        self._evaluator = None
+        self._points = None
 
     def __deepcopy__(self, memo) -> "Range":
         return self
@@ -97,8 +99,15 @@ class Range:
             self._num_elements = out
         return self._num_elements
 
+    @property
+    def point_axes(self) -> Tuple[int, ...]:
+        """Symbolically degenerate (``begin == end``) axes, squeezed on tasklet I/O."""
+        if self._points is None:
+            self._points = tuple(i for i, (b, e, _) in enumerate(self.dims) if b == e)
+        return self._points
+
     def is_point(self) -> bool:
-        return all(b == e for b, e, _ in self.dims)
+        return len(self.point_axes) == len(self.dims)
 
     @property
     def free_symbols(self) -> frozenset:
@@ -148,31 +157,21 @@ class Range:
         return Range(dims)
 
     def evaluate(self, env: Mapping[str, int]) -> Tuple[Tuple[int, int, int], ...]:
-        """Concretize to integer triples."""
+        """Concretize to integer triples (walks each expression)."""
         return tuple(
             (b.evaluate(env), e.evaluate(env), s.evaluate(env))
             for b, e, s in self.dims
         )
 
+    def evaluator(self) -> Callable[[Mapping[str, int]], Tuple[Tuple[int, ...], ...]]:
+        """:meth:`evaluate` compiled once per range: same triples, same errors."""
+        if self._evaluator is None:
+            self._evaluator = compile_rows(self.dims)
+        return self._evaluator
+
     def to_slices(self, env: Mapping[str, int]) -> Tuple[slice, ...]:
-        """Concretize to numpy slices (end-inclusive -> end-exclusive).
-
-        Negative point indices denote periodic wraparound (momentum axes);
-        ``slice(-1, 0)`` would be empty, so a ``-1`` end maps to ``None``.
-        """
-        out = []
-        for b, e, s in self.evaluate(env):
-            stop = e + 1 if e + 1 != 0 else None
-            out.append(slice(b, stop, s))
-        return tuple(out)
-
-    def degenerate_axes(self, env: Mapping[str, int]) -> Tuple[int, ...]:
-        """Axes with a single element under ``env`` (squeezed on tasklet I/O)."""
-        return tuple(
-            i
-            for i, (b, e, _) in enumerate(self.evaluate(env))
-            if b == e
-        )
+        """Concretize to numpy slices (see :func:`as_slices`)."""
+        return as_slices(self.evaluator()(env))
 
     def __repr__(self) -> str:
         if self._repr is None:
@@ -186,6 +185,12 @@ class Range:
                     parts.append(f"{b!r}:{(e + 1)!r}:{s!r}")
             self._repr = "[" + ", ".join(parts) + "]"
         return self._repr
+
+
+def as_slices(triples: Iterable[Tuple[int, int, int]]) -> Tuple[slice, ...]:
+    """End-inclusive triples as numpy slices.  Negative point indices wrap
+    periodically (momentum axes), so a ``-1`` end maps to ``None``."""
+    return tuple([slice(b, e + 1 if e != -1 else None, s) for b, e, s in triples])
 
 
 class Indices:

@@ -13,6 +13,7 @@ without implementing a full CAS.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "Max",
     "IndirectAccess",
     "NonAffineError",
+    "compile_rows",
     "sympify",
     "symbols",
     "affine_coefficients",
@@ -553,6 +555,43 @@ class IndirectAccess(Expr):
     def __repr__(self) -> str:
         inner = ", ".join(repr(i) for i in self.indices)
         return f"{self.table}[{inner}]"
+
+
+def _pycode(e: Expr) -> str:
+    """``e`` as a Python expression over ``env`` and the tables ``T``."""
+    if isinstance(e, Integer):
+        return f"({e.value})"
+    if isinstance(e, Symbol):
+        return f"int(env[{e.name!r}])"
+    if isinstance(e, IndirectAccess):
+        return f"int(T[{e.table!r}][({''.join(_pycode(i) + ', ' for i in e.indices)})])"
+    if isinstance(e, (FloorDiv, Mod)):
+        op = "//" if isinstance(e, FloorDiv) else "%"
+        return f"({_pycode(e.num)} {op} {_pycode(e.den)})"
+    if not isinstance(e, (Add, Mul, _MinMax)):
+        raise TypeError(f"cannot compile {type(e).__name__}")
+    fold = {Add: "sum", Mul: "prod"}.get(type(e)) or e._name.lower()
+    return f"{fold}(({''.join(_pycode(a) + ', ' for a in e.args)}))"
+
+
+def compile_rows(rows: Tuple[Tuple[Expr, ...], ...]):
+    """One function ``f(env)`` returning ``rows`` evaluated, as a tuple of
+    tuples: :meth:`Expr.evaluate`'s integer arithmetic, compiled once
+    instead of walking each tree per call.  If the compiled form raises
+    (an unbound symbol or table, say), the tree walk runs and raises its
+    own error."""
+    body = "".join(f"({''.join(_pycode(e) + ', ' for e in row)}), " for row in rows)
+    scope = {"rows": rows, "prod": math.prod}
+    exec(
+        "def f(env):\n"
+        "    try:\n"
+        "        T = env.get('__tables__', {})\n"
+        f"        return ({body})\n"
+        "    except Exception:\n"
+        "        return tuple(tuple(e.evaluate(env) for e in row) for row in rows)\n",
+        scope,
+    )
+    return scope["f"]
 
 
 def affine_coefficients(

@@ -1,7 +1,11 @@
 """SDFG structure, validation, and interpreter semantics."""
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from repro.core.recipe import SSE_PIPELINE, VERIFY_DIMS, tuned_sse_search
 
 from repro.sdfg import (
     SDFG,
@@ -18,6 +22,7 @@ from repro.sdfg import (
     execute,
     symbols,
 )
+from repro.sdfg.pipeline import run_stage
 
 
 def build_matmul_sdfg():
@@ -261,3 +266,84 @@ class TestInterpreter:
         st.add_edge(t, st.add_access("y"), Memlet("y", Range([0])), src_conn="o")
         execute(sd, {}, dict(x=np.zeros((3, 4))))
         assert seen["shape"] == ()
+
+    def test_point_axes_squeeze(self):
+        """Only symbolically degenerate axes are squeezed: ``x[2, 0:6]``
+        arrives 1-d, while ``x[0:N, 0:6]`` keeps both axes at ``N = 1``."""
+        N = symbols("N")[0]
+        point, block = Range([(2, 2), (0, 5)]), Range([(0, N - 1), (0, 5)])
+        assert point.point_axes == (0,) and block.point_axes == ()
+        sd = SDFG("sq2")
+        sd.add_array("x", (3, 6), np.float64)
+        sd.add_array("y", (1,), np.float64)
+        st = sd.add_state("s")
+        seen = []
+
+        def probe(p, b):
+            seen.extend([np.shape(p), np.shape(b)])
+            return {"o": 0.0}
+
+        t = Tasklet("t", ["p", "b"], ["o"], probe)
+        x = st.add_access("x")
+        st.add_edge(x, t, Memlet("x", point), dst_conn="p")
+        st.add_edge(x, t, Memlet("x", block), dst_conn="b")
+        st.add_edge(t, st.add_access("y"), Memlet("y", Range([0])), src_conn="o")
+        execute(sd, dict(N=1), dict(x=np.zeros((3, 6))))
+        assert seen == [(6,), (1, 6)]
+
+
+#: Per stage at ``VERIFY_DIMS`` (seed-0 inputs rounded to Gaussian
+#: integers, so every stage's arithmetic is exact): the sha256 prefix of
+#: the output's bytes and the ``ExecutionReport`` (tasklet invocations,
+#: flops, element reads, element writes), recorded from the interpreter
+#: that re-evaluated each memlet's symbolic subset per invocation.
+_STAGE_RUNS = {
+    ("recipe", "fig8"): (8640, 437760, 60480, 34560),
+    ("recipe", "fig9"): (3120, 190080, 24240, 12480),
+    ("recipe", "fig10b"): (2040, 120960, 15600, 8160),
+    ("recipe", "fig10c"): (2040, 120960, 15600, 8160),
+    ("recipe", "fig10d"): (1710, 120960, 14280, 8160),
+    ("recipe", "fig11c"): (450, 120960, 7080, 5280),
+    ("recipe", "fig12a"): (450, 120960, 7080, 5280),
+    ("recipe", "fig12"): (465, 120960, 7080, 5760),
+    ("recipe", "fig12s"): (465, 120960, 7080, 5760),
+    ("searched", "fig8"): (8640, 437760, 60480, 34560),
+    ("searched", "t00_fission"): (3120, 190080, 24240, 12480),
+    ("searched", "t01_redundancy"): (2040, 120960, 15600, 8160),
+    ("searched", "t02_layout"): (2040, 120960, 15600, 8160),
+    ("searched", "t03_batch"): (780, 120960, 8400, 5280),
+    ("searched", "t04_batch"): (570, 122880, 7680, 4800),
+    ("searched", "t05_layout"): (570, 122880, 7680, 4800),
+    ("searched", "t06_batch"): (240, 122880, 6360, 4800),
+    ("searched", "t07_expand"): (240, 122880, 6360, 4800),
+    ("searched", "t08_fuse"): (240, 122880, 6360, 4800),
+    ("searched", "t09_shrink"): (240, 122880, 6360, 4800),
+    ("searched", "t10_shrink"): (240, 122880, 6360, 4800),
+}
+_STAGE_OUTPUT_SHA = "ee855ea01e908f83"
+
+
+@pytest.fixture(scope="module")
+def exact_sse_inputs():
+    arrays, tables = SSE_PIPELINE.make_inputs(dict(VERIFY_DIMS), seed=0)
+    arrays = {k: np.round(4 * v) for k, v in arrays.items()}
+    return arrays, tables, SSE_PIPELINE.reference(arrays, tables)
+
+
+@pytest.mark.parametrize("pipeline,stage", list(_STAGE_RUNS))
+def test_sse_stage_runs_are_pinned(pipeline, stage, exact_sse_inputs):
+    """Every recipe stage and every stage of the search at
+    ``VERIFY_DIMS``: the output equals the reference exactly and the
+    recorded bytes, and the execution report equals the recorded one."""
+    pipe = SSE_PIPELINE if pipeline == "recipe" else tuned_sse_search(VERIFY_DIMS).pipeline
+    assert pipe.stage_names == tuple(n for p, n in _STAGE_RUNS if p == pipeline)
+    arrays, tables, reference = exact_sse_inputs
+    (s,) = [s for s in pipe.stages() if s.name == stage]
+    out, executed = run_stage(s, dict(VERIFY_DIMS), arrays, tables)
+    assert np.array_equal(out, reference)
+    # "+ 0" folds a -0.0 into 0.0: equal arrays, equal digests
+    assert hashlib.sha256((out + 0).tobytes()).hexdigest()[:16] == _STAGE_OUTPUT_SHA
+    r = executed.report
+    assert (
+        r.tasklet_invocations, r.flops, r.element_reads, r.element_writes
+    ) == _STAGE_RUNS[pipeline, stage]

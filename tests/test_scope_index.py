@@ -1,7 +1,8 @@
 """The per-state scope index: equal to the walks it replaced, no
 reference cycle through the states, and the memlet lint built on it.
 The state's own multigraph: networkx's orders, and copies that share
-nothing mutable with their parent."""
+nothing mutable with their parent and keep every node's identity
+number."""
 
 import copy
 import gc
@@ -23,7 +24,8 @@ from repro.core.recipe import (
     VERIFY_DIMS,
     sse_move_library,
 )
-from repro.sdfg import SDFG, Memlet, Tasklet
+from repro.sdfg import SDFG, AccessNode, Memlet, Tasklet
+from repro.sdfg.backends.codegen import generate_source
 from repro.sdfg.nodes import MapEntry
 from tests.scope_reference import (
     assert_index_matches_walks,
@@ -97,6 +99,28 @@ class TestOwnMultigraph:
         assert _edge_dump(st) == edges
         assert set(cst.nodes).isdisjoint(st.nodes)
 
+    def test_scope_index_is_dropped_by_every_structural_edit(self, recipe_stages):
+        sd = copy.deepcopy(recipe_stages[-1].sdfg)
+        st = sd.states[0]
+        t = next(n for n in st.nodes if isinstance(n, Tasklet))
+        u, _, d = st.in_edges(t)[0]
+        a = AccessNode(d["memlet"].data)
+        edits = [
+            lambda: st.add_node(a),
+            lambda: st.add_edge(a, t, d["memlet"], dst_conn="extra"),
+            lambda: st.remove_edge(a, t),
+            lambda: st.remove_node(a),
+        ]
+        for edit in edits:
+            index = st.scope_index()
+            assert st.scope_index() is index  # unchanged graph: reused
+            edit()
+            assert st.scope_index() is not index
+            assert_index_matches_walks(st)
+        index = st.scope_index()
+        d["memlet"] = Memlet(d["memlet"].data, d["memlet"].subset)
+        assert st.scope_index() is index  # a memlet rewrite is no structural edit
+
     def test_remove_edge_drops_the_latest_parallel_edge(self):
         sd = SDFG("parallel")
         sd.add_array("A", [4])
@@ -111,6 +135,55 @@ class TestOwnMultigraph:
         assert d["memlet"] is first and st.out_edges(a)[0][2] is d
         st.remove_edge(a, b)
         assert st.edges() == [] and st.predecessors(b) == [] and st.nodes == [a, b]
+
+
+class TestCopyContract:
+    """``copy.deepcopy`` of a graph: nodes keep their identity numbers,
+    everything mutable is new, and nothing of the copy reaches back."""
+
+    def test_nodes_maps_and_descriptors(self, recipe_stages):
+        parent = recipe_stages[-1].sdfg
+        st = parent.states[0]
+        memo = {}
+        sd = copy.deepcopy(parent, memo)
+        cst = sd.states[0]
+        for n in st.nodes:
+            c = memo[id(n)]
+            assert c is not n and type(c) is type(n) and c in cst
+            assert (c._uid, hash(c), c.label) == (n._uid, hash(n), n.label)
+        exits = cst.scope_index().exits
+        assert len(exits) == len(st.scope_index().exits) > 0
+        for entry, exit_ in exits.items():
+            assert entry.map is exit_.map
+            original = next(n for n in st.nodes if hash(n) == hash(entry)).map
+            assert entry.map is not original
+            assert entry.map.params == original.params
+            assert entry.map.params is not original.params
+        assert cst.arrays is sd.arrays
+        for name, desc in parent.arrays.items():
+            assert sd.arrays[name] is not desc
+            assert repr(sd.arrays[name]) == repr(desc)
+
+    def test_editing_the_copy_leaves_the_original(self, recipe_stages):
+        parent = recipe_stages[-1].sdfg
+        signature = state_signature(parent)
+        sd = copy.deepcopy(parent)
+        cst = sd.states[0]
+        entry = next(n for n in cst.nodes if isinstance(n, MapEntry))
+        entry.map.params[0] = "renamed"
+        entry.map.label = "renamed"
+        next(n for n in cst.nodes if isinstance(n, Tasklet)).label = "renamed"
+        desc = next(iter(sd.arrays.values()))
+        desc.transient = not desc.transient
+        desc.shape = desc.shape + (2,)
+        assert state_signature(sd) != signature
+        assert state_signature(parent) == signature
+
+    def test_copied_graph_generates_the_same_source(self, recipe_stages):
+        (fig12s,) = [s for s in recipe_stages if s.name == "fig12s"]
+        assert generate_source(copy.deepcopy(fig12s.sdfg)) == generate_source(
+            fig12s.sdfg
+        )
 
 
 def _edge_dump(state):

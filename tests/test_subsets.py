@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sdfg import Indices, Memlet, Range, symbols
-from repro.sdfg.symbolic import Integer, Symbol
+from repro.sdfg.symbolic import (
+    Add,
+    FloorDiv,
+    IndirectAccess,
+    Integer,
+    Max,
+    Min,
+    Mod,
+    Mul,
+    Symbol,
+)
 
 
 class TestRangeConstruction:
@@ -58,10 +68,6 @@ class TestRangeQueries:
     def test_free_symbols(self):
         r = Range([(Symbol("a"), Symbol("b"))])
         assert r.free_symbols == {"a", "b"}
-
-    def test_degenerate_axes(self):
-        r = Range([(2, 2), (0, 5)])
-        assert r.degenerate_axes({}) == (0,)
 
 
 class TestRangeAlgebra:
@@ -184,3 +190,75 @@ def test_cover_union_contains_both(lo1, n1, lo2, n2):
     (ub, ue, _), = u.evaluate({})
     assert ub <= lo1 and ub <= lo2
     assert ue >= lo1 + n1 and ue >= lo2 + n2
+
+
+# -- the compiled evaluator ----------------------------------------------------
+
+_SYMS = ("x", "y", "z")
+_TABLE = np.array([3, -1, 0, 7, -4, 2, 5])
+
+
+def _pair(f):
+    return lambda ab: f(*ab)
+
+
+def _exprs():
+    """Every ``Expr`` kind, canonical (``make``) and raw (constructor)
+    forms; raw ``FloorDiv``/``Mod`` may divide by zero and table reads
+    may fall outside the table, so errors are generated too."""
+    leaves = st.one_of(
+        st.integers(-3, 3).map(Integer), st.sampled_from(_SYMS).map(Symbol)
+    )
+
+    def grow(sub):
+        ab = st.tuples(sub, sub)
+        return st.one_of(
+            ab.map(_pair(Add.make)), ab.map(Add), ab.map(_pair(Mul.make)),
+            ab.map(Mul), ab.map(_pair(FloorDiv)), ab.map(_pair(Mod)),
+            ab.map(_pair(Min.make)), ab.map(Max), ab.map(_pair(Max.make)),
+            ab.map(Min), sub.map(lambda i: IndirectAccess("T", (i,))),
+            sub.map(lambda i: IndirectAccess("T", (Mod.make(i, _TABLE.size),))),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+def _outcome(f, env):
+    try:
+        return "ok", f(env)
+    except Exception as exc:  # the same error, or the property fails
+        return "error", type(exc), str(exc)
+
+
+@given(
+    dims=st.lists(st.tuples(_exprs(), _exprs(), _exprs()), max_size=3),
+    env=st.fixed_dictionaries({s: st.integers(-3, 3) for s in _SYMS}),
+    unbound=st.sampled_from((None,) * 4 + _SYMS + ("__tables__",)),
+)
+@settings(max_examples=300, deadline=None)
+def test_evaluator_equals_evaluate(dims, env, unbound):
+    """``Range.evaluator()`` returns ``Range.evaluate``'s triples (or its
+    error: unbound symbols/tables, division by zero, an index outside the
+    table), and ``to_slices`` is those triples end-exclusive, a ``-1``
+    end open (``None``)."""
+    env["__tables__"] = {"T": _TABLE}
+    env.pop(unbound, None)
+    r = Range(dims)
+    expected = _outcome(r.evaluate, env)
+    assert _outcome(r.evaluator(), env) == expected
+    if expected[0] == "ok":
+        assert r.to_slices(env) == tuple(
+            slice(b, None if e == -1 else e + 1, s) for b, e, s in expected[1]
+        )
+
+
+@given(k=st.integers(-4, 4))
+@settings(max_examples=20, deadline=None)
+def test_point_slices_wrap_periodically(k):
+    """A point index ``k - 1`` selects ``arr[k - 1]``: negative values
+    wrap, and ``-1`` (end ``None``) is the last element, not an empty slice."""
+    r = Range([(Symbol("k") - 1, Symbol("k") - 1)])
+    arr = np.arange(10)
+    sl = r.to_slices({"k": k})
+    assert arr[sl].tolist() == [arr[k - 1]]
+    assert (sl[0].stop is None) == (k == 0)
