@@ -1,16 +1,18 @@
-"""Autotuner — search quality, cost, and roofline model agreement.
+"""Autotuner — search quality, cost, and the models of the winner.
 
 Runs the movement-model-guided search (``repro.autotune``) from the
-untransformed Fig. 8 SDFG and checks the ISSUE acceptance bar: at the
-paper's Table-1 dimensions the greedy search must rediscover at least
-the hand recipe's ~677x movement reduction (it finds 700x: batching the
+untransformed Fig. 8 SDFG and checks the acceptance bar: at the paper's
+Table-1 dimensions the greedy search must rediscover at least the hand
+recipe's ~677x movement reduction (it finds 700x: batching the
 (qz, ω, j) contraction drops the ∇HD≷ write-conflict accumulation the
-hand recipe pays for), and every winning stage must verify against the
-reference kernel with an *exact* analytic-vs-executed flop agreement.
+hand recipe pays for), every winning stage must verify against the
+reference kernel, and the flops and element accesses the interpreter
+counts while running each winning stage at toy dims must equal the
+analytic models exactly (``sse_flops_drift``).
 
 Emits ``BENCH_autotune.json`` next to this file: search wall time and
-candidate count, the winning move sequence, and the per-stage
-modeled-vs-measured roofline record.  ``REPRO_BENCH_FAST=1``
+candidate count, the winning move sequence, and each winning stage's
+modeled bytes and analytic flops at paper dims.  ``REPRO_BENCH_FAST=1``
 (the CI smoke mode) keeps the committed JSON untouched and runs only the
 toy-dims smoke: the searched pipeline must match or beat the hand
 recipe's modeled bytes.
@@ -24,12 +26,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.report import report
-from repro.autotune import roofline_report
 from repro.core.recipe import (
     VERIFY_DIMS,
     sse_movement_report,
     tuned_sse_search,
 )
+from repro.model.performance import stage_flops
+from repro.telemetry import sse_flops_drift
 
 #: CI smoke mode: no JSON record, toy-dims search only.
 FAST = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
@@ -59,10 +62,11 @@ def test_greedy_smoke_matches_hand_recipe_at_toy_dims():
     )
 
 
-@pytest.mark.skipif(FAST, reason="paper-dims search and roofline")
-def test_autotune_paper_dims_and_roofline(bench_writer):
+@pytest.mark.skipif(FAST, reason="paper-dims search and work check")
+def test_autotune_paper_dims_and_work_check(bench_writer):
     """Acceptance: >= the hand recipe's 677x at paper dims, strictly
-    fewer modeled bytes, and exact per-stage flops-model agreement."""
+    fewer modeled bytes, and interpreter-counted work equal to the
+    models on every stage."""
     t0 = time.time()
     greedy = tuned_sse_search(_PAPER_DIMS)
     t_greedy = time.time() - t0
@@ -76,16 +80,20 @@ def test_autotune_paper_dims_and_roofline(bench_writer):
     )
     assert max(greedy.verification.values()) <= 1e-10
 
-    # Roofline validation of every winning stage: modeled bytes/flops at
-    # paper dims, execution + verification at toy dims.
-    roof = roofline_report(
-        greedy.pipeline,
-        model_dims=_PAPER_DIMS,
-        measure_dims=_TOY_DIMS,
-        repeats=3,
-    )
-    assert roof.agreement == 0.0
-    assert all(s.verify_error <= 1e-10 for s in roof.stages)
+    # Every winning stage runs verified through the interpreter at toy
+    # dims; its counted flops and bytes must equal the models.
+    drift = sse_flops_drift(pipeline=greedy.pipeline, dims=_TOY_DIMS)
+    assert drift.clean, drift.describe()
+    stages = [
+        {
+            "name": stage.name,
+            "modeled_bytes": moved.total_bytes,
+            "modeled_flops": stage_flops(stage.sdfg, _PAPER_DIMS),
+        }
+        for stage, moved in zip(
+            greedy.pipeline.stages(), greedy.report.stages
+        )
+    ]
 
     record = {
         "paper_dims": dict(_PAPER_DIMS),
@@ -99,7 +107,7 @@ def test_autotune_paper_dims_and_roofline(bench_writer):
             "final_bytes": greedy.report.stages[-1].total_bytes,
             "max_verify_error": max(greedy.verification.values()),
         },
-        "roofline": roof.to_dict(),
+        "stages": stages,
     }
     record = bench_writer("autotune", record, FAST)
 
@@ -115,6 +123,6 @@ def test_autotune_paper_dims_and_roofline(bench_writer):
         f"{t_greedy:.1f}s"
     )
     report(
-        f"  roofline: flops agreement exact on all "
-        f"{len(roof.stages)} stages"
+        f"  work check: interpreter-counted flops and bytes equal the "
+        f"models on all {len(stages)} stages"
     )

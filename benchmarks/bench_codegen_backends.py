@@ -10,7 +10,8 @@ interpretation over the whole pipeline at toy dims.
 A second, larger dimension set is timed through the numpy backend only,
 demonstrating that code generation makes paper-shaped grids reachable
 where the interpreter is hopeless (the interpreter is extrapolated from
-its per-tasklet cost, not run).
+its per-tasklet cost, not run; the medium-dims tasklet invocation count
+is the product of the final stage's map scope volumes).
 
 ``REPRO_BENCH_FAST=1`` keeps the committed JSON record untouched and
 skips the wall-clock assertions; the equivalence checks always run.
@@ -27,7 +28,7 @@ import pytest
 from repro.analysis.report import report
 from repro.core import SSE_PIPELINE
 from repro.core.sse_sdfg import random_sse_inputs
-from repro.sdfg import get_backend
+from repro.sdfg import Tasklet, get_backend
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
 
@@ -50,6 +51,21 @@ def _time(fn, *args, repeat=3):
     return out, best
 
 
+def _tasklet_invocations(sdfg, dims) -> int:
+    """Tasklet invocations of one run: per tasklet, the product of its
+    enclosing map scopes' iteration volumes."""
+    total = 0
+    for state in sdfg.states:
+        scopes = state.scope_index()
+        for node in state.nodes:
+            if isinstance(node, Tasklet):
+                n = 1
+                for entry in scopes.scope_chain(node):
+                    n *= entry.map.range.num_elements().evaluate(dims)
+                total += n
+    return total
+
+
 def test_backend_equivalence_and_speedup(bench_writer):
     """Every stage agrees across backends; generated code is >= 50x
     faster than interpretation over the pipeline (full mode only)."""
@@ -61,14 +77,8 @@ def test_backend_equivalence_and_speedup(bench_writer):
         ri = interp.compile_stage(stage)
         rn = numpy_be.compile_stage(stage)
         (out_i, exec_i), t_i = _time(ri, _DIMS, _ARRAYS, _TABLES)
-        (out_n, exec_n), t_n = _time(rn, _DIMS, _ARRAYS, _TABLES)
+        (out_n, _), t_n = _time(rn, _DIMS, _ARRAYS, _TABLES)
         assert np.allclose(out_i, out_n, rtol=1e-10, atol=1e-10), stage.name
-        # ExecutionReport parity: analytic == instrumented counters.
-        assert (
-            exec_n.report.tasklet_invocations
-            == exec_i.report.tasklet_invocations
-        )
-        assert exec_n.report.flops == exec_i.report.flops
         tot["interpreter"] += t_i
         tot["numpy"] += t_n
         rows.append(
@@ -88,12 +98,15 @@ def test_backend_equivalence_and_speedup(bench_writer):
     med_arrays, med_tables = random_sse_inputs(_MEDIUM_DIMS)
     final = SSE_PIPELINE.stages()[-1]
     rn = numpy_be.compile_stage(final)
-    (out_m, exec_m), t_m = _time(rn, _MEDIUM_DIMS, med_arrays, med_tables)
+    _, t_m = _time(rn, _MEDIUM_DIMS, med_arrays, med_tables)
     toy_final = rows[-1]
+    assert _tasklet_invocations(final.sdfg, _DIMS) == toy_final["tasklets"]
     per_tasklet = toy_final["interpreter_seconds"] / max(
         toy_final["tasklets"], 1
     )
-    interp_estimate = per_tasklet * exec_m.report.tasklet_invocations
+    interp_estimate = per_tasklet * _tasklet_invocations(
+        final.sdfg, _MEDIUM_DIMS
+    )
 
     speedup = tot["interpreter"] / max(tot["numpy"], 1e-12)
     record = {
@@ -121,8 +134,8 @@ def test_backend_equivalence_and_speedup(bench_writer):
         f"interpreted (estimate)"
     )
 
-    # executed work of the untransformed graph at _DIMS (exact, both
-    # backends agreed above)
+    # executed work of the untransformed graph at _DIMS, as the
+    # interpreter counted it
     assert rows[0]["stage"] == "fig8"
     assert (rows[0]["flops"], rows[0]["tasklets"]) == (787968, 15552)
     if not FAST:

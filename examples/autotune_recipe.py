@@ -13,19 +13,22 @@ This example
 1. runs the greedy search over the full move space at paper dims,
 2. prints the winning move sequence beside the hand recipe's stages,
 3. compares both pipelines' modeled movement stage by stage, and
-4. roofline-validates the winner: per-stage modeled bytes + analytic
-   flops vs execution through the generated-code backend (the analytic
-   and executed flop counts must agree exactly).
+4. tabulates the winner's per-stage modeled bytes and analytic flops at
+   paper dims, and
+5. checks those models against execution: the interpreter runs every
+   stage at toy dims, and the flops and element accesses it counts must
+   equal the models exactly (``repro.telemetry.sse_flops_drift``).
 
 Run:  python examples/autotune_recipe.py
 """
 
 import time
 
-from repro.autotune import roofline_report
 from repro.core import SSE_PIPELINE
 from repro.core.recipe import VERIFY_DIMS, tuned_sse_search
+from repro.model.performance import stage_flops
 from repro.sdfg.pipeline import format_bytes
+from repro.telemetry import sse_flops_drift
 
 PAPER_DIMS = dict(Nkz=7, NE=706, Nqz=7, Nw=70, NA=4864, NB=34, Norb=12, N3D=3)
 
@@ -60,17 +63,21 @@ def main():
           f"({len(res.moves)} moves, every stage verified, max err "
           f"{max(res.verification.values()):.1e})")
 
-    # -- roofline validation of the winner ----------------------------------
+    # -- modeled work of the winner at paper dims ---------------------------
+    print(f"\n{'searched stage':14s} {'moved':>12s} {'flop':>10s} "
+          f"{'flop/B':>8s}   (modeled at paper dims)")
+    for stage, moved in zip(res.pipeline.stages(), tuned.stages):
+        flops = stage_flops(stage.sdfg, PAPER_DIMS)
+        print(f"{stage.name:14s} {format_bytes(moved.total_bytes):>12s} "
+              f"{flops:10.3e} {flops / moved.total_bytes:8.2f}")
+
+    # -- the models against interpreter-counted execution -------------------
     print()
-    roof = roofline_report(
-        res.pipeline,
-        model_dims=PAPER_DIMS,
-        measure_dims=VERIFY_DIMS,
-        repeats=1,
-    )
-    print(roof.describe())
-    print(f"\nflops model agreement: worst |measured/modeled - 1| = "
-          f"{roof.agreement:.1e}")
+    drift = sse_flops_drift(pipeline=res.pipeline, dims=VERIFY_DIMS)
+    print(drift.describe())
+    verdict = "clean" if drift.clean else "DRIFT"
+    print(f"\nwork check {verdict}: interpreter-counted flops and bytes vs "
+          f"the models on all {len(drift.records) // 2} stages")
 
 
 if __name__ == "__main__":

@@ -13,10 +13,13 @@ This package rediscovers such sequences mechanically:
 * :mod:`~repro.autotune.search` runs a greedy search (with plateau
   escape) over that space, minimizing the §4.1 modeled bytes at target
   symbol bindings with transient footprint as tiebreaker —
-  deterministic, seedless, and resumable via a JSON trace;
-* :mod:`~repro.autotune.roofline` validates winners measured-vs-modeled
-  per stage: §4.1 bytes and analytic flops beside wall-clock seconds
-  and backend-counted flops through real execution.
+  deterministic, seedless, and resumable via a JSON trace.
+
+A winner's models are checked against execution by
+:func:`repro.telemetry.sse_flops_drift` (``pipeline=result.pipeline``):
+the interpreter runs every stage and its counted flops and element
+accesses must equal :func:`repro.model.performance.stage_flops` and the
+§4.1 bytes of :meth:`~repro.sdfg.Pipeline.report` exactly.
 
 The SSE-specific move library (batched-GEMM templates) lives in
 :func:`repro.core.recipe.sse_move_library`; the searched pipeline is
@@ -26,7 +29,6 @@ option.
 """
 
 from ..sdfg.passes import BatchTemplate, Move, MoveLibrary, move_from_dict
-from .roofline import RooflineReport, RooflineStage, roofline_report
 from .search import SearchConfig, SearchResult, SearchTrace, autotune
 from .space import (
     AutotuneError,
@@ -41,8 +43,6 @@ __all__ = [
     "BatchTemplate",
     "Move",
     "MoveLibrary",
-    "RooflineReport",
-    "RooflineStage",
     "SearchConfig",
     "SearchResult",
     "SearchTrace",
@@ -51,6 +51,5 @@ __all__ = [
     "discover_reductions",
     "enumerate_moves",
     "move_from_dict",
-    "roofline_report",
     "state_signature",
 ]

@@ -336,14 +336,14 @@ def enumerate_moves(
 def apply_move(
     sdfg: SDFG, move: Move, library: Optional[MoveLibrary] = None
 ) -> SDFG:
-    """Apply ``move`` to a deep copy of ``sdfg`` and validate it — the
-    one applicator of search expansion and trace replay.  Raises
-    ``ValueError`` subclasses (``PassError``/``TransformationError``/...)
-    when the move does not apply — search expansion treats that as 'not
-    a child'."""
+    """Apply ``move`` to a deep copy of ``sdfg`` — the one applicator of
+    search expansion and trace replay.  The copy comes back validated:
+    :meth:`Move.run` ends with ``Transformation.apply_checked``, which
+    validates the graph.  Raises ``ValueError`` subclasses
+    (``PassError``/``TransformationError``/...) when the move does not
+    apply — search expansion treats that as 'not a child'."""
     out = copy.deepcopy(sdfg)
     move.run(out, out.states[0], library)
-    out.validate()
     return out
 
 

@@ -113,17 +113,18 @@ def iteration_flops(p: SimulationParameters) -> IterationFlops:
     )
 
 
-# -- analytic SDFG-stage flop counts (autotuner roofline) -------------------
+# -- analytic SDFG-stage flop counts -----------------------------------------
 #
-# The autotuner's roofline report (``repro.autotune.roofline``) pairs the
-# §4.1 byte model with an *analytic* flop count per pipeline stage, derived
-# from each tasklet's declarative ``op`` annotation (an einsum over the
-# non-point dimensions of its memlets).  Complex arithmetic costs: a
-# contraction performs one complex multiply-add per index-space point
-# (8 real flops), a pure elementwise product one complex multiply
-# (6 real flops) — matching the constants the hand-written ``flops``
-# callables use, so the analytic count agrees exactly with the
-# interpreter-measured count (asserted in ``tests/test_autotune.py``).
+# ``stage_flops`` is the modeled flop count of one pipeline stage, the
+# companion of the §4.1 byte model, derived from each tasklet's
+# declarative ``op`` annotation (an einsum over the non-point dimensions
+# of its memlets).  Complex arithmetic costs: a contraction performs one
+# complex multiply-add per index-space point (8 real flops), a pure
+# elementwise product one complex multiply (6 real flops) — matching the
+# constants the hand-written ``flops`` callables use, so the analytic
+# count agrees exactly with the flops the interpreter counts while
+# running the stage (``repro.telemetry.sse_flops_drift``, asserted clean
+# for the hand recipe and the searched pipeline).
 
 
 class _ShapeOnly:

@@ -19,8 +19,8 @@ There are two backends, looked up by name with :func:`get_backend`:
     declarative ``op`` annotations collapse into broadcast slice
     assignments, ``np.einsum`` contractions and ``np.add.at`` scatters;
     residual scopes become generated loop nests.  Orders of magnitude
-    faster than interpretation, with an analytically derived
-    :class:`~repro.sdfg.interpreter.ExecutionReport`.
+    faster than interpretation; it counts nothing (execution statistics
+    come from the interpreter).
 
 Backend selection is an argument (``Pipeline.compile(backend=...)``,
 ``SCBASettings.sse_backend``, ``compile_workload(sse_backend=...)``); the
@@ -52,11 +52,11 @@ class StageRunner:
 
     Calling a runner executes the stage on concrete inputs and returns
     ``(output, executed)`` where ``output`` is the single written
-    non-transient array in the caller's original layout and ``executed``
-    exposes an ``ExecutionReport`` as ``executed.report`` (the
-    interpreter instance itself, or an analytic report for generated
-    code).  ``source`` is the generated Python module text, or ``None``
-    for backends that do not generate code.
+    non-transient array in the caller's original layout.  ``executed``
+    is the interpreter instance itself, whose ``executed.report`` is the
+    counted ``ExecutionReport``, or ``None`` for generated code, which
+    counts nothing.  ``source`` is the generated Python module text, or
+    ``None`` for backends that do not generate code.
     """
 
     #: generated source text (None when the backend interprets directly)

@@ -28,11 +28,9 @@ Semantics parity with the interpreter is exact by construction where it
 matters (same index arithmetic, numpy's negative-index wraparound for
 periodic accesses, identical iteration order in loop fallbacks) and
 verified to 1e-10 by the pipeline's per-stage compile checks and the
-backend-equivalence tests.  :func:`analytic_execution_report` derives
-the interpreter's :class:`~repro.sdfg.interpreter.ExecutionReport`
-counters (tasklet invocations, flops, element reads/writes) in closed
-form from the map ranges, so generated runs report the same statistics
-without paying for instrumentation.
+backend-equivalence tests.  Generated runs count nothing: execution
+statistics (tasklet invocations, flops, element reads/writes) come from
+the interpreter, which counts them by running.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph import SDFG, SDFGState
-from ..interpreter import ExecutionReport
 from ..memlet import Memlet
 from ..nodes import AccessNode, MapEntry, Tasklet
 from ..symbolic import (
@@ -66,7 +63,6 @@ __all__ = [
     "NumpyStageRunner",
     "generate_source",
     "compile_sdfg",
-    "analytic_execution_report",
     "required_symbols",
 ]
 
@@ -888,81 +884,6 @@ def _parse_op(t: Tasklet) -> Tuple[List[str], str]:
     return ins.split(","), out
 
 
-# -- analytic execution statistics -----------------------------------------------
-
-
-def _range_volume(rng, env) -> int:
-    total = 1
-    for b, e, s in rng:
-        bb, ee, ss = b.evaluate(env), e.evaluate(env), s.evaluate(env)
-        n = len(range(bb, ee + 1, ss)) if ss > 0 else len(range(bb, ee - 1, ss))
-        total *= n
-    return total
-
-
-def _memlet_volume(mem: Memlet, env) -> int:
-    vol = 1
-    for i, (b, e, s) in enumerate(mem.subset.dims):
-        if b == e:
-            continue  # symbolic point: one element
-        vol *= int(mem.subset.dim_length(i).evaluate(env))
-    return vol
-
-
-def _memlet_view_shape(mem: Memlet, env) -> Tuple[int, ...]:
-    """Shape a tasklet sees for this memlet (symbolic points squeezed)."""
-    return tuple(
-        int(mem.subset.dim_length(i).evaluate(env))
-        for i, (b, e, s) in enumerate(mem.subset.dims)
-        if b != e
-    )
-
-
-def analytic_execution_report(
-    sdfg: SDFG, env: Mapping[str, int]
-) -> ExecutionReport:
-    """The interpreter's :class:`ExecutionReport` counters, derived in
-    closed form from the map ranges instead of by instrumented execution.
-
-    Exact for single-pass state machines whose map ranges are functions
-    of the SDFG symbols alone (every pipeline stage graph qualifies);
-    unbound symbols raise a :class:`BackendError` naming them.
-    """
-    rep = ExecutionReport()
-    env = dict(env)
-    try:
-        for state in sdfg.states:
-            scopes = state.scope_index()
-            for node in state.nodes:
-                if not isinstance(node, Tasklet):
-                    continue
-                inv = 1
-                for entry in scopes.scope_chain(node):
-                    inv *= _range_volume(entry.map.range.dims, env)
-                rep.tasklet_invocations += inv
-                dummies = {}
-                for u, _, d in state.in_edges(node):
-                    mem, conn = d.get("memlet"), d.get("dst_conn")
-                    if mem is None or conn is None:
-                        continue
-                    rep.element_reads += _memlet_volume(mem, env) * inv
-                    dummies[conn] = np.broadcast_to(
-                        np.complex128(0), _memlet_view_shape(mem, env)
-                    )
-                for _, v, d in state.out_edges(node):
-                    mem = d.get("memlet")
-                    if mem is None or d.get("src_conn") is None:
-                        continue
-                    rep.element_writes += _memlet_volume(mem, env) * inv
-                if node.flops is not None:
-                    rep.flops += int(node.flops(**dummies)) * inv
-    except KeyError as exc:
-        raise BackendError(
-            f"analytic execution report needs a binding for {exc.args[0]}"
-        ) from exc
-    return rep
-
-
 def required_symbols(sdfg: SDFG) -> Tuple[str, ...]:
     """The symbol bindings a generated module's ``run`` expects."""
     return tuple(sdfg.symbols)
@@ -974,15 +895,6 @@ def required_symbols(sdfg: SDFG) -> Tuple[str, ...]:
 def generate_source(sdfg: SDFG, func_name: str = "run") -> str:
     """Lower a single-state SDFG to Python source (without executing)."""
     return _Codegen(sdfg, func_name).generate()
-
-
-class _Executed:
-    """Post-run carrier mirroring the interpreter's ``.report`` surface."""
-
-    __slots__ = ("report",)
-
-    def __init__(self, report: ExecutionReport):
-        self.report = report
 
 
 class CompiledSDFG:
@@ -1004,9 +916,6 @@ class CompiledSDFG:
                 f"for {self.sdfg.name!r} requires {sorted(self.sdfg.symbols)}"
             )
         return self._fn(symbols, arrays, tables)
-
-    def report(self, symbols) -> ExecutionReport:
-        return analytic_execution_report(self.sdfg, symbols)
 
 
 def compile_sdfg(sdfg: SDFG, func_name: str = "run") -> CompiledSDFG:
@@ -1032,8 +941,7 @@ class NumpyStageRunner(StageRunner):
         stage = self.stage
         inputs = select_stage_inputs(stage, arrays, self.output)
         store = self.compiled(dims, inputs, tables)
-        executed = _Executed(self.compiled.report(dims))
-        return restore_output(stage, store[self.output]), executed
+        return restore_output(stage, store[self.output]), None
 
     def __repr__(self) -> str:
         return f"NumpyStageRunner({self.stage.name})"

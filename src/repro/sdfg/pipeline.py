@@ -59,6 +59,7 @@ __all__ = [
     "format_bytes",
     "run_stage",
     "verify_stage",
+    "check_stage_output",
 ]
 
 
@@ -279,10 +280,11 @@ def run_stage(
 
     The output comes back in the *original* layout (inputs are permuted
     per the stage's accumulated layout transformations, the output
-    permutation is inverted), and ``executed.report`` carries the
-    :class:`~repro.sdfg.interpreter.ExecutionReport` — the interpreter
-    instance itself for ``backend="interpreter"`` (the default here, for
-    oracle runs), an analytic report for generated backends.
+    permutation is inverted).  With ``backend="interpreter"`` (the
+    default here, for oracle runs) ``executed`` is the interpreter
+    instance, whose ``executed.report`` is the counted
+    :class:`~repro.sdfg.interpreter.ExecutionReport`; the generated
+    ``numpy`` backend returns ``None`` (it counts nothing).
     """
     return get_backend(backend).compile_stage(stage)(dims, arrays, tables)
 
@@ -302,6 +304,18 @@ def verify_stage(
         result, _ = run_stage(stage, dims, arrays, tables)
     else:
         result, _ = runner(dims, arrays, tables)
+    return check_stage_output(stage, result, reference, rtol=rtol, atol=atol)
+
+
+def check_stage_output(
+    stage: Stage,
+    result: np.ndarray,
+    reference: np.ndarray,
+    rtol: float = 1e-10,
+    atol: float = 1e-10,
+) -> float:
+    """The max error of one stage's output against the reference;
+    raises :class:`AssertionError` naming the stage past the tolerances."""
     err = float(np.max(np.abs(result - reference)))
     if not np.allclose(result, reference, rtol=rtol, atol=atol):
         raise AssertionError(
@@ -607,8 +621,10 @@ class CompiledPipeline:
         arrays: Mapping[str, np.ndarray],
         tables: Optional[Mapping[str, np.ndarray]] = None,
     ):
-        """Execute one stage; returns ``(output, executed)`` where
-        ``executed.report`` is the stage's execution statistics."""
+        """Execute one stage; returns ``(output, executed)`` as
+        :func:`run_stage` does: ``executed.report`` holds the counted
+        statistics through the interpreter, ``executed`` is ``None``
+        through generated code."""
         return self.runners[name](dims, arrays, tables)
 
     def report(self, dims: Mapping[str, int]) -> PipelineReport:

@@ -16,7 +16,8 @@ iterations) lives on the result or span that produced it — ``run.comm``,
     Chrome-trace/Perfetto JSON of the span tree (``SweepResult.telemetry``).
 ``repro.telemetry.drift``
     Reconciliation reports: measured comm bytes == §4.1 exchange models
-    to the byte, executed flops == Table-3 analytic counts exactly
+    to the byte; the flops and element accesses the interpreter counts
+    while running each SSE stage == the Table-3 / §4.1 models exactly
     (imported lazily — it pulls in the SDFG stack).
 
 Everything is gated on ``REPRO_TELEMETRY`` (``off`` | ``spans``; invalid

@@ -5,18 +5,21 @@ communication volumes (:mod:`repro.model.communication`), Table-3 flop
 counts (:func:`repro.model.performance.stage_flops` /
 ``tasklet_flops``), and per-stage movement bytes
 (:func:`repro.sdfg.pipeline.measure_movement`).  This module joins the
-*measured* side (transport ``CommStats``, backend ``ExecutionReport``)
-against those models and flags any divergence, turning the scattered
-bench-only assertions into an always-available check:
+*measured* side (transport ``CommStats``, the interpreter's counted
+``ExecutionReport``) against those models and flags any divergence,
+turning the scattered bench-only assertions into an always-available
+check:
 
 * :func:`comm_drift` — per-phase comm bytes of a distributed SCBA run
   vs :func:`~repro.model.communication.omen_exchange_stats` /
   ``dace_exchange_stats`` (scaled by the executed Born iterations) and
   ``residual_allreduce_stats`` — equal **to the byte**, per rank;
-* :func:`sse_flops_drift` — per-stage executed flops and element-access
-  bytes of the (compiled) SSE pipeline vs the analytic models — equal
-  **exactly** (both charge 8 real flops per contraction point, 6 per
-  complex multiply; movement bytes are element accesses x 16);
+* :func:`sse_flops_drift` — per-stage flops and element-access bytes
+  the interpreter counts while running each (verified) stage of an SSE
+  pipeline, vs the analytic models — equal **exactly** (both charge 8
+  real flops per contraction point, 6 per complex multiply; movement
+  bytes are element accesses x 16).  The generated ``numpy`` backend
+  counts nothing, so the interpreter is the only measured side;
 * :func:`drift_report` — both joined for one simulation, the bundle the
   CI telemetry smoke step asserts ``clean`` on.
 
@@ -215,30 +218,35 @@ def comm_drift(sim, last_comm=None) -> DriftReport:
 def sse_flops_drift(
     pipeline=None,
     dims: Optional[Mapping[str, int]] = None,
-    backend: Optional[str] = None,
     seed: int = 0,
 ) -> DriftReport:
-    """Execute every stage of the SSE pipeline and reconcile the
-    backend's :class:`~repro.sdfg.interpreter.ExecutionReport` against
-    the Table-3 analytic flops and the §4.1 movement bytes — exactly.
+    """Run every stage of the SSE pipeline once through the interpreter
+    and reconcile its counted
+    :class:`~repro.sdfg.interpreter.ExecutionReport` against the
+    Table-3 analytic flops and the §4.1 movement bytes — exactly.
 
+    Each run's output is checked against the pipeline's reference
+    kernel to 1e-10 first (as :func:`~repro.sdfg.pipeline.verify_stage`
+    does; a deviation raises), so only a verified execution is counted.
     Defaults to the hand recipe (``SSE_PIPELINE``) at the toy
-    ``VERIFY_DIMS``; ``backend=None`` means ``numpy``.
+    ``VERIFY_DIMS``.
     """
     import numpy as np
 
     from ..core import recipe
     from ..model.performance import stage_flops
+    from ..sdfg.pipeline import check_stage_output, run_stage
 
     pipeline = pipeline if pipeline is not None else recipe.SSE_PIPELINE
     dims = dict(dims or recipe.VERIFY_DIMS)
-    compiled = pipeline.compile(verify_dims=dims, seed=seed, backend=backend)
     arrays, tables = pipeline.make_inputs(dims, seed=seed)
+    reference = pipeline.reference(arrays, tables)
     movement = pipeline.report(dims)
 
     records = []
-    for i, stage in enumerate(compiled.stages):
-        _, executed = compiled.runners[stage.name](dims, arrays, tables)
+    for stage, moved in zip(pipeline.stages(), movement.stages):
+        result, executed = run_stage(stage, dims, arrays, tables)
+        check_stage_output(stage, result, reference)
         report = executed.report
         measured_flops = int(np.rint(report.flops))
         modeled_flops = int(stage_flops(stage.sdfg, dims))
@@ -253,7 +261,7 @@ def sse_flops_drift(
             )
         )
         measured_bytes = 16 * int(report.element_reads + report.element_writes)
-        modeled_bytes = int(movement.stages[i].total_bytes)
+        modeled_bytes = int(moved.total_bytes)
         records.append(
             DriftRecord(
                 name=f"{stage.name}.bytes",
@@ -265,18 +273,18 @@ def sse_flops_drift(
             )
         )
     return DriftReport(
-        title=f"sse_flops[{compiled.backend}]", records=tuple(records)
+        title=f"sse_flops[{pipeline.name}]", records=tuple(records)
     )
 
 
 def drift_report(
     sim=None,
     dims: Optional[Mapping[str, int]] = None,
-    backend: Optional[str] = None,
 ) -> DriftReport:
     """The combined reconciliation: comm bytes (when ``sim`` ran
-    distributed) plus SSE pipeline flops/bytes."""
-    report = sse_flops_drift(dims=dims, backend=backend)
+    distributed) plus SSE pipeline flops/bytes counted by the
+    interpreter."""
+    report = sse_flops_drift(dims=dims)
     if sim is not None:
         report = comm_drift(sim) + report
     return report

@@ -1,7 +1,7 @@
 """Shared wall-clock timing: the min-of-repeats ``perf_counter`` idiom.
 
-:func:`timeit` is the one implementation; ``autotune/roofline.py``,
-``api/session.py`` and the benchmarks use it.
+:func:`timeit` is the one implementation; ``api/session.py`` and the
+benchmarks use it.
 """
 
 from __future__ import annotations

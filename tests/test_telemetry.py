@@ -454,6 +454,25 @@ def test_sse_flops_drift_exact():
         assert r.measured == r.modeled
 
 
+def test_sse_flops_drift_counts_only_verified_runs():
+    from repro.core import SSE_PIPELINE
+    from repro.sdfg import Pipeline
+    from repro.telemetry.drift import sse_flops_drift
+
+    wrong = Pipeline(
+        "wrong_reference",
+        steps=(),
+        graph_factory=SSE_PIPELINE.graph_factory,
+        initial=SSE_PIPELINE.initial,
+        make_inputs=SSE_PIPELINE.make_inputs,
+        reference=lambda arrays, tables: (
+            SSE_PIPELINE.reference(arrays, tables) + 1.0
+        ),
+    )
+    with pytest.raises(AssertionError, match="deviates"):
+        sse_flops_drift(pipeline=wrong)
+
+
 # -- off mode -----------------------------------------------------------------
 
 
