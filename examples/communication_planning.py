@@ -20,20 +20,18 @@ from repro.model import (
     predict_times,
     search_tiling,
 )
-from repro.sdfg import Map, Memlet, Range, propagate_memlet, symbols
+from repro.sdfg import Map, Memlet, Range, propagate_memlet
 
 
 def symbolic_footprint():
     """The Fig. 7 derivation: tiled-map propagation of G≷[kz-qz, ...]."""
-    Nkz, skz, sqz, tkz, tqz = symbols("Nkz skz sqz tkz tqz")
-    kz, qz = symbols("kz qz")
-    inner = Memlet("G", Range([(kz - qz, kz - qz)]))
+    inner = Memlet.parse("G[kz - qz]")
     tiled = Map(
         "sse_tiles",
         ["kz", "qz"],
-        Range([(tkz * skz, (tkz + 1) * skz - 1), (tqz * sqz, (tqz + 1) * sqz - 1)]),
+        Range.parse("[tkz*skz:(tkz + 1)*skz, tqz*sqz:(tqz + 1)*sqz]"),
     )
-    prop = propagate_memlet(inner, tiled, array_shape=(Nkz,))
+    prop = propagate_memlet(inner, tiled, array_shape=("Nkz",))
     print("symbolic per-tile footprint of G≷ along kz-qz:")
     print(f"  subset   : {prop.subset}")
     print(f"  length   : {prop.subset.dim_length(0)}")

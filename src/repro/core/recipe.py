@@ -43,13 +43,11 @@ import numpy as np
 from ..sdfg import (
     BatchTemplate,
     CompiledPipeline,
-    IndirectAccess,
     Memlet,
     Move,
     MoveLibrary,
     Pipeline,
     PipelineReport,
-    Range,
     Stage,
     Tasklet,
     symbols,
@@ -123,9 +121,7 @@ def _sse_templates() -> Tuple[BatchTemplate, ...]:
     """
     Nkz, NE, Nqz, Nw, N3D = symbols("Nkz NE Nqz Nw N3D")
     NA, NB, Norb = symbols("NA NB Norb")
-    kz, qz, i, a, b = symbols("kz qz i a b")
-    orb = (0, Norb - 1, 1)
-    f = IndirectAccess("__neigh__", (a, b))
+    P = Memlet.parse
 
     # Symbolic shapes the template memlets assume (rank gates included):
     # originals for dH and D, the fig10c permuted layouts for the rest.
@@ -149,27 +145,10 @@ def _sse_templates() -> Tuple[BatchTemplate, ...]:
             op="KExy,yz->KExz",
         ),
         in_memlets={
-            "g": Memlet(
-                "G", Range([(f, f), (0, Nkz - 1), (0, NE - 1), orb, orb])
-            ),
-            "h": Memlet("dH", Range([(a, a), (b, b), (i, i), orb, orb])),
+            "g": P("G[__neigh__[a, b], 0:Nkz, 0:NE, 0:Norb, 0:Norb]"),
+            "h": P("dH[a, b, i, 0:Norb, 0:Norb]"),
         },
-        out_memlets={
-            "gh": Memlet(
-                "dHG",
-                Range(
-                    [
-                        (a, a),
-                        (b, b),
-                        (i, i),
-                        (0, Nkz - 1),
-                        (0, NE - 1),
-                        orb,
-                        orb,
-                    ]
-                ),
-            )
-        },
+        out_memlets={"gh": P("dHG[a, b, i, 0:Nkz, 0:NE, 0:Norb, 0:Norb]")},
         required_layouts={
             "G": G_layout,
             "dH": dH_layout,
@@ -189,34 +168,10 @@ def _sse_templates() -> Tuple[BatchTemplate, ...]:
             flops=_windowed_sigma_flops,
         ),
         in_memlets={
-            "gh": Memlet(
-                "dHG",
-                Range(
-                    [
-                        (a, a),
-                        (b, b),
-                        (i, i),
-                        (kz - qz, kz - qz),
-                        (0, NE - 1),
-                        orb,
-                        orb,
-                    ]
-                ),
-            ),
-            "hd": Memlet(
-                "dHD",
-                Range(
-                    [(a, a), (b, b), (i, i), (qz, qz), (0, Nw - 1), orb, orb]
-                ),
-            ),
+            "gh": P("dHG[a, b, i, kz - qz, 0:NE, 0:Norb, 0:Norb]"),
+            "hd": P("dHD[a, b, i, qz, 0:Nw, 0:Norb, 0:Norb]"),
         },
-        out_memlets={
-            "out": Memlet(
-                "Sigma",
-                Range([(a, a), (kz, kz), (0, NE - 1), orb, orb]),
-                wcr="sum",
-            )
-        },
+        out_memlets={"out": P("Sigma[a, kz, 0:NE, 0:Norb, 0:Norb] (CR: Sum)")},
         required_layouts={
             "dHG": tensor_layout(Nkz, NE),
             "dHD": tensor_layout(Nqz, Nw),
@@ -236,40 +191,11 @@ def _sse_templates() -> Tuple[BatchTemplate, ...]:
             flops=_batched_dhd_flops,
         ),
         in_memlets={
-            "h": Memlet(
-                "dH", Range([(a, a), (b, b), (0, N3D - 1), orb, orb])
-            ),
-            "d": Memlet(
-                "D",
-                Range(
-                    [
-                        (0, Nqz - 1),
-                        (0, Nw - 1),
-                        (a, a),
-                        (b, b),
-                        (i, i),
-                        (0, N3D - 1),
-                    ]
-                ),
-            ),
+            "h": P("dH[a, b, 0:N3D, 0:Norb, 0:Norb]"),
+            "d": P("D[0:Nqz, 0:Nw, a, b, i, 0:N3D]"),
         },
-        out_memlets={
-            # j is consumed inside the contraction: no wcr left on dHD.
-            "hd": Memlet(
-                "dHD",
-                Range(
-                    [
-                        (a, a),
-                        (b, b),
-                        (i, i),
-                        (0, Nqz - 1),
-                        (0, Nw - 1),
-                        orb,
-                        orb,
-                    ]
-                ),
-            )
-        },
+        # j is consumed inside the contraction: no wcr left on dHD.
+        out_memlets={"hd": P("dHD[a, b, i, 0:Nqz, 0:Nw, 0:Norb, 0:Norb]")},
         required_layouts={
             "dH": dH_layout,
             "D": D_layout,

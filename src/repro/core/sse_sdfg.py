@@ -7,6 +7,13 @@ map over ``(kz, E, qz, ω, i, j, a, b)`` whose body performs
 2. ``∇HD≷ = ∇H[a, b, j] * D≷[qz, ω, a, b, i, j]``,
 3. ``Σ≷[kz, E, a] += ∇HG≷ @ ∇HD≷`` (write-conflict resolution: Sum).
 
+Each memlet is written as Fig. 8 labels its edge and read with
+:meth:`~repro.sdfg.Memlet.parse`: ``G[kz - qz, E - w, __neigh__[a, b],
+0:Norb, 0:Norb]`` is the figure's ``G[kz − qz, E − ω, f(a, b), :, :]``,
+with the neighbor lookup ``f`` spelled as the indirection table it reads
+and each ``:`` as the half-open slice it covers.  ``repr`` of an edge's
+memlet prints that notation, which ``Memlet.parse`` reads back.
+
 Index conventions: the momentum axis ``kz - qz`` and the energy axis
 ``E - ω`` are both treated as periodic here (negative indices wrap), so
 that all transformation stages — which reorganize these accesses — remain
@@ -23,19 +30,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..sdfg import (
-    SDFG,
-    IndirectAccess,
-    Map,
-    MapEntry,
-    MapExit,
-    Memlet,
-    Range,
-    SDFGState,
-    Symbol,
-    Tasklet,
-    symbols,
-)
+from ..sdfg import SDFG, Map, MapEntry, MapExit, Memlet, Range, SDFGState, Tasklet, symbols
 
 __all__ = [
     "SSE_SYMBOLS",
@@ -51,7 +46,7 @@ SSE_SYMBOLS = ("Nkz", "NE", "Nqz", "Nw", "N3D", "NA", "NB", "Norb")
 def build_sse_sigma_sdfg(name: str = "sse_sigma") -> SDFG:
     """Construct the Fig. 8 SDFG of the Σ≷ computation."""
     Nkz, NE, Nqz, Nw, N3D, NA, NB, Norb = symbols(" ".join(SSE_SYMBOLS))
-    kz, E, qz, w, i, j, a, b = symbols("kz E qz w i j a b")
+    P = Memlet.parse
 
     sd = SDFG(name)
     for s in SSE_SYMBOLS:
@@ -67,23 +62,9 @@ def build_sse_sigma_sdfg(name: str = "sse_sigma") -> SDFG:
     m = Map(
         "sse",
         ["kz", "E", "qz", "w", "i", "j", "a", "b"],
-        Range(
-            [
-                (0, Nkz - 1),
-                (0, NE - 1),
-                (0, Nqz - 1),
-                (0, Nw - 1),
-                (0, N3D - 1),
-                (0, N3D - 1),
-                (0, NA - 1),
-                (0, NB - 1),
-            ]
-        ),
+        Range.parse("[0:Nkz, 0:NE, 0:Nqz, 0:Nw, 0:N3D, 0:N3D, 0:NA, 0:NB]"),
     )
     me, mx = MapEntry(m), MapExit(m)
-
-    f = IndirectAccess("__neigh__", (a, b))
-    orb = (0, Norb - 1, 1)
 
     t1 = Tasklet(
         "dHG_mult",
@@ -110,52 +91,23 @@ def build_sse_sigma_sdfg(name: str = "sse_sigma") -> SDFG:
         op="xy,yz->xz",
     )
 
-    aG = st.add_access("G")
-    adH = st.add_access("dH")
-    aD = st.add_access("D")
-    aS = st.add_access("Sigma")
-    an_gh = st.add_access("dHG")
-    an_hd = st.add_access("dHD")
+    aG, adH, aD, aS, an_gh, an_hd = (
+        st.add_access(n) for n in ("G", "dH", "D", "Sigma", "dHG", "dHD")
+    )
+    for acc in (aG, adH, aD):
+        st.add_edge(acc, me, Memlet.full(acc.data, sd.arrays[acc.data].shape))
 
-    st.add_edge(aG, me, Memlet.full("G", sd.arrays["G"].shape))
-    st.add_edge(adH, me, Memlet.full("dH", sd.arrays["dH"].shape))
-    st.add_edge(aD, me, Memlet.full("D", sd.arrays["D"].shape))
-
-    st.add_edge(
-        me,
-        t1,
-        Memlet("G", Range([(kz - qz, kz - qz), (E - w, E - w), (f, f), orb, orb])),
-        dst_conn="g",
-    )
-    st.add_edge(
-        me,
-        t1,
-        Memlet("dH", Range([(a, a), (b, b), (i, i), orb, orb])),
-        dst_conn="h",
-    )
-    st.add_edge(
-        me,
-        t2,
-        Memlet("dH", Range([(a, a), (b, b), (j, j), orb, orb])),
-        dst_conn="h",
-    )
-    st.add_edge(
-        me,
-        t2,
-        Memlet("D", Range([(qz, qz), (w, w), (a, a), (b, b), (i, i), (j, j)])),
-        dst_conn="d",
-    )
-    st.add_edge(t1, an_gh, Memlet.full("dHG", (Symbol("Norb"), Symbol("Norb"))), src_conn="gh")
-    st.add_edge(an_gh, t3, Memlet.full("dHG", (Symbol("Norb"), Symbol("Norb"))), dst_conn="gh")
-    st.add_edge(t2, an_hd, Memlet.full("dHD", (Symbol("Norb"), Symbol("Norb"))), src_conn="hd")
-    st.add_edge(an_hd, t3, Memlet.full("dHD", (Symbol("Norb"), Symbol("Norb"))), dst_conn="hd")
-    st.add_edge(
-        t3,
-        mx,
-        Memlet("Sigma", Range([(kz, kz), (E, E), (a, a), orb, orb]), wcr="sum"),
-        src_conn="out",
-    )
-    st.add_edge(mx, aS, Memlet.full("Sigma", sd.arrays["Sigma"].shape, wcr="sum"))
+    # Fig. 8's edge labels; f(a, b) is the neighbor table __neigh__[a, b]
+    st.add_edge(me, t1, P("G[kz - qz, E - w, __neigh__[a, b], 0:Norb, 0:Norb]"), dst_conn="g")
+    st.add_edge(me, t1, P("dH[a, b, i, 0:Norb, 0:Norb]"), dst_conn="h")
+    st.add_edge(me, t2, P("dH[a, b, j, 0:Norb, 0:Norb]"), dst_conn="h")
+    st.add_edge(me, t2, P("D[qz, w, a, b, i, j]"), dst_conn="d")
+    st.add_edge(t1, an_gh, P("dHG[0:Norb, 0:Norb]"), src_conn="gh")
+    st.add_edge(an_gh, t3, P("dHG[0:Norb, 0:Norb]"), dst_conn="gh")
+    st.add_edge(t2, an_hd, P("dHD[0:Norb, 0:Norb]"), src_conn="hd")
+    st.add_edge(an_hd, t3, P("dHD[0:Norb, 0:Norb]"), dst_conn="hd")
+    st.add_edge(t3, mx, P("Sigma[kz, E, a, 0:Norb, 0:Norb] (CR: Sum)"), src_conn="out")
+    st.add_edge(mx, aS, P("Sigma[0:Nkz, 0:NE, 0:NA, 0:Norb, 0:Norb] (CR: Sum)"))
 
     sd.validate()
     return sd

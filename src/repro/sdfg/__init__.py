@@ -14,8 +14,9 @@ This package reimplements the subset of the Stateful Dataflow multiGraph
 * two execution backends (:func:`get_backend`): the interpreter and
   generated numpy code.
 
-Graphs are built node by node (``repro.core.sse_sdfg`` builds the Σ≷
-graph of Figs. 5/8 that way).
+Graphs are built node by node, each memlet written in the paper's
+edge-label notation and read with :meth:`Memlet.parse` (``repro.core.sse_sdfg``
+builds the Σ≷ graph of Figs. 5/8 that way).
 """
 
 from .backends import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .subsets import Range
+from .subsets import Range, _parse_subscript
 from .symbolic import Expr, ExprLike, sympify
 
 __all__ = ["Memlet"]
@@ -20,6 +20,8 @@ _WCR_FUNCS = {
     "max": lambda old, new: __import__("numpy").maximum(old, new),
     "min": lambda old, new: __import__("numpy").minimum(old, new),
 }
+#: ``repr`` spelling (``(CR: Sum)``) -> wcr name
+_WCR_NAMES = {name.capitalize(): name for name in _WCR_FUNCS}
 
 
 class Memlet:
@@ -69,9 +71,21 @@ class Memlet:
 
     # -- helpers -----------------------------------------------------------
     @staticmethod
-    def simple(data: str, *indices: ExprLike, wcr: Optional[str] = None) -> "Memlet":
-        """Point memlet at the given indices: ``Memlet.simple("A", i, j)``."""
-        return Memlet(data, Range.from_indices(indices), wcr=wcr)
+    def parse(text: str) -> "Memlet":
+        """The inverse of ``repr``, in the paper's edge-label notation:
+        ``Memlet.parse("Sigma[kz, E, a, 0:Norb, 0:Norb] (CR: Sum)")``.
+
+        Indices are integer expressions over ``+ - * // %``, unary minus,
+        ``Min``/``Max`` and table lookups (``__neigh__[a, b]``, an
+        :class:`~repro.sdfg.symbolic.IndirectAccess`); ``lo:hi[:step]`` is
+        the inclusive ``(lo, hi - 1, step)``; ``(CR: Sum)`` sets ``wcr``.
+        Malformed text raises ``ValueError`` naming it.
+        """
+        subscript, cr, name = text.partition(" (CR: ")
+        wcr = _WCR_NAMES.get(name[:-1]) if name.endswith(")") else None
+        if cr and wcr is None:
+            raise ValueError(f"unknown write-conflict resolution in {text!r}")
+        return Memlet(*_parse_subscript(text, subscript), wcr=wcr)
 
     @staticmethod
     def full(data: str, shape: Sequence[ExprLike], wcr: Optional[str] = None) -> "Memlet":

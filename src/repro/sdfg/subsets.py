@@ -2,14 +2,18 @@
 
 A :class:`Range` is a list of per-dimension ``(begin, end, step)`` triples
 with *inclusive* ends, mirroring DaCe's convention: ``A[0:M, k, 0:K]`` is
-``Range([(0, M-1, 1), (k, k, 1), (0, K-1, 1)])``.
+``Range([(0, M-1, 1), (k, k, 1), (0, K-1, 1)])``, and
+``Range.parse("[0:M, k, 0:K]")`` reads that notation back.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 from typing import Callable, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .symbolic import Expr, ExprLike, Integer, Max, Min, Mul, compile_rows, sympify
+from .symbolic import Expr, ExprLike, IndirectAccess, Integer, Max, Min, Mul
+from .symbolic import compile_rows, sympify
 
 __all__ = ["Range", "Indices"]
 
@@ -60,6 +64,15 @@ class Range:
     def from_indices(indices: Sequence[ExprLike]) -> "Range":
         """Degenerate (single-point) range at the given indices."""
         return Range([(i, i, 1) for i in (sympify(x) for x in indices)])
+
+    @staticmethod
+    def parse(text: str) -> "Range":
+        """The inverse of ``repr``: ``Range.parse("[kz - qz, 0:NE, 0:N:2]")``,
+        in :meth:`Memlet.parse <repro.sdfg.memlet.Memlet.parse>`'s notation."""
+        if not text.strip().startswith("["):
+            raise ValueError(f"cannot parse range {text!r}: expected '[...]'")
+        # Python parses a slice only inside a subscript: name the range "_"
+        return _parse_subscript(text, "_" + text.strip())[1]
 
     # -- basic queries ----------------------------------------------------
     def __len__(self) -> int:
@@ -191,6 +204,54 @@ def as_slices(triples: Iterable[Tuple[int, int, int]]) -> Tuple[slice, ...]:
     """End-inclusive triples as numpy slices.  Negative point indices wrap
     periodically (momentum axes), so a ``-1`` end maps to ``None``."""
     return tuple([slice(b, e + 1 if e != -1 else None, s) for b, e, s in triples])
+
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod}
+_CALLS = {"Min": Min.make, "Max": Max.make}
+
+
+def _indices(node: ast.Subscript) -> List[ast.expr]:
+    return node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+
+
+def _expr(node: ast.expr, text: str) -> Expr:
+    """One index expression, built through the canonicalizing operators."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Integer(node.value)
+    if isinstance(node, ast.Name):
+        return sympify(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_expr(node.operand, text)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_expr(node.left, text), _expr(node.right, text))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _CALLS \
+            and node.args and not node.keywords:
+        return _CALLS[node.func.id](*(_expr(a, text) for a in node.args))
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+        return IndirectAccess(node.value.id, tuple(_expr(i, text) for i in _indices(node)))
+    raise ValueError(f"cannot parse {ast.unparse(node)!r} in {text!r}")
+
+
+def _dim(node: ast.expr, text: str) -> DimLike:
+    """A point index, or the slice ``lo:hi[:step]`` as inclusive ``(lo, hi - 1, step)``."""
+    if not isinstance(node, ast.Slice):
+        return _expr(node, text)
+    if node.lower is None or node.upper is None:
+        raise ValueError(f"open slice {ast.unparse(node)!r} in {text!r}")
+    step = 1 if node.step is None else _expr(node.step, text)
+    return (_expr(node.lower, text), _expr(node.upper, text) - 1, step)
+
+
+def _parse_subscript(text: str, source: str) -> Tuple[str, Range]:
+    """``source``, a ``name[...]`` subscript, as ``(name, Range)``; errors name ``text``."""
+    try:
+        node = ast.parse(source.strip(), mode="eval").body
+        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)):
+            raise ValueError(f"cannot parse {text!r}: expected 'name[...]'")
+        return node.value.id, Range([_dim(d, text) for d in _indices(node)])
+    except (SyntaxError, ZeroDivisionError) as exc:  # ``make`` folds ``i//0``
+        raise ValueError(f"cannot parse {text!r}: {exc.args[0]}") from None
 
 
 class Indices:

@@ -356,17 +356,28 @@ class Mul(Expr):
         return Mul.make(*factors)
 
     def __repr__(self) -> str:
-        parts = []
-        for a in self.args:
-            s = repr(a)
-            if isinstance(a, (Add,)):
-                s = f"({s})"
-            parts.append(s)
+        # a quotient factor is wrapped: ``a*b//c`` would read as ``(a*b)//c``
+        parts = [_wrap(a, (Add, FloorDiv, Mod)) for a in self.args]
         # "-1*x" prints as "-x"
         if parts and parts[0] == "-1":
             rest = "*".join(parts[1:])
             return f"-{rest}"
         return "*".join(parts)
+
+
+def _wrap(e: Expr, kinds) -> str:
+    s = repr(e)
+    return f"({s})" if isinstance(e, kinds) else s
+
+
+def _quotient_repr(e: Expr, op: str) -> str:
+    """``num op den``, parenthesized so the text reads back as ``e`` and no
+    two expressions print alike: Python reads ``a//b//c`` as ``(a//b)//c``
+    and ``x -3//y`` as ``x - (3//y)``, so a quotient denominator and a
+    negative numerator are wrapped (``a//(b//c)``, ``(-3)//y``)."""
+    num = _wrap(e.num, (Add, Mul))
+    num = f"({num})" if num.startswith("-") else num
+    return f"{num}{op}{_wrap(e.den, (Add, Mul, FloorDiv, Mod))}"
 
 
 class FloorDiv(Expr):
@@ -404,11 +415,7 @@ class FloorDiv(Expr):
         return self.num.evaluate(env) // self.den.evaluate(env)
 
     def __repr__(self) -> str:
-        def wrap(e):
-            s = repr(e)
-            return f"({s})" if isinstance(e, (Add, Mul)) else s
-
-        return f"{wrap(self.num)}//{wrap(self.den)}"
+        return _quotient_repr(self, "//")
 
 
 class Mod(Expr):
@@ -444,11 +451,7 @@ class Mod(Expr):
         return self.num.evaluate(env) % self.den.evaluate(env)
 
     def __repr__(self) -> str:
-        def wrap(e):
-            s = repr(e)
-            return f"({s})" if isinstance(e, (Add, Mul)) else s
-
-        return f"{wrap(self.num)}%{wrap(self.den)}"
+        return _quotient_repr(self, "%")
 
 
 class _MinMax(Expr):

@@ -26,7 +26,7 @@ from repro.sdfg import (
 )
 from repro.sdfg.backends.codegen import compile_sdfg, generate_source
 from repro.sdfg.interpreter import Interpreter
-from repro.sdfg.symbolic import Mod, symbols
+from repro.sdfg.symbolic import symbols
 
 _DIMS = dict(Nkz=3, NE=6, Nqz=2, Nw=2, N3D=2, NA=5, NB=3, Norb=2)
 
@@ -148,7 +148,7 @@ class TestEdgeCases:
     def test_wcr_onto_overlapping_subsets(self):
         # Every iteration accumulates into a window [i, i+1] that
         # overlaps its neighbor's; both backends must agree exactly.
-        (N, M, i) = symbols("N M i")
+        N, M = symbols("N M")
         sd = SDFG("overlap")
         sd.add_symbol("N")
         sd.add_symbol("M")
@@ -160,10 +160,8 @@ class TestEdgeCases:
         t = Tasklet("t", ["v"], ["o"], lambda v: {"o": v})
         a_in, a_out = st_.add_access("A"), st_.add_access("B")
         st_.add_edge(a_in, me, Memlet.full("A", (N,)))
-        st_.add_edge(me, t, Memlet("A", Range([(i, i + 1)])), dst_conn="v")
-        st_.add_edge(
-            t, mx, Memlet("B", Range([(i, i + 1)]), wcr="sum"), src_conn="o"
-        )
+        st_.add_edge(me, t, Memlet.parse("A[i:i + 2]"), dst_conn="v")
+        st_.add_edge(t, mx, Memlet.parse("B[i:i + 2] (CR: Sum)"), src_conn="o")
         st_.add_edge(mx, a_out, Memlet.full("B", (N,), wcr="sum"))
         sd.validate()
         dims = dict(N=6, M=5)
@@ -177,7 +175,7 @@ class TestEdgeCases:
         # Computed (non-injective) output indices with CR: Sum — the
         # vectorized path must scatter with np.add.at and agree with the
         # interpreter's per-iteration accumulation.
-        (N, M, i) = symbols("N M i")
+        N, M = symbols("N M")
         sd = SDFG("scatter")
         sd.add_symbol("N")
         sd.add_symbol("M")
@@ -189,13 +187,8 @@ class TestEdgeCases:
         t = Tasklet("t", ["v"], ["o"], lambda v: {"o": v}, op="->")
         a_in, a_out = st_.add_access("A"), st_.add_access("B")
         st_.add_edge(a_in, me, Memlet.full("A", (M,)))
-        st_.add_edge(me, t, Memlet("A", Range([(i, i)])), dst_conn="v")
-        st_.add_edge(
-            t,
-            mx,
-            Memlet("B", Range([(Mod.make(i * 3, N), Mod.make(i * 3, N))]), wcr="sum"),
-            src_conn="o",
-        )
+        st_.add_edge(me, t, Memlet.parse("A[i]"), dst_conn="v")
+        st_.add_edge(t, mx, Memlet.parse("B[(3*i)%N] (CR: Sum)"), src_conn="o")
         st_.add_edge(mx, a_out, Memlet.full("B", (N,), wcr="sum"))
         sd.validate()
         src = generate_source(sd)
@@ -209,7 +202,7 @@ class TestEdgeCases:
     def test_empty_map_range(self):
         # M = 0 -> zero iterations: the output must stay untouched in
         # both backends (and einsum over a zero-length axis is a no-op).
-        (N, M, i) = symbols("N M i")
+        N, M = symbols("N M")
         for op in (None, "->"):
             sd = SDFG("empty")
             sd.add_symbol("N")
@@ -222,10 +215,8 @@ class TestEdgeCases:
             t = Tasklet("t", ["v"], ["o"], lambda v: {"o": v}, op=op)
             a_in, a_out = st_.add_access("A"), st_.add_access("B")
             st_.add_edge(a_in, me, Memlet.full("A", (N,)))
-            st_.add_edge(me, t, Memlet("A", Range([(i, i)])), dst_conn="v")
-            st_.add_edge(
-                t, mx, Memlet("B", Range([(i, i)]), wcr="sum"), src_conn="o"
-            )
+            st_.add_edge(me, t, Memlet.parse("A[i]"), dst_conn="v")
+            st_.add_edge(t, mx, Memlet.parse("B[i] (CR: Sum)"), src_conn="o")
             st_.add_edge(mx, a_out, Memlet.full("B", (N,), wcr="sum"))
             dims = dict(N=5, M=0)
             interp, gen = _both_stores(
@@ -239,7 +230,7 @@ class TestEdgeCases:
         # DIFFERENT ranges: whole-scope vectorization must refuse (one
         # shared arange would be wrong for one of them) and the loop
         # fallback must agree with the interpreter.
-        (N, M, a, i) = symbols("N M a i")
+        N, M = symbols("N M")
         sd = SDFG("clash")
         sd.add_symbol("N")
         sd.add_symbol("M")
@@ -259,14 +250,10 @@ class TestEdgeCases:
         st_.add_edge(a_in, oe, Memlet.full("A", (N,)))
         st_.add_edge(oe, e1, Memlet.full("A", (N,)))
         st_.add_edge(oe, e2, Memlet.full("A", (N,)))
-        st_.add_edge(e1, t1, Memlet("A", Range([(i, i)])), dst_conn="v")
-        st_.add_edge(
-            t1, x1, Memlet("B", Range([(i, i)]), wcr="sum"), src_conn="o"
-        )
-        st_.add_edge(e2, t2, Memlet("A", Range([(i, i)])), dst_conn="v")
-        st_.add_edge(
-            t2, x2, Memlet("C", Range([(i, i)]), wcr="sum"), src_conn="o"
-        )
+        st_.add_edge(e1, t1, Memlet.parse("A[i]"), dst_conn="v")
+        st_.add_edge(t1, x1, Memlet.parse("B[i] (CR: Sum)"), src_conn="o")
+        st_.add_edge(e2, t2, Memlet.parse("A[i]"), dst_conn="v")
+        st_.add_edge(t2, x2, Memlet.parse("C[i] (CR: Sum)"), src_conn="o")
         b_out, c_out = st_.add_access("B"), st_.add_access("C")
         st_.add_edge(x1, ox, Memlet.full("B", (N,), wcr="sum"))
         st_.add_edge(x2, ox, Memlet.full("C", (M,), wcr="sum"))

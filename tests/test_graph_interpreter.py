@@ -40,9 +40,9 @@ def build_matmul_sdfg():
     )
     st.add_edge(st.add_access("A"), me, Memlet.full("A", (M, K)))
     st.add_edge(st.add_access("B"), me, Memlet.full("B", (K, N)))
-    st.add_edge(me, t, Memlet.simple("A", "i", "k"), dst_conn="a")
-    st.add_edge(me, t, Memlet.simple("B", "k", "j"), dst_conn="b")
-    st.add_edge(t, mx, Memlet.simple("C", "i", "j", wcr="sum"), src_conn="out")
+    st.add_edge(me, t, Memlet.parse("A[i, k]"), dst_conn="a")
+    st.add_edge(me, t, Memlet.parse("B[k, j]"), dst_conn="b")
+    st.add_edge(t, mx, Memlet.parse("C[i, j] (CR: Sum)"), src_conn="out")
     st.add_edge(mx, st.add_access("C"), Memlet.full("C", (M, N), wcr="sum"))
     return sd
 
@@ -102,7 +102,7 @@ class TestValidation:
         st = sd.add_state("s")
         a = st.add_access("A")
         t = Tasklet("t", [], ["o"], lambda: {"o": 1})
-        st.add_edge(t, a, Memlet("A", Range([(0, 0)])), src_conn="o")
+        st.add_edge(t, a, Memlet.parse("A[0]"), src_conn="o")
         with pytest.raises(InvalidSDFGError):
             sd.validate()
 
@@ -112,7 +112,7 @@ class TestValidation:
         st = sd.add_state("s")
         a = st.add_access("A")
         t = Tasklet("t", [], ["o"], lambda: {"o": 1})
-        st.add_edge(t, a, Memlet("B", Range([(0, 0)])), src_conn="o")
+        st.add_edge(t, a, Memlet.parse("B[0]"), src_conn="o")
         with pytest.raises(InvalidSDFGError):
             sd.validate()
 
@@ -121,7 +121,7 @@ class TestValidation:
         sd.add_array("A", (3,))
         st = sd.add_state("s")
         t = Tasklet("t", ["in1"], ["o"], lambda in1: {"o": in1})
-        st.add_edge(t, st.add_access("A"), Memlet("A", Range([(0, 0)])), src_conn="o")
+        st.add_edge(t, st.add_access("A"), Memlet.parse("A[0]"), src_conn="o")
         with pytest.raises(InvalidSDFGError):
             sd.validate()
 
@@ -194,8 +194,8 @@ class TestInterpreter:
         me, mx = MapEntry(m), MapExit(m)
         t = Tasklet("id", ["v"], ["o"], lambda v: {"o": v})
         st.add_edge(st.add_access("x"), me, Memlet.full("x", (N,)))
-        st.add_edge(me, t, Memlet.simple("x", "i"), dst_conn="v")
-        st.add_edge(t, mx, Memlet("out", Range([0]), wcr="max"), src_conn="o")
+        st.add_edge(me, t, Memlet.parse("x[i]"), dst_conn="v")
+        st.add_edge(t, mx, Memlet.parse("out[0] (CR: Max)"), src_conn="o")
         st.add_edge(mx, st.add_access("out"), Memlet.full("out", (1,), wcr="max"))
         data = np.array([3.0, 9.0, -2.0, 4.0])
         out = execute(sd, dict(N=4), dict(x=data))
@@ -206,7 +206,7 @@ class TestInterpreter:
         sd.add_array("out", (1,), np.float64)
         st = sd.add_state("s")
         t = Tasklet("bad", [], ["o"], lambda: {})
-        st.add_edge(t, st.add_access("out"), Memlet("out", Range([0])), src_conn="o")
+        st.add_edge(t, st.add_access("out"), Memlet.parse("out[0]"), src_conn="o")
         with pytest.raises(RuntimeError):
             execute(sd, {}, {})
 
@@ -218,8 +218,8 @@ class TestInterpreter:
         done = sd.add_state("done")
         t = Tasklet("inc", ["v"], ["o"], lambda v: {"o": v + 1})
         a_in, a_out = body.add_access("acc"), body.add_access("acc")
-        body.add_edge(a_in, t, Memlet("acc", Range([0])), dst_conn="v")
-        body.add_edge(t, a_out, Memlet("acc", Range([0])), src_conn="o")
+        body.add_edge(a_in, t, Memlet.parse("acc[0]"), dst_conn="v")
+        body.add_edge(t, a_out, Memlet.parse("acc[0]"), src_conn="o")
         sd.add_interstate_edge(
             body, body,
             InterstateEdge(condition=lambda ctx: ctx["__arrays__"]["acc"][0] < 5),
@@ -261,17 +261,16 @@ class TestInterpreter:
 
         t = Tasklet("t", ["v"], ["o"], probe)
         st.add_edge(
-            st.add_access("x"), t, Memlet("x", Range([(1, 1), (2, 2)])), dst_conn="v"
+            st.add_access("x"), t, Memlet.parse("x[1, 2]"), dst_conn="v"
         )
-        st.add_edge(t, st.add_access("y"), Memlet("y", Range([0])), src_conn="o")
+        st.add_edge(t, st.add_access("y"), Memlet.parse("y[0]"), src_conn="o")
         execute(sd, {}, dict(x=np.zeros((3, 4))))
         assert seen["shape"] == ()
 
     def test_point_axes_squeeze(self):
         """Only symbolically degenerate axes are squeezed: ``x[2, 0:6]``
         arrives 1-d, while ``x[0:N, 0:6]`` keeps both axes at ``N = 1``."""
-        N = symbols("N")[0]
-        point, block = Range([(2, 2), (0, 5)]), Range([(0, N - 1), (0, 5)])
+        point, block = Range.parse("[2, 0:6]"), Range.parse("[0:N, 0:6]")
         assert point.point_axes == (0,) and block.point_axes == ()
         sd = SDFG("sq2")
         sd.add_array("x", (3, 6), np.float64)
@@ -287,7 +286,7 @@ class TestInterpreter:
         x = st.add_access("x")
         st.add_edge(x, t, Memlet("x", point), dst_conn="p")
         st.add_edge(x, t, Memlet("x", block), dst_conn="b")
-        st.add_edge(t, st.add_access("y"), Memlet("y", Range([0])), src_conn="o")
+        st.add_edge(t, st.add_access("y"), Memlet.parse("y[0]"), src_conn="o")
         execute(sd, dict(N=1), dict(x=np.zeros((3, 6))))
         assert seen == [(6,), (1, 6)]
 

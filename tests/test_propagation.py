@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sdfg import (
-    IndirectAccess,
     Map,
     Memlet,
     NonAffineError,
@@ -19,53 +18,42 @@ from repro.sdfg import (
 )
 
 
-def point_memlet(data, expr):
-    return Memlet(data, Range([(expr, expr)]))
-
-
 class TestAffinePropagation:
     def test_identity_param(self):
-        i = Symbol("i")
         m = Map("m", ["i"], Range([(0, 9)]))
-        out = propagate_memlet(point_memlet("A", i), m)
+        out = propagate_memlet(Memlet.parse("A[i]"), m)
         assert out.subset.evaluate({}) == ((0, 9, 1),)
 
     def test_accesses_multiply_by_iterations(self):
-        i = Symbol("i")
         m = Map("m", ["i"], Range([(0, 9)]))
-        out = propagate_memlet(point_memlet("A", i), m)
+        out = propagate_memlet(Memlet.parse("A[i]"), m)
         assert out.accesses.evaluate({}) == 10
 
     def test_negative_coefficient_flips_endpoints(self):
-        i = Symbol("i")
         m = Map("m", ["i"], Range([(0, 9)]))
-        out = propagate_memlet(point_memlet("A", 20 - i), m)
+        out = propagate_memlet(Memlet.parse("A[20 - i]"), m)
         assert out.subset.evaluate({}) == ((11, 20, 1),)
 
     def test_difference_of_params(self):
-        kz, qz = symbols("kz qz")
         m = Map("m", ["kz", "qz"], Range([(0, 6), (0, 2)]))
-        out = propagate_memlet(point_memlet("G", kz - qz), m)
+        out = propagate_memlet(Memlet.parse("G[kz - qz]"), m)
         assert out.subset.evaluate({}) == ((-2, 6, 1),)
 
     def test_clamp_to_array(self):
-        kz, qz = symbols("kz qz")
         Nkz = Symbol("Nkz")
         m = Map("m", ["kz", "qz"], Range([(0, Nkz - 1), (0, 2)]))
-        out = propagate_memlet(point_memlet("G", kz - qz), m, array_shape=(Nkz,))
+        out = propagate_memlet(Memlet.parse("G[kz - qz]"), m, array_shape=(Nkz,))
         assert out.subset.evaluate(dict(Nkz=7)) == ((0, 6, 1),)
 
     def test_unused_dim_unchanged(self):
-        i = Symbol("i")
         m = Map("m", ["i"], Range([(0, 3)]))
-        mem = Memlet("A", Range([(5, 5), (i, i)]))
-        out = propagate_memlet(mem, m)
+        out = propagate_memlet(Memlet.parse("A[5, i]"), m)
         assert out.subset.evaluate({})[0] == (5, 5, 1)
         assert out.subset.evaluate({})[1] == (0, 3, 1)
 
     def test_paper_fig7_range(self):
         """The propagated kz-qz tile range of Fig. 7 (right)."""
-        kz, qz, tkz, tqz, skz, sqz = symbols("kz qz tkz tqz skz sqz")
+        tkz, tqz, skz, sqz = symbols("tkz tqz skz sqz")
         m = Map(
             "t",
             ["kz", "qz"],
@@ -74,7 +62,7 @@ class TestAffinePropagation:
                 (tqz * sqz, (tqz + 1) * sqz - 1),
             ]),
         )
-        out = propagate_memlet(point_memlet("G", kz - qz), m)
+        out = propagate_memlet(Memlet.parse("G[kz - qz]"), m)
         env = dict(tkz=2, skz=4, tqz=1, sqz=3)
         b, e, _ = out.subset.evaluate(env)[0]
         # [tkz skz − (tqz+1)sqz + 1, (tkz+1)skz − tqz sqz − 1]
@@ -84,9 +72,8 @@ class TestAffinePropagation:
         assert e - b + 1 == 4 + 3 - 1
 
     def test_symbolic_coefficient_assumed_positive(self):
-        i, s = symbols("i s")
         m = Map("m", ["i"], Range([(0, 3)]))
-        out = propagate_memlet(point_memlet("A", i * s), m)
+        out = propagate_memlet(Memlet.parse("A[i*s]"), m)
         b, e, _ = out.subset.dims[0]
         assert b.evaluate(dict(s=2)) == 0
         assert e.evaluate(dict(s=2)) == 6
@@ -95,42 +82,37 @@ class TestAffinePropagation:
 class TestIndirection:
     def test_hook_applied(self):
         NA, NB = symbols("NA NB")
-        a, b, ta, sa = symbols("a b ta sa")
-        f = IndirectAccess("__neigh__", (a, b))
+        ta, sa = symbols("ta sa")
         m = Map(
             "m", ["a", "b"],
             Range([(ta * sa, (ta + 1) * sa - 1), (0, NB - 1)]),
         )
         hook = neighbor_indirection_hook(NA, NB)
-        out = propagate_memlet(point_memlet("G", f), m, hooks=[hook])
+        out = propagate_memlet(Memlet.parse("G[__neigh__[a, b]]"), m, hooks=[hook])
         env = dict(NA=100, NB=4, ta=2, sa=10)
         bnd = out.subset.evaluate(env)[0]
         assert bnd == (max(0, 20 - 2), min(99, 30 + 2 - 1), 1)
 
     def test_missing_hook_raises(self):
-        a, b = symbols("a b")
-        f = IndirectAccess("__neigh__", (a, b))
         m = Map("m", ["a", "b"], Range([(0, 9), (0, 3)]))
         with pytest.raises(NonAffineError):
-            propagate_memlet(point_memlet("G", f), m)
+            propagate_memlet(Memlet.parse("G[__neigh__[a, b]]"), m)
 
     def test_hook_without_atom_param_overapproximates(self):
         NA, NB = symbols("NA NB")
-        b = Symbol("b")
-        f = IndirectAccess("__neigh__", (Symbol("a"), b))
         m = Map("m", ["b"], Range([(0, NB - 1)]))
         hook = neighbor_indirection_hook(NA, NB)
-        out = propagate_memlet(point_memlet("G", f), m, hooks=[hook])
+        out = propagate_memlet(Memlet.parse("G[__neigh__[a, b]]"), m, hooks=[hook])
         assert out.subset.evaluate(dict(NA=50, NB=4))[0] == (0, 49, 1)
 
 
 class TestMultiMap:
     def test_through_nested_maps(self):
-        kz, tkz, skz, Nkz = symbols("kz tkz skz Nkz")
+        tkz, skz, Nkz = symbols("tkz skz Nkz")
         inner = Map("in", ["kz"], Range([(tkz * skz, (tkz + 1) * skz - 1)]))
         outer = Map("out", ["tkz"], Range([(0, Nkz // skz - 1)]))
         out = propagate_through_maps(
-            point_memlet("G", kz), [inner, outer], array_shape=(Nkz,)
+            Memlet.parse("G[kz]"), [inner, outer], array_shape=(Nkz,)
         )
         assert out.subset.evaluate(dict(Nkz=12, skz=3)) == ((0, 11, 1),)
         assert out.accesses.evaluate(dict(Nkz=12, skz=3)) == 12
@@ -146,10 +128,8 @@ class TestMultiMap:
 )
 @settings(max_examples=80, deadline=None)
 def test_propagation_matches_bruteforce(c1, c2, off, n1, n2):
-    i, j = symbols("i j")
-    expr = c1 * i + c2 * j + off
     m = Map("m", ["i", "j"], Range([(0, n1 - 1), (0, n2 - 1)]))
-    out = propagate_memlet(point_memlet("A", expr), m)
+    out = propagate_memlet(Memlet.parse(f"A[{c1}*i + {c2}*j + {off}]"), m)
     values = [
         c1 * ii + c2 * jj + off for ii in range(n1) for jj in range(n2)
     ]

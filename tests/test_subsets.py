@@ -1,5 +1,7 @@
 """Unit tests for symbolic ranges and memlets."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,7 +137,7 @@ class TestMemlet:
         assert m.accesses.evaluate({}) == 8
 
     def test_simple_constructor(self):
-        m = Memlet.simple("A", "i", "j")
+        m = Memlet.parse("A[i, j]")
         assert m.subset.is_point()
 
     def test_full_constructor(self):
@@ -152,7 +154,7 @@ class TestMemlet:
         assert m.wcr_function()(2, 3) == 5
 
     def test_subs(self):
-        m = Memlet.simple("A", Symbol("i")).subs({"i": 7})
+        m = Memlet.parse("A[i]").subs({"i": 7})
         assert m.subset.evaluate({}) == ((7, 7, 1),)
 
     def test_volume_bytes(self):
@@ -162,6 +164,48 @@ class TestMemlet:
     def test_repr_mentions_wcr(self):
         m = Memlet("A", Range([(0, 1)]), wcr="sum")
         assert "Sum" in repr(m)
+
+
+class TestParse:
+    def test_paper_notation(self):
+        m = Memlet.parse("G[kz - qz, E - w, __neigh__[a, b], 0:Norb, 0:Norb]")
+        kz, qz, E, w, a, b, Norb = symbols("kz qz E w a b Norb")
+        f = IndirectAccess("__neigh__", (a, b))
+        assert m.data == "G" and m.wcr is None
+        assert m.subset == Range(
+            [(kz - qz, kz - qz), (E - w, E - w), (f, f), (0, Norb - 1), (0, Norb - 1)]
+        )
+        assert m.accesses == m.subset.num_elements()
+
+    def test_slices_are_half_open_with_step(self):
+        N = Symbol("N")
+        assert Range.parse("[0:N, 1:9:2]") == Range([(0, N - 1), (1, 8, 2)])
+
+    def test_min_max_and_quotients(self):
+        a, b, N = symbols("a b N")
+        r = Range.parse("[Min(a, b) + 1, -(a//2), (3*a)%N, Max(a, N)]")
+        assert r == Range(
+            [Min.make(a, b) + 1, -FloorDiv.make(a, 2), Mod.make(3 * a, N), Max.make(a, N)]
+        )
+
+    def test_wcr(self):
+        assert Memlet.parse("Sigma[kz, 0:NE] (CR: Sum)").wcr == "sum"
+        assert Memlet.parse("out[0] (CR: Max)").wcr == "max"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "G", "G[1.5]", "G[a.b]", "G[f(a)]", "G[0:]", "G[a] (CR: Foo)",
+            "G[a] (CR: Sum", "G[i//0]",
+        ],
+    )
+    def test_rejects_naming_the_text(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            Memlet.parse(text)
+
+    def test_range_rejects_a_name(self):
+        with pytest.raises(ValueError, match=re.escape(repr("G[a]"))):
+            Range.parse("G[a]")
 
 
 # -- property-based -----------------------------------------------------------
@@ -262,3 +306,72 @@ def test_point_slices_wrap_periodically(k):
     sl = r.to_slices({"k": k})
     assert arr[sl].tolist() == [arr[k - 1]]
     assert (sl[0].stop is None) == (k == 0)
+
+
+# -- the printed notation reads back -------------------------------------------
+
+
+def _canonical_exprs():
+    """Every ``Expr`` kind, built only through ``make`` and the operators
+    (a literal 0 divisor becomes 2)."""
+    leaves = st.one_of(
+        st.integers(-3, 3).map(Integer), st.sampled_from(_SYMS).map(Symbol)
+    )
+
+    def quotient(make):
+        return lambda p: make(p[0], p[1] if p[1] != 0 else Integer(2))
+
+    def grow(sub):
+        ab = st.tuples(sub, sub)
+        return st.one_of(
+            ab.map(_pair(Add.make)), ab.map(_pair(Mul.make)), sub.map(lambda e: -e),
+            ab.map(quotient(FloorDiv.make)), ab.map(quotient(Mod.make)),
+            ab.map(_pair(Min.make)), ab.map(_pair(Max.make)),
+            ab.map(lambda p: IndirectAccess("T", p)),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+_CANONICAL = _canonical_exprs()
+_DIM = st.one_of(_CANONICAL, st.tuples(_CANONICAL, _CANONICAL, st.integers(1, 4)))
+
+
+@given(
+    dims=st.lists(_DIM, min_size=1, max_size=3),
+    wcr=st.sampled_from((None, "sum", "min", "max")),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_inverts_repr(dims, wcr):
+    """``Memlet.parse`` reads ``repr`` back, over canonical expressions
+    and positive steps.  Raw constructor forms (``Add((0, 1))``) print
+    un-simplified, parse to their canonical form and are not generated."""
+    m = Memlet("A", Range(dims), wcr=wcr)
+    parsed = Memlet.parse(repr(m))
+    assert repr(parsed) == repr(m)
+    assert parsed.wcr == wcr
+
+
+def _sse_memlets():
+    from repro.core.recipe import (
+        SSE_BATCH_TEMPLATES, SSE_PIPELINE, VERIFY_DIMS, tuned_sse_search,
+    )
+
+    stages = SSE_PIPELINE.stages() + tuned_sse_search(VERIFY_DIMS).pipeline.stages()
+    for stage in stages:
+        for state in stage.sdfg.states:
+            yield from (d["memlet"] for _, _, d in state.edges() if d.get("memlet"))
+    for t in SSE_BATCH_TEMPLATES:
+        yield from (*t.in_memlets.values(), *t.out_memlets.values())
+
+
+def test_every_sse_memlet_parses_back():
+    """Every memlet of the recipe's stages, the searched stages and the
+    batch templates is its printed text."""
+    memlets = list(_sse_memlets())
+    assert len(memlets) > 400
+    for m in memlets:
+        p = Memlet.parse(repr(m))
+        assert (p.data, p.subset, p.accesses, p.wcr) == (
+            m.data, m.subset, m.accesses, m.wcr,
+        ), repr(m)

@@ -221,6 +221,36 @@ class TestAffineCoefficients:
         assert const == 1 - sqz
 
 
+class TestPrintedText:
+    """Equality and hashing compare the printed text, so two different
+    expressions must never print alike."""
+
+    def test_nested_floordiv_stays_apart(self):
+        a, b, c = symbols("a b c")
+        left = FloorDiv.make(FloorDiv.make(a, b), c)
+        right = FloorDiv.make(a, FloorDiv.make(b, c))
+        assert left != right
+        assert (right - left).evaluate(dict(a=7, b=5, c=2)) == 3
+
+    def test_nested_mod_denominator_stays_apart(self):
+        a, b, c = symbols("a b c")
+        assert Mod.make(Mod.make(a, b), c) != Mod.make(a, Mod.make(b, c))
+
+    def test_quotient_factor_in_product(self):
+        a, b, c = symbols("a b c")
+        product = a * FloorDiv.make(b, c)
+        assert product != FloorDiv.make(a * b, c)
+        assert repr(product) == "a*(b//c)"
+        assert repr(-FloorDiv.make(a, b)) == "-(a//b)"
+
+    def test_negative_numerator_reads_back(self):
+        # unwrapped, ``... -3//x`` would read as ``... - (3//x)``
+        a, b, c, x = symbols("a b c x")
+        e = FloorDiv.make(a + b, c) + FloorDiv.make(-3, x)
+        env = dict(a=1, b=2, c=2, x=2)
+        assert eval(repr(e), {}, dict(env)) == e.evaluate(env) == -1
+
+
 class TestIndirectAccess:
     def test_evaluate_via_table(self):
         import numpy as np

@@ -128,8 +128,8 @@ class TestMapFission:
         me, mx = MapEntry(m), MapExit(m)
         t = Tasklet("t", ["v"], ["o"], lambda v: {"o": v})
         st.add_edge(st.add_access("x"), me, Memlet.full("x", (N,)))
-        st.add_edge(me, t, Memlet.simple("x", "i"), dst_conn="v")
-        st.add_edge(t, mx, Memlet.simple("y", "i"), src_conn="o")
+        st.add_edge(me, t, Memlet.parse("x[i]"), dst_conn="v")
+        st.add_edge(t, mx, Memlet.parse("y[i]"), src_conn="o")
         st.add_edge(mx, st.add_access("y"), Memlet.full("y", (N,)))
         with pytest.raises(TransformationError):
             MapFission(me).apply_checked(sd, st)
@@ -272,13 +272,12 @@ class TestBatchSubstitution:
     def test_memlet_must_not_use_batched_params(self):
         sd, st = fresh_sse()
         entry = find_map_entry(st, "sse")
-        kz = Symbol("kz")
         t = Tasklet("t", ["g"], ["o"], lambda g: {"o": g})
         with pytest.raises(TransformationError):
             BatchedOperationSubstitution(
                 entry, ["kz"], t,
-                in_memlets={"g": Memlet("G", Range([(kz, kz), (0, 0), (0, 0), (0, 0), (0, 0)]))},
-                out_memlets={"o": Memlet("Sigma", Range([(0, 0)] * 5))},
+                in_memlets={"g": Memlet.parse("G[kz, 0, 0, 0, 0]")},
+                out_memlets={"o": Memlet.parse("Sigma[0, 0, 0, 0, 0]")},
             ).apply_checked(sd, st)
 
     def test_unknown_batch_param(self):
@@ -286,5 +285,5 @@ class TestBatchSubstitution:
         t = Tasklet("t", [], ["o"], lambda: {"o": 0})
         with pytest.raises(TransformationError):
             BatchedOperationSubstitution(
-                find_map_entry(st, "sse"), ["nope"], t, {}, {"o": Memlet("Sigma", Range([(0, 0)] * 5))}
+                find_map_entry(st, "sse"), ["nope"], t, {}, {"o": Memlet.parse("Sigma[0, 0, 0, 0, 0]")}
             ).apply_checked(sd, st)
